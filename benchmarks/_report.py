@@ -12,10 +12,17 @@ from pathlib import Path
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def save(name: str, text: str) -> None:
-    """Persist a rendered table under benchmarks/results/<name>.txt."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+def save(name: str, text: str, results_dir: Path = RESULTS_DIR) -> Path:
+    """Persist a rendered table as ``<results_dir>/<name>.txt``.
+
+    ``results_dir`` defaults to the git-ignored ``benchmarks/results/``;
+    tests that digest a table pass their own directory, so they depend
+    on no earlier benchmark run. Returns the file written.
+    """
+    results_dir.mkdir(exist_ok=True)
+    path = results_dir / f"{name}.txt"
+    path.write_text(text + "\n")
+    return path
 
 
 def all_results() -> list[tuple[str, str]]:

@@ -16,13 +16,48 @@ from repro.apps.nwchem import ScfConfig
 from repro.bench.scf import scf_comparison
 from repro.util import render_table, us
 
+#: The smoke grid (also what the tier-1 byte-identity gate renders).
+SMALL_GRID = (
+    (64, 128, 256),
+    ScfConfig(nblocks=24, task_time=2e-3, iterations=1, tasks_per_draw=2),
+)
 #: Paper process counts; REPRO_FIG11_SMALL=1 shrinks the grid for smoke runs.
 if os.environ.get("REPRO_FIG11_SMALL"):
-    PROC_COUNTS = (64, 128, 256)
-    SCF = ScfConfig(nblocks=24, task_time=2e-3, iterations=1, tasks_per_draw=2)
+    PROC_COUNTS, SCF = SMALL_GRID
 else:
     PROC_COUNTS = (1024, 2048, 4096)
     SCF = ScfConfig(nblocks=128, task_time=6e-3, iterations=1, tasks_per_draw=2)
+
+
+def fig11_table(rows, scf: ScfConfig) -> str:
+    """The Figure 11 table from ``scf_comparison`` rows."""
+    table = [
+        [
+            c.num_procs,
+            f"{c.default.total_time * 1e3:.1f}",
+            f"{c.async_thread.total_time * 1e3:.1f}",
+            f"{c.improvement * 100:.0f}%",
+            f"{us(c.default.counter_time_mean):.0f}",
+            f"{us(c.async_thread.counter_time_mean):.0f}",
+        ]
+        for c in rows
+    ]
+    return render_table(
+        [
+            "procs",
+            "D total (ms)",
+            "AT total (ms)",
+            "AT gain",
+            "D counter/rank (us)",
+            "AT counter/rank (us)",
+        ],
+        table,
+        title=(
+            "Figure 11: SCF, 6 H2O / 644 bf "
+            f"({scf.ntasks} tasks x {scf.iterations} iter) — paper: "
+            "AT cuts execution time up to 30%, counter time collapses"
+        ),
+    )
 
 
 def test_fig11_scf_default_vs_async_thread(benchmark):
@@ -49,36 +84,7 @@ def test_fig11_scf_default_vs_async_thread(benchmark):
     at_times = [c.async_thread.total_time for c in rows]
     assert at_times == sorted(at_times, reverse=True)
 
-    table = [
-        [
-            c.num_procs,
-            f"{c.default.total_time * 1e3:.1f}",
-            f"{c.async_thread.total_time * 1e3:.1f}",
-            f"{c.improvement * 100:.0f}%",
-            f"{us(c.default.counter_time_mean):.0f}",
-            f"{us(c.async_thread.counter_time_mean):.0f}",
-        ]
-        for c in rows
-    ]
-    save(
-        "fig11_scf",
-        render_table(
-            [
-                "procs",
-                "D total (ms)",
-                "AT total (ms)",
-                "AT gain",
-                "D counter/rank (us)",
-                "AT counter/rank (us)",
-            ],
-            table,
-            title=(
-                "Figure 11: SCF, 6 H2O / 644 bf "
-                f"({SCF.ntasks} tasks x {SCF.iterations} iter) — paper: "
-                "AT cuts execution time up to 30%, counter time collapses"
-            ),
-        ),
-    )
+    save("fig11_scf", fig11_table(rows, SCF))
 
 
 #: Span tracing multiplies per-op cost, so the --trace-out rerun uses a

@@ -8,6 +8,23 @@ from repro.bench import contiguous_latency_sweep
 from repro.util import bytes_fmt, render_table, us
 
 
+def fig3_table(gets, puts) -> str:
+    """The Figure 3 table from the two latency sweeps."""
+    put_by_size = dict(puts)
+    rows = [
+        [bytes_fmt(size), f"{us(g):.2f}", f"{us(put_by_size[size]):.2f}"]
+        for size, g in gets
+    ]
+    return render_table(
+        ["msg size", "get (us)", "put (us)"],
+        rows,
+        title=(
+            "Figure 3: inter-node latency (paper: get 2.89 us / put "
+            "2.7 us @16 B, drop at 256 B)"
+        ),
+    )
+
+
 def test_fig3_contiguous_latency(benchmark):
     def run():
         gets = contiguous_latency_sweep(op="get")
@@ -27,18 +44,4 @@ def test_fig3_contiguous_latency(benchmark):
     # Get carries the round trip; put completes locally.
     assert all(get_by_size[s] > put_by_size[s] for s in get_by_size)
 
-    rows = [
-        [bytes_fmt(size), f"{us(g):.2f}", f"{us(put_by_size[size]):.2f}"]
-        for size, g in gets
-    ]
-    save(
-        "fig3_latency",
-        render_table(
-            ["msg size", "get (us)", "put (us)"],
-            rows,
-            title=(
-                "Figure 3: inter-node latency (paper: get 2.89 us / put "
-                "2.7 us @16 B, drop at 256 B)"
-            ),
-        ),
-    )
+    save("fig3_latency", fig3_table(gets, puts))

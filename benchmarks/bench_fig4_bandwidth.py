@@ -8,6 +8,23 @@ from repro.bench import bandwidth_sweep
 from repro.util import bytes_fmt, render_table
 
 
+def fig4_table(puts, gets) -> str:
+    """The Figure 4 table from the two bandwidth sweeps."""
+    get_by_size = dict(gets)
+    rows = [
+        [bytes_fmt(size), f"{p:.0f}", f"{get_by_size[size]:.0f}"]
+        for size, p in puts
+    ]
+    return render_table(
+        ["msg size", "put (MB/s)", "get (MB/s)"],
+        rows,
+        title=(
+            "Figure 4: inter-node bandwidth (paper: peak 1775 MB/s, "
+            "get RTT visible to ~8 KB)"
+        ),
+    )
+
+
 def test_fig4_bandwidth(benchmark):
     def run():
         puts = bandwidth_sweep(op="put")
@@ -27,18 +44,4 @@ def test_fig4_bandwidth(benchmark):
     assert get_by_size[1024] < put_by_size[1024]
     assert get_by_size[8192] == pytest.approx(put_by_size[8192], rel=0.1)
 
-    rows = [
-        [bytes_fmt(size), f"{p:.0f}", f"{get_by_size[size]:.0f}"]
-        for size, p in puts
-    ]
-    save(
-        "fig4_bandwidth",
-        render_table(
-            ["msg size", "put (MB/s)", "get (MB/s)"],
-            rows,
-            title=(
-                "Figure 4: inter-node bandwidth (paper: peak 1775 MB/s, "
-                "get RTT visible to ~8 KB)"
-            ),
-        ),
-    )
+    save("fig4_bandwidth", fig4_table(puts, gets))

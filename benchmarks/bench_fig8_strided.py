@@ -8,6 +8,23 @@ from repro.bench import bandwidth_sweep, strided_bandwidth_sweep
 from repro.util import bytes_fmt, render_table
 
 
+def fig8_table(puts, gets) -> str:
+    """The Figure 8 table from the two strided-bandwidth sweeps."""
+    get_by_l0 = dict(gets)
+    rows = [
+        [bytes_fmt(l0), f"{bw:.0f}", f"{get_by_l0[l0]:.0f}"]
+        for l0, bw in puts
+    ]
+    return render_table(
+        ["chunk l0", "put (MB/s)", "get (MB/s)"],
+        rows,
+        title=(
+            "Figure 8: strided bandwidth, 1 MB total, vs chunk size "
+            "(paper: tracks Fig. 4 as l0 grows)"
+        ),
+    )
+
+
 def test_fig8_strided_bandwidth(benchmark):
     def run():
         puts = strided_bandwidth_sweep(op="put")
@@ -16,7 +33,6 @@ def test_fig8_strided_bandwidth(benchmark):
 
     puts, gets = benchmark.pedantic(run, rounds=1, iterations=1)
     put_by_l0 = dict(puts)
-    get_by_l0 = dict(gets)
 
     # Bandwidth rises monotonically with l0 (Eq. 9: T ~ o*m/l0 + mG) ...
     values = [put_by_l0[l0] for l0, _ in puts]
@@ -27,18 +43,4 @@ def test_fig8_strided_bandwidth(benchmark):
     # Small chunks are message-rate bound: ~l0/(o + l0 G).
     assert put_by_l0[512] < 0.35 * put_by_l0[1 << 20]
 
-    rows = [
-        [bytes_fmt(l0), f"{bw:.0f}", f"{get_by_l0[l0]:.0f}"]
-        for l0, bw in puts
-    ]
-    save(
-        "fig8_strided",
-        render_table(
-            ["chunk l0", "put (MB/s)", "get (MB/s)"],
-            rows,
-            title=(
-                "Figure 8: strided bandwidth, 1 MB total, vs chunk size "
-                "(paper: tracks Fig. 4 as l0 grows)"
-            ),
-        ),
-    )
+    save("fig8_strided", fig8_table(puts, gets))

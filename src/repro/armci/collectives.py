@@ -134,6 +134,10 @@ class HardwareBarrier:
         return event
 
 
+#: Watches kept before triggered ones are pruned.
+WATCH_PRUNE_FLOOR = 64
+
+
 class FailureDetector:
     """Fails watched events when a watched rank dies.
 
@@ -150,6 +154,10 @@ class FailureDetector:
         self.detect_delay = detect_delay
         self._dead: set[int] = set()
         self._watches: list[tuple[Event, frozenset[int]]] = []
+        #: Watch-list length that triggers the next prune of triggered
+        #: events: double what the last prune kept, so watching stays
+        #: O(1) amortised however many watches are still live.
+        self._prune_at = WATCH_PRUNE_FLOOR
 
     def watch(self, event: Event, ranks: Iterable[int]) -> None:
         """Fail ``event`` if any of ``ranks`` dies before it triggers."""
@@ -159,10 +167,11 @@ class FailureDetector:
             self._fail(event, min(already_dead))
             return
         self._watches.append((event, members))
-        if len(self._watches) > 64:
+        if len(self._watches) > self._prune_at:
             self._watches = [
                 (ev, m) for ev, m in self._watches if not ev.triggered
             ]
+            self._prune_at = max(WATCH_PRUNE_FLOOR, 2 * len(self._watches))
 
     def _fail(self, event: Event, dead_rank: int) -> None:
         token = Failure(dead_rank)
@@ -223,20 +232,28 @@ def barrier(
     rt.trace.incr("armci.barriers")
 
 
+_REDUCTIONS = {"sum": sum, "max": max, "min": min}
+
+
 class ReductionBoard:
     """Software allreduce scratchpad (models the hardware collective net).
 
     Rounds are explicit: each rank deposits into its current round, a
-    barrier guarantees completeness, then every rank collects. A round's
-    storage is reclaimed once all ranks have collected it, so back-to-back
-    reductions never race.
+    barrier guarantees completeness, then every rank collects. The first
+    collector reduces the round; the others are handed that result. A
+    round's storage is reclaimed once all ranks have collected it, so
+    back-to-back reductions never race.
     """
 
     def __init__(self, num_procs: int) -> None:
         self.num_procs = num_procs
         self._rounds: dict[int, dict[int, float]] = {}
-        self._collected: dict[int, int] = {}
+        #: round -> [op, result, collectors so far], made by the round's
+        #: first collector.
+        self._reduced: dict[int, list] = {}
         self._rank_round: dict[int, int] = {}
+        #: Reductions actually computed (one per collected round).
+        self.rounds_reduced = 0
 
     def reset(self, num_procs: int | None = None) -> None:
         """Discard every in-flight round and resynchronize round ids.
@@ -247,7 +264,7 @@ class ReductionBoard:
         replayed reduction with a pre-crash one). Idempotent.
         """
         self._rounds.clear()
-        self._collected.clear()
+        self._reduced.clear()
         self._rank_round.clear()
         if num_procs is not None:
             self.num_procs = num_procs
@@ -270,20 +287,23 @@ class ReductionBoard:
             raise ArmciError(
                 f"round {rnd} incomplete: {have}/{self.num_procs} deposits"
             )
-        vals = list(values.values())
-        if op == "sum":
-            result = float(sum(vals))
-        elif op == "max":
-            result = float(max(vals))
-        elif op == "min":
-            result = float(min(vals))
-        else:
-            raise ArmciError(f"unknown reduction op {op!r}")
-        self._collected[rnd] = self._collected.get(rnd, 0) + 1
-        if self._collected[rnd] == self.num_procs:
+        reduced = self._reduced.get(rnd)
+        if reduced is None:
+            reduce_fn = _REDUCTIONS.get(op)
+            if reduce_fn is None:
+                raise ArmciError(f"unknown reduction op {op!r}")
+            reduced = self._reduced[rnd] = [op, float(reduce_fn(values.values())), 0]
+            self.rounds_reduced += 1
+        elif reduced[0] != op:
+            raise ArmciError(
+                f"collective allreduce mismatch: round {rnd} has ops "
+                f"{reduced[0]!r} and {op!r}"
+            )
+        reduced[2] += 1
+        if reduced[2] == self.num_procs:
             del self._rounds[rnd]
-            del self._collected[rnd]
-        return result
+            del self._reduced[rnd]
+        return reduced[1]
 
 
 def allreduce(rt: "ArmciProcess", value: float, op: str = "sum") -> Generator[Any, Any, float]:

@@ -24,7 +24,8 @@ the packet header; the in-process references model exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator
+from types import MappingProxyType
+from typing import Any, Callable, Generator, Mapping
 
 from ..errors import (
     ArmciError,
@@ -35,6 +36,7 @@ from ..errors import (
     TransientFaultError,
 )
 from ..machine.bgq import BGQParams
+from ..mpilike import msg as _msg
 from ..pami.context import PamiContext, cancel_timer, deadline_timer
 from ..pami.faults import TransientFault, check_completion
 from ..pami.world import PamiWorld
@@ -62,10 +64,37 @@ from .region_cache import RegionCache
 #: Consistency-tracker key for writes/reads on unregistered memory.
 UNREGISTERED_KEY_BASE = -1
 
+#: Un-fenced acks to one destination kept before completed ones are pruned.
+ACK_PRUNE_FLOOR = 128
+
+#: Dispatch id -> target-side handler ``fn(rt, ctx, env)``. The handlers
+#: are the same functions on every rank, so one table serves every rank
+#: of every job; a rank contributes only itself (the ``rt`` argument,
+#: PAMI's dispatch cookie) through :meth:`ArmciProcess._dispatch_am`.
+AM_HANDLERS = {
+    _disp.REGION_QUERY: _cont.handle_region_query,
+    _disp.GET_REQUEST: _cont.handle_get_request,
+    _disp.PUT_REQUEST: _cont.handle_put_request,
+    _disp.ACC_REQUEST: _acc.handle_acc_request,
+    _disp.STRIDED_PACKED_PUT: _str.handle_strided_packed_put,
+    _disp.STRIDED_PACKED_GET: _str.handle_strided_packed_get,
+    _disp.LOCK_REQUEST: _locks.handle_lock_request,
+    _disp.UNLOCK_REQUEST: _locks.handle_unlock_request,
+    _disp.VECTOR_PUT: _vec.handle_vector_put,
+    _disp.VECTOR_GET: _vec.handle_vector_get,
+    _disp.NOTIFY: _notify.handle_notify,
+    _disp.GROUP_MESSAGE: _groups.handle_group_message,
+    _disp.MPILIKE_MESSAGE: _msg.handle_message,
+}
+
 
 @dataclass(frozen=True)
 class Allocation:
     """Result of a collective ARMCI allocation.
+
+    One immutable object per allocation, shared by every rank of the job
+    (the mappings are read-only views): a rank holds a reference, never a
+    copy, so an allocation costs O(ranks) for the job, not per rank.
 
     Attributes
     ----------
@@ -81,8 +110,8 @@ class Allocation:
 
     alloc_id: int
     nbytes: int
-    addresses: dict[int, int]
-    registered: dict[int, bool]
+    addresses: Mapping[int, int]
+    registered: Mapping[int, bool]
 
     def addr(self, rank: int) -> int:
         """Base address of the segment on ``rank``."""
@@ -95,42 +124,56 @@ class Allocation:
 
 
 class AllocationDirectory:
-    """Job-wide record of collective allocations (the address exchange)."""
+    """Job-wide record of collective allocations (the address exchange).
+
+    Ranks :meth:`record` into one table per allocation; the rank that
+    completes it freezes the table into the :class:`Allocation` that
+    :meth:`allocation` then hands to every caller.
+    """
 
     def __init__(self, num_procs: int) -> None:
         self.num_procs = num_procs
-        self._pending: dict[int, dict[int, tuple[int, bool]]] = {}
-        self._sizes: dict[int, int] = {}
+        #: alloc_id -> (nbytes, addresses, registered), still filling.
+        self._pending: dict[int, tuple[int, dict[int, int], dict[int, bool]]] = {}
+        self._complete: dict[int, Allocation] = {}
 
     def record(
         self, alloc_id: int, rank: int, addr: int, nbytes: int, registered: bool
     ) -> None:
-        entry = self._pending.setdefault(alloc_id, {})
-        if rank in entry:
+        entry = self._pending.get(alloc_id)
+        if alloc_id in self._complete or (entry is not None and rank in entry[1]):
             raise ArmciError(
                 f"rank {rank} recorded allocation {alloc_id} twice"
             )
-        known = self._sizes.setdefault(alloc_id, nbytes)
+        if entry is None:
+            entry = self._pending[alloc_id] = (nbytes, {}, {})
+        known, addresses, flags = entry
         if known != nbytes:
             raise ArmciError(
                 f"collective malloc mismatch: allocation {alloc_id} has "
                 f"sizes {known} and {nbytes}"
             )
-        entry[rank] = (addr, registered)
+        addresses[rank] = addr
+        flags[rank] = registered
+        if len(addresses) == self.num_procs:
+            del self._pending[alloc_id]
+            self._complete[alloc_id] = Allocation(
+                alloc_id,
+                nbytes,
+                MappingProxyType(addresses),
+                MappingProxyType(flags),
+            )
 
     def allocation(self, alloc_id: int) -> Allocation:
-        entry = self._pending.get(alloc_id)
-        if entry is None or len(entry) != self.num_procs:
-            have = 0 if entry is None else len(entry)
+        """The completed allocation — the same object for every caller."""
+        alloc = self._complete.get(alloc_id)
+        if alloc is None:
+            entry = self._pending.get(alloc_id)
+            have = 0 if entry is None else len(entry[1])
             raise ArmciError(
                 f"allocation {alloc_id} incomplete: {have}/{self.num_procs}"
             )
-        return Allocation(
-            alloc_id,
-            self._sizes[alloc_id],
-            {r: a for r, (a, _reg) in entry.items()},
-            {r: reg for r, (_a, reg) in entry.items()},
-        )
+        return alloc
 
 
 class ArmciJob:
@@ -457,6 +500,9 @@ class ArmciProcess:
         self._deadline: float | None = None
         # Outstanding remote-completion acks per destination (for fences).
         self._pending_acks: dict[int, list[Event]] = {}
+        #: Per destination, the ack-list length that triggers its next
+        #: prune (absent = ``ACK_PRUNE_FLOOR``); see track_write_ack.
+        self._ack_prune_at: dict[int, int] = {}
         self._implicit_handles: set[Handle] = set()
         self._next_alloc_id = 0
         #: Replay mode (crash recovery): collective setup calls are
@@ -474,7 +520,7 @@ class ArmciProcess:
     def _init_body(self) -> Generator[Any, Any, None]:
         for _ in range(self.config.num_contexts):
             yield from self.client.create_context(capacity=self.config.fifo_depth)
-        self._register_handlers()
+        self.client.register_dispatcher(AM_HANDLERS, self._dispatch_am)
         if self.config.async_thread:
             start_async_thread(self)
             if self.config.watchdog_period is not None:
@@ -512,6 +558,7 @@ class ArmciProcess:
         self.progress_failed_over = False
         self._deadline = None
         self._pending_acks = {}
+        self._ack_prune_at = {}
         self._implicit_handles = set()
         self._next_alloc_id = 0
         self._replay_mode = False
@@ -530,7 +577,7 @@ class ArmciProcess:
         """
         for _ in range(self.config.num_contexts):
             yield from self.client.create_context(capacity=self.config.fifo_depth)
-        self._register_handlers()
+        self.client.register_dispatcher(AM_HANDLERS, self._dispatch_am)
         if self.config.async_thread:
             start_async_thread(self)
             if self.config.watchdog_period is not None:
@@ -552,57 +599,17 @@ class ArmciProcess:
         if hasattr(self, "_dtp_state"):
             delattr(self, "_dtp_state")
 
-    def _register_handlers(self) -> None:
-        from ..mpilike import msg as _msg
-
-        handlers = {
-            _disp.REGION_QUERY:
-                lambda ctx, env: _cont.handle_region_query(self, ctx, env),
-            _disp.GET_REQUEST:
-                lambda ctx, env: _cont.handle_get_request(self, ctx, env),
-            _disp.PUT_REQUEST:
-                lambda ctx, env: _cont.handle_put_request(self, ctx, env),
-            _disp.ACC_REQUEST:
-                lambda ctx, env: _acc.handle_acc_request(self, ctx, env),
-            _disp.STRIDED_PACKED_PUT:
-                lambda ctx, env: _str.handle_strided_packed_put(self, ctx, env),
-            _disp.STRIDED_PACKED_GET:
-                lambda ctx, env: _str.handle_strided_packed_get(self, ctx, env),
-            _disp.LOCK_REQUEST:
-                lambda ctx, env: _locks.handle_lock_request(self, ctx, env),
-            _disp.UNLOCK_REQUEST:
-                lambda ctx, env: _locks.handle_unlock_request(self, ctx, env),
-            _disp.VECTOR_PUT:
-                lambda ctx, env: _vec.handle_vector_put(self, ctx, env),
-            _disp.VECTOR_GET:
-                lambda ctx, env: _vec.handle_vector_get(self, ctx, env),
-            _disp.NOTIFY:
-                lambda ctx, env: _notify.handle_notify(self, ctx, env),
-            _disp.GROUP_MESSAGE:
-                lambda ctx, env: _groups.handle_group_message(self, ctx, env),
-            _disp.MPILIKE_MESSAGE:
-                lambda ctx, env: _msg.handle_message(self, ctx, env),
-        }
-        for dispatch_id, fn in handlers.items():
-            self.client.register_dispatch(
-                dispatch_id, self._wrap_handler(dispatch_id, fn)
-            )
-
-    def _wrap_handler(self, dispatch_id: int, fn):
-        """Route one AM handler through the verification observer.
+    def _dispatch_am(self, ctx: PamiContext, env) -> None:
+        """Service one active message (this rank's one PAMI handler).
 
         The observer check is dynamic, so attaching an observer after
         init still sees target-side service events; with none attached
-        the wrapper is a single attribute test.
+        it is a single attribute test.
         """
-
-        def handler(ctx, env):
-            obs = self.observer
-            if obs is not None:
-                obs.on_am_service(self.rank, dispatch_id, env.src)
-            fn(ctx, env)
-
-        return handler
+        obs = self.observer
+        if obs is not None:
+            obs.on_am_service(self.rank, env.dispatch_id, env.src)
+        AM_HANDLERS[env.dispatch_id](self, ctx, env)
 
     def _observe(self, method: str, *args) -> None:
         """Emit one observer event (non-generator; no-op when detached)."""
@@ -787,11 +794,20 @@ class ArmciProcess:
 
         Already-completed acks are pruned opportunistically so a
         long-running producer that rarely fences keeps bounded state.
+        A prune is due only once the list has doubled since the last
+        one, so tracking stays O(1) amortised per ack however many are
+        still outstanding.
         """
         acks = self._pending_acks.setdefault(dst, [])
         acks.append(ack)
-        if len(acks) > 128:
-            self._pending_acks[dst] = [ev for ev in acks if not ev.triggered]
+        if (
+            len(acks) > ACK_PRUNE_FLOOR
+            and len(acks) > self._ack_prune_at.get(dst, ACK_PRUNE_FLOOR)
+        ):
+            acks = self._pending_acks[dst] = [
+                ev for ev in acks if not ev.triggered
+            ]
+            self._ack_prune_at[dst] = max(ACK_PRUNE_FLOOR, 2 * len(acks))
 
     def has_pending_writes(self, dst: int) -> bool:
         """Whether un-fenced writes to ``dst`` were issued (non-generator).
@@ -1346,6 +1362,7 @@ class ArmciProcess:
             )
         deadline = self._op_deadline(timeout)
         acks = self._pending_acks.pop(dst, [])
+        self._ack_prune_at.pop(dst, None)
         ctx = self.main_context
         try:
             for i, ack in enumerate(acks):

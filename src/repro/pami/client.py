@@ -7,7 +7,7 @@ handlers are registered per dispatch id, mirroring ``PAMI_Dispatch_set``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from typing import TYPE_CHECKING, Any, Callable, Container, Generator
 
 from ..errors import PamiError
 from ..sim.primitives import Delay
@@ -37,6 +37,9 @@ class PamiClient:
         self.rank = rank
         self.contexts: list[PamiContext] = []
         self._dispatch: dict[int, AmHandler] = {}
+        #: Ids served by :attr:`_dispatcher` (a table shared across ranks).
+        self._dispatcher_ids: Container[int] = ()
+        self._dispatcher: AmHandler | None = None
 
     @property
     def num_contexts(self) -> int:
@@ -94,9 +97,32 @@ class PamiClient:
         PamiError
             If the dispatch id is already taken.
         """
-        if dispatch_id in self._dispatch:
+        if dispatch_id in self._dispatch or dispatch_id in self._dispatcher_ids:
             raise PamiError(f"dispatch id {dispatch_id} already registered")
         self._dispatch[dispatch_id] = handler
+
+    def register_dispatcher(
+        self, dispatch_ids: Container[int], handler: AmHandler
+    ) -> None:
+        """Register one handler for every id in ``dispatch_ids``.
+
+        For a runtime whose handlers are the same on every rank: the id
+        set is held by reference (one table for the whole job) and the
+        handler reads ``envelope.dispatch_id`` itself, so a client holds
+        two references however many ids it serves.
+
+        Raises
+        ------
+        PamiError
+            If a dispatcher is already registered, or an id is taken.
+        """
+        if self._dispatcher is not None:
+            raise PamiError(f"rank {self.rank} already has a dispatcher")
+        taken = [i for i in self._dispatch if i in dispatch_ids]
+        if taken:
+            raise PamiError(f"dispatch ids {taken} already registered")
+        self._dispatcher_ids = dispatch_ids
+        self._dispatcher = handler
 
     def handler_for(self, dispatch_id: int) -> AmHandler:
         """Look up a registered handler.
@@ -106,6 +132,8 @@ class PamiClient:
         PamiError
             If no handler is registered for the id.
         """
+        if dispatch_id in self._dispatcher_ids:
+            return self._dispatcher
         try:
             return self._dispatch[dispatch_id]
         except KeyError:

@@ -27,7 +27,9 @@ class Semaphore:
         self.engine = engine
         self.name = name
         self._count = count
-        self._waiters: deque[Event] = deque()
+        #: Blocked acquirers, oldest first; created on the first block,
+        #: so an uncontended semaphore carries no deque.
+        self._waiters: deque[Event] | None = None
 
     @property
     def available(self) -> int:
@@ -44,6 +46,8 @@ class Semaphore:
             self._count -= 1
             ev.succeed()
         else:
+            if self._waiters is None:
+                self._waiters = deque()
             self._waiters.append(ev)
         return ev
 
@@ -97,7 +101,8 @@ class Queue:
         self.engine = engine
         self.name = name
         self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
+        #: Blocked getters, oldest first; created on the first block.
+        self._getters: deque[Event] | None = None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -115,6 +120,8 @@ class Queue:
         if self._items:
             ev.succeed(self._items.popleft())
         else:
+            if self._getters is None:
+                self._getters = deque()
             self._getters.append(ev)
         return ev
 

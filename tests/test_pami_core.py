@@ -59,6 +59,31 @@ class TestWorldSetup:
         with pytest.raises(PamiError):
             client.handler_for(8)
 
+    def test_dispatcher_serves_a_shared_id_table(self):
+        world = build_world(num_procs=1, procs_per_node=1)
+        client = world.clients[0]
+        table = {1: None, 2: None}
+        single = lambda ctx, env: None
+        shared = lambda ctx, env: None
+        client.register_dispatch(7, single)
+        client.register_dispatcher(table, shared)
+        assert client.handler_for(1) is shared
+        assert client.handler_for(2) is shared
+        assert client.handler_for(7) is single
+        with pytest.raises(PamiError):
+            client.handler_for(3)
+        with pytest.raises(PamiError):
+            client.register_dispatch(2, single)  # id taken by the table
+        with pytest.raises(PamiError):
+            client.register_dispatcher({9: None}, shared)  # one per client
+
+    def test_dispatcher_refuses_ids_already_registered(self):
+        world = build_world(num_procs=1, procs_per_node=1)
+        client = world.clients[0]
+        client.register_dispatch(2, lambda ctx, env: None)
+        with pytest.raises(PamiError):
+            client.register_dispatcher({1: None, 2: None}, lambda ctx, env: None)
+
 
 class TestContextProgress:
     def test_drain_requires_lock(self, world2):
