@@ -617,17 +617,6 @@ class ArmciProcess:
         if obs is not None:
             getattr(obs, method)(self.rank, *args)
 
-    def _op_span(self, name: str, **kwargs) -> int | None:
-        """Open a top-level op span (non-generator; ``None`` if obs off)."""
-        if self.obs is None:
-            return None
-        return self.obs.begin(self.rank, "main", "op", name, **kwargs)
-
-    def _end_span(self, sid: int | None, **kwargs) -> None:
-        """Close an op span opened by :meth:`_op_span` (non-generator)."""
-        if sid is not None:
-            self.obs.end(sid, **kwargs)
-
     # ----------------------------------------------------------- retry
 
     @property
@@ -959,56 +948,58 @@ class ArmciProcess:
         self._observe("on_read", dst, key, remote_addr, nbytes, "get")
         return h
 
+    def _blocking(
+        self, kind: str, nb, args: tuple, timeout: float | None,
+        nbytes: int | None = None, timeline: str | None = None,
+    ) -> Generator[Any, Any, None]:
+        """One blocking data op on rank ``args[0]``: post ``nb(*args)``
+        and wait for local completion inside the ``kind`` op span,
+        transient faults retried with backoff; ``timeout`` bounds the
+        whole call. ``timeline`` tags the op for the Gantt view (the
+        span when obs is on, a trace interval otherwise)."""
+        t0 = self.engine.now
+        obs = self.obs
+        sid = None
+        if obs is not None:
+            attrs = {"dst": args[0]}
+            if nbytes is not None:
+                attrs["nbytes"] = nbytes
+            if timeline is not None:
+                attrs["timeline"] = timeline
+            sid = obs.begin(self.rank, "main", "op", kind, **attrs)
+
+        def attempt():
+            h = yield from nb(*args)
+            yield from h.wait()
+
+        try:
+            yield from self._with_retry(attempt, kind, self._op_deadline(timeout))
+        finally:
+            if sid is not None:
+                obs.end(sid)
+        if timeline is not None and obs is None:
+            self.trace.interval(f"r{self.rank}", timeline, t0, self.engine.now)
+
     def put(
         self, dst: int, local_addr: int, remote_addr: int, nbytes: int,
         timeout: float | None = None,
     ):
         """Blocking contiguous put (local completion); transient faults
         are retried with backoff. ``timeout`` bounds the whole call."""
-        t0 = self.engine.now
-        sid = None
-        if self.obs is not None:
-            sid = self.obs.begin(
-                self.rank, "main", "op", "put",
-                dst=dst, nbytes=nbytes, timeline="put",
-            )
-
-        def attempt():
-            h = yield from self.nbput(dst, local_addr, remote_addr, nbytes)
-            yield from h.wait()
-
-        try:
-            yield from self._with_retry(attempt, "put", self._op_deadline(timeout))
-        finally:
-            if sid is not None:
-                self.obs.end(sid)
-        if self.obs is None:
-            self.trace.interval(f"r{self.rank}", "put", t0, self.engine.now)
+        return self._blocking(
+            "put", self.nbput, (dst, local_addr, remote_addr, nbytes), timeout,
+            nbytes, "put",
+        )
 
     def get(
         self, dst: int, local_addr: int, remote_addr: int, nbytes: int,
         timeout: float | None = None,
     ):
         """Blocking contiguous get; transient faults are retried."""
-        t0 = self.engine.now
-        sid = None
-        if self.obs is not None:
-            sid = self.obs.begin(
-                self.rank, "main", "op", "get",
-                dst=dst, nbytes=nbytes, timeline="get",
-            )
-
-        def attempt():
-            h = yield from self.nbget(dst, local_addr, remote_addr, nbytes)
-            yield from h.wait()
-
-        try:
-            yield from self._with_retry(attempt, "get", self._op_deadline(timeout))
-        finally:
-            if sid is not None:
-                self.obs.end(sid)
-        if self.obs is None:
-            self.trace.interval(f"r{self.rank}", "get", t0, self.engine.now)
+        return self._blocking(
+            "get", self.nbget, (dst, local_addr, remote_addr, nbytes), timeout,
+            nbytes, "get",
+        )
 
     # --------------------------------------------------- strided RMA
 
@@ -1080,32 +1071,18 @@ class ArmciProcess:
         timeout: float | None = None,
     ):
         """Blocking strided put; transient faults are retried."""
-        sid = self._op_span("puts", dst=dst)
-
-        def attempt():
-            h = yield from self.nbputs(dst, local_base, remote_base, desc)
-            yield from h.wait()
-
-        try:
-            yield from self._with_retry(attempt, "puts", self._op_deadline(timeout))
-        finally:
-            self._end_span(sid)
+        return self._blocking(
+            "puts", self.nbputs, (dst, local_base, remote_base, desc), timeout
+        )
 
     def gets(
         self, dst, local_base, remote_base, desc: StridedDescriptor,
         timeout: float | None = None,
     ):
         """Blocking strided get; transient faults are retried."""
-        sid = self._op_span("gets", dst=dst)
-
-        def attempt():
-            h = yield from self.nbgets(dst, local_base, remote_base, desc)
-            yield from h.wait()
-
-        try:
-            yield from self._with_retry(attempt, "gets", self._op_deadline(timeout))
-        finally:
-            self._end_span(sid)
+        return self._blocking(
+            "gets", self.nbgets, (dst, local_base, remote_base, desc), timeout
+        )
 
     # ------------------------------------------------- I/O-vector RMA
 
@@ -1208,29 +1185,11 @@ class ArmciProcess:
 
     def putv(self, dst: int, vec: "_vec.IoVector", timeout: float | None = None):
         """Blocking I/O-vector put; transient faults are retried."""
-        sid = self._op_span("putv", dst=dst)
-
-        def attempt():
-            h = yield from self.nbputv(dst, vec)
-            yield from h.wait()
-
-        try:
-            yield from self._with_retry(attempt, "putv", self._op_deadline(timeout))
-        finally:
-            self._end_span(sid)
+        return self._blocking("putv", self.nbputv, (dst, vec), timeout)
 
     def getv(self, dst: int, vec: "_vec.IoVector", timeout: float | None = None):
         """Blocking I/O-vector get; transient faults are retried."""
-        sid = self._op_span("getv", dst=dst)
-
-        def attempt():
-            h = yield from self.nbgetv(dst, vec)
-            yield from h.wait()
-
-        try:
-            yield from self._with_retry(attempt, "getv", self._op_deadline(timeout))
-        finally:
-            self._end_span(sid)
+        return self._blocking("getv", self.nbgetv, (dst, vec), timeout)
 
     # ------------------------------------------------------ accumulate
 
@@ -1267,16 +1226,10 @@ class ArmciProcess:
         """Blocking (locally complete) accumulate; transient faults are
         retried (the lost request never reached the target, so a retry
         applies the update exactly once)."""
-        sid = self._op_span("acc", dst=dst, nbytes=nbytes)
-
-        def attempt():
-            h = yield from self.nbacc(dst, local_addr, remote_addr, nbytes, scale)
-            yield from h.wait()
-
-        try:
-            yield from self._with_retry(attempt, "acc", self._op_deadline(timeout))
-        finally:
-            self._end_span(sid)
+        return self._blocking(
+            "acc", self.nbacc, (dst, local_addr, remote_addr, nbytes, scale),
+            timeout, nbytes,
+        )
 
     # ------------------------------------------------------------ AMOs
 

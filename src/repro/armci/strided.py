@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import ArmciError
-from ..pami import faults as _flt
 from ..pami.activemsg import AmEnvelope
 from ..pami.context import CompletionItem, PamiContext, WorkItem
 from ..pami.memory import as_u8
@@ -129,6 +128,24 @@ def nbget_strided_zero_copy(
 # ------------------------------------------------------------------ typed
 
 
+class StridedLayout:
+    """One side of a strided transfer, as the RDMA primitives' layout
+    (the NIC walks the chunk lattice; the wire carries it packed)."""
+
+    __slots__ = ("base", "desc", "side")
+
+    def __init__(self, base: int, desc: StridedDescriptor, side: str) -> None:
+        self.base = base
+        self.desc = desc
+        self.side = side
+
+    def gather(self, space) -> np.ndarray:
+        return _gather(space, self.base, self.desc, self.side)
+
+    def scatter(self, space, data) -> None:
+        _scatter(space, self.base, self.desc, self.side, data)
+
+
 def nbput_strided_typed(
     rt: "ArmciProcess",
     dst: int,
@@ -142,67 +159,19 @@ def nbput_strided_typed(
     The NIC walks the chunk descriptors: one message overhead total plus a
     small per-chunk descriptor cost, instead of a full message per chunk.
     """
-    world = rt.world
-    total = desc.shape.total_bytes
-    extra = (
-        desc.shape.num_chunks * world.params.typed_descriptor_time
-        + rt.transport.rma_extra_occupancy
+    op = rt.transport.rdma_put(
+        rt.main_context, dst,
+        StridedLayout(local_base, desc, "src"),
+        StridedLayout(remote_base, desc, "dst"),
+        desc.shape.total_bytes,
+        want_remote_ack=True,
+        extra_occupancy=(
+            desc.shape.num_chunks * rt.world.params.typed_descriptor_time
+        ),
     )
-    data = _gather(world.space(rt.rank), local_base, desc, "src")
-    timing = world.network.put_timing(rt.rank, dst, total, extra_occupancy=extra)
-    engine = world.engine
-    now = engine.now
-    done = engine.event(f"typedput.{rt.rank}->{dst}")
-    ack = engine.event(f"typedput.ack.{rt.rank}->{dst}")
-    ctx = rt.main_context
-
-    chaos = world.chaos
-    deliver_at = timing.deliver
-    fault = None
-    if chaos is not None:
-        fault = chaos.transfer_fault(rt.rank, dst, "put")
-        deliver_at = chaos.ordered_deliver(rt.rank, dst, timing.deliver)
-    world.ordering.record(rt.rank, dst, deliver_at)
-
-    def deliver(_a) -> None:
-        if fault is None and not world.is_failed(dst):
-            _scatter(world.space(dst), remote_base, desc, "dst", data)
-
-    engine.schedule(deliver_at - now, deliver)
-    if fault is not None:
-        engine.schedule(
-            timing.complete + chaos.config.detect_delay - now,
-            lambda _a: ctx.post(CompletionItem(done, fault)),
-        )
-    else:
-        engine.schedule(
-            timing.complete - now, lambda _a: ctx.post(CompletionItem(done))
-        )
-    hops = world.network.hops(rt.rank, dst)
-
-    def ack_cb(_a) -> None:
-        if world.is_failed(dst):
-            engine.schedule(
-                _flt.FAULT_DETECT_DELAY,
-                lambda _b: ctx.post(CompletionItem(ack, _flt.Failure(dst))),
-            )
-        else:
-            ctx.post(CompletionItem(ack))
-
-    engine.schedule(deliver_at + hops * world.params.hop_latency - now, ack_cb)
-    handle.add_event(done)
-    rt.track_write_ack(dst, ack)
+    handle.add_event(op.local_event)
+    rt.track_write_ack(dst, op.remote_ack_event)
     rt.trace.incr("armci.puts_strided_typed")
-    obs = world.obs
-    if obs is not None:
-        # The typed path times itself (no rma.py call), so it records
-        # its own wire span.
-        sid = obs.record(
-            rt.rank, "net", "rdma", "typed_put", now, timing.complete,
-            dst=dst, nbytes=total, chunks=desc.shape.num_chunks,
-        )
-        obs.register_event(done, sid)
-        obs.register_event(ack, sid)
     return handle
 
 
@@ -215,57 +184,17 @@ def nbget_strided_typed(
     handle: Handle,
 ) -> Handle:
     """Single typed-datatype get for tall-skinny patches."""
-    world = rt.world
-    total = desc.shape.total_bytes
-    extra = (
-        desc.shape.num_chunks * world.params.typed_descriptor_time
-        + rt.transport.rma_extra_occupancy
+    op = rt.transport.rdma_get(
+        rt.main_context, dst,
+        StridedLayout(remote_base, desc, "dst"),
+        StridedLayout(local_base, desc, "src"),
+        desc.shape.total_bytes,
+        extra_occupancy=(
+            desc.shape.num_chunks * rt.world.params.typed_descriptor_time
+        ),
     )
-    timing = world.network.get_timing(rt.rank, dst, total, extra_occupancy=extra)
-    engine = world.engine
-    now = engine.now
-    done = engine.event(f"typedget.{rt.rank}<-{dst}")
-    ctx = rt.main_context
-    snapshot: list[np.ndarray] = []
-
-    chaos = world.chaos
-    fault = None
-    extra_latency = 0.0
-    if chaos is not None:
-        fault = chaos.transfer_fault(rt.rank, dst, "get")
-        extra_latency = (
-            chaos.unordered_deliver(rt.rank, dst, timing.deliver) - timing.deliver
-        )
-
-    def read_remote(_a) -> None:
-        if fault is None and not world.is_failed(dst):
-            snapshot.append(_gather(world.space(dst), remote_base, desc, "dst"))
-
-    def complete(_a) -> None:
-        if not snapshot:
-            if fault is not None:
-                token, delay = fault, chaos.config.detect_delay
-            else:
-                token, delay = _flt.Failure(dst), _flt.FAULT_DETECT_DELAY
-            engine.schedule(
-                delay, lambda _b: ctx.post(CompletionItem(done, token))
-            )
-            return
-        _scatter(world.space(rt.rank), local_base, desc, "src", snapshot[0])
-        ctx.post(CompletionItem(done))
-
-    engine.schedule(timing.deliver + extra_latency - now, read_remote)
-    engine.schedule(timing.complete + extra_latency - now, complete)
-    handle.add_event(done)
+    handle.add_event(op.local_event)
     rt.trace.incr("armci.gets_strided_typed")
-    obs = world.obs
-    if obs is not None:
-        sid = obs.record(
-            rt.rank, "net", "rdma", "typed_get", now,
-            timing.complete + extra_latency,
-            dst=dst, nbytes=total, chunks=desc.shape.num_chunks,
-        )
-        obs.register_event(done, sid)
     return handle
 
 

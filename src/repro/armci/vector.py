@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import ArmciError
-from ..pami import faults as _flt
 from ..pami.activemsg import AmEnvelope
 from ..pami.context import CompletionItem, PamiContext, WorkItem
 from ..pami.memory import as_u8
@@ -160,6 +159,24 @@ def nbgetv_zero_copy(
     return handle
 
 
+class SegmentLayout:
+    """One side of an I/O-vector transfer, as the RDMA primitives'
+    layout (the NIC walks the segment list; the wire carries it packed)."""
+
+    __slots__ = ("addrs", "lengths", "total")
+
+    def __init__(self, addrs, lengths, total: int) -> None:
+        self.addrs = addrs
+        self.lengths = lengths
+        self.total = total
+
+    def gather(self, space) -> np.ndarray:
+        return _gather_segments(space, self.addrs, self.lengths, self.total)
+
+    def scatter(self, space, data) -> None:
+        _scatter_segments(space, self.addrs, self.lengths, data)
+
+
 def nbputv_typed(
     rt: "ArmciProcess", dst: int, vec: IoVector, handle: Handle
 ) -> Handle:
@@ -169,74 +186,18 @@ def nbputv_typed(
     message overhead for the whole vector plus a small per-segment NIC
     descriptor cost, with the NIC scattering fragments at the target.
     """
-    world = rt.world
-    space = world.space(rt.rank)
-    data = [
-        space.snapshot(a, n) for a, n in zip(vec.local_addrs, vec.lengths)
-    ]
-    extra = (
-        vec.num_segments * world.params.typed_descriptor_time
-        + rt.transport.rma_extra_occupancy
+    total = vec.total_bytes
+    op = rt.transport.rdma_put(
+        rt.main_context, dst,
+        SegmentLayout(vec.local_addrs, vec.lengths, total),
+        SegmentLayout(vec.remote_addrs, vec.lengths, total),
+        total,
+        want_remote_ack=True,
+        extra_occupancy=vec.num_segments * rt.world.params.typed_descriptor_time,
     )
-    timing = world.network.put_timing(
-        rt.rank, dst, vec.total_bytes, extra_occupancy=extra
-    )
-    engine = world.engine
-    now = engine.now
-
-    chaos = world.chaos
-    deliver_at = timing.deliver
-    fault = None
-    if chaos is not None:
-        fault = chaos.transfer_fault(rt.rank, dst, "put")
-        deliver_at = chaos.ordered_deliver(rt.rank, dst, timing.deliver)
-    world.ordering.record(rt.rank, dst, deliver_at)
-    done = engine.event(f"typedputv.{rt.rank}->{dst}")
-    ack = engine.event(f"typedputv.ack.{rt.rank}->{dst}")
-    ctx = rt.main_context
-
-    def deliver(_a) -> None:
-        if fault is not None or world.is_failed(dst):
-            return
-        target = world.space(dst)
-        for addr, payload in zip(vec.remote_addrs, data):
-            target.write_into(addr, payload)
-
-    engine.schedule(deliver_at - now, deliver)
-    if fault is not None:
-        engine.schedule(
-            timing.complete + chaos.config.detect_delay - now,
-            lambda _a: ctx.post(CompletionItem(done, fault)),
-        )
-    else:
-        engine.schedule(
-            timing.complete - now,
-            lambda _a: ctx.post(CompletionItem(done)),
-        )
-    hops = world.network.hops(rt.rank, dst)
-
-    def ack_cb(_a) -> None:
-        if world.is_failed(dst):
-            engine.schedule(
-                _flt.FAULT_DETECT_DELAY,
-                lambda _b: ctx.post(CompletionItem(ack, _flt.Failure(dst))),
-            )
-        else:
-            ctx.post(CompletionItem(ack))
-
-    engine.schedule(deliver_at + hops * world.params.hop_latency - now, ack_cb)
-    handle.add_event(done)
-    rt.track_write_ack(dst, ack)
+    handle.add_event(op.local_event)
+    rt.track_write_ack(dst, op.remote_ack_event)
     rt.trace.incr("armci.putv_typed")
-    obs = world.obs
-    if obs is not None:
-        # Hand-rolled timing (no rma.py call): record the wire span here.
-        sid = obs.record(
-            rt.rank, "net", "rdma", "typed_putv", now, timing.complete,
-            dst=dst, nbytes=vec.total_bytes, segments=vec.num_segments,
-        )
-        obs.register_event(done, sid)
-        obs.register_event(ack, sid)
     return handle
 
 

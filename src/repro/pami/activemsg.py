@@ -19,7 +19,6 @@ from ..obs.span import context_lane
 from ..sim.event import Event
 from . import faults as _flt
 from .context import CompletionItem, PamiContext, WorkItem
-from .integrity import PayloadCorruption
 
 #: Transport retransmit backoff / budget for link-fault losses when
 #: neither the chaos nor the integrity layer supplies its own knobs.
@@ -248,20 +247,13 @@ def send_am(
             return
         attempts[0] += 1
         within = attempts[0] <= budget
-        outcome = None  # TransientFault | PayloadCorruption | None
-        wire_loss = False
-        if chaos is not None and within:
+        fault = corruption = None
+        if within:
             # The final retransmit always delivers (bounded loss), so
             # fire-and-forget traffic cannot livelock under chaos.
-            outcome = chaos.transfer_fault(src, dst_rank, "am")
-        if outcome is None and link_mode and within:
-            wire = net.wire_fate(src, dst_rank, "am")
-            if wire is not None:
-                if wire[0] == "dropped":
-                    outcome = _flt.TransientFault("link_dead", src, dst_rank)
-                    wire_loss = True
-                else:
-                    outcome = wire[1]
+            fault, corruption, _d = _flt.wire_outcome(
+                world, src, dst_rank, "am", link_mode
+            )
         if not within and link_mode and net.route_blocked(src, dst_rank):
             # Out of budget and no healthy path remains: undeliverable.
             # Cookied requests surface the loss; fire-and-forget ones
@@ -274,22 +266,26 @@ def send_am(
             world.trace.incr("net.am_undeliverable")
             release_credit()
             return
-        if isinstance(outcome, _flt.TransientFault):
-            failed = _flt.fail_reply_cookies(world, env, outcome, detect_delay)
+        if fault is not None:
+            failed = _flt.fail_reply_cookies(world, env, fault, detect_delay)
             if failed == 0:
                 # No reply cookies: the initiator can't observe the
                 # loss, so the transport retransmits (the credit stays
                 # held — the slot is still reserved for this request).
                 world.trace.incr(
-                    "net.retransmits" if wire_loss else "chaos.retransmits"
+                    "net.retransmits"
+                    if fault.reason == _flt.LINK_DEAD
+                    else "chaos.retransmits"
                 )
                 engine.schedule(retrans_delay, deliver)
             else:
                 release_credit()
             return
         env_out = env
-        if outcome is not None:  # PayloadCorruption
-            env_out = dataclasses.replace(env, payload=outcome.apply(env.payload))
+        if corruption is not None:
+            env_out = dataclasses.replace(
+                env, payload=corruption.apply(env.payload)
+            )
         if protection is not None:
             verdict = integ.verify(
                 src, dst_rank, protection[0], protection[1], env_out.payload
@@ -303,7 +299,7 @@ def send_am(
             if verdict == "duplicate":
                 release_credit()
                 return
-        elif outcome is not None and env.payload is not None:
+        elif corruption is not None and env.payload is not None:
             # No integrity layer: the damaged payload lands silently.
             world.trace.incr("pami.silent_corruptions")
         # Resolve the client at delivery time: the post-time client object

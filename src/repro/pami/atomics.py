@@ -25,7 +25,7 @@ from ..errors import PamiError
 from ..sim.event import Event
 from . import faults as _flt
 from .context import CompletionItem, PamiContext, WorkItem
-from .integrity import PayloadCorruption, corrupt_int
+from .integrity import corrupt_int
 
 #: value_new = op(value_old, operand, operand2); returns the new value.
 RmwFunc = Callable[[int, int, int], int]
@@ -232,31 +232,15 @@ def rmw(
     integ = world.integrity
     net = world.network
     link_mode = net.route_table is not None and not net.is_local(src, dst_rank)
-    fault = None
-    corruption = None
-    chaos_fault = False
     if chaos is not None:
         # AMOs are unordered (Section III-A.4): unclamped jitter.
         arrive = chaos.unordered_deliver(src, dst_rank, arrive)
-        outcome = chaos.transfer_fault(src, dst_rank, "rmw")
-        if isinstance(outcome, PayloadCorruption):
-            corruption = outcome
-        else:
-            fault = outcome
-            chaos_fault = fault is not None
-    if fault is None and corruption is None and link_mode:
-        wire = net.wire_fate(src, dst_rank, "rmw")
-        if wire is not None:
-            if wire[0] == "dropped":
-                fault = _flt.TransientFault("link_dead", src, dst_rank)
-            else:
-                corruption = wire[1]
+    fault, corruption, detect = _flt.wire_outcome(
+        world, src, dst_rank, "rmw", link_mode
+    )
     if fault is not None:
         # Request lost before the op was applied — retry-safe: the
         # fetch_add/swap never happened at the target.
-        detect = (
-            chaos.config.detect_delay if chaos_fault else _flt.FAULT_DETECT_DELAY
-        )
 
         def report_loss(_a) -> None:
             _return_credit()
@@ -348,14 +332,16 @@ def rmw(
         if 1 < attempts[0] <= budget and link_mode:
             # Retransmits re-roll the wire over the *current* route; the
             # attempt past the budget goes out clean (bounded loss).
-            wire = net.wire_fate(src, dst_rank, "rmw")
-            if wire is not None:
-                if wire[0] == "dropped":
-                    integ.count_retransmit(len(_operand_bytes(req)))
-                    engine.schedule(integ.config.retransmit_delay, deliver)
-                    return
+            lost, flipped, _d = _flt.wire_outcome(
+                world, src, dst_rank, "rmw", True, first=False
+            )
+            if lost is not None:
+                integ.count_retransmit(len(_operand_bytes(req)))
+                engine.schedule(integ.config.retransmit_delay, deliver)
+                return
+            if flipped is not None:
                 cur = dataclasses.replace(
-                    req, operand=corrupt_int(req.operand, wire[1].bit)
+                    req, operand=corrupt_int(req.operand, flipped.bit)
                 )
         if protection is not None:
             verdict = integ.verify(

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from ..errors import ProcessFailedError, TransientFaultError
 from ..sim.event import Event
+from .integrity import PayloadCorruption
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,43 @@ class TransientFault:
 #: Extra delay before the initiator's NIC reports a failed target
 #: (timeout/error-completion path; much slower than success).
 FAULT_DETECT_DELAY = 25e-6
+
+
+#: ``TransientFault.reason`` of a loss on a dead/lossy link (as opposed
+#: to the chaos injector's "dropped"/"corrupted").
+LINK_DEAD = "link_dead"
+
+
+def wire_outcome(world, src: int, dst: int, kind: str, link_mode: bool, first=True):
+    """What the wire does to one attempt of a ``kind`` transfer.
+
+    Returns ``(fault, corruption, detect)``: a :class:`TransientFault`
+    when the attempt is lost in transit, a
+    :class:`~repro.pami.integrity.PayloadCorruption` when it arrives with
+    a flipped bit, both ``None`` when it arrives clean; ``detect`` is how
+    long the initiator NIC takes to report the loss. The chaos injector
+    rolls on ``first`` attempts only (transport retransmits re-roll the
+    links, not the injector); a transfer it left alone asks the links of
+    its current route (``link_mode``: link-fault model on, inter-node).
+    """
+    fault = corruption = None
+    detect = FAULT_DETECT_DELAY
+    chaos = world.chaos
+    if first and chaos is not None:
+        outcome = chaos.transfer_fault(src, dst, kind)
+        if isinstance(outcome, PayloadCorruption):
+            corruption = outcome
+        elif outcome is not None:
+            fault = outcome
+            detect = chaos.config.detect_delay
+    if fault is None and corruption is None and link_mode:
+        wire = world.network.wire_fate(src, dst, kind)
+        if wire is not None:
+            if wire[0] == "dropped":
+                fault = TransientFault(LINK_DEAD, src, dst)
+            else:
+                corruption = wire[1]
+    return fault, corruption, detect
 
 
 def check_completion(value, op: str | None = None):

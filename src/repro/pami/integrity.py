@@ -11,9 +11,10 @@ the offending link suspect). This mirrors BG/Q's link-level CRC +
 retransmission (Chen et al., IEEE Micro 2012) lifted to the end-to-end
 layer, where an fault-injection harness can actually exercise it.
 
-Nothing here is imported on the default path: chaos payload mode, the
+Nothing here *runs* on the default path: chaos payload mode, the
 link-fault model, and :class:`IntegrityEngine` construction are the only
-importers, all gated behind default-off knobs.
+producers of corruptions and checksums, all gated behind default-off
+knobs.
 """
 
 from __future__ import annotations

@@ -10,20 +10,29 @@ hardware completion time but only *dispatched* when a thread advances the
 issuing context (:class:`~repro.pami.context.CompletionItem`), matching
 PAMI's completion semantics.
 
-Fault layers (both default-off):
+One wire path: :func:`rdma_put` and :func:`rdma_get` are the only place
+a network :class:`~repro.machine.network.TransferTiming` becomes
+scheduled deliver / complete / ack events, for contiguous transfers and
+— through a *layout* on either side — for the typed strided and
+I/O-vector transfers of Section III-C.2 alike. Every transfer asks
+:func:`~repro.pami.faults.wire_outcome` what the wire did to it, and
+"clean" (the only answer with chaos and link faults off) is the plain
+three-event schedule. The other answers:
 
-* **Link faults** — when the network runs a fault-aware
-  :class:`~repro.topology.routing.RouteTable`, every remote transfer asks
-  :meth:`~repro.machine.network.TorusNetwork.wire_fate` what the wire did
-  to it: a hop on a dead/lossy link drops it (surfaced like a chaos loss:
-  the initiator NIC times out and the ARMCI retry layer re-issues), a hop
-  on a corrupting link flips one payload bit.
-* **End-to-end integrity** — with ``world.integrity`` installed, every
-  transfer carries a CRC32 + sequence number, verified at delivery.
-  Corrupted deliveries are discarded and retransmitted transparently
-  (over the *current* route, so a link the health monitor has since
-  marked suspect is avoided); drops keep the initiator-timeout path,
-  which already detects them. Put acks then certify *verified* delivery.
+* **Loss** (chaos drop, or a hop on a dead/lossy link of the current
+  :class:`~repro.topology.routing.RouteTable` route) — the initiator NIC
+  times out and the op completes with a
+  :class:`~repro.pami.faults.TransientFault`; the ARMCI retry layer
+  re-issues.
+* **Corruption** (chaos ``corrupt_mode="payload"``, or a corrupting
+  link) — one payload bit flips. With ``world.integrity`` installed
+  every transfer carries a CRC32 + sequence number verified at delivery:
+  the damaged copy is discarded and retransmitted transparently (over
+  the *current* route, so a link the health monitor has since marked
+  suspect is avoided) and put acks certify *verified* delivery. Without
+  it the damage lands and counts ``pami.silent_corruptions``.
+* **Stale incarnations** — traffic from or to a rank that died (and
+  possibly respawned) since the post is discarded by the NIC.
 """
 
 from __future__ import annotations
@@ -35,7 +44,6 @@ from ..machine.network import TransferTiming
 from ..sim.event import Event
 from . import faults as _flt
 from .context import CompletionItem, PamiContext
-from .integrity import PayloadCorruption
 
 
 @dataclass(frozen=True)
@@ -69,124 +77,57 @@ class RmaOp:
     timing: TransferTiming
 
 
+def _read(space, layout, nbytes: int):
+    """Private packed copy of the ``nbytes`` a transfer covers on one side.
+
+    ``layout`` is a plain address (the contiguous case) or an object
+    packing its own lattice through ``gather(space)`` — the strided and
+    I/O-vector layouts of the ARMCI typed-datatype transfers.
+    """
+    if hasattr(layout, "gather"):
+        return layout.gather(space)
+    return space.snapshot(layout, nbytes)
+
+
+def _write(space, layout, data) -> None:
+    """Land a packed payload at ``layout`` (see :func:`_read`)."""
+    if hasattr(layout, "scatter"):
+        layout.scatter(space, data)
+    else:
+        space.write_into(layout, data)
+
+
+def _complete_after(ctx: PamiContext, delay: float, event: Event, value=None) -> None:
+    """Post ``event``'s completion (carrying ``value``) to ``ctx`` after
+    ``delay``; a ``None`` value is the success case."""
+    ctx.engine.schedule(
+        delay, lambda _arg: ctx.post(CompletionItem(event, value))
+    )
+
+
 def rdma_put(
     ctx: PamiContext,
     dst_rank: int,
-    local_addr: int,
-    remote_addr: int,
+    local,
+    remote,
     nbytes: int,
     want_remote_ack: bool = False,
     extra_occupancy: float = 0.0,
 ) -> RmaOp:
     """Post a non-blocking RDMA put from ``ctx``'s process to ``dst_rank``.
 
-    Data is captured at post time (ARMCI put follows MPI-style buffer-reuse
+    ``local``/``remote`` are addresses or layouts (:func:`_read`). Data
+    is captured at post time (ARMCI put follows MPI-style buffer-reuse
     semantics: the buffer is logically owned by the runtime until local
     completion, and the paper notes put therefore needs no fall-back).
-
-    With chaos, link faults, and integrity all off, the fast path below
-    is the whole story; any of them armed delegates to the featureful
-    (and closure-heavy) :func:`_rdma_put_robust`, keeping the hot path's
-    per-op cost at the seed's level.
     """
     world = ctx.client.world
-    if (
-        world.chaos is not None
-        or world.integrity is not None
-        or world.network.route_table is not None
-    ):
-        return _rdma_put_robust(
-            ctx, dst_rank, local_addr, remote_addr, nbytes,
-            want_remote_ack, extra_occupancy,
-        )
     src = ctx.client.rank
     if nbytes <= 0:
         raise PamiError(f"put size must be positive, got {nbytes}")
     # Private uint8 snapshot (capture semantics); landing it below is a
-    # single view-assign — no bytes materialization on either side.
-    data = world.space(src).snapshot(local_addr, nbytes)
-    network = world.network
-    timing = network.put_timing(src, dst_rank, nbytes, extra_occupancy)
-    engine = world.engine
-    now = engine.now
-
-    local_event = engine.event(f"put.local.{src}->{dst_rank}")
-    remote_ack = (
-        engine.event(f"put.rack.{src}->{dst_rank}") if want_remote_ack else None
-    )
-
-    deliver_at = timing.deliver
-    world.ordering.record(src, dst_rank, deliver_at)
-    src_inc = world.incarnations[src]
-    dst_inc = world.incarnations[dst_rank]
-
-    def deliver(_arg) -> None:
-        if world.is_failed(dst_rank):
-            return  # dropped at the dead NIC
-        if (
-            world.incarnations[dst_rank] != dst_inc
-            or world.is_failed(src)
-            or world.incarnations[src] != src_inc
-        ):
-            # Traffic from or to a dead incarnation: a respawned target
-            # has fresh memory (the old registration is gone) and a dead
-            # source's writes must not land after the survivors rolled
-            # back — either way the NIC discards the packet.
-            world.trace.incr("pami.stale_deliveries_dropped")
-            return
-        world.space(dst_rank).write_into(remote_addr, data)
-
-    engine.schedule(deliver_at - now, deliver)
-    engine.schedule(
-        timing.complete - now,
-        lambda _arg: ctx.post(CompletionItem(local_event)),
-    )
-    if remote_ack is not None:
-        hops = network.hops(src, dst_rank)
-        ack_arrive = deliver_at + hops * world.params.hop_latency
-
-        def ack(_arg) -> None:
-            if world.is_failed(dst_rank) or world.incarnations[dst_rank] != dst_inc:
-                engine.schedule(
-                    _flt.FAULT_DETECT_DELAY,
-                    lambda _a: ctx.post(
-                        CompletionItem(remote_ack, _flt.Failure(dst_rank))
-                    ),
-                )
-            else:
-                ctx.post(CompletionItem(remote_ack))
-
-        engine.schedule(ack_arrive - now, ack)
-    world.trace.incr("pami.rdma_puts")
-    obs = world.obs
-    if obs is not None:
-        sid = obs.record(
-            src, "net", "rdma", "rdma_put", now, timing.complete,
-            dst=dst_rank, nbytes=nbytes,
-        )
-        obs.register_event(local_event, sid)
-        if remote_ack is not None:
-            obs.register_event(remote_ack, sid)
-    return RmaOp("put", src, dst_rank, nbytes, local_event, remote_ack, timing)
-
-
-def _rdma_put_robust(
-    ctx: PamiContext,
-    dst_rank: int,
-    local_addr: int,
-    remote_addr: int,
-    nbytes: int,
-    want_remote_ack: bool = False,
-    extra_occupancy: float = 0.0,
-) -> RmaOp:
-    """:func:`rdma_put` with chaos / link faults / integrity armed."""
-    world = ctx.client.world
-    src = ctx.client.rank
-    if nbytes <= 0:
-        raise PamiError(f"put size must be positive, got {nbytes}")
-    # Private uint8 snapshot (capture semantics); landing it below is a
-    # single view-assign — no bytes materialization on either side.
-    data = world.space(src).snapshot(local_addr, nbytes)
+    # view-assign — no bytes materialization on either side.
+    data = _read(world.space(src), local, nbytes)
     net = world.network
     timing = net.put_timing(src, dst_rank, nbytes, extra_occupancy)
     engine = world.engine
@@ -200,25 +141,12 @@ def _rdma_put_robust(
     chaos = world.chaos
     integ = world.integrity
     link_mode = net.route_table is not None and not net.is_local(src, dst_rank)
+    fault, corruption, detect = _flt.wire_outcome(
+        world, src, dst_rank, "put", link_mode
+    )
     deliver_at = timing.deliver
-    fault = None
-    corruption = None
-    chaos_fault = False
     if chaos is not None:
-        outcome = chaos.transfer_fault(src, dst_rank, "put")
-        if isinstance(outcome, PayloadCorruption):
-            corruption = outcome
-        else:
-            fault = outcome
-            chaos_fault = fault is not None
-        deliver_at = chaos.ordered_deliver(src, dst_rank, timing.deliver)
-    if fault is None and corruption is None and link_mode:
-        wire = net.wire_fate(src, dst_rank, "put")
-        if wire is not None:
-            if wire[0] == "dropped":
-                fault = _flt.TransientFault("link_dead", src, dst_rank)
-            else:
-                corruption = wire[1]
+        deliver_at = chaos.ordered_deliver(src, dst_rank, deliver_at)
     if link_mode:
         # Reroutes can shorten paths mid-stream; ordered traffic stays
         # monotone per pair (head-of-line blocking on the new route).
@@ -226,41 +154,55 @@ def _rdma_put_robust(
     world.ordering.record(src, dst_rank, deliver_at)
     src_inc = world.incarnations[src]
     dst_inc = world.incarnations[dst_rank]
-    detect = (
-        chaos.config.detect_delay if chaos_fault else _flt.FAULT_DETECT_DELAY
-    )
     protection = integ.protect(src, dst_rank, data) if integ is not None else None
     budget = integ.config.max_retransmits if integ is not None else 0
-    state = {"retries": 0}
+    retries = 0
     obs = world.obs
 
     def ack(_arg) -> None:
         if world.is_failed(dst_rank) or world.incarnations[dst_rank] != dst_inc:
-            engine.schedule(
-                _flt.FAULT_DETECT_DELAY,
-                lambda _a: ctx.post(
-                    CompletionItem(remote_ack, _flt.Failure(dst_rank))
-                ),
+            _complete_after(
+                ctx, _flt.FAULT_DETECT_DELAY, remote_ack, _flt.Failure(dst_rank)
             )
         else:
             ctx.post(CompletionItem(remote_ack))
 
-    def give_up() -> None:
-        # Retransmit budget exhausted with the target unreachable on
-        # every path. The write is lost; the fence treats the transient
-        # ack like a chaos loss (escalation to rank death — when the
-        # target really is cut off everywhere — is the health monitor's
-        # job, not this transfer's).
-        world.trace.incr("armci.integrity.aborted")
-        if remote_ack is not None:
-            token = _flt.TransientFault("integrity_exhausted", src, dst_rank)
-            engine.schedule(
-                _flt.FAULT_DETECT_DELAY,
-                lambda _a: ctx.post(CompletionItem(remote_ack, token)),
-            )
-
-    def land(corr) -> None:
-        payload = corr.apply(data) if corr is not None else data
+    def arrive(_arg) -> None:
+        """One copy (the first, or a retransmit) reaches the target NIC."""
+        nonlocal corruption
+        if fault is not None:
+            return  # dropped: lost in transit
+        if world.is_failed(dst_rank) or world.incarnations[dst_rank] != dst_inc:
+            # A respawned target has fresh memory (the old registration
+            # is gone); a dead NIC drops the packet.
+            if world.incarnations[dst_rank] != dst_inc:
+                world.trace.incr("pami.stale_deliveries_dropped")
+            if protection is not None and remote_ack is not None:
+                ack(None)  # unprotected puts schedule the ack at post time
+            return
+        if world.is_failed(src) or world.incarnations[src] != src_inc:
+            # Traffic from a dead incarnation must not land after the
+            # survivors rolled back — the NIC discards the packet.
+            world.trace.incr("pami.stale_deliveries_dropped")
+            return
+        if retries:
+            # A retransmit rolls the wire over the *current* route; the
+            # last one in the budget goes out clean (bounded loss) unless
+            # no route is left at all.
+            corruption = None
+            if link_mode:
+                if retries >= budget:
+                    if net.route_blocked(src, dst_rank):
+                        retransmit()  # budget spent: gives the write up
+                        return
+                else:
+                    lost, corruption, _d = _flt.wire_outcome(
+                        world, src, dst_rank, "put", True, first=False
+                    )
+                    if lost is not None:
+                        retransmit()  # transport-level loss: keep trying
+                        return
+        payload = data if corruption is None else corruption.apply(data)
         if protection is not None:
             verdict = integ.verify(
                 src, dst_rank, protection[0], protection[1], payload
@@ -270,96 +212,62 @@ def _rdma_put_robust(
                 return
             if verdict == "duplicate":
                 return
-        elif corr is not None:
+        elif corruption is not None:
             # No integrity layer: the damaged copy lands silently.
             world.trace.incr("pami.silent_corruptions")
-        world.space(dst_rank).write_into(remote_addr, payload)
+        _write(world.space(dst_rank), remote, payload)
         if protection is not None and remote_ack is not None:
             # Verified delivery: only now does the ack leave the target.
             engine.schedule(net.hop_cost(src, dst_rank), ack)
 
-    def resend(_arg) -> None:
-        if world.is_failed(dst_rank) or world.incarnations[dst_rank] != dst_inc:
-            if remote_ack is not None:
-                ack(None)  # posts the Failure token
-            return
-        if world.is_failed(src) or world.incarnations[src] != src_inc:
-            world.trace.incr("pami.stale_deliveries_dropped")
-            return
-        final = state["retries"] >= budget
-        corr = None
-        if link_mode:
-            if final:
-                if net.route_blocked(src, dst_rank):
-                    give_up()
-                    return
-            else:
-                wire = net.wire_fate(src, dst_rank, "put")
-                if wire is not None:
-                    if wire[0] == "dropped":
-                        retransmit()  # transport-level loss: keep trying
-                        return
-                    corr = wire[1]
-        land(corr)
+    if integ is not None:
+        # Only an integrity engine retransmits (a failed verification
+        # starts it), so only then is this closure — and its reference
+        # cycle with ``arrive`` — built.
 
-    def retransmit() -> None:
-        if state["retries"] >= budget:
-            give_up()
-            return
-        state["retries"] += 1
-        integ.count_retransmit(nbytes)
-        t2 = net.put_timing(src, dst_rank, nbytes)
-        base = engine.now
-        delay = integ.config.retransmit_delay + (t2.deliver - base)
-        if obs is not None:
-            obs.record(
-                src, "net", "integrity", "put.retransmit", base, base + delay,
-                dst=dst_rank, nbytes=nbytes,
-            )
-        engine.schedule(delay, resend)
+        def retransmit() -> None:
+            nonlocal retries
+            if retries >= budget:
+                # Budget exhausted (with the target unreachable on every
+                # path, or every copy damaged). The write is lost; the
+                # fence treats the transient ack like a chaos loss
+                # (escalation to rank death — when the target really is
+                # cut off everywhere — is the health monitor's job, not
+                # this transfer's).
+                world.trace.incr("armci.integrity.aborted")
+                if remote_ack is not None:
+                    _complete_after(
+                        ctx, _flt.FAULT_DETECT_DELAY, remote_ack,
+                        _flt.TransientFault("integrity_exhausted", src, dst_rank),
+                    )
+                return
+            retries += 1
+            integ.count_retransmit(nbytes)
+            t2 = net.put_timing(src, dst_rank, nbytes)
+            base = engine.now
+            delay = integ.config.retransmit_delay + (t2.deliver - base)
+            if obs is not None:
+                obs.record(
+                    src, "net", "integrity", "put.retransmit", base,
+                    base + delay, dst=dst_rank, nbytes=nbytes,
+                )
+            engine.schedule(delay, arrive)
 
-    def deliver(_arg) -> None:
-        if fault is not None:
-            return  # dropped: lost in transit
-        if world.is_failed(dst_rank) or world.incarnations[dst_rank] != dst_inc:
-            if world.incarnations[dst_rank] != dst_inc:
-                world.trace.incr("pami.stale_deliveries_dropped")
-            if protection is not None and remote_ack is not None:
-                ack(None)  # legacy mode schedules the ack separately
-            return
-        if world.is_failed(src) or world.incarnations[src] != src_inc:
-            # Traffic from a dead incarnation must not land after the
-            # survivors rolled back — the NIC discards the packet.
-            world.trace.incr("pami.stale_deliveries_dropped")
-            return
-        land(corruption)
-
-    engine.schedule(deliver_at - now, deliver)
-    if fault is not None:
-        # The initiator NIC misses the end-to-end delivery confirmation
-        # and reports an error completion on the op after its timeout.
-        engine.schedule(
-            timing.complete + detect - now,
-            lambda _arg: ctx.post(CompletionItem(local_event, fault)),
-        )
-    else:
-        engine.schedule(
-            timing.complete - now,
-            lambda _arg: ctx.post(CompletionItem(local_event)),
-        )
+    engine.schedule(deliver_at - now, arrive)
+    # A lost put surfaces as an error completion once the initiator NIC
+    # misses the end-to-end delivery confirmation (``detect`` later).
+    complete_at = timing.complete if fault is None else timing.complete + detect
+    _complete_after(ctx, complete_at - now, local_event, fault)
     if remote_ack is not None:
         if protection is None:
-            # Seed behaviour: the ack rides the NIC-reliable path and is
-            # scheduled unconditionally at post time.
+            # The ack rides the NIC-reliable path and is scheduled
+            # unconditionally at post time.
             engine.schedule(deliver_at + net.hop_cost(src, dst_rank) - now, ack)
         elif fault is not None:
             # Lost write: the fence must not hang on this ack, and must
             # not count it — the local completion already surfaced the
             # fault (and ARMCI re-issued the op).
-            engine.schedule(
-                timing.complete + detect - now,
-                lambda _a: ctx.post(CompletionItem(remote_ack, fault)),
-            )
+            _complete_after(ctx, complete_at - now, remote_ack, fault)
     world.trace.incr("pami.rdma_puts")
     if obs is not None:
         sid = obs.record(
@@ -375,8 +283,8 @@ def _rdma_put_robust(
 def rdma_get(
     ctx: PamiContext,
     dst_rank: int,
-    remote_addr: int,
-    local_addr: int,
+    remote,
+    local,
     nbytes: int,
     extra_occupancy: float = 0.0,
 ) -> RmaOp:
@@ -385,76 +293,8 @@ def rdma_get(
     The target's *software* is never involved: the data snapshot is taken
     at the time the target NIC serves the read (``timing.deliver``), and
     lands in the initiator's memory at ``timing.complete``.
-
-    Same fast-path/robust split as :func:`rdma_put`.
+    ``remote``/``local`` are addresses or layouts (:func:`_read`).
     """
-    world = ctx.client.world
-    if (
-        world.chaos is not None
-        or world.integrity is not None
-        or world.network.route_table is not None
-    ):
-        return _rdma_get_robust(
-            ctx, dst_rank, remote_addr, local_addr, nbytes, extra_occupancy
-        )
-    src = ctx.client.rank
-    if nbytes <= 0:
-        raise PamiError(f"get size must be positive, got {nbytes}")
-    timing = world.network.get_timing(src, dst_rank, nbytes, extra_occupancy)
-    engine = world.engine
-    now = engine.now
-
-    local_event = engine.event(f"get.local.{src}<-{dst_rank}")
-    snapshot: list = []  # one private uint8 ndarray once the NIC reads
-
-    dst_inc = world.incarnations[dst_rank]
-
-    def read_remote(_arg) -> None:
-        # A respawned target's fresh space has no registration at the old
-        # address: the read misses and the op completes with a Failure
-        # token, exactly like a read served by a dead NIC.
-        if (
-            not world.is_failed(dst_rank)
-            and world.incarnations[dst_rank] == dst_inc
-        ):
-            snapshot.append(world.space(dst_rank).snapshot(remote_addr, nbytes))
-
-    def complete(_arg) -> None:
-        if not snapshot:
-            # Dead target NIC (fail-stop): error completion after the
-            # detection timeout.
-            engine.schedule(
-                _flt.FAULT_DETECT_DELAY,
-                lambda _a: ctx.post(
-                    CompletionItem(local_event, _flt.Failure(dst_rank))
-                ),
-            )
-            return
-        world.space(src).write_into(local_addr, snapshot[0])
-        ctx.post(CompletionItem(local_event))
-
-    engine.schedule(timing.deliver - now, read_remote)
-    engine.schedule(timing.complete - now, complete)
-    world.trace.incr("pami.rdma_gets")
-    obs = world.obs
-    if obs is not None:
-        sid = obs.record(
-            src, "net", "rdma", "rdma_get", now, timing.complete,
-            dst=dst_rank, nbytes=nbytes,
-        )
-        obs.register_event(local_event, sid)
-    return RmaOp("get", src, dst_rank, nbytes, local_event, None, timing)
-
-
-def _rdma_get_robust(
-    ctx: PamiContext,
-    dst_rank: int,
-    remote_addr: int,
-    local_addr: int,
-    nbytes: int,
-    extra_occupancy: float = 0.0,
-) -> RmaOp:
-    """:func:`rdma_get` with chaos / link faults / integrity armed."""
     world = ctx.client.world
     src = ctx.client.rank
     if nbytes <= 0:
@@ -469,147 +309,114 @@ def _rdma_get_robust(
     chaos = world.chaos
     integ = world.integrity
     link_mode = net.route_table is not None and not net.is_local(src, dst_rank)
+    # ``loss``/``corruption`` are the fate of the round in flight: the
+    # first one here, re-rolled by every retransmit.
+    loss, corruption, detect = _flt.wire_outcome(
+        world, src, dst_rank, "get", link_mode
+    )
     deliver_at = timing.deliver
-    fault = None
-    corruption = None
-    chaos_fault = False
     if chaos is not None:
-        outcome = chaos.transfer_fault(src, dst_rank, "get")
-        if isinstance(outcome, PayloadCorruption):
-            corruption = outcome
-        else:
-            fault = outcome
-            chaos_fault = fault is not None
         # Gets bypass the ordering checker (NIC-served reads), so their
         # jitter needs no per-pair clamping.
-        deliver_at = chaos.unordered_deliver(src, dst_rank, timing.deliver)
-    if fault is None and corruption is None and link_mode:
-        wire = net.wire_fate(src, dst_rank, "get")
-        if wire is not None:
-            if wire[0] == "dropped":
-                fault = _flt.TransientFault("link_dead", src, dst_rank)
-            else:
-                corruption = wire[1]
+        deliver_at = chaos.unordered_deliver(src, dst_rank, deliver_at)
+    # Jitter delays the whole round trip: the reply lands later too.
+    complete_at = timing.complete + (deliver_at - timing.deliver)
     dst_inc = world.incarnations[dst_rank]
     budget = integ.config.max_retransmits if integ is not None else 0
-    state = {"retries": 0}
+    retries = 0
     obs = world.obs
+    snap: list = []  # [payload ndarray, (seq, csum)] once the NIC reads
 
-    def round_trip(read_dt, complete_dt, corr, loss, loss_delay, transparent):
-        """One request/response round; ``loss`` is the in-transit fault
-        token (None = the wire was clean), ``transparent`` selects the
-        transport-level retry over surfacing the loss to the op."""
-        snap: list = []  # [payload ndarray, (seq, csum)] once the NIC reads
+    def read_remote(_arg) -> None:
+        # A respawned target's fresh space has no registration at the
+        # old address: the read misses and the op completes with a
+        # Failure token, exactly like a read served by a dead NIC.
+        if (
+            loss is None
+            and not world.is_failed(dst_rank)
+            and world.incarnations[dst_rank] == dst_inc
+        ):
+            snap.append(_read(world.space(dst_rank), remote, nbytes))
+            if integ is not None:
+                # Reply flow runs target -> initiator.
+                snap.append(integ.protect(dst_rank, src, snap[0]))
 
-        def read_remote(_arg) -> None:
-            # A respawned target's fresh space has no registration at the
-            # old address: the read misses and the op completes with a
-            # Failure token, exactly like a read served by a dead NIC.
-            if (
-                loss is None
-                and not world.is_failed(dst_rank)
-                and world.incarnations[dst_rank] == dst_inc
-            ):
-                snap.append(world.space(dst_rank).snapshot(remote_addr, nbytes))
-                if integ is not None:
-                    # Reply flow runs target -> initiator.
-                    snap.append(integ.protect(dst_rank, src, snap[0]))
-
-        def complete(_arg) -> None:
-            if not snap:
-                if loss is not None:
-                    if transparent:
-                        retransmit()
-                    else:
-                        engine.schedule(
-                            loss_delay,
-                            lambda _a: ctx.post(CompletionItem(local_event, loss)),
-                        )
-                    return
+    def complete(_arg) -> None:
+        if not snap:
+            if loss is None:
                 # Dead target NIC (fail-stop): error completion after
                 # the detection timeout.
-                engine.schedule(
-                    _flt.FAULT_DETECT_DELAY,
-                    lambda _a: ctx.post(
-                        CompletionItem(local_event, _flt.Failure(dst_rank))
-                    ),
+                _complete_after(
+                    ctx, _flt.FAULT_DETECT_DELAY, local_event,
+                    _flt.Failure(dst_rank),
+                )
+            elif 0 < retries < budget:
+                retransmit()  # transport-level loss: keep trying
+            else:
+                # The first round's loss (and the last retransmit's)
+                # surfaces to the op; the ARMCI retry layer re-issues.
+                _complete_after(ctx, detect, local_event, loss)
+            return
+        payload = snap[0] if corruption is None else corruption.apply(snap[0])
+        if integ is not None:
+            verdict = integ.verify(dst_rank, src, snap[1][0], snap[1][1], payload)
+            if verdict == "corrupt":
+                retransmit()
+                return
+            if verdict == "duplicate":
+                return
+        elif corruption is not None:
+            # No integrity layer: the damaged reply lands silently.
+            world.trace.incr("pami.silent_corruptions")
+        _write(world.space(src), local, payload)
+        ctx.post(CompletionItem(local_event))
+
+    if integ is not None:
+        # Only an integrity engine retransmits (a failed verification
+        # starts it), so only then is this closure — and its reference
+        # cycle with ``complete`` — built.
+
+        def retransmit() -> None:
+            nonlocal retries, loss, corruption, detect
+            if retries >= budget:
+                world.trace.incr("armci.integrity.aborted")
+                _complete_after(
+                    ctx, _flt.FAULT_DETECT_DELAY, local_event,
+                    _flt.TransientFault("integrity_exhausted", src, dst_rank),
                 )
                 return
-            payload = corr.apply(snap[0]) if corr is not None else snap[0]
-            if integ is not None:
-                verdict = integ.verify(
-                    dst_rank, src, snap[1][0], snap[1][1], payload
-                )
-                if verdict == "corrupt":
-                    retransmit()
-                    return
-                if verdict == "duplicate":
-                    return
-            elif corr is not None:
-                # No integrity layer: the damaged reply lands silently.
-                world.trace.incr("pami.silent_corruptions")
-            world.space(src).write_into(local_addr, payload)
-            ctx.post(CompletionItem(local_event))
-
-        engine.schedule(read_dt, read_remote)
-        engine.schedule(complete_dt, complete)
-
-    def retransmit() -> None:
-        if state["retries"] >= budget:
-            world.trace.incr("armci.integrity.aborted")
-            token = _flt.TransientFault("integrity_exhausted", src, dst_rank)
-            engine.schedule(
-                _flt.FAULT_DETECT_DELAY,
-                lambda _a: ctx.post(CompletionItem(local_event, token)),
-            )
-            return
-        state["retries"] += 1
-        integ.count_retransmit(nbytes)
-        final = state["retries"] >= budget
-        corr = None
-        loss = None
-        if link_mode:
-            if final:
-                if net.route_blocked(src, dst_rank):
+            retries += 1
+            integ.count_retransmit(nbytes)
+            loss = corruption = None
+            detect = _flt.FAULT_DETECT_DELAY
+            if link_mode:
+                if retries < budget:
+                    loss, corruption, _d = _flt.wire_outcome(
+                        world, src, dst_rank, "get", True, first=False
+                    )
+                elif net.route_blocked(src, dst_rank):
+                    # The last round goes out clean (bounded loss)
+                    # unless no route is left at all.
                     loss = _flt.TransientFault("unreachable", src, dst_rank)
-            else:
-                wire = net.wire_fate(src, dst_rank, "get")
-                if wire is not None:
-                    if wire[0] == "dropped":
-                        loss = _flt.TransientFault("link_dead", src, dst_rank)
-                    else:
-                        corr = wire[1]
-        t2 = net.get_timing(src, dst_rank, nbytes)
-        base = engine.now
-        delay = integ.config.retransmit_delay
-        if obs is not None:
-            obs.record(
-                src, "net", "integrity", "get.retransmit", base,
-                base + delay + (t2.complete - base),
-                dst=dst_rank, nbytes=nbytes,
-            )
-        round_trip(
-            delay + (t2.deliver - base),
-            delay + (t2.complete - base),
-            corr, loss, _flt.FAULT_DETECT_DELAY,
-            transparent=not final,
-        )
+            t2 = net.get_timing(src, dst_rank, nbytes)
+            base = engine.now
+            delay = integ.config.retransmit_delay
+            if obs is not None:
+                obs.record(
+                    src, "net", "integrity", "get.retransmit", base,
+                    base + delay + (t2.complete - base),
+                    dst=dst_rank, nbytes=nbytes,
+                )
+            snap.clear()
+            engine.schedule(delay + (t2.deliver - base), read_remote)
+            engine.schedule(delay + (t2.complete - base), complete)
 
-    loss_delay0 = (
-        chaos.config.detect_delay if chaos_fault else _flt.FAULT_DETECT_DELAY
-    )
-    # Jitter delays the whole round trip: the reply lands later too.
-    round_trip(
-        deliver_at - now,
-        timing.complete + (deliver_at - timing.deliver) - now,
-        corruption, fault, loss_delay0,
-        transparent=False,
-    )
+    engine.schedule(deliver_at - now, read_remote)
+    engine.schedule(complete_at - now, complete)
     world.trace.incr("pami.rdma_gets")
     if obs is not None:
         sid = obs.record(
-            src, "net", "rdma", "rdma_get", now,
-            timing.complete + (deliver_at - timing.deliver),
+            src, "net", "rdma", "rdma_get", now, complete_at,
             dst=dst_rank, nbytes=nbytes,
         )
         obs.register_event(local_event, sid)

@@ -117,7 +117,11 @@ class Transport:
         want_remote_ack: bool = False,
         extra_occupancy: float = 0.0,
     ) -> "RmaOp":
-        """Post a non-blocking one-sided put (buffer captured at post)."""
+        """Post a non-blocking one-sided put (buffer captured at post).
+
+        Either side is an address or a typed-datatype layout (see
+        :mod:`repro.pami.rma`); ``extra_occupancy`` carries a typed
+        transfer's descriptor cost."""
         raise NotImplementedError
 
     def rdma_get(
@@ -129,15 +133,9 @@ class Transport:
         nbytes: int,
         extra_occupancy: float = 0.0,
     ) -> "RmaOp":
-        """Post a non-blocking one-sided get."""
+        """Post a non-blocking one-sided get (sides as in
+        :meth:`rdma_put`)."""
         raise NotImplementedError
-
-    @property
-    def rma_extra_occupancy(self) -> float:
-        """Origin occupancy protocol code must add to hand-rolled
-        transfers (the typed strided/vector paths time themselves
-        against the network instead of calling :meth:`rdma_put`)."""
-        return self.capabilities.rma_origin_overhead
 
     # ------------------------------------------------- active messages
 

@@ -258,3 +258,28 @@ class TestMpi3Report:
         job.run(main)
         report = runtime_report(job)
         assert "pami (counter completion)" in report
+
+
+class TestOneWirePath:
+    """PR 8 stated "armci calls only the transport"; this holds it, and
+    holds the RDMA primitives to one body per direction."""
+
+    def test_armci_never_times_the_wire_itself(self):
+        import pathlib
+
+        import repro.armci
+
+        for path in pathlib.Path(repro.armci.__file__).parent.glob("*.py"):
+            text = path.read_text()
+            for name in ("put_timing", "get_timing", "rma_extra_occupancy"):
+                assert name not in text, f"{path.name} references {name}"
+
+    def test_rma_has_one_body_per_direction(self):
+        import inspect
+
+        from repro.pami import rma
+
+        functions = [n for n, _f in inspect.getmembers(rma, inspect.isfunction)]
+        assert "rdma_put" in functions and "rdma_get" in functions
+        assert not [n for n in functions if n.endswith("_robust")]
+        assert not hasattr(PamiTransport, "rma_extra_occupancy")

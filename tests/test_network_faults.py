@@ -89,6 +89,62 @@ def put_get_body(job, dst=1, nbytes=1024, repeat=8, epochs=None, on_iter=None):
     return result
 
 
+#: Tall-skinny patch (8 chunks of 16 B, stride 32): the typed-datatype
+#: transfer under ``strided_protocol="auto"``.
+TYPED_DESC = StridedDescriptor(StridedShape(16, (8,)), (32,), (32,))
+TYPED_BYTES = PAYLOAD[64:192]
+
+
+def chunk_bytes(space, base):
+    """The packed payload of the ``TYPED_DESC`` lattice at ``base``."""
+    return b"".join(space.read(base + 32 * i, 16) for i in range(8))
+
+
+def typed_transfer(op, config, repeat=1, on_iter=None, **job_kw):
+    """Rank 0 moves ``TYPED_BYTES`` to or from rank 1 in **one** typed
+    wire transfer: a strided put (``"puts"``), a strided get
+    (``"gets"``), or an aggregate flush (``"agg"``) — ``repeat`` times
+    over, ``on_iter(job, i)`` running before round ``i``. Returns the bytes
+    that arrived and the job."""
+    job = net_job(8, config=config, **job_kw)
+    result = {}
+
+    def body(rt):
+        alloc = yield from rt.malloc(1024)
+        space = rt.world.space(rt.rank)
+        filled = 1 if op == "gets" else 0  # the rank holding the data
+        if rt.rank == filled:
+            base = alloc.addr(1) if filled else space.allocate(256)
+            for i in range(8):
+                space.write(base + 32 * i, TYPED_BYTES[16 * i : 16 * i + 16])
+        yield from rt.barrier()
+        for i in range(repeat if rt.rank == 0 else 0):
+            if on_iter is not None:
+                on_iter(job, i)
+            if op == "gets":
+                local = space.allocate(256)
+                yield from rt.gets(1, local, alloc.addr(1), TYPED_DESC)
+                result["arrived"] = chunk_bytes(space, local)
+                continue
+            if op == "puts":
+                yield from rt.puts(1, base, alloc.addr(1), TYPED_DESC)
+            else:
+                agg = rt.aggregate(1)
+                for j in range(8):
+                    agg.put(base + 32 * j, alloc.addr(1) + 32 * j, 16)
+                yield from agg.flush()
+            yield from rt.fence(1)
+            result["arrived"] = chunk_bytes(rt.world.space(1), alloc.addr(1))
+        yield from rt.barrier()
+
+    job.run(body)
+    return result["arrived"], job
+
+
+def bit_flips(a, b):
+    return sum(bin(x ^ y).count("1") for x, y in zip(a, b))
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -576,6 +632,39 @@ class TestEndToEndIntegrity:
         assert cjob.trace.count("armci.integrity.checksum_failures") > 0
         assert cjob.trace.count("pami.silent_corruptions") == 0
 
+    # Typed-datatype transfers ride the same wire as contiguous ones
+    # (one rdma_put/rdma_get with a layout on each side), so payload
+    # corruption, integrity, link faults and incarnation checks apply.
+
+    TYPED_CHAOS = ChaosConfig(
+        corrupt_prob=1.0, corrupt_mode="payload", links=frozenset({(0, 1)})
+    )
+
+    @pytest.mark.parametrize("op", ["puts", "gets", "agg"])
+    def test_typed_transfer_corruption_lands_silently(self, op):
+        arrived, job = typed_transfer(
+            op, ArmciConfig.default_mode(strided_protocol="auto"),
+            chaos=self.TYPED_CHAOS,
+        )
+        # Damaged — one flipped bit — never a reported-success blank.
+        assert bit_flips(arrived, TYPED_BYTES) == 1
+        assert job.trace.count("pami.silent_corruptions") > 0
+        assert job.trace.count("armci.transient_retries") == 0
+
+    @pytest.mark.parametrize("op", ["puts", "gets", "agg"])
+    def test_typed_transfer_corruption_caught_by_integrity(self, op):
+        arrived, job = typed_transfer(
+            op,
+            ArmciConfig.default_mode(
+                strided_protocol="auto", integrity=IntegrityConfig()
+            ),
+            chaos=self.TYPED_CHAOS,
+        )
+        assert arrived == TYPED_BYTES
+        assert job.trace.count("armci.integrity.checksum_failures") > 0
+        assert job.trace.count("armci.integrity.retransmits") > 0
+        assert job.trace.count("pami.silent_corruptions") == 0
+
     def test_am_fallback_path_is_protected(self):
         plan = FaultPlan().corrupt_link(NODE0, NODE1, at=0.0, prob=1.0)
         cfg = ArmciConfig.default_mode(
@@ -668,6 +757,51 @@ class TestStridedVectorScf:
         assert job.trace.count("net.reroutes") > 0
         assert job.trace.count("armci.integrity.checksum_failures") > 0
         assert job.trace.count("pami.silent_corruptions") == 0
+
+    def test_typed_put_retried_across_a_killed_link(self):
+        """The monitor still routes over the (ground-truth dead) direct
+        link until losses are observed: the typed put is dropped on it
+        like any transfer, retried, and lands exact over the detour."""
+        cfg = ArmciConfig.default_mode(
+            strided_protocol="auto",
+            health=LinkHealthConfig(),
+            retry=RetryPolicy(max_retries=10),
+        )
+
+        def kill(job, i):
+            if i == 1:  # round 0 warmed the region cache over the wire
+                job.world.apply_link_fault(
+                    LinkFault("kill", NODE0, NODE1, at=0.0)
+                )
+
+        arrived, job = typed_transfer("puts", cfg, repeat=2, on_iter=kill)
+        assert arrived == TYPED_BYTES
+        assert job.trace.count("net.link_drops.put") > 0
+        assert job.trace.count("armci.transient_retries.puts") > 0
+        assert job.trace.count("net.reroutes") > 0
+
+    def test_typed_put_to_a_respawned_incarnation_is_dropped(self):
+        # AT mode: rank 1's body has returned by the time rank 0 asks it
+        # for its region, so only an async thread can answer.
+        cfg = ArmciConfig.async_thread_mode(strided_protocol="auto")
+        job = net_job(8, config=cfg)
+
+        def body(rt):
+            alloc = yield from rt.malloc(1024)
+            yield from rt.barrier()
+            if rt.rank == 0:
+                local = rt.world.space(0).allocate(256)
+                handle = yield from rt.nbputs(1, local, alloc.addr(1), TYPED_DESC)
+                # The target dies and comes back while the put is in
+                # flight: the fresh incarnation has no such memory.
+                rt.world.fail_rank(1)
+                rt.world.respawn_rank(1)
+                yield from handle.wait()
+                yield from rt.compute(50e-6)
+
+        job.run(body)
+        assert job.trace.count("armci.puts_strided_typed") == 1
+        assert job.trace.count("pami.stale_deliveries_dropped") == 1
 
     def test_scf_exact_under_link_faults(self):
         """Full-application acceptance: an SCF run over a corrupting
