@@ -15,9 +15,10 @@ import numpy as np
 
 from ..errors import ArmciError
 from ..pami.activemsg import AmEnvelope
-from ..pami.context import CompletionItem, PamiContext
+from ..pami.context import PamiContext
 from ..pami.memory import as_u8
 from .handles import Handle
+from .transfer import control_reply
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import ArmciProcess
@@ -82,9 +83,4 @@ def handle_acc_request(rt: "ArmciProcess", ctx: PamiContext, env: AmEnvelope) ->
     view = space.view(h["addr"], update.size * 8).view(np.float64)
     view += h["scale"] * update
     rt.trace.incr("armci.accs_applied")
-    hops = rt.world.network.hops(rt.rank, env.src)
-    reply_ctx: PamiContext = h["reply_ctx"]
-    rt.engine.schedule(
-        hops * rt.world.params.hop_latency,
-        lambda _a: reply_ctx.post(CompletionItem(h["ack"])),
-    )
+    control_reply(rt, env.src, h["reply_ctx"], h["ack"])

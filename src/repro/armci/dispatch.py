@@ -4,24 +4,18 @@ from __future__ import annotations
 
 #: Remote memory-region cache miss service (Section III-B).
 REGION_QUERY = 1
-#: Contiguous get fall-back: request data from the target (Section III-C.1).
+#: Active-message get of any datatype: the target reads (packs) the
+#: remote side and streams the data back (Section III-C.1, Eq. 8).
 GET_REQUEST = 2
-#: Contiguous put fall-back: deliver payload through the progress engine.
+#: Active-message put of any datatype: the payload is written (unpacked)
+#: through the remote side by the target's progress engine.
 PUT_REQUEST = 3
 #: Atomic accumulate (associative, serviced by the progress engine).
 ACC_REQUEST = 4
-#: Strided pack/unpack legacy protocol: packed payload + unpack directive.
-STRIDED_PACKED_PUT = 5
-#: Strided pack/unpack legacy protocol: get request (target packs).
-STRIDED_PACKED_GET = 6
 #: Mutex acquire request (queued at the owner).
 LOCK_REQUEST = 7
 #: Mutex release.
 UNLOCK_REQUEST = 8
-#: General I/O-vector packed put.
-VECTOR_PUT = 9
-#: General I/O-vector packed get request.
-VECTOR_GET = 10
 #: Pairwise notify (ordered behind prior puts).
 NOTIFY = 11
 #: Software tree-collective message (process groups).
@@ -36,12 +30,8 @@ DISPATCH_NAMES = {
     GET_REQUEST: "get_request",
     PUT_REQUEST: "put_request",
     ACC_REQUEST: "acc_request",
-    STRIDED_PACKED_PUT: "strided_packed_put",
-    STRIDED_PACKED_GET: "strided_packed_get",
     LOCK_REQUEST: "lock_request",
     UNLOCK_REQUEST: "unlock_request",
-    VECTOR_PUT: "vector_put",
-    VECTOR_GET: "vector_get",
     NOTIFY: "notify",
     GROUP_MESSAGE: "group_message",
     MPILIKE_MESSAGE: "mpilike_message",

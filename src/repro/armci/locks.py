@@ -13,7 +13,8 @@ from typing import TYPE_CHECKING, Any, Generator
 
 from ..errors import ArmciError
 from ..pami.activemsg import AmEnvelope
-from ..pami.context import CompletionItem, PamiContext
+from ..pami.context import PamiContext
+from .transfer import control_reply
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import ArmciProcess
@@ -122,20 +123,12 @@ _LOCK_REQUEST_ID = 7
 _UNLOCK_REQUEST_ID = 8
 
 
-def _send_grant(rt: "ArmciProcess", to_rank: int, grant, reply_ctx: PamiContext) -> None:
-    hops = rt.world.network.hops(rt.rank, to_rank)
-    rt.engine.schedule(
-        hops * rt.world.params.hop_latency,
-        lambda _a: reply_ctx.post(CompletionItem(grant)),
-    )
-
-
 def handle_lock_request(rt: "ArmciProcess", ctx: PamiContext, env: AmEnvelope) -> None:
     """Owner-side LOCK_REQUEST handler."""
     h = env.header
     rt.mutexes.host(h["mutex"])
     if rt.mutexes.try_acquire(h["mutex"], env.src, h["grant"], h["reply_ctx"]):
-        _send_grant(rt, env.src, h["grant"], h["reply_ctx"])
+        control_reply(rt, env.src, h["reply_ctx"], h["grant"])
 
 
 def handle_unlock_request(rt: "ArmciProcess", ctx: PamiContext, env: AmEnvelope) -> None:
@@ -143,4 +136,4 @@ def handle_unlock_request(rt: "ArmciProcess", ctx: PamiContext, env: AmEnvelope)
     nxt = rt.mutexes.release(env.header["mutex"], env.src)
     if nxt is not None:
         requester, grant, reply_ctx = nxt
-        _send_grant(rt, requester, grant, reply_ctx)
+        control_reply(rt, requester, reply_ctx, grant)

@@ -52,6 +52,7 @@ from . import groups as _groups
 from . import locks as _locks
 from . import notify as _notify
 from . import strided as _str
+from . import transfer as _xfer
 from . import vector as _vec
 from .config import ArmciConfig
 from .consistency import make_tracker
@@ -73,15 +74,11 @@ ACK_PRUNE_FLOOR = 128
 #: PAMI's dispatch cookie) through :meth:`ArmciProcess._dispatch_am`.
 AM_HANDLERS = {
     _disp.REGION_QUERY: _cont.handle_region_query,
-    _disp.GET_REQUEST: _cont.handle_get_request,
-    _disp.PUT_REQUEST: _cont.handle_put_request,
+    _disp.GET_REQUEST: _xfer.handle_get_request,
+    _disp.PUT_REQUEST: _xfer.handle_put_request,
     _disp.ACC_REQUEST: _acc.handle_acc_request,
-    _disp.STRIDED_PACKED_PUT: _str.handle_strided_packed_put,
-    _disp.STRIDED_PACKED_GET: _str.handle_strided_packed_get,
     _disp.LOCK_REQUEST: _locks.handle_lock_request,
     _disp.UNLOCK_REQUEST: _locks.handle_unlock_request,
-    _disp.VECTOR_PUT: _vec.handle_vector_put,
-    _disp.VECTOR_GET: _vec.handle_vector_get,
     _disp.NOTIFY: _notify.handle_notify,
     _disp.GROUP_MESSAGE: _groups.handle_group_message,
     _disp.MPILIKE_MESSAGE: _msg.handle_message,
@@ -629,11 +626,6 @@ class ArmciProcess:
         """Whether credit-based flow control is active (non-generator)."""
         return self.config.fifo_depth is not None
 
-    @property
-    def coalesce_enabled(self) -> bool:
-        """Whether chunk-run coalescing is active (non-generator)."""
-        return self.config.coalesce_effective
-
     def _op_deadline(self, timeout: float | None) -> float | None:
         """Resolve a blocking op's absolute deadline (non-generator).
 
@@ -881,20 +873,20 @@ class ArmciProcess:
             self.region_cache.invalidate(rank, base)
         self.trace.incr("armci.frees")
 
-    # ------------------------------------------------- contiguous RMA
+    # ------------------------------------------------------ data transfers
 
     def _resolve_regions(
-        self, dst: int, local_addr: int, remote_addr: int, nbytes: int
+        self, dst: int, xfer: "_xfer.Transfer", protocol: str
     ) -> Generator[Any, Any, tuple[Any, tuple[int, int]]]:
-        """Find RDMA regions; returns (remote_region|None, tracker_key)."""
+        """Find RDMA regions — every local segment registered and one
+        remote region covering the remote extent — unless the protocol
+        is the active message anyway; returns (remote_region|None,
+        tracker_key)."""
         remote_region = None
-        if self.config.use_rdma:
-            local_region = yield from _cont.ensure_local_region(
-                self, local_addr, nbytes
-            )
-            if local_region is not None:
+        if self.config.use_rdma and protocol != "pack":
+            if (yield from _cont.ensure_local_segments(self, xfer.local_addrs)):
                 remote_region = yield from _cont.resolve_remote_region(
-                    self, dst, remote_addr, nbytes
+                    self, dst, *xfer.extent
                 )
         if remote_region is not None:
             key = (dst, remote_region.base)
@@ -902,51 +894,73 @@ class ArmciProcess:
             key = (dst, UNREGISTERED_KEY_BASE)
         return remote_region, key
 
-    def nbput(
-        self, dst: int, local_addr: int, remote_addr: int, nbytes: int,
-        handle: Handle | None = None,
+    def _nbwrite(
+        self, kind: str, dst: int, xfer: "_xfer.Transfer", handle: Handle | None,
+        protocol: str = "zero_copy", observed=None,
     ) -> Generator[Any, Any, Handle]:
-        """Non-blocking contiguous put (RDMA, else AM fall-back)."""
-        h = handle if handle is not None else self._new_handle("put")
+        """Post one non-blocking put of any datatype: by ``protocol``
+        when regions exist on both sides, else by active message
+        (Section III-C). ``observed`` lists the remote ``(addr, nbytes)``
+        ranges reported to the observer (default: the bounding extent)."""
+        h = handle if handle is not None else self._new_handle(kind)
         yield from self.endpoints.get(dst)
-        remote_region, key = yield from self._resolve_regions(
-            dst, local_addr, remote_addr, nbytes
-        )
+        remote_region, key = yield from self._resolve_regions(dst, xfer, protocol)
         if remote_region is not None:
             h.pin_region(remote_region)
-            _cont.nbput_rdma(self, dst, local_addr, remote_addr, nbytes, remote_region, h)
+            _xfer.PUT[protocol](self, dst, xfer, h)
         else:
             yield from self._acquire_send_credit(dst, self._op_deadline(None))
-            _cont.nbput_fallback(self, dst, local_addr, remote_addr, nbytes, h)
+            _xfer.put_am(self, dst, xfer, h)
         self.tracker.on_write(dst, key)
-        self._observe("on_write", dst, key, remote_addr, nbytes, "put")
+        if self.observer is not None:
+            for addr, nbytes in observed or (xfer.extent,):
+                self._observe("on_write", dst, key, addr, nbytes, kind)
         return h
 
-    def nbget(
-        self, dst: int, local_addr: int, remote_addr: int, nbytes: int,
-        handle: Handle | None = None,
+    def _nbread(
+        self, kind: str, dst: int, xfer: "_xfer.Transfer", handle: Handle | None,
+        protocol: str = "zero_copy",
     ) -> Generator[Any, Any, Handle]:
-        """Non-blocking contiguous get.
+        """Post one non-blocking get of any datatype (see :meth:`_nbwrite`).
 
         Enforces location consistency: an outstanding conflicting write to
         ``dst`` is fenced first. The tracker decides what "conflicting"
         means — per target (``cs_tgt``) or per region (``cs_mr``).
         """
-        h = handle if handle is not None else self._new_handle("get")
+        h = handle if handle is not None else self._new_handle(kind)
         yield from self.endpoints.get(dst)
-        remote_region, key = yield from self._resolve_regions(
-            dst, local_addr, remote_addr, nbytes
-        )
+        remote_region, key = yield from self._resolve_regions(dst, xfer, protocol)
         yield from self._fence_if_conflicting(dst, key)
         if remote_region is not None:
             h.pin_region(remote_region)
-            _cont.nbget_rdma(self, dst, local_addr, remote_addr, nbytes, remote_region, h)
+            _xfer.GET[protocol](self, dst, xfer, h)
         else:
             yield from self._acquire_send_credit(dst, self._op_deadline(None))
-            _cont.nbget_fallback(self, dst, local_addr, remote_addr, nbytes, h)
+            _xfer.get_am(self, dst, xfer, h)
         self.tracker.on_get(dst, key)
-        self._observe("on_read", dst, key, remote_addr, nbytes, "get")
+        if self.observer is not None:
+            self._observe("on_read", dst, key, *xfer.extent, kind)
         return h
+
+    def nbput(
+        self, dst: int, local_addr: int, remote_addr: int, nbytes: int,
+        handle: Handle | None = None,
+    ) -> Generator[Any, Any, Handle]:
+        """Non-blocking contiguous put (RDMA, else AM fall-back)."""
+        return self._nbwrite(
+            "put", dst, _cont.contiguous_transfer(local_addr, remote_addr, nbytes),
+            handle,
+        )
+
+    def nbget(
+        self, dst: int, local_addr: int, remote_addr: int, nbytes: int,
+        handle: Handle | None = None,
+    ) -> Generator[Any, Any, Handle]:
+        """Non-blocking contiguous get (RDMA, else AM fall-back)."""
+        return self._nbread(
+            "get", dst, _cont.contiguous_transfer(local_addr, remote_addr, nbytes),
+            handle,
+        )
 
     def _blocking(
         self, kind: str, nb, args: tuple, timeout: float | None,
@@ -1001,70 +1015,27 @@ class ArmciProcess:
             nbytes, "get",
         )
 
-    # --------------------------------------------------- strided RMA
-
     def nbputs(
         self, dst: int, local_base: int, remote_base: int,
         desc: StridedDescriptor, handle: Handle | None = None,
     ) -> Generator[Any, Any, Handle]:
         """Non-blocking strided put (protocol per config, Section III-C.2)."""
-        h = handle if handle is not None else self._new_handle("puts")
-        yield from self.endpoints.get(dst)
-        protocol = _str.select_strided_protocol(self, desc)
-        remote_region, key = None, (dst, UNREGISTERED_KEY_BASE)
-        if protocol in ("zero_copy", "typed"):
-            extent = max(desc.chunk_offsets("dst")) + desc.shape.chunk_bytes
-            remote_region, key = yield from self._resolve_regions(
-                dst, local_base, remote_base, extent
-            )
-            if remote_region is None:
-                protocol = "pack"  # regions unavailable: legacy protocol
-        if remote_region is not None:
-            h.pin_region(remote_region)
-        if protocol == "zero_copy":
-            _str.nbput_strided_zero_copy(self, dst, local_base, remote_base, desc, h)
-        elif protocol == "typed":
-            _str.nbput_strided_typed(self, dst, local_base, remote_base, desc, h)
-        else:
-            yield from self._acquire_send_credit(dst, self._op_deadline(None))
-            _str.nbput_strided_pack(self, dst, local_base, remote_base, desc, h)
-        self.tracker.on_write(dst, key)
-        if self.observer is not None:
-            ext = max(desc.chunk_offsets("dst")) + desc.shape.chunk_bytes
-            self._observe("on_write", dst, key, remote_base, ext, "puts")
-        return h
+        return self._nbwrite(
+            "puts", dst,
+            _str.strided_transfer(self.world.params, local_base, remote_base, desc),
+            handle, _str.select_strided_protocol(self, desc),
+        )
 
     def nbgets(
         self, dst: int, local_base: int, remote_base: int,
         desc: StridedDescriptor, handle: Handle | None = None,
     ) -> Generator[Any, Any, Handle]:
         """Non-blocking strided get."""
-        h = handle if handle is not None else self._new_handle("gets")
-        yield from self.endpoints.get(dst)
-        protocol = _str.select_strided_protocol(self, desc)
-        remote_region, key = None, (dst, UNREGISTERED_KEY_BASE)
-        if protocol in ("zero_copy", "typed"):
-            extent = max(desc.chunk_offsets("dst")) + desc.shape.chunk_bytes
-            remote_region, key = yield from self._resolve_regions(
-                dst, local_base, remote_base, extent
-            )
-            if remote_region is None:
-                protocol = "pack"
-        yield from self._fence_if_conflicting(dst, key)
-        if remote_region is not None:
-            h.pin_region(remote_region)
-        if protocol == "zero_copy":
-            _str.nbget_strided_zero_copy(self, dst, local_base, remote_base, desc, h)
-        elif protocol == "typed":
-            _str.nbget_strided_typed(self, dst, local_base, remote_base, desc, h)
-        else:
-            yield from self._acquire_send_credit(dst, self._op_deadline(None))
-            _str.nbget_strided_pack(self, dst, local_base, remote_base, desc, h)
-        self.tracker.on_get(dst, key)
-        if self.observer is not None:
-            ext = max(desc.chunk_offsets("dst")) + desc.shape.chunk_bytes
-            self._observe("on_read", dst, key, remote_base, ext, "gets")
-        return h
+        return self._nbread(
+            "gets", dst,
+            _str.strided_transfer(self.world.params, local_base, remote_base, desc),
+            handle, _str.select_strided_protocol(self, desc),
+        )
 
     def puts(
         self, dst, local_base, remote_base, desc: StridedDescriptor,
@@ -1084,65 +1055,17 @@ class ArmciProcess:
             "gets", self.nbgets, (dst, local_base, remote_base, desc), timeout
         )
 
-    # ------------------------------------------------- I/O-vector RMA
-
     def nbputv(
         self, dst: int, vec: "_vec.IoVector", handle: Handle | None = None
     ) -> Generator[Any, Any, Handle]:
         """Non-blocking general I/O-vector put (ARMCI_PutV)."""
-        h = handle if handle is not None else self._new_handle("putv")
-        yield from self.endpoints.get(dst)
-        remote_region, key = yield from self._resolve_vector_regions(dst, vec)
-        if remote_region is not None:
-            h.pin_region(remote_region)
-            _vec.nbputv_zero_copy(self, dst, vec, h)
-        else:
-            yield from self._acquire_send_credit(dst, self._op_deadline(None))
-            _vec.nbputv_pack(self, dst, vec, h)
-        self.tracker.on_write(dst, key)
-        if self.observer is not None:
-            lo, ext = vec.remote_extent()
-            self._observe("on_write", dst, key, lo, ext, "putv")
-        return h
-
-    def _resolve_vector_regions(
-        self, dst: int, vec: "_vec.IoVector"
-    ) -> Generator[Any, Any, tuple[Any, tuple[int, int]]]:
-        """Region resolution for I/O vectors: every local segment must be
-        registered and one remote region must cover the remote extent."""
-        remote_region = None
-        if self.config.use_rdma:
-            ok = yield from _vec.ensure_local_segments(self, vec)
-            if ok:
-                lo, extent = vec.remote_extent()
-                remote_region = yield from _cont.resolve_remote_region(
-                    self, dst, lo, extent
-                )
-        if remote_region is not None:
-            key = (dst, remote_region.base)
-        else:
-            key = (dst, UNREGISTERED_KEY_BASE)
-        return remote_region, key
+        return self._nbwrite("putv", dst, _vec.vector_transfer(vec), handle)
 
     def nbgetv(
         self, dst: int, vec: "_vec.IoVector", handle: Handle | None = None
     ) -> Generator[Any, Any, Handle]:
         """Non-blocking general I/O-vector get (ARMCI_GetV)."""
-        h = handle if handle is not None else self._new_handle("getv")
-        yield from self.endpoints.get(dst)
-        remote_region, key = yield from self._resolve_vector_regions(dst, vec)
-        yield from self._fence_if_conflicting(dst, key)
-        if remote_region is not None:
-            h.pin_region(remote_region)
-            _vec.nbgetv_zero_copy(self, dst, vec, h)
-        else:
-            yield from self._acquire_send_credit(dst, self._op_deadline(None))
-            _vec.nbgetv_pack(self, dst, vec, h)
-        self.tracker.on_get(dst, key)
-        if self.observer is not None:
-            lo, ext = vec.remote_extent()
-            self._observe("on_read", dst, key, lo, ext, "getv")
-        return h
+        return self._nbread("getv", dst, _vec.vector_transfer(vec), handle)
 
     def nbputv_aggregated(
         self, dst: int, vec: "_vec.IoVector", handle: Handle | None = None
@@ -1154,26 +1077,15 @@ class ArmciProcess:
         (typed-datatype transfer when RDMA is usable, packed AM
         otherwise).
         """
-        h = handle if handle is not None else self._new_handle("aggputv")
-        yield from self.endpoints.get(dst)
-        remote_region, key = yield from self._resolve_vector_regions(dst, vec)
-        if remote_region is not None:
-            h.pin_region(remote_region)
-            _vec.nbputv_typed(self, dst, vec, h)
-        else:
-            yield from self._acquire_send_credit(dst, self._op_deadline(None))
-            _vec.nbputv_pack(self, dst, vec, h)
-        self.tracker.on_write(dst, key)
-        if self.observer is not None:
-            # Per-segment observations, not the bounding extent: an
-            # aggregate batches writes to scattered addresses (e.g. one
-            # mailbox lane per actor inbox), and two ranks' batches
-            # routinely interleave in address space while every actual
-            # byte range stays disjoint. The bounding box would flag
-            # that as a race.
-            for ra, nb in zip(vec.remote_addrs, vec.lengths):
-                self._observe("on_write", dst, key, ra, nb, "aggputv")
-        return h
+        # Per-segment observations, not the bounding extent: an aggregate
+        # batches writes to scattered addresses (e.g. one mailbox lane
+        # per actor inbox), and two ranks' batches routinely interleave
+        # in address space while every actual byte range stays disjoint.
+        # The bounding box would flag that as a race.
+        return self._nbwrite(
+            "aggputv", dst, _vec.vector_transfer(vec), handle, "typed",
+            observed=zip(vec.remote_addrs, vec.lengths),
+        )
 
     def aggregate(self, dst: int):
         """Open an :class:`AggregateHandle` for small puts to ``dst``

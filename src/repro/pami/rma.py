@@ -77,7 +77,7 @@ class RmaOp:
     timing: TransferTiming
 
 
-def _read(space, layout, nbytes: int):
+def read_side(space, layout, nbytes: int):
     """Private packed copy of the ``nbytes`` a transfer covers on one side.
 
     ``layout`` is a plain address (the contiguous case) or an object
@@ -89,8 +89,8 @@ def _read(space, layout, nbytes: int):
     return space.snapshot(layout, nbytes)
 
 
-def _write(space, layout, data) -> None:
-    """Land a packed payload at ``layout`` (see :func:`_read`)."""
+def write_side(space, layout, data) -> None:
+    """Land a packed payload at ``layout`` (see :func:`read_side`)."""
     if hasattr(layout, "scatter"):
         layout.scatter(space, data)
     else:
@@ -116,7 +116,7 @@ def rdma_put(
 ) -> RmaOp:
     """Post a non-blocking RDMA put from ``ctx``'s process to ``dst_rank``.
 
-    ``local``/``remote`` are addresses or layouts (:func:`_read`). Data
+    ``local``/``remote`` are addresses or layouts (:func:`read_side`). Data
     is captured at post time (ARMCI put follows MPI-style buffer-reuse
     semantics: the buffer is logically owned by the runtime until local
     completion, and the paper notes put therefore needs no fall-back).
@@ -127,7 +127,7 @@ def rdma_put(
         raise PamiError(f"put size must be positive, got {nbytes}")
     # Private uint8 snapshot (capture semantics); landing it below is a
     # view-assign — no bytes materialization on either side.
-    data = _read(world.space(src), local, nbytes)
+    data = read_side(world.space(src), local, nbytes)
     net = world.network
     timing = net.put_timing(src, dst_rank, nbytes, extra_occupancy)
     engine = world.engine
@@ -215,7 +215,7 @@ def rdma_put(
         elif corruption is not None:
             # No integrity layer: the damaged copy lands silently.
             world.trace.incr("pami.silent_corruptions")
-        _write(world.space(dst_rank), remote, payload)
+        write_side(world.space(dst_rank), remote, payload)
         if protection is not None and remote_ack is not None:
             # Verified delivery: only now does the ack leave the target.
             engine.schedule(net.hop_cost(src, dst_rank), ack)
@@ -293,7 +293,7 @@ def rdma_get(
     The target's *software* is never involved: the data snapshot is taken
     at the time the target NIC serves the read (``timing.deliver``), and
     lands in the initiator's memory at ``timing.complete``.
-    ``remote``/``local`` are addresses or layouts (:func:`_read`).
+    ``remote``/``local`` are addresses or layouts (:func:`read_side`).
     """
     world = ctx.client.world
     src = ctx.client.rank
@@ -336,7 +336,7 @@ def rdma_get(
             and not world.is_failed(dst_rank)
             and world.incarnations[dst_rank] == dst_inc
         ):
-            snap.append(_read(world.space(dst_rank), remote, nbytes))
+            snap.append(read_side(world.space(dst_rank), remote, nbytes))
             if integ is not None:
                 # Reply flow runs target -> initiator.
                 snap.append(integ.protect(dst_rank, src, snap[0]))
@@ -368,7 +368,7 @@ def rdma_get(
         elif corruption is not None:
             # No integrity layer: the damaged reply lands silently.
             world.trace.incr("pami.silent_corruptions")
-        _write(world.space(src), local, payload)
+        write_side(world.space(src), local, payload)
         ctx.post(CompletionItem(local_event))
 
     if integ is not None:

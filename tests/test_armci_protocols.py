@@ -460,3 +460,107 @@ class TestRegionRegistrationRegression:
         job.run(body)
         # One registration for the user buffer (plus one from malloc).
         assert len(job.world.regions[0]) == 2
+
+
+class TestProtocolTimingTable:
+    """Simulated time of one put+fence and one get in every reachable
+    (datatype x protocol) cell — 2 ranks on 2 nodes, pami, D mode.
+
+    The figure md5 gates reach the contiguous RDMA and the strided
+    cells; this table also holds the ones they do not (contiguous
+    fall-back, vector pack, typed get) to the last bit. Values are
+    ``repr(float)`` seconds captured at commit 8832823, before the three
+    datatype classes were merged onto one transfer path. Every cell
+    still reads the same: the vector pack *get* reply used to cost
+    ``am_handler + n*(shm + pack)`` and the merged reply item costs
+    ``am_handler + n*shm + n*pack`` (the fig-8-pinned strided form), one
+    ulp apart at this size, but the difference is absorbed when the
+    cost is added to the clock.
+    """
+
+    #: 8 chunks of 64 B, stride 128 on both sides: nothing coalesces, and
+    #: 64 B < tall_skinny_threshold, so "auto" picks the typed transfer.
+    DESC = StridedDescriptor(StridedShape(64, (8,)), (128,), (128,))
+    #: Six scattered segments, 256 B in all.
+    LENGTHS = (24, 40, 8, 56, 16, 112)
+
+    #: (datatype, protocol) -> (put + fence, get); ``None`` = no such op.
+    GOLDEN = {
+        ("contiguous", "rdma"): ("4.8084225352111425e-05", "4.59052253521117e-05"),
+        ("contiguous", "am"): ("2.5398253521123626e-06", "3.939825352112722e-06"),
+        ("strided", "zero_copy"): ("5.6188450704226095e-05", "5.400945070422637e-05"),
+        ("strided", "typed"): ("4.8628450704224155e-05", "4.644945070422443e-05"),
+        ("strided", "pack"): ("2.8376507042247694e-06", "4.365650704224976e-06"),
+        ("vector", "zero_copy"): ("5.3804225352110414e-05", "5.162522535211069e-05"),
+        ("vector", "typed"): ("4.838422535211138e-05", None),
+        ("vector", "pack"): ("2.603825352112503e-06", "4.0678253521130026e-06"),
+    }
+
+    CONFIGS = {
+        ("contiguous", "rdma"): {},
+        ("contiguous", "am"): {"use_rdma": False},
+        ("strided", "zero_copy"): {"strided_protocol": "zero_copy"},
+        ("strided", "typed"): {"strided_protocol": "auto"},
+        ("strided", "pack"): {"strided_protocol": "pack"},
+        ("vector", "zero_copy"): {},
+        ("vector", "typed"): {},
+        ("vector", "pack"): {"use_rdma": False},
+    }
+
+    def _measure(self, datatype, protocol):
+        from repro.armci.vector import IoVector
+
+        config = ArmciConfig(backend="pami", **self.CONFIGS[datatype, protocol])
+        job = make_job(config=config)
+        desc, lengths = self.DESC, self.LENGTHS
+
+        def body(rt):
+            alloc = yield from rt.malloc(4096)
+            times = None
+            if rt.rank == 0:
+                space = rt.world.space(0)
+                src = space.allocate(1024)
+                back = space.allocate(1024)
+                remote = alloc.addr(1)
+                space.write(src, bytes(range(256)) * 4)
+                offsets = [160 * i for i in range(len(lengths))]
+                t0 = rt.engine.now
+                if datatype == "contiguous":
+                    yield from rt.put(1, src, remote, 256)
+                elif datatype == "strided":
+                    yield from rt.puts(1, src, remote, desc)
+                elif protocol == "typed":
+                    agg = rt.aggregate(1)
+                    for off, n in zip(offsets, lengths):
+                        agg.put(src + off, remote + off, n)
+                    yield from agg.flush()
+                else:
+                    vec = IoVector(
+                        tuple(src + o for o in offsets),
+                        tuple(remote + o for o in offsets),
+                        lengths,
+                    )
+                    yield from rt.putv(1, vec)
+                yield from rt.fence(1)
+                t1 = rt.engine.now
+                if datatype == "contiguous":
+                    yield from rt.get(1, back, remote, 256)
+                elif datatype == "strided":
+                    yield from rt.gets(1, back, remote, desc)
+                elif protocol != "typed":
+                    vec = IoVector(
+                        tuple(back + o for o in offsets),
+                        tuple(remote + o for o in offsets),
+                        lengths,
+                    )
+                    yield from rt.getv(1, vec)
+                t2 = rt.engine.now
+                times = (repr(t1 - t0), repr(t2 - t1) if t2 != t1 else None)
+            yield from rt.barrier()
+            return times
+
+        return job.run(body)[0]
+
+    @pytest.mark.parametrize("cell", sorted(CONFIGS))
+    def test_cell_matches_golden(self, cell):
+        assert self._measure(*cell) == self.GOLDEN[cell]

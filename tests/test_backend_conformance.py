@@ -283,3 +283,72 @@ class TestOneWirePath:
         assert "rdma_put" in functions and "rdma_get" in functions
         assert not [n for n in functions if n.endswith("_robust")]
         assert not hasattr(PamiTransport, "rma_extra_occupancy")
+
+
+class TestOneTransferPath:
+    """The three datatype classes share one transfer path
+    (``armci/transfer.py``); this keeps a per-datatype copy of a
+    protocol, handler or reply item from growing back beside it."""
+
+    @staticmethod
+    def _functions_touching(attr):
+        """``file:function`` of every outermost function under
+        ``src/repro/armci`` that reads attribute ``attr``."""
+        import ast
+        import pathlib
+
+        import repro.armci
+
+        found = set()
+        for path in pathlib.Path(repro.armci.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            outer = [
+                fn
+                for node in tree.body
+                for fn in (node.body if isinstance(node, ast.ClassDef) else [node])
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+            for fn in outer:
+                if any(
+                    isinstance(n, ast.Attribute) and n.attr == attr
+                    for n in ast.walk(fn)
+                ):
+                    found.add(f"{path.name}:{fn.name}")
+        return found
+
+    def test_wire_calls_live_in_the_protocol_functions(self):
+        assert len(self._functions_touching("rdma_put")) <= 2
+        assert len(self._functions_touching("rdma_get")) <= 2
+        assert self._functions_touching("am_payload_timing") == {
+            "transfer.py:handle_get_request"
+        }
+        assert self._functions_touching("hop_latency") == {
+            "transfer.py:control_reply"
+        }
+
+    def test_one_data_reply_item(self):
+        import inspect
+
+        import repro.armci
+        from repro.pami.context import WorkItem
+
+        items = {
+            f"{mod.__name__}.{name}"
+            for _n, mod in inspect.getmembers(repro.armci, inspect.ismodule)
+            for name, cls in inspect.getmembers(mod, inspect.isclass)
+            if issubclass(cls, WorkItem) and cls.__module__ == mod.__name__
+        }
+        assert items == {"repro.armci.transfer.GetReplyItem"}
+
+    def test_no_per_datatype_handlers(self):
+        from repro.armci import dispatch
+        from repro.armci.runtime import AM_HANDLERS, ArmciProcess
+
+        assert set(AM_HANDLERS) == set(dispatch.DISPATCH_NAMES)
+        assert not {5, 6, 9, 10} & set(AM_HANDLERS)
+        assert not [
+            name
+            for name in dispatch.DISPATCH_NAMES.values()
+            if name.startswith(("strided_packed_", "vector_"))
+        ]
+        assert not hasattr(ArmciProcess, "_resolve_vector_regions")

@@ -213,9 +213,10 @@ def _run_pair_op(job, body_op, warmup_op=None):
 class TestStridedVectorFaults:
     """Fault detection on the non-contiguous datatype protocols.
 
-    The typed and packed paths bypass both ``rdma_put`` and the generic
-    AM machinery's completion plumbing, so they carry their own failure
-    hooks — these tests pin them down.
+    Strided and vector transfers ride the same ``rdma_put``/``rdma_get``
+    (typed, through a layout) and the same ``PUT_REQUEST``/``GET_REQUEST``
+    active messages (packed) as contiguous ones; these tests pin down
+    that a dead target surfaces through each of them.
     """
 
     def _auto_config(self):

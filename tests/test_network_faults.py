@@ -21,6 +21,7 @@ from repro.errors import (
     ArmciError,
     ProcessFailedError,
     RetryExhaustedError,
+    SimulationError,
     TopologyError,
     TransientFaultError,
 )
@@ -139,6 +140,51 @@ def typed_transfer(op, config, repeat=1, on_iter=None, **job_kw):
 
     job.run(body)
     return result["arrived"], job
+
+
+#: Four 64 B chunks at stride 128 on rank 1, packed on rank 0.
+FALLBACK_DESC = StridedDescriptor(StridedShape(64, (4,)), (64,), (128,))
+
+
+def fallback_get(op, config, repeat=1, **job_kw):
+    """Rank 0 reads 256 B of ``PAYLOAD`` out of rank 1 ``repeat`` times —
+    contiguous (``"get"``), strided (``"gets"``) or I/O-vector
+    (``"getv"``). Rank 1 fills its own segment locally, so only the gets
+    cross the link. Returns the bytes expected, the bytes that arrived
+    and the job."""
+    job = net_job(8, config=config, **job_kw)
+    result = {}
+
+    def body(rt):
+        alloc = yield from rt.malloc(1024)
+        if rt.rank == 1:
+            rt.world.space(1).write(alloc.addr(1), PAYLOAD)
+        yield from rt.barrier()
+        if rt.rank == 0:
+            space = rt.world.space(0)
+            back = space.allocate(256)
+            remote = alloc.addr(1)
+            for _i in range(repeat):
+                if op == "get":
+                    yield from rt.get(1, back, remote, 256)
+                elif op == "gets":
+                    yield from rt.gets(1, back, remote, FALLBACK_DESC)
+                else:
+                    vec = IoVector(
+                        tuple(back + 64 * i for i in range(4)),
+                        tuple(remote + 128 * i for i in range(4)),
+                        (64,) * 4,
+                    )
+                    yield from rt.getv(1, vec)
+            result["arrived"] = space.read(back, 256)
+        yield from rt.barrier()
+
+    job.run(body)
+    if op == "get":
+        expected = PAYLOAD[:256]
+    else:
+        expected = b"".join(PAYLOAD[128 * i : 128 * i + 64] for i in range(4))
+    return expected, result["arrived"], job
 
 
 def bit_flips(a, b):
@@ -676,6 +722,93 @@ class TestEndToEndIntegrity:
         assert job.trace.count("armci.put_fallback") > 0
         assert job.trace.count("armci.integrity.retransmits") > 0
         assert job.trace.count("pami.silent_corruptions") == 0
+
+    # The AM fall-back's *get reply* carries the payload back over the
+    # wire, so it meets link faults and integrity like any payload (the
+    # payload-less request, and acks, stay NIC-reliable).
+
+    FALLBACK = dict(use_rdma=False, strided_protocol="pack")
+
+    @pytest.mark.parametrize("op", ["get", "gets", "getv"])
+    def test_fallback_get_reply_corruption_lands_silently(self, op):
+        plan = FaultPlan().corrupt_link(NODE0, NODE1, at=0.0, prob=1.0)
+        expected, arrived, job = fallback_get(
+            op, ArmciConfig.default_mode(**self.FALLBACK), fault_plan=plan
+        )
+        assert bit_flips(arrived, expected) == 1
+        assert job.trace.count("pami.silent_corruptions") > 0
+        assert job.trace.count("pami.rdma_gets") == 0
+
+    @pytest.mark.parametrize("op", ["get", "gets", "getv"])
+    def test_fallback_get_reply_corruption_caught_by_integrity(self, op):
+        plan = FaultPlan().corrupt_link(NODE0, NODE1, at=0.0, prob=1.0)
+        expected, arrived, job = fallback_get(
+            op,
+            ArmciConfig.default_mode(integrity=IntegrityConfig(), **self.FALLBACK),
+            fault_plan=plan,
+        )
+        assert arrived == expected
+        assert job.trace.count("armci.integrity.checksum_failures") > 0
+        assert job.trace.count("armci.integrity.retransmits") > 0
+        assert job.trace.count("pami.silent_corruptions") == 0
+
+    def test_lost_fallback_get_reply_is_retried(self):
+        plan = FaultPlan().lossy_link(NODE0, NODE1, at=0.0, prob=0.3)
+        cfg = ArmciConfig.default_mode(
+            retry=RetryPolicy(max_retries=10), **self.FALLBACK
+        )
+        expected, arrived, job = fallback_get(
+            "get", cfg, repeat=16, fault_plan=plan
+        )
+        assert arrived == expected
+        assert job.trace.count("armci.transient_retries") > 0
+        # The get requests are the run's only active messages: rank 1
+        # serviced more of them than gets were issued, so some of the
+        # retried losses were *replies*.
+        assert job.trace.count("pami.am_handled") > 16
+
+    def test_fallback_get_reply_rejected_past_the_retransmit_budget(self):
+        """With no transport retransmits left the checksum reject is
+        handed to the ARMCI retry layer (get is idempotent)."""
+        plan = FaultPlan().corrupt_link(NODE0, NODE1, at=0.0, prob=1.0)
+        cfg = ArmciConfig.default_mode(
+            integrity=IntegrityConfig(max_retransmits=0),
+            retry=RetryPolicy(max_retries=2), **self.FALLBACK,
+        )
+        with pytest.raises(SimulationError, match="RetryExhaustedError.*integrity"):
+            fallback_get("get", cfg, fault_plan=plan)
+
+    def test_fallback_get_reply_to_a_respawned_initiator_is_dropped(
+        self, monkeypatch
+    ):
+        from repro.armci import dispatch, runtime
+
+        job = net_job(8, config=ArmciConfig.default_mode(**self.FALLBACK))
+        serve = runtime.AM_HANDLERS[dispatch.GET_REQUEST]
+
+        def serve_then_lose_initiator(rt, ctx, env):
+            serve(rt, ctx, env)
+            # The initiator dies and comes back with the reply in flight.
+            rt.world.fail_rank(env.src)
+            rt.world.respawn_rank(env.src)
+
+        monkeypatch.setitem(
+            runtime.AM_HANDLERS, dispatch.GET_REQUEST, serve_then_lose_initiator
+        )
+
+        def body(rt):
+            alloc = yield from rt.malloc(1024)
+            if rt.rank == 0:
+                back = rt.world.space(0).allocate(256)
+                yield from rt.get(1, back, alloc.addr(1), 256)
+            elif rt.rank == 1:
+                for _i in range(8):
+                    yield from rt.compute(2e-6)
+                    yield from rt.progress()
+
+        job.run(body)
+        assert job.trace.count("armci.get_fallback") == 1
+        assert job.trace.count("pami.stale_deliveries_dropped") == 1
 
     def test_rmw_operand_corruption(self):
         def run(config):
