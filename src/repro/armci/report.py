@@ -107,8 +107,7 @@ _COUNTER_LAYOUT: tuple[tuple[str, str, str], ...] = (
     ("network", "net.reroute_extra_hops", "extra hops from detours"),
     ("network", "net.link_drops", "transfers lost on links"),
     ("network", "net.payload_corruptions", "payloads corrupted in flight"),
-    ("network", "net.retransmits", "link-loss retransmits (AM)"),
-    ("network", "net.am_undeliverable", "AMs undeliverable (no path)"),
+    ("network", "net.retransmits", "link-loss retransmits"),
     ("network", "net.health_probes", "link health probes"),
     ("network", "net.links_suspected", "links marked suspect"),
     ("network", "net.links_dead", "links declared dead"),
@@ -120,7 +119,7 @@ _COUNTER_LAYOUT: tuple[tuple[str, str, str], ...] = (
     ("network", "armci.integrity.retransmits", "integrity retransmits"),
     ("network", "armci.integrity.retransmit_bytes", "integrity retransmit bytes"),
     ("network", "armci.integrity.duplicates_discarded", "duplicate deliveries discarded"),
-    ("network", "armci.integrity.aborted", "integrity budgets exhausted"),
+    ("network", "armci.integrity.aborted", "deliveries given up (budget spent / no path)"),
 )
 
 

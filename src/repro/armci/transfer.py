@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from ..pami import faults as _flt
 from ..pami.activemsg import AmEnvelope
-from ..pami.context import CompletionItem, PamiContext, WorkItem
+from ..pami.context import PamiContext, WorkItem
+from ..pami.delivery import Delivery
 from ..pami.rma import read_side, write_side
 from . import dispatch as _disp
 from .handles import Handle
@@ -102,10 +102,7 @@ def control_reply(
     completing ``cookie`` with ``value`` at ``to_rank``'s ``reply_ctx``.
     Control packets ride the NIC-reliable lane (DESIGN.md §8)."""
     hops = rt.world.network.hops(rt.rank, to_rank)
-    rt.engine.schedule(
-        hops * rt.world.params.hop_latency,
-        lambda _a: reply_ctx.post(CompletionItem(cookie, value)),
-    )
+    reply_ctx.complete_after(hops * rt.world.params.hop_latency, cookie, value)
 
 
 # ------------------------------------------------------------ RDMA per run
@@ -202,9 +199,7 @@ def put_am(rt: "ArmciProcess", dst: int, xfer: Transfer, handle: Handle) -> None
     if xfer.pack_time:
         # The local pack stalls the caller until the buffer is staged.
         packed = rt.engine.event()
-        rt.engine.schedule(
-            xfer.pack_time, lambda _a: ctx.post(CompletionItem(packed))
-        )
+        ctx.complete_after(xfer.pack_time, packed)
         handle.add_event(packed)
     rt.track_write_ack(dst, ack)
     rt.trace.incr(xfer.counters["put_am"])
@@ -258,11 +253,26 @@ class GetReplyItem(WorkItem):
         self.event.succeed()
 
 
+class _GetReplyDelivery(Delivery):
+    """An AM get's data on its way back: it lands as a
+    :class:`GetReplyItem` in the initiator's context; the initiator's
+    ``done`` cookie is the waiter."""
+
+    __slots__ = ("reply_ctx", "local", "done")
+
+    def land(self, payload) -> None:
+        self.reply_ctx.post(GetReplyItem(payload, self.local, self.done))
+
+    def fail(self, token, delay: float) -> bool:
+        self.reply_ctx.complete_after(delay, self.done, token)
+        return True
+
+
 def handle_get_request(rt: "ArmciProcess", ctx: PamiContext, env: AmEnvelope) -> None:
     """Target side of an AM get: read (pack) the data and stream it back.
 
-    Unlike a payload-less ack the reply carries data, so it meets the
-    wire the way every payload does (:func:`~repro.pami.faults.wire_outcome`):
+    Unlike a payload-less ack the reply carries data, so it makes the
+    trip every payload makes (:class:`~repro.pami.delivery.Delivery`):
     a loss completes the initiator's cookie with the fault (get is
     idempotent — the retry layer re-issues), a flipped bit lands
     silently or is caught by the integrity engine and retransmitted, and
@@ -270,61 +280,16 @@ def handle_get_request(rt: "ArmciProcess", ctx: PamiContext, env: AmEnvelope) ->
     """
     h = env.header
     world = rt.world
-    net = world.network
-    engine = rt.engine
-    src, dst = rt.rank, env.src
-    reply_ctx: PamiContext = h["reply_ctx"]
-    done = h["event"]
-    data = read_side(world.space(src), h["remote"], h["nbytes"])
+    data = read_side(world.space(rt.rank), h["remote"], h["nbytes"])
     # The pack is paid by the target's progress engine before injecting.
     pack_cost = _pack_time(world.params, h["remote"], len(data))
-    timing = net.am_payload_timing(src, dst, len(data))
-    link_mode = net.route_table is not None and not net.is_local(src, dst)
-    integ = world.integrity
-    protection = integ.protect(src, dst, data) if integ is not None else None
-    budget = integ.config.max_retransmits if integ is not None else 0
-    dst_inc = world.incarnations[dst]
-    resends = 0
-
-    def fail(delay: float, fault) -> None:
-        engine.schedule(
-            delay, lambda _a: reply_ctx.post(CompletionItem(done, fault))
-        )
-
-    def land(_arg) -> None:
-        nonlocal resends
-        if world.is_failed(dst) or world.incarnations[dst] != dst_inc:
-            world.trace.incr("pami.stale_deliveries_dropped")
-            return
-        fault = corruption = None
-        if resends == 0 or resends < budget:
-            # The last resend in the budget goes out clean (bounded loss).
-            fault, corruption, detect = _flt.wire_outcome(
-                world, src, dst, "am", link_mode, first=resends == 0
-            )
-        if fault is not None:
-            fail(detect, fault)
-            return
-        payload = data if corruption is None else corruption.apply(data)
-        if protection is not None:
-            verdict = integ.verify(src, dst, protection[0], protection[1], payload)
-            if verdict == "corrupt":
-                if resends >= budget:
-                    fail(
-                        _flt.FAULT_DETECT_DELAY,
-                        _flt.TransientFault("integrity", src, dst),
-                    )
-                    return
-                resends += 1
-                integ.count_retransmit(len(data))
-                engine.schedule(integ.config.retransmit_delay, land)
-                return
-        elif corruption is not None:
-            # No integrity layer: the damaged reply lands silently.
-            world.trace.incr("pami.silent_corruptions")
-        reply_ctx.post(GetReplyItem(payload, h["local"], done))
-
-    engine.schedule(timing.deliver + pack_cost - engine.now, land)
+    timing = world.network.am_payload_timing(rt.rank, env.src, len(data))
+    reply = _GetReplyDelivery(world, rt.rank, env.src, "am", waiter_at_dst=True)
+    reply.reply_ctx = h["reply_ctx"]
+    reply.local = h["local"]
+    reply.done = h["event"]
+    reply.carry(data)
+    rt.engine.schedule(timing.deliver + pack_cost - rt.engine.now, reply.attempt)
 
 
 #: RDMA protocol name (``strided_protocol`` vocabulary) -> poster, per

@@ -18,12 +18,8 @@ from ..errors import PamiError
 from ..obs.span import context_lane
 from ..sim.event import Event
 from . import faults as _flt
-from .context import CompletionItem, PamiContext, WorkItem
-
-#: Transport retransmit backoff / budget for link-fault losses when
-#: neither the chaos nor the integrity layer supplies its own knobs.
-LINK_RETRANSMIT_DELAY = 5e-6
-LINK_RETRANSMIT_BUDGET = 8
+from .context import PamiContext, WorkItem
+from .delivery import Delivery
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,7 @@ class AmItem(WorkItem):
             # Reply cookies the handler did not resolve synchronously
             # (acks posted back over the wire) are produced by this
             # service: register them so handle waits can draw edges.
-            for key in ("event", "ack", "grant", "reply", "done"):
+            for key in _flt.REPLY_KEYS:
                 cookie = env.header.get(key)
                 if (
                     isinstance(cookie, Event)
@@ -123,8 +119,6 @@ class AmItem(WorkItem):
                     obs.register_event(cookie, sid)
 
     def on_dropped(self, world, dead_rank: int) -> None:
-        from . import faults as _flt
-
         _flt.fail_am_replies(world, self.envelope, dead_rank)
 
 
@@ -161,6 +155,48 @@ class AmOp:
     span_id: int | None = None
 
 
+class _AmDelivery(Delivery):
+    """An envelope on its way to the target's context queue. Its waiters
+    are the reply cookies in its header; a fire-and-forget message has
+    none, so its losses are the transport's to retransmit."""
+
+    __slots__ = ("envelope", "target_context")
+
+    def land(self, payload) -> None:
+        env = self.envelope
+        # Resolved at delivery time: the post-time client object is
+        # stale if the target died and respawned in between.
+        client = self.world.client(self.dst)
+        context = self.target_context
+        dst_ctx = (
+            client.progress_context() if context is None else client.context(context)
+        )
+        dst_ctx.post(
+            AmItem(
+                env if payload is env.payload
+                else dataclasses.replace(env, payload=payload)
+            )
+        )
+        chaos = self.world.chaos
+        if chaos is not None and chaos.duplicate(self.src, self.dst):
+            dst_ctx.post(DuplicateAmItem(env))
+
+    def credit(self) -> None:
+        # A credited request that will never be serviced (target died,
+        # or the loss was reported to the initiator) must return its
+        # FIFO slot, or backpressure would leak credits under chaos.
+        if self.envelope.header.get("_credit"):
+            client = self.world.client(self.dst)
+            context = self.target_context
+            (
+                client.progress_context() if context is None
+                else client.context(context)
+            ).release_credit()
+
+    def fail(self, token, delay: float) -> bool:
+        return _flt.fail_reply_cookies(self.world, self.envelope, token, delay) > 0
+
+
 def send_am(
     ctx: PamiContext,
     dst_rank: int,
@@ -182,142 +218,23 @@ def send_am(
     engine = world.engine
     now = engine.now
 
+    # Every copy, retransmits included, is a fresh message to the chaos
+    # injector, and its fate is rolled when it arrives.
+    delivery = _AmDelivery(world, src, dst_rank, "am", rerolls_injector=True)
+    delivery.envelope = env
+    delivery.target_context = target_context
     chaos = world.chaos
-    integ = world.integrity
-    net = world.network
-    link_mode = net.route_table is not None and not net.is_local(src, dst_rank)
     deliver_at = timing.deliver
     if chaos is not None:
         deliver_at = chaos.ordered_deliver(src, dst_rank, timing.deliver)
-    if link_mode:
-        deliver_at = net.ordered_deliver(src, dst_rank, deliver_at)
+    if delivery.link_mode:
+        deliver_at = world.network.ordered_deliver(src, dst_rank, deliver_at)
     world.ordering.record(src, dst_rank, deliver_at)
 
     local_event = engine.event(f"am.local.{src}->{dst_rank}")
-    attempts = [0]
-    src_inc = world.incarnations[src]
-    dst_inc = world.incarnations[dst_rank]
-    protection = (
-        integ.protect(src, dst_rank, env.payload) if integ is not None else None
-    )
-    # Per-message attempt budget (the final attempt always delivers —
-    # bounded loss — unless the route is gone entirely).
-    if chaos is not None or integ is not None:
-        budget = max(
-            chaos.config.max_retransmits if chaos is not None else 0,
-            integ.config.max_retransmits if integ is not None else 0,
-        )
-    else:
-        budget = LINK_RETRANSMIT_BUDGET
-    detect_delay = (
-        chaos.config.detect_delay if chaos is not None else _flt.FAULT_DETECT_DELAY
-    )
-    retrans_delay = (
-        chaos.config.retransmit_delay
-        if chaos is not None
-        else integ.config.retransmit_delay
-        if integ is not None
-        else LINK_RETRANSMIT_DELAY
-    )
-
-    def release_credit() -> None:
-        # A credited request that will never be serviced (target died, or
-        # the loss was reported to the initiator) must return its FIFO
-        # slot, or backpressure would leak credits under chaos. The slot
-        # belongs to the incarnation the credit was acquired against: a
-        # respawned target's fresh contexts carry fresh credits, so stale
-        # releases are dropped rather than over-crediting the new FIFO.
-        if env.header.get("_credit") and world.incarnations[dst_rank] == dst_inc:
-            target_client = world.client(dst_rank)
-            if target_context is not None:
-                target_client.context(target_context).release_credit()
-            else:
-                target_client.progress_context().release_credit()
-
-    def deliver(_arg) -> None:
-        if world.is_failed(src) or world.incarnations[src] != src_inc:
-            # Sender's incarnation is gone: its state was rolled back, so
-            # servicing this request could double-apply replayed effects.
-            world.trace.incr("pami.stale_deliveries_dropped")
-            release_credit()
-            return
-        if world.is_failed(dst_rank) or world.incarnations[dst_rank] != dst_inc:
-            _flt.fail_am_replies(world, env, dst_rank)
-            release_credit()
-            return
-        attempts[0] += 1
-        within = attempts[0] <= budget
-        fault = corruption = None
-        if within:
-            # The final retransmit always delivers (bounded loss), so
-            # fire-and-forget traffic cannot livelock under chaos.
-            fault, corruption, _d = _flt.wire_outcome(
-                world, src, dst_rank, "am", link_mode
-            )
-        if not within and link_mode and net.route_blocked(src, dst_rank):
-            # Out of budget and no healthy path remains: undeliverable.
-            # Cookied requests surface the loss; fire-and-forget ones
-            # vanish (their credit is returned so the FIFO stays sane).
-            _flt.fail_reply_cookies(
-                world, env,
-                _flt.TransientFault("unreachable", src, dst_rank),
-                detect_delay,
-            )
-            world.trace.incr("net.am_undeliverable")
-            release_credit()
-            return
-        if fault is not None:
-            failed = _flt.fail_reply_cookies(world, env, fault, detect_delay)
-            if failed == 0:
-                # No reply cookies: the initiator can't observe the
-                # loss, so the transport retransmits (the credit stays
-                # held — the slot is still reserved for this request).
-                world.trace.incr(
-                    "net.retransmits"
-                    if fault.reason == _flt.LINK_DEAD
-                    else "chaos.retransmits"
-                )
-                engine.schedule(retrans_delay, deliver)
-            else:
-                release_credit()
-            return
-        env_out = env
-        if corruption is not None:
-            env_out = dataclasses.replace(
-                env, payload=corruption.apply(env.payload)
-            )
-        if protection is not None:
-            verdict = integ.verify(
-                src, dst_rank, protection[0], protection[1], env_out.payload
-            )
-            if verdict == "corrupt":
-                # End-to-end checksum rejects the damaged delivery; the
-                # transport retransmits transparently.
-                integ.count_retransmit(env.payload_bytes)
-                engine.schedule(integ.config.retransmit_delay, deliver)
-                return
-            if verdict == "duplicate":
-                release_credit()
-                return
-        elif corruption is not None and env.payload is not None:
-            # No integrity layer: the damaged payload lands silently.
-            world.trace.incr("pami.silent_corruptions")
-        # Resolve the client at delivery time: the post-time client object
-        # is stale if the target died and respawned in between.
-        target_client = world.client(dst_rank)
-        if target_context is not None:
-            dst_ctx = target_client.context(target_context)
-        else:
-            dst_ctx = target_client.progress_context()
-        dst_ctx.post(AmItem(env_out))
-        if chaos is not None and chaos.duplicate(src, dst_rank):
-            dst_ctx.post(DuplicateAmItem(env))
-
-    engine.schedule(deliver_at - now, deliver)
-    engine.schedule(
-        timing.inject_done - now,
-        lambda _arg: ctx.post(CompletionItem(local_event)),
-    )
+    delivery.carry(env.payload)
+    engine.schedule(deliver_at - now, delivery.attempt)
+    ctx.complete_after(timing.inject_done - now, local_event)
     world.trace.incr("pami.am_sent")
     obs = world.obs
     span_id = None

@@ -22,9 +22,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import PamiError
+from ..obs.span import context_lane
 from ..sim.event import Event
 from . import faults as _flt
-from .context import CompletionItem, PamiContext, WorkItem
+from .context import PamiContext, WorkItem
+from .delivery import Delivery
 from .integrity import corrupt_int
 
 #: value_new = op(value_old, operand, operand2); returns the new value.
@@ -68,26 +70,15 @@ class RmwOp:
 class RmwItem(WorkItem):
     """A software-serviced AMO waiting in the target's context queue."""
 
-    __slots__ = (
-        "request", "reply_ctx", "posted_at", "credited", "parent_span",
-        "src_inc",
-    )
+    __slots__ = ("request", "delivery", "posted_at", "credited")
 
     def __init__(
-        self,
-        request: "_RmwRequest",
-        reply_ctx_rank: int,
-        posted_at: float,
-        credited: bool = False,
-        parent_span: int | None = None,
-        src_inc: int = 0,
+        self, request: "_RmwRequest", delivery: "_RmwDelivery", posted_at: float
     ) -> None:
         self.request = request
-        self.reply_ctx = reply_ctx_rank
+        self.delivery = delivery
         self.posted_at = posted_at
-        self.credited = credited
-        self.parent_span = parent_span
-        self.src_inc = src_inc
+        self.credited = delivery.credited
 
     def cost(self, ctx: PamiContext) -> float:
         return ctx.params.rmw_service_time
@@ -96,35 +87,27 @@ class RmwItem(WorkItem):
         req = self.request
         world = ctx.client.world
         trace = world.trace
-        if world.is_failed(req.src) or world.incarnations[req.src] != self.src_inc:
+        if self.delivery.gone(req.src):
             # The initiator's incarnation died while this AMO sat queued:
             # skip the apply (its effect will be replayed after recovery)
             # and drop the reply nobody is waiting for.
             trace.incr("pami.stale_deliveries_dropped")
             return
         trace.incr("pami.rmw_serviced")
-        trace.add_time("pami.rmw_queue_wait", world.engine.now - self.posted_at)
+        now = world.engine.now
+        trace.add_time("pami.rmw_queue_wait", now - self.posted_at)
         obs = world.obs
         if obs is not None:
-            from ..obs.span import context_lane
-
             sid = obs.record(
                 ctx.client.rank, context_lane(ctx), "amo_service",
-                f"rmw.{req.op}", world.engine.now - self.cost(ctx),
-                world.engine.now, parent_id=self.parent_span,
-                src=req.src, queue_wait=world.engine.now - self.posted_at,
+                f"rmw.{req.op}", now - self.cost(ctx), now,
+                parent_id=self.delivery.parent_span,
+                src=req.src, queue_wait=now - self.posted_at,
             )
             # Feed the initiator's counter_wait edge: the wait ends
             # because this service ran (the Fig. 9/11 causality).
             obs.register_event(req.event, sid)
-        old = _apply(world, req)
-        # Reply control packet back to the initiator.
-        hops = world.network.hops(req.dst, req.src)
-        latency = hops * world.params.hop_latency
-        src_ctx = world.client(req.src).context(req.reply_context)
-        world.engine.schedule(
-            latency, lambda _arg: src_ctx.post(CompletionItem(req.event, old))
-        )
+        _service(world, req)
 
     def on_dropped(self, world, dead_rank: int) -> None:
         # The hosting rank died with this AMO unserviced: the initiator's
@@ -133,12 +116,8 @@ class RmwItem(WorkItem):
         src_client = world.client(req.src)
         if world.is_failed(req.src) or req.reply_context >= len(src_client.contexts):
             return  # initiator is gone too (or respawning): nobody waits
-        src_ctx = src_client.context(req.reply_context)
-        world.engine.schedule(
-            _flt.FAULT_DETECT_DELAY,
-            lambda _a: src_ctx.post(
-                CompletionItem(req.event, _flt.Failure(dead_rank))
-            ),
+        src_client.context(req.reply_context).complete_after(
+            _flt.FAULT_DETECT_DELAY, req.event, _flt.Failure(dead_rank)
         )
 
 
@@ -153,20 +132,74 @@ class _RmwRequest:
     event: Event
     reply_context: int
 
+    def __bytes__(self) -> bytes:
+        """Canonical wire encoding of the AMO's mutable fields — what the
+        integrity layer checksums (AMO requests carry ints, not buffers)."""
+        return f"{self.op}:{self.addr}:{self.operand}:{self.operand2}".encode()
 
-def _operand_bytes(req: "_RmwRequest") -> bytes:
-    """Canonical wire encoding of the AMO's mutable fields — what the
-    integrity layer checksums (AMO requests carry ints, not buffers)."""
-    return f"{req.op}:{req.addr}:{req.operand}:{req.operand2}".encode()
 
-
-def _apply(world, req: "_RmwRequest") -> int:
-    """Atomically apply the op to target memory; returns the old value."""
+def _service(world, req: "_RmwRequest") -> None:
+    """Atomically apply the op to target memory; the old value rides a
+    control packet back to the initiator."""
     # One segment lookup serves both the load and the store.
     cell = world.space(req.dst).i64_view(req.addr)
     old = int(cell[0])
     cell[0] = RMW_OPS[req.op](old, req.operand, req.operand2)
-    return old
+    world.client(req.src).context(req.reply_context).complete_after(
+        world.network.hops(req.dst, req.src) * world.params.hop_latency,
+        req.event, old,
+    )
+
+
+class _RmwDelivery(Delivery):
+    """An AMO request on its way to whoever services it: the target's
+    context queue (software, the BG/Q reality) or — :class:`_NicRmwDelivery`
+    — its NIC. The payload is the request itself."""
+
+    __slots__ = ("ctx", "event", "target_context", "credited", "parent_span")
+
+    def land(self, request) -> None:
+        # Resolve at delivery time (a respawned target has a fresh client).
+        client = self.world.client(self.dst)
+        context = self.target_context
+        dst_ctx = (
+            client.progress_context() if context is None else client.context(context)
+        )
+        dst_ctx.post(RmwItem(request, self, self.world.engine.now))
+
+    def credit(self) -> None:
+        if self.credited:
+            self.world.client(self.dst).progress_context().release_credit()
+
+    def fail(self, token, delay: float) -> bool:
+        self.ctx.complete_after(delay, self.event, token)
+        return True
+
+    def damaged(self, corruption):
+        req = self.payload
+        return dataclasses.replace(
+            req, operand=corrupt_int(req.operand, corruption.bit)
+        )
+
+
+class _NicRmwDelivery(_RmwDelivery):
+    """What-if hardware path: the target NIC applies the op directly,
+    serialized only by the NIC's AMO pipeline — no software progress."""
+
+    __slots__ = ()
+
+    def land(self, request) -> None:
+        world = self.world
+        obs = world.obs
+        if obs is not None:
+            now = world.engine.now
+            sid = obs.record(
+                self.dst, "net", "amo_service", f"nic_rmw.{request.op}",
+                now - NIC_AMO_SERVICE, now, parent_id=self.parent_span,
+                src=request.src,
+            )
+            obs.register_event(request.event, sid)
+        _service(world, request)
 
 
 def rmw(
@@ -215,175 +248,34 @@ def rmw(
     now = engine.now
     world.trace.incr("pami.rmw_posted")
     obs = world.obs
+
+    use_nic = world.nic_amo_support if nic is None else nic
+    delivery = (_NicRmwDelivery if use_nic else _RmwDelivery)(
+        world, src, dst_rank, "rmw"
+    )
+    delivery.ctx = ctx
+    delivery.event = event
+    delivery.target_context = target_context
+    delivery.credited = credited
     # Snapshot the initiator's ambient span at post time: by the time the
     # target services the request the initiator's stack may have moved.
-    parent_span = obs.current(src) if obs is not None else None
-
-    src_inc = world.incarnations[src]
-    dst_inc = world.incarnations[dst_rank]
-
-    def _return_credit() -> None:
-        # Credits belong to the incarnation they were acquired against; a
-        # respawned target's fresh context must not be over-credited.
-        if credited and world.incarnations[dst_rank] == dst_inc:
-            world.client(dst_rank).progress_context().release_credit()
+    delivery.parent_span = obs.current(src) if obs is not None else None
 
     chaos = world.chaos
-    integ = world.integrity
-    net = world.network
-    link_mode = net.route_table is not None and not net.is_local(src, dst_rank)
     if chaos is not None:
         # AMOs are unordered (Section III-A.4): unclamped jitter.
         arrive = chaos.unordered_deliver(src, dst_rank, arrive)
-    fault, corruption, detect = _flt.wire_outcome(
-        world, src, dst_rank, "rmw", link_mode
-    )
+    fault, _corruption, detect = delivery.fate or delivery.roll()
     if fault is not None:
         # Request lost before the op was applied — retry-safe: the
-        # fetch_add/swap never happened at the target.
-
-        def report_loss(_a) -> None:
-            _return_credit()
-            ctx.post(CompletionItem(event, fault))
-
-        engine.schedule(arrive + detect - now, report_loss)
+        # fetch_add/swap never happened at the target. Nothing flies;
+        # the initiator NIC reports the loss ``detect`` after the
+        # arrival it missed.
+        delivery.fail(fault, arrive + detect - now)
+        delivery.credit()
         return RmwOp(op, src, dst_rank, addr, event)
-    protection = (
-        integ.protect(src, dst_rank, _operand_bytes(req))
-        if integ is not None
-        else None
-    )
-    budget = integ.config.max_retransmits if integ is not None else 0
-    # The request as the wire delivers it on the first attempt.
-    req_wire = req
-    if corruption is not None:
-        req_wire = dataclasses.replace(
-            req, operand=corrupt_int(req.operand, corruption.bit)
-        )
-
-    use_nic = world.nic_amo_support if nic is None else nic
+    delivery.carry(req)
     if use_nic:
-        # What-if hardware path: the target NIC applies the op directly,
-        # serialized only by the NIC's AMO pipeline — no software progress.
-        done = world.nic_amo_slot(dst_rank, arrive, NIC_AMO_SERVICE)
-
-        def hw_service(_arg) -> None:
-            if world.is_failed(dst_rank) or world.incarnations[dst_rank] != dst_inc:
-                engine.schedule(
-                    _flt.FAULT_DETECT_DELAY,
-                    lambda _a: ctx.post(
-                        CompletionItem(event, _flt.Failure(dst_rank))
-                    ),
-                )
-                return
-            if protection is not None:
-                verdict = integ.verify(
-                    src, dst_rank, protection[0], protection[1],
-                    _operand_bytes(req_wire),
-                )
-                if verdict == "corrupt":
-                    # NIC checksum reject: surfaced as a transient loss
-                    # (retry-safe — the op was never applied).
-                    engine.schedule(
-                        _flt.FAULT_DETECT_DELAY,
-                        lambda _a: ctx.post(CompletionItem(
-                            event,
-                            _flt.TransientFault("integrity", src, dst_rank),
-                        )),
-                    )
-                    return
-            elif req_wire is not req:
-                world.trace.incr("pami.silent_corruptions")
-            if obs is not None:
-                sid = obs.record(
-                    dst_rank, "net", "amo_service", f"nic_rmw.{req.op}",
-                    done - NIC_AMO_SERVICE, done, parent_id=parent_span,
-                    src=req.src,
-                )
-                obs.register_event(event, sid)
-            old = _apply(world, req_wire)
-            hops = world.network.hops(dst_rank, src)
-            engine.schedule(
-                hops * world.params.hop_latency,
-                lambda _a: ctx.post(CompletionItem(event, old)),
-            )
-
-        engine.schedule(done - now, hw_service)
-        return RmwOp(op, src, dst_rank, addr, event)
-
-    attempts = [0]
-
-    def deliver(_arg) -> None:
-        if world.is_failed(src) or world.incarnations[src] != src_inc:
-            # Dead-incarnation request: the initiator's state was rolled
-            # back, so applying the op would double-count on replay.
-            world.trace.incr("pami.stale_deliveries_dropped")
-            _return_credit()
-            return
-        if world.is_failed(dst_rank) or world.incarnations[dst_rank] != dst_inc:
-            _return_credit()
-            engine.schedule(
-                _flt.FAULT_DETECT_DELAY,
-                lambda _a: ctx.post(CompletionItem(event, _flt.Failure(dst_rank))),
-            )
-            return
-        attempts[0] += 1
-        cur = req_wire if attempts[0] == 1 else req
-        if 1 < attempts[0] <= budget and link_mode:
-            # Retransmits re-roll the wire over the *current* route; the
-            # attempt past the budget goes out clean (bounded loss).
-            lost, flipped, _d = _flt.wire_outcome(
-                world, src, dst_rank, "rmw", True, first=False
-            )
-            if lost is not None:
-                integ.count_retransmit(len(_operand_bytes(req)))
-                engine.schedule(integ.config.retransmit_delay, deliver)
-                return
-            if flipped is not None:
-                cur = dataclasses.replace(
-                    req, operand=corrupt_int(req.operand, flipped.bit)
-                )
-        if protection is not None:
-            verdict = integ.verify(
-                src, dst_rank, protection[0], protection[1], _operand_bytes(cur)
-            )
-            if verdict == "corrupt":
-                if attempts[0] > budget or (
-                    link_mode and net.route_blocked(src, dst_rank)
-                ):
-                    # Out of transport budget: hand the op back to the
-                    # ARMCI retry layer (retry-safe — never applied).
-                    world.trace.incr("armci.integrity.aborted")
-                    _return_credit()
-                    engine.schedule(
-                        _flt.FAULT_DETECT_DELAY,
-                        lambda _a: ctx.post(CompletionItem(
-                            event,
-                            _flt.TransientFault("integrity", src, dst_rank),
-                        )),
-                    )
-                    return
-                integ.count_retransmit(len(_operand_bytes(req)))
-                engine.schedule(integ.config.retransmit_delay, deliver)
-                return
-            if verdict == "duplicate":
-                _return_credit()
-                return
-        elif cur is not req:
-            # No integrity layer: the corrupted operand applies silently.
-            world.trace.incr("pami.silent_corruptions")
-        # Resolve at delivery time (a respawned target has a fresh client).
-        target_client = world.client(dst_rank)
-        if target_context is not None:
-            dst_ctx = target_client.context(target_context)
-        else:
-            dst_ctx = target_client.progress_context()
-        dst_ctx.post(
-            RmwItem(
-                cur, src, engine.now, credited=credited,
-                parent_span=parent_span, src_inc=src_inc,
-            )
-        )
-
-    engine.schedule(arrive - now, deliver)
+        arrive = world.nic_amo_slot(dst_rank, arrive, NIC_AMO_SERVICE)
+    engine.schedule(arrive - now, delivery.attempt)
     return RmwOp(op, src, dst_rank, addr, event)

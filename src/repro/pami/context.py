@@ -166,6 +166,12 @@ class PamiContext:
             )
         return self._arrival
 
+    def complete_after(self, delay: float, event: Event, value: Any = None) -> None:
+        """Post ``event``'s completion (carrying ``value``) here after
+        ``delay`` — the one way to complete a waiter later. A ``None``
+        value is success; a :mod:`~repro.pami.faults` token fails it."""
+        self.engine.schedule(delay, self.post, CompletionItem(event, value))
+
     # ------------------------------------------------------- flow control
 
     @property

@@ -165,15 +165,8 @@ def fail_reply_cookies(world, envelope, token, delay=FAULT_DETECT_DELAY) -> int:
     """
     pending: list = []
     _collect_reply_cookies(envelope.header, None, pending)
-    if not pending:
-        return 0
-    from .context import CompletionItem
-
     for reply_ctx, cookie in pending:
-        world.engine.schedule(
-            delay,
-            lambda _a, c=reply_ctx, ev=cookie: c.post(CompletionItem(ev, token)),
-        )
+        reply_ctx.complete_after(delay, cookie, token)
     return len(pending)
 
 

@@ -14,25 +14,16 @@ One wire path: :func:`rdma_put` and :func:`rdma_get` are the only place
 a network :class:`~repro.machine.network.TransferTiming` becomes
 scheduled deliver / complete / ack events, for contiguous transfers and
 — through a *layout* on either side — for the typed strided and
-I/O-vector transfers of Section III-C.2 alike. Every transfer asks
-:func:`~repro.pami.faults.wire_outcome` what the wire did to it, and
-"clean" (the only answer with chaos and link faults off) is the plain
-three-event schedule. The other answers:
+I/O-vector transfers of Section III-C.2 alike. What the wire does to a
+transfer in between (loss, corruption, retransmission, a peer dying) is
+:class:`~repro.pami.delivery.Delivery`'s; what is RDMA's own:
 
-* **Loss** (chaos drop, or a hop on a dead/lossy link of the current
-  :class:`~repro.topology.routing.RouteTable` route) — the initiator NIC
-  times out and the op completes with a
-  :class:`~repro.pami.faults.TransientFault`; the ARMCI retry layer
-  re-issues.
-* **Corruption** (chaos ``corrupt_mode="payload"``, or a corrupting
-  link) — one payload bit flips. With ``world.integrity`` installed
-  every transfer carries a CRC32 + sequence number verified at delivery:
-  the damaged copy is discarded and retransmitted transparently (over
-  the *current* route, so a link the health monitor has since marked
-  suspect is avoided) and put acks certify *verified* delivery. Without
-  it the damage lands and counts ``pami.silent_corruptions``.
-* **Stale incarnations** — traffic from or to a rank that died (and
-  possibly respawned) since the post is discarded by the NIC.
+* a put's *local* completion and its fate are scheduled at post time,
+  and without an integrity engine so is its ack (NIC-reliable path);
+  with one, the ack leaves the target only after the payload verified;
+* a get is a round trip: the target NIC reads at ``deliver`` time, the
+  reply lands at ``complete`` time, and a retransmitted round pays a
+  fresh :meth:`~repro.machine.network.TorusNetwork.get_timing`.
 """
 
 from __future__ import annotations
@@ -44,6 +35,7 @@ from ..machine.network import TransferTiming
 from ..sim.event import Event
 from . import faults as _flt
 from .context import CompletionItem, PamiContext
+from .delivery import Delivery
 
 
 @dataclass(frozen=True)
@@ -97,12 +89,52 @@ def write_side(space, layout, data) -> None:
         space.write_into(layout, data)
 
 
-def _complete_after(ctx: PamiContext, delay: float, event: Event, value=None) -> None:
-    """Post ``event``'s completion (carrying ``value``) to ``ctx`` after
-    ``delay``; a ``None`` value is the success case."""
-    ctx.engine.schedule(
-        delay, lambda _arg: ctx.post(CompletionItem(event, value))
-    )
+class _PutDelivery(Delivery):
+    """A put's payload on its way to the target NIC.
+
+    The local completion is the caller's (scheduled at post time, with
+    the first copy's fate); what is left to complete here is the remote
+    ack, and only when the ack certifies *verified* delivery.
+    """
+
+    __slots__ = ("ctx", "remote", "remote_ack", "verified_ack")
+
+    def land(self, payload) -> None:
+        world = self.world
+        write_side(world.spaces[self.dst], self.remote, payload)
+        if self.verified_ack:
+            # Verified delivery: only now does the ack leave the target.
+            world.engine.schedule(
+                world.network.hop_cost(self.src, self.dst), self.ack
+            )
+
+    def ack(self, _arg=None) -> None:
+        """The remote-delivery notification reaches the initiator."""
+        if self.gone(self.dst):
+            self.ctx.complete_after(
+                _flt.FAULT_DETECT_DELAY, self.remote_ack, _flt.Failure(self.dst)
+            )
+        else:
+            self.ctx.post(CompletionItem(self.remote_ack))
+
+    def fail(self, token, delay: float) -> bool:
+        if self.verified_ack:
+            self.ctx.complete_after(delay, self.remote_ack, token)
+        return True
+
+    def resend(self) -> None:
+        world = self.world
+        engine = world.engine
+        nbytes = len(self.payload)
+        t2 = world.network.put_timing(self.src, self.dst, nbytes)
+        base = engine.now
+        delay = self.retransmit_delay + (t2.deliver - base)
+        if world.obs is not None:
+            world.obs.record(
+                self.src, "net", "integrity", "put.retransmit", base,
+                base + delay, dst=self.dst, nbytes=nbytes,
+            )
+        engine.schedule(delay, self.attempt)
 
 
 def rdma_put(
@@ -127,7 +159,7 @@ def rdma_put(
         raise PamiError(f"put size must be positive, got {nbytes}")
     # Private uint8 snapshot (capture semantics); landing it below is a
     # view-assign — no bytes materialization on either side.
-    data = read_side(world.space(src), local, nbytes)
+    data = read_side(world.spaces[src], local, nbytes)
     net = world.network
     timing = net.put_timing(src, dst_rank, nbytes, extra_occupancy)
     engine = world.engine
@@ -138,137 +170,47 @@ def rdma_put(
         engine.event(f"put.rack.{src}->{dst_rank}") if want_remote_ack else None
     )
 
-    chaos = world.chaos
-    integ = world.integrity
-    link_mode = net.route_table is not None and not net.is_local(src, dst_rank)
-    fault, corruption, detect = _flt.wire_outcome(
-        world, src, dst_rank, "put", link_mode
-    )
+    delivery = _PutDelivery(world, src, dst_rank, "put")
+    delivery.ctx = ctx
+    delivery.remote = remote
+    delivery.remote_ack = remote_ack
+    # The first copy's fate is rolled here, so a loss can ride the local
+    # completion scheduled below.
+    fault, _corruption, detect = delivery.fate or delivery.roll()
     deliver_at = timing.deliver
+    chaos = world.chaos
     if chaos is not None:
         deliver_at = chaos.ordered_deliver(src, dst_rank, deliver_at)
-    if link_mode:
+    if delivery.link_mode:
         # Reroutes can shorten paths mid-stream; ordered traffic stays
         # monotone per pair (head-of-line blocking on the new route).
         deliver_at = net.ordered_deliver(src, dst_rank, deliver_at)
     world.ordering.record(src, dst_rank, deliver_at)
-    src_inc = world.incarnations[src]
-    dst_inc = world.incarnations[dst_rank]
-    protection = integ.protect(src, dst_rank, data) if integ is not None else None
-    budget = integ.config.max_retransmits if integ is not None else 0
-    retries = 0
-    obs = world.obs
+    delivery.carry(data)
+    unprotected = delivery.seal is None
+    delivery.verified_ack = (
+        remote_ack is not None and not unprotected and fault is None
+    )
 
-    def ack(_arg) -> None:
-        if world.is_failed(dst_rank) or world.incarnations[dst_rank] != dst_inc:
-            _complete_after(
-                ctx, _flt.FAULT_DETECT_DELAY, remote_ack, _flt.Failure(dst_rank)
-            )
-        else:
-            ctx.post(CompletionItem(remote_ack))
-
-    def arrive(_arg) -> None:
-        """One copy (the first, or a retransmit) reaches the target NIC."""
-        nonlocal corruption
-        if fault is not None:
-            return  # dropped: lost in transit
-        if world.is_failed(dst_rank) or world.incarnations[dst_rank] != dst_inc:
-            # A respawned target has fresh memory (the old registration
-            # is gone); a dead NIC drops the packet.
-            if world.incarnations[dst_rank] != dst_inc:
-                world.trace.incr("pami.stale_deliveries_dropped")
-            if protection is not None and remote_ack is not None:
-                ack(None)  # unprotected puts schedule the ack at post time
-            return
-        if world.is_failed(src) or world.incarnations[src] != src_inc:
-            # Traffic from a dead incarnation must not land after the
-            # survivors rolled back — the NIC discards the packet.
-            world.trace.incr("pami.stale_deliveries_dropped")
-            return
-        if retries:
-            # A retransmit rolls the wire over the *current* route; the
-            # last one in the budget goes out clean (bounded loss) unless
-            # no route is left at all.
-            corruption = None
-            if link_mode:
-                if retries >= budget:
-                    if net.route_blocked(src, dst_rank):
-                        retransmit()  # budget spent: gives the write up
-                        return
-                else:
-                    lost, corruption, _d = _flt.wire_outcome(
-                        world, src, dst_rank, "put", True, first=False
-                    )
-                    if lost is not None:
-                        retransmit()  # transport-level loss: keep trying
-                        return
-        payload = data if corruption is None else corruption.apply(data)
-        if protection is not None:
-            verdict = integ.verify(
-                src, dst_rank, protection[0], protection[1], payload
-            )
-            if verdict == "corrupt":
-                retransmit()
-                return
-            if verdict == "duplicate":
-                return
-        elif corruption is not None:
-            # No integrity layer: the damaged copy lands silently.
-            world.trace.incr("pami.silent_corruptions")
-        write_side(world.space(dst_rank), remote, payload)
-        if protection is not None and remote_ack is not None:
-            # Verified delivery: only now does the ack leave the target.
-            engine.schedule(net.hop_cost(src, dst_rank), ack)
-
-    if integ is not None:
-        # Only an integrity engine retransmits (a failed verification
-        # starts it), so only then is this closure — and its reference
-        # cycle with ``arrive`` — built.
-
-        def retransmit() -> None:
-            nonlocal retries
-            if retries >= budget:
-                # Budget exhausted (with the target unreachable on every
-                # path, or every copy damaged). The write is lost; the
-                # fence treats the transient ack like a chaos loss
-                # (escalation to rank death — when the target really is
-                # cut off everywhere — is the health monitor's job, not
-                # this transfer's).
-                world.trace.incr("armci.integrity.aborted")
-                if remote_ack is not None:
-                    _complete_after(
-                        ctx, _flt.FAULT_DETECT_DELAY, remote_ack,
-                        _flt.TransientFault("integrity_exhausted", src, dst_rank),
-                    )
-                return
-            retries += 1
-            integ.count_retransmit(nbytes)
-            t2 = net.put_timing(src, dst_rank, nbytes)
-            base = engine.now
-            delay = integ.config.retransmit_delay + (t2.deliver - base)
-            if obs is not None:
-                obs.record(
-                    src, "net", "integrity", "put.retransmit", base,
-                    base + delay, dst=dst_rank, nbytes=nbytes,
-                )
-            engine.schedule(delay, arrive)
-
-    engine.schedule(deliver_at - now, arrive)
+    engine.schedule(deliver_at - now, delivery.attempt)
     # A lost put surfaces as an error completion once the initiator NIC
     # misses the end-to-end delivery confirmation (``detect`` later).
     complete_at = timing.complete if fault is None else timing.complete + detect
-    _complete_after(ctx, complete_at - now, local_event, fault)
+    ctx.complete_after(complete_at - now, local_event, fault)
     if remote_ack is not None:
-        if protection is None:
+        if unprotected:
             # The ack rides the NIC-reliable path and is scheduled
             # unconditionally at post time.
-            engine.schedule(deliver_at + net.hop_cost(src, dst_rank) - now, ack)
+            engine.schedule(
+                deliver_at + net.hop_cost(src, dst_rank) - now, delivery.ack
+            )
         elif fault is not None:
             # Lost write: the fence must not hang on this ack, and must
             # not count it — the local completion already surfaced the
             # fault (and ARMCI re-issued the op).
-            _complete_after(ctx, complete_at - now, remote_ack, fault)
+            ctx.complete_after(complete_at - now, remote_ack, fault)
     world.trace.incr("pami.rdma_puts")
+    obs = world.obs
     if obs is not None:
         sid = obs.record(
             src, "net", "rdma", "rdma_put", now, timing.complete,
@@ -278,6 +220,50 @@ def rdma_put(
         if remote_ack is not None:
             obs.register_event(remote_ack, sid)
     return RmaOp("put", src, dst_rank, nbytes, local_event, remote_ack, timing)
+
+
+class _GetDelivery(Delivery):
+    """A get's round trip: the target NIC reads at ``deliver`` time
+    (:meth:`read`), the reply lands at the initiator at ``complete``
+    time (:meth:`attempt`). Each round's fate is rolled before it flies —
+    the read has to know whether there is a round to serve."""
+
+    __slots__ = ("ctx", "remote", "local", "nbytes", "local_event")
+
+    def read(self, _arg=None) -> None:
+        """The target NIC serves the read — unless this round was lost,
+        or the NIC is dead (a respawned target's fresh space has no
+        registration at the old address: the read misses)."""
+        if self.fate[0] is None and not self.gone(self.dst):
+            # Reply flow runs target -> initiator.
+            self.carry(
+                read_side(self.world.spaces[self.dst], self.remote, self.nbytes),
+                back=True,
+            )
+
+    def land(self, payload) -> None:
+        write_side(self.world.spaces[self.src], self.local, payload)
+        self.ctx.post(CompletionItem(self.local_event))
+
+    def fail(self, token, delay: float) -> bool:
+        self.ctx.complete_after(delay, self.local_event, token)
+        return True
+
+    def resend(self) -> None:
+        world = self.world
+        engine = world.engine
+        self.roll()
+        t2 = world.network.get_timing(self.src, self.dst, self.nbytes)
+        base = engine.now
+        delay = self.retransmit_delay
+        if world.obs is not None:
+            world.obs.record(
+                self.src, "net", "integrity", "get.retransmit", base,
+                base + delay + (t2.complete - base),
+                dst=self.dst, nbytes=self.nbytes,
+            )
+        engine.schedule(delay + (t2.deliver - base), self.read)
+        engine.schedule(delay + (t2.complete - base), self.attempt)
 
 
 def rdma_get(
@@ -306,114 +292,27 @@ def rdma_get(
 
     local_event = engine.event(f"get.local.{src}<-{dst_rank}")
 
-    chaos = world.chaos
-    integ = world.integrity
-    link_mode = net.route_table is not None and not net.is_local(src, dst_rank)
-    # ``loss``/``corruption`` are the fate of the round in flight: the
-    # first one here, re-rolled by every retransmit.
-    loss, corruption, detect = _flt.wire_outcome(
-        world, src, dst_rank, "get", link_mode
-    )
+    delivery = _GetDelivery(world, src, dst_rank, "get")
+    delivery.ctx = ctx
+    delivery.remote = remote
+    delivery.local = local
+    delivery.nbytes = nbytes
+    delivery.local_event = local_event
+    if delivery.fate is None:
+        delivery.roll()
     deliver_at = timing.deliver
+    chaos = world.chaos
     if chaos is not None:
         # Gets bypass the ordering checker (NIC-served reads), so their
         # jitter needs no per-pair clamping.
         deliver_at = chaos.unordered_deliver(src, dst_rank, deliver_at)
     # Jitter delays the whole round trip: the reply lands later too.
     complete_at = timing.complete + (deliver_at - timing.deliver)
-    dst_inc = world.incarnations[dst_rank]
-    budget = integ.config.max_retransmits if integ is not None else 0
-    retries = 0
-    obs = world.obs
-    snap: list = []  # [payload ndarray, (seq, csum)] once the NIC reads
 
-    def read_remote(_arg) -> None:
-        # A respawned target's fresh space has no registration at the
-        # old address: the read misses and the op completes with a
-        # Failure token, exactly like a read served by a dead NIC.
-        if (
-            loss is None
-            and not world.is_failed(dst_rank)
-            and world.incarnations[dst_rank] == dst_inc
-        ):
-            snap.append(read_side(world.space(dst_rank), remote, nbytes))
-            if integ is not None:
-                # Reply flow runs target -> initiator.
-                snap.append(integ.protect(dst_rank, src, snap[0]))
-
-    def complete(_arg) -> None:
-        if not snap:
-            if loss is None:
-                # Dead target NIC (fail-stop): error completion after
-                # the detection timeout.
-                _complete_after(
-                    ctx, _flt.FAULT_DETECT_DELAY, local_event,
-                    _flt.Failure(dst_rank),
-                )
-            elif 0 < retries < budget:
-                retransmit()  # transport-level loss: keep trying
-            else:
-                # The first round's loss (and the last retransmit's)
-                # surfaces to the op; the ARMCI retry layer re-issues.
-                _complete_after(ctx, detect, local_event, loss)
-            return
-        payload = snap[0] if corruption is None else corruption.apply(snap[0])
-        if integ is not None:
-            verdict = integ.verify(dst_rank, src, snap[1][0], snap[1][1], payload)
-            if verdict == "corrupt":
-                retransmit()
-                return
-            if verdict == "duplicate":
-                return
-        elif corruption is not None:
-            # No integrity layer: the damaged reply lands silently.
-            world.trace.incr("pami.silent_corruptions")
-        write_side(world.space(src), local, payload)
-        ctx.post(CompletionItem(local_event))
-
-    if integ is not None:
-        # Only an integrity engine retransmits (a failed verification
-        # starts it), so only then is this closure — and its reference
-        # cycle with ``complete`` — built.
-
-        def retransmit() -> None:
-            nonlocal retries, loss, corruption, detect
-            if retries >= budget:
-                world.trace.incr("armci.integrity.aborted")
-                _complete_after(
-                    ctx, _flt.FAULT_DETECT_DELAY, local_event,
-                    _flt.TransientFault("integrity_exhausted", src, dst_rank),
-                )
-                return
-            retries += 1
-            integ.count_retransmit(nbytes)
-            loss = corruption = None
-            detect = _flt.FAULT_DETECT_DELAY
-            if link_mode:
-                if retries < budget:
-                    loss, corruption, _d = _flt.wire_outcome(
-                        world, src, dst_rank, "get", True, first=False
-                    )
-                elif net.route_blocked(src, dst_rank):
-                    # The last round goes out clean (bounded loss)
-                    # unless no route is left at all.
-                    loss = _flt.TransientFault("unreachable", src, dst_rank)
-            t2 = net.get_timing(src, dst_rank, nbytes)
-            base = engine.now
-            delay = integ.config.retransmit_delay
-            if obs is not None:
-                obs.record(
-                    src, "net", "integrity", "get.retransmit", base,
-                    base + delay + (t2.complete - base),
-                    dst=dst_rank, nbytes=nbytes,
-                )
-            snap.clear()
-            engine.schedule(delay + (t2.deliver - base), read_remote)
-            engine.schedule(delay + (t2.complete - base), complete)
-
-    engine.schedule(deliver_at - now, read_remote)
-    engine.schedule(complete_at - now, complete)
+    engine.schedule(deliver_at - now, delivery.read)
+    engine.schedule(complete_at - now, delivery.attempt)
     world.trace.incr("pami.rdma_gets")
+    obs = world.obs
     if obs is not None:
         sid = obs.record(
             src, "net", "rdma", "rdma_get", now, complete_at,

@@ -9,10 +9,19 @@ backend-specific counters, capability metadata, and pami-vs-mpi3
 behavior comparisons inside one test.
 """
 
+import ast
+import pathlib
+
 import pytest
 
-from repro.armci import ArmciConfig, ArmciJob
-from repro.errors import ArmciError
+import repro.armci
+import repro.pami
+from repro.armci import ArmciConfig, ArmciJob, dispatch
+from repro.armci import runtime as armci_runtime
+from repro.chaos import ChaosConfig, ChaosEngine, LinkFault
+from repro.errors import ArmciError, PamiError
+from repro.pami.faults import Failure, TransientFault
+from repro.pami.integrity import IntegrityConfig
 from repro.transport import (
     BACKENDS,
     Mpi3Transport,
@@ -260,6 +269,17 @@ class TestMpi3Report:
         assert "pami (counter completion)" in report
 
 
+def _outer_functions(*packages):
+    """``(file name, function node)`` of every outermost function or
+    method defined under the given packages."""
+    for package in packages:
+        for path in sorted(pathlib.Path(package.__file__).parent.glob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield path.name, fn
+
+
 class TestOneWirePath:
     """PR 8 stated "armci calls only the transport"; this holds it, and
     holds the RDMA primitives to one body per direction."""
@@ -294,27 +314,14 @@ class TestOneTransferPath:
     def _functions_touching(attr):
         """``file:function`` of every outermost function under
         ``src/repro/armci`` that reads attribute ``attr``."""
-        import ast
-        import pathlib
-
-        import repro.armci
-
-        found = set()
-        for path in pathlib.Path(repro.armci.__file__).parent.glob("*.py"):
-            tree = ast.parse(path.read_text())
-            outer = [
-                fn
-                for node in tree.body
-                for fn in (node.body if isinstance(node, ast.ClassDef) else [node])
-                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-            ]
-            for fn in outer:
-                if any(
-                    isinstance(n, ast.Attribute) and n.attr == attr
-                    for n in ast.walk(fn)
-                ):
-                    found.add(f"{path.name}:{fn.name}")
-        return found
+        return {
+            f"{name}:{fn.name}"
+            for name, fn in _outer_functions(repro.armci)
+            if any(
+                isinstance(n, ast.Attribute) and n.attr == attr
+                for n in ast.walk(fn)
+            )
+        }
 
     def test_wire_calls_live_in_the_protocol_functions(self):
         assert len(self._functions_touching("rdma_put")) <= 2
@@ -352,3 +359,339 @@ class TestOneTransferPath:
             if name.startswith(("strided_packed_", "vector_"))
         ]
         assert not hasattr(ArmciProcess, "_resolve_vector_regions")
+
+
+class TestOneDeliveryPath:
+    """The liveness -> incarnation -> wire fate -> verify -> bounded
+    retransmit -> land-or-fail skeleton lives in ``pami/delivery.py``
+    alone; this keeps a second copy of any step from growing back inside
+    a wire primitive."""
+
+    @staticmethod
+    def _functions_where(matches):
+        return {
+            f"{name}:{fn.name}"
+            for name, fn in _outer_functions(repro.pami, repro.armci)
+            if any(matches(node) for node in ast.walk(fn))
+        }
+
+    @classmethod
+    def _callers_of(cls, method):
+        return cls._functions_where(
+            lambda n: isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and n.func.attr == method
+        )
+
+    def test_each_step_has_one_site(self):
+        assert self._callers_of("verify") == {"delivery.py:attempt"}
+        assert self._callers_of("count_retransmit") == {"delivery.py:retransmit"}
+        assert self._callers_of("route_blocked") == {"delivery.py:roll"}
+        assert self._functions_where(
+            lambda n: isinstance(n, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+            and any(
+                getattr(t, "attr", getattr(t, "id", None)) == "link_mode"
+                for t in getattr(n, "targets", [getattr(n, "target", None)])
+            )
+        ) == {"delivery.py:__init__"}
+        assert self._functions_where(
+            lambda n: isinstance(n, ast.Constant)
+            and n.value == "pami.silent_corruptions"
+        ) == {"delivery.py:attempt"}
+
+    def test_delivery_never_asks_which_traffic_it_carries(self):
+        path = pathlib.Path(repro.pami.__file__).parent / "delivery.py"
+        kinds = {"put", "get", "am", "rmw"}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Compare, ast.Match)):
+                constants = {
+                    n.value for n in ast.walk(node) if isinstance(n, ast.Constant)
+                }
+                assert not constants & kinds, ast.unparse(node)
+
+    def test_wire_primitives_nest_no_closures(self):
+        primitives = {
+            "rma.py:rdma_put", "rma.py:rdma_get", "activemsg.py:send_am",
+            "atomics.py:rmw", "transfer.py:handle_get_request",
+        }
+        seen = set()
+        for name, fn in _outer_functions(repro.pami, repro.armci):
+            if f"{name}:{fn.name}" in primitives:
+                seen.add(f"{name}:{fn.name}")
+                nested = [
+                    n for n in ast.walk(fn)
+                    if n is not fn
+                    and isinstance(n, (ast.FunctionDef, ast.Lambda))
+                ]
+                assert not nested, f"{name}:{fn.name} nests a closure"
+        assert seen == primitives
+
+
+# ------------------------------------------------------------ fate matrix
+
+#: The two nodes of a 2-rank, 1-proc/node job, joined by one torus link:
+#: lossy or corrupting it hits every copy, killing it leaves no route.
+PAIR_A = (0, 0, 0, 0, 0)
+PAIR_B = (0, 0, 0, 0, 1)
+
+FATE_ROWS = (
+    "put", "get", "am_cookie", "am_forget", "rmw_soft", "rmw_nic", "get_reply",
+)
+FATE_COLUMNS = (
+    "clean", "chaos_loss", "link_loss", "corrupt", "corrupt_integrity",
+    "budget_spent", "route_blocked", "dead_target", "respawned_target",
+    "respawned_initiator",
+)
+#: Cells an rt-level test already pins (tests/test_network_faults.py:
+#: typed put to a respawned incarnation; fall-back get reply to a
+#: respawned initiator).
+FATE_PINNED_ELSEWHERE = {
+    ("put", "respawned_target"), ("get_reply", "respawned_initiator"),
+}
+FATE_DATA = bytes(range(1, 65))
+FATE_LINK_FAULT = {
+    "link_loss": ("lossy", 1.0), "corrupt": ("corrupt", 1.0),
+    "corrupt_integrity": ("corrupt", 1.0), "budget_spent": ("corrupt", 1.0),
+    "route_blocked": ("kill", 0.0),
+}
+FATE_INTEGRITY = {
+    "corrupt_integrity": IntegrityConfig(),
+    "budget_spent": IntegrityConfig(max_retransmits=0),
+}
+#: Transport retransmits inside the default budget before the clean copy.
+BUDGET = 8
+
+
+def expected_fate(row, column):
+    """``(landed, token type, counters)`` the state machine owes a cell.
+
+    ``landed`` is ``"exact"``, ``"damaged"`` or ``None``; a token type of
+    ``"unobserved"`` means no waiter is left to see one."""
+    observed = row != "am_forget"  # somebody waits on the outcome
+    counters = {
+        "pami.stale_deliveries_dropped": 0, "pami.silent_corruptions": 0,
+        "armci.integrity.checksum_failures": 0, "armci.integrity.aborted": 0,
+    }
+    lost = (None, TransientFault) if observed else ("exact", None)
+    if column == "clean":
+        return "exact", None, counters
+    if column in ("chaos_loss", "link_loss"):
+        # The first copy's loss is the waiter's to see; unseen, the
+        # transport resends up to the clean last copy.
+        resent = "chaos.retransmits" if column == "chaos_loss" else "net.retransmits"
+        counters[resent] = 0 if observed else BUDGET
+        return *lost, counters
+    if column == "corrupt":
+        counters["pami.silent_corruptions"] = 1
+        return "damaged", None, counters
+    if column == "corrupt_integrity":
+        counters["armci.integrity.checksum_failures"] = BUDGET
+        counters["armci.integrity.retransmits"] = BUDGET
+        return "exact", None, counters
+    if column == "budget_spent":
+        counters["armci.integrity.checksum_failures"] = 1
+        counters["armci.integrity.aborted"] = 1
+        return None, TransientFault if observed else None, counters
+    if column == "route_blocked":
+        counters["armci.integrity.aborted"] = 0 if observed else 1
+        return None, TransientFault if observed else None, counters
+    if column == "respawned_initiator":
+        counters["pami.stale_deliveries_dropped"] = 1
+        return None, "unobserved", counters
+    counters["pami.stale_deliveries_dropped"] = int(column == "respawned_target")
+    return None, Failure if observed else None, counters
+
+
+class TestDeliveryFateMatrix:
+    """Every wire primitive x every fate: what landed, what the waiter
+    got, what was counted — and never a hang or a leaked FIFO credit."""
+
+    @staticmethod
+    def _arm_wire(world, column, src, dst):
+        """Make the wire between ``src`` and ``dst`` misbehave from now on."""
+        if column == "chaos_loss":
+            world.chaos = ChaosEngine(
+                ChaosConfig(drop_prob=1.0, links=frozenset({(src, dst)})),
+                world.trace,
+            )
+        elif column in FATE_LINK_FAULT:
+            kind, prob = FATE_LINK_FAULT[column]
+            world.apply_link_fault(LinkFault(kind, PAIR_A, PAIR_B, at=0.0, prob=prob))
+
+    @staticmethod
+    def _arm_peer(world, column, initiator, target):
+        """Lose a peer with the payload in flight (after the caller
+        yields, before anything can arrive)."""
+        lose = {
+            "dead_target": (target, False), "respawned_target": (target, True),
+            "respawned_initiator": (initiator, True),
+        }.get(column)
+        if lose is not None:
+            rank, respawn = lose
+
+            def fire(_arg):
+                world.fail_rank(rank)
+                if respawn:
+                    world.respawn_rank(rank)
+
+            world.engine.schedule(0.0, fire)
+
+    @pytest.mark.parametrize("backend", ["pami", "mpi3"])
+    @pytest.mark.parametrize("column", FATE_COLUMNS)
+    @pytest.mark.parametrize("row", FATE_ROWS)
+    def test_cell(self, row, column, backend, monkeypatch):
+        if (row, column) in FATE_PINNED_ELSEWHERE:
+            pytest.skip("pinned by tests/test_network_faults.py")
+        job = ArmciJob(
+            2,
+            config=ArmciConfig.async_thread_mode(
+                backend=backend, fifo_depth=4,
+                integrity=FATE_INTEGRITY.get(column),
+            ),
+            procs_per_node=1,
+            nic_amo_support=row == "rmw_nic",
+        )
+        world = job.world
+        if column in FATE_LINK_FAULT:
+            world.enable_link_faults()
+        job.init()
+        got = {}
+
+        if row == "get_reply":
+            # The reply is the payload under test: the wire turns bad,
+            # and peers are lost, once the target has served the request.
+            serve = armci_runtime.AM_HANDLERS[dispatch.GET_REQUEST]
+
+            def serve_under_faults(rt, ctx, env):
+                self._arm_wire(world, column, 1, 0)
+                serve(rt, ctx, env)
+                self._arm_peer(world, column, 0, 1)
+
+            monkeypatch.setitem(
+                armci_runtime.AM_HANDLERS, dispatch.GET_REQUEST, serve_under_faults
+            )
+
+        def post(rt, alloc):
+            """Put ``row``'s payload on the wire; returns its waiters and
+            a reader of the bytes it was meant to land."""
+            ctx = rt.main_context
+            space = world.space(0)
+            remote = alloc.addr(1)
+            credit = row in ("am_cookie", "am_forget", "rmw_soft", "get_reply")
+            if credit:
+                assert world.client(1).progress_context().try_acquire_credit()
+            if row in ("put", "am_cookie", "am_forget"):
+                local = space.allocate(64)
+                space.write(local, FATE_DATA)
+            else:
+                world.space(1).write(remote, FATE_DATA)
+                local = space.allocate(64)
+            if row == "put":
+                op = rt.transport.rdma_put(
+                    ctx, 1, local, remote, 64, want_remote_ack=True
+                )
+                return [op.local_event, op.remote_ack_event], (1, remote)
+            if row == "get":
+                op = rt.transport.rdma_get(ctx, 1, remote, local, 64)
+                return [op.local_event], (0, local)
+            if row == "am_cookie":
+                ack = rt.engine.event()
+                rt.transport.send_am(
+                    ctx, 1, dispatch.PUT_REQUEST,
+                    header={"remote": remote, "ack": ack, "reply_ctx": ctx,
+                            "_credit": True},
+                    payload=space.snapshot(local, 64),
+                )
+                return [ack], (1, remote)
+            if row == "am_forget":
+                rt.transport.send_am(
+                    ctx, 1, 11, header={"_credit": True},
+                    payload=space.snapshot(local, 64),
+                )
+                return [], None
+            if row == "get_reply":
+                done = rt.engine.event()
+                rt.transport.send_am(
+                    ctx, 1, dispatch.GET_REQUEST,
+                    header={"remote": remote, "nbytes": 64, "local": local,
+                            "event": done, "reply_ctx": ctx, "_credit": True},
+                )
+                return [done], (0, local)
+            world.space(1).write(remote, bytes(64))
+            op, operand = ("fetch_add", 3) if row == "rmw_nic" else ("fetch_max", 5)
+            pending = rt.transport.rmw(
+                ctx, 1, remote, op, operand, credited=row == "rmw_soft"
+            )
+            got["operand"] = operand
+            return [pending.event], (1, remote)
+
+        def body(rt):
+            alloc = yield from rt.malloc(64)
+            yield from rt.barrier()
+            if rt.rank == 1:
+                yield from rt.compute(600e-6)
+                return
+            if row != "get_reply":
+                self._arm_wire(world, column, 0, 1)
+            waiters, got["where"] = post(rt, alloc)
+            got["waiters"] = waiters
+            if row != "get_reply":
+                self._arm_peer(world, column, 0, 1)
+            if column == "respawned_initiator" or not waiters:
+                yield from rt.compute(500e-6)  # killed here, or nobody to wait
+                return
+            deadline = rt.engine.now + 500e-6
+            values = []
+            for event in waiters:
+                values.append(
+                    (yield from rt.main_context.wait_with_progress(event, deadline))
+                )
+            got["token"] = next(
+                (v for v in values if isinstance(v, (Failure, TransientFault))),
+                None,
+            )
+
+        job.run(body)
+
+        landed, token, counters = expected_fate(row, column)
+        # What landed.
+        if row == "am_forget":
+            arrived = job.rt(1).notify_board.pending(0)
+            assert arrived == (1 if landed else 0)
+        elif row.startswith("rmw"):
+            rank, addr = got["where"]
+            try:
+                cell = int(world.space(rank).i64_view(addr)[0])
+            except PamiError:  # the respawned target's fresh, unmapped space
+                cell = 0
+            assert (cell == got["operand"]) == (landed == "exact")
+            assert (cell != 0) == (landed is not None)
+        else:
+            rank, addr = got["where"]
+            try:
+                arrived = world.space(rank).read(addr, 64)
+            except PamiError:
+                arrived = bytes(64)
+            flips = sum(
+                bin(a ^ b).count("1") for a, b in zip(arrived, FATE_DATA)
+            )
+            if landed == "exact":
+                assert arrived == FATE_DATA
+            elif landed == "damaged":
+                assert flips == 1
+            else:
+                assert arrived == bytes(64)
+        # What the waiter got.
+        if token == "unobserved":
+            assert not any(event.triggered for event in got["waiters"])
+        elif token is None:
+            assert got.get("token") is None
+        else:
+            assert isinstance(got["token"], token)
+        # What was counted.
+        for name, value in counters.items():
+            assert job.trace.count(name) == value, name
+        # No FIFO credit leaked, on any incarnation.
+        for client in world.clients:
+            for ctx in client.contexts:
+                assert ctx._credits_out == 0, (client.rank, ctx.index)
