@@ -13,9 +13,11 @@ fetch-and-adds a shared counter hosted on rank 0 while rank 0 runs
 Run:  python examples/load_balance_counter.py
 """
 
-from repro.armci import ArmciConfig, ArmciJob
+from dataclasses import replace
+
+from repro.armci import ArmciConfig, ArmciJob, ObsConfig
 from repro.gax import SharedCounter
-from repro.util import render_timeline
+from repro.util import intervals, render_timeline
 from repro.util.units import us
 
 PROCS = 32
@@ -26,11 +28,12 @@ COMPUTE_CHUNK = 300e-6
 def run(
     config: ArmciConfig, label: str, hardware: bool = False, timeline: bool = False
 ) -> None:
+    if timeline:
+        # The Gantt below is a view over the job's obs spans.
+        config = replace(config, obs=ObsConfig(enabled=True))
     job = ArmciJob(
         PROCS, procs_per_node=16, config=config, nic_amo_support=hardware
     )
-    if timeline:
-        job.trace.record_intervals = True
     job.init()
     latencies: list[float] = []
 
@@ -66,7 +69,7 @@ def run(
         # requesters: in D mode their counter waits ('c') stretch across
         # rank 0's compute chunks ('#').
         shown = [
-            iv for iv in job.trace.intervals if iv.lane in ("r0", "r1", "r2")
+            iv for iv in intervals(job.obs.spans) if iv.lane in ("r0", "r1", "r2")
         ]
         print()
         print(render_timeline(shown, width=72))

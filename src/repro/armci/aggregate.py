@@ -137,17 +137,11 @@ class AggregateHandle:
             yield from h.wait()
             return h
 
-        sid = None
-        if rt.obs is not None:
-            sid = rt.obs.begin(
-                rt.rank, "main", "op", "aggregate_flush",
-                dst=self.dst, nbytes=total, fragments=vec.num_segments,
-            )
-        try:
+        with rt.span(
+            "op", "aggregate_flush",
+            dst=self.dst, nbytes=total, fragments=vec.num_segments,
+        ):
             handle = yield from rt._with_retry(attempt, "aggregate_flush")
-        finally:
-            if sid is not None:
-                rt.obs.end(sid)
         rt.trace.incr("armci.aggregate_flushes")
         if self.on_flush is not None:
             self.on_flush(total, vec.num_segments)

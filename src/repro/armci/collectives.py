@@ -198,9 +198,12 @@ class FailureDetector:
 
 
 def barrier(
-    rt: "ArmciProcess", deadline: float | None = None
+    rt: "ArmciProcess", deadline: float | None = None, timeline: str | None = None
 ) -> Generator[Any, Any, None]:
     """ARMCI barrier: hardware sync + progress while waiting.
+
+    ``timeline`` puts the dwell in the Gantt view — the application's
+    own ``rt.barrier()`` calls, not the ones inside ``malloc``/``free``.
 
     Raises :class:`~repro.errors.ProcessFailedError` if a participant
     died — the epoch-based liveness check above — instead of deadlocking,
@@ -211,23 +214,21 @@ def barrier(
         deadline = rt._op_deadline(None)
     rt._observe("on_barrier_enter")
     obs = rt.obs
-    sid = None
-    if obs is not None:
+    with rt.span("barrier", "barrier", timeline=timeline) as span:
         # The barrier span doubles as this rank's arrival record; the
         # exit draws a wait-for edge from the last arriver's span (the
         # only place critical_path hops ranks).
-        sid = obs.begin(rt.rank, "main", "barrier", "barrier", timeline="barrier")
-        obs.barrier_arrive(id(rt.job.hw_barrier), rt.rank, sid)
-    release = rt.job.hw_barrier.arrive(rt.rank)
-    try:
-        value = yield from rt.main_context.wait_with_progress(
-            release, deadline=deadline
-        )
-        check_completion(value, op="barrier")
-    finally:
-        if sid is not None:
-            obs.end(sid)
-            obs.barrier_exit(id(rt.job.hw_barrier), rt.rank, sid)
+        if obs is not None:
+            obs.barrier_arrive(id(rt.job.hw_barrier), rt.rank, span.sid)
+        release = rt.job.hw_barrier.arrive(rt.rank)
+        try:
+            value = yield from rt.main_context.wait_with_progress(
+                release, deadline=deadline
+            )
+            check_completion(value, op="barrier")
+        finally:
+            if obs is not None:
+                obs.barrier_exit(id(rt.job.hw_barrier), rt.rank, span.sid)
     rt._observe("on_barrier_exit")
     rt.trace.incr("armci.barriers")
 

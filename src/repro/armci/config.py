@@ -128,9 +128,11 @@ class ArmciConfig:
         to a main-thread-driven loop. ``None`` = no watchdog.
     obs:
         :class:`~repro.obs.ObsConfig` observability switches. Disabled
-        (the default) every instrumentation site in the stack is a
-        single ``obs is None`` test; enabled, the job records causal
-        spans/metrics for Perfetto export and critical-path analysis.
+        (the default) ``rt.span(...)`` brackets every blocking call with
+        the shared no-op ``NO_SPAN`` and the wire-level sites are one
+        ``obs is None`` test each; enabled, the job records causal
+        spans/metrics for Perfetto export, critical-path analysis and
+        the text Gantt (``util.timeline.intervals(job.obs.spans)``).
     recovery:
         :class:`~repro.recover.RecoveryConfig` crash-recovery switches
         (buddy replication, coordinated checkpoint/restore, respawn).
@@ -143,15 +145,6 @@ class ArmciConfig:
         of corrupted transfers). ``None`` (the default) or a disabled
         config keeps the protection off — silent in-flight corruption
         (``corrupt_mode="payload"`` chaos, corrupting links) then lands.
-    shards:
-        PDES shard count for the job's simulation backend. ``1`` (the
-        default) runs the classic single engine and is byte-identical
-        to every prior release. Values above 1 attach a
-        :class:`~repro.sim.parallel.ShardPlan` (torus-geometry rank
-        partition + conservative lookahead) to the job as
-        ``job.shard_plan``; scale-hungry drivers hand that plan to
-        :func:`repro.sim.parallel.run_program` to execute wire-level
-        rank programs across worker processes.
     health:
         :class:`~repro.machine.health.LinkHealthConfig` link health
         monitoring switches. Enabled, the job routes on *observed* link
@@ -181,7 +174,6 @@ class ArmciConfig:
     recovery: object | None = None
     integrity: object | None = None
     health: object | None = None
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if self.backend is not None:
@@ -266,8 +258,6 @@ class ArmciConfig:
                 f"watchdog_period must be > 0 or None, got "
                 f"{self.watchdog_period}"
             )
-        if self.shards < 1:
-            raise ArmciError(f"shards must be >= 1, got {self.shards}")
         if self.watchdog_period is not None and not self.async_thread:
             raise ArmciError(
                 "watchdog_period requires async_thread=True (the watchdog "

@@ -93,12 +93,7 @@ def resolve_remote_region(
     region = rt.region_cache.lookup(dst, addr, nbytes)
     if region is not None:
         return region
-    obs = rt.obs
-    sid = None
-    reply = None
-    if obs is not None:
-        sid = obs.begin(rt.rank, "main", "region_miss", "region_query", dst=dst)
-    try:
+    with rt.span("region_miss", "region_query", dst=dst) as span:
         ctx = rt.main_context
         deadline = rt._op_deadline(None)
         yield from rt._acquire_send_credit(dst, deadline)
@@ -107,13 +102,11 @@ def resolve_remote_region(
         if rt.flow_enabled:
             header["_credit"] = True
         rt.transport.send_am(ctx, dst, _disp.REGION_QUERY, header=header)
-        found = yield from ctx.wait_with_progress(reply, deadline=deadline)
-        check_completion(found, op="region_query")
-    finally:
-        if sid is not None:
-            if reply is not None:
-                obs.add_edge(obs.span_for_event(reply), sid)
-            obs.end(sid)
+        try:
+            found = yield from ctx.wait_with_progress(reply, deadline=deadline)
+            check_completion(found, op="region_query")
+        finally:
+            span.caused_by(reply)
     if found is None:
         rt.trace.incr("armci.remote_region_unavailable")
         return None

@@ -86,8 +86,9 @@ def mutex_owner(mutex_id: int, num_procs: int) -> int:
     return mutex_id % num_procs
 
 
-def lock(rt: "ArmciProcess", mutex_id: int) -> Generator[Any, Any, None]:
-    """Blocking acquire of a distributed mutex."""
+def lock(rt: "ArmciProcess", mutex_id: int, span) -> Generator[Any, Any, None]:
+    """Blocking acquire of a distributed mutex (inside the caller's
+    ``lock_wait`` ``span``)."""
     owner = mutex_owner(mutex_id, rt.world.num_procs)
     ctx = rt.main_context
     deadline = rt._op_deadline(None)
@@ -101,10 +102,8 @@ def lock(rt: "ArmciProcess", mutex_id: int) -> Generator[Any, Any, None]:
     from ..pami.faults import check_completion
 
     check_completion(granted, op="lock")
-    if rt.obs is not None:
-        # The grant cookie was registered to the owner-side service span;
-        # point the ambient lock_wait span (begun in runtime.lock) at it.
-        rt.obs.add_edge(rt.obs.span_for_event(grant), rt.obs.current(rt.rank))
+    # The grant cookie was registered to the owner-side service span.
+    span.caused_by(grant)
     rt.trace.incr("armci.locks_acquired")
 
 

@@ -37,6 +37,7 @@ from ..errors import (
 )
 from ..machine.bgq import BGQParams
 from ..mpilike import msg as _msg
+from ..obs.span import NO_SPAN, Obs
 from ..pami.context import PamiContext, cancel_timer, deadline_timer
 from ..pami.faults import TransientFault, check_completion
 from ..pami.world import PamiWorld
@@ -208,45 +209,35 @@ class ArmciJob:
             raise ArmciError("pass chaos to the PamiWorld when supplying one")
         elif engine is not None:
             raise ArmciError("pass the engine to the PamiWorld when supplying one")
-        # Crash times in a job-level fault plan are measured from the
-        # start of job.run() (application time), not from construction —
-        # init's simulated cost must not eat into the schedule. Validate
-        # ranks eagerly, schedule lazily.
+        self.world = world
+        # Fault-plan times are measured from the start of job.run()
+        # (application time), not from construction — init's simulated
+        # cost must not eat into the schedule. Validate eagerly (a bad
+        # plan fails here, not mid-run), schedule in run().
         self.fault_plan = fault_plan
-        self._fault_plan_applied = False
         if fault_plan is not None:
-            for crash in fault_plan.crashes:
-                if not 0 <= crash.rank < num_procs:
-                    raise ArmciError(
-                        f"fault plan crashes rank {crash.rank}, job has "
-                        f"{num_procs} processes"
-                    )
-            for fault in getattr(fault_plan, "resource_faults", ()):
+            for fault in (*fault_plan.crashes, *fault_plan.resource_faults):
                 if not 0 <= fault.rank < num_procs:
                     raise ArmciError(
                         f"fault plan targets rank {fault.rank}, job has "
                         f"{num_procs} processes"
                     )
-        self.world = world
-        if fault_plan is not None and getattr(fault_plan, "link_faults", ()):
-            # Link coordinates are validated eagerly (bad plans fail at
-            # construction, not mid-run); this also switches the network
-            # into link-fault mode so routing is fault-aware from t=0.
-            link_state = world.enable_link_faults()
-            for lf in fault_plan.link_faults:
-                link_state.key(lf.a, lf.b)
+            if fault_plan.link_faults:
+                # Also switches the network into link-fault mode, so
+                # routing is fault-aware from t=0.
+                link_state = world.enable_link_faults()
+                for lf in fault_plan.link_faults:
+                    link_state.key(lf.a, lf.b)
         self.engine = world.engine
         self.trace = world.trace
         #: Communication backend (``repro.transport``): every wire-level
         #: primitive the protocol layer issues goes through this object.
         self.transport = create_transport(self.config.backend, world, self.config)
         #: Observability recorder (``repro.obs``), or ``None`` when
-        #: ``config.obs.enabled`` is off — every instrumentation site in
-        #: the stack is a single ``obs is None`` test in that case.
+        #: ``config.obs.enabled`` is off: ``rt.span`` then brackets every
+        #: blocking call with the shared no-op ``NO_SPAN``.
         if self.config.obs.enabled and world.obs is None:
-            from ..obs import Obs
-
-            world.obs = Obs(self.engine, trace=self.trace)
+            world.obs = Obs(self.engine)
             world.obs.dispatch_names = dict(_disp.DISPATCH_NAMES)
             world.obs.record_progress_spans = self.config.obs.progress_spans
         self.obs = world.obs
@@ -286,23 +277,6 @@ class ArmciJob:
         self.health = None
         if self.config.health is not None and self.config.health.enabled:
             self.health = world.install_health_monitor(self.config.health)
-        #: PDES shard plan (``repro.sim.parallel``), or ``None`` for the
-        #: classic single-engine job (``config.shards == 1``, the
-        #: default — byte-identical to prior releases). The plan carries
-        #: the torus-geometry rank partition and the conservative
-        #: lookahead; sharded drivers hand it (plus the job's mapping
-        #: and params) to ``repro.sim.parallel.run_program``.
-        self.shard_plan = None
-        if self.config.shards > 1:
-            from ..sim.parallel import plan_shards
-
-            self.shard_plan = plan_shards(
-                world.mapping,
-                self.config.shards,
-                world.params,
-                num_ranks=num_procs,
-            )
-            self.trace.incr("pdes.shards", self.config.shards)
         #: Serving-tier metrics registry (``repro.obs.metrics``), or
         #: ``None`` until the first ``repro.serve.ActorSystem`` is
         #: constructed on this job — jobs that never touch the serve
@@ -420,20 +394,15 @@ class ArmciJob:
         """Run ``body_fn(rt)`` as the main thread of each listed rank."""
         if not self._initialized:
             raise ArmciError("call job.init() before job.run()")
-        if self.fault_plan is not None and not self._fault_plan_applied:
-            self._fault_plan_applied = True
-            for crash in self.fault_plan.crashes:
-                self.engine.schedule(
-                    crash.at, lambda _a, r=crash.rank: self.world.fail_rank(r)
-                )
-            for fault in getattr(self.fault_plan, "resource_faults", ()):
-                self.engine.schedule(
-                    fault.at, lambda _a, f=fault: self._apply_resource_fault(f)
-                )
-            for lf in getattr(self.fault_plan, "link_faults", ()):
-                self.engine.schedule(
-                    lf.at, lambda _a, f=lf: self.world.apply_link_fault(f)
-                )
+        # The plan is taken by the first run(): times count from here.
+        plan, self.fault_plan = self.fault_plan, None
+        if plan is not None:
+            for crash in plan.crashes:
+                self.engine.schedule(crash.at, self.world.fail_rank, crash.rank)
+            for fault in plan.resource_faults:
+                self.engine.schedule(fault.at, self._apply_resource_fault, fault)
+            for lf in plan.link_faults:
+                self.engine.schedule(lf.at, self.world.apply_link_fault, lf)
         if ranks is None:
             ranks = range(self.num_procs)
         procs = []
@@ -464,29 +433,43 @@ class ArmciProcess:
         self.trace = job.trace
         self.config = job.config
         self.transport = job.transport
-        self.client = self.world.client(rank)
-        params = self.world.params
-        self.endpoints = EndpointCache(rank, params.endpoint_create_time, self.trace)
-        # With a registration budget, cached remote handles draw from the
-        # same slot pool as local registrations, so cache eviction frees
-        # budget under pressure (and vice versa).
-        budget_registry = (
-            self.world.regions[rank]
-            if job.config.memregion_budget is not None
-            else None
-        )
-        self.region_cache = RegionCache(
-            job.config.region_cache_capacity,
-            self.trace,
-            budget_registry=budget_registry,
-        )
-        self.tracker = make_tracker(job.config.consistency_tracker)
         #: Optional verification observer (``repro.verify``): receives
         #: every data-movement and synchronization event on this rank.
         #: ``None`` (the default) keeps the hooks zero-cost.
         self.observer = None
         #: Span recorder (shared job-wide), or ``None`` when obs is off.
         self.obs = job.obs
+        self.reset_for_respawn()
+
+    # ------------------------------------------------------------- setup
+
+    def reset_for_respawn(self) -> None:
+        """(Re)create the state of one incarnation, pre-init (non-generator).
+
+        The constructor path and the respawn path are this one function:
+        :meth:`ArmciJob.respawn_rank` calls it after the PAMI world
+        replaced this rank's client, so every cached reference into the
+        dead incarnation is dropped. :meth:`_reinit_body` must run inside
+        the simulation afterwards to recreate contexts and handlers.
+        """
+        self.client = self.world.client(self.rank)
+        self.endpoints = EndpointCache(
+            self.rank, self.world.params.endpoint_create_time, self.trace
+        )
+        # With a registration budget, cached remote handles draw from the
+        # same slot pool as local registrations, so cache eviction frees
+        # budget under pressure (and vice versa).
+        budget_registry = (
+            self.world.regions[self.rank]
+            if self.config.memregion_budget is not None
+            else None
+        )
+        self.region_cache = RegionCache(
+            self.config.region_cache_capacity,
+            self.trace,
+            budget_registry=budget_registry,
+        )
+        self.tracker = make_tracker(self.config.consistency_tracker)
         self.mutexes = MutexTable()
         self.notify_board = _notify.NotifyBoard()
         self.async_thread = None
@@ -506,15 +489,24 @@ class ArmciProcess:
         #: replayed locally — malloc re-maps recorded addresses and
         #: barriers no-op, since the survivors are not re-entering them.
         self._replay_mode = False
-
-    # ------------------------------------------------------------- setup
+        # Lazily-allocated staging state points into the dead
+        # incarnation's address space. (hasattr/delattr, not
+        # ``self.__dict__``: touching ``__dict__`` un-inlines the
+        # instance's attribute values and slows every later ``rt.x``.)
+        for attr in ("_agg_buffer", "_gax_scratch", "_dtp_state"):
+            if hasattr(self, attr):
+                delattr(self, attr)
 
     @property
     def main_context(self) -> PamiContext:
         """Context 0: the main thread's communication context."""
         return self.client.context(0)
 
-    def _init_body(self) -> Generator[Any, Any, None]:
+    def _reinit_body(self) -> Generator[Any, Any, None]:
+        """Initialize one incarnation inside the simulation: contexts,
+        the AM dispatcher, the progress threads. All of init but the
+        closing barrier — what a respawned rank runs, since the survivors
+        are not re-entering init (the recovery rendezvous synchronizes)."""
         for _ in range(self.config.num_contexts):
             yield from self.client.create_context(capacity=self.config.fifo_depth)
         self.client.register_dispatcher(AM_HANDLERS, self._dispatch_am)
@@ -522,63 +514,19 @@ class ArmciProcess:
             start_async_thread(self)
             if self.config.watchdog_period is not None:
                 start_watchdog(self)
+
+    def _init_body(self) -> Generator[Any, Any, None]:
+        yield from self._reinit_body()
         yield from _coll.barrier(self)
 
-    def reset_for_respawn(self) -> None:
-        """Reset per-rank runtime state to pre-init (non-generator).
-
-        Called by :meth:`ArmciJob.respawn_rank` after the PAMI world
-        replaced this rank's client: every cached reference into the dead
-        incarnation is dropped. :meth:`_reinit_body` must run inside the
-        simulation afterwards to recreate contexts and handlers.
-        """
-        params = self.world.params
-        self.client = self.world.client(self.rank)
-        self.endpoints = EndpointCache(
-            self.rank, params.endpoint_create_time, self.trace
-        )
-        budget_registry = (
-            self.world.regions[self.rank]
-            if self.config.memregion_budget is not None
-            else None
-        )
-        self.region_cache = RegionCache(
-            self.config.region_cache_capacity,
-            self.trace,
-            budget_registry=budget_registry,
-        )
-        self.tracker = make_tracker(self.config.consistency_tracker)
-        self.mutexes = MutexTable()
-        self.notify_board = _notify.NotifyBoard()
-        self.async_thread = None
-        self.watchdog = None
-        self.progress_failed_over = False
-        self._deadline = None
-        self._pending_acks = {}
-        self._ack_prune_at = {}
-        self._implicit_handles = set()
-        self._next_alloc_id = 0
-        self._replay_mode = False
-        # Cached lazily-allocated staging state points into the dead
-        # incarnation's address space.
-        for attr in ("_agg_buffer", "_gax_scratch", "_dtp_state"):
-            if hasattr(self, attr):
-                delattr(self, attr)
-
-    def _reinit_body(self) -> Generator[Any, Any, None]:
-        """Re-initialize a respawned rank inside the simulation.
-
-        Same as :meth:`_init_body` minus the trailing collective barrier
-        (the survivors are not re-entering init; the recovery rendezvous
-        synchronizes instead).
-        """
-        for _ in range(self.config.num_contexts):
-            yield from self.client.create_context(capacity=self.config.fifo_depth)
-        self.client.register_dispatcher(AM_HANDLERS, self._dispatch_am)
-        if self.config.async_thread:
-            start_async_thread(self)
-            if self.config.watchdog_period is not None:
-                start_watchdog(self)
+    def span(self, category: str, name: str, **kw):
+        """Bracket a blocking call: ``with rt.span(...):`` opens a span
+        on this rank's main lane (see :meth:`repro.obs.Obs.span`), or is
+        the shared no-op :data:`~repro.obs.span.NO_SPAN` with obs off
+        (non-generator)."""
+        if self.obs is None:
+            return NO_SPAN
+        return self.obs.span(self.rank, "main", category, name, **kw)
 
     def reset_peer_state(self, dead_ranks) -> None:
         """Drop state referencing dead incarnations (non-generator).
@@ -692,14 +640,7 @@ class ArmciProcess:
                     self.trace.incr("armci.transient_retries")
                     self.trace.incr(f"armci.transient_retries.{kind}")
                     self.trace.add_time("armci.retry_backoff_time", delay)
-                    if self.obs is not None:
-                        sid = self.obs.begin(
-                            self.rank, "main", "backoff",
-                            f"backoff.{kind}", attempt=attempts,
-                        )
-                        yield Delay(delay)
-                        self.obs.end(sid)
-                    else:
+                    with self.span("backoff", f"backoff.{kind}", attempt=attempts):
                         yield Delay(delay)
                     delay = min(delay * policy.multiplier, policy.max_delay)
         finally:
@@ -726,46 +667,40 @@ class ArmciProcess:
             return
         self.trace.incr("armci.backpressure_stalls")
         t0 = self.engine.now
-        sid = (
-            self.obs.begin(self.rank, "main", "credit_wait", "credit_wait", dst=dst)
-            if self.obs is not None
-            else None
-        )
         timer = None
         death_watch: Event | None = None
         own_ctx = self.main_context
-        try:
-            while not dst_ctx.try_acquire_credit():
-                if self.world.is_failed(dst):
-                    raise ProcessFailedError(
-                        f"rank {self.rank}: send credit wait on failed rank "
-                        f"{dst}",
-                        rank=dst,
-                        op="send_credit",
-                    )
-                if deadline is not None and self.engine.now >= deadline:
-                    raise DeadlineExceededError(
-                        f"rank {self.rank}: no send credit for rank {dst} by "
-                        f"deadline t={deadline:.6g}s"
-                    )
-                if len(own_ctx.queue):
-                    # Keep our own FIFO draining while we wait for theirs.
-                    yield from own_ctx.advance(max_items=len(own_ctx.queue))
-                    continue
-                waits = [dst_ctx.room_signal(), own_ctx.arrival_signal()]
-                if deadline is not None:
-                    if timer is None:
-                        timer = deadline_timer(self.engine, deadline)
-                    waits.append(timer)
-                if death_watch is None:
-                    death_watch = self.engine.event(f"creditwatch.r{self.rank}")
-                    self.job.failure_detector.watch(death_watch, [dst])
-                waits.append(death_watch)
-                yield WaitAny(waits)
-        finally:
-            cancel_timer(timer)
-            if sid is not None:
-                self.obs.end(sid)
+        with self.span("credit_wait", "credit_wait", dst=dst):
+            try:
+                while not dst_ctx.try_acquire_credit():
+                    if self.world.is_failed(dst):
+                        raise ProcessFailedError(
+                            f"rank {self.rank}: send credit wait on failed rank "
+                            f"{dst}",
+                            rank=dst,
+                            op="send_credit",
+                        )
+                    if deadline is not None and self.engine.now >= deadline:
+                        raise DeadlineExceededError(
+                            f"rank {self.rank}: no send credit for rank {dst} by "
+                            f"deadline t={deadline:.6g}s"
+                        )
+                    if len(own_ctx.queue):
+                        # Keep our own FIFO draining while we wait for theirs.
+                        yield from own_ctx.advance(max_items=len(own_ctx.queue))
+                        continue
+                    waits = [dst_ctx.room_signal(), own_ctx.arrival_signal()]
+                    if deadline is not None:
+                        if timer is None:
+                            timer = deadline_timer(self.engine, deadline)
+                        waits.append(timer)
+                    if death_watch is None:
+                        death_watch = self.engine.event(f"creditwatch.r{self.rank}")
+                        self.job.failure_detector.watch(death_watch, [dst])
+                    waits.append(death_watch)
+                    yield WaitAny(waits)
+            finally:
+                cancel_timer(timer)
         self.trace.add_time("armci.backpressure_time", self.engine.now - t0)
 
     # ------------------------------------------------------ bookkeeping
@@ -963,36 +898,20 @@ class ArmciProcess:
         )
 
     def _blocking(
-        self, kind: str, nb, args: tuple, timeout: float | None,
-        nbytes: int | None = None, timeline: str | None = None,
+        self, kind: str, nb, args: tuple, timeout: float | None, **attrs
     ) -> Generator[Any, Any, None]:
         """One blocking data op on rank ``args[0]``: post ``nb(*args)``
         and wait for local completion inside the ``kind`` op span,
         transient faults retried with backoff; ``timeout`` bounds the
-        whole call. ``timeline`` tags the op for the Gantt view (the
-        span when obs is on, a trace interval otherwise)."""
-        t0 = self.engine.now
-        obs = self.obs
-        sid = None
-        if obs is not None:
-            attrs = {"dst": args[0]}
-            if nbytes is not None:
-                attrs["nbytes"] = nbytes
-            if timeline is not None:
-                attrs["timeline"] = timeline
-            sid = obs.begin(self.rank, "main", "op", kind, **attrs)
+        whole call. ``attrs`` go on the span (``nbytes=``, and
+        ``timeline=`` to show the op in the Gantt view)."""
 
         def attempt():
             h = yield from nb(*args)
             yield from h.wait()
 
-        try:
+        with self.span("op", kind, dst=args[0], **attrs):
             yield from self._with_retry(attempt, kind, self._op_deadline(timeout))
-        finally:
-            if sid is not None:
-                obs.end(sid)
-        if timeline is not None and obs is None:
-            self.trace.interval(f"r{self.rank}", timeline, t0, self.engine.now)
 
     def put(
         self, dst: int, local_addr: int, remote_addr: int, nbytes: int,
@@ -1002,7 +921,7 @@ class ArmciProcess:
         are retried with backoff. ``timeout`` bounds the whole call."""
         return self._blocking(
             "put", self.nbput, (dst, local_addr, remote_addr, nbytes), timeout,
-            nbytes, "put",
+            nbytes=nbytes, timeline="put",
         )
 
     def get(
@@ -1012,7 +931,7 @@ class ArmciProcess:
         """Blocking contiguous get; transient faults are retried."""
         return self._blocking(
             "get", self.nbget, (dst, local_addr, remote_addr, nbytes), timeout,
-            nbytes, "get",
+            nbytes=nbytes, timeline="get",
         )
 
     def nbputs(
@@ -1140,7 +1059,7 @@ class ArmciProcess:
         applies the update exactly once)."""
         return self._blocking(
             "acc", self.nbacc, (dst, local_addr, remote_addr, nbytes, scale),
-            timeout, nbytes,
+            timeout, nbytes=nbytes,
         )
 
     # ------------------------------------------------------------ AMOs
@@ -1157,16 +1076,12 @@ class ArmciProcess:
         """
         yield from self.endpoints.get(dst, self.world.client(dst).num_contexts - 1)
         t0 = self.engine.now
-        obs = self.obs
-        sid = None
-        if obs is not None:
-            # The whole blocking call is counter dwell (the post itself
-            # is free): the paper's Fig. 9/11 "waiting on the counter"
-            # quantity, directly comparable between D and AT modes.
-            sid = obs.begin(
-                self.rank, "main", "counter_wait", "rmw",
-                dst=dst, rmw_op=op, timeline="counter",
-            )
+        # The whole blocking call is counter dwell (the post itself is
+        # free): the paper's Fig. 9/11 "waiting on the counter" quantity,
+        # directly comparable between D and AT modes.
+        span = self.span(
+            "counter_wait", "rmw", dst=dst, rmw_op=op, timeline="counter"
+        )
         # Natively-serviced AMOs bypass context queues, so they take no
         # FIFO credit.
         credited = self.flow_enabled and not self.transport.rmw_is_native(op)
@@ -1182,24 +1097,18 @@ class ArmciProcess:
                 pending.event, deadline=self._op_deadline(None)
             )
             check_completion(value, op="rmw")
-            if obs is not None:
-                # Why the wait ended: the target-side service span
-                # registered itself against our reply event.
-                obs.add_edge(obs.span_for_event(pending.event), sid)
+            # Why the wait ended: the target-side service span registered
+            # itself against our reply event.
+            span.caused_by(pending.event)
             return value
 
         # Retry-safe: a transient fault means the request was lost before
         # the op was applied, so re-issuing never double-counts.
-        try:
+        with span:
             old = yield from self._with_retry(
                 attempt, "rmw", self._op_deadline(timeout)
             )
-        finally:
-            if sid is not None:
-                obs.end(sid)
         self.trace.add_time("armci.rmw_wait_time", self.engine.now - t0)
-        if obs is None:
-            self.trace.interval(f"r{self.rank}", "counter", t0, self.engine.now)
         self.trace.incr("armci.rmws")
         self._observe("on_rmw", dst, addr)
         return old
@@ -1219,17 +1128,11 @@ class ArmciProcess:
 
     def fence(self, dst: int, timeout: float | None = None) -> Generator[Any, Any, None]:
         """Wait until all writes to ``dst`` are remotely complete."""
-        t0 = self.engine.now
-        sid = None
-        if self.obs is not None:
-            sid = self.obs.begin(
-                self.rank, "main", "fence", "fence", dst=dst, timeline="fence"
-            )
         deadline = self._op_deadline(timeout)
         acks = self._pending_acks.pop(dst, [])
         self._ack_prune_at.pop(dst, None)
         ctx = self.main_context
-        try:
+        with self.span("fence", "fence", dst=dst, acks=len(acks), timeline="fence"):
             for i, ack in enumerate(acks):
                 if not ack.triggered:
                     try:
@@ -1257,17 +1160,12 @@ class ArmciProcess:
                     self.trace.incr("armci.fence_skipped_transient")
                     continue
                 check_completion(ack.value, op="fence")
-        finally:
-            if sid is not None:
-                self.obs.end(sid, acks=len(acks))
         # Backends with flush completion (not per-op counters) pay their
         # completion synchronization here; PAMI's is an empty generator.
         yield from self.transport.fence_extra(self, dst)
         self.tracker.on_fence(dst)
         self._observe("on_fence", dst)
         self.trace.incr("armci.fences")
-        if self.obs is None:
-            self.trace.interval(f"r{self.rank}", "fence", t0, self.engine.now)
 
     def fence_all(self, timeout: float | None = None) -> Generator[Any, Any, None]:
         """Fence every destination with outstanding writes."""
@@ -1302,12 +1200,9 @@ class ArmciProcess:
             # Setup replay on a respawned rank: the survivors already
             # passed this barrier, so re-arriving would wedge the round.
             return
-        t0 = self.engine.now
-        yield from _coll.barrier(self, deadline=self._op_deadline(timeout))
-        if self.obs is None:
-            # With obs on, the barrier span (collectives.py) emits the
-            # equivalent timeline interval itself.
-            self.trace.interval(f"r{self.rank}", "barrier", t0, self.engine.now)
+        yield from _coll.barrier(
+            self, deadline=self._op_deadline(timeout), timeline="barrier"
+        )
 
     def allreduce(self, value: float, op: str = "sum") -> Generator[Any, Any, float]:
         """Collective allreduce over all ranks."""
@@ -1359,19 +1254,11 @@ class ArmciProcess:
         A transiently-lost LOCK_REQUEST is retried (the owner never saw
         the lost request, so re-sending cannot double-acquire).
         """
-        sid = None
-        if self.obs is not None:
-            sid = self.obs.begin(
-                self.rank, "main", "lock_wait", "lock", mutex=mutex_id
-            )
-        try:
+        with self.span("lock_wait", "lock", mutex=mutex_id) as span:
             yield from self._with_retry(
-                lambda: _locks.lock(self, mutex_id), "lock",
+                lambda: _locks.lock(self, mutex_id, span), "lock",
                 self._op_deadline(timeout),
             )
-        finally:
-            if sid is not None:
-                self.obs.end(sid)
         self._observe("on_lock", mutex_id)
 
     def unlock(self, mutex_id: int) -> Generator[Any, Any, None]:
@@ -1459,15 +1346,6 @@ class ArmciProcess:
         """
         if seconds < 0:
             raise ArmciError(f"compute time must be >= 0, got {seconds}")
-        t0 = self.engine.now
-        sid = None
-        if self.obs is not None:
-            sid = self.obs.begin(
-                self.rank, "main", "compute", "compute", timeline="compute"
-            )
-        yield Delay(seconds)
-        if sid is not None:
-            self.obs.end(sid)
+        with self.span("compute", "compute", timeline="compute"):
+            yield Delay(seconds)
         self.trace.add_time("armci.compute_time", seconds)
-        if self.obs is None:
-            self.trace.interval(f"r{self.rank}", "compute", t0, self.engine.now)

@@ -47,14 +47,8 @@ class TaskPool:
         self, rt: "ArmciProcess"
     ) -> Generator[Any, Any, tuple[int, int] | None]:
         """Claim the next task range ``[lo, hi)``; ``None`` when drained."""
-        sid = None
-        if rt.obs is not None:
-            sid = rt.obs.begin(rt.rank, "main", "task_draw", "taskpool.next_range")
-        try:
+        with rt.span("task_draw", "taskpool.next_range"):
             draw = yield from self.counter.next(rt)
-        finally:
-            if sid is not None:
-                rt.obs.end(sid)
         lo = draw * self.chunk
         if lo >= self.ntasks:
             return None
@@ -211,15 +205,10 @@ class DistributedTaskPool:
         drained: set[int] = state[1]
         watermarks: dict[int, int] = state[2]
         home = rt.rank % g
-        sid = None
-        result = None
-        if rt.obs is not None:
-            sid = rt.obs.begin(rt.rank, "main", "task_draw", "dtp.next_range")
-        try:
+        with rt.span("task_draw", "dtp.next_range") as span:
+            span.note(empty=True)  # also how a draw that raises closes
             result = yield from self._next_range(rt, g, home, drained, watermarks)
-        finally:
-            if sid is not None:
-                rt.obs.end(sid, empty=result is None)
+            span.note(empty=result is None)
         return result
 
     def _next_range(

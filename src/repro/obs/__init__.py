@@ -20,8 +20,9 @@ Sub-modules:
   attribute the full simulated makespan to categories.
 
 The whole subsystem is gated by :class:`ObsConfig`: with
-``enabled=False`` (the default) nothing is allocated and every hot-path
-check is a single ``x.obs is None`` test.
+``enabled=False`` (the default) nothing is allocated — blocking calls
+are bracketed by the shared no-op :data:`~repro.obs.span.NO_SPAN` and
+every wire-level check is a single ``x.obs is None`` test.
 """
 
 from .critical_path import CriticalPathReport, critical_path

@@ -45,15 +45,10 @@ the last-arriving rank's barrier span. ``critical_path`` walks them.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from .metrics import MetricsRegistry
-
-#: Span names that also emit a legacy ``Trace`` interval (the timeline
-#: glyph set in util/timeline.py). Passed explicitly via ``timeline=``.
-TIMELINE_LABELS = ("compute", "counter", "get", "put", "acc", "fence", "barrier")
 
 #: Lane display order (and Perfetto tid assignment).
 LANES = ("main", "async", "net")
@@ -68,9 +63,10 @@ class ObsConfig:
     Parameters
     ----------
     enabled:
-        Master switch. Off (default), no ``Obs`` object is created and
-        every instrumentation site reduces to one ``x.obs is None``
-        test — the PR-4 host-perf numbers are preserved.
+        Master switch. Off (default), no ``Obs`` object is created:
+        ``rt.span(...)`` hands every blocking call the shared no-op
+        :data:`NO_SPAN`, and the wire-level sites (PAMI ``record``
+        one-liners, ``Handle.wait``) reduce to one ``obs is None`` test.
     progress_spans:
         Record a ``progress`` span per non-empty progress-engine drain.
         They make the main/async lock-contention story visible but are
@@ -94,7 +90,8 @@ class Span:
     start: float
     end: float | None = None
     attrs: dict[str, Any] = field(default_factory=dict)
-    #: Legacy timeline glyph label (``None`` = no interval emitted).
+    #: Gantt glyph label: ``util.timeline.intervals`` shows the span
+    #: under it (``None`` = not part of the text timeline).
     timeline: str | None = None
 
     @property
@@ -113,13 +110,8 @@ class Obs:
     even while AM handlers interleave with blocked application spans.
     """
 
-    def __init__(self, engine, trace=None) -> None:
+    def __init__(self, engine) -> None:
         self.engine = engine
-        #: Optional ``sim.Trace`` sink: closing a span with a
-        #: ``timeline`` label emits the equivalent legacy interval, so
-        #: the timeline renderer and obs can't drift (satellite of
-        #: ISSUE 5 — intervals derive from spans when obs is on).
-        self.trace = trace
         self.spans: list[Span] = []
         self.edges: list[tuple[int, int]] = []  # (cause span, waiter span)
         self.metrics = MetricsRegistry()
@@ -219,21 +211,17 @@ class Obs:
         self._on_close(span)
         return sid
 
-    @contextmanager
     def span(
         self, rank: int, lane: str, category: str, name: str, **kwargs
-    ) -> Iterator[int]:
-        """Context-manager form of :meth:`begin` / :meth:`end`.
+    ) -> "OpenSpan":
+        """:meth:`begin` now, :meth:`end` when the ``with`` block exits.
 
-        Only usable around non-yielding code: a simulation generator
-        must use explicit begin/end (the span stays open across its
-        ``yield`` suspensions).
+        The block may ``yield``: the span stays open across a simulation
+        generator's suspensions and closes when the block is left — by
+        return, by exception, or by the generator being closed because
+        its rank was killed (the span then ends at the crash time).
         """
-        sid = self.begin(rank, lane, category, name, **kwargs)
-        try:
-            yield sid
-        finally:
-            self.end(sid)
+        return OpenSpan(self, self.begin(rank, lane, category, name, **kwargs))
 
     def current(self, rank: int) -> int | None:
         """The rank's innermost open span id (ambient parent), if any."""
@@ -249,10 +237,6 @@ class Obs:
         return [s for s in self.spans if s.end is not None]
 
     def _on_close(self, span: Span) -> None:
-        if span.timeline is not None and self.trace is not None:
-            self.trace.interval(
-                f"r{span.rank}", span.timeline, span.start, span.end
-            )
         self.metrics.histogram(f"obs.span.{span.category}").record(
             span.end - span.start, rank=span.rank
         )
@@ -326,6 +310,55 @@ class Obs:
                     span.attrs["truncated"] = True
                     self.truncated_spans += 1
                     self._on_close(span)
+
+
+class OpenSpan:
+    """The ``with`` object of one open span (see :meth:`Obs.span`)."""
+
+    __slots__ = ("obs", "sid", "_notes")
+
+    def __init__(self, obs: Obs, sid: int) -> None:
+        self.obs = obs
+        self.sid = sid
+        self._notes: dict[str, Any] = {}
+
+    def note(self, **attrs) -> None:
+        """Attributes known only once the work ran; set at close."""
+        self._notes.update(attrs)
+
+    def caused_by(self, event) -> None:
+        """Wait-for edge from ``event``'s producer span to this one."""
+        self.obs.add_edge(self.obs.span_for_event(event), self.sid)
+
+    def __enter__(self) -> "OpenSpan":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self.obs.end(self.sid, **self._notes)
+        return False
+
+
+class _NoSpan:
+    """What ``rt.span(...)`` returns with obs off: every method a no-op."""
+
+    __slots__ = ()
+    sid = None
+
+    def note(self, **attrs) -> None:
+        pass
+
+    def caused_by(self, event) -> None:
+        pass
+
+    def __enter__(self) -> "_NoSpan":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        return False
+
+
+#: The one shared no-op span (obs off constructs nothing per call).
+NO_SPAN = _NoSpan()
 
 
 def context_lane(ctx) -> str:

@@ -17,7 +17,7 @@ from .memregion import MemoryRegionRegistry
 from .ordering import OrderingChecker
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..chaos import ChaosConfig, FaultPlan
+    from ..chaos import ChaosConfig
 
 
 class PamiWorld:
@@ -45,9 +45,6 @@ class PamiWorld:
         fault injection on the transport (see :mod:`repro.chaos`). When
         absent or disabled, ``self.chaos`` is None and every injection
         site short-circuits on that single check.
-    fault_plan:
-        Optional :class:`~repro.chaos.FaultPlan` of scheduled fail-stop
-        crashes, applied via :meth:`fail_rank` at the planned times.
     """
 
     def __init__(
@@ -62,7 +59,6 @@ class PamiWorld:
         trace: Trace | None = None,
         engine: Engine | None = None,
         chaos: "ChaosConfig | None" = None,
-        fault_plan: "FaultPlan | None" = None,
     ) -> None:
         if num_procs < 1:
             raise PamiError(f"need at least one process, got {num_procs}")
@@ -124,19 +120,6 @@ class PamiWorld:
         if chaos is not None and getattr(chaos, "link_faults", ()):
             self.enable_link_faults(seed=chaos.seed)
             for lf in chaos.link_faults:
-                self.schedule_link_fault(lf)
-        if fault_plan is not None:
-            for crash in fault_plan.crashes:
-                if not 0 <= crash.rank < num_procs:
-                    raise PamiError(
-                        f"fault plan crashes rank {crash.rank}, job has "
-                        f"{num_procs} processes"
-                    )
-                self.engine.schedule(
-                    crash.at - self.engine.now,
-                    lambda _a, r=crash.rank: self.fail_rank(r),
-                )
-            for lf in getattr(fault_plan, "link_faults", ()):
                 self.schedule_link_fault(lf)
 
     # ----------------------------------------------------- link faults

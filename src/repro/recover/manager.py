@@ -226,12 +226,7 @@ class RecoveryManager:
         """One coordinated in-memory checkpoint epoch (collective)."""
         store = self._store(rt.rank)
         epoch = store.committed_epoch + 1
-        sid = None
-        if rt.obs is not None:
-            sid = rt.obs.begin(
-                rt.rank, "main", "recovery", "checkpoint", epoch=epoch
-            )
-        try:
+        with rt.span("recovery", "checkpoint", epoch=epoch):
             # Phase 0: local quiesce — the cut must include every write
             # this rank issued during the epoch.
             yield from rt.wait_all()
@@ -243,9 +238,6 @@ class RecoveryManager:
             yield from rt.barrier()
             self._finalize_commit(epoch)
             rt.trace.incr("recover.checkpoints")
-        finally:
-            if sid is not None:
-                rt.obs.end(sid)
 
     def _ship_epoch(
         self, rt: "ArmciProcess", store: ReplicationStore, state: dict
@@ -434,10 +426,7 @@ class RecoveryManager:
                 f"rank {rt.rank}: a rank died before the first checkpoint "
                 "committed; there is no epoch to recover to"
             )
-        sid = None
-        if rt.obs is not None:
-            sid = rt.obs.begin(rt.rank, "main", "recovery", "recover")
-        try:
+        with rt.span("recovery", "recover"):
             while True:
                 try:
                     yield from self._tolerant_quiesce(rt)
@@ -462,9 +451,6 @@ class RecoveryManager:
                     # Another death mid-round; the rendezvous restarts.
                     rt.trace.incr("recover.rounds_aborted")
                     continue
-        finally:
-            if sid is not None:
-                rt.obs.end(sid)
 
     def _tolerant_quiesce(self, rt: "ArmciProcess") -> Generator[Any, Any, None]:
         """Drain outstanding communication, abandoning ops on the dead.

@@ -11,16 +11,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
-class Interval:
-    """One recorded activity interval on a timeline lane."""
-
-    lane: str
-    label: str
-    start: float
-    end: float
-
-
 @dataclass
 class Trace:
     """Counter and timer sink shared across a simulated job."""
@@ -31,10 +21,6 @@ class Trace:
     #: fixed log2 buckets anchored at 1 ns — O(1) memory per series,
     #: unlike the raw lists this replaced).
     histograms: dict = field(default_factory=dict)
-    #: Optional per-lane activity intervals (enable via record_intervals).
-    intervals: list[Interval] = field(default_factory=list)
-    #: Interval recording is opt-in: at scale it would dominate memory.
-    record_intervals: bool = False
     #: Retain every raw observation alongside the buckets (opt-in: this
     #: restores the unbounded-growth behaviour; tests asserting exact
     #: values and exact-percentile readers enable it).
@@ -84,18 +70,12 @@ class Trace:
         """Accumulated duration ``name`` in seconds (0.0 if never recorded)."""
         return self.durations.get(name, 0.0)
 
-    def interval(self, lane: str, label: str, start: float, end: float) -> None:
-        """Record one activity interval (no-op unless enabled)."""
-        if self.record_intervals and end > start:
-            self.intervals.append(Interval(lane, label, start, end))
-
     def snapshot(self) -> dict[str, int]:
         """Point-in-time copy of all counters (for before/after deltas)."""
         return dict(self.counters)
 
     def clear(self) -> None:
-        """Reset all counters, durations, samples, and intervals."""
+        """Reset all counters, durations, and samples."""
         self.counters.clear()
         self.durations.clear()
         self.histograms.clear()
-        self.intervals.clear()

@@ -4,9 +4,10 @@ from .units import GB, KB, MB, bytes_fmt, mbps, us
 from .stats import Summary, summarize
 from .formatting import render_table
 from .ascii_chart import ascii_chart
-from .timeline import render_timeline
+from .timeline import intervals, render_timeline
 
 __all__ = [
+    "intervals",
     "render_timeline",
     "GB",
     "KB",

@@ -1,16 +1,34 @@
-"""Text Gantt rendering of recorded activity intervals.
+"""Text Gantt rendering: a view over the spans of an obs-on job.
 
-Turns a :class:`~repro.sim.trace.Trace`'s intervals into a per-lane
-timeline, making schedules visible — e.g. how default-mode counter waits
-pile up behind rank 0's compute while the async-thread schedule stays
-dense.
+``render_timeline(intervals(job.obs.spans))`` turns the spans that carry
+a ``timeline`` label into a per-rank timeline, making schedules visible
+— e.g. how default-mode counter waits pile up behind rank 0's compute
+while the async-thread schedule stays dense.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from ..sim.trace import Interval
+
+class Interval(NamedTuple):
+    """One activity interval on a timeline lane."""
+
+    lane: str
+    label: str
+    start: float
+    end: float
+
+
+def intervals(spans) -> list[Interval]:
+    """The Gantt rows of a span list: every closed, non-empty span with a
+    ``timeline`` label, on its rank's lane, in span order."""
+    return [
+        Interval(f"r{s.rank}", s.timeline, s.start, s.end)
+        for s in spans
+        if s.timeline is not None and s.end is not None and s.end > s.start
+    ]
+
 
 #: Default label -> glyph mapping; unknown labels use their first letter.
 GLYPHS = {
@@ -61,28 +79,3 @@ def render_timeline(
     scale = f"{'':>{name_width}} t = {lo * 1e6:.1f} .. {hi * 1e6:.1f} us"
     legend = "  ".join(f"{g}={label}" for label, g in GLYPHS.items())
     return "\n".join(lines + [scale, f"{'':>{name_width}} {legend}  .=idle"])
-
-
-def to_chrome_trace(intervals: Iterable[Interval]) -> list[dict]:
-    """Convert intervals to Chrome trace-event format (``chrome://tracing``
-    / Perfetto). Times become microseconds; lanes become thread ids.
-
-    Serialize with ``json.dump({"traceEvents": events}, fh)``.
-    """
-    events = []
-    lanes: dict[str, int] = {}
-    for iv in intervals:
-        tid = lanes.setdefault(iv.lane, len(lanes))
-        events.append(
-            {
-                "name": iv.label,
-                "cat": "armci",
-                "ph": "X",  # complete event
-                "ts": iv.start * 1e6,
-                "dur": (iv.end - iv.start) * 1e6,
-                "pid": 0,
-                "tid": tid,
-                "args": {"lane": iv.lane},
-            }
-        )
-    return events

@@ -427,6 +427,72 @@ class TestOneDeliveryPath:
         assert seen == primitives
 
 
+class TestOneOpBracket:
+    """Every blocking call is bracketed by ``with rt.span(...)`` and
+    per-rank / per-job state is wired in one place; this keeps the
+    hand-written ``begin`` / ``try`` / ``finally: end`` scaffold, the
+    second Gantt mechanism and the second copies of the wiring from
+    growing back."""
+
+    @staticmethod
+    def _functions_where(matches, *packages):
+        return {
+            f"{name}:{fn.name}"
+            for name, fn in _outer_functions(*packages)
+            if any(matches(node) for node in ast.walk(fn))
+        }
+
+    @classmethod
+    def _callers_of(cls, method, *packages):
+        return cls._functions_where(
+            lambda n: isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and n.func.attr == method,
+            *packages,
+        )
+
+    def test_spans_are_opened_by_the_bracket(self):
+        import repro.gax
+        import repro.mpilike
+        import repro.recover
+        import repro.serve
+        import repro.transport
+
+        # What is left refines the span at close (a handle wait's
+        # category) or opens it back-dated on another rank's behalf.
+        assert self._callers_of(
+            "begin", repro.armci, repro.pami, repro.gax, repro.recover,
+            repro.serve, repro.transport, repro.mpilike,
+        ) == {"handles.py:wait", "activemsg.py:execute"}
+
+    def test_the_gantt_is_only_a_view(self):
+        src = pathlib.Path(repro.armci.__file__).parents[1]
+        for path in src.rglob("*.py"):
+            text = path.read_text()
+            for name in ("trace.interval", "record_intervals", "shard_plan"):
+                assert name not in text, f"{path.name} references {name}"
+
+    def test_rank_state_is_wired_once(self):
+        for attr in ("region_cache", "tracker", "_pending_acks"):
+            assert self._functions_where(
+                lambda n: isinstance(n, (ast.Assign, ast.AnnAssign))
+                and any(
+                    isinstance(t, ast.Attribute)
+                    and t.attr == attr
+                    and getattr(t.value, "id", None) == "self"
+                    for t in getattr(n, "targets", [getattr(n, "target", None)])
+                ),
+                repro.armci,
+            ) == {"runtime.py:reset_for_respawn"}, attr
+        assert self._callers_of("create_context", repro.armci) == {
+            "runtime.py:_reinit_body"
+        }
+
+    def test_fault_plans_are_the_jobs_business(self):
+        for path in pathlib.Path(repro.pami.__file__).parent.glob("*.py"):
+            assert "fault_plan" not in path.read_text(), path.name
+
+
 # ------------------------------------------------------------ fate matrix
 
 #: The two nodes of a 2-rank, 1-proc/node job, joined by one torus link:

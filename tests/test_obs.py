@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.armci import ArmciConfig, ArmciJob, ObsConfig
+from repro.armci.config import RetryPolicy
 from repro.obs.critical_path import attribution_rows, critical_path
 from repro.obs.export import (
     dumps_perfetto,
@@ -25,9 +26,10 @@ from repro.obs.metrics import (
     bucket_index,
     bucket_upper_edge,
 )
-from repro.obs.span import Obs, Span, context_lane
+from repro.chaos import ChaosConfig, FaultPlan
+from repro.obs.span import NO_SPAN, Obs, OpenSpan, Span, context_lane
 from repro.sim.engine import Engine
-from repro.sim.trace import Trace
+from repro.util.timeline import intervals
 
 
 class FakeEngine:
@@ -109,10 +111,30 @@ class TestSpans:
         assert obs.current(0) is None
 
     def test_context_manager(self, obs):
-        with obs.span(0, "main", "op", "block") as sid:
-            assert obs.current(0) == sid
+        with obs.span(0, "main", "op", "block") as span:
+            assert obs.current(0) == span.sid
+            span.note(items=3)
         assert obs.current(0) is None
-        assert obs.get(sid).end is not None
+        assert obs.get(span.sid).end is not None
+        assert obs.get(span.sid).attrs == {"items": 3}
+
+    def test_span_stays_open_across_a_yield(self, obs):
+        def body():
+            with obs.span(0, "main", "compute", "compute"):
+                yield
+
+        gen = body()
+        next(gen)
+        obs.engine.now = 3.0
+        assert obs.spans[0].end is None
+        gen.close()  # what killing the rank's process does
+        assert obs.spans[0].end == 3.0
+
+    def test_no_span_is_inert(self):
+        with NO_SPAN as span:
+            span.note(items=3)
+            span.caused_by(object())
+        assert span is NO_SPAN and span.sid is None
 
     def test_finalize_truncates_open_spans(self, obs):
         done = obs.begin(0, "main", "op", "done")
@@ -126,17 +148,16 @@ class TestSpans:
         assert hung.attrs["truncated"] is True
         assert obs.current(0) is None
 
-    def test_timeline_labels_emit_trace_intervals(self):
-        trace = Trace(record_intervals=True)
-        obs = Obs(FakeEngine(), trace=trace)
+    def test_timeline_labels_emit_trace_intervals(self, obs):
         sid = obs.begin(0, "main", "op", "put", timeline="put")
         plain = obs.begin(0, "main", "op", "untagged")
+        obs.begin(0, "main", "op", "get", timeline="get")  # left open
         obs.engine.now = 1.0
         obs.end(sid)
         obs.end(plain)
-        assert len(trace.intervals) == 1
-        iv = trace.intervals[0]
-        assert (iv.lane, iv.label, iv.start, iv.end) == ("r0", "put", 0.0, 1.0)
+        obs.record(1, "main", "fence", "fence", 1.0, 1.0, timeline="fence")
+        # The Gantt is a view: closed, non-empty, labelled spans only.
+        assert intervals(obs.spans) == [("r0", "put", 0.0, 1.0)]
 
     def test_span_durations_feed_metrics(self, obs):
         sid = obs.begin(0, "main", "fence", "fence")
@@ -536,11 +557,82 @@ class TestJobIntegration:
             yield from rt.rmw(1, alloc.addr(1), "fetch_add", 1)
         yield from rt.barrier()
 
-    def test_disabled_by_default(self):
+    def test_disabled_by_default(self, monkeypatch):
         job = ArmciJob(2, procs_per_node=2, config=ArmciConfig())
         job.init()
         assert job.obs is None
         job.run(self._body)
+
+        # Obs is a pure observer: one seeded body (chaos retries, a
+        # compute block, every blocking-call bracket) runs the same
+        # schedule with it on or off, and off it builds no span object.
+        built = []
+        init = OpenSpan.__init__
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(OpenSpan, "__init__", counting_init)
+
+        def body(rt):
+            for _ in range(4):
+                yield from self._body(rt)
+            yield from rt.compute(5e-6)
+            yield from rt.lock(1)
+            yield from rt.unlock(1)
+            yield from rt.barrier()
+
+        for mode in (ArmciConfig.default_mode, ArmciConfig.async_thread_mode):
+            runs = []
+            for enabled in (False, True):
+                job = ArmciJob(
+                    2, procs_per_node=1,
+                    config=mode(obs=ObsConfig(enabled=enabled)),
+                    chaos=ChaosConfig(drop_prob=0.2, seed=11),
+                    engine=Engine(record_schedule=True),
+                )
+                job.init()
+                job.run(body)
+                assert job.trace.count("armci.transient_retries") > 0
+                runs.append((job.engine.now, job.engine.schedule_digest))
+                assert bool(built) == enabled
+            assert runs[0] == runs[1]
+            built.clear()
+
+    def test_killed_rank_closes_compute_and_backoff_at_the_crash(self):
+        """A rank a FaultPlan kills inside ``rt.compute`` or a retry
+        backoff leaves that span closed at the crash time, like every
+        other bracket — not open until job end and stamped truncated."""
+        config = ArmciConfig(
+            obs=ObsConfig(enabled=True),
+            retry=RetryPolicy(base_delay=1e-3, max_delay=1e-3),
+        )
+        job = ArmciJob(
+            4, procs_per_node=1, config=config,
+            chaos=ChaosConfig(drop_prob=1.0, seed=3, links=frozenset({(1, 2)})),
+            fault_plan=FaultPlan().crash(0, at=200e-6).crash(1, at=300e-6),
+        )
+        job.init()
+        start = job.engine.now
+
+        def body(rt):
+            alloc = yield from rt.malloc(64)
+            if rt.rank == 0:
+                yield from rt.compute(1e-3)
+            elif rt.rank == 1:
+                src = rt.world.space(1).allocate(64)
+                yield from rt.put(2, src, alloc.addr(2), 64)
+            # Ranks 2 and 3 just leave: no collective after the deaths.
+
+        job.run(body)
+        assert job.obs.truncated_spans == 0
+        ends = {
+            s.category: s.end - start
+            for s in job.obs.spans
+            if s.rank in (0, 1) and s.category in ("compute", "backoff")
+        }
+        assert ends == pytest.approx({"compute": 200e-6, "backoff": 300e-6})
 
     def test_enabled_records_clean_span_tree(self):
         config = ArmciConfig(obs=ObsConfig(enabled=True))

@@ -293,15 +293,3 @@ class TestRunner:
     def test_unknown_workload(self):
         with pytest.raises(PdesError):
             make_factory("nope", 8)
-
-    def test_armci_config_shard_plan(self):
-        from repro.armci import ArmciConfig, ArmciJob
-        from repro.errors import ArmciError
-
-        job = ArmciJob(num_procs=64, config=ArmciConfig(shards=2))
-        assert job.shard_plan is not None
-        assert job.shard_plan.shards == 2
-        assert job.shard_plan.num_ranks == 64
-        assert ArmciJob(num_procs=64).shard_plan is None
-        with pytest.raises(ArmciError):
-            ArmciConfig(shards=0)

@@ -1,30 +1,36 @@
-"""Tests for interval tracing and text Gantt rendering."""
+"""Tests for the text Gantt: a view over obs spans, and its rendering."""
 
 import pytest
 
-from repro.armci import ArmciConfig, ArmciJob
-from repro.sim.trace import Interval, Trace
-from repro.util import render_timeline
+from repro.armci import ArmciConfig, ArmciJob, ObsConfig
+from repro.obs.span import Span
+from repro.sim.trace import Trace
+from repro.util import intervals, render_timeline
+from repro.util.timeline import Interval
 
 
 class TestTraceIntervals:
     def test_disabled_by_default(self):
-        trace = Trace()
-        trace.interval("r0", "compute", 0.0, 1.0)
-        assert trace.intervals == []
+        # Spans are Gantt rows only when tagged with a timeline label.
+        assert intervals([Span(1, None, 0, "main", "op", "puts", 0.0, 1.0)]) == []
 
     def test_enabled_records(self):
-        trace = Trace(record_intervals=True)
-        trace.interval("r0", "compute", 0.0, 1.0)
-        trace.interval("r0", "empty", 1.0, 1.0)  # zero-length dropped
-        assert len(trace.intervals) == 1
-        assert trace.intervals[0] == Interval("r0", "compute", 0.0, 1.0)
+        spans = [
+            Span(1, None, 0, "main", "compute", "compute", 0.0, 1.0,
+                 timeline="compute"),
+            Span(2, None, 0, "main", "fence", "fence", 1.0, 1.0,
+                 timeline="fence"),  # zero-length dropped
+            Span(3, None, 1, "main", "op", "get", 1.0, None, timeline="get"),
+        ]
+        assert intervals(spans) == [Interval("r0", "compute", 0.0, 1.0)]
 
     def test_clear_resets(self):
-        trace = Trace(record_intervals=True)
-        trace.interval("r0", "compute", 0.0, 1.0)
+        trace = Trace()
+        trace.incr("armci.fences")
+        trace.add_time("armci.compute_time", 1.0)
+        trace.sample("latency", 2.0)
         trace.clear()
-        assert trace.intervals == []
+        assert not trace.counters and not trace.durations and not trace.histograms
 
 
 class TestRenderTimeline:
@@ -51,8 +57,8 @@ class TestRenderTimeline:
             render_timeline([Interval("r0", "x", 1.0, 2.0)], t0=5.0, t1=5.0)
 
     def test_armci_job_records_when_enabled(self):
-        job = ArmciJob(2, procs_per_node=1, config=ArmciConfig())
-        job.trace.record_intervals = True
+        config = ArmciConfig(obs=ObsConfig(enabled=True))
+        job = ArmciJob(2, procs_per_node=1, config=config)
         job.init()
 
         def body(rt):
@@ -70,9 +76,11 @@ class TestRenderTimeline:
             yield from rt.barrier()
 
         job.run(body)
-        labels = {iv.label for iv in job.trace.intervals}
-        assert {"put", "fence", "compute", "counter", "barrier"} <= labels
-        out = render_timeline(job.trace.intervals)
+        rows = intervals(job.obs.spans)
+        assert {"put", "fence", "compute", "counter", "barrier"} <= {
+            iv.label for iv in rows
+        }
+        out = render_timeline(rows)
         assert "r0" in out and "r1" in out
 
     def test_no_overhead_when_disabled(self):
@@ -84,7 +92,7 @@ class TestRenderTimeline:
             yield from rt.barrier()
 
         job.run(body)
-        assert job.trace.intervals == []
+        assert job.obs is None
 
 
 class TestRuntimeReport:
@@ -116,36 +124,6 @@ class TestRuntimeReport:
         report = job.report()
         assert "strided" not in report
         assert "mutex" not in report
-
-
-class TestChromeTraceExport:
-    def test_events_are_valid_trace_format(self):
-        import json
-
-        from repro.util.timeline import to_chrome_trace
-
-        intervals = [
-            Interval("r0", "compute", 1e-6, 3e-6),
-            Interval("r1", "counter", 2e-6, 4e-6),
-        ]
-        events = to_chrome_trace(intervals)
-        assert len(events) == 2
-        assert events[0]["ph"] == "X"
-        assert events[0]["ts"] == pytest.approx(1.0)
-        assert events[0]["dur"] == pytest.approx(2.0)
-        assert events[0]["tid"] != events[1]["tid"]
-        json.dumps({"traceEvents": events})  # serializable
-
-    def test_lanes_map_to_stable_tids(self):
-        from repro.util.timeline import to_chrome_trace
-
-        intervals = [
-            Interval("r0", "a", 0, 1),
-            Interval("r1", "b", 0, 1),
-            Interval("r0", "c", 1, 2),
-        ]
-        events = to_chrome_trace(intervals)
-        assert events[0]["tid"] == events[2]["tid"]
 
 
 class TestTimelineWindows:
