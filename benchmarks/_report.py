@@ -12,15 +12,15 @@ from pathlib import Path
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def save(name: str, text: str, results_dir: Path = RESULTS_DIR) -> Path:
-    """Persist a rendered table as ``<results_dir>/<name>.txt``.
+def save(name: str, text: str, suffix: str = ".txt") -> Path:
+    """Persist a rendered table (or a JSON dump, ``suffix=".json"``) as
+    ``benchmarks/results/<name><suffix>``; returns the file written.
 
-    ``results_dir`` defaults to the git-ignored ``benchmarks/results/``;
-    tests that digest a table pass their own directory, so they depend
-    on no earlier benchmark run. Returns the file written.
+    The directory is git-ignored: running a benchmark never touches a
+    tracked file.
     """
-    results_dir.mkdir(exist_ok=True)
-    path = results_dir / f"{name}.txt"
+    RESULTS_DIR.mkdir(exist_ok=True)
+    path = RESULTS_DIR / f"{name}{suffix}"
     path.write_text(text + "\n")
     return path
 

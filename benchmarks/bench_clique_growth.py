@@ -10,7 +10,7 @@ reproduced by measuring the cache as a random-peers workload runs.
 Run as a script for the **sharded-PDES scaling harness**: a clique
 workload at 10^4+ simulated ranks swept over ``--shards``, in strong-
 (fixed ranks) or weak-scaling mode (``--weak-scaling``: ranks grow with
-shards). Emits ``BENCH_pdes_scaling.json`` at the repo root and
+shards). Emits ``benchmarks/results/clique_growth_scaling.json`` and
 asserts sharded runs match the single-engine oracle digest::
 
     python benchmarks/bench_clique_growth.py --shards 1,2,4 --ranks 10000
@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from _report import save
 
@@ -30,9 +29,6 @@ from repro.util import render_table, us
 PROCS = 64
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-# Committed at the repo root (benchmarks/results/ is gitignored), next
-# to BENCH_host_perf.json — the perf-trajectory artifacts.
-SCALING_OUTPUT = Path(__file__).parent.parent / "BENCH_pdes_scaling.json"
 
 
 def _run() -> list[tuple[int, int, int, float]]:
@@ -191,19 +187,13 @@ def main() -> int:
         help="multi-shard execution mode (default fork)",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--check-scaling", action="store_true",
-        help="require >=2x events/sec at 4 shards (skipped below 4 host "
-        "cores or 10^4 ranks — the acceptance bar targets a 4-core host)",
-    )
     args = parser.parse_args()
     shards_list = [int(s) for s in args.shards.split(",") if s]
 
     payload = run_pdes_scaling(
         shards_list, args.ranks, args.ops, args.weak_scaling, args.mode, args.seed
     )
-    SCALING_OUTPUT.parent.mkdir(exist_ok=True)
-    SCALING_OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    path = save("clique_growth_scaling", json.dumps(payload, indent=2), ".json")
 
     table_rows = [
         [
@@ -225,28 +215,7 @@ def main() -> int:
     )
     print(table)
     save("clique_growth_scaling", table)
-    print(f"wrote {SCALING_OUTPUT}")
-
-    if args.check_scaling:
-        cores = os.cpu_count() or 1
-        by_shards = {row["shards"]: row for row in payload["rows"]}
-        if cores < 4:
-            print(f"scaling check skipped: host has {cores} core(s), needs 4")
-        elif 4 not in by_shards or 1 not in by_shards:
-            print("scaling check skipped: sweep must include shards 1 and 4")
-        elif by_shards[4]["ranks"] < 10_000:
-            print("scaling check skipped: needs >= 10^4 simulated ranks")
-        elif by_shards[4]["speedup_vs_1shard"] < 2.0:
-            print(
-                f"FAIL: shards=4 reached only "
-                f"{by_shards[4]['speedup_vs_1shard']:.2f}x (need >= 2x)"
-            )
-            return 1
-        else:
-            print(
-                f"scaling check passed: "
-                f"{by_shards[4]['speedup_vs_1shard']:.2f}x at 4 shards"
-            )
+    print(f"wrote {path}")
     return 0
 
 

@@ -34,7 +34,7 @@ Set ``REPRO_BENCH_SMOKE=1`` to run a reduced sweep (CI smoke mode).
 import json
 import os
 
-from _report import RESULTS_DIR, save
+from _report import save
 
 from repro.armci import ArmciConfig, ArmciJob
 from repro.armci.config import RetryPolicy
@@ -299,13 +299,10 @@ def test_recovery_mttr(benchmark):
             f"{m['crashy_window_s'] / m['clean_window_s']:.2f}x",
         ])
 
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "fault_recovery_mttr.json").write_text(
-        json.dumps(
-            {str(kb): m for kb, m in out.items()},
-            indent=2, sort_keys=True,
-        )
-        + "\n"
+    save(
+        "fault_recovery_mttr",
+        json.dumps({str(kb): m for kb, m in out.items()}, indent=2, sort_keys=True),
+        ".json",
     )
     save(
         "fault_recovery_mttr",
@@ -596,8 +593,8 @@ def test_network_fault_recovery(benchmark):
     # transfers before the detour kicks in.
     assert kills["monitored"][1].count("net.link_drops") > 0
 
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "fault_recovery_network.json").write_text(
+    save(
+        "fault_recovery_network",
         json.dumps(
             {
                 "corruption": {
@@ -626,8 +623,8 @@ def test_network_fault_recovery(benchmark):
                 },
             },
             indent=2, sort_keys=True,
-        )
-        + "\n"
+        ),
+        ".json",
     )
     save(
         "fault_recovery_network_integrity",

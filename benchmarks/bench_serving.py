@@ -13,9 +13,9 @@ Full mode additionally runs a million-simulated-client scenario on both
 backends (exactness audited against the golden model — the run fails if
 a single key diverges) and a chaos + rank-crash failover scenario.
 
-Results land in ``BENCH_serving.json`` at the repo root and a rendered
-table in ``benchmarks/results/``. ``REPRO_BENCH_SMOKE=1`` runs a
-reduced sweep (CI smoke mode).
+Results land in the git-ignored ``benchmarks/results/`` as
+``serving_load_sweep.json`` and a rendered ``serving_load_sweep.txt``.
+``REPRO_BENCH_SMOKE=1`` runs a reduced sweep (CI smoke mode).
 """
 
 import json
@@ -33,8 +33,6 @@ from repro.serve import ClientLoadConfig, KvConfig, run_kv  # noqa: E402
 from repro.util import render_table  # noqa: E402
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-
-OUTPUT = Path(__file__).parent.parent / "BENCH_serving.json"
 
 NUM_PROCS = 6
 NUM_SHARDS = 2
@@ -167,8 +165,8 @@ def main() -> int:
         "results": results,
         "failover": failover,
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
+    path = save("serving_load_sweep", json.dumps(payload, indent=2), ".json")
+    print(f"wrote {path}")
 
     rows = []
     for backend in BACKENDS:

@@ -17,7 +17,7 @@ def pytest_addoption(parser):
         metavar="DIR",
         help=(
             "Write Perfetto trace files (obs-enabled SCF reruns, default "
-            "vs async-thread) into DIR; see bench_fig11_scf.py"
+            "vs async-thread) into DIR; see bench_paper.py"
         ),
     )
 

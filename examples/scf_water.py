@@ -61,7 +61,7 @@ def main() -> None:
         f"{(1 - at.total_time / d.total_time) * 100:.0f}% "
         f"(paper: up to 30% on 4096 processes) and shrink load-balance\n"
         f"counter time by {d.counter_time_total / at.counter_time_total:.1f}x "
-        "- run `pytest benchmarks/bench_fig11_scf.py` for the full-scale grid"
+        "- run `pytest benchmarks/bench_paper.py -k fig11_scf` for the full-scale grid"
     )
 
 

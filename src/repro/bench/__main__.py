@@ -5,173 +5,29 @@ Usage::
     python -m repro.bench list
     python -m repro.bench fig3
     python -m repro.bench fig9 --procs 4 16 64
-    python -m repro.bench all
+    REPRO_BENCH_SMOKE=1 python -m repro.bench all
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
 
-from ..util import ascii_chart, bytes_fmt, render_table, us
-from . import (
-    amo_latency_scan,
-    bandwidth_sweep,
-    contiguous_latency_sweep,
-    efficiency_series,
-    latency_per_byte,
-    n_half,
-    rank_latency_scan,
-    scf_comparison,
-    strided_bandwidth_sweep,
-    table_i_rows,
-    table_ii_rows,
-)
-from .rankscan import hop_latency_estimate
+from .artifacts import ARTIFACTS, Artifact
 
-
-def _fig3(args) -> str:
-    gets = contiguous_latency_sweep(op="get")
-    puts = dict(contiguous_latency_sweep(op="put"))
-    rows = [[bytes_fmt(s), f"{us(g):.2f}", f"{us(puts[s]):.2f}"] for s, g in gets]
-    return render_table(
-        ["msg size", "get (us)", "put (us)"], rows,
-        title="Figure 3: inter-node latency",
-    )
-
-
-def _fig4(args) -> str:
-    puts = bandwidth_sweep(op="put")
-    gets = bandwidth_sweep(op="get")
-    get_by = dict(gets)
-    rows = [[bytes_fmt(s), f"{b:.0f}", f"{get_by[s]:.0f}"] for s, b in puts]
-    table = render_table(
-        ["msg size", "put (MB/s)", "get (MB/s)"], rows,
-        title="Figure 4: inter-node bandwidth",
-    )
-    chart = ascii_chart(
-        {"put": puts, "get": gets},
-        log_x=True,
-        x_label="msg size (B)",
-        y_label="MB/s",
-    )
-    return table + "\n\n" + chart
-
-
-def _fig5(args) -> str:
-    rows = [[bytes_fmt(s), f"{v:.3f}"] for s, v in latency_per_byte()]
-    return render_table(
-        ["msg size", "latency/byte (ns)"], rows,
-        title="Figure 5: effective latency per byte",
-    )
-
-
-def _fig6(args) -> str:
-    series = efficiency_series()
-    rows = [[bytes_fmt(s), f"{v * 100:.1f}%"] for s, v in series]
-    table = render_table(
-        ["msg size", "efficiency"], rows,
-        title="Figure 6: bandwidth efficiency vs 1.8 GB/s",
-    )
-    chart = ascii_chart(
-        {"efficiency": series},
-        log_x=True,
-        x_label="msg size (B)",
-        y_label="fraction of 1.8 GB/s",
-    )
-    return table + f"\nN1/2 = {bytes_fmt(n_half(series))}\n\n" + chart
-
-
-def _fig7(args) -> str:
-    results = rank_latency_scan(num_procs=args.procs[0] if args.procs else 2048)
-    internode = [r for r in results if r.hops > 0]
-    by_hops: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for r in internode:
-        by_hops.setdefault(r.hops, r.seconds)
-        counts[r.hops] = counts.get(r.hops, 0) + 1
-    rows = [[h, counts[h], f"{us(by_hops[h]):.3f}"] for h in sorted(by_hops)]
-    table = render_table(
-        ["hops", "ranks", "get latency (us)"], rows,
-        title="Figure 7: 16 B get latency vs rank (ABCDET)",
-    )
-    return table + f"\nper-hop latency: {hop_latency_estimate(results) * 1e9:.1f} ns"
-
-
-def _fig8(args) -> str:
-    puts = strided_bandwidth_sweep(op="put")
-    gets = dict(strided_bandwidth_sweep(op="get"))
-    rows = [[bytes_fmt(l0), f"{b:.0f}", f"{gets[l0]:.0f}"] for l0, b in puts]
-    return render_table(
-        ["chunk l0", "put (MB/s)", "get (MB/s)"], rows,
-        title="Figure 8: strided bandwidth, 1 MB total",
-    )
-
-
-def _fig9(args) -> str:
-    procs = tuple(args.procs) if args.procs else (4, 16, 64, 256)
-    labels = ("D", "AT", "D+compute", "AT+compute", "HW+compute")
-    results = amo_latency_scan(proc_counts=procs, labels=labels)
-    cells = {(r.label, r.num_procs): r for r in results}
-    rows = [
-        [p] + [f"{us(cells[(label, p)].mean_latency):.2f}" for label in labels]
-        for p in procs
-    ]
-    return render_table(
-        ["procs"] + [f"{label} (us)" for label in labels], rows,
-        title="Figure 9: mean fetch-and-add latency",
-    )
-
-
-def _fig11(args) -> str:
-    from ..apps.nwchem import ScfConfig
-
-    procs = tuple(args.procs) if args.procs else (64, 256)
-    scf = ScfConfig(nblocks=24, task_time=2e-3, iterations=1, tasks_per_draw=2)
-    rows = []
-    for cell in scf_comparison(proc_counts=procs, scf=scf):
-        rows.append(
-            [
-                cell.num_procs,
-                f"{cell.default.total_time * 1e3:.1f}",
-                f"{cell.async_thread.total_time * 1e3:.1f}",
-                f"{cell.improvement * 100:.0f}%",
-            ]
-        )
-    return render_table(
-        ["procs", "D total (ms)", "AT total (ms)", "AT gain"], rows,
-        title="Figure 11: SCF proxy, default vs async thread "
-        "(CLI scale; full scale via benchmarks/)",
-    )
-
-
-def _table1(args) -> str:
-    return render_table(
-        ["#", "Property", "Symbol"], table_i_rows(),
-        title="Table I: PAMI time and space attributes",
-    )
-
-
-def _table2(args) -> str:
-    return render_table(
-        ["Property", "Symbol", "Paper", "Measured (sim)"], table_ii_rows(),
-        title="Table II: empirical attribute values",
-    )
-
-
-COMMANDS: dict[str, Callable] = {
-    "table1": _table1,
-    "table2": _table2,
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
-    "fig11": _fig11,
+#: Target name (the result-file stem's first word) -> artifact.
+COMMANDS: dict[str, Artifact] = {
+    stem.split("_")[0]: artifact for stem, artifact in ARTIFACTS.items()
 }
+
+
+def render(artifact: Artifact, procs: list[int] | None) -> str:
+    """The artifact's table, and its chart when it has one."""
+    data = artifact.run(procs)
+    text = artifact.table(data)
+    if artifact.chart is not None:
+        text += "\n\n" + artifact.chart(data)
+    return text
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -194,18 +50,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.target == "list":
         print("available targets: all, " + ", ".join(COMMANDS))
         return 0
-    if args.target == "all":
-        for name, fn in COMMANDS.items():
-            print(fn(args))
-            print()
-        return 0
-    fn = COMMANDS.get(args.target)
-    if fn is None:
-        print(
-            f"unknown target {args.target!r}; try 'list'", file=sys.stderr
-        )
+    if args.target != "all" and args.target not in COMMANDS:
+        print(f"unknown target {args.target!r}; try 'list'", file=sys.stderr)
         return 2
-    print(fn(args))
+    names = COMMANDS if args.target == "all" else [args.target]
+    for name in names:
+        print(render(COMMANDS[name], args.procs))
+        if args.target == "all":
+            print()
     return 0
 
 

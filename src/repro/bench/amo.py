@@ -94,15 +94,3 @@ def amo_latency_run(
         max_latency=max(latencies),
     )
 
-
-def amo_latency_scan(
-    proc_counts: tuple[int, ...] = (4, 16, 64, 256, 1024),
-    labels: tuple[str, ...] = ("D", "AT", "D+compute", "AT+compute"),
-    iterations: int = 8,
-) -> list[AmoResult]:
-    """The full Fig. 9 grid (plus optional hardware what-if)."""
-    results = []
-    for label in labels:
-        for p in proc_counts:
-            results.append(amo_latency_run(p, label, iterations=iterations))
-    return results

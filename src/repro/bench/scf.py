@@ -28,17 +28,12 @@ class ScfComparison:
         return self.default.counter_time_total / at if at > 0 else float("inf")
 
 
-#: Benchmark-scale SCF input: the paper's 644 basis functions with a task
-#: grain sized so the shared counter is exercised hard but not saturated.
-BENCH_SCF = ScfConfig(nblocks=64, task_time=4e-3, iterations=1)
-
-
 def scf_comparison(
-    proc_counts: tuple[int, ...] = (1024, 2048, 4096),
-    scf: ScfConfig = BENCH_SCF,
+    proc_counts: tuple[int, ...],
+    scf: ScfConfig,
     procs_per_node: int = 16,
 ) -> list[ScfComparison]:
-    """Run Fig. 11's grid: D and AT at each process count."""
+    """Run a Fig. 11 grid: D and AT at each process count."""
     rows = []
     for p in proc_counts:
         d = run_scf(p, ArmciConfig.default_mode(), scf, procs_per_node, "D")

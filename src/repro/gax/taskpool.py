@@ -112,23 +112,29 @@ class DistributedTaskPool:
         """Collective creation; counter ``s`` lives on a distinct host
         (strided across the job so hosts land on different nodes when
         possible). With ``fault_tolerant`` (and more than one process) a
-        standby counter per shard is placed on the next rank over."""
+        standby counter per shard is placed on the next rank over.
+
+        The whole pool is one collective allocation — slot ``s`` of the
+        segment on its host, standbys in slots ``g + s`` — so set-up is
+        one malloc and one barrier however many counters there are."""
         if num_counters < 1:
             raise ArmciError(f"need >= 1 counter, got {num_counters}")
         p = rt.world.num_procs
-        num_counters = min(num_counters, p)
-        stride = max(1, p // num_counters)
-        counters = []
-        backups: list[SharedCounter] | None = (
-            [] if fault_tolerant and p > 1 else None
+        g = min(num_counters, p)
+        stride = max(1, p // g)
+        standby = fault_tolerant and p > 1
+        alloc = yield from rt.malloc(8 * g * (2 if standby else 1))
+        hosts = [(s * stride) % p for s in range(g)]
+
+        def slot(host: int, index: int) -> SharedCounter:
+            return SharedCounter(host, alloc.addr(host) + 8 * index, alloc)
+
+        counters = [slot(host, s) for s, host in enumerate(hosts)]
+        backups = (
+            [slot((host + 1) % p, g + s) for s, host in enumerate(hosts)]
+            if standby
+            else None
         )
-        for s in range(num_counters):
-            host = (s * stride) % p
-            counter = yield from SharedCounter.create(rt, host=host)
-            counters.append(counter)
-            if backups is not None:
-                backup = yield from SharedCounter.create(rt, host=(host + 1) % p)
-                backups.append(backup)
         return cls(counters, ntasks, chunk, backups)
 
     @property
@@ -137,14 +143,15 @@ class DistributedTaskPool:
 
     @property
     def allocations(self) -> list:
-        """Backing allocations of every counter (primaries then backups).
+        """Distinct backing allocations of the counters and backups.
 
         Crash recovery protects these so draw positions roll back to the
         checkpoint epoch together with the data they gated — replayed
         epochs redraw the same task ids (exactly-once per epoch).
         """
         pools = list(self.counters) + list(self.backups or ())
-        return [c.alloc for c in pools if c.alloc is not None]
+        distinct = {id(c.alloc): c.alloc for c in pools if c.alloc is not None}
+        return list(distinct.values())
 
     def _shard_bounds(self, shard: int) -> tuple[int, int]:
         g = self.num_counters

@@ -21,7 +21,8 @@ crash, chaos or no chaos.
 Latency dashboards: each client actor records response round-trip
 latency (delivery time minus arrival) into ``serve.latency`` (plus
 per-kind histograms) in ``job.serve_metrics`` — the p50/p99/p999
-source for ``BENCH_serving.json`` and the report's serving section.
+source for ``benchmarks/bench_serving.py`` and the report's serving
+section.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ operation through :class:`repro.transport.pami.PamiTransport` changes
 *nothing* — same events, same timings, same counters — for the paper
 figures. These tests pin that promise three ways:
 
-1. the fig 3/4/8/11 result tables, rendered in the test by the bench
-   scripts' own code, carry the seed md5s,
+1. the fig 3/4/8/11 result tables, rendered in the test by the one
+   renderer (``repro.bench.artifacts.ARTIFACTS[stem].table``), carry
+   the seed md5s,
 2. the raw figure sweeps reproduce seed-identical data, and
 3. a mixed workload (contiguous/strided/vector/acc/rmw/locks/fences)
    reproduces the seed's exact finish time and counter set in both D
@@ -15,24 +16,22 @@ figures. These tests pin that promise three ways:
 All golden constants were captured on the pre-refactor seed tree.
 """
 
+import functools
 import hashlib
-import importlib
-import sys
 from pathlib import Path
 
 import pytest
 
 from repro.armci import ArmciConfig, ArmciJob
 from repro.armci.vector import IoVector
+from repro.bench.artifacts import ARTIFACTS
 from repro.types import StridedDescriptor, StridedShape
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
-
 #: md5 of each figure table as the seed tree's bench scripts write it.
-#: Figure 11 is the ``REPRO_FIG11_SMALL`` grid (64/128/256 ranks); the
+#: Figure 11 is the ``REPRO_BENCH_SMOKE=1`` grid (64/128/256 ranks); the
 #: paper grid (1024/2048/4096 ranks, minutes of host time) digests to
 #: 0c54ab709faf44042f276828279761a7 — check it by hand with
-#: ``pytest benchmarks/bench_fig11_scf.py --benchmark-only`` and
+#: ``pytest benchmarks/bench_paper.py -k fig11_scf`` and
 #: ``md5sum benchmarks/results/fig11_scf.txt``.
 SEED_FIG_MD5 = {
     "fig3_latency.txt": "e5ae856594441ddbf3ab62d0f693867e",
@@ -60,96 +59,48 @@ def _md5(data: bytes) -> str:
     return hashlib.md5(data).hexdigest()
 
 
-def _bench_module(name: str):
-    """Import ``benchmarks/<name>.py`` the way ``pytest benchmarks`` does
-    (its directory on ``sys.path``, for the shared ``_report`` writer)."""
-    sys.path.insert(0, str(BENCHMARKS))
-    try:
-        return importlib.import_module(name)
-    finally:
-        sys.path.remove(str(BENCHMARKS))
-
-
-# Each figure's sweep runs once per session and feeds both gates: the
-# raw-data digest and the digest of the table rendered from it.
-
-
-@pytest.fixture(scope="module")
-def fig3_data():
-    from repro.bench import contiguous_latency_sweep
-
-    return (
-        contiguous_latency_sweep(op="get"),
-        contiguous_latency_sweep(op="put"),
-    )
-
-
-@pytest.fixture(scope="module")
-def fig4_data():
-    from repro.bench import bandwidth_sweep
-
-    return (bandwidth_sweep(op="put"), bandwidth_sweep(op="get"))
-
-
-@pytest.fixture(scope="module")
-def fig8_data():
-    from repro.bench import strided_bandwidth_sweep
-
-    return (
-        strided_bandwidth_sweep(op="put"),
-        strided_bandwidth_sweep(op="get"),
-    )
-
-
-@pytest.fixture(scope="module")
-def fig11_data():
-    from repro.bench.scf import scf_comparison
-
-    proc_counts, scf = _bench_module("bench_fig11_scf").SMALL_GRID
-    return scf_comparison(proc_counts=proc_counts, scf=scf), scf
-
-
-#: table -> (bench script, its renderer, the fixture holding its sweep).
-FIG_TABLES = {
-    "fig3_latency.txt": ("bench_fig3_latency", "fig3_table", "fig3_data"),
-    "fig4_bandwidth.txt": ("bench_fig4_bandwidth", "fig4_table", "fig4_data"),
-    "fig8_strided.txt": ("bench_fig8_strided", "fig8_table", "fig8_data"),
-    "fig11_scf.txt": ("bench_fig11_scf", "fig11_table", "fig11_data"),
-}
+@functools.cache
+def figure_data(stem):
+    """Each figure's sweep runs once per session, is held to the paper's
+    claims, and feeds both gates: the raw-data digest and the digest of
+    the table rendered from it. Figure 11 runs the smoke grid."""
+    data = ARTIFACTS[stem].run((64, 128, 256) if stem == "fig11_scf" else None)
+    ARTIFACTS[stem].check(data)
+    return data
 
 
 class TestCommittedFigureFiles:
-    """Each table is rendered here, by the bench script's own renderer
-    and the shared ``_report.save`` writer, into ``tmp_path`` — never
+    """Each table is rendered here by the registry's renderer, with the
+    newline ``benchmarks/_report.save`` ends a result file with — never
     read from the git-ignored ``benchmarks/results/``, so the gate holds
     on a fresh clone and is independent of benchmark run order."""
 
     @pytest.mark.parametrize("name", sorted(SEED_FIG_MD5))
-    def test_committed_table_is_seed_identical(self, name, tmp_path, request):
-        script, renderer, fixture = FIG_TABLES[name]
-        table = getattr(_bench_module(script), renderer)(
-            *request.getfixturevalue(fixture)
-        )
-        path = _bench_module("_report").save(Path(name).stem, table, tmp_path)
-        assert _md5(path.read_bytes()) == SEED_FIG_MD5[name], (
+    def test_committed_table_is_seed_identical(self, name):
+        stem = Path(name).stem
+        table = ARTIFACTS[stem].table(figure_data(stem))
+        assert _md5((table + "\n").encode()) == SEED_FIG_MD5[name], (
             f"{name} drifted from the seed output: the default backend "
             f"must stay byte-identical on the paper figures"
         )
 
 
 class TestFigureSweeps:
-    def test_fig3_latency_sweep(self, fig3_data):
-        assert _md5(repr(fig3_data).encode()) == SEED_SWEEP_MD5["fig3"]
+    def test_fig3_latency_sweep(self):
+        data = figure_data("fig3_latency")
+        assert _md5(repr(data).encode()) == SEED_SWEEP_MD5["fig3"]
 
-    def test_fig4_bandwidth_sweep(self, fig4_data):
-        assert _md5(repr(fig4_data).encode()) == SEED_SWEEP_MD5["fig4"]
+    def test_fig4_bandwidth_sweep(self):
+        data = figure_data("fig4_bandwidth")
+        assert _md5(repr(data).encode()) == SEED_SWEEP_MD5["fig4"]
 
-    def test_fig8_strided_sweep(self, fig8_data):
-        assert _md5(repr(fig8_data).encode()) == SEED_SWEEP_MD5["fig8"]
+    def test_fig8_strided_sweep(self):
+        data = figure_data("fig8_strided")
+        assert _md5(repr(data).encode()) == SEED_SWEEP_MD5["fig8"]
 
-    def test_fig11_scf_comparison(self, fig11_data):
+    def test_fig11_scf_comparison(self):
         # The golden digest is of the grid's first (64-rank) row alone.
-        rows, _scf = fig11_data
+        rows, _scf = figure_data("fig11_scf")
         assert _md5(repr(rows[:1]).encode()) == SEED_SWEEP_MD5["fig11_small"]
 
 

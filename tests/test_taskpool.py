@@ -184,3 +184,20 @@ class TestDistributedVsSingleCounter:
             ScfConfig(**base, num_counters=8), procs_per_node=16,
         )
         assert sharded.counter_time_total < 0.7 * single.counter_time_total
+
+    def test_sharding_does_not_cost_makespan(self):
+        """A pool is one collective allocation however many counters it
+        has, so 16 counters (and their 16 standbys) set up as fast as
+        one and the blocked-time collapse is not paid back in makespan."""
+        from repro.apps.nwchem import ScfConfig, run_scf
+
+        base = dict(nbf_override=64, nblocks=32, task_time=20e-6, iterations=1)
+        single, sharded = (
+            run_scf(
+                64, ArmciConfig.async_thread_mode(),
+                ScfConfig(**base, num_counters=g), procs_per_node=16,
+            )
+            for g in (1, 16)
+        )
+        assert sharded.tasks_done == single.tasks_done == 32 * 32
+        assert sharded.total_time < 1.1 * single.total_time
