@@ -45,6 +45,21 @@ def contiguous_transfer(local_addr: int, remote_addr: int, nbytes: int) -> Trans
 # --------------------------------------------------------------- regions
 
 
+def local_segments_ready(rt: "ArmciProcess", addrs: Iterable[int]) -> bool:
+    """Whether every segment ``addrs`` touch already has a local region
+    (non-generator: the per-op path asks here and enters
+    :func:`ensure_local_segments` only to register)."""
+    registry = rt.world.regions[rt.rank]
+    space = rt.world.spaces[rt.rank]
+    last = None
+    for addr in addrs:
+        base, seg_bytes = space.segment_bounds(addr)
+        if base != last and registry.find(base, seg_bytes) is None:
+            return False
+        last = base  # a batch staged in one buffer is looked up once
+    return True
+
+
 def ensure_local_segments(
     rt: "ArmciProcess", addrs: Iterable[int]
 ) -> Generator[Any, Any, bool]:
@@ -84,20 +99,25 @@ def ensure_local_segments(
 def resolve_remote_region(
     rt: "ArmciProcess", dst: int, addr: int, nbytes: int
 ) -> Generator[Any, Any, MemoryRegion | None]:
-    """Find the remote region handle for an RDMA target.
-
-    Cache hit is free; a miss sends a REGION_QUERY active message to the
-    owner (whose progress engine must answer) and caches the result with
-    LFU replacement.
-    """
+    """Find the remote region handle for an RDMA target: a cache hit is
+    free, a miss is :func:`query_remote_region`."""
     region = rt.region_cache.lookup(dst, addr, nbytes)
     if region is not None:
         return region
+    return (yield from query_remote_region(rt, dst, addr, nbytes))
+
+
+def query_remote_region(
+    rt: "ArmciProcess", dst: int, addr: int, nbytes: int
+) -> Generator[Any, Any, MemoryRegion | None]:
+    """Serve a region-cache miss: a REGION_QUERY active message to the
+    owner (whose progress engine must answer), the result cached with
+    LFU replacement."""
     with rt.span("region_miss", "region_query", dst=dst) as span:
         ctx = rt.main_context
         deadline = rt._op_deadline(None)
         yield from rt._acquire_send_credit(dst, deadline)
-        reply = rt.engine.event(f"regionq.{rt.rank}->{dst}")
+        reply = rt.engine.event("regionq.reply")
         header = {"addr": addr, "nbytes": nbytes, "reply": reply, "reply_ctx": ctx}
         if rt.flow_enabled:
             header["_credit"] = True

@@ -34,6 +34,15 @@ class EndpointCache:
         """Distinct destination ranks contacted so far (zeta)."""
         return len({target for target, _ctx in self._cache})
 
+    def hit(self, target_rank: int, context_index: int = 0) -> Endpoint | None:
+        """The cached endpoint, counted as a hit, or ``None``
+        (non-generator: a hit costs no simulated time, so the per-op
+        path asks here and enters :meth:`get` only on ``None``)."""
+        endpoint = self._cache.get((target_rank, context_index))
+        if endpoint is not None:
+            self.trace.counters["armci.endpoint_cache_hits"] += 1
+        return endpoint
+
     def get(
         self, target_rank: int, context_index: int = 0
     ) -> Generator[Any, Any, Endpoint]:
@@ -41,15 +50,12 @@ class EndpointCache:
 
         Endpoint creation is local (no communication) but costs beta.
         """
-        key = (target_rank, context_index)
-        endpoint = self._cache.get(key)
+        endpoint = self.hit(target_rank, context_index)
         if endpoint is None:
             yield Delay(self.create_time)
             endpoint = Endpoint(self.owner_rank, target_rank, context_index)
-            self._cache[key] = endpoint
+            self._cache[(target_rank, context_index)] = endpoint
             self.trace.incr("armci.endpoints_created")
-        else:
-            self.trace.incr("armci.endpoint_cache_hits")
         return endpoint
 
     def space_bytes(self, alpha: int) -> int:

@@ -24,6 +24,8 @@ class Handle:
     post one per chunk); the handle completes when all do.
     """
 
+    __slots__ = ("owner", "kind", "_events", "_waited", "_pinned_regions")
+
     def __init__(self, owner: "ArmciProcess", kind: str) -> None:
         self.owner = owner
         self.kind = kind
@@ -80,18 +82,19 @@ class Handle:
         if self._waited:
             raise HandleError(f"double wait on {self.kind} handle")
         self._waited = True
-        ctx = self.owner.main_context
-        deadline = self.owner._op_deadline(timeout)
-        obs = self.owner.obs
+        owner = self.owner
+        ctx = owner.main_context
+        deadline = owner._op_deadline(timeout)
+        obs = owner.obs
         sid = None
         if obs is not None and self._events:
             sid = obs.begin(
-                self.owner.rank, "main", "handle_wait",
+                owner.rank, "main", "handle_wait",
                 f"{self.kind}.wait", ops=len(self._events),
             )
         try:
             for ev in self._events:
-                if not ev.triggered:
+                if not ev._triggered:
                     yield from ctx.wait_with_progress(ev, deadline=deadline)
                 # Failure tokens surface as ProcessFailedError (FT extension).
                 check_completion(ev.value, op=self.kind)
@@ -114,4 +117,4 @@ class Handle:
                     obs.end(sid, category="am_wait")
                 else:
                     obs.end(sid)
-            self.owner.on_handle_complete(self)
+            owner.on_handle_complete(self)

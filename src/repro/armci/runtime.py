@@ -421,6 +421,12 @@ class ArmciJob:
                 self.obs.finalize()
 
 
+def _post_and_wait(nb, args: tuple) -> Generator[Any, Any, None]:
+    """One attempt of a blocking data op: post, wait for local completion."""
+    h = yield from nb(*args)
+    yield from h.wait()
+
+
 class ArmciProcess:
     """Per-rank ARMCI runtime and public API (all methods are generators
     unless documented otherwise)."""
@@ -453,6 +459,9 @@ class ArmciProcess:
         the simulation afterwards to recreate contexts and handlers.
         """
         self.client = self.world.client(self.rank)
+        #: Context 0, the main thread's communication context (set by
+        #: :meth:`_reinit_body`, once the incarnation's contexts exist).
+        self.main_context: PamiContext | None = None
         self.endpoints = EndpointCache(
             self.rank, self.world.params.endpoint_create_time, self.trace
         )
@@ -497,11 +506,6 @@ class ArmciProcess:
             if hasattr(self, attr):
                 delattr(self, attr)
 
-    @property
-    def main_context(self) -> PamiContext:
-        """Context 0: the main thread's communication context."""
-        return self.client.context(0)
-
     def _reinit_body(self) -> Generator[Any, Any, None]:
         """Initialize one incarnation inside the simulation: contexts,
         the AM dispatcher, the progress threads. All of init but the
@@ -509,6 +513,7 @@ class ArmciProcess:
         are not re-entering init (the recovery rendezvous synchronizes)."""
         for _ in range(self.config.num_contexts):
             yield from self.client.create_context(capacity=self.config.fifo_depth)
+        self.main_context = self.client.context(0)
         self.client.register_dispatcher(AM_HANDLERS, self._dispatch_am)
         if self.config.async_thread:
             start_async_thread(self)
@@ -810,24 +815,31 @@ class ArmciProcess:
 
     # ------------------------------------------------------ data transfers
 
+    def _cached_region(self, dst: int, xfer: "_xfer.Transfer", protocol: str):
+        """``(region, todo)``: the remote RDMA region of a transfer as
+        far as nothing has to be waited for (non-generator — a cache hit
+        is a plain call). ``todo`` is ``None`` when ``region`` is final
+        (``None``: the protocol is the active message anyway), else what
+        :meth:`_resolve_regions` has left to do: ``"register"`` a local
+        segment first, or only ``"query"`` the owner after a cache miss."""
+        if not self.config.use_rdma or protocol == "pack":
+            return None, None
+        if not _cont.local_segments_ready(self, xfer.local_addrs):
+            return None, "register"
+        region = self.region_cache.lookup(dst, *xfer.extent)
+        return region, "query" if region is None else None
+
     def _resolve_regions(
-        self, dst: int, xfer: "_xfer.Transfer", protocol: str
-    ) -> Generator[Any, Any, tuple[Any, tuple[int, int]]]:
-        """Find RDMA regions — every local segment registered and one
-        remote region covering the remote extent — unless the protocol
-        is the active message anyway; returns (remote_region|None,
-        tracker_key)."""
-        remote_region = None
-        if self.config.use_rdma and protocol != "pack":
-            if (yield from _cont.ensure_local_segments(self, xfer.local_addrs)):
-                remote_region = yield from _cont.resolve_remote_region(
-                    self, dst, *xfer.extent
-                )
-        if remote_region is not None:
-            key = (dst, remote_region.base)
-        else:
-            key = (dst, UNREGISTERED_KEY_BASE)
-        return remote_region, key
+        self, dst: int, xfer: "_xfer.Transfer", todo: str
+    ) -> Generator[Any, Any, Any]:
+        """The generator half of :meth:`_cached_region` (one cache
+        lookup per op: a miss is handed over, not repeated). ``None``:
+        take the fall-back protocol."""
+        if todo == "query":
+            return (yield from _cont.query_remote_region(self, dst, *xfer.extent))
+        if (yield from _cont.ensure_local_segments(self, xfer.local_addrs)):
+            return (yield from _cont.resolve_remote_region(self, dst, *xfer.extent))
+        return None
 
     def _nbwrite(
         self, kind: str, dst: int, xfer: "_xfer.Transfer", handle: Handle | None,
@@ -838,10 +850,14 @@ class ArmciProcess:
         (Section III-C). ``observed`` lists the remote ``(addr, nbytes)``
         ranges reported to the observer (default: the bounding extent)."""
         h = handle if handle is not None else self._new_handle(kind)
-        yield from self.endpoints.get(dst)
-        remote_region, key = yield from self._resolve_regions(dst, xfer, protocol)
-        if remote_region is not None:
-            h.pin_region(remote_region)
+        if self.endpoints.hit(dst) is None:
+            yield from self.endpoints.get(dst)
+        region, todo = self._cached_region(dst, xfer, protocol)
+        if todo is not None:
+            region = yield from self._resolve_regions(dst, xfer, todo)
+        key = (dst, region.base if region is not None else UNREGISTERED_KEY_BASE)
+        if region is not None:
+            h.pin_region(region)
             _xfer.PUT[protocol](self, dst, xfer, h)
         else:
             yield from self._acquire_send_credit(dst, self._op_deadline(None))
@@ -863,11 +879,16 @@ class ArmciProcess:
         means — per target (``cs_tgt``) or per region (``cs_mr``).
         """
         h = handle if handle is not None else self._new_handle(kind)
-        yield from self.endpoints.get(dst)
-        remote_region, key = yield from self._resolve_regions(dst, xfer, protocol)
-        yield from self._fence_if_conflicting(dst, key)
-        if remote_region is not None:
-            h.pin_region(remote_region)
+        if self.endpoints.hit(dst) is None:
+            yield from self.endpoints.get(dst)
+        region, todo = self._cached_region(dst, xfer, protocol)
+        if todo is not None:
+            region = yield from self._resolve_regions(dst, xfer, todo)
+        key = (dst, region.base if region is not None else UNREGISTERED_KEY_BASE)
+        if self._conflicting_write(dst, key):
+            yield from self.fence(dst)
+        if region is not None:
+            h.pin_region(region)
             _xfer.GET[protocol](self, dst, xfer, h)
         else:
             yield from self._acquire_send_credit(dst, self._op_deadline(None))
@@ -897,21 +918,40 @@ class ArmciProcess:
             handle,
         )
 
+    def _guarded(self, timeout: float | None = None) -> bool:
+        """Whether a blocking op needs its wrappers (non-generator):
+        ``_with_retry`` when a transient fault or a deadline can exist,
+        the ``op`` span when obs is on. Read per call — chaos, the link
+        model and integrity can be attached after construction."""
+        world = self.world
+        return (
+            timeout is not None
+            or self._deadline is not None
+            or self.obs is not None
+            or world.chaos is not None
+            or world.integrity is not None
+            or world.network.route_table is not None
+            or self.config.default_deadline is not None
+        )
+
     def _blocking(
         self, kind: str, nb, args: tuple, timeout: float | None, **attrs
     ) -> Generator[Any, Any, None]:
-        """One blocking data op on rank ``args[0]``: post ``nb(*args)``
-        and wait for local completion inside the ``kind`` op span,
-        transient faults retried with backoff; ``timeout`` bounds the
-        whole call. ``attrs`` go on the span (``nbytes=``, and
-        ``timeline=`` to show the op in the Gantt view)."""
+        """One blocking data op on rank ``args[0]`` (non-generator: it
+        *composes* the op's generator): post ``nb(*args)`` and wait for
+        local completion — as is with every knob off, else inside the
+        ``kind`` op span with transient faults retried with backoff and
+        ``timeout`` bounding the whole call. ``attrs`` go on the span
+        (``nbytes=``, and ``timeline=`` to show the op in the Gantt view)."""
+        if not self._guarded(timeout):
+            return _post_and_wait(nb, args)
+        return self._bracketed(kind, nb, args, timeout, attrs)
 
-        def attempt():
-            h = yield from nb(*args)
-            yield from h.wait()
-
+    def _bracketed(self, kind: str, nb, args: tuple, timeout, attrs: dict):
         with self.span("op", kind, dst=args[0], **attrs):
-            yield from self._with_retry(attempt, kind, self._op_deadline(timeout))
+            yield from self._with_retry(
+                lambda: _post_and_wait(nb, args), kind, self._op_deadline(timeout)
+            )
 
     def put(
         self, dst: int, local_addr: int, remote_addr: int, nbytes: int,
@@ -1074,7 +1114,9 @@ class ArmciProcess:
         the primitive behind load-balance counters, and the reason the
         asynchronous-thread design exists.
         """
-        yield from self.endpoints.get(dst, self.world.client(dst).num_contexts - 1)
+        context = self.world.client(dst).num_contexts - 1
+        if self.endpoints.hit(dst, context) is None:
+            yield from self.endpoints.get(dst, context)
         t0 = self.engine.now
         # The whole blocking call is counter dwell (the post itself is
         # free): the paper's Fig. 9/11 "waiting on the counter" quantity,
@@ -1082,49 +1124,57 @@ class ArmciProcess:
         span = self.span(
             "counter_wait", "rmw", dst=dst, rmw_op=op, timeline="counter"
         )
-        # Natively-serviced AMOs bypass context queues, so they take no
-        # FIFO credit.
-        credited = self.flow_enabled and not self.transport.rmw_is_native(op)
-
-        def attempt():
-            if credited:
-                yield from self._acquire_send_credit(dst, self._op_deadline(None))
-            pending = self.transport.rmw(
-                self.main_context, dst, addr, op, operand, operand2,
-                credited=credited,
-            )
-            value = yield from self.main_context.wait_with_progress(
-                pending.event, deadline=self._op_deadline(None)
-            )
-            check_completion(value, op="rmw")
-            # Why the wait ended: the target-side service span registered
-            # itself against our reply event.
-            span.caused_by(pending.event)
-            return value
-
-        # Retry-safe: a transient fault means the request was lost before
-        # the op was applied, so re-issuing never double-counts.
         with span:
-            old = yield from self._with_retry(
-                attempt, "rmw", self._op_deadline(timeout)
-            )
+            if self._guarded(timeout):
+                # Retry-safe: a transient fault means the request was lost
+                # before the op was applied, so re-issuing never double-counts.
+                old = yield from self._with_retry(
+                    lambda: self._rmw_once(dst, addr, op, operand, operand2, span),
+                    "rmw", self._op_deadline(timeout),
+                )
+            else:
+                old = yield from self._rmw_once(dst, addr, op, operand, operand2, span)
         self.trace.add_time("armci.rmw_wait_time", self.engine.now - t0)
         self.trace.incr("armci.rmws")
         self._observe("on_rmw", dst, addr)
         return old
 
+    def _rmw_once(
+        self, dst: int, addr: int, op: str, operand: int, operand2: int, span
+    ) -> Generator[Any, Any, int]:
+        """One attempt of :meth:`rmw`: post, wait for the old value."""
+        # Natively-serviced AMOs bypass context queues, so they take no
+        # FIFO credit.
+        credited = self.flow_enabled and not self.transport.rmw_is_native(op)
+        if credited:
+            yield from self._acquire_send_credit(dst, self._op_deadline(None))
+        ctx = self.main_context
+        pending = self.transport.rmw(
+            ctx, dst, addr, op, operand, operand2, credited=credited
+        )
+        value = yield from ctx.wait_with_progress(
+            pending.event, deadline=self._op_deadline(None)
+        )
+        check_completion(value, op="rmw")
+        # Why the wait ended: the target-side service span registered
+        # itself against our reply event.
+        span.caused_by(pending.event)
+        return value
+
     # ------------------------------------------------- synchronization
 
-    def _fence_if_conflicting(self, dst: int, key) -> Generator[Any, Any, None]:
+    def _conflicting_write(self, dst: int, key) -> bool:
+        """Whether a get of ``key`` must fence ``dst`` first
+        (non-generator; counts the decision either way)."""
         fenced = self.tracker.needs_fence(dst, key)
         self._observe("on_fence_decision", dst, key, fenced)
         if fenced:
             self.trace.incr("armci.fences_forced")
-            yield from self.fence(dst)
-        elif self.has_pending_writes(dst):
+        elif self._pending_acks.get(dst):
             # Outstanding writes exist but touch other structures: the
             # cs_mr tracker's win over cs_tgt.
             self.trace.incr("armci.fences_avoided")
+        return fenced
 
     def fence(self, dst: int, timeout: float | None = None) -> Generator[Any, Any, None]:
         """Wait until all writes to ``dst`` are remotely complete."""
@@ -1134,7 +1184,7 @@ class ArmciProcess:
         ctx = self.main_context
         with self.span("fence", "fence", dst=dst, acks=len(acks), timeline="fence"):
             for i, ack in enumerate(acks):
-                if not ack.triggered:
+                if not ack._triggered:
                     try:
                         yield from ctx.wait_with_progress(ack, deadline=deadline)
                     except DeadlineExceededError:

@@ -19,16 +19,14 @@ layer, which schedules copies at the times computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..sim.engine import Engine
 from ..sim.trace import Trace
 from ..topology.mapping import RankMapping
+from ..types import SlotRecord
 from .bgq import BGQParams
 
 
-@dataclass(frozen=True)
-class TransferTiming:
+class TransferTiming(SlotRecord):
     """Timing of one data transfer.
 
     Attributes
@@ -43,10 +41,16 @@ class TransferTiming:
         When the initiator's completion callback may fire.
     """
 
-    inject_start: float
-    inject_done: float
-    deliver: float
-    complete: float
+    __slots__ = ("inject_start", "inject_done", "deliver", "complete")
+
+    def __init__(
+        self, inject_start: float, inject_done: float, deliver: float,
+        complete: float,
+    ) -> None:
+        self.inject_start = inject_start
+        self.inject_done = inject_done
+        self.deliver = deliver
+        self.complete = complete
 
 
 class TorusNetwork:
@@ -352,8 +356,9 @@ class TorusNetwork:
         """
         p = self.params
         now = self.engine.now
-        self.trace.incr("net.put.messages")
-        self.trace.incr("net.put.bytes", nbytes)
+        counters = self.trace.counters
+        counters["net.put.messages"] += 1
+        counters["net.put.bytes"] += nbytes
         if self.is_local(src, dst):
             deliver = now + p.shm_latency + nbytes * p.shm_byte_time
             return TransferTiming(now, now, deliver, deliver)
@@ -379,8 +384,9 @@ class TorusNetwork:
         """
         p = self.params
         now = self.engine.now
-        self.trace.incr("net.get.messages")
-        self.trace.incr("net.get.bytes", nbytes)
+        counters = self.trace.counters
+        counters["net.get.messages"] += 1
+        counters["net.get.bytes"] += nbytes
         if self.is_local(src, dst):
             read_at = now + p.shm_latency
             complete = read_at + p.shm_latency + nbytes * p.shm_byte_time
@@ -400,7 +406,7 @@ class TorusNetwork:
         """
         p = self.params
         now = self.engine.now
-        self.trace.incr("net.control.messages")
+        self.trace.counters["net.control.messages"] += 1
         if self.is_local(src, dst):
             return now + p.shm_latency
         return now + p.am_send_overhead + self.hop_cost(src, dst)

@@ -17,13 +17,12 @@ Blue Gene hardware.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import PamiError
 from ..obs.span import context_lane
 from ..sim.event import Event
+from ..types import SlotRecord
 from . import faults as _flt
 from .context import PamiContext, WorkItem
 from .delivery import Delivery
@@ -52,19 +51,21 @@ RMW_OPS: dict[str, RmwFunc] = {
 NIC_AMO_SERVICE = 50e-9
 
 
-@dataclass(frozen=True)
-class RmwOp:
+class RmwOp(SlotRecord):
     """Handle to one posted read-modify-write.
 
     ``event`` fires with the **old** value once the reply reaches the
     initiator and its context is advanced.
     """
 
-    op: str
-    src: int
-    dst: int
-    addr: int
-    event: Event
+    __slots__ = ("op", "src", "dst", "addr", "event")
+
+    def __init__(self, op: str, src: int, dst: int, addr: int, event: Event) -> None:
+        self.op = op
+        self.src = src
+        self.dst = dst
+        self.addr = addr
+        self.event = event
 
 
 class RmwItem(WorkItem):
@@ -121,16 +122,24 @@ class RmwItem(WorkItem):
         )
 
 
-@dataclass(frozen=True)
-class _RmwRequest:
-    op: str
-    src: int
-    dst: int
-    addr: int
-    operand: int
-    operand2: int
-    event: Event
-    reply_context: int
+class _RmwRequest(SlotRecord):
+    __slots__ = (
+        "op", "src", "dst", "addr", "operand", "operand2", "event",
+        "reply_context",
+    )
+
+    def __init__(
+        self, op: str, src: int, dst: int, addr: int, operand: int,
+        operand2: int, event: Event, reply_context: int,
+    ) -> None:
+        self.op = op
+        self.src = src
+        self.dst = dst
+        self.addr = addr
+        self.operand = operand
+        self.operand2 = operand2
+        self.event = event
+        self.reply_context = reply_context
 
     def __bytes__(self) -> bytes:
         """Canonical wire encoding of the AMO's mutable fields — what the
@@ -177,8 +186,10 @@ class _RmwDelivery(Delivery):
 
     def damaged(self, corruption):
         req = self.payload
-        return dataclasses.replace(
-            req, operand=corrupt_int(req.operand, corruption.bit)
+        return _RmwRequest(
+            req.op, req.src, req.dst, req.addr,
+            corrupt_int(req.operand, corruption.bit), req.operand2, req.event,
+            req.reply_context,
         )
 
 
@@ -242,11 +253,11 @@ def rmw(
     world = ctx.client.world
     src = ctx.client.rank
     engine = world.engine
-    event = engine.event(f"rmw.{op}.{src}->{dst_rank}")
+    event = Event(engine, "rmw.reply")
     req = _RmwRequest(op, src, dst_rank, addr, operand, operand2, event, ctx.index)
     arrive = world.network.packet_arrival(src, dst_rank)
     now = engine.now
-    world.trace.incr("pami.rmw_posted")
+    world.trace.counters["pami.rmw_posted"] += 1
     obs = world.obs
 
     use_nic = world.nic_amo_support if nic is None else nic

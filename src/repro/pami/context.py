@@ -104,7 +104,7 @@ class CompletionItem(WorkItem):
         return ctx.params.advance_poll_time
 
     def execute(self, ctx: "PamiContext") -> None:
-        ctx.trace.incr("pami.completions_dispatched")
+        ctx.trace.counters["pami.completions_dispatched"] += 1
         self.event.succeed(self.value)
 
 
@@ -134,14 +134,18 @@ class PamiContext:
         name = f"r{client.rank}.ctx{index}"
         self.queue = Queue(engine, name=f"{name}.q")
         self.lock = Lock(engine, name=f"{name}.lock")
-        self._arrival = engine.event(f"{name}.arrival")
+        #: One ``PAMI_Context_advance``'s lock guard, yielded per advance.
+        self._lock_overhead = Delay(self.params.context_lock_overhead)
+        # The arrival / room signals are re-armed per wait: they carry a
+        # kind, not a per-context name (``name`` says which context).
+        self._arrival = Event(engine, "ctx.arrival")
         #: Cumulative time threads spent holding this context's lock.
         self.busy_time = 0.0
         #: FIFO depth; None = unbounded.
         self.capacity = capacity
         #: Outstanding flow-control credits (occupied FIFO slots).
         self._credits_out = 0
-        self._room = engine.event(f"{name}.room")
+        self._room = Event(engine, "ctx.room")
         #: Monotone service heartbeat: bumped every time a batch of items
         #: is drained. The progress watchdog samples this to detect a
         #: wedged async progress thread.
@@ -152,7 +156,7 @@ class PamiContext:
     def post(self, item: WorkItem) -> None:
         """Enqueue a work item and wake any thread waiting for arrivals."""
         self.queue.put(item)
-        if not self._arrival.triggered:
+        if not self._arrival._triggered:
             self._arrival.succeed()
 
     def arrival_signal(self) -> Event:
@@ -160,10 +164,8 @@ class PamiContext:
 
         Threads with nothing to do block on this instead of busy-polling.
         """
-        if self._arrival.triggered:
-            self._arrival = self.engine.event(
-                f"r{self.client.rank}.ctx{self.index}.arrival"
-            )
+        if self._arrival._triggered:
+            self._arrival = Event(self.engine, "ctx.arrival")
         return self._arrival
 
     def complete_after(self, delay: float, event: Event, value: Any = None) -> None:
@@ -210,9 +212,7 @@ class PamiContext:
     def room_signal(self) -> Event:
         """An event that triggers at the next credit release."""
         if self._room.triggered:
-            self._room = self.engine.event(
-                f"r{self.client.rank}.ctx{self.index}.room"
-            )
+            self._room = Event(self.engine, "ctx.room")
         return self._room
 
     # ----------------------------------------------------------- progress
@@ -233,17 +233,19 @@ class PamiContext:
                 "without holding its lock"
             )
         serviced = 0
-        start = self.engine.now
-        while len(self.queue) and (max_items is None or serviced < max_items):
+        engine = self.engine
+        start = engine.now
+        items = self.queue.items
+        while items and (max_items is None or serviced < max_items):
             offset = 0.0
-            while len(self.queue) and (max_items is None or serviced < max_items):
-                item = self.queue.get_nowait()
+            while items and (max_items is None or serviced < max_items):
+                item = items.popleft()
                 if item.credited:
                     # The FIFO slot frees as soon as the item is popped
                     # for service; parked senders may inject again.
                     self.release_credit()
                 offset += item.cost(self)
-                self.engine.schedule(offset, self._execute_item, item)
+                engine.schedule(offset, self._execute_item, item)
                 serviced += 1
             yield Delay(offset)
             # Items that arrived during the batch are picked up next round.
@@ -258,11 +260,11 @@ class PamiContext:
                 # happens to have open.
                 obs.record(
                     self.client.rank, context_lane(self), "progress",
-                    "drain", start, self.engine.now,
+                    "drain", start, engine.now,
                     parent_id=None, items=serviced,
                 )
-        self.trace.incr("pami.items_serviced", serviced)
-        self.busy_time += self.engine.now - start
+        self.trace.counters["pami.items_serviced"] += serviced
+        self.busy_time += engine.now - start
         return serviced
 
     def _execute_item(self, item: WorkItem) -> None:
@@ -287,7 +289,7 @@ class PamiContext:
         """
         if not self.lock.try_acquire():
             yield self.lock.acquire()
-        yield Delay(self.params.context_lock_overhead)
+        yield self._lock_overhead
         try:
             serviced = yield from self.drain(max_items)
         finally:
@@ -309,15 +311,16 @@ class PamiContext:
         reaches it, instead of blocking forever.
         """
         timer: TimerEvent | None = None
+        items = self.queue.items
         try:
-            while not event.triggered:
+            while not event._triggered:
                 if deadline is not None and self.engine.now >= deadline:
                     self.trace.incr("pami.wait_deadline_expired")
                     raise DeadlineExceededError(
                         f"wait on context r{self.client.rank}.ctx{self.index} "
                         f"exceeded deadline t={deadline:.6g}s"
                     )
-                if len(self.queue) == 0:
+                if not items:
                     # Sleep until either our op completes (possibly drained
                     # by another thread) or new work arrives to service.
                     waits = [event, self.arrival_signal()]
@@ -331,7 +334,8 @@ class PamiContext:
                 # PAMI_Context_advance): under a continuous stream of remote
                 # requests the queue never empties, and an unbounded drain
                 # would starve the waiter from ever re-checking its event.
-                yield from self.advance(max_items=len(self.queue))
+                yield from self.advance(max_items=len(items))
             return event.value
         finally:
-            cancel_timer(timer)
+            if timer is not None:
+                cancel_timer(timer)

@@ -114,6 +114,8 @@ def check_completion(value, op: str | None = None):
     through. Used by every ARMCI wait path. ``op`` names the originating
     operation kind so the raised exception carries structured routing
     attributes (see :class:`~repro.errors.ProcessFailedError`)."""
+    if value is None:
+        return None  # a clean completion, the per-operation case
     if isinstance(value, Failure):
         raise value.to_exception(op)
     if isinstance(value, TransientFault):

@@ -28,18 +28,16 @@ transfer in between (loss, corruption, retransmission, a peer dying) is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import PamiError
 from ..machine.network import TransferTiming
 from ..sim.event import Event
+from ..types import SlotRecord
 from . import faults as _flt
 from .context import CompletionItem, PamiContext
 from .delivery import Delivery
 
 
-@dataclass(frozen=True)
-class RmaOp:
+class RmaOp(SlotRecord):
     """Handle to one posted RDMA operation.
 
     Attributes
@@ -60,13 +58,22 @@ class RmaOp:
         The network timing breakdown (useful for benchmarks).
     """
 
-    kind: str
-    src: int
-    dst: int
-    nbytes: int
-    local_event: Event
-    remote_ack_event: Event | None
-    timing: TransferTiming
+    __slots__ = (
+        "kind", "src", "dst", "nbytes", "local_event", "remote_ack_event",
+        "timing",
+    )
+
+    def __init__(
+        self, kind: str, src: int, dst: int, nbytes: int, local_event: Event,
+        remote_ack_event: Event | None, timing: TransferTiming,
+    ) -> None:
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.local_event = local_event
+        self.remote_ack_event = remote_ack_event
+        self.timing = timing
 
 
 def read_side(space, layout, nbytes: int):
@@ -165,10 +172,9 @@ def rdma_put(
     engine = world.engine
     now = engine.now
 
-    local_event = engine.event(f"put.local.{src}->{dst_rank}")
-    remote_ack = (
-        engine.event(f"put.rack.{src}->{dst_rank}") if want_remote_ack else None
-    )
+    # Per-op events carry a kind; the RmaOp says which ranks.
+    local_event = Event(engine, "put.local")
+    remote_ack = Event(engine, "put.rack") if want_remote_ack else None
 
     delivery = _PutDelivery(world, src, dst_rank, "put")
     delivery.ctx = ctx
@@ -209,7 +215,7 @@ def rdma_put(
             # not count it — the local completion already surfaced the
             # fault (and ARMCI re-issued the op).
             ctx.complete_after(complete_at - now, remote_ack, fault)
-    world.trace.incr("pami.rdma_puts")
+    world.trace.counters["pami.rdma_puts"] += 1
     obs = world.obs
     if obs is not None:
         sid = obs.record(
@@ -290,7 +296,7 @@ def rdma_get(
     engine = world.engine
     now = engine.now
 
-    local_event = engine.event(f"get.local.{src}<-{dst_rank}")
+    local_event = Event(engine, "get.local")
 
     delivery = _GetDelivery(world, src, dst_rank, "get")
     delivery.ctx = ctx
@@ -311,7 +317,7 @@ def rdma_get(
 
     engine.schedule(deliver_at - now, delivery.read)
     engine.schedule(complete_at - now, delivery.attempt)
-    world.trace.incr("pami.rdma_gets")
+    world.trace.counters["pami.rdma_gets"] += 1
     obs = world.obs
     if obs is not None:
         sid = obs.record(

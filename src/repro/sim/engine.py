@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import random
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable
 
 from ..errors import DeadlockError, SimulationError
@@ -204,7 +203,8 @@ class Engine:
             raise SimulationError(
                 f"policy must be a SchedulePolicy, got {type(policy).__name__}"
             )
-        self._now = 0.0
+        #: Current simulated time in seconds (read-only for callers).
+        self.now = 0.0
         self._heap: list[tuple[float, Any, Callable[[Any], None], Any]] = []
         # Fast lane for zero-delay entries (event resolution, process
         # steps): a FIFO deque sidesteps two O(log n) heap operations per
@@ -213,7 +213,7 @@ class Engine:
         # everything through the heap so digests/logs stay complete.
         self._fast: deque[tuple[int, Callable[[Any], None], Any]] = deque()
         self._fast_ok = policy is None and not record_schedule
-        self._seq = itertools.count()
+        self._seq = 0
         self._policy = policy
         self._record = record_schedule
         self._schedule_log: list[tuple[float, int]] = []
@@ -221,11 +221,6 @@ class Engine:
         self._live_processes: set[SimProcess] = set()
         self._failure: BaseException | None = None
         self._events_executed = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_executed(self) -> int:
@@ -253,13 +248,13 @@ class Engine:
         """Executed ``(time, seq)`` entries (``record_schedule`` only)."""
         return self._schedule_log
 
-    def _push(self, delay: float, callback: Callable[[Any], None], arg: Any) -> None:
-        """Normalize and push one heap entry.
+    def schedule(self, delay: float, callback: Callable[[Any], None], arg: Any = None) -> None:
+        """Run ``callback(arg)`` after ``delay`` seconds of simulated time.
 
-        Every entry is a 4-tuple ``(time, key, callback, arg)`` — both
-        schedule paths (plain callbacks and :class:`Timer` wrappers) go
-        through here, so the run loop can rely on the shape regardless of
-        policy.
+        Every entry is ``(time, key, callback, arg)`` on the heap — plain
+        callbacks and :class:`Timer` wrappers alike, so the run loop can
+        rely on the shape regardless of policy — or ``(seq, callback,
+        arg)`` on the zero-delay fast lane.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
@@ -267,7 +262,8 @@ class Engine:
             raise SimulationError(
                 f"scheduled callback must be callable, got {type(callback).__name__}"
             )
-        seq = next(self._seq)
+        seq = self._seq
+        self._seq = seq + 1
         if delay == 0.0 and self._fast_ok:
             # Same-timestamp FIFO entries keep their submission sequence
             # number so the run loop can merge them against the heap in
@@ -275,11 +271,7 @@ class Engine:
             self._fast.append((seq, callback, arg))
             return
         key: Any = seq if self._policy is None else self._policy.key(seq)
-        heapq.heappush(self._heap, (self._now + delay, key, callback, arg))
-
-    def schedule(self, delay: float, callback: Callable[[Any], None], arg: Any = None) -> None:
-        """Run ``callback(arg)`` after ``delay`` seconds of simulated time."""
-        self._push(delay, callback, arg)
+        heappush(self._heap, (self.now + delay, key, callback, arg))
 
     def schedule_at(
         self,
@@ -303,18 +295,19 @@ class Engine:
         within one engine (their keys are not mutually comparable); the
         parallel runtime schedules *everything* keyed.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule in the past (t={time}, now={self._now})"
+                f"cannot schedule in the past (t={time}, now={self.now})"
             )
         if not callable(callback):
             raise SimulationError(
                 f"scheduled callback must be callable, got {type(callback).__name__}"
             )
         if key is None:
-            seq = next(self._seq)
+            seq = self._seq
+            self._seq = seq + 1
             key = seq if self._policy is None else self._policy.key(seq)
-        heapq.heappush(self._heap, (time, key, callback, arg))
+        heappush(self._heap, (time, key, callback, arg))
 
     def next_event_time(self) -> float | None:
         """Earliest pending entry's time, or ``None`` when idle.
@@ -326,12 +319,12 @@ class Engine:
         otherwise report a time that will never execute).
         """
         if self._fast:
-            return self._now
+            return self.now
         heap = self._heap
         while heap:
             time, _key, callback, _arg = heap[0]
             if isinstance(callback, Timer) and callback.cancelled:
-                heapq.heappop(heap)
+                heappop(heap)
                 continue
             return time
         return None
@@ -341,7 +334,7 @@ class Engine:
     ) -> Timer:
         """Like :meth:`schedule`, returning a cancellable :class:`Timer`."""
         timer = Timer(callback, arg)
-        self._push(delay, timer, None)
+        self.schedule(delay, timer, None)
         return timer
 
     def event(self, name: str = "") -> Event:
@@ -395,38 +388,36 @@ class Engine:
         (inclusive) behaviour is unchanged.
         """
         track = self._policy is not None or self._record
-        fast = self._fast
-        while self._heap or fast:
+        heap, fast = self._heap, self._fast
+        while heap or fast:
             if self._failure is not None:
                 raise self._failure
             # Zero-delay fast lane: entries are due *now*; run one when the
             # heap is empty, due later, or due now but submitted later —
             # i.e. strict (time, seq) merge order, identical to heap-only.
             if fast and (
-                not self._heap
-                or self._heap[0][0] > self._now
-                or self._heap[0][1] > fast[0][0]
+                not heap or heap[0][0] > self.now or heap[0][1] > fast[0][0]
             ):
                 if until is not None and (
-                    self._now > until or (exclusive and self._now >= until)
+                    self.now > until or (exclusive and self.now >= until)
                 ):
-                    self._now = until
-                    return self._now
+                    self.now = until
+                    return until
                 _seq, callback, arg = fast.popleft()
                 if isinstance(callback, Timer) and callback.cancelled:
                     continue
                 self._events_executed += 1
                 callback(arg)
                 continue
-            time, key, callback, arg = self._heap[0]
+            time, key, callback, arg = heap[0]
             if isinstance(callback, Timer) and callback.cancelled:
-                heapq.heappop(self._heap)
+                heappop(heap)
                 continue
             if until is not None and (time > until or (exclusive and time >= until)):
-                self._now = until
-                return self._now
-            heapq.heappop(self._heap)
-            self._now = time
+                self.now = until
+                return until
+            heappop(heap)
+            self.now = time
             self._events_executed += 1
             if track:
                 seq = key[-1] if isinstance(key, tuple) else key
@@ -436,9 +427,9 @@ class Engine:
             callback(arg)
         if self._failure is not None:
             raise self._failure
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     def run_until_complete(self, processes: Iterable[SimProcess]) -> list[Any]:
         """Run until every listed process finishes; return their results.

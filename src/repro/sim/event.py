@@ -49,7 +49,8 @@ class Event:
 
     @property
     def triggered(self) -> bool:
-        """Whether :meth:`succeed` has been called."""
+        """Whether :meth:`succeed` has been called. (Per-operation waits
+        inside the runtime read the ``_triggered`` slot directly.)"""
         return self._triggered
 
     @property

@@ -7,46 +7,49 @@ completes, sending back the command's result (e.g. the event's value).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from ..errors import SimulationError
+from ..types import SlotRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from .event import Event
 
 
-@dataclass(frozen=True)
-class Delay:
+class Delay(SlotRecord):
     """Suspend the process for ``dt`` seconds of simulated time."""
 
-    dt: float
+    __slots__ = ("dt",)
 
-    def __post_init__(self) -> None:
-        if self.dt < 0:
-            raise SimulationError(f"cannot delay by negative time {self.dt}")
+    def __init__(self, dt: float) -> None:
+        if dt < 0:
+            raise SimulationError(f"cannot delay by negative time {dt}")
+        self.dt = dt
 
 
-@dataclass(frozen=True)
-class WaitEvent:
+class WaitEvent(SlotRecord):
     """Suspend until ``event`` triggers; the yield returns ``event.value``."""
 
-    event: "Event"
+    __slots__ = ("event",)
+
+    def __init__(self, event: "Event") -> None:
+        self.event = event
 
 
-@dataclass(frozen=True)
-class WaitAll:
+class WaitAll(SlotRecord):
     """Suspend until every event in ``events`` has triggered.
 
     The yield returns the list of event values in the given order. An empty
     sequence completes immediately.
     """
 
-    events: Sequence["Event"]
+    __slots__ = ("events",)
+
+    def __init__(self, events: Sequence["Event"]) -> None:
+        self.events = events
 
 
-@dataclass(frozen=True)
-class WaitAny:
+class WaitAny(SlotRecord):
     """Suspend until the *first* of ``events`` triggers.
 
     The yield returns ``(index, value)`` of the first event to trigger
@@ -54,11 +57,12 @@ class WaitAny:
     be non-empty. Other events are left untouched and may be waited on again.
     """
 
-    events: Sequence["Event"]
+    __slots__ = ("events",)
 
-    def __post_init__(self) -> None:
-        if not self.events:
+    def __init__(self, events: Sequence["Event"]) -> None:
+        if not events:
             raise SimulationError("WaitAny needs at least one event")
+        self.events = events
 
 
 Command = Delay | WaitEvent | WaitAll | WaitAny

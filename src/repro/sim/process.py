@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from functools import partial
+from typing import TYPE_CHECKING, Any, Generator, Sequence
 
 from ..errors import SimulationError
 from .event import Event
@@ -26,7 +27,10 @@ class SimProcess:
     Processes are created via :meth:`Engine.spawn`, not directly.
     """
 
-    __slots__ = ("engine", "name", "body", "done", "daemon", "_started", "_killed")
+    __slots__ = (
+        "engine", "name", "body", "done", "daemon", "_started", "_killed",
+        "_wait", "_awaited", "_pending",
+    )
 
     def __init__(
         self, engine: "Engine", body: ProcessBody, name: str, daemon: bool
@@ -44,6 +48,14 @@ class SimProcess:
         self.done = Event(engine, name=f"{name}.done")
         self._started = False
         self._killed = False
+        #: Multi-event waits resumed so far. A process blocks in one
+        #: wait at a time, so the process is its own waiter: a
+        #: ``WaitAny`` arm carries the count it was armed under and is
+        #: dead once the count moved on; a ``WaitAll`` counts down
+        #: ``_pending`` over ``_awaited``.
+        self._wait = 0
+        self._awaited: Sequence[Event] = ()
+        self._pending = 0
 
     def start(self) -> None:
         """Schedule the first step at the current simulated time."""
@@ -73,6 +85,7 @@ class SimProcess:
 
     # The engine resumes us through this callback.
     def _step(self, send_value: Any) -> None:
+        """Resume the generator and interpret the command it yields."""
         if self._killed:
             return
         try:
@@ -91,19 +104,22 @@ class SimProcess:
                 SimulationError(f"process {self.name!r} raised {exc!r}"), cause=exc
             )
             return
-        self._dispatch(command)
-
-    def _dispatch(self, command: Any) -> None:
         if self._killed:
             return
-        if isinstance(command, Delay):
+        # Exact types first: the two commands a blocking op yields.
+        kind = type(command)
+        if kind is Delay:
+            self.engine.schedule(command.dt, self._step, None)
+        elif kind is WaitAny:
+            self._wait_any(command.events)
+        elif isinstance(command, Delay):
             self.engine.schedule(command.dt, self._step, None)
         elif isinstance(command, WaitEvent):
             command.event.add_callback(self._step)
         elif isinstance(command, WaitAll):
-            self._wait_all(list(command.events))
+            self._wait_all(command.events)
         elif isinstance(command, WaitAny):
-            self._wait_any(list(command.events))
+            self._wait_any(command.events)
         elif isinstance(command, Event):
             # Allow yielding a bare Event as shorthand for WaitEvent(event).
             command.add_callback(self._step)
@@ -119,36 +135,36 @@ class SimProcess:
                 )
             )
 
-    def _wait_all(self, events: list[Event]) -> None:
-        pending = sum(1 for ev in events if not ev.triggered)
+    def _wait_all(self, events: Sequence[Event]) -> None:
+        pending = sum(1 for ev in events if not ev._triggered)
         if pending == 0:
             self.engine.schedule(0.0, self._step, [ev.value for ev in events])
             return
-        remaining = [pending]
-
-        def on_trigger(_value: Any) -> None:
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                self._step([ev.value for ev in events])
-
+        self._awaited = events
+        self._pending = pending
         for ev in events:
-            if not ev.triggered:
-                ev.add_callback(on_trigger)
+            if not ev._triggered:
+                ev._callbacks.append(self._one_of_all)
 
-    def _wait_any(self, events: list[Event]) -> None:
+    def _one_of_all(self, _value: Any) -> None:
+        self._pending -= 1
+        if self._pending == 0:
+            events, self._awaited = self._awaited, ()
+            self._step([ev.value for ev in events])
+
+    def _wait_any(self, events: Sequence[Event]) -> None:
         for i, ev in enumerate(events):
-            if ev.triggered:
-                self.engine.schedule(0.0, self._step, (i, ev.value))
+            if ev._triggered:
+                self.engine.schedule(0.0, self._step, (i, ev._value))
                 return
-        fired = [False]
-
-        def make_callback(index: int):
-            def on_trigger(value: Any) -> None:
-                if not fired[0]:
-                    fired[0] = True
-                    self._step((index, value))
-
-            return on_trigger
-
+        # One arm per event, live or dead by the wait count alone: every
+        # arm is still scheduled when its event triggers, as the engine's
+        # entry order (and every fuzz policy's tie-break draw) needs.
+        arm, wait = self._first_of_any, self._wait
         for i, ev in enumerate(events):
-            ev.add_callback(make_callback(i))
+            ev._callbacks.append(partial(arm, wait, i))
+
+    def _first_of_any(self, wait: int, index: int, value: Any) -> None:
+        if wait == self._wait:
+            self._wait = wait + 1
+            self._step((index, value))

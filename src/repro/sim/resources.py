@@ -95,30 +95,33 @@ class Queue:
     oldest item as soon as one is available. Used for context work queues.
     """
 
-    __slots__ = ("engine", "name", "_items", "_getters")
+    __slots__ = ("engine", "name", "items", "_getters")
 
     def __init__(self, engine: "Engine", name: str = "queue") -> None:
         self.engine = engine
         self.name = name
-        self._items: deque[Any] = deque()
+        #: Queued items, oldest first. Per-item callers (a context's
+        #: drain) test and ``popleft`` it directly; never filled but
+        #: through :meth:`put`, which serves blocked getters first.
+        self.items: deque[Any] = deque()
         #: Blocked getters, oldest first; created on the first block.
         self._getters: deque[Event] | None = None
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.items)
 
     def put(self, item: Any) -> None:
         """Append an item, waking the oldest blocked getter if any."""
         if self._getters:
             self._getters.popleft().succeed(item)
         else:
-            self._items.append(item)
+            self.items.append(item)
 
     def get(self) -> Event:
         """Request the oldest item; use as ``item = yield queue.get()``."""
         ev = Event(self.engine, name=f"{self.name}.get")
-        if self._items:
-            ev.succeed(self._items.popleft())
+        if self.items:
+            ev.succeed(self.items.popleft())
         else:
             if self._getters is None:
                 self._getters = deque()
@@ -133,10 +136,10 @@ class Queue:
         SimulationError
             If the queue is empty.
         """
-        if not self._items:
+        if not self.items:
             raise SimulationError(f"queue {self.name!r} is empty")
-        return self._items.popleft()
+        return self.items.popleft()
 
     def peek_all(self) -> tuple[Any, ...]:
         """Snapshot of queued items (oldest first) without removing them."""
-        return tuple(self._items)
+        return tuple(self.items)

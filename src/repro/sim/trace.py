@@ -27,7 +27,8 @@ class Trace:
     keep_raw_samples: bool = False
 
     def incr(self, name: str, amount: int = 1) -> None:
-        """Add ``amount`` to counter ``name``."""
+        """Add ``amount`` to counter ``name`` (per-operation call sites
+        add to :attr:`counters` directly and skip this call)."""
         self.counters[name] += amount
 
     def add_time(self, name: str, seconds: float) -> None:

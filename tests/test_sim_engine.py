@@ -373,7 +373,7 @@ def test_cancelled_timer_subclass_is_skipped():
 
     eng = Engine()
     timer = DeadlineTimer(lambda _a: None, None)
-    eng._push(5.0, timer, None)
+    eng.schedule(5.0, timer, None)
     timer.cancel()
     eng.run()
     assert eng.now == 0.0
