@@ -8,6 +8,7 @@ Figs. 7, 9 and 11 to CI-sized grids; unset, Fig. 11 is the paper's
 """
 
 import dataclasses
+import json
 from pathlib import Path
 
 import pytest
@@ -41,7 +42,12 @@ def test_fig11_trace_export(request):
     from repro.apps.nwchem import run_scf
     from repro.armci import ArmciConfig, ObsConfig
     from repro.obs.critical_path import attribution_rows, critical_path
-    from repro.obs.export import perfetto_payload, validate_trace_events, write_perfetto
+    from repro.obs.export import (
+        perfetto_payload,
+        validate_trace_events,
+        write_metrics_json,
+        write_perfetto,
+    )
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -61,13 +67,22 @@ def test_fig11_trace_export(request):
             label=label,
             on_job=lambda job: captured.update(job=job),
         )
-        obs = captured["job"].obs
+        job = captured["job"]
+        obs = job.obs
         spans, edges = obs.finished(), obs.edges
         assert obs.truncated_spans == 0
 
         path = out / f"fig11_trace_{label}.json"
         write_perfetto(path, spans, edges)
         assert validate_trace_events(perfetto_payload(spans, edges)) == []
+
+        # One registry per job: the wire counters and the span
+        # histograms come out of the same snapshot.
+        metrics_path = out / f"fig11_metrics_{label}.json"
+        write_metrics_json(metrics_path, job.trace, per_rank=True)
+        snapshot = json.loads(metrics_path.read_text())
+        assert any(n.startswith("pami.") for n in snapshot["counters"])
+        assert any(n.startswith("obs.span.") for n in snapshot["histograms"])
 
         report = critical_path(spans, edges)
         assert report.coverage >= 0.99, (label, report.coverage)

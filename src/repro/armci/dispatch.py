@@ -20,8 +20,6 @@ UNLOCK_REQUEST = 8
 NOTIFY = 11
 #: Software tree-collective message (process groups).
 GROUP_MESSAGE = 12
-#: Two-sided tag-matched message (repro.mpilike comparison layer).
-MPILIKE_MESSAGE = 13
 
 #: Reverse map id -> name, for protocol-level service logs (repro.verify)
 #: and debug output.
@@ -34,5 +32,4 @@ DISPATCH_NAMES = {
     UNLOCK_REQUEST: "unlock_request",
     NOTIFY: "notify",
     GROUP_MESSAGE: "group_message",
-    MPILIKE_MESSAGE: "mpilike_message",
 }

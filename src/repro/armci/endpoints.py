@@ -10,16 +10,16 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
+from ..obs.metrics import MetricsRegistry
 from ..pami.endpoint import Endpoint
 from ..sim.primitives import Delay
-from ..sim.trace import Trace
 
 
 class EndpointCache:
     """Per-process endpoint table, filled on first use of a destination."""
 
     def __init__(
-        self, owner_rank: int, create_time: float, trace: Trace
+        self, owner_rank: int, create_time: float, trace: MetricsRegistry
     ) -> None:
         self.owner_rank = owner_rank
         self.create_time = create_time

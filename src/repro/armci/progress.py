@@ -38,7 +38,7 @@ def async_progress_loop(rt: "ArmciProcess", ctx: PamiContext) -> Generator[Any, 
     Sleeps on the context's arrival signal (an SMT thread waiting on a
     wake-up event, not burning the core) and drains everything that lands.
     """
-    trace = rt.trace
+    serviced_by_rank = rt.trace.counter("armci.async_thread_serviced")
     while True:
         if len(ctx.queue) == 0:
             yield ctx.arrival_signal()
@@ -49,11 +49,7 @@ def async_progress_loop(rt: "ArmciProcess", ctx: PamiContext) -> Generator[Any, 
         # contention hazard Section III-D describes (and why rho=2 is the
         # recommended configuration).
         serviced = yield from ctx.advance(max_items=max(len(ctx.queue), 1))
-        trace.incr("armci.async_thread_serviced", serviced)
-        if rt.obs is not None and serviced:
-            rt.obs.metrics.counter("obs.async_thread_serviced").incr(
-                serviced, rank=rt.rank
-            )
+        serviced_by_rank.incr(serviced, rank=rt.rank)
 
 
 def start_async_thread(rt: "ArmciProcess") -> None:
@@ -102,9 +98,7 @@ def _fail_over(rt: "ArmciProcess", ctx: PamiContext) -> None:
     thread (modelling the main thread's core donating a spare SMT slot
     to progress duty, as the paper's AT design does at init).
     """
-    rt.trace.incr("armci.watchdog_failovers")
-    if rt.obs is not None:
-        rt.obs.metrics.counter("obs.watchdog_failovers").incr(rank=rt.rank)
+    rt.trace.counter("armci.watchdog_failovers").incr(rank=rt.rank)
     rt.progress_failed_over = True
     if rt.async_thread is not None and not rt.async_thread.done.triggered:
         rt.async_thread.kill()

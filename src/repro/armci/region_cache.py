@@ -20,8 +20,8 @@ Two robustness refinements on the paper's scheme:
 from __future__ import annotations
 
 from ..errors import ArmciError
+from ..obs.metrics import MetricsRegistry
 from ..pami.memregion import MemoryRegion, MemoryRegionRegistry
-from ..sim.trace import Trace
 
 #: Cache key: (owner_rank, any address inside the region is resolved by
 #: the owner; we key on the region's base address).
@@ -34,7 +34,7 @@ class RegionCache:
     def __init__(
         self,
         capacity: int | None,
-        trace: Trace,
+        trace: MetricsRegistry,
         budget_registry: MemoryRegionRegistry | None = None,
     ) -> None:
         if capacity is not None and capacity < 1:

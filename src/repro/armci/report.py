@@ -158,27 +158,28 @@ def runtime_report(job: "ArmciJob") -> str:
     rows.append(
         ["time", "simulated clock", f"{us(job.engine.now):.1f} us"]
     )
-    metrics = getattr(job, "serve_metrics", None)
-    if metrics is not None:
-        lat = metrics.histogram("serve.latency")
-        if lat.count:
-            for label, p in (("p50", 50), ("p99", 99), ("p999", 99.9)):
-                rows.append(
-                    [
-                        "serving",
-                        f"request latency {label}",
-                        f"{us(lat.percentile(p)):.1f} us",
-                    ]
-                )
-            duration = metrics.gauge("serve.duration").value or job.engine.now
-            if duration > 0:
-                rows.append(
-                    [
-                        "serving",
-                        "response throughput",
-                        f"{lat.count / duration:.0f} req/s",
-                    ]
-                )
+    # Plain dict reads: asking the registry for an instrument creates
+    # it, and a job that never served must not grow ``serve.*`` ones.
+    lat = job.serve_metrics.histograms.get("serve.latency")
+    if lat is not None and lat.count:
+        for label, p in (("p50", 50), ("p99", 99), ("p999", 99.9)):
+            rows.append(
+                [
+                    "serving",
+                    f"request latency {label}",
+                    f"{us(lat.percentile(p)):.1f} us",
+                ]
+            )
+        duration = job.serve_metrics.gauges.get("serve.duration")
+        seconds = duration.value if duration is not None else job.engine.now
+        if seconds > 0:
+            rows.append(
+                [
+                    "serving",
+                    "response throughput",
+                    f"{lat.count / seconds:.0f} req/s",
+                ]
+            )
     obs = job.obs
     if obs is not None:
         rows.append(["observability", "spans recorded", len(obs.spans)])

@@ -36,7 +36,6 @@ from ..errors import (
     TransientFaultError,
 )
 from ..machine.bgq import BGQParams
-from ..mpilike import msg as _msg
 from ..obs.span import NO_SPAN, Obs
 from ..pami.context import PamiContext, cancel_timer, deadline_timer
 from ..pami.faults import TransientFault, check_completion
@@ -82,7 +81,6 @@ AM_HANDLERS = {
     _disp.UNLOCK_REQUEST: _locks.handle_unlock_request,
     _disp.NOTIFY: _notify.handle_notify,
     _disp.GROUP_MESSAGE: _groups.handle_group_message,
-    _disp.MPILIKE_MESSAGE: _msg.handle_message,
 }
 
 
@@ -237,9 +235,8 @@ class ArmciJob:
         #: ``config.obs.enabled`` is off: ``rt.span`` then brackets every
         #: blocking call with the shared no-op ``NO_SPAN``.
         if self.config.obs.enabled and world.obs is None:
-            world.obs = Obs(self.engine)
+            world.obs = Obs(self.engine, self.trace)
             world.obs.dispatch_names = dict(_disp.DISPATCH_NAMES)
-            world.obs.record_progress_spans = self.config.obs.progress_spans
         self.obs = world.obs
         self.hw_barrier = _coll.HardwareBarrier(
             self.engine, num_procs, world.params.collective_barrier_latency
@@ -277,11 +274,11 @@ class ArmciJob:
         self.health = None
         if self.config.health is not None and self.config.health.enabled:
             self.health = world.install_health_monitor(self.config.health)
-        #: Serving-tier metrics registry (``repro.obs.metrics``), or
-        #: ``None`` until the first ``repro.serve.ActorSystem`` is
-        #: constructed on this job — jobs that never touch the serve
-        #: layer carry only this untouched attribute.
-        self.serve_metrics = None
+        #: Where ``repro.serve`` records request latency, request count
+        #: and run duration: the job's registry, unless a caller installs
+        #: another before the tier starts (the ledger does, to keep raw
+        #: latency samples) — each ``ActorSystem`` adopts what it finds.
+        self.serve_metrics = self.trace
 
     @property
     def num_procs(self) -> int:

@@ -59,7 +59,7 @@ class Transfer:
     pack_time:
         Origin software time to pack the local side for an AM put.
     counters:
-        Trace counter names of this datatype, by ``<op>_<protocol>``.
+        Counter names of this datatype, by ``<op>_<protocol>``.
     """
 
     __slots__ = (

@@ -19,11 +19,15 @@ layer, which schedules copies at the times computed here.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..sim.engine import Engine
-from ..sim.trace import Trace
 from ..topology.mapping import RankMapping
 from ..types import SlotRecord
 from .bgq import BGQParams
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..obs.metrics import MetricsRegistry
 
 
 class TransferTiming(SlotRecord):
@@ -65,7 +69,7 @@ class TorusNetwork:
     params:
         Calibrated machine constants.
     trace:
-        Optional instrumentation sink (byte/message counters).
+        The job's (or shard's) metrics registry: byte/message counters.
     """
 
     def __init__(
@@ -73,13 +77,13 @@ class TorusNetwork:
         engine: Engine,
         mapping: RankMapping,
         params: BGQParams,
-        trace: Trace | None = None,
+        trace: "MetricsRegistry",
         link_contention: bool = False,
     ) -> None:
         self.engine = engine
         self.mapping = mapping
         self.params = params
-        self.trace = trace if trace is not None else Trace()
+        self.trace = trace
         #: Model serialization on shared torus links (extension beyond the
         #: paper, whose evaluation assumed uncongested links).
         self.link_contention = link_contention
@@ -106,7 +110,7 @@ class TorusNetwork:
         self._last_deliver: dict[tuple[int, int], float] = {}
 
     #: Mutable per-run state: NIC/link clocks and memo caches. Listed in
-    #: one place so shard isolation (clear/clone/pickle) cannot silently
+    #: one place so shard isolation (clear/pickle) cannot silently
     #: miss a cache added later.
     _MUTABLE_CACHES = (
         "_inject_free",
@@ -130,23 +134,6 @@ class TorusNetwork:
         """
         for name in self._MUTABLE_CACHES:
             getattr(self, name).clear()
-
-    def shard_clone(self, engine: Engine, trace: Trace | None = None) -> "TorusNetwork":
-        """Fresh network over the same geometry, bound to ``engine``.
-
-        The sharded PDES runtime gives each worker its own instance so
-        no dict is ever mutated from two shards: only the immutable
-        inputs (mapping, params) are shared; every mutable cache starts
-        empty. Link-fault mode is deliberately not carried over — the
-        parallel runtime models chaos at the program layer.
-        """
-        return TorusNetwork(
-            engine,
-            self.mapping,
-            self.params,
-            trace=trace,
-            link_contention=self.link_contention,
-        )
 
     def __getstate__(self) -> dict:
         """Pickle support for shard workers: drop the engine binding and

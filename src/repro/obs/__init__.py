@@ -1,19 +1,20 @@
 """repro.obs — causal span tracing, metrics, export, critical path.
 
 The observability layer the paper's argument needs: *where does the
-time go*? Flat counters (``sim/trace.py``) can say how many fences were
-issued; only causally-linked spans can show that a strided get stalled
-because the target's progress engine was busy computing (the default-
-mode story) or that the async thread serviced it immediately (the AT
-story, Section III-D).
+time go*? Flat counters can say how many fences were issued; only
+causally-linked spans can show that a strided get stalled because the
+target's progress engine was busy computing (the default-mode story) or
+that the async thread serviced it immediately (the AT story, Section
+III-D).
 
 Sub-modules:
 
 - :mod:`repro.obs.span` — :class:`Span` / :class:`Obs`: causal spans
   with parent links that survive the AM request/reply handoff, wait-for
   edges, and per-rank lane bookkeeping.
-- :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket
-  log-scale histograms with deterministic snapshots.
+- :mod:`repro.obs.metrics` — the job's one :class:`MetricsRegistry`:
+  counters, durations, gauges, and fixed-bucket log-scale histograms
+  with deterministic snapshots; every layer records into it.
 - :mod:`repro.obs.export` — Chrome/Perfetto ``trace_event`` JSON,
   flat JSONL span dumps, metrics snapshots; all byte-stable.
 - :mod:`repro.obs.critical_path` — walk the finished span DAG and

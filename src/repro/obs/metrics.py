@@ -1,8 +1,15 @@
-"""Metrics registry: counters, gauges, log-bucket histograms.
+"""The metrics registry: counters, durations, gauges, log-bucket histograms.
 
-Subsumes the ad-hoc ``Trace.samples`` lists: a :class:`Histogram` holds
-a fixed array of bucket counts instead of every observation, so memory
-is O(1) in run length. The bucket scheme is documented and fixed:
+One :class:`MetricsRegistry` per simulated job is the only telemetry
+sink: protocol layers increment counters (messages sent, fences issued,
+cache misses) and accumulate dwell times (time blocked on the
+load-balance counter) in it, ``repro.obs`` records span durations into
+it, and benchmarks and tests read them back to check behaviour, not
+just timing.
+
+A :class:`Histogram` holds a fixed array of bucket counts instead of
+every observation, so memory is O(1) in run length. The bucket scheme
+is documented and fixed:
 
     bucket *i* counts values in ``(2**(i-1), 2**i] * 1 ns``
 
@@ -27,6 +34,7 @@ with sorted keys — safe to ``json.dumps`` deterministically.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 import numpy as np
 
@@ -52,24 +60,33 @@ def bucket_upper_edge(index: int) -> float:
 
 
 class Counter:
-    """Monotonic counter with optional per-rank breakdown."""
+    """Handle on one named counter of a :class:`MetricsRegistry`.
 
-    __slots__ = ("total", "per_rank")
+    The total lives in the registry's flat ``counters`` store (the one
+    per-operation sites add to directly); the handle adds the optional
+    per-rank breakdown.
+    """
 
-    def __init__(self) -> None:
-        self.total = 0
-        self.per_rank: dict[int, int] = {}
+    __slots__ = ("_registry", "_name")
+
+    def __init__(self, registry: "MetricsRegistry", name: str) -> None:
+        self._registry = registry
+        self._name = name
+
+    @property
+    def total(self) -> int:
+        return self._registry.counters.get(self._name, 0)
+
+    @property
+    def per_rank(self) -> dict[int, int]:
+        return self._registry.rank_counters.get(self._name, {})
 
     def incr(self, amount: int = 1, rank: int | None = None) -> None:
-        self.total += amount
+        registry = self._registry
+        registry.counters[self._name] += amount
         if rank is not None:
-            self.per_rank[rank] = self.per_rank.get(rank, 0) + amount
-
-    def merge(self, other: "Counter") -> None:
-        """Fold another counter's totals in (additive, per-rank included)."""
-        self.total += other.total
-        for rank, v in other.per_rank.items():
-            self.per_rank[rank] = self.per_rank.get(rank, 0) + v
+            by_rank = registry.rank_counters.setdefault(self._name, {})
+            by_rank[rank] = by_rank.get(rank, 0) + amount
 
 
 class Gauge:
@@ -249,66 +266,110 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named instruments with deterministic snapshots."""
+    """The one telemetry sink of a simulated job.
+
+    Four kinds of instrument, each keyed by a dotted name:
+
+    - *counters* — event counts (messages sent, fences issued, cache
+      misses), a flat ``defaultdict(int)``; ``incr``/``count`` are the
+      named accessors and :meth:`counter` a handle that also keeps a
+      per-rank breakdown;
+    - *durations* — accumulated simulated seconds (time blocked on the
+      load-balance counter), a flat ``defaultdict(float)``;
+    - *gauges* — last-set values;
+    - *histograms* — distributions in fixed log2 buckets.
+
+    Snapshots are deterministic plain dicts.
+    """
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
+        self.counters: defaultdict[str, int] = defaultdict(int)
+        #: Per-rank breakdown of the counters bumped with ``rank=``.
+        self.rank_counters: dict[str, dict[int, int]] = {}
+        self.durations: defaultdict[str, float] = defaultdict(float)
+        self.gauges: dict[str, Gauge] = {}
+        self.histograms: dict[str, Histogram] = {}
+
+    def incr(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to counter ``name`` (per-operation call sites
+        add to :attr:`counters` directly and skip this call)."""
+        self.counters[name] += amount
+
+    def count(self, name: str) -> int:
+        """Current value of counter ``name`` (0 if never incremented)."""
+        return self.counters.get(name, 0)
+
+    def add_time(self, name: str, seconds: float) -> None:
+        """Accumulate ``seconds`` into duration ``name``."""
+        self.durations[name] += seconds
+
+    def time(self, name: str) -> float:
+        """Accumulated duration ``name`` in seconds (0.0 if never recorded)."""
+        return self.durations.get(name, 0.0)
 
     def counter(self, name: str) -> Counter:
-        c = self._counters.get(name)
-        if c is None:
-            c = self._counters[name] = Counter()
-        return c
+        return Counter(self, name)
 
     def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
+        g = self.gauges.get(name)
         if g is None:
-            g = self._gauges[name] = Gauge()
+            g = self.gauges[name] = Gauge()
         return g
 
     def histogram(self, name: str, keep_raw: bool = False) -> Histogram:
-        h = self._histograms.get(name)
+        h = self.histograms.get(name)
         if h is None:
-            h = self._histograms[name] = Histogram(keep_raw=keep_raw)
+            h = self.histograms[name] = Histogram(keep_raw=keep_raw)
         return h
+
+    def clear(self) -> None:
+        """Drop every instrument."""
+        self.counters.clear()
+        self.rank_counters.clear()
+        self.durations.clear()
+        self.gauges.clear()
+        self.histograms.clear()
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry's instruments in, matched by name.
 
         The per-shard metrics merge of the parallel PDES runtime: each
         shard records into its own registry (no cross-process sharing);
-        the runner merges them into one job-wide view. Counters add,
-        gauges keep the high-water mark, histograms combine buckets.
+        the runner merges them into one job-wide view. Counters and
+        durations add, gauges keep the high-water mark, histograms
+        combine buckets.
         """
-        for name, c in other._counters.items():
-            self.counter(name).merge(c)
-        for name, g in other._gauges.items():
+        for name, v in other.counters.items():
+            self.counters[name] += v
+        for name, by_rank in other.rank_counters.items():
+            mine = self.rank_counters.setdefault(name, {})
+            for rank, v in by_rank.items():
+                mine[rank] = mine.get(rank, 0) + v
+        for name, seconds in other.durations.items():
+            self.durations[name] += seconds
+        for name, g in other.gauges.items():
             self.gauge(name).merge(g)
-        for name, h in other._histograms.items():
+        for name, h in other.histograms.items():
             self.histogram(name, keep_raw=h.keep_raw).merge(h)
 
     def snapshot(self, per_rank: bool = False) -> dict:
         """Point-in-time plain-dict view, keys sorted for stable JSON."""
         out: dict = {
-            "counters": {
-                name: c.total for name, c in sorted(self._counters.items())
-            },
+            "counters": dict(sorted(self.counters.items())),
+            "durations": dict(sorted(self.durations.items())),
             "gauges": {
-                name: g.value for name, g in sorted(self._gauges.items())
+                name: g.value for name, g in sorted(self.gauges.items())
             },
             "histograms": {
                 name: h.summary()
-                for name, h in sorted(self._histograms.items())
+                for name, h in sorted(self.histograms.items())
             },
         }
         if per_rank:
             out["per_rank"] = {
                 "counters": {
-                    name: {str(r): v for r, v in sorted(c.per_rank.items())}
-                    for name, c in sorted(self._counters.items())
-                    if c.per_rank
+                    name: {str(r): v for r, v in sorted(by_rank.items())}
+                    for name, by_rank in sorted(self.rank_counters.items())
                 },
                 "histograms": {
                     name: {
@@ -317,7 +378,7 @@ class MetricsRegistry:
                     }
                     for name, sub in sorted(
                         (n, h.per_rank())
-                        for n, h in self._histograms.items()
+                        for n, h in self.histograms.items()
                     )
                     if sub
                 },

@@ -67,14 +67,9 @@ class ObsConfig:
         ``rt.span(...)`` hands every blocking call the shared no-op
         :data:`NO_SPAN`, and the wire-level sites (PAMI ``record``
         one-liners, ``Handle.wait``) reduce to one ``obs is None`` test.
-    progress_spans:
-        Record a ``progress`` span per non-empty progress-engine drain.
-        They make the main/async lock-contention story visible but are
-        the highest-volume span source; disable for long runs.
     """
 
     enabled: bool = False
-    progress_spans: bool = True
 
 
 @dataclass
@@ -110,16 +105,15 @@ class Obs:
     even while AM handlers interleave with blocked application spans.
     """
 
-    def __init__(self, engine) -> None:
+    def __init__(self, engine, metrics: MetricsRegistry) -> None:
         self.engine = engine
         self.spans: list[Span] = []
         self.edges: list[tuple[int, int]] = []  # (cause span, waiter span)
-        self.metrics = MetricsRegistry()
+        #: The job's registry; span durations land in ``obs.span.*``.
+        self.metrics = metrics
         #: Dispatch-id -> name map for AM service span names (installed
         #: by ArmciJob; obs itself must not import the armci layer).
         self.dispatch_names: dict[int, str] = {}
-        #: Mirror of ``ObsConfig.progress_spans`` (set by the job).
-        self.record_progress_spans = True
         self.truncated_spans = 0
         self._next_id = 1
         self._by_id: dict[int, Span] = {}

@@ -252,7 +252,7 @@ class PamiContext:
         if serviced:
             self.progress_epoch += 1
             obs = self.client.world.obs
-            if obs is not None and obs.record_progress_spans:
+            if obs is not None:
                 from ..obs.span import context_lane
 
                 # Root span (no ambient parent): the async thread's

@@ -7,8 +7,8 @@ from typing import TYPE_CHECKING
 from ..errors import PamiError
 from ..machine.bgq import BGQParams
 from ..machine.network import TorusNetwork
+from ..obs.metrics import MetricsRegistry
 from ..sim.engine import Engine
-from ..sim.trace import Trace
 from ..topology.mapping import RankMapping, abcdet_mapping
 from ..topology.partitions import nodes_for_processes, partition_shape
 from .client import PamiClient
@@ -56,7 +56,6 @@ class PamiWorld:
         max_regions: int | None = None,
         nic_amo_support: bool = False,
         link_contention: bool = False,
-        trace: Trace | None = None,
         engine: Engine | None = None,
         chaos: "ChaosConfig | None" = None,
     ) -> None:
@@ -65,7 +64,9 @@ class PamiWorld:
         self.num_procs = num_procs
         self.params = params if params is not None else BGQParams()
         self.engine = engine if engine is not None else Engine()
-        self.trace = trace if trace is not None else Trace()
+        #: The job's one telemetry sink: every layer of this world
+        #: counts into it, and ``repro.obs`` records span durations there.
+        self.trace = MetricsRegistry()
         if mapping is None:
             # Small jobs fit on fewer slots than a full node offers.
             ppn = min(procs_per_node, num_procs)

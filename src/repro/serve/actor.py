@@ -103,12 +103,9 @@ class ActorSystem:
         #: Workload drivers set this while they still have work pending
         #: that is not yet visible in any queue (e.g. future arrivals).
         self.busy = False
-        job = rt.job
-        if getattr(job, "serve_metrics", None) is None:
-            from ..obs.metrics import MetricsRegistry
-
-            job.serve_metrics = MetricsRegistry()
-        self.metrics = job.serve_metrics
+        #: Request-level instruments (latency histograms) go where the
+        #: job says: its own registry unless another was installed.
+        self.metrics = rt.job.serve_metrics
 
     # ----------------------------------------------------- registration
 
@@ -265,8 +262,8 @@ class ActorSystem:
 
     def _on_wire_flush(self, total_bytes: int, segments: int) -> None:
         """Aggregate-handle observer: batching efficiency dashboards."""
-        self.metrics.counter("serve.wire_bytes").incr(total_bytes)
-        self.metrics.counter("serve.wire_segments").incr(segments)
+        self.rt.trace.incr("serve.wire_bytes", total_bytes)
+        self.rt.trace.incr("serve.wire_segments", segments)
 
     def _sender_lane(self, key: tuple[str, str]):
         lane = self._lanes.get(key)

@@ -412,10 +412,8 @@ def run_kv(
         a.deadline_misses
         for a in list(shard_actors.values()) + list(replica_actors.values())
     )
-    if job.serve_metrics is not None:
-        job.serve_metrics.gauge("serve.duration").set(duration)
-        job.serve_metrics.counter("serve.requests").incr(requests)
-        job.serve_metrics.counter("serve.responses").incr(responses)
+    job.serve_metrics.gauge("serve.duration").set(duration)
+    job.serve_metrics.counter("serve.requests").incr(requests)
     return KvResult(
         num_procs=num_procs,
         num_shards=S,

@@ -12,7 +12,6 @@ from .event import Event
 from .primitives import Delay, WaitAll, WaitAny, WaitEvent
 from .process import SimProcess
 from .resources import Lock, Queue, Semaphore
-from .trace import Trace
 
 __all__ = [
     "Delay",
@@ -22,7 +21,6 @@ __all__ = [
     "Queue",
     "Semaphore",
     "SimProcess",
-    "Trace",
     "WaitAll",
     "WaitAny",
     "WaitEvent",

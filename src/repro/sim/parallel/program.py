@@ -103,8 +103,8 @@ class ShardRuntime:
         engine: Engine,
         network,
         programs: dict[int, RankProgram],
+        metrics,
         chaos: ChaosSpec | None = None,
-        metrics=None,
     ) -> None:
         self.shard_id = shard_id
         self.plan = plan
@@ -113,6 +113,10 @@ class ShardRuntime:
         self.programs = programs
         self.chaos = chaos
         self.metrics = metrics
+        # Per-rank views of ``delivered`` / ``dropped`` for the merged
+        # registry; the handles are taken once, off the per-message path.
+        self._delivered_by_rank = metrics.counter("pdes.delivered")
+        self._dropped_by_rank = metrics.counter("pdes.dropped")
         self.lo = plan.bounds[shard_id]
         self.hi = plan.bounds[shard_id + 1]
         self.delivered = 0
@@ -162,8 +166,7 @@ class ShardRuntime:
         seq = self.next_seq(src)
         if self._roll_drop(src, dst, seq):
             self.dropped += 1
-            if self.metrics is not None:
-                self.metrics.counter("pdes.dropped").incr(rank=src)
+            self._dropped_by_rank.incr(rank=src)
             return
         deliver = self.network.packet_arrival(src, dst)
         self._route((deliver, dst, src, seq, kind, payload))
@@ -181,8 +184,7 @@ class ShardRuntime:
         seq = self.next_seq(src)
         if self._roll_drop(src, dst, seq):
             self.dropped += 1
-            if self.metrics is not None:
-                self.metrics.counter("pdes.dropped").incr(rank=src)
+            self._dropped_by_rank.incr(rank=src)
             return
         deliver = self.network.put_timing(src, dst, nbytes).deliver
         self._route((deliver, dst, src, seq, kind, payload))
@@ -236,8 +238,7 @@ class ShardRuntime:
         v = time_bits ^ (src * _K_SRC) ^ (seq * _K_SEQ) ^ self._kind_code(kind)
         self._digest[dst] = _mix64(self._digest.get(dst, 0), v & 0xFFFFFFFFFFFFFFFF)
         self.delivered += 1
-        if self.metrics is not None:
-            self.metrics.counter("pdes.delivered").incr(rank=dst)
+        self._delivered_by_rank.incr(rank=dst)
         self.programs[dst].on_message(self, msg)
 
     # ----------------------------------------------------------- summary

@@ -135,8 +135,7 @@ def _worker_main(
     """
     try:
         worker = ShardWorker(
-            shard_id, plan, factory, mapping, params,
-            chaos=chaos, metrics=MetricsRegistry(),
+            shard_id, plan, factory, mapping, params, chaos=chaos
         )
         worker.bootstrap()
         _flush_to_rings(worker, plan.lookahead, rings)
@@ -246,10 +245,7 @@ def _run_inline(
         if i != j
     }
     workers = [
-        ShardWorker(
-            s, plan, factory, mapping, params,
-            chaos=chaos, metrics=MetricsRegistry(),
-        )
+        ShardWorker(s, plan, factory, mapping, params, chaos=chaos)
         for s in range(shards)
     ]
     for w in workers:
@@ -310,10 +306,7 @@ def run_program(
 
     start = time_mod.perf_counter()
     if mode == "single":
-        worker = ShardWorker(
-            0, plan, factory, mapping, params,
-            chaos=chaos, metrics=MetricsRegistry(),
-        )
+        worker = ShardWorker(0, plan, factory, mapping, params, chaos=chaos)
         worker.bootstrap()
         worker.run_to_completion()
         reports = [worker.summary()]
@@ -332,8 +325,7 @@ def run_program(
     for rep in reports:
         digests.update(rep["digests"])
         results.update(rep["results"])
-        if rep["metrics"] is not None:
-            metrics.merge(rep["metrics"])
+        metrics.merge(rep["metrics"])
         delivered += rep["delivered"]
         dropped += rep["dropped"]
         events += rep["events_executed"]

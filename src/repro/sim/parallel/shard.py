@@ -23,6 +23,7 @@ from typing import Any, Callable
 from ...errors import PdesError
 from ...machine.bgq import BGQParams
 from ...machine.network import TorusNetwork
+from ...obs.metrics import MetricsRegistry
 from ...topology.mapping import RankMapping
 from ..engine import Engine
 from .partition import ShardPlan
@@ -42,15 +43,17 @@ class ShardWorker:
         mapping: RankMapping,
         params: BGQParams,
         chaos: ChaosSpec | None = None,
-        metrics=None,
     ) -> None:
         self.shard_id = shard_id
         self.plan = plan
         self.engine = Engine()
         # A private network instance per shard: the FIFO clocks and memo
         # caches in TorusNetwork are mutable, and sharing them across
-        # shards is exactly the leak the shard-safety test forbids.
-        network = TorusNetwork(self.engine, mapping, params)
+        # shards is exactly the leak the shard-safety test forbids. The
+        # registry the network (``net.*``) and the runtime (``pdes.*``)
+        # count into is per shard for the same reason; the runner merges.
+        metrics = MetricsRegistry()
+        network = TorusNetwork(self.engine, mapping, params, metrics)
         programs = {rank: factory(rank) for rank in plan.ranks_of(shard_id)}
         self.rt = ShardRuntime(
             shard_id, plan, self.engine, network, programs,

@@ -94,7 +94,7 @@ def _finish(
         policy=policy.describe() if policy is not None else "none",
         digest=engine.schedule_digest,
         decisions=getattr(policy, "_issued", 0),
-        counters=trace.snapshot(),
+        counters=dict(trace.counters) if trace is not None else {},
         oracle=oracle,
         obs=obs,
         failures=failures,
@@ -424,15 +424,9 @@ def target_scf(
     if oracle is None:  # init itself failed
         oracle = HappensBeforeOracle(p)
     job = holder.get("job")
-    trace = job.trace if job is not None else None
-
-    class _EmptyTrace:
-        @staticmethod
-        def snapshot() -> dict[str, int]:
-            return {}
-
     return _finish(
-        "scf", seed, engine, oracle, trace or _EmptyTrace, failures,
+        "scf", seed, engine, oracle,
+        job.trace if job is not None else None, failures,
         obs=job.obs if job is not None else None,
     )
 
@@ -501,15 +495,9 @@ def target_kv(
     if oracle is None:  # init itself failed
         oracle = HappensBeforeOracle(p)
     job = holder.get("job")
-
-    class _EmptyTrace:
-        @staticmethod
-        def snapshot() -> dict[str, int]:
-            return {}
-
     return _finish(
         "kv", seed, engine, oracle,
-        job.trace if job is not None else _EmptyTrace, failures,
+        job.trace if job is not None else None, failures,
         obs=job.obs if job is not None else None,
     )
 

@@ -9,7 +9,8 @@ from repro.armci.endpoints import EndpointCache
 from repro.armci.region_cache import RegionCache
 from repro.armci.handles import Handle
 from repro.pami.memregion import MemoryRegion
-from repro.sim import Engine, Trace
+from repro.obs.metrics import MetricsRegistry
+from repro.sim import Engine
 
 #: Conformance suite: every test in this module runs once per backend
 #: (the ``backend`` fixture re-points ``repro.transport.DEFAULT_BACKEND``).
@@ -109,7 +110,7 @@ class TestConsistencyTrackers:
 class TestEndpointCache:
     def test_creation_cost_charged_once_per_destination(self):
         eng = Engine()
-        cache = EndpointCache(0, create_time=0.3e-6, trace=Trace())
+        cache = EndpointCache(0, create_time=0.3e-6, trace=MetricsRegistry())
 
         def body():
             yield from cache.get(5)
@@ -126,7 +127,7 @@ class TestEndpointCache:
 
     def test_space_matches_eq3(self):
         eng = Engine()
-        cache = EndpointCache(0, create_time=0.0, trace=Trace())
+        cache = EndpointCache(0, create_time=0.0, trace=MetricsRegistry())
 
         def body():
             for dst in range(100):
@@ -142,14 +143,14 @@ class TestRegionCache:
         return MemoryRegion(rank, base, nbytes, rid)
 
     def test_lookup_hit_and_miss(self):
-        cache = RegionCache(capacity=4, trace=Trace())
+        cache = RegionCache(capacity=4, trace=MetricsRegistry())
         cache.insert(self._region(1, 0x1000))
         assert cache.lookup(1, 0x1800, 64) is not None
         assert cache.lookup(1, 0x9000, 64) is None
         assert cache.lookup(2, 0x1800, 64) is None
 
     def test_lfu_evicts_least_frequently_used(self):
-        cache = RegionCache(capacity=2, trace=Trace())
+        cache = RegionCache(capacity=2, trace=MetricsRegistry())
         hot = self._region(1, 0x1000)
         cold = self._region(2, 0x1000)
         cache.insert(hot)
@@ -162,7 +163,7 @@ class TestRegionCache:
         assert cache.lookup(2, 0x1000, 8) is None
 
     def test_lfu_tie_breaks_by_age(self):
-        cache = RegionCache(capacity=2, trace=Trace())
+        cache = RegionCache(capacity=2, trace=MetricsRegistry())
         first = self._region(1, 0x1000)
         second = self._region(2, 0x1000)
         cache.insert(first)
@@ -172,7 +173,7 @@ class TestRegionCache:
         assert cache.lookup(1, 0x1000, 8) is None
 
     def test_duplicate_insert_counts_frequency(self):
-        cache = RegionCache(capacity=2, trace=Trace())
+        cache = RegionCache(capacity=2, trace=MetricsRegistry())
         r = self._region(1, 0x1000)
         cache.insert(r)
         cache.insert(r)
@@ -180,7 +181,7 @@ class TestRegionCache:
         assert cache.frequency(1, 0x1000) == 2
 
     def test_unbounded_cache_never_evicts(self):
-        trace = Trace()
+        trace = MetricsRegistry()
         cache = RegionCache(capacity=None, trace=trace)
         for i in range(100):
             cache.insert(self._region(i, 0x1000))
@@ -188,14 +189,14 @@ class TestRegionCache:
         assert trace.count("armci.region_cache_evictions") == 0
 
     def test_space_matches_eq5_term(self):
-        cache = RegionCache(capacity=None, trace=Trace())
+        cache = RegionCache(capacity=None, trace=MetricsRegistry())
         for i in range(10):
             cache.insert(self._region(i, 0x1000))
         assert cache.space_bytes(gamma=8) == 80
 
     def test_invalid_capacity(self):
         with pytest.raises(ArmciError):
-            RegionCache(capacity=0, trace=Trace())
+            RegionCache(capacity=0, trace=MetricsRegistry())
 
 
 class TestHandles:

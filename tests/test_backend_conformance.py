@@ -453,7 +453,6 @@ class TestOneOpBracket:
 
     def test_spans_are_opened_by_the_bracket(self):
         import repro.gax
-        import repro.mpilike
         import repro.recover
         import repro.serve
         import repro.transport
@@ -462,7 +461,7 @@ class TestOneOpBracket:
         # category) or opens it back-dated on another rank's behalf.
         assert self._callers_of(
             "begin", repro.armci, repro.pami, repro.gax, repro.recover,
-            repro.serve, repro.transport, repro.mpilike,
+            repro.serve, repro.transport,
         ) == {"handles.py:wait", "activemsg.py:execute"}
 
     def test_the_gantt_is_only_a_view(self):

@@ -9,6 +9,7 @@ import pytest
 
 from repro.armci import ArmciConfig, ArmciJob
 from repro.machine import BGQParams, TorusNetwork
+from repro.obs.metrics import MetricsRegistry
 from repro.pami import PamiWorld
 from repro.sim import Engine
 from repro.topology import RankMapping, Torus
@@ -22,7 +23,8 @@ def ring_mapping(nodes: int) -> RankMapping:
 def make_net(nodes=8, contention=True):
     eng = Engine()
     return eng, TorusNetwork(
-        eng, ring_mapping(nodes), BGQParams(), link_contention=contention
+        eng, ring_mapping(nodes), BGQParams(), MetricsRegistry(),
+        link_contention=contention,
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ReproError
 from repro.machine import BGQParams, NodeResources, TorusNetwork
 from repro.machine.node import NodeOversubscribedError
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Engine
 from repro.topology import RankMapping, Torus, abcdet_mapping
 
@@ -17,7 +18,7 @@ def params():
 def make_network(dims=(2, 2, 4, 4, 2), ppn=16):
     eng = Engine()
     mapping = abcdet_mapping(dims, ppn)
-    return eng, TorusNetwork(eng, mapping, BGQParams())
+    return eng, TorusNetwork(eng, mapping, BGQParams(), MetricsRegistry())
 
 
 class TestBGQParams:

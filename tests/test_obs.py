@@ -1,7 +1,10 @@
 """Unit tests for the repro.obs subsystem: spans, metrics, exporters,
 and critical-path analysis."""
 
+import importlib.util
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +34,8 @@ from repro.obs.span import NO_SPAN, Obs, OpenSpan, Span, context_lane
 from repro.sim.engine import Engine
 from repro.util.timeline import intervals
 
+REPO = Path(__file__).resolve().parent.parent
+
 
 class FakeEngine:
     """Just enough engine for Obs: a settable clock."""
@@ -41,7 +46,7 @@ class FakeEngine:
 
 @pytest.fixture
 def obs():
-    return Obs(FakeEngine())
+    return Obs(FakeEngine(), MetricsRegistry())
 
 
 class TestSpans:
@@ -253,10 +258,15 @@ class TestMetrics:
             assert v > bucket_upper_edge(i - 1)
 
     def test_counter_and_gauge_per_rank(self):
-        c = Counter()
+        reg = MetricsRegistry()
+        c = reg.counter("ops")
+        assert isinstance(c, Counter) and c.total == 0 and c.per_rank == {}
+        assert "ops" not in reg.counters  # a handle alone creates nothing
         c.incr()
         c.incr(4, rank=2)
-        assert c.total == 5
+        reg.incr("ops", 2)  # the flat store and the handle are one counter
+        reg.counters["ops"] += 1
+        assert c.total == reg.count("ops") == 8
         assert c.per_rank == {2: 4}
         g = Gauge()
         g.set(1.5, rank=0)
@@ -297,12 +307,42 @@ class TestMetrics:
         assert set(a.per_rank()) == {0, 1}
         assert a.per_rank()[1].count == 1
 
+    def test_counts_and_durations_read_zero_until_recorded(self):
+        reg = MetricsRegistry()
+        assert reg.count("armci.fences") == 0
+        assert reg.time("armci.rmw_wait_time") == 0.0
+        assert not reg.counters and not reg.durations  # reads create nothing
+        reg.incr("armci.fences")
+        reg.incr("net.put.bytes", 64)
+        reg.add_time("armci.rmw_wait_time", 1.5e-6)
+        reg.add_time("armci.rmw_wait_time", 0.5e-6)
+        assert reg.count("armci.fences") == 1
+        assert reg.count("net.put.bytes") == 64
+        assert reg.time("armci.rmw_wait_time") == pytest.approx(2e-6)
+
+    def test_registry_histogram_series(self):
+        # Default: buckets only (O(1) memory), no raw retention.
+        reg = MetricsRegistry()
+        reg.histogram("lat").record(1.0)
+        reg.histogram("lat").record(2.0)
+        assert reg.histogram("lat").raw == []
+        summary = reg.snapshot()["histograms"]["lat"]
+        assert summary["count"] == 2
+        assert summary["min"] == 1.0 and summary["max"] == 2.0
+        assert summary["sum"] == pytest.approx(3.0)
+        # Raw retention is per histogram, chosen by whoever creates it.
+        reg.histogram("exact", keep_raw=True).record(1.0)
+        reg.histogram("exact").record(2.0)
+        assert reg.histogram("exact").raw == [1.0, 2.0]
+
     def test_registry_merge(self):
         a = MetricsRegistry()
         b = MetricsRegistry()
         a.counter("ops").incr(2, rank=0)
         b.counter("ops").incr(3, rank=5)
         b.counter("only_b").incr(7)
+        a.add_time("wait", 1.0)
+        b.add_time("wait", 2.0)
         a.gauge("high").set(1.5)
         b.gauge("high").set(4.5, rank=5)
         a.histogram("lat").record(1e-6)
@@ -311,6 +351,7 @@ class TestMetrics:
         assert a.counter("ops").total == 5
         assert a.counter("ops").per_rank == {0: 2, 5: 3}
         assert a.counter("only_b").total == 7
+        assert a.time("wait") == 3.0
         assert a.gauge("high").value == 4.5
         assert a.histogram("lat").count == 2
 
@@ -319,9 +360,11 @@ class TestMetrics:
         reg.counter("b").incr(2, rank=1)
         reg.counter("a").incr()
         reg.gauge("depth").set(3.0)
+        reg.add_time("wait", 2e-6)
         reg.histogram("lat").record(5e-6, rank=1)
         snap = reg.snapshot(per_rank=True)
         assert list(snap["counters"]) == ["a", "b"]
+        assert snap["durations"] == {"wait": 2e-6}
         assert snap["per_rank"]["counters"]["b"] == {"1": 2}
         assert snap["per_rank"]["histograms"]["lat"]["1"]["count"] == 1
         text = json.dumps(snap, sort_keys=True)
@@ -662,3 +705,127 @@ class TestJobIntegration:
                 dumps_perfetto(job.obs.finished(), job.obs.edges)
             )
         assert payloads[0] == payloads[1]
+
+
+class TestOneTelemetrySink:
+    """Regrowth guard: a job has one metrics registry and every fact in
+    it is counted once, under one name."""
+
+    SRC = REPO / "src" / "repro"
+
+    def test_trace_module_is_gone(self):
+        import repro.sim
+
+        assert not (self.SRC / "sim" / "trace.py").exists()
+        assert not hasattr(repro.sim, "Trace")
+        stale = re.compile(
+            r"^\s*(class Trace\b|(from|import)\s.*(\bTrace\b|\bsim\.trace\b))", re.M
+        )
+        for tree in ("src", "tests", "benchmarks", "examples", "tools"):
+            for path in (REPO / tree).rglob("*.py"):
+                assert not stale.search(path.read_text()), path
+
+    def test_registries_are_built_in_two_places(self):
+        # Where a job's world is built, and in sim/parallel (one per
+        # shard, one merge target) — a layer that builds its own is a
+        # second sink.
+        builders = sorted(
+            str(path.relative_to(self.SRC))
+            for path in self.SRC.rglob("*.py")
+            if "MetricsRegistry(" in path.read_text()
+        )
+        assert builders == [
+            "pami/world.py", "sim/parallel/runner.py", "sim/parallel/shard.py",
+        ]
+
+    def test_obs_and_serving_record_into_the_jobs_registry(self):
+        config = ArmciConfig.async_thread_mode(obs=ObsConfig(enabled=True))
+        job = ArmciJob(2, procs_per_node=2, config=config)
+        assert job.obs.metrics is job.trace is job.world.trace
+        assert job.world.network.trace is job.trace
+        assert job.serve_metrics is job.trace
+        job.init()
+        job.run(TestJobIntegration()._body)
+        snap = job.trace.snapshot(per_rank=True)
+        # One snapshot holds every layer: wire counters, dwell times and
+        # the span histograms obs used to keep to itself.
+        assert snap["counters"]["pami.rdma_puts"] == 1
+        assert snap["durations"]["armci.rmw_wait_time"] > 0
+        assert snap["histograms"]["obs.span.fence"]["count"] >= 1
+        # AT mode: one name for the async thread's work, broken down by
+        # rank; the obs.* twin is gone.
+        serviced = snap["per_rank"]["counters"]["armci.async_thread_serviced"]
+        assert sum(serviced.values()) > 0
+        assert sum(serviced.values()) == snap["counters"]["armci.async_thread_serviced"]
+        assert not [n for n in snap["counters"] if n.startswith("obs.")]
+
+
+def _ledger_counters():
+    """``benchmarks/ledger/counters.py``, imported read-only by path."""
+    path = REPO / "benchmarks" / "ledger" / "counters.py"
+    spec = importlib.util.spec_from_file_location("ledger_counters", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestLedgerReads:
+    """The reads ``benchmarks/ledger/`` makes of a job's telemetry.
+
+    The ledger may not be edited and tier-1 does not collect it, so a
+    telemetry change that turns its per-layer metrics to ``null`` (a
+    name in ``missing``) or fails every ``kv_*`` operation has to be
+    caught here.
+    """
+
+    def test_rma_job_leaves_nothing_missing(self):
+        job = ArmciJob(2, procs_per_node=2, config=ArmciConfig())
+        job.init()
+
+        def body(rt):
+            alloc = yield from rt.malloc(64)
+            if rt.rank == 0:
+                buf = rt.world.space(0).allocate(64)
+                yield from rt.put(1, buf, alloc.addr(1), 64)
+                yield from rt.get(1, buf, alloc.addr(1), 64)
+                yield from rt.rmw(1, alloc.addr(1), "fetch_add", 1)
+            yield from rt.barrier()
+
+        job.run(body)
+        reader = _ledger_counters().CounterReader()
+        snap = reader.snapshot(job, job.engine)
+        assert reader.missing == []
+        assert snap["armci.put_rdma"] == snap["armci.get_rdma"] == 1
+        assert snap["armci.rmws"] == 1
+        assert snap["sim.events"] > 0
+        assert snap["serve.requests"] == 0 and snap["obs.spans"] == 0
+
+    def test_kv_fills_the_registry_installed_in_on_job(self):
+        from repro.serve import ClientLoadConfig, KvConfig, run_kv
+
+        jobs = []
+
+        def on_job(job):
+            # What benchmarks/ledger/workloads.py::_kv does.
+            job.serve_metrics = MetricsRegistry()
+            job.serve_metrics.histogram("serve.latency", keep_raw=True)
+            jobs.append(job)
+
+        load = ClientLoadConfig(
+            num_clients=64, requests_per_client=2, rate=8e6,
+            arrival="poisson", seed=3,
+        )
+        result = run_kv(
+            6, load=load, kv_config=KvConfig(num_shards=2),
+            procs_per_node=3, on_job=on_job,
+        )
+        (job,) = jobs
+        installed = job.serve_metrics
+        assert result.responses == result.requests == 128
+        assert len(installed.histogram("serve.latency").raw) == result.responses
+        assert installed.counter("serve.requests").total == result.requests
+        reader = _ledger_counters().CounterReader()
+        snap = reader.snapshot(job, job.engine)
+        assert reader.missing == []
+        assert snap["serve.requests"] == result.requests
+        assert snap["serve.wire_flushes"] > 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import PamiError
 from repro.machine import BGQParams, TorusNetwork
+from repro.obs.metrics import MetricsRegistry
 from repro.pami import PamiWorld
 from repro.sim import Engine
 from repro.topology import RankMapping, Torus
@@ -40,7 +41,7 @@ class TestNetworkEdgeCases:
     def _net(self, **kwargs):
         eng = Engine()
         mapping = RankMapping(Torus((4, 1, 1, 1, 1)), 1, order="ABCDET")
-        return eng, TorusNetwork(eng, mapping, BGQParams(), **kwargs)
+        return eng, TorusNetwork(eng, mapping, BGQParams(), MetricsRegistry(), **kwargs)
 
     def test_injection_fifo_shared_across_destinations(self):
         """One source's messages to different targets serialize at its

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import PdesError, SimulationError
 from repro.machine.bgq import BGQParams
 from repro.machine.network import TorusNetwork
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.sim.parallel import (
     ChaosSpec,
@@ -19,6 +20,7 @@ from repro.sim.parallel import (
 )
 from repro.sim.parallel.partition import LOOKAHEAD_SAFETY
 from repro.sim.parallel.runner import mapping_for_ranks
+from repro.sim.parallel.shard import ShardWorker
 from repro.topology.mapping import abcdet_mapping
 from repro.topology.partitions import partition_shape
 
@@ -207,41 +209,54 @@ class TestNetworkShardSafety:
         self.mapping = abcdet_mapping(partition_shape(8), 16)
         self.params = BGQParams()
 
+    def _net(self):
+        return TorusNetwork(Engine(), self.mapping, self.params, MetricsRegistry())
+
     def _traffic(self, net):
         net.put_timing(0, 20, 4096)
         net.get_timing(0, 40, 512)
         net.packet_arrival(3, 90)
 
+    def _shard_networks(self):
+        """The networks two shard workers of one run build."""
+        n = self.mapping.num_ranks
+        plan = plan_shards(self.mapping, 2, self.params, num_ranks=n)
+        factory = make_factory("clique", n, ops=1, seed=1)
+        return [
+            ShardWorker(s, plan, factory, self.mapping, self.params).rt.network
+            for s in range(2)
+        ]
+
     def test_clones_share_no_cache_state(self):
-        base = TorusNetwork(Engine(), self.mapping, self.params)
-        a = base.shard_clone(Engine())
-        b = base.shard_clone(Engine())
+        a, b = self._shard_networks()
         self._traffic(a)
         # a's FIFO clocks and memo caches moved; b's must be untouched.
         assert a._inject_free and a._hops_cache and a._node_cache
         for name in TorusNetwork._MUTABLE_CACHES:
             assert getattr(b, name) == {}, f"{name} leaked between shards"
-            assert getattr(base, name) == {}, f"{name} leaked to the template"
+        # Each shard counts into its own registry (merged by the runner).
+        assert a.trace.count("net.put.messages") == 1
+        assert a.trace is not b.trace and not b.trace.counters
         # Immutable inputs are genuinely shared, not copied.
-        assert a.mapping is b.mapping is base.mapping
-        assert a.params is b.params is base.params
+        assert a.mapping is b.mapping is self.mapping
+        assert a.params is b.params is self.params
 
     def test_clone_timing_matches_fresh_instance(self):
-        a = TorusNetwork(Engine(), self.mapping, self.params)
-        b = TorusNetwork(Engine(), self.mapping, self.params).shard_clone(Engine())
+        a = self._net()
+        b = self._shard_networks()[1]
         ta = a.put_timing(0, 20, 4096)
         tb = b.put_timing(0, 20, 4096)
         assert ta == tb
 
     def test_clear_caches(self):
-        net = TorusNetwork(Engine(), self.mapping, self.params)
+        net = self._net()
         self._traffic(net)
         net.clear_caches()
         for name in TorusNetwork._MUTABLE_CACHES:
             assert getattr(net, name) == {}
 
     def test_pickle_drops_engine_and_caches(self):
-        net = TorusNetwork(Engine(), self.mapping, self.params)
+        net = self._net()
         self._traffic(net)
         clone = pickle.loads(pickle.dumps(net))
         assert clone.engine is None
@@ -279,6 +294,22 @@ class TestRunner:
         snap = r.metrics.snapshot(per_rank=True)
         assert snap["counters"]["pdes.delivered"] == r.delivered
         assert len(snap["per_rank"]["counters"]["pdes.delivered"]) == n
+
+    @pytest.mark.parametrize("workload", ["clique", "halo", "scf_lite"])
+    def test_network_counters_equal_at_every_shard_count(self, workload):
+        # net.* is counted where a message is injected (the source
+        # rank's shard), so the merged totals cannot depend on the cut.
+        n = 64
+        names = ("net.put.messages", "net.put.bytes", "net.control.messages")
+        totals = []
+        for shards in (1, 2, 4):
+            r = run_program(
+                make_factory(workload, n, seed=3), n, shards=shards,
+                mode="single" if shards == 1 else "inline",
+            )
+            totals.append({name: r.metrics.count(name) for name in names})
+        assert totals[0] == totals[1] == totals[2]
+        assert sum(totals[0].values()) > 0
 
     def test_chaos_requires_valid_spec(self):
         with pytest.raises(PdesError):

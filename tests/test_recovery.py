@@ -30,7 +30,7 @@ from repro.recover import RecoveryConfig, RecoveryManager, choose_buddy
 from repro.recover.barrier import RESTART, RecoveryRendezvous
 from repro.recover.manager import _dirty_fragments
 from repro.sim.engine import Engine
-from repro.sim.trace import Trace
+from repro.obs.metrics import MetricsRegistry
 from repro.types import StridedDescriptor, StridedShape
 from repro.armci.vector import IoVector
 
@@ -324,7 +324,7 @@ class TestDirtyFragments:
 class TestRendezvous:
     def _fresh(self, n=2):
         engine = Engine()
-        return engine, RecoveryRendezvous(engine, n, 1e-6, Trace())
+        return engine, RecoveryRendezvous(engine, n, 1e-6, MetricsRegistry())
 
     def test_release_hands_out_generation(self):
         engine, rv = self._fresh()
@@ -458,7 +458,7 @@ class TestReplication:
             yield from rt.fence_all()
 
         job.run(body)
-        snapshot = job.trace.snapshot()
+        snapshot = dict(job.trace.counters)
         assert not any(k.startswith("recover.") for k in snapshot)
 
 

@@ -27,7 +27,7 @@ from repro.errors import (
     TransientFaultError,
 )
 from repro.pami.memregion import MemoryRegion, MemoryRegionRegistry
-from repro.sim.trace import Trace
+from repro.obs.metrics import MetricsRegistry
 
 
 def make_job(num_procs=2, config=None, fault_plan=None, **kw):
@@ -318,7 +318,7 @@ class TestRegionCachePins:
         return MemoryRegion(rank=1, base=base, nbytes=64, region_id=rid)
 
     def test_pinned_entry_survives_eviction(self):
-        cache = RegionCache(capacity=2, trace=Trace())
+        cache = RegionCache(capacity=2, trace=MetricsRegistry())
         a, b, c = (self._region(i * 4096, i) for i in range(3))
         cache.insert(a)
         cache.insert(b)
@@ -330,7 +330,7 @@ class TestRegionCachePins:
         assert cache.pinned(1, a.base) == 1
 
     def test_all_pinned_overflows_capacity(self):
-        trace = Trace()
+        trace = MetricsRegistry()
         cache = RegionCache(capacity=2, trace=trace)
         a, b, c = (self._region(i * 4096, i) for i in range(3))
         cache.insert(a)
@@ -342,7 +342,7 @@ class TestRegionCachePins:
         assert trace.count("armci.region_cache_pinned_overflow") == 1
 
     def test_unpin_restores_evictability(self):
-        cache = RegionCache(capacity=1, trace=Trace())
+        cache = RegionCache(capacity=1, trace=MetricsRegistry())
         a, b = (self._region(i * 4096, i) for i in range(2))
         cache.insert(a)
         cache.pin(a)
@@ -355,7 +355,7 @@ class TestRegionCachePins:
         assert cache.lookup(1, b.base, 64) is b
 
     def test_budget_bound_insert_leaves_handle_uncached_when_full(self):
-        trace = Trace()
+        trace = MetricsRegistry()
         registry = MemoryRegionRegistry(0, create_time=43e-6, max_regions=1)
         assert registry.reserve()  # someone else owns the only slot
         cache = RegionCache(capacity=4, trace=trace, budget_registry=registry)
@@ -365,7 +365,7 @@ class TestRegionCachePins:
 
     def test_eviction_releases_budget_slot(self):
         registry = MemoryRegionRegistry(0, create_time=43e-6, max_regions=2)
-        cache = RegionCache(capacity=4, trace=Trace(), budget_registry=registry)
+        cache = RegionCache(capacity=4, trace=MetricsRegistry(), budget_registry=registry)
         cache.insert(self._region(0, 0))
         cache.insert(self._region(4096, 1))
         assert registry.available == 0

@@ -398,5 +398,10 @@ class TestReport:
             yield from rt.barrier()
 
         job.run(body)
-        assert job.serve_metrics is None
         assert "serving" not in job.report()
+        # No second sink, and rendering the report created no instrument.
+        assert job.serve_metrics is job.trace
+        snap = job.trace.snapshot(per_rank=True)
+        names = [n for section in ("counters", "durations", "gauges", "histograms")
+                 for n in snap[section]]
+        assert names and not [n for n in names if n.startswith(("serve.", "kv."))]

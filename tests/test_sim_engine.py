@@ -335,30 +335,6 @@ def test_wait_any_other_events_reusable():
     assert eng.run_until_complete([proc]) == [(2.0, "done")]
 
 
-def test_trace_sample_series():
-    from repro.sim import Trace
-
-    # Default: histogram-only (O(1) memory), no raw retention.
-    trace = Trace()
-    trace.sample("lat", 1.0)
-    trace.sample("lat", 2.0)
-    assert trace.samples == {}
-    summary = trace.sample_summary("lat")
-    assert summary["count"] == 2
-    assert summary["min"] == 1.0 and summary["max"] == 2.0
-    assert summary["sum"] == pytest.approx(3.0)
-    trace.clear()
-    assert trace.sample_summary("lat") == {}
-
-    # Opt-in raw retention restores exact series access.
-    trace = Trace(keep_raw_samples=True)
-    trace.sample("lat", 1.0)
-    trace.sample("lat", 2.0)
-    assert trace.samples["lat"] == [1.0, 2.0]
-    trace.clear()
-    assert not trace.samples
-
-
 # ------------------------------------------------- schedule policies
 
 

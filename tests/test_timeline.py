@@ -4,7 +4,7 @@ import pytest
 
 from repro.armci import ArmciConfig, ArmciJob, ObsConfig
 from repro.obs.span import Span
-from repro.sim.trace import Trace
+from repro.obs.metrics import MetricsRegistry
 from repro.util import intervals, render_timeline
 from repro.util.timeline import Interval
 
@@ -25,12 +25,13 @@ class TestTraceIntervals:
         assert intervals(spans) == [Interval("r0", "compute", 0.0, 1.0)]
 
     def test_clear_resets(self):
-        trace = Trace()
-        trace.incr("armci.fences")
+        trace = MetricsRegistry()
+        trace.counter("armci.fences").incr(rank=0)
         trace.add_time("armci.compute_time", 1.0)
-        trace.sample("latency", 2.0)
+        trace.gauge("serve.duration").set(1.0)
+        trace.histogram("latency").record(2.0)
         trace.clear()
-        assert not trace.counters and not trace.durations and not trace.histograms
+        assert trace.snapshot(per_rank=True) == MetricsRegistry().snapshot(per_rank=True)
 
 
 class TestRenderTimeline:
