@@ -127,6 +127,8 @@ def demo_crash_failover() -> None:
         "drawing (at-least-once around the crash window; no undrawn task "
         "was skipped)"
     )
+    print("\nwhat the runtime did in the crash run (job.report()):\n")
+    print(job.report())
 
 
 def main() -> None:

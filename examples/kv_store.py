@@ -73,11 +73,14 @@ def main() -> None:
     r = run_kv(
         PROCS, load=load(3), kv_config=KvConfig(num_shards=2),
         procs_per_node=PROCS, fault_plan=FaultPlan().crash(1, at=6e-3),
+        on_job=jobs.append,
     )
     show("crash", r)
     assert r.exact and r.failovers >= 1
 
     print("all three runs bit-equal to the golden model")
+    print("\nwhat the runtime did in the crash run (job.report()):\n")
+    print(jobs[-1].report())
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from ...gax.array import GlobalArray
 from ...gax.taskpool import DistributedTaskPool, TaskPool
 from .fock import FockBuildStats, fock_build
 from .molecule import WaterCluster
-from .tasks import fock_task_list, total_work
+from .tasks import fock_task_list
 
 
 @dataclass(frozen=True)
@@ -235,9 +235,3 @@ def run_scf(
         converged=converged,
         per_rank=flat,
     )
-
-
-def ideal_time(scf: ScfConfig, num_procs: int) -> float:
-    """Perfect-balance lower bound for one iteration's compute."""
-    tasks = fock_task_list(scf.nbf, scf.nblocks, scf.task_time)
-    return total_work(tasks) / num_procs

@@ -130,8 +130,3 @@ def fock_task_list(
             tasks.append(FockTask(task_id, i, j, r0, r1, c0, c1, cost))
             task_id += 1
     return tasks
-
-
-def total_work(tasks: list[FockTask]) -> float:
-    """Sum of task compute costs (the perfectly-balanced lower bound)."""
-    return sum(t.cost for t in tasks)

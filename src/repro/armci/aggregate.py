@@ -65,16 +65,6 @@ class AggregateHandle:
     _staged: list[tuple[int, Any]] = field(default_factory=list)
     _flushed: bool = False
 
-    @property
-    def pending_segments(self) -> int:
-        """Number of buffered fragments."""
-        return len(self._staged)
-
-    @property
-    def pending_bytes(self) -> int:
-        """Total buffered payload."""
-        return sum(len(d) for _a, d in self._staged)
-
     def put(self, local_addr: int, remote_addr: int, nbytes: int) -> None:
         """Stage one fragment (non-generator: staging is a local copy).
 

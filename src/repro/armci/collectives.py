@@ -74,26 +74,6 @@ class HardwareBarrier:
         self._failed.discard(rank)
         self._broken_by = min(self._failed) if self._failed else None
 
-    def remove_participant(self, rank: int) -> None:
-        """Shrink the barrier group: ``rank`` stops participating
-        (group-shrink recovery). The current round releases if the dead
-        rank was the only missing arrival."""
-        if self.num_procs <= 1:
-            raise ArmciError("cannot shrink barrier below one participant")
-        self.num_procs -= 1
-        self.note_rank_recovered(rank)
-        self._arrived.discard(rank)
-        event = self._event
-        if (
-            event is not None
-            and self._broken_by is None
-            and len(self._arrived) == self.num_procs
-        ):
-            self._arrived.clear()
-            self._event = None
-            self.rounds_completed += 1
-            self.engine.schedule(self.latency, lambda _a: event.succeed())
-
     def _fail_round(self, event: Event, dead_rank: int) -> None:
         self.rounds_broken += 1
         self._arrived.clear()
@@ -256,7 +236,7 @@ class ReductionBoard:
         #: Reductions actually computed (one per collected round).
         self.rounds_reduced = 0
 
-    def reset(self, num_procs: int | None = None) -> None:
+    def reset(self) -> None:
         """Discard every in-flight round and resynchronize round ids.
 
         Crash recovery calls this at the rollback point: aborted rounds
@@ -267,8 +247,6 @@ class ReductionBoard:
         self._rounds.clear()
         self._reduced.clear()
         self._rank_round.clear()
-        if num_procs is not None:
-            self.num_procs = num_procs
 
     def deposit(self, rank: int, value: float) -> int:
         """Deposit for this rank's next round; returns the round id."""

@@ -60,9 +60,6 @@ class ProcessGroup:
         except ValueError:
             raise ArmciError(f"rank {rank} not in group {self.members}") from None
 
-    def contains(self, rank: int) -> bool:
-        return rank in self.members
-
 
 @dataclass
 class _GroupState:

@@ -57,11 +57,6 @@ class Handle:
             cache.unpin(region)
 
     @property
-    def num_ops(self) -> int:
-        """Number of underlying PAMI operations."""
-        return len(self._events)
-
-    @property
     def complete(self) -> bool:
         """Whether every underlying operation locally completed."""
         return all(ev.triggered for ev in self._events)

@@ -39,11 +39,6 @@ class MutexTable:
         self._check(mutex_id)
         return self._holder[mutex_id]
 
-    def queue_length(self, mutex_id: int) -> int:
-        """Number of queued waiters."""
-        self._check(mutex_id)
-        return len(self._waiters[mutex_id])
-
     def _check(self, mutex_id: int) -> None:
         if mutex_id not in self._holder:
             raise ArmciError(f"mutex {mutex_id} not hosted here")

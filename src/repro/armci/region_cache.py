@@ -190,10 +190,6 @@ class RegionCache:
         for base in list(regions):
             self.invalidate(owner, base)
 
-    def frequency(self, owner: int, base: int) -> int:
-        """Access count of a cached entry (0 if absent)."""
-        return self._freq.get((owner, base), 0)
-
     def space_bytes(self, gamma: int) -> int:
         """Current cache footprint: entries * gamma (Eq. 5 second term)."""
         return self._size * gamma

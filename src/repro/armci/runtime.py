@@ -323,15 +323,6 @@ class ArmciJob:
         self.failure_detector.note_rank_recovered(rank)
         self.processes[rank].reset_for_respawn()
 
-    def shrink_rank(self, rank: int) -> None:
-        """Permanently exclude a dead rank from collectives (non-generator).
-
-        Group-shrink recovery: survivors continue with one fewer
-        participant. The dead rank's memory stays lost; only the
-        collective machinery shrinks.
-        """
-        self.hw_barrier.remove_participant(rank)
-
     def _apply_resource_fault(self, fault) -> None:
         """Inject one scheduled :class:`~repro.chaos.ResourceFault`.
 

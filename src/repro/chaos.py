@@ -11,7 +11,7 @@ This module provides the configuration surface:
 
 - :class:`ChaosConfig` — seeded probabilities for drop / corruption /
   duplication / jitter, optionally restricted to chosen links, plus the
-  detection and transport-retransmit knobs.
+  transport-retransmit knobs.
 - :class:`FaultPlan` — scheduled fail-stop crashes (``rank`` dies at
   simulated time ``t``), composing with the transient model.
 - :class:`ChaosEngine` — the runtime object the PAMI layer consults at
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 from .errors import ReproError
 from .pami.context import PamiContext, WorkItem
-from .pami.faults import FAULT_DETECT_DELAY, TransientFault
+from .pami.faults import TransientFault
 
 #: Valid resource-fault kinds for :class:`ResourceFault`.
 RESOURCE_FAULT_KINDS = ("exhaust_memregions", "stall_progress", "saturate_fifo")
@@ -144,9 +144,6 @@ class ChaosConfig:
     jitter_max: float = 0.0
     #: Restrict injection to these (src, dst) links; None = every link.
     links: frozenset[tuple[int, int]] | None = None
-    #: Delay before the initiator NIC reports a lost request (timeout /
-    #: error-completion path).
-    detect_delay: float = FAULT_DETECT_DELAY
     #: Transport retransmit backoff for cookie-less active messages.
     retransmit_delay: float = 5e-6
     #: Retransmit budget for cookie-less AMs; the final attempt always
@@ -185,8 +182,6 @@ class ChaosConfig:
             )
         if self.jitter_max < 0.0:
             raise ChaosError(f"jitter_max must be >= 0, got {self.jitter_max}")
-        if self.detect_delay < 0.0:
-            raise ChaosError(f"detect_delay must be >= 0, got {self.detect_delay}")
         if self.retransmit_delay <= 0.0:
             raise ChaosError(
                 f"retransmit_delay must be > 0, got {self.retransmit_delay}"
@@ -315,18 +310,6 @@ class FaultPlan:
     def crash(self, rank: int, at: float) -> "FaultPlan":
         """Schedule ``rank`` to fail at simulated time ``at``."""
         self.crashes.append(RankCrash(rank, at))
-        return self
-
-    def crash_each(self, ranks, start: float, spacing: float = 0.0) -> "FaultPlan":
-        """Schedule each of ``ranks`` to fail, ``spacing`` seconds apart.
-
-        The recovery chaos schedules build on this: spacing chosen inside
-        an epoch kills ranks mid-transfer; spacing near an epoch boundary
-        kills them mid-checkpoint. ``spacing=0`` is a simultaneous
-        multi-rank loss (a node failure taking several processes).
-        """
-        for i, rank in enumerate(ranks):
-            self.crash(rank, start + i * spacing)
         return self
 
     def exhaust_memregions(self, rank: int, at: float) -> "FaultPlan":

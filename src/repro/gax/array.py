@@ -68,24 +68,12 @@ class GlobalArray:
         shape: tuple[int, int],
         grid: tuple[int, int] | None = None,
         name: str = "ga",
-        dist: BlockDistribution | None = None,
     ) -> Generator[Any, Any, "GlobalArray"]:
-        """Collective creation (all ranks must call with equal arguments).
-
-        Pass an explicit ``dist`` (e.g. from
-        :meth:`BlockDistribution.from_bounds`) for irregular
-        distributions, GA's ``ga_create_irreg``.
-        """
-        if dist is None:
-            rows, cols = shape
-            if grid is None:
-                grid = default_process_grid(rt.world.num_procs)
-            dist = BlockDistribution(rows, cols, grid[0], grid[1])
-        elif (dist.rows, dist.cols) != tuple(shape):
-            raise GlobalArrayError(
-                f"distribution covers {dist.rows}x{dist.cols}, shape says "
-                f"{shape}"
-            )
+        """Collective creation (all ranks must call with equal arguments)."""
+        rows, cols = shape
+        if grid is None:
+            grid = default_process_grid(rt.world.num_procs)
+        dist = BlockDistribution(rows, cols, grid[0], grid[1])
         if dist.num_procs != rt.world.num_procs:
             raise GlobalArrayError(
                 f"distribution needs {dist.num_procs} procs, job has "
@@ -224,51 +212,6 @@ class GlobalArray:
                 )
         rt.trace.incr("gax.accs")
 
-    # --------------------------------------------------- whole-array ops
-
-    def duplicate(
-        self, rt: "ArmciProcess", name: str | None = None
-    ) -> Generator[Any, Any, "GlobalArray"]:
-        """Collective: a new array with this one's shape and distribution
-        (``ga_duplicate``); contents are not copied."""
-        block_bytes = self.dist.block_rows * self.dist.block_cols * _F64
-        alloc = yield from rt.malloc(block_bytes)
-        rt.trace.incr("gax.arrays_created")
-        return GlobalArray(self.dist, alloc, name or f"{self.name}.dup")
-
-    def copy_from(
-        self, rt: "ArmciProcess", other: "GlobalArray"
-    ) -> Generator[Any, Any, None]:
-        """Collective ``this = other`` (``ga_copy``): same distribution, so
-        every rank copies its own block locally."""
-        if other.dist != self.dist:
-            raise GlobalArrayError(
-                "copy_from requires identical distributions"
-            )
-        self.local_block(rt)[:] = other.local_block(rt)
-        nrows, ncols = self.dist.owner_block(rt.rank).shape
-        yield from rt.compute(nrows * ncols * rt.world.params.acc_flop_time)
-        yield from rt.barrier()
-        rt.trace.incr("gax.copies")
-
-    def add_arrays(
-        self,
-        rt: "ArmciProcess",
-        alpha: float,
-        a: "GlobalArray",
-        beta: float,
-        b: "GlobalArray",
-    ) -> Generator[Any, Any, None]:
-        """Collective ``this = alpha*A + beta*B`` (``ga_add``), same
-        distribution required."""
-        if a.dist != self.dist or b.dist != self.dist:
-            raise GlobalArrayError("add_arrays requires identical distributions")
-        self.local_block(rt)[:] = alpha * a.local_block(rt) + beta * b.local_block(rt)
-        nrows, ncols = self.dist.owner_block(rt.rank).shape
-        yield from rt.compute(2 * nrows * ncols * rt.world.params.acc_flop_time)
-        yield from rt.barrier()
-        rt.trace.incr("gax.adds")
-
     # ------------------------------------------------- collective algebra
 
     def dot(
@@ -293,35 +236,6 @@ class GlobalArray:
         result = yield from rt.allreduce(local, "sum")
         rt.trace.incr("gax.dots")
         return result
-
-    def scale(self, rt: "ArmciProcess", factor: float) -> Generator[Any, Any, None]:
-        """Collective in-place scaling ``A *= factor`` (local blocks)."""
-        self.local_block(rt)[:] *= factor
-        nrows, ncols = self.dist.owner_block(rt.rank).shape
-        yield from rt.compute(nrows * ncols * rt.world.params.acc_flop_time)
-        yield from rt.barrier()
-        rt.trace.incr("gax.scales")
-
-    def symmetrize(self, rt: "ArmciProcess") -> Generator[Any, Any, None]:
-        """Collective ``A = (A + A^T) / 2`` for square arrays.
-
-        Each rank fetches the transpose of its own block with a one-sided
-        strided get, then updates locally.
-        """
-        if self.dist.rows != self.dist.cols:
-            raise GlobalArrayError(
-                f"symmetrize requires a square array, got "
-                f"{self.dist.rows}x{self.dist.cols}"
-            )
-        block = self.dist.owner_block(rt.rank)
-        mirror = Patch(block.col_lo, block.col_hi, block.row_lo, block.row_hi)
-        transposed = yield from self.get(rt, mirror)
-        # All reads complete everywhere before anyone writes.
-        yield from rt.barrier()
-        local = self.local_block(rt)
-        local[:] = 0.5 * (local + transposed.T)
-        yield from rt.barrier()
-        rt.trace.incr("gax.symmetrizes")
 
     # ------------------------------------------------------- local views
 

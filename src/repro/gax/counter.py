@@ -48,10 +48,6 @@ class SharedCounter:
         rt.trace.incr("gax.counter_draws")
         return old
 
-    def read(self, rt: "ArmciProcess") -> Generator[Any, Any, int]:
-        """Read the current value without modifying it."""
-        return (yield from rt.rmw(self.host, self.addr, "fetch"))
-
     def reset(self, rt: "ArmciProcess") -> Generator[Any, Any, int]:
         """Reset to zero; returns the old value (host-side swap)."""
         return (yield from rt.rmw(self.host, self.addr, "swap", 0))

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator
 
-import numpy as np
-
 from .array import GlobalArray
 from .counter import SharedCounter
 from .distribution import Patch
@@ -69,8 +67,3 @@ def parallel_dgemm(
     yield from rt.fence_all()
     yield from rt.barrier()
     return done
-
-
-def reference_dgemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sequential reference for verification."""
-    return a @ b

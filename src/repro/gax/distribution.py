@@ -69,37 +69,19 @@ def _block_index(bounds: list[int], index: int) -> int:
     return bisect.bisect_right(bounds, index) - 1
 
 
-def _validate_bounds(bounds: tuple[int, ...], extent: int, label: str) -> None:
-    if len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != extent:
-        raise GlobalArrayError(
-            f"{label} bounds must run 0..{extent}, got {bounds}"
-        )
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi <= lo:
-            raise GlobalArrayError(
-                f"{label} bounds must be strictly increasing, got {bounds}"
-            )
-
-
 @dataclass(frozen=True)
 class BlockDistribution:
     """Block distribution of a ``rows x cols`` array on a process grid.
 
-    By default blocks are near-even with remainders spread over the
-    leading blocks (GA-style), so every grid slot owns a non-empty block
-    whenever the grid fits the array. Irregular distributions — GA's
-    ``ga_create_irreg`` — are built with :meth:`from_bounds`, giving
-    explicit per-dimension block boundaries. Ranks map row-major onto
-    the grid.
+    Blocks are near-even with remainders spread over the leading blocks
+    (GA-style), so every grid slot owns a non-empty block whenever the
+    grid fits the array. Ranks map row-major onto the grid.
     """
 
     rows: int
     cols: int
     grid_rows: int
     grid_cols: int
-    #: Optional explicit boundaries (irregular distribution); None = even.
-    row_bounds: tuple[int, ...] | None = None
-    col_bounds: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
@@ -115,55 +97,15 @@ class BlockDistribution:
                 f"grid {self.grid_rows}x{self.grid_cols} larger than array "
                 f"{self.rows}x{self.cols}"
             )
-        if self.row_bounds is not None:
-            _validate_bounds(self.row_bounds, self.rows, "row")
-            if len(self.row_bounds) != self.grid_rows + 1:
-                raise GlobalArrayError(
-                    f"need {self.grid_rows + 1} row bounds, got "
-                    f"{len(self.row_bounds)}"
-                )
-        if self.col_bounds is not None:
-            _validate_bounds(self.col_bounds, self.cols, "col")
-            if len(self.col_bounds) != self.grid_cols + 1:
-                raise GlobalArrayError(
-                    f"need {self.grid_cols + 1} col bounds, got "
-                    f"{len(self.col_bounds)}"
-                )
-
-    @classmethod
-    def from_bounds(
-        cls,
-        row_bounds: tuple[int, ...],
-        col_bounds: tuple[int, ...],
-    ) -> "BlockDistribution":
-        """Irregular distribution (``ga_create_irreg``) from explicit
-        boundaries: ``row_bounds = (0, ..., rows)``, one block per
-        adjacent pair."""
-        row_bounds = tuple(row_bounds)
-        col_bounds = tuple(col_bounds)
-        if len(row_bounds) < 2 or len(col_bounds) < 2:
-            raise GlobalArrayError("bounds need at least two entries")
-        return cls(
-            rows=row_bounds[-1],
-            cols=col_bounds[-1],
-            grid_rows=len(row_bounds) - 1,
-            grid_cols=len(col_bounds) - 1,
-            row_bounds=row_bounds,
-            col_bounds=col_bounds,
-        )
 
     @property
     def num_procs(self) -> int:
         return self.grid_rows * self.grid_cols
 
     def _row_bounds(self) -> list[int]:
-        if self.row_bounds is not None:
-            return list(self.row_bounds)
         return _even_bounds(self.rows, self.grid_rows)
 
     def _col_bounds(self) -> list[int]:
-        if self.col_bounds is not None:
-            return list(self.col_bounds)
         return _even_bounds(self.cols, self.grid_cols)
 
     @property
@@ -191,14 +133,6 @@ class BlockDistribution:
         pi, pj = self.grid_coord(rank)
         rb, cb = self._row_bounds(), self._col_bounds()
         return Patch(rb[pi], rb[pi + 1], cb[pj], cb[pj + 1])
-
-    def owner_of(self, row: int, col: int) -> int:
-        """Rank owning element ``(row, col)``."""
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise GlobalArrayError(f"index ({row}, {col}) out of bounds")
-        pi = _block_index(self._row_bounds(), row)
-        pj = _block_index(self._col_bounds(), col)
-        return pi * self.grid_cols + pj
 
     def owners_of_patch(self, patch: Patch) -> Iterator[tuple[int, Patch]]:
         """All ``(rank, sub_patch)`` pairs covering ``patch``."""

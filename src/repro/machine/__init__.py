@@ -1,7 +1,6 @@
-"""Blue Gene/Q machine model: node resources and network timing."""
+"""Blue Gene/Q machine model: machine constants and network timing."""
 
 from .bgq import BGQParams
-from .node import NodeResources
 from .network import TorusNetwork, TransferTiming
 
-__all__ = ["BGQParams", "NodeResources", "TorusNetwork", "TransferTiming"]
+__all__ = ["BGQParams", "TorusNetwork", "TransferTiming"]

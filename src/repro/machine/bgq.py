@@ -138,8 +138,3 @@ class BGQParams:
     def alignment_penalty(self, nbytes: int) -> float:
         """Extra latency for cache-unaligned (small) transfers."""
         return self.unaligned_penalty if 0 < nbytes < self.alignment_bytes else 0.0
-
-    @property
-    def hardware_threads_per_node(self) -> int:
-        """Total SMT hardware threads available to applications."""
-        return self.compute_cores * self.smt_per_core

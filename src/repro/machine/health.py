@@ -13,7 +13,7 @@ system's behaviour of marking links down after repeated CRC/retransmit
 failures (Chen et al., IEEE Micro 2012).
 
 Observed-dead links are re-checked by heartbeat probes through the
-engine. Probes are **bounded** (``probe_budget`` per death): the
+engine. Probes are **bounded** (``PROBE_BUDGET`` per death): the
 simulation engine drains its heap to completion, so an unbounded
 self-rescheduling probe would never let the run finish. A link revived
 by the fault plan notifies the monitor directly
@@ -31,6 +31,14 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..errors import ReproError
+
+
+#: Consecutive good observations (clean traffic on a suspect link, or
+#: successful probes on a dead one) before the link returns to *ok*.
+REVIVE_AFTER = 2
+#: Probes per death before the monitor stops checking; a fault-plan
+#: ``revive`` still recovers the link via direct notification.
+PROBE_BUDGET = 16
 
 
 class HealthConfigError(ReproError):
@@ -52,15 +60,8 @@ class LinkHealthConfig:
     dead_after:
         Consecutive bad observations before a *suspect* link is marked
         *dead* (hard-blocked) and escalation is evaluated.
-    revive_after:
-        Consecutive good observations (clean traffic on a suspect link,
-        or successful probes on a dead one) before the link returns to
-        *ok*.
     probe_period:
         Heartbeat probe interval for observed-dead links.
-    probe_budget:
-        Probes per death before the monitor stops checking; a fault-plan
-        ``revive`` still recovers the link via direct notification.
     escalate:
         Whether observed-dead links trigger the reachability check that
         reports fully-unreachable ranks to the failure machinery.
@@ -69,9 +70,7 @@ class LinkHealthConfig:
     enabled: bool = True
     suspect_after: int = 2
     dead_after: int = 4
-    revive_after: int = 2
     probe_period: float = 20e-6
-    probe_budget: int = 16
     escalate: bool = True
 
     def __post_init__(self) -> None:
@@ -84,17 +83,9 @@ class LinkHealthConfig:
                 f"dead_after ({self.dead_after}) must be >= suspect_after "
                 f"({self.suspect_after})"
             )
-        if self.revive_after < 1:
-            raise HealthConfigError(
-                f"revive_after must be >= 1, got {self.revive_after}"
-            )
         if self.probe_period <= 0.0:
             raise HealthConfigError(
                 f"probe_period must be > 0, got {self.probe_period}"
-            )
-        if self.probe_budget < 0:
-            raise HealthConfigError(
-                f"probe_budget must be >= 0, got {self.probe_budget}"
             )
 
 
@@ -146,10 +137,6 @@ class LinkHealthMonitor:
     def soft_blocked(self, u, v) -> bool:
         """Suspect links are detoured around when an alternative exists."""
         return self._state.get(self.link_state.key(u, v)) == "suspect"
-
-    def state_of(self, link) -> str:
-        """Observed state of a canonical link: "ok"/"suspect"/"dead"."""
-        return self._state.get(link, "ok")
 
     # ----------------------------------------------------- observations
 
@@ -203,14 +190,14 @@ class LinkHealthMonitor:
         self._bad.pop(link, None)
         n = self._good.get(link, 0) + 1
         self._good[link] = n
-        if n >= self.config.revive_after:
+        if n >= REVIVE_AFTER:
             self._good.pop(link, None)
             if self._state.pop(link, None) is not None:
                 self._epoch += 1
                 self.trace.incr("net.links_revived")
 
     def _arm_probe(self, link, attempt: int) -> None:
-        if attempt >= self.config.probe_budget:
+        if attempt >= PROBE_BUDGET:
             return
         self.engine.schedule(
             self.config.probe_period,

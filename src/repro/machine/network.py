@@ -124,17 +124,6 @@ class TorusNetwork:
 
     # ------------------------------------------------- shard isolation
 
-    def clear_caches(self) -> None:
-        """Reset every mutable cache (FIFO clocks, memo tables).
-
-        Geometry memo caches (`node_of`/`hops`/routes) are pure and only
-        cleared for hygiene; the FIFO/link clocks and the ordered-delivery
-        high-water marks are genuine simulation state and must start
-        empty in any new execution context (a shard worker, a re-run).
-        """
-        for name in self._MUTABLE_CACHES:
-            getattr(self, name).clear()
-
     def __getstate__(self) -> dict:
         """Pickle support for shard workers: drop the engine binding and
         ship every mutable cache *empty* (a pickled network never leaks

@@ -140,11 +140,3 @@ class ComplexityModel:
         """Eq. 6: ``T_r = tau*delta + sigma*delta`` seconds per process."""
         a = self.attrs
         return a.tau * a.delta + a.sigma * a.delta
-
-    def total_space(self) -> int:
-        """Total modeled setup space per process (bytes)."""
-        return self.context_space() + self.endpoint_space() + self.memregion_space()
-
-    def total_time(self) -> float:
-        """Total modeled setup time per process (seconds)."""
-        return self.context_time() + self.endpoint_time() + self.memregion_time()

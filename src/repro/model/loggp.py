@@ -45,16 +45,6 @@ class LogGPModel:
         self._check_m(m)
         return self.o + self.L + (m - 1) * self.G
 
-    def t_fallback(self, m: int) -> float:
-        """Eq. 8: active-message fall-back for contiguous get.
-
-        ``T_fallback ~ o + L + o + (m-1) G`` — the extra ``o`` is the remote
-        process/thread handling the request, which also makes the protocol
-        dependent on remote progress (T_fallback in Omega(T_rdma)).
-        """
-        self._check_m(m)
-        return self.o + self.L + self.o + (m - 1) * self.G
-
     def t_strided(self, m: int, l0: int) -> float:
         """Eq. 9: strided transfer as a list of non-blocking RDMA ops.
 
@@ -67,10 +57,6 @@ class LogGPModel:
             raise ReproError(f"chunk size {l0} must evenly divide message {m}")
         num_chunks = m // l0
         return self.o * num_chunks + m * self.G
-
-    def strided_efficiency(self, m: int, l0: int) -> float:
-        """Ratio of pure-wire time to strided transfer time (0..1]."""
-        return (m * self.G) / self.t_strided(m, l0)
 
     @staticmethod
     def _check_m(m: int) -> None:

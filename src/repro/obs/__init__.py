@@ -32,7 +32,6 @@ from .export import (
     validate_trace_events,
     write_metrics_json,
     write_perfetto,
-    write_spans_jsonl,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .span import Obs, ObsConfig, Span, context_lane
@@ -49,7 +48,6 @@ __all__ = [
     "to_trace_events",
     "validate_trace_events",
     "write_perfetto",
-    "write_spans_jsonl",
     "write_metrics_json",
     "critical_path",
     "CriticalPathReport",

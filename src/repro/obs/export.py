@@ -1,13 +1,11 @@
 """Deterministic exporters for obs spans and metrics.
 
-Three formats:
+Two formats:
 
 - :func:`write_perfetto` — Chrome/Perfetto ``trace_event`` JSON, one
   track per ``rank x lane`` (pid = rank, tid = lane), complete (``X``)
   events for spans and ``s``/``f`` flow events for wait-for edges.
   Loads directly in ``ui.perfetto.dev`` / ``chrome://tracing``.
-- :func:`write_spans_jsonl` — one JSON object per span, flat, for
-  ad-hoc tooling (jq, pandas).
 - :func:`write_metrics_json` — a :class:`~repro.obs.metrics.MetricsRegistry`
   snapshot.
 
@@ -137,29 +135,6 @@ def write_perfetto(path, spans, edges=()) -> None:
     with open(path, "w") as fh:
         fh.write(dumps_perfetto(spans, edges))
         fh.write("\n")
-
-
-def span_to_dict(span: Span) -> dict:
-    """Flat JSON-safe dict form of one span."""
-    return {
-        "attrs": {k: span.attrs[k] for k in sorted(span.attrs)},
-        "category": span.category,
-        "end": span.end,
-        "lane": span.lane,
-        "name": span.name,
-        "parent_id": span.parent_id,
-        "rank": span.rank,
-        "span_id": span.span_id,
-        "start": span.start,
-    }
-
-
-def write_spans_jsonl(path, spans: Iterable[Span]) -> None:
-    """One sorted-key JSON object per line, ordered by span id."""
-    with open(path, "w") as fh:
-        for span in sorted(spans, key=lambda s: s.span_id):
-            fh.write(json.dumps(span_to_dict(span), sort_keys=True))
-            fh.write("\n")
 
 
 def write_metrics_json(path, metrics: MetricsRegistry, per_rank: bool = False) -> None:

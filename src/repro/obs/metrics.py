@@ -322,14 +322,6 @@ class MetricsRegistry:
             h = self.histograms[name] = Histogram(keep_raw=keep_raw)
         return h
 
-    def clear(self) -> None:
-        """Drop every instrument."""
-        self.counters.clear()
-        self.rank_counters.clear()
-        self.durations.clear()
-        self.gauges.clear()
-        self.histograms.clear()
-
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry's instruments in, matched by name.
 

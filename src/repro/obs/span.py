@@ -89,11 +89,6 @@ class Span:
     #: under it (``None`` = not part of the text timeline).
     timeline: str | None = None
 
-    @property
-    def duration(self) -> float:
-        """Span length in simulated seconds (0.0 while still open)."""
-        return 0.0 if self.end is None else self.end - self.start
-
 
 class Obs:
     """Span recorder shared by every rank of one simulated job.

@@ -84,13 +84,14 @@ def wire_outcome(world, src: int, dst: int, kind: str, link_mode: bool, first=Tr
     when the attempt is lost in transit, a
     :class:`~repro.pami.integrity.PayloadCorruption` when it arrives with
     a flipped bit, both ``None`` when it arrives clean; ``detect`` is how
-    long the initiator NIC takes to report the loss. The chaos injector
+    long the initiator NIC takes to report the loss (always
+    :data:`FAULT_DETECT_DELAY`, as on every other failure-completion
+    path). The chaos injector
     rolls on ``first`` attempts only (transport retransmits re-roll the
     links, not the injector); a transfer it left alone asks the links of
     its current route (``link_mode``: link-fault model on, inter-node).
     """
     fault = corruption = None
-    detect = FAULT_DETECT_DELAY
     chaos = world.chaos
     if first and chaos is not None:
         outcome = chaos.transfer_fault(src, dst, kind)
@@ -98,7 +99,6 @@ def wire_outcome(world, src: int, dst: int, kind: str, link_mode: bool, first=Tr
             corruption = outcome
         elif outcome is not None:
             fault = outcome
-            detect = chaos.config.detect_delay
     if fault is None and corruption is None and link_mode:
         wire = world.network.wire_fate(src, dst, kind)
         if wire is not None:
@@ -106,7 +106,7 @@ def wire_outcome(world, src: int, dst: int, kind: str, link_mode: bool, first=Tr
                 fault = TransientFault(LINK_DEAD, src, dst)
             else:
                 corruption = wire[1]
-    return fault, corruption, detect
+    return fault, corruption, FAULT_DETECT_DELAY
 
 
 def check_completion(value, op: str | None = None):

@@ -79,13 +79,6 @@ class MemoryRegionRegistry:
         """Budget slots consumed: registered regions plus reservations."""
         return len(self._regions) + self._reserved
 
-    @property
-    def available(self) -> int | None:
-        """Free budget slots, or ``None`` when unbounded."""
-        if self.max_regions is None:
-            return None
-        return max(self.max_regions - self.in_use, 0)
-
     def reserve(self) -> bool:
         """Claim one budget slot for an external holder (region cache).
 

@@ -7,14 +7,14 @@ simulated runtime *recover* rather than merely detect failures:
 
 - **Buddy replication** (:mod:`.replica`, :mod:`.buddy`): writes to
   protected memory regions are shadowed to a torus-aware partner rank
-  (chosen ``min_buddy_hops`` hops away), batched through the ARMCI
+  (chosen ``MIN_BUDDY_HOPS`` hops away), batched through the ARMCI
   aggregation layer, with replication lag bounded by the epoch flush.
 - **Coordinated in-memory checkpoints** (:class:`.manager.RecoveryManager`
   ``checkpoint``): quiesce-based epochs ship the dirty chunks of every
   protected region plus the application's state dict to the buddy,
   incremental after the first epoch, committed atomically at a barrier.
 - **Recovery** (``RecoveryManager.recover``): on a failure-detector
-  signal — fault gather, group shrink or rank respawn, state
+  signal — fault gather, rank respawn, state
   reconstruction from the replica, and replay from the last epoch,
   integrated with the existing retry policy, FT barriers, and the
   distributed task pool's watermark failover.

@@ -45,8 +45,7 @@ class RecoveryRendezvous:
         self.engine = engine
         self.latency = latency
         self.trace = trace
-        #: Ranks that must arrive for a phase to release. Shrink-mode
-        #: recovery removes the permanently dead.
+        #: Ranks that must arrive for a phase to release.
         self.expected: set[int] = set(range(num_procs))
         #: Completed recovery rounds (the resume-phase release count).
         self.rounds_completed = 0
@@ -113,11 +112,3 @@ class RecoveryRendezvous:
                 self.latency,
                 lambda _a, ev=event: None if ev.triggered else ev.succeed(RESTART),
             )
-
-    def remove(self, rank: int) -> None:
-        """Permanently drop a rank (group shrink); may release a phase."""
-        self.expected.discard(rank)
-        for _phase, (arrived, _event) in self._phases.items():
-            arrived.discard(rank)
-        for phase in list(self._phases):
-            self._maybe_release(phase)

@@ -35,8 +35,7 @@ def choose_buddy(
     min_hops:
         Minimum acceptable distance.
     exclude:
-        Ranks that must not be chosen (e.g. permanently failed ranks
-        after a group shrink).
+        Ranks that must not be chosen (e.g. currently failed ranks).
     """
     p = world.num_procs
     excluded = set(exclude)

@@ -10,9 +10,6 @@ from dataclasses import dataclass
 
 from ..errors import ReproError
 
-#: Recovery strategies after a rank death.
-MODES = ("respawn", "shrink")
-
 
 @dataclass(frozen=True)
 class RecoveryConfig:
@@ -26,45 +23,17 @@ class RecoveryConfig:
 
     #: Master switch. Off: no manager, no replication, no respawns.
     enabled: bool = False
-    #: Buddy placement: the replica partner must be at least this many
-    #: torus hops away, so a localized failure (a node, a midplane-ish
-    #: neighborhood) does not take out a region and its replica together.
-    min_buddy_hops: int = 1
     #: Dirty-tracking granularity for incremental checkpoints. Smaller
     #: chunks ship less data per epoch; larger chunks mean fewer
     #: I/O-vector fragments through the aggregation layer.
     chunk_bytes: int = 256
-    #: ``"respawn"`` brings dead ranks back as fresh incarnations and
-    #: restores their state from the buddy replica; ``"shrink"`` drops
-    #: them from the collectives and continues with the survivors.
-    mode: str = "respawn"
-    #: One-way latency of recovery control messages (rendezvous release,
-    #: restart notifications).
-    control_latency: float = 5e-6
-    #: Delay between a rank's death and its respawned incarnation
-    #: starting re-initialization (models job-manager restart time).
-    respawn_delay: float = 100e-6
     #: Abort (``UnrecoverableError``) after this many completed
     #: recoveries; ``None`` means unbounded.
     max_recoveries: int | None = None
 
     def __post_init__(self) -> None:
-        if self.min_buddy_hops < 0:
-            raise ReproError(
-                f"min_buddy_hops must be >= 0, got {self.min_buddy_hops}"
-            )
         if self.chunk_bytes < 1:
             raise ReproError(f"chunk_bytes must be >= 1, got {self.chunk_bytes}")
-        if self.mode not in MODES:
-            raise ReproError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.control_latency < 0:
-            raise ReproError(
-                f"control_latency must be >= 0, got {self.control_latency}"
-            )
-        if self.respawn_delay < 0:
-            raise ReproError(
-                f"respawn_delay must be >= 0, got {self.respawn_delay}"
-            )
         if self.max_recoveries is not None and self.max_recoveries < 1:
             raise ReproError(
                 f"max_recoveries must be >= 1, got {self.max_recoveries}"

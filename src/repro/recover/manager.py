@@ -64,6 +64,17 @@ from .replica import ProtectedRegion, ReplicationStore
 if TYPE_CHECKING:  # pragma: no cover
     from ..armci.runtime import ArmciJob, ArmciProcess
 
+#: Buddy placement: the replica partner must be at least this many torus
+#: hops away, so a localized failure (a node, a midplane-ish
+#: neighborhood) does not take out a region and its replica together.
+MIN_BUDDY_HOPS = 1
+#: One-way latency of recovery control messages (rendezvous release,
+#: restart notifications).
+CONTROL_LATENCY = 5e-6
+#: Delay between a rank's death and its respawned incarnation starting
+#: re-initialization (models job-manager restart time).
+RESPAWN_DELAY = 100e-6
+
 #: Exceptions a tolerant quiesce abandons an operation over: the peer is
 #: dead (or the retry/deadline machinery gave up because it is).
 _QUIESCE_ERRORS = (
@@ -108,22 +119,18 @@ class RecoveryManager:
         self.engine = job.engine
         self.trace = job.trace
         self.rendezvous = RecoveryRendezvous(
-            self.engine, job.num_procs, config.control_latency, self.trace
+            self.engine, job.num_procs, CONTROL_LATENCY, self.trace
         )
         self._stores: dict[int, ReplicationStore] = {}
         #: (setup_fn, epoch_fn, epochs) while :meth:`run` is active —
-        #: what a respawned incarnation replays. Respawn recovery only
-        #: works under :meth:`run`; manual checkpoint/recover use is
-        #: limited to shrink mode.
+        #: what a respawned incarnation replays. Recovery only works
+        #: under :meth:`run`.
         self._run_ctx: tuple | None = None
         #: Epoch commit staged behind the checkpoint barrier:
         #: ``{"epoch": e, "ranks": set, "done": bool}``.
         self._pending_commit: dict | None = None
         #: Ranks that died since the last completed recovery round.
         self._recent_deaths: set[int] = set()
-        #: Shrink-mode deaths whose barrier-group removal is deferred to
-        #: rollback time (inside the rendezvous window).
-        self._pending_shrink: set[int] = set()
         #: Recovery rounds already counted (resume-release serials).
         self._noted_rounds: set[int] = set()
         self._first_failure_time: float | None = None
@@ -140,10 +147,6 @@ class RecoveryManager:
         if store is None:
             store = self._stores[rank] = ReplicationStore(rank)
         return store
-
-    def committed_epoch(self, rank: int) -> int:
-        """Highest committed checkpoint epoch for ``rank`` (-1: none)."""
-        return self._store(rank).committed_epoch
 
     def _scratch(self, rt: "ArmciProcess", need: int) -> int:
         """Local staging segment (grown geometrically, per incarnation)."""
@@ -188,14 +191,13 @@ class RecoveryManager:
         buddy = store.buddy
         if buddy is None:
             buddy = choose_buddy(
-                world, rt.rank, self.config.min_buddy_hops,
-                exclude=world.failed_ranks,
+                world, rt.rank, MIN_BUDDY_HOPS, exclude=world.failed_ranks
             )
         region = ProtectedRegion(rt.rank, addr, nbytes, buddy, 0, 0)
         yield from self._alloc_replica_segments(region)
         # Control handshake with the recovery service (placement record
         # plus buddy-side buffer setup acknowledgement).
-        yield Delay(2 * self.config.control_latency)
+        yield Delay(2 * CONTROL_LATENCY)
         store.regions.append(region)
         self.trace.incr("recover.regions_protected")
         self.trace.incr("recover.protected_bytes", nbytes)
@@ -373,14 +375,6 @@ class RecoveryManager:
                 store.state_stage_addr = None
                 store.state_stage_cap = 0
         self.rendezvous.note_rank_failure(rank)
-        if self.config.mode == "shrink":
-            # The barrier must stay broken until every survivor has
-            # routed into recover — the break IS the death signal for
-            # ranks whose own ops never touch the dead. The group
-            # shrinks at rollback, inside the rendezvous window.
-            self._pending_shrink.add(rank)
-            self.rendezvous.remove(rank)
-            return
         if (
             self.config.max_recoveries is not None
             and self._recoveries >= self.config.max_recoveries
@@ -390,7 +384,7 @@ class RecoveryManager:
                 f"(max_recoveries={self.config.max_recoveries})"
             )
         self.engine.schedule(
-            self.config.respawn_delay,
+            RESPAWN_DELAY,
             lambda _a, r=rank: self._do_respawn(r),
         )
 
@@ -494,39 +488,24 @@ class RecoveryManager:
             state.clear()
             state.update(restored)
         rt.reset_peer_state(set(self._recent_deaths) - {rt.rank})
-        # Group-shrink happens here, once, after every survivor has
-        # observed the broken barrier and entered the rendezvous.
-        while self._pending_shrink:
-            self.job.shrink_rank(self._pending_shrink.pop())
         # Discard any half-staged epoch commit and desynchronized
         # reduction rounds (idempotent; every survivor does this inside
         # the same rendezvous window, during which no allreduce runs).
         self._pending_commit = None
-        self.job.reduction_board.reset(
-            num_procs=len(self.rendezvous.expected)
-        )
+        self.job.reduction_board.reset()
         rt.trace.incr("recover.rollbacks")
 
     def _rereplicate(self, rt: "ArmciProcess") -> Generator[Any, Any, None]:
         """Rebuild this rank's replica if its buddy died.
 
-        Respawn mode keeps the (freshly reincarnated) buddy and ships
-        the full committed images into newly allocated segments; shrink
-        mode first rebinds to a surviving buddy. Idempotent full-copy,
-        so a restarted round simply redoes it.
+        The buddy is back as a fresh incarnation: ship the full
+        committed images into newly allocated segments. Idempotent
+        full-copy, so a restarted round simply redoes it.
         """
         store = self._store(rt.rank)
         if store.replica_valid or store.buddy is None:
             return
         world = self.job.world
-        if self.config.mode == "shrink" and store.buddy in world.failed_ranks:
-            store.rebind_buddy(
-                choose_buddy(
-                    world, rt.rank, self.config.min_buddy_hops,
-                    exclude=world.failed_ranks,
-                )
-            )
-            self.trace.incr("recover.buddies_rebound")
         # A checkpoint attempt racing between the buddy's death and this
         # recovery may have allocated a state stage in the dead
         # incarnation's address space; drop it so the next checkpoint
@@ -653,8 +632,7 @@ class RecoveryManager:
         return self.results()
 
     def results(self) -> dict[int, dict]:
-        """Committed final state per rank (shrink-mode dead ranks report
-        their last committed epoch)."""
+        """Committed final state per rank."""
         out = {}
         for rank, store in sorted(self._stores.items()):
             if store.state_pickle is not None:

@@ -82,16 +82,3 @@ class ReplicationStore:
     @property
     def buddy(self) -> int | None:
         return self.regions[0].buddy if self.regions else None
-
-    def rebind_buddy(self, buddy: int) -> None:
-        """Point every region at a new replica partner (group shrink).
-
-        The caller must allocate fresh shadow/stage segments and re-ship
-        the committed images afterwards.
-        """
-        for region in self.regions:
-            region.buddy = buddy
-        self.state_shadow_addr = None
-        self.state_shadow_cap = 0
-        self.state_stage_addr = None
-        self.state_stage_cap = 0

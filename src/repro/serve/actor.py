@@ -149,10 +149,6 @@ class ActorSystem:
         """Register a callback fired once per rank discovered dead."""
         self._peer_death_hooks.append(hook)
 
-    def actor_of(self, name: str) -> Actor | None:
-        """The local actor object (``None`` unless this rank owns it)."""
-        return self._registry[name].actor
-
     # ----------------------------------------------------------- posting
 
     def post(self, name: str, inbox: str, records: np.ndarray) -> int:

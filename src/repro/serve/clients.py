@@ -18,7 +18,7 @@ deterministic without cross-rank ordering assumptions.
 Arrival processes: ``"poisson"`` (exponential gaps at the rank's share
 of the aggregate ``rate``) or ``"bursty"`` — a periodic on/off
 intensity (``burst_factor`` times the mean rate for ``duty_cycle`` of
-each ``burst_epoch``, correspondingly less in the off phase, same
+each ``BURST_EPOCH``, correspondingly less in the off phase, same
 long-run mean), realized exactly by inverting the integrated intensity
 of a unit-rate Poisson stream.
 """
@@ -31,6 +31,9 @@ import numpy as np
 
 from ..errors import ArmciError
 from .mailbox import KIND_ACC, KIND_GET, KIND_PUT, SLOT_DTYPE
+
+#: Period of the bursty arrival process's on/off intensity (seconds).
+BURST_EPOCH = 1e-3
 
 #: Request schedule row (superset of the mailbox slot payload fields).
 REQUEST_DTYPE = np.dtype(
@@ -63,7 +66,6 @@ class ClientLoadConfig:
     arrival: str = "poisson"
     burst_factor: float = 4.0
     duty_cycle: float = 0.25
-    burst_epoch: float = 1e-3
     get_fraction: float = 0.5
     acc_fraction: float = 0.4
     deadline: float = 5e-3
@@ -146,7 +148,7 @@ def _arrival_times(
         return measure / rank_rate
     # Bursty: intensity r*bf during [0, d*E) of each epoch, r*rl after,
     # with d*bf + (1-d)*rl == 1 so the long-run mean stays r.
-    e = cfg.burst_epoch
+    e = BURST_EPOCH
     d = cfg.duty_cycle
     bf = cfg.burst_factor
     rl = max(0.0, (1.0 - bf * d) / (1.0 - d))

@@ -59,13 +59,16 @@ from .mailbox import (
 from .termination import FourCounterTermination
 
 
+#: Slots per request / response ring (one ring per sender lane).
+INBOX_CAPACITY = 1024
+
+
 @dataclass(frozen=True)
 class KvConfig:
     """Shape of the serving tier."""
 
     num_shards: int = 2
     replicate: bool = True
-    inbox_capacity: int = 1024
     poll_interval: float = 2e-6
 
     def __post_init__(self) -> None:
@@ -73,10 +76,6 @@ class KvConfig:
             raise ArmciError(f"need >= 1 shard, got {self.num_shards}")
         if self.replicate and self.num_shards < 2:
             raise ArmciError("replication needs >= 2 shards (distinct hosts)")
-        if self.inbox_capacity < 1:
-            raise ArmciError(
-                f"inbox_capacity must be >= 1, got {self.inbox_capacity}"
-            )
 
 
 class KvShardActor(Actor):
@@ -343,7 +342,7 @@ def run_kv(
             yield from system.register(
                 f"kv.shard.{j}", owner=j, actor=primary,
                 inboxes=(
-                    InboxSpec("req", kv.inbox_capacity, senders=client_ranks),
+                    InboxSpec("req", INBOX_CAPACITY, senders=client_ranks),
                     InboxSpec("ctl", 16, senders=client_ranks),
                 ),
             )
@@ -355,7 +354,7 @@ def run_kv(
                 yield from system.register(
                     f"kv.shard.{j}.r", owner=host, actor=backup,
                     inboxes=(
-                        InboxSpec("req", kv.inbox_capacity, senders=client_ranks),
+                        InboxSpec("req", INBOX_CAPACITY, senders=client_ranks),
                     ),
                 )
         for c in client_ranks:
@@ -365,9 +364,7 @@ def run_kv(
             yield from system.register(
                 f"kv.client.{c}", owner=c, actor=actor,
                 inboxes=(
-                    InboxSpec(
-                        "resp", kv.inbox_capacity, senders=tuple(range(S))
-                    ),
+                    InboxSpec("resp", INBOX_CAPACITY, senders=tuple(range(S))),
                 ),
             )
         detector = yield from FourCounterTermination.create(

@@ -31,11 +31,6 @@ class Semaphore:
         #: so an uncontended semaphore carries no deque.
         self._waiters: deque[Event] | None = None
 
-    @property
-    def available(self) -> int:
-        """Number of currently available permits."""
-        return self._count
-
     def acquire(self) -> Event:
         """Request a permit; the returned event triggers when granted.
 
@@ -139,7 +134,3 @@ class Queue:
         if not self.items:
             raise SimulationError(f"queue {self.name!r} is empty")
         return self.items.popleft()
-
-    def peek_all(self) -> tuple[Any, ...]:
-        """Snapshot of queued items (oldest first) without removing them."""
-        return tuple(self.items)

@@ -95,11 +95,6 @@ class RouteTable:
         # (src, dst) -> (view epoch, path | None)
         self._cache: dict[tuple, tuple] = {}
 
-    @property
-    def epoch(self) -> int:
-        """The view's current fault epoch (route-cache generation)."""
-        return self.view.epoch
-
     def invalidate(self) -> None:
         """Drop every cached route (e.g. after swapping the view)."""
         self._cache.clear()

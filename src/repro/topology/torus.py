@@ -107,27 +107,3 @@ class Torus:
                     seen.add(t)
                     result.append(t)
         return result
-
-    def links(self) -> tuple:
-        """All undirected links, canonically keyed and deduplicated.
-
-        Size-1 dimensions contribute nothing (self-links), size-2
-        dimensions one link per node pair (both wrap directions share
-        one wire), larger dimensions one link per node — so a torus with
-        all dimensions >= 3 has exactly ``ndim * num_nodes`` links. See
-        :func:`repro.topology.links.enumerate_links`.
-        """
-        from .links import enumerate_links
-
-        return enumerate_links(self)
-
-    def bisection_links(self) -> int:
-        """Links crossing a bisection along the largest dimension.
-
-        For a torus cut across dimension ``k`` there are
-        ``2 * num_nodes / dims[k]`` crossing links (two wrap directions).
-        """
-        widest = max(range(self.ndim), key=lambda i: self.dims[i])
-        if self.dims[widest] < 2:
-            raise TopologyError("cannot bisect a single-node torus")
-        return 2 * self.num_nodes // self.dims[widest]

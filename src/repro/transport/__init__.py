@@ -24,7 +24,6 @@ __all__ = [
     "PamiTransport",
     "Transport",
     "TransportCapabilities",
-    "capability_matrix",
     "create_transport",
     "is_known_backend",
 ]
@@ -60,8 +59,3 @@ def create_transport(name: str | None, world, config) -> Transport:
             f"unknown transport backend {name!r}; valid: {sorted(BACKENDS)}"
         )
     return cls(world, config)
-
-
-def capability_matrix() -> list[TransportCapabilities]:
-    """Capability descriptors of every registered backend, by name."""
-    return [BACKENDS[name].capabilities for name in sorted(BACKENDS)]

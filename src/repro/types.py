@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import ArmciError
 
@@ -79,23 +78,6 @@ class StridedShape:
     def total_bytes(self) -> int:
         """Total message size ``m`` in bytes."""
         return self.chunk_bytes * self.num_chunks
-
-    @property
-    def ndim(self) -> int:
-        """Dimensionality ``s`` of the transfer (1 for contiguous)."""
-        return 1 + len(self.counts)
-
-    @classmethod
-    def contiguous(cls, nbytes: int) -> "StridedShape":
-        """A contiguous transfer of ``nbytes`` bytes."""
-        return cls(chunk_bytes=nbytes)
-
-    @classmethod
-    def from_lengths(cls, lengths: Sequence[int]) -> "StridedShape":
-        """Build from the paper's ``(l_0, l_1, ..., l_{s-1})`` notation."""
-        if not lengths:
-            raise ArmciError("lengths must be non-empty")
-        return cls(chunk_bytes=int(lengths[0]), counts=tuple(int(x) for x in lengths[1:]))
 
 
 @dataclass(frozen=True)

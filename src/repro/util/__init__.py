@@ -1,7 +1,6 @@
-"""Utility helpers: unit conversions, statistics, and table formatting."""
+"""Utility helpers: unit conversions, table formatting, charts and timelines."""
 
 from .units import GB, KB, MB, bytes_fmt, mbps, us
-from .stats import Summary, summarize
 from .formatting import render_table
 from .ascii_chart import ascii_chart
 from .timeline import intervals, render_timeline
@@ -12,11 +11,9 @@ __all__ = [
     "GB",
     "KB",
     "MB",
-    "Summary",
     "ascii_chart",
     "bytes_fmt",
     "mbps",
     "render_table",
-    "summarize",
     "us",
 ]

@@ -23,11 +23,6 @@ def us(seconds: float) -> float:
     return seconds * 1e6
 
 
-def ns(seconds: float) -> float:
-    """Convert seconds to nanoseconds."""
-    return seconds * 1e9
-
-
 def mbps(nbytes: float, seconds: float) -> float:
     """Bandwidth in decimal MB/s for ``nbytes`` moved in ``seconds``."""
     if seconds <= 0:

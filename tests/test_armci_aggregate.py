@@ -34,7 +34,6 @@ class TestAggregateHandle:
                     space.write(src, frag)
                     agg.put(src, alloc.addr(1) + offset, len(frag))
                     offset += len(frag) + 16
-                assert agg.pending_segments == 10
                 yield from agg.flush()
                 yield from rt.fence(1)
                 got = []

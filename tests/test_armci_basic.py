@@ -178,7 +178,12 @@ class TestRegionCache:
         cache.insert(r)
         cache.insert(r)
         assert len(cache) == 1
-        assert cache.frequency(1, 0x1000) == 2
+        # The second insert counted as an access: LFU eviction now takes
+        # the once-inserted entry, not this one.
+        cache.insert(self._region(2, 0x1000))
+        cache.insert(self._region(3, 0x1000))
+        assert cache.lookup(1, 0x1000, 8) is not None
+        assert cache.lookup(2, 0x1000, 8) is None
 
     def test_unbounded_cache_never_evicts(self):
         trace = MetricsRegistry()
@@ -212,7 +217,6 @@ class TestHandles:
         evs = [job.engine.event() for _ in range(3)]
         for ev in evs:
             h.add_event(ev)
-        assert h.num_ops == 3
         assert not h.complete
         for ev in evs:
             ev.succeed()

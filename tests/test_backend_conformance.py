@@ -26,7 +26,6 @@ from repro.transport import (
     BACKENDS,
     Mpi3Transport,
     PamiTransport,
-    capability_matrix,
     create_transport,
 )
 from repro.transport.mpi3 import MPI3_NATIVE_RMW_OPS
@@ -101,8 +100,7 @@ class TestRegistryAndConfig:
 
 class TestCapabilityDescriptors:
     def test_matrix_covers_all_backends(self):
-        matrix = capability_matrix()
-        assert [c.name for c in matrix] == sorted(BACKENDS)
+        assert [BACKENDS[name].capabilities.name for name in sorted(BACKENDS)] == sorted(BACKENDS)
 
     def test_pami_descriptor(self):
         caps = PamiTransport.capabilities

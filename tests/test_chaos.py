@@ -57,7 +57,6 @@ class TestChaosConfig:
             {"jitter_prob": 1.01},
             {"drop_prob": 0.6, "corrupt_prob": 0.6},
             {"jitter_max": -1e-6},
-            {"detect_delay": -1.0},
             {"retransmit_delay": 0.0},
             {"max_retransmits": -1},
             {"links": frozenset({(0, 1, 2)})},

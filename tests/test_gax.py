@@ -50,15 +50,6 @@ class TestDistribution:
             covered[blk.row_lo : blk.row_hi, blk.col_lo : blk.col_hi] += 1
         assert (covered == 1).all()
 
-    def test_owner_of_matches_owner_block(self):
-        dist = BlockDistribution(7, 9, 2, 3)
-        for i in range(7):
-            for j in range(9):
-                rank = dist.owner_of(i, j)
-                blk = dist.owner_block(rank)
-                assert blk.row_lo <= i < blk.row_hi
-                assert blk.col_lo <= j < blk.col_hi
-
     def test_owners_of_patch_covers_exactly(self):
         dist = BlockDistribution(8, 8, 2, 2)
         patch = Patch(1, 7, 2, 6)
@@ -73,8 +64,6 @@ class TestDistribution:
         dist = BlockDistribution(8, 8, 2, 2)
         with pytest.raises(GlobalArrayError):
             list(dist.owners_of_patch(Patch(0, 9, 0, 4)))
-        with pytest.raises(GlobalArrayError):
-            dist.owner_of(8, 0)
         with pytest.raises(GlobalArrayError):
             dist.owner_block(4)
 
@@ -247,9 +236,9 @@ class TestSharedCounter:
             out = None
             if rt.rank == 1:
                 yield from counter.next(rt, stride=10)
-                value = yield from counter.read(rt)
+                value = yield from rt.rmw(counter.host, counter.addr, "fetch")
                 old = yield from counter.reset(rt)
-                after = yield from counter.read(rt)
+                after = yield from rt.rmw(counter.host, counter.addr, "fetch")
                 out = (value, old, after)
             yield from rt.barrier()
             return out
@@ -372,177 +361,4 @@ class TestCollectiveAlgebra:
 
         from repro.errors import SimulationError
         with pytest.raises(SimulationError, match="distributions"):
-            job.run(body)
-
-    def test_scale(self):
-        import numpy as np
-
-        job = make_job(4)
-
-        def body(rt):
-            ga = yield from GlobalArray.create(rt, (8, 8))
-            ga.fill(rt, 2.0)
-            yield from rt.barrier()
-            yield from ga.scale(rt, 3.0)
-            result = None
-            if rt.rank == 0:
-                result = yield from ga.to_numpy(rt)
-            yield from rt.barrier()
-            return result
-
-        results = job.run(body)
-        np.testing.assert_allclose(results[0], np.full((8, 8), 6.0))
-
-    def test_symmetrize(self):
-        import numpy as np
-
-        job = make_job(4)
-        rng = np.random.default_rng(5)
-        a = rng.random((8, 8))
-
-        def body(rt):
-            ga = yield from GlobalArray.create(rt, (8, 8))
-            yield from rt.barrier()
-            if rt.rank == 0:
-                yield from ga.put(rt, Patch(0, 8, 0, 8), a)
-                yield from rt.fence_all()
-            yield from rt.barrier()
-            yield from ga.symmetrize(rt)
-            result = None
-            if rt.rank == 0:
-                result = yield from ga.to_numpy(rt)
-            yield from rt.barrier()
-            return result
-
-        results = job.run(body)
-        np.testing.assert_allclose(results[0], 0.5 * (a + a.T), rtol=1e-12)
-
-    def test_symmetrize_requires_square(self):
-        job = make_job(4)
-
-        def body(rt):
-            ga = yield from GlobalArray.create(rt, (8, 4))
-            yield from ga.symmetrize(rt)
-
-        from repro.errors import SimulationError
-        with pytest.raises(SimulationError, match="square"):
-            job.run(body)
-
-
-class TestIrregularDistribution:
-    def test_from_bounds_geometry(self):
-        dist = BlockDistribution.from_bounds((0, 2, 10), (0, 5, 6, 10))
-        assert dist.rows == 10 and dist.cols == 10
-        assert dist.grid_rows == 2 and dist.grid_cols == 3
-        assert dist.owner_block(0) == Patch(0, 2, 0, 5)
-        assert dist.owner_block(5) == Patch(2, 10, 6, 10)
-        assert dist.block_rows == 8  # largest row block
-        assert dist.block_cols == 5
-
-    def test_from_bounds_validation(self):
-        with pytest.raises(GlobalArrayError):
-            BlockDistribution.from_bounds((0,), (0, 4))
-        with pytest.raises(GlobalArrayError):
-            BlockDistribution.from_bounds((0, 4, 4), (0, 4))  # not increasing
-        with pytest.raises(GlobalArrayError):
-            BlockDistribution.from_bounds((1, 4), (0, 4))  # must start at 0
-
-    def test_owner_of_with_irregular_bounds(self):
-        dist = BlockDistribution.from_bounds((0, 2, 10), (0, 5, 6, 10))
-        assert dist.owner_of(0, 0) == 0
-        assert dist.owner_of(1, 5) == 1
-        assert dist.owner_of(9, 9) == 5
-        blk = dist.owner_block(dist.owner_of(3, 5))
-        assert blk.row_lo <= 3 < blk.row_hi
-        assert blk.col_lo <= 5 < blk.col_hi
-
-    def test_irregular_global_array_roundtrip(self):
-        job = make_job(4)
-        dist = BlockDistribution.from_bounds((0, 3, 8), (0, 6, 8))
-        data = np.arange(64, dtype=np.float64).reshape(8, 8)
-
-        def body(rt):
-            ga = yield from GlobalArray.create(rt, (8, 8), dist=dist)
-            yield from rt.barrier()
-            result = None
-            if rt.rank == 0:
-                yield from ga.put(rt, Patch(0, 8, 0, 8), data)
-                yield from rt.fence_all()
-                result = yield from ga.to_numpy(rt)
-            yield from rt.barrier()
-            return result
-
-        results = job.run(body)
-        np.testing.assert_array_equal(results[0], data)
-
-    def test_dist_shape_mismatch_rejected(self):
-        job = make_job(4)
-        dist = BlockDistribution.from_bounds((0, 3, 8), (0, 6, 8))
-
-        def body(rt):
-            yield from GlobalArray.create(rt, (9, 9), dist=dist)
-
-        from repro.errors import SimulationError
-        with pytest.raises(SimulationError, match="shape"):
-            job.run(body)
-
-
-class TestWholeArrayOps:
-    def test_duplicate_and_copy(self):
-        job = make_job(4)
-        data = np.arange(64, dtype=np.float64).reshape(8, 8)
-
-        def body(rt):
-            ga = yield from GlobalArray.create(rt, (8, 8), name="orig")
-            yield from rt.barrier()
-            if rt.rank == 0:
-                yield from ga.put(rt, Patch(0, 8, 0, 8), data)
-                yield from rt.fence_all()
-            yield from rt.barrier()
-            dup = yield from ga.duplicate(rt)
-            yield from dup.copy_from(rt, ga)
-            # Mutating the copy leaves the original untouched.
-            dup.local_block(rt)[:] += 1.0
-            yield from rt.barrier()
-            result = None
-            if rt.rank == 0:
-                orig = yield from ga.to_numpy(rt)
-                copy = yield from dup.to_numpy(rt)
-                result = (orig, copy)
-            yield from rt.barrier()
-            return result
-
-        orig, copy = job.run(body)[0]
-        np.testing.assert_array_equal(orig, data)
-        np.testing.assert_array_equal(copy, data + 1.0)
-
-    def test_add_arrays(self):
-        job = make_job(4)
-
-        def body(rt):
-            a = yield from GlobalArray.create(rt, (8, 8))
-            b = yield from GlobalArray.create(rt, (8, 8))
-            c = yield from GlobalArray.create(rt, (8, 8))
-            a.fill(rt, 2.0)
-            b.fill(rt, 3.0)
-            yield from rt.barrier()
-            yield from c.add_arrays(rt, 10.0, a, -1.0, b)
-            result = None
-            if rt.rank == 0:
-                result = yield from c.to_numpy(rt)
-            yield from rt.barrier()
-            return result
-
-        np.testing.assert_allclose(job.run(body)[0], np.full((8, 8), 17.0))
-
-    def test_mismatched_distribution_rejected(self):
-        job = make_job(4)
-
-        def body(rt):
-            a = yield from GlobalArray.create(rt, (8, 8), grid=(2, 2))
-            b = yield from GlobalArray.create(rt, (8, 8), grid=(4, 1))
-            yield from a.copy_from(rt, b)
-
-        from repro.errors import SimulationError
-        with pytest.raises(SimulationError, match="identical distributions"):
             job.run(body)

@@ -24,8 +24,8 @@ class TestProcessGroup:
         g = ProcessGroup((3, 1, 5))
         assert g.size == 3
         assert g.index_of(1) == 1
-        assert g.contains(5)
-        assert not g.contains(0)
+        assert 5 in g.members
+        assert 0 not in g.members
         with pytest.raises(ArmciError):
             g.index_of(0)
 

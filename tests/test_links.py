@@ -66,10 +66,6 @@ class TestEnumerateLinks:
         assert list(links) == sorted(links)
         assert len(set(links)) == len(links)
 
-    def test_torus_links_method(self):
-        torus = Torus((3, 3))
-        assert torus.links() == enumerate_links(torus)
-
     def test_every_link_joins_neighbors(self):
         torus = Torus((3, 2, 3))
         for link in enumerate_links(torus):

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.errors import ReproError
-from repro.machine import BGQParams, NodeResources, TorusNetwork
-from repro.machine.node import NodeOversubscribedError
+from repro.machine import BGQParams, TorusNetwork
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Engine
 from repro.topology import RankMapping, Torus, abcdet_mapping
@@ -22,9 +20,6 @@ def make_network(dims=(2, 2, 4, 4, 2), ppn=16):
 
 
 class TestBGQParams:
-    def test_hardware_threads(self, params):
-        assert params.hardware_threads_per_node == 64
-
     def test_context_create_times_match_table_ii_range(self, params):
         assert params.context_create_time(0) == pytest.approx(3821e-6)
         assert params.context_create_time(1) == pytest.approx(4271e-6)
@@ -51,34 +46,6 @@ class TestBGQParams:
         """1/byte_time vs 1.8 GB/s available: the paper's ~99%."""
         achieved = 1.0 / params.byte_time
         assert achieved / params.link_bandwidth_peak == pytest.approx(0.986, abs=0.01)
-
-
-class TestNodeResources:
-    def test_allocate_within_capacity(self, params):
-        node = NodeResources(params)
-        node.allocate("p0.main")
-        node.allocate("p0.async")
-        assert node.allocated == 2
-        assert node.free == 62
-        assert node.owners() == ("p0.main", "p0.async")
-
-    def test_oversubscription_rejected(self, params):
-        node = NodeResources(params)
-        node.allocate("procs", count=64)
-        with pytest.raises(NodeOversubscribedError):
-            node.allocate("extra")
-
-    def test_bad_count_rejected(self, params):
-        node = NodeResources(params)
-        with pytest.raises(ReproError):
-            node.allocate("x", count=0)
-
-    def test_16_procs_with_async_threads_fit(self, params):
-        """The paper's configuration: c=16 with one async thread each."""
-        node = NodeResources(params)
-        for i in range(16):
-            node.allocate(f"p{i}", count=2)  # main + async SMT thread
-        assert node.free == 32
 
 
 class TestTorusNetworkCalibration:

@@ -17,7 +17,6 @@ from repro.obs.export import (
     to_trace_events,
     validate_trace_events,
     write_metrics_json,
-    write_spans_jsonl,
 )
 from repro.obs.metrics import (
     BUCKET_ANCHOR,
@@ -65,7 +64,7 @@ class TestSpans:
         assert [s.name for s in spans] == ["put", "retry_sleep"]
         assert obs.get(inner).parent_id == outer
         assert obs.get(outer).parent_id is None
-        assert obs.get(inner).duration == pytest.approx(1.0)
+        assert obs.get(inner).end - obs.get(inner).start == pytest.approx(1.0)
 
     def test_per_rank_stacks_are_independent(self, obs):
         a = obs.begin(0, "main", "op", "put")
@@ -524,11 +523,6 @@ class TestExport:
         assert len(problems) == 3
 
     def test_file_writers(self, tmp_path):
-        spans = _sample_spans()
-        jsonl = tmp_path / "spans.jsonl"
-        write_spans_jsonl(jsonl, spans)
-        lines = [json.loads(l) for l in jsonl.read_text().splitlines()]
-        assert [d["span_id"] for d in lines] == [1, 2, 3]
         reg = MetricsRegistry()
         reg.counter("ops").incr(3)
         mpath = tmp_path / "metrics.json"

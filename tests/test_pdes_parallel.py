@@ -248,13 +248,6 @@ class TestNetworkShardSafety:
         tb = b.put_timing(0, 20, 4096)
         assert ta == tb
 
-    def test_clear_caches(self):
-        net = self._net()
-        self._traffic(net)
-        net.clear_caches()
-        for name in TorusNetwork._MUTABLE_CACHES:
-            assert getattr(net, name) == {}
-
     def test_pickle_drops_engine_and_caches(self):
         net = self._net()
         self._traffic(net)

@@ -233,7 +233,6 @@ class TestRecoveryConfig:
     def test_defaults_off(self):
         cfg = RecoveryConfig()
         assert not cfg.enabled
-        assert cfg.mode == "respawn"
 
     def test_plain_job_builds_no_manager(self):
         job = ArmciJob(2, config=ArmciConfig(), procs_per_node=1)
@@ -243,11 +242,7 @@ class TestRecoveryConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"mode": "migrate"},
             {"chunk_bytes": 0},
-            {"min_buddy_hops": -1},
-            {"control_latency": -1e-6},
-            {"respawn_delay": -1.0},
             {"max_recoveries": 0},
         ],
     )
@@ -353,14 +348,6 @@ class TestRendezvous:
         rv.arrive("resume", 1)
         engine.run()
         assert rv.rounds_completed == 1
-
-    def test_shrink_removal_releases_waiting_phase(self):
-        engine, rv = self._fresh(3)
-        e0 = rv.arrive("gather", 0)
-        rv.arrive("gather", 1)
-        rv.remove(2)
-        engine.run()
-        assert e0.triggered and e0.value is not RESTART
 
 
 class TestProcessFailedErrorAttrs:
@@ -595,54 +582,6 @@ class TestRespawnRecovery:
         job = make_job(fault_plan=plan, max_recoveries=1)
         with pytest.raises((UnrecoverableError, SimulationError)):
             job.recovery.run(neighbor_setup, neighbor_epoch, epochs=EPOCHS)
-
-
-def local_setup(rt):
-    alloc = yield from rt.malloc(NBYTES)
-    yield from rt.job.recovery.protect(rt, alloc)
-    rt.world.space(rt.rank).view(alloc.addr(rt.rank), NBYTES)[:] = 0
-    return alloc, {"sum": 0.0}
-
-
-def local_epoch(rt, alloc, state, epoch):
-    view = rt.world.space(rt.rank).view(alloc.addr(rt.rank), NBYTES)
-    view[epoch % NBYTES] += 1
-    state["sum"] = float(view.sum())
-    yield from rt.compute(5e-6)
-
-
-class TestShrinkRecovery:
-    def test_survivors_continue_without_the_dead_rank(self):
-        clean, _job, _window, commits = probe_run(
-            local_setup, local_epoch, mode="shrink"
-        )
-        mid = commits[0] + 0.5 * (commits[1] - commits[0])
-        job = make_job(mode="shrink", fault_plan=FaultPlan().crash(1, at=mid))
-        out = job.recovery.run(local_setup, local_epoch, epochs=EPOCHS)
-        assert job.trace.count("pami.ranks_respawned") == 0
-        assert job.trace.count("recover.recoveries_completed") >= 1
-        for rank in (0, 2, 3):
-            assert out[rank] == clean[rank]
-        # The dead rank reports its last committed epoch, which is
-        # strictly before the survivors' final one.
-        assert out[1]["sum"] < clean[1]["sum"]
-
-    def test_buddy_of_dead_rank_rebinds(self):
-        clean, probe_job, _window, commits = probe_run(
-            local_setup, local_epoch, mode="shrink"
-        )
-        # Kill some rank that is a buddy, so the orphaned store must
-        # rebind to a surviving partner and re-replicate onto it.
-        victim = probe_job.recovery._stores[0].buddy
-        mid = commits[0] + 0.5 * (commits[1] - commits[0])
-        job = make_job(
-            mode="shrink", fault_plan=FaultPlan().crash(victim, at=mid)
-        )
-        job.recovery.run(local_setup, local_epoch, epochs=EPOCHS)
-        assert job.trace.count("recover.buddies_rebound") >= 1
-        assert job.trace.count("recover.bytes_rereplicated") > 0
-        store = job.recovery._stores[0]
-        assert store.buddy != victim and store.replica_valid
 
 
 # ------------------------------------------------------ observability

@@ -368,9 +368,9 @@ class TestRegionCachePins:
         cache = RegionCache(capacity=4, trace=MetricsRegistry(), budget_registry=registry)
         cache.insert(self._region(0, 0))
         cache.insert(self._region(4096, 1))
-        assert registry.available == 0
+        assert registry.in_use == registry.max_regions
         assert cache.evict_for_budget() == 1
-        assert registry.available == 1
+        assert registry.in_use == registry.max_regions - 1
 
     def test_rdma_transfer_pins_are_released_on_completion(self):
         """Integration: the remote region used by an RDMA put is pinned

@@ -4,7 +4,6 @@ import pytest
 
 from repro.armci import ArmciConfig, ArmciJob, ObsConfig
 from repro.obs.span import Span
-from repro.obs.metrics import MetricsRegistry
 from repro.util import intervals, render_timeline
 from repro.util.timeline import Interval
 
@@ -23,15 +22,6 @@ class TestTraceIntervals:
             Span(3, None, 1, "main", "op", "get", 1.0, None, timeline="get"),
         ]
         assert intervals(spans) == [Interval("r0", "compute", 0.0, 1.0)]
-
-    def test_clear_resets(self):
-        trace = MetricsRegistry()
-        trace.counter("armci.fences").incr(rank=0)
-        trace.add_time("armci.compute_time", 1.0)
-        trace.gauge("serve.duration").set(1.0)
-        trace.histogram("latency").record(2.0)
-        trace.clear()
-        assert trace.snapshot(per_rank=True) == MetricsRegistry().snapshot(per_rank=True)
 
 
 class TestRenderTimeline:

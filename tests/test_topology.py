@@ -68,9 +68,6 @@ class TestTorus:
         t1 = Torus((1, 4))
         assert len(t1.neighbors((0, 0))) == 2
 
-    def test_bisection_links(self):
-        assert Torus((4, 2)).bisection_links() == 2 * 8 // 4
-
     @given(
         st.tuples(*[st.integers(min_value=1, max_value=5)] * 3),
         st.data(),

@@ -10,27 +10,14 @@ from repro.types import StridedDescriptor, StridedShape
 
 class TestStridedShape:
     def test_contiguous(self):
-        s = StridedShape.contiguous(4096)
+        s = StridedShape(4096)
         assert s.num_chunks == 1
         assert s.total_bytes == 4096
-        assert s.ndim == 1
 
     def test_multidimensional(self):
         s = StridedShape(64, (4, 3))
         assert s.num_chunks == 12
         assert s.total_bytes == 64 * 12
-        assert s.ndim == 3
-
-    def test_from_lengths_matches_paper_notation(self):
-        # m = l0 * l1 * l2 with l0 the contiguous chunk.
-        s = StridedShape.from_lengths([128, 5, 2])
-        assert s.chunk_bytes == 128
-        assert s.counts == (5, 2)
-        assert s.total_bytes == 128 * 10
-
-    def test_from_lengths_empty_rejected(self):
-        with pytest.raises(ArmciError):
-            StridedShape.from_lengths([])
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ArmciError):
@@ -53,7 +40,7 @@ class TestStridedShape:
 
 class TestStridedDescriptor:
     def test_contiguous_has_single_zero_offset(self):
-        d = StridedDescriptor(StridedShape.contiguous(64), (), ())
+        d = StridedDescriptor(StridedShape(64), (), ())
         assert d.chunk_offsets("src") == [0]
         assert d.chunk_offsets("dst") == [0]
 

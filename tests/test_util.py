@@ -1,12 +1,7 @@
-"""Unit tests for units, statistics, and table formatting helpers."""
+"""Unit tests for units and table formatting helpers."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.util import GB, KB, MB, Summary, bytes_fmt, mbps, render_table, summarize, us
-from repro.util.stats import geometric_mean
-from repro.util.units import ns
+from repro.util import GB, KB, MB, bytes_fmt, mbps, render_table, us
 
 
 class TestUnits:
@@ -17,7 +12,6 @@ class TestUnits:
 
     def test_us_and_ns(self):
         assert us(2.5e-6) == pytest.approx(2.5)
-        assert ns(35e-9) == pytest.approx(35)
 
     def test_mbps_decimal(self):
         # 1775 MB/s means 1.775e9 bytes per second, decimal MB.
@@ -32,38 +26,6 @@ class TestUnits:
         assert bytes_fmt(2048) == "2KB"
         assert bytes_fmt(1 << 20) == "1MB"
         assert bytes_fmt(1536) == "1536B"  # not a whole KB
-
-
-class TestStats:
-    def test_summarize_basic(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s.n == 4
-        assert s.mean == pytest.approx(2.5)
-        assert s.minimum == 1.0
-        assert s.maximum == 4.0
-        assert s.p50 == pytest.approx(2.5)
-
-    def test_summarize_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            geometric_mean([])
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    @given(st.lists(st.floats(0.1, 1e6), min_size=1, max_size=50))
-    @settings(max_examples=50, deadline=None)
-    def test_summary_bounds_property(self, xs):
-        s = summarize(xs)
-        eps = 1e-9 * max(abs(s.minimum), abs(s.maximum), 1.0)
-        assert s.minimum - eps <= s.p50 <= s.maximum + eps
-        assert s.minimum - eps <= s.mean <= s.maximum + eps
-
-    def test_summary_str(self):
-        assert "n=2" in str(summarize([1.0, 2.0]))
 
 
 class TestFormatting:

@@ -20,7 +20,7 @@ SKIP = {
 }
 
 
-def code_lines(path: pathlib.Path) -> int:
+def code_line_numbers(path: pathlib.Path) -> set[int]:
     docstrings: set[int] = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False):
@@ -31,7 +31,11 @@ def code_lines(path: pathlib.Path) -> int:
         for tok in tokenize.tokenize(fh.readline):
             if tok.type not in SKIP:
                 lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstrings)
+    return lines - docstrings
+
+
+def code_lines(path: pathlib.Path) -> int:
+    return len(code_line_numbers(path))
 
 
 def main(paths: list[str]) -> None:
