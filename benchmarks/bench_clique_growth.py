@@ -1,19 +1,14 @@
-"""Supplementary: on-demand endpoint creation as the clique grows.
-
-Endpoints are created lazily as the communication clique (zeta) expands
-over an application's lifetime (Section III-B; cf. the authors' earlier
-on-demand connection work on InfiniBand). With alpha = 4 B and beta =
-0.3 us per endpoint (Eqs. 3-4), even a full clique of 4096 peers costs
-16 KB and ~1.2 ms per process — the paper's scalability argument,
-reproduced by measuring the cache as a random-peers workload runs.
-
-Run as a script for the **sharded-PDES scaling harness**: a clique
-workload at 10^4+ simulated ranks swept over ``--shards``, in strong-
-(fixed ranks) or weak-scaling mode (``--weak-scaling``: ranks grow with
-shards). Emits ``benchmarks/results/clique_growth_scaling.json`` and
-asserts sharded runs match the single-engine oracle digest::
+"""Sharded-PDES scaling harness: a clique workload at 10^4+ simulated
+ranks swept over ``--shards``, in strong- (fixed ranks) or weak-scaling
+mode (``--weak-scaling``: ranks grow with shards). The first shard count
+must be 1: that row is the single-engine oracle, and every sharded run
+at the same rank count must match its schedule digest and results
+(asserted). Emits ``benchmarks/results/clique_growth_scaling.json``::
 
     python benchmarks/bench_clique_growth.py --shards 1,2,4 --ranks 10000
+
+(The on-demand endpoint table ``clique_growth`` is an entry of
+``supplementary.SUPPLEMENTARY``, run by ``bench_paper.py``.)
 """
 
 import argparse
@@ -23,78 +18,9 @@ import sys
 
 from _report import save
 
-from repro.armci import ArmciConfig, ArmciJob
-from repro.util import render_table, us
-
-PROCS = 64
+from repro.util import render_table
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-
-
-def _run() -> list[tuple[int, int, int, float]]:
-    """Rank 0 contacts a growing random-ish peer set; snapshot the cache."""
-    job = ArmciJob(PROCS, procs_per_node=16, config=ArmciConfig())
-    job.init()
-    snapshots: list[tuple[int, int, int, float]] = []
-
-    def body(rt):
-        alloc = yield from rt.malloc(256)
-        if rt.rank == 0:
-            local = rt.world.space(0).allocate(256)
-            contacted = 0
-            t_start = rt.engine.now
-            # Deterministic pseudo-random peer order (LCG over 1..p-1).
-            peer = 1
-            for phase, batch in enumerate((4, 12, 16, 31)):
-                for _ in range(batch):
-                    peer = (peer * 29 + 17) % (PROCS - 1) + 1
-                    yield from rt.put(peer, local, alloc.addr(peer), 64)
-                    contacted += 1
-                alpha = rt.world.params.endpoint_space
-                snapshots.append(
-                    (
-                        contacted,
-                        rt.endpoints.clique_size,
-                        rt.endpoints.space_bytes(alpha),
-                        rt.engine.now - t_start,
-                    )
-                )
-            yield from rt.fence_all()
-        yield from rt.barrier()
-
-    job.run(body)
-    return snapshots
-
-
-def test_clique_growth(benchmark):
-    snapshots = benchmark.pedantic(_run, rounds=1, iterations=1)
-
-    # The clique grows monotonically and never exceeds contacted peers.
-    cliques = [zeta for _c, zeta, _s, _t in snapshots]
-    assert cliques == sorted(cliques)
-    for contacted, zeta, space, _t in snapshots:
-        assert zeta <= min(contacted, PROCS - 1)
-        # Eq. 3 at rho=1: M_e = zeta * alpha.
-        assert space == zeta * 4
-
-    rows = [
-        [contacted, zeta, space, f"{us(elapsed):.1f}"]
-        for contacted, zeta, space, elapsed in snapshots
-    ]
-    save(
-        "clique_growth",
-        render_table(
-            ["puts issued", "clique zeta", "endpoint bytes (Eq.3)", "elapsed (us)"],
-            rows,
-            title=(
-                "Supplementary: on-demand endpoint creation as the "
-                "communication clique grows (alpha=4 B, beta=0.3 us)"
-            ),
-        ),
-    )
-
-
-# ----------------------------------------------- sharded-PDES scaling CLI
 
 
 def run_pdes_scaling(
@@ -107,6 +33,8 @@ def run_pdes_scaling(
 ) -> dict:
     """Sweep the PDES clique workload over shard counts.
 
+    ``shards_list[0]`` is 1 (``main`` rejects any other list): that row
+    runs the single engine and is the oracle and the speedup base.
     Strong scaling keeps the rank count fixed, so every row must
     reproduce the single-engine oracle's schedule digest and workload
     results exactly (asserted). Weak scaling grows ranks linearly with
@@ -168,7 +96,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--shards", default="1,2,4",
-        help="comma-separated shard counts to sweep (default 1,2,4)",
+        help="comma-separated shard counts to sweep, starting at 1 (default 1,2,4)",
     )
     parser.add_argument(
         "--ranks", type=int, default=512 if SMOKE else 10_000,
@@ -189,6 +117,11 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     shards_list = [int(s) for s in args.shards.split(",") if s]
+    if shards_list[:1] != [1]:
+        parser.error(
+            f"--shards {args.shards}: the first entry must be 1, the "
+            "single-engine oracle every sharded row is checked against"
+        )
 
     payload = run_pdes_scaling(
         shards_list, args.ranks, args.ops, args.weak_scaling, args.mode, args.seed

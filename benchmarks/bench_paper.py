@@ -1,10 +1,13 @@
-"""The paper's Section IV artifacts: Tables I-II, Eqs. 1-6, Figs. 3-9, 11.
+"""The one benchmark runner: every reproduced table, one target each.
 
-One target per entry of :data:`repro.bench.artifacts.ARTIFACTS`: run the
-sweep, check the paper's claims on its data, save the rendered table to
+One target per entry of :data:`repro.bench.artifacts.ARTIFACTS` (the
+paper's Section IV: Tables I-II, Eqs. 1-6, Figs. 3-9, 11) and of
+:data:`supplementary.SUPPLEMENTARY` (Eqs. 7-9, the Section III
+ablations, the extension, fault-recovery and transport tables): run the
+sweep, check the claims on its data, save the rendered table to
 ``benchmarks/results/<stem>.txt``. ``REPRO_BENCH_SMOKE=1`` shrinks
-Figs. 7, 9 and 11 to CI-sized grids; unset, Fig. 11 is the paper's
-1024-4096 ranks (minutes of host time).
+Figs. 7, 9 and 11 and the fault-recovery sweeps to CI-sized grids;
+unset, Fig. 11 is the paper's 1024-4096 ranks (minutes of host time).
 """
 
 import dataclasses
@@ -13,15 +16,18 @@ from pathlib import Path
 
 import pytest
 from _report import save
+from supplementary import SUPPLEMENTARY
 
 from repro.apps.nwchem import ScfConfig
 from repro.bench.artifacts import ARTIFACTS
 from repro.util import render_table
 
+REGISTRY = {**ARTIFACTS, **SUPPLEMENTARY}
 
-@pytest.mark.parametrize("name", ARTIFACTS)
-def test_paper_artifact(benchmark, name):
-    artifact = ARTIFACTS[name]
+
+@pytest.mark.parametrize("name", REGISTRY)
+def test_artifact(benchmark, name):
+    artifact = REGISTRY[name]
     data = benchmark.pedantic(artifact.run, rounds=1, iterations=1)
     artifact.check(data)
     save(name, artifact.table(data))

@@ -16,7 +16,7 @@ peak RSS is that job's alone::
 
 ``--rlimit-as-gib`` caps the child's address space: a reintroduced
 per-rank O(ranks) structure dies with ``MemoryError`` instead of
-swapping (the CI ``perf-smoke`` gate).
+swapping (the CI ``perf`` suite's gate).
 """
 
 import argparse

@@ -22,15 +22,13 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from _report import save  # noqa: E402
+from _report import save
 
-import repro.transport as transport  # noqa: E402
-from repro.chaos import ChaosConfig, FaultPlan  # noqa: E402
-from repro.serve import ClientLoadConfig, KvConfig, run_kv  # noqa: E402
-from repro.util import render_table  # noqa: E402
+from repro.armci import ArmciConfig
+from repro.chaos import ChaosConfig, FaultPlan
+from repro.serve import ClientLoadConfig, KvConfig, run_kv
+from repro.util import render_table
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
@@ -65,27 +63,23 @@ def _load(num_clients, rate, seed=1234, **overrides):
 
 def _measure(load, backend, chaos=None, fault_plan=None):
     """One end-to-end run; returns the KvResult plus histogram summary."""
-    prev = transport.DEFAULT_BACKEND
-    transport.DEFAULT_BACKEND = backend
     jobs = []
     t0 = time.perf_counter()
-    try:
-        r = run_kv(
-            NUM_PROCS,
-            load=load,
-            kv_config=KvConfig(num_shards=NUM_SHARDS),
-            procs_per_node=NUM_PROCS,
-            chaos=chaos,
-            fault_plan=fault_plan,
-            on_job=jobs.append,
-        )
-    finally:
-        transport.DEFAULT_BACKEND = prev
+    r = run_kv(
+        NUM_PROCS,
+        load=load,
+        kv_config=KvConfig(num_shards=NUM_SHARDS),
+        armci_config=ArmciConfig(backend=backend),
+        procs_per_node=NUM_PROCS,
+        chaos=chaos,
+        fault_plan=fault_plan,
+        on_job=jobs.append,
+    )
     wall = time.perf_counter() - t0
     assert r.exact, (
         f"{backend}: {r.mismatched_keys} keys diverged from the golden model"
     )
-    lat = jobs[0].serve_metrics.histogram("serve.latency").summary()
+    lat = jobs[0].trace.histogram("serve.latency").summary()
     return {
         "requests": r.requests,
         "responses": r.responses,

@@ -3,10 +3,12 @@
 Each driver module produces the rows/series of one evaluation artifact
 (Section IV); :mod:`repro.bench.artifacts` is the registry that pairs
 every driver with its paper-claim check and its table renderer, read by
-``python -m repro.bench``, ``benchmarks/bench_paper.py`` and the
-byte-identity gate. All results are *simulated* measurements produced
-by running the actual protocols — see DESIGN.md for the calibration
-story.
+``python -m repro.bench``, the byte-identity gate and
+``benchmarks/bench_paper.py`` — the one benchmark runner, which also
+runs the ``SUPPLEMENTARY`` registry of ``benchmarks/supplementary.py``
+(Eqs. 7-9, the ablations, the fault and transport tables). All results
+are *simulated* measurements produced by running the actual protocols —
+see DESIGN.md for the calibration story.
 """
 
 from .latency import contiguous_latency_sweep, latency_per_byte

@@ -6,7 +6,10 @@ sweep driver, ``check`` asserts what the paper claims of its data,
 ``chart`` (Figs. 4 and 6) is an ASCII plot printed after the table.
 Nothing else renders a figure: ``python -m repro.bench``,
 ``benchmarks/bench_paper.py`` and ``tests/test_backend_identity.py``
-all read :data:`ARTIFACTS`.
+all read :data:`ARTIFACTS`. The rest of the evidence (Eqs. 7-9, the
+ablations, the fault and transport tables) is ``SUPPLEMENTARY`` in
+``benchmarks/supplementary.py``, built from this :class:`Artifact`;
+``bench_paper.py::test_artifact`` runs both registries.
 
 ``REPRO_BENCH_SMOKE=1`` is the one small-scale switch: Figs. 7, 9 and
 11 shrink to grids that finish in seconds; an explicit ``procs``

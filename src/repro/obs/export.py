@@ -15,7 +15,7 @@ events are emitted in sorted order, and every ``json.dumps`` uses
 byte-identical files (a CI-diffable golden).
 
 ``python -m repro.obs.export FILE ...`` validates trace files against
-the ``trace_event`` schema (the CI ``obs-smoke`` job uses this).
+the ``trace_event`` schema (the CI ``obs`` suite uses this).
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from repro.verify import (
     write_divergence_log,
 )
 
-#: CI's fuzz-smoke job widens this via the environment; the tier-1 run
+#: CI's fuzz suite widens this via the environment; the tier-1 run
 #: keeps it small so the suite stays fast.
 SEEDS = int(os.environ.get("REPRO_FUZZ_SEEDS", "5"))
 

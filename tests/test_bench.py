@@ -2,6 +2,7 @@
 scales; full scale lives in benchmarks/)."""
 
 import ast
+import importlib.util
 import pathlib
 import re
 
@@ -225,3 +226,67 @@ class TestOneBenchmarkSurface:
         )
         assert paths, "ci.yml names no script"
         assert sorted(p for p in paths if not (REPO / p).exists()) == []
+
+    def test_one_benchmark_runner(self):
+        """``bench_paper.py`` runs both registries; the other scripts are
+        the three flag-driven CLIs and their helpers."""
+        bench = REPO / "benchmarks"
+        scripts = [
+            p for p in bench.rglob("*.py") if "ledger" not in p.relative_to(bench).parts
+        ]
+        assert sorted(p.stem for p in scripts) == sorted([
+            "_report", "conftest", "supplementary", "bench_paper",
+            "bench_clique_growth", "bench_rank_scaling", "bench_serving",
+        ])
+        tests, savers = set(), set()
+        for path in scripts:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
+                    tests.add(path.name)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "save":
+                    savers.add(path.name)
+        assert tests == {"bench_paper.py"}
+        assert savers == {
+            "bench_paper.py", "bench_clique_growth.py", "bench_rank_scaling.py",
+            "bench_serving.py",
+        }
+        supplementary = _supplementary()
+        assert all(isinstance(a, artifacts.Artifact) for a in supplementary.values())
+        assert set(supplementary).isdisjoint(ARTIFACTS)
+
+    def test_every_path_docs_name_exists(self):
+        """Every script path, bare ``bench_*.py`` name and
+        ``bench_paper.py::function[stem]`` the docs name resolves."""
+        paper = ast.parse((REPO / "benchmarks" / "bench_paper.py").read_text())
+        functions = {n.name for n in paper.body if isinstance(n, ast.FunctionDef)}
+        stems = set(ARTIFACTS) | set(_supplementary())
+        stale = []
+        for doc in DOCS:
+            text = (REPO / doc).read_text()
+            for path in re.findall(SCRIPT_PATH, text):
+                if not (REPO / path).exists():
+                    stale.append((doc, path))
+            for name in re.findall(r"\bbench_\w+\.py\b", text):
+                if not (REPO / "benchmarks" / name).exists():
+                    stale.append((doc, name))
+            for function, stem in re.findall(r"bench_paper\.py::(\w+)(?:\[(\w+)\])?", text):
+                if function not in functions or (stem and stem not in stems):
+                    stale.append((doc, f"{function}[{stem}]"))
+        assert stale == []
+
+
+#: The documents whose script references ``test_every_path_docs_name_exists`` checks.
+DOCS = (
+    "README.md", "DESIGN.md", "docs/API.md", "benchmarks/README.md",
+    ".claude/skills/verify/SKILL.md",
+)
+SCRIPT_PATH = r"\b(?:benchmarks|tests|tools|examples)/[\w/]+\.py"
+
+
+def _supplementary() -> dict:
+    """``benchmarks/supplementary.py``'s registry, imported by path."""
+    path = REPO / "benchmarks" / "supplementary.py"
+    spec = importlib.util.spec_from_file_location("supplementary", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SUPPLEMENTARY
