@@ -5,9 +5,11 @@ paper's Section IV: Tables I-II, Eqs. 1-6, Figs. 3-9, 11) and of
 :data:`supplementary.SUPPLEMENTARY` (Eqs. 7-9, the Section III
 ablations, the extension, fault-recovery and transport tables): run the
 sweep, check the claims on its data, save the rendered table to
-``benchmarks/results/<stem>.txt``. ``REPRO_BENCH_SMOKE=1`` shrinks
-Figs. 7, 9 and 11 and the fault-recovery sweeps to CI-sized grids;
-unset, Fig. 11 is the paper's 1024-4096 ranks (minutes of host time).
+``benchmarks/results/<stem>.txt`` and hold its md5 to the ``smoke`` or
+``full`` side of ``benchmarks/golden.json``. ``REPRO_BENCH_SMOKE=1``
+shrinks Figs. 7, 9 and 11 and the fault-recovery sweeps to CI-sized
+grids; unset, Fig. 11 is the paper's 1024-4096 ranks (minutes of host
+time).
 """
 
 import dataclasses
@@ -15,7 +17,7 @@ import json
 from pathlib import Path
 
 import pytest
-from _report import save
+from _report import assert_golden, save
 from supplementary import SUPPLEMENTARY
 
 from repro.apps.nwchem import ScfConfig
@@ -30,7 +32,9 @@ def test_artifact(benchmark, name):
     artifact = REGISTRY[name]
     data = benchmark.pedantic(artifact.run, rounds=1, iterations=1)
     artifact.check(data)
-    save(name, artifact.table(data))
+    table = artifact.table(data)
+    save(name, table)
+    assert_golden(name, table)
 
 
 #: Span tracing multiplies per-op cost, so the --trace-out rerun uses a

@@ -12,7 +12,7 @@ shrinks the fault-recovery sweeps (CI smoke mode).
 """
 
 import math
-import os
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from repro.armci import ArmciConfig, ArmciJob
 from repro.armci.config import RetryPolicy
 from repro.armci.vector import IoVector
 from repro.bench import contiguous_latency_sweep, strided_bandwidth_sweep
-from repro.bench.artifacts import Artifact
+from repro.bench.artifacts import Artifact, smoke_or_full
 from repro.chaos import ChaosConfig, FaultPlan, LinkFault
 from repro.errors import ProcessFailedError
 from repro.gax import (
@@ -42,9 +42,6 @@ from repro.topology import RankMapping, Torus
 from repro.util import MB, bytes_fmt, render_table, us
 from repro.verify import attach_oracle
 from repro.workloads import PatternConfig, run_workload
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-
 
 def _rank0(job, nbytes, loop, barrier=True):
     """The rig of every workload below in which rank 0 alone drives the
@@ -71,13 +68,16 @@ def _rank0(job, nbytes, loop, barrier=True):
     return out[0], job.engine.now - t0, job.trace
 
 
-def _table(headers: list[str], title: str):
+def _table(headers: list[str], title):
     """Decorator: a generator of an artifact's table rows becomes its
-    ``table``, the rows rendered under ``headers`` and ``title``."""
+    ``table``, the rows rendered under ``headers`` and ``title`` (a
+    string, or a function of no arguments for a title that names the
+    sweep's size)."""
 
     def decorate(rows):
         def table(data) -> str:
-            return render_table(headers, list(rows(data)), title=title)
+            text = title() if callable(title) else title
+            return render_table(headers, list(rows(data)), title=text)
 
         return table
 
@@ -1009,8 +1009,34 @@ def _patterns_table(out):
 # recovery and link-fault layers do the rest. Each table answers one
 # question a production runtime must.
 
-DROP_PROBS = (0.0, 0.01) if SMOKE else (0.0, 0.01, 0.05, 0.10)
-TRANSFERS = 16 if SMOKE else 64
+
+class FaultSweep(NamedTuple):
+    """The sizes of the fault-recovery sweeps, full scale by default."""
+
+    drop_probs: tuple = (0.0, 0.01, 0.05, 0.10)
+    transfers: int = 64
+    recovery_kb: tuple = (4, 16, 64)
+    recovery_epochs: int = 4
+    fifo_depths: tuple = (None, 2, 4, 8, 16, 64)
+    memregion_budgets: tuple = (None, 1, 2, 3, 4, 8)
+    burst: int = 32
+    src_segments: int = 6
+    corrupt_probs: tuple = (0.0, 0.05, 0.2, 0.5)
+    net_transfers: int = 32
+
+
+SMOKE_SWEEP = FaultSweep(
+    drop_probs=(0.0, 0.01), transfers=16, recovery_kb=(4,), recovery_epochs=3,
+    fifo_depths=(None, 4), memregion_budgets=(None, 2), burst=8, src_segments=2,
+    corrupt_probs=(0.0, 0.2), net_transfers=8,
+)
+
+
+def _sweep() -> FaultSweep:
+    """The sizes this run uses, read from the switch when a sweep runs."""
+    return smoke_or_full(SMOKE_SWEEP, FaultSweep())
+
+
 NBYTES = 4096
 
 
@@ -1019,7 +1045,7 @@ def _lossy_put_get(drop_prob: float):
 
     def loop(rt, alloc):
         src = rt.world.space(0).allocate(NBYTES)
-        for _i in range(TRANSFERS):
+        for _i in range(_sweep().transfers):
             yield from rt.put(1, src, alloc.addr(1), NBYTES)
             yield from rt.get(1, src, alloc.addr(1), NBYTES)
         yield from rt.fence(1)
@@ -1035,7 +1061,7 @@ def _retry_run():
     fixed communication workload, as a function of the drop probability?
     (Expected: modest — each retry pays one detection delay plus backoff,
     and losses are rare events on real networks.)"""
-    return {p: _lossy_put_get(p) for p in DROP_PROBS}
+    return {p: _lossy_put_get(p) for p in _sweep().drop_probs}
 
 
 def _retry_check(out):
@@ -1050,7 +1076,7 @@ def _retry_check(out):
 
 @_table(
     ["drop prob", "workload (ms)", "slowdown", "retries", "backoff (us)"],
-    f"Retry overhead vs drop probability: {TRANSFERS} x "
+    lambda: f"Retry overhead vs drop probability: {_sweep().transfers} x "
     f"{NBYTES} B put+get between 2 ranks (AT mode)",
 )
 def _retry_table(out):
@@ -1136,8 +1162,6 @@ def _latency_table(data):
     yield ["pool drain incl. counter failover", f"{us(failover['latency']):.1f}"]
 
 
-RECOVERY_KB = (4,) if SMOKE else (4, 16, 64)
-RECOVERY_EPOCHS = 3 if SMOKE else 4
 RECOVERY_PROCS = 4
 
 
@@ -1178,13 +1202,14 @@ def _mttr_run():
     mid-epoch to the job resuming — and how many bytes does each epoch
     replicate vs. how many a recovery re-replicates?"""
     out = {}
-    for kb in RECOVERY_KB:
+    epochs = _sweep().recovery_epochs
+    for kb in _sweep().recovery_kb:
         # Clean run measures the epoch window so the crash in the
         # crashy run lands mid-epoch (the simulator is deterministic,
         # so both runs share the same prefix up to the crash).
         job, setup, epoch_fn = _recovery_job(kb)
         t0 = job.engine.now
-        job.recovery.run(setup, epoch_fn, epochs=RECOVERY_EPOCHS)
+        job.recovery.run(setup, epoch_fn, epochs=epochs)
         window = job.engine.now - t0
         clean_bytes = job.trace.count("recover.bytes_replicated")
 
@@ -1192,7 +1217,7 @@ def _mttr_run():
         plan = FaultPlan().crash(1, at=crash_at)
         job2, setup2, epoch_fn2 = _recovery_job(kb, fault_plan=plan)
         t0 = job2.engine.now
-        job2.recovery.run(setup2, epoch_fn2, epochs=RECOVERY_EPOCHS)
+        job2.recovery.run(setup2, epoch_fn2, epochs=epochs)
         out[kb] = {
             "clean_window_s": window,
             "crashy_window_s": job2.engine.now - t0,
@@ -1208,20 +1233,21 @@ def _mttr_run():
 
 
 def _mttr_check(out):
+    epochs = _sweep().recovery_epochs
     for kb, m in out.items():
         assert m["recoveries"] >= 1, f"{kb} KB run never recovered"
         # Incremental checkpoints: replication traffic must not balloon
         # past one full image per epoch per rank.
         assert m["bytes_replicated_clean"] < (
-            RECOVERY_PROCS * (RECOVERY_EPOCHS + 1) * kb * 1024 * 1.5
+            RECOVERY_PROCS * (epochs + 1) * kb * 1024 * 1.5
         )
 
 
 @_table(
     ["protected KB/rank", "MTTR (us)", "bytes replicated", "bytes re-replicated",
      "bytes restored", "epochs replayed", "slowdown"],
-    f"Crash recovery MTTR: {RECOVERY_PROCS} procs, "
-    f"{RECOVERY_EPOCHS} epochs, 1 mid-epoch crash, buddy "
+    lambda: f"Crash recovery MTTR: {RECOVERY_PROCS} procs, "
+    f"{_sweep().recovery_epochs} epochs, 1 mid-epoch crash, buddy "
     "replication + coordinated checkpoints",
 )
 def _mttr_table(out):
@@ -1232,11 +1258,7 @@ def _mttr_table(out):
                f"{m['crashy_window_s'] / m['clean_window_s']:.2f}x"]
 
 
-FIFO_DEPTHS = (None, 4) if SMOKE else (None, 2, 4, 8, 16, 64)
-MEMREGION_BUDGETS = (None, 2) if SMOKE else (None, 1, 2, 3, 4, 8)
-BURST = 8 if SMOKE else 32
 SWEEP_NBYTES = 1024
-SRC_SEGMENTS = 2 if SMOKE else 6
 
 
 def _fifo_burst(depth):
@@ -1248,12 +1270,13 @@ def _fifo_burst(depth):
 
     def loop(rt, alloc):
         src = rt.world.space(0).allocate(SWEEP_NBYTES)
+        burst = _sweep().burst
         t0 = rt.engine.now
-        for _i in range(BURST):
+        for _i in range(burst):
             yield from rt.nbput(1, src, alloc.addr(1), SWEEP_NBYTES)
         yield from rt.wait_all()
         yield from rt.fence(1)
-        return BURST / (rt.engine.now - t0)
+        return burst / (rt.engine.now - t0)
 
     cfg = ArmciConfig.async_thread_mode(use_rdma=False, fifo_depth=depth)
     job = ArmciJob(2, config=cfg, procs_per_node=1)
@@ -1264,13 +1287,13 @@ def _fifo_burst(depth):
 def _fifo_run():
     """Degradation under exhaustion, the injection FIFO: message rate as
     its depth shrinks. Backpressure should throttle, not deadlock."""
-    return {d: _fifo_burst(d) for d in FIFO_DEPTHS}
+    return {d: _fifo_burst(d) for d in _sweep().fifo_depths}
 
 
 def _fifo_check(fifo):
     # Bounded FIFOs throttle but never deadlock: every sweep completed,
     # and shallow depths actually exercised backpressure.
-    shallowest = min(d for d in FIFO_DEPTHS if d is not None)
+    shallowest = min(d for d in fifo if d is not None)
     assert fifo[shallowest][1].count("armci.backpressure_stalls") > 0
     assert fifo[None][1].count("armci.backpressure_stalls") == 0
 
@@ -1278,7 +1301,7 @@ def _fifo_check(fifo):
 @_table(
     ["fifo depth", "rate (Mmsg/s)", "vs unbounded", "backpressure stalls",
      "stall time (us)"],
-    f"Message rate vs injection-FIFO depth: burst of {BURST} x "
+    lambda: f"Message rate vs injection-FIFO depth: burst of {_sweep().burst} x "
     f"{SWEEP_NBYTES} B AM puts (AT mode, RDMA off)",
 )
 def _fifo_table(fifo):
@@ -1298,13 +1321,14 @@ def _budget_round_robin(budget):
 
     def loop(rt, alloc):
         space = rt.world.space(0)
-        srcs = [space.allocate(SWEEP_NBYTES) for _i in range(SRC_SEGMENTS)]
+        sweep = _sweep()
+        srcs = [space.allocate(SWEEP_NBYTES) for _i in range(sweep.src_segments)]
         t0 = rt.engine.now
-        for i in range(BURST):
-            src = srcs[i % SRC_SEGMENTS]
+        for i in range(sweep.burst):
+            src = srcs[i % sweep.src_segments]
             yield from rt.put(1, src, alloc.addr(1), SWEEP_NBYTES)
         yield from rt.fence(1)
-        return BURST / (rt.engine.now - t0)
+        return sweep.burst / (rt.engine.now - t0)
 
     cfg = ArmciConfig.async_thread_mode(memregion_budget=budget)
     job = ArmciJob(2, config=cfg, procs_per_node=1)
@@ -1322,13 +1346,13 @@ def _budget_run():
     """Degradation under exhaustion, the registration budget: message rate
     and the AM-fallback fraction as it shrinks. A starved registration
     budget should shift traffic to Eq. 8."""
-    return {b: _budget_round_robin(b) for b in MEMREGION_BUDGETS}
+    return {b: _budget_round_robin(b) for b in _sweep().memregion_budgets}
 
 
 def _budget_check(budget):
     # An unbounded budget never falls back; a starved one must.
     assert _fallback_share(budget[None][1]) == 0.0
-    tightest = min(b for b in MEMREGION_BUDGETS if b is not None)
+    tightest = min(b for b in budget if b is not None)
     assert budget[tightest][1].count("armci.put_fallback") > 0
     assert _fallback_share(budget[tightest][1]) >= 0.5
 
@@ -1336,8 +1360,8 @@ def _budget_check(budget):
 @_table(
     ["memregion budget", "rate (Mmsg/s)", "vs unbounded", "AM-fallback fraction",
      "cache reclaims"],
-    f"Protocol degradation vs memory-region budget: {BURST} "
-    f"puts round-robin over {SRC_SEGMENTS} source segments",
+    lambda: f"Protocol degradation vs memory-region budget: {_sweep().burst} "
+    f"puts round-robin over {_sweep().src_segments} source segments",
 )
 def _budget_table(budget):
     base_rate, _ = budget[None]
@@ -1347,8 +1371,6 @@ def _budget_table(budget):
                trace.count("armci.region_budget_reclaims")]
 
 
-CORRUPT_PROBS = (0.0, 0.2) if SMOKE else (0.0, 0.05, 0.2, 0.5)
-NET_TRANSFERS = 8 if SMOKE else 32
 NET_NBYTES = 4096
 
 
@@ -1357,7 +1379,7 @@ def _corrupting_wire(prob):
 
     def loop(rt, alloc):
         src = rt.world.space(0).allocate(NET_NBYTES)
-        for _i in range(NET_TRANSFERS):
+        for _i in range(_sweep().net_transfers):
             yield from rt.put(1, src, alloc.addr(1), NET_NBYTES)
             yield from rt.fence(1)
 
@@ -1374,7 +1396,7 @@ def _corrupting_wire(prob):
 def _integrity_run():
     """Network faults, a corrupting wire: what does end-to-end integrity
     cost, in checksum failures caught and retransmit bytes?"""
-    return {p: _corrupting_wire(p) for p in CORRUPT_PROBS}
+    return {p: _corrupting_wire(p) for p in _sweep().corrupt_probs}
 
 
 def _integrity_check(corrupt):
@@ -1389,8 +1411,8 @@ def _integrity_check(corrupt):
 @_table(
     ["corrupt prob", "workload (ms)", "slowdown", "checksum failures",
      "retransmits", "retransmit bytes"],
-    f"End-to-end integrity cost on a corrupting wire: "
-    f"{NET_TRANSFERS} x {NET_NBYTES} B fenced puts, 2 ranks "
+    lambda: "End-to-end integrity cost on a corrupting wire: "
+    f"{_sweep().net_transfers} x {NET_NBYTES} B fenced puts, 2 ranks "
     "(AT mode, CRC32 + seq)",
 )
 def _integrity_table(corrupt):
@@ -1411,12 +1433,13 @@ def _link_kill(monitored):
     health monitor pays its detection hysteresis in dropped transfers
     and retries first.
     """
-    half = NET_TRANSFERS // 2
+    transfers = _sweep().net_transfers
+    half = transfers // 2
 
     def loop(rt, alloc):
         src = rt.world.space(0).allocate(NET_NBYTES)
         pre, post = [], None
-        for i in range(NET_TRANSFERS):
+        for i in range(transfers):
             if i == half:
                 rt.world.apply_link_fault(LinkFault(
                     "kill", (0, 0, 0, 0, 0), (0, 0, 1, 0, 0), at=0.0,
@@ -1465,8 +1488,8 @@ def _link_kill_check(kills):
 @_table(
     ["routing view", "link-kill MTTR (us)", "reroutes", "transfers dropped",
      "links declared dead"],
-    "Link-kill MTTR: dim-order first-hop link killed "
-    f"mid-run, {NET_TRANSFERS} x {NET_NBYTES} B fenced puts "
+    lambda: "Link-kill MTTR: dim-order first-hop link killed "
+    f"mid-run, {_sweep().net_transfers} x {NET_NBYTES} B fenced puts "
     "rank 0 -> 7 (8 procs, 1/node)",
 )
 def _link_kill_table(kills):

@@ -70,6 +70,7 @@ _COUNTER_LAYOUT: tuple[tuple[str, str, str], ...] = (
     ("resilience", "recover.bytes_restored", "bytes restored"),
     ("resilience", "recover.bytes_rereplicated", "bytes re-replicated"),
     ("resilience", "gax.pool_shards_failed_over", "task-pool shards failed over"),
+    ("resilience", "gax.watermarks_merged", "standby watermarks merged"),
     ("serving", "serve.actors_registered", "actors registered"),
     ("serving", "serve.records_posted", "actor records posted"),
     ("serving", "serve.records_sent", "actor records sent (wire)"),
@@ -81,7 +82,6 @@ _COUNTER_LAYOUT: tuple[tuple[str, str, str], ...] = (
     ("serving", "serve.guard_deferrals", "inbox polls deferred (guard)"),
     ("serving", "serve.waves_coordinated", "termination waves coordinated"),
     ("serving", "serve.wave_contributions", "termination wave contributions"),
-    ("serving", "serve.watermarks_merged", "standby watermarks merged"),
     ("serving", "serve.termination_failovers", "termination coordinator failovers"),
     ("serving", "serve.peer_deaths", "actor peers discovered dead"),
     ("serving", "serve.records_dropped_dead", "records dropped (dead peer)"),

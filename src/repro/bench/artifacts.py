@@ -44,11 +44,17 @@ class Artifact:
     chart: Callable[[Any], str] | None = None
 
 
+def smoke_or_full(smoke, full):
+    """``smoke`` under ``REPRO_BENCH_SMOKE=1``, else ``full``: the one
+    reader of the small-scale switch, consulted when a sweep runs."""
+    return smoke if os.environ.get("REPRO_BENCH_SMOKE") == "1" else full
+
+
 def _grid(procs, smoke: tuple[int, ...], paper: tuple[int, ...]) -> tuple[int, ...]:
     """The caller's process counts, else the smoke or the paper grid."""
     if procs:
         return tuple(procs)
-    return smoke if os.environ.get("REPRO_BENCH_SMOKE") == "1" else paper
+    return smoke_or_full(smoke, paper)
 
 
 def _claim(holds: bool, *context) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator
 
-from ..errors import ArmciError
+from ..errors import ArmciError, ProcessFailedError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..armci.runtime import ArmciProcess
@@ -47,6 +47,23 @@ class SharedCounter:
         old = yield from rt.rmw(self.host, self.addr, "fetch_add", stride)
         rt.trace.incr("gax.counter_draws")
         return old
+
+    def fetch_max(
+        self, rt: "ArmciProcess", watermark: int
+    ) -> Generator[Any, Any, bool]:
+        """Raise the counter to at least ``watermark``.
+
+        Concurrent merges from several survivors converge on the furthest
+        progress any of them witnessed, and replaying one is harmless.
+        Returns ``False`` instead of raising when the host is dead, so a
+        failover chain can continue elsewhere.
+        """
+        try:
+            yield from rt.rmw(self.host, self.addr, "fetch_max", watermark)
+        except ProcessFailedError:
+            return False
+        rt.trace.incr("gax.watermarks_merged")
+        return True
 
     def reset(self, rt: "ArmciProcess") -> Generator[Any, Any, int]:
         """Reset to zero; returns the old value (host-side swap)."""

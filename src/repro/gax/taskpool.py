@@ -180,14 +180,7 @@ class DistributedTaskPool:
             # No standby, or the standby is the counter that just died.
             return False
         backup = self.backups[shard]
-        # Function-level import: repro.serve builds on gax primitives,
-        # so gax must not import serve at module scope.
-        from ..serve.termination import merge_watermark
-
-        merged = yield from merge_watermark(
-            rt, backup.host, backup.addr, watermarks.get(shard, 0)
-        )
-        if not merged:
+        if not (yield from backup.fetch_max(rt, watermarks.get(shard, 0))):
             return False
         failed_over.add(shard)
         rt.trace.incr("gax.pool_shards_failed_over")

@@ -41,7 +41,7 @@ from .mailbox import (
     Mailbox,
     SLOT_DTYPE,
 )
-from .termination import FourCounterTermination, merge_watermark
+from .termination import FourCounterTermination
 
 __all__ = [
     "Actor",
@@ -66,7 +66,6 @@ __all__ = [
     "SLOT_DTYPE",
     "generate_requests",
     "golden_state",
-    "merge_watermark",
     "requests_to_records",
     "run_kv",
     "shard_of",

@@ -1,29 +1,16 @@
 """Distributed quiescence detection for the actor layer.
 
-Two exports, both built on the same primitive the taskpool's crash
-recovery already relies on — a remote ``fetch_max`` merge into a
-standby counter:
-
-``merge_watermark``
-    The promoted form of :class:`~repro.gax.taskpool.DistributedTaskPool`'s
-    standby-counter merge: push a locally-witnessed monotone watermark
-    into a counter cell on another rank so the standby resumes from the
-    furthest progress any survivor can vouch for. Returns ``False``
-    (instead of raising) when the standby host itself is dead, so
-    callers can chain failovers.
-
-``FourCounterTermination``
-    The classic four-counter wave protocol (Mattern-style) generalizing
-    the taskpool's "watermark says everyone is past X" idea to arbitrary
-    message-passing actors. Each participant contributes
-    ``(sent, received, idle)`` to a wave board hosted on the
-    coordinator; the coordinator declares termination only when **two
-    consecutive waves** observe the same globally-balanced counters
-    (``S_w == R_w == S_{w-1} == R_{w-1}``) with every participant idle.
-    A message consumed after its receiver contributed shows up as
-    ``R_w < S_w`` and blocks the verdict, so no in-flight message can be
-    missed — the standard safety argument, and the reason one balanced
-    snapshot is not enough.
+``FourCounterTermination`` is the classic four-counter wave protocol
+(Mattern-style), generalizing the taskpool's "watermark says everyone
+is past X" idea to arbitrary message-passing actors. Each participant
+contributes ``(sent, received, idle)`` to a wave board hosted on the
+coordinator; the coordinator declares termination only when **two
+consecutive waves** observe the same globally-balanced counters
+(``S_w == R_w == S_{w-1} == R_{w-1}``) with every participant idle. A
+message consumed after its receiver contributed shows up as ``R_w <
+S_w`` and blocks the verdict, so no in-flight message can be missed —
+the standard safety argument, and the reason one balanced snapshot is
+not enough.
 
 Fault tolerance: the coordinator is the lowest-indexed *alive*
 participant. The board is a collective allocation, so every participant
@@ -48,24 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover
 _SLOT_BYTES = 32
 #: Bytes of board tail: verdict, result_wave.
 _TAIL_BYTES = 16
-
-
-def merge_watermark(
-    rt: "ArmciProcess", host: int, addr: int, watermark: int
-) -> Generator[Any, Any, bool]:
-    """Fold a monotone watermark into a remote counter cell.
-
-    Issues ``fetch_max`` so concurrent merges from several survivors
-    converge on the furthest progress any of them witnessed (idempotent:
-    replaying the merge is harmless). Returns ``False`` when ``host``
-    is already dead — the caller's failover chain continues elsewhere.
-    """
-    try:
-        yield from rt.rmw(host, addr, "fetch_max", watermark)
-    except ProcessFailedError:
-        return False
-    rt.trace.incr("serve.watermarks_merged")
-    return True
 
 
 @dataclass

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.pami import PamiWorld
+
+# The benchmark registry and its manifest check, importable as the
+# benchmark suite imports them.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 
 def build_world(num_procs: int = 2, rho: int = 1, **kwargs) -> PamiWorld:

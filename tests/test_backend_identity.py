@@ -5,40 +5,37 @@ operation through :class:`repro.transport.pami.PamiTransport` changes
 *nothing* — same events, same timings, same counters — for the paper
 figures. These tests pin that promise three ways:
 
-1. the fig 3/4/8/11 result tables, rendered in the test by the one
-   renderer (``repro.bench.artifacts.ARTIFACTS[stem].table``), carry
-   the seed md5s,
+1. every registry table (``ARTIFACTS`` and ``SUPPLEMENTARY``), rendered
+   at smoke scale, carries the ``smoke`` md5 of
+   ``benchmarks/golden.json`` — the manifest the benchmark suite holds
+   both scales to,
 2. the raw figure sweeps reproduce seed-identical data, and
 3. a mixed workload (contiguous/strided/vector/acc/rmw/locks/fences)
    reproduces the seed's exact finish time and counter set in both D
    and AT modes.
 
-All golden constants were captured on the pre-refactor seed tree.
+The raw-sweep and workload constants were captured on the pre-refactor
+seed tree.
 """
 
 import functools
 import hashlib
-from pathlib import Path
 
 import pytest
+from _report import assert_golden
+from supplementary import SUPPLEMENTARY
 
 from repro.armci import ArmciConfig, ArmciJob
 from repro.armci.vector import IoVector
 from repro.bench.artifacts import ARTIFACTS
 from repro.types import StridedDescriptor, StridedShape
 
-#: md5 of each figure table as the seed tree's bench scripts write it.
-#: Figure 11 is the ``REPRO_BENCH_SMOKE=1`` grid (64/128/256 ranks); the
-#: paper grid (1024/2048/4096 ranks, minutes of host time) digests to
-#: 0c54ab709faf44042f276828279761a7 — check it by hand with
-#: ``pytest benchmarks/bench_paper.py -k fig11_scf`` and
-#: ``md5sum benchmarks/results/fig11_scf.txt``.
-SEED_FIG_MD5 = {
-    "fig3_latency.txt": "e5ae856594441ddbf3ab62d0f693867e",
-    "fig4_bandwidth.txt": "4d4fb290a764d69c360592e5cf1843cd",
-    "fig8_strided.txt": "85846dcb46b3876d63a1d17daac1b7ff",
-    "fig11_scf.txt": "2dea1d47b681f4c1c390ba9ce20436ec",
-}
+REGISTRY = {**ARTIFACTS, **SUPPLEMENTARY}
+
+#: Held to the manifest by the benchmark suite's smoke sweep only: about
+#: 9 s and 3 s of host time, where the other 31 stems take about 2 s
+#: beside the Fig. 11 smoke grid tier-1 runs for ``SEED_SWEEP_MD5``.
+SWEEP_ONLY = ("ablation_counters", "backend_compare")
 
 #: md5 of ``repr()`` of the raw sweep data feeding each figure.
 SEED_SWEEP_MD5 = {
@@ -61,28 +58,20 @@ def _md5(data: bytes) -> str:
 
 @functools.cache
 def figure_data(stem):
-    """Each figure's sweep runs once per session, is held to the paper's
-    claims, and feeds both gates: the raw-data digest and the digest of
-    the table rendered from it. Figure 11 runs the smoke grid."""
-    data = ARTIFACTS[stem].run((64, 128, 256) if stem == "fig11_scf" else None)
-    ARTIFACTS[stem].check(data)
+    """Each registry entry runs at smoke scale once per session and is
+    held to its claims; its data feeds the table digest and, for the
+    figures, the raw-data digest."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_BENCH_SMOKE", "1")
+        data = REGISTRY[stem].run()
+        REGISTRY[stem].check(data)
     return data
 
 
-class TestCommittedFigureFiles:
-    """Each table is rendered here by the registry's renderer, with the
-    newline ``benchmarks/_report.save`` ends a result file with — never
-    read from the git-ignored ``benchmarks/results/``, so the gate holds
-    on a fresh clone and is independent of benchmark run order."""
-
-    @pytest.mark.parametrize("name", sorted(SEED_FIG_MD5))
-    def test_committed_table_is_seed_identical(self, name):
-        stem = Path(name).stem
-        table = ARTIFACTS[stem].table(figure_data(stem))
-        assert _md5((table + "\n").encode()) == SEED_FIG_MD5[name], (
-            f"{name} drifted from the seed output: the default backend "
-            f"must stay byte-identical on the paper figures"
-        )
+@pytest.mark.parametrize("stem", [s for s in REGISTRY if s not in SWEEP_ONLY])
+def test_table_matches_golden(stem, monkeypatch):
+    monkeypatch.setenv("REPRO_BENCH_SMOKE", "1")
+    assert_golden(stem, REGISTRY[stem].table(figure_data(stem)))
 
 
 class TestFigureSweeps:

@@ -11,6 +11,7 @@ import pytest
 from repro.armci import ArmciConfig, ArmciJob
 from repro.chaos import ChaosConfig, FaultPlan
 from repro.errors import ArmciError
+from repro.gax import SharedCounter
 from repro.serve import (
     Actor,
     ActorSystem,
@@ -22,7 +23,6 @@ from repro.serve import (
     SLOT_DTYPE,
     generate_requests,
     golden_state,
-    merge_watermark,
     run_kv,
     shard_of,
 )
@@ -220,10 +220,9 @@ class TestTermination:
             alloc = yield from rt.malloc(8)
             yield from rt.barrier()
             if rt.rank == 1:
-                ok = yield from merge_watermark(rt, 0, alloc.addr(0), 7)
-                assert ok
-                ok = yield from merge_watermark(rt, 0, alloc.addr(0), 3)
-                assert ok
+                standby = SharedCounter(0, alloc.addr(0))
+                assert (yield from standby.fetch_max(rt, 7))
+                assert (yield from standby.fetch_max(rt, 3))
             yield from rt.barrier()
             if rt.rank == 0:
                 seen[0] = rt.world.space(0).read_i64(alloc.addr(0))
@@ -241,9 +240,8 @@ class TestTermination:
             if rt.rank == 0:
                 while not rt.world.is_failed(1):
                     yield from rt.progress()
-                outcomes[0] = yield from merge_watermark(
-                    rt, 1, alloc.addr(1), 5
-                )
+                standby = SharedCounter(1, alloc.addr(1))
+                outcomes[0] = yield from standby.fetch_max(rt, 5)
 
         job.run(body)
         assert outcomes[0] is False
