@@ -18,6 +18,8 @@ from ..sim.primitives import Delay
 class EndpointCache:
     """Per-process endpoint table, filled on first use of a destination."""
 
+    __slots__ = ("owner_rank", "create_time", "trace", "_cache")
+
     def __init__(
         self, owner_rank: int, create_time: float, trace: MetricsRegistry
     ) -> None:

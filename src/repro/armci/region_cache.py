@@ -23,13 +23,21 @@ from ..errors import ArmciError
 from ..obs.metrics import MetricsRegistry
 from ..pami.memregion import MemoryRegion, MemoryRegionRegistry
 
-#: Cache key: (owner_rank, any address inside the region is resolved by
-#: the owner; we key on the region's base address).
-CacheKey = tuple[int, int]
+
+class _Entry:
+    """One cached handle with its LFU count, insertion age and pins."""
+
+    __slots__ = ("region", "freq", "age", "pins")
+
+    def __init__(self, region: MemoryRegion, age: int) -> None:
+        self.region, self.freq, self.age, self.pins = region, 1, age, 0
 
 
 class RegionCache:
     """Bounded LFU cache of remote :class:`MemoryRegion` handles."""
+
+    __slots__ = ("capacity", "trace", "budget_registry", "_entries", "_size",
+                 "_clock")
 
     def __init__(
         self,
@@ -42,28 +50,32 @@ class RegionCache:
         self.capacity = capacity
         self.trace = trace
         self.budget_registry = budget_registry
-        # owner rank -> {base address -> region}; regions per owner rarely
-        # exceed sigma (1-7, Table II), so the per-owner scan is short.
-        self._by_owner: dict[int, dict[int, MemoryRegion]] = {}
+        # owner rank -> its cached entries, oldest first: the one keyed
+        # structure. Regions per owner rarely exceed sigma (1-7, Table
+        # II), so the per-owner scan is short, and a tuple rebuilt on
+        # insert and removal is smaller than a list.
+        self._entries: dict[int, tuple[_Entry, ...]] = {}
         self._size = 0
-        self._freq: dict[CacheKey, int] = {}
         # Monotone insertion counter for deterministic LFU tie-breaking.
-        self._age: dict[CacheKey, int] = {}
         self._clock = 0
-        self._pins: dict[CacheKey, int] = {}
 
     def __len__(self) -> int:
         return self._size
 
+    def _entry(self, owner: int, base: int) -> _Entry | None:
+        for entry in self._entries.get(owner, ()):
+            if entry.region.base == base:
+                return entry
+        return None
+
     def lookup(self, owner: int, addr: int, nbytes: int) -> MemoryRegion | None:
         """Cached region of ``owner`` covering ``[addr, addr+nbytes)``."""
-        regions = self._by_owner.get(owner)
-        if regions:
-            for region in regions.values():
-                if region.covers(addr, nbytes):
-                    self._freq[(owner, region.base)] += 1
-                    self.trace.incr("armci.region_cache_hits")
-                    return region
+        for entry in self._entries.get(owner, ()):
+            region = entry.region
+            if region.covers(addr, nbytes):
+                entry.freq += 1
+                self.trace.incr("armci.region_cache_hits")
+                return region
         self.trace.incr("armci.region_cache_misses")
         return None
 
@@ -76,24 +88,20 @@ class RegionCache:
         would deregister the handle the NIC is still using. No-op for
         regions not in the cache (local regions, uncached handles).
         """
-        key = (region.rank, region.base)
-        if key in self._freq:
-            self._pins[key] = self._pins.get(key, 0) + 1
+        entry = self._entry(region.rank, region.base)
+        if entry is not None:
+            entry.pins += 1
 
     def unpin(self, region: MemoryRegion) -> None:
         """Drop one pin (the RDMA op completed)."""
-        key = (region.rank, region.base)
-        count = self._pins.get(key)
-        if count is None:
-            return
-        if count <= 1:
-            del self._pins[key]
-        else:
-            self._pins[key] = count - 1
+        entry = self._entry(region.rank, region.base)
+        if entry is not None and entry.pins:
+            entry.pins -= 1
 
     def pinned(self, owner: int, base: int) -> int:
         """Outstanding pin count of an entry (0 if absent/unpinned)."""
-        return self._pins.get((owner, base), 0)
+        entry = self._entry(owner, base)
+        return 0 if entry is None else entry.pins
 
     # ---------------------------------------------------------- mutation
 
@@ -108,10 +116,9 @@ class RegionCache:
         the next access re-fetches it (graceful degradation, not an
         error).
         """
-        key = (region.rank, region.base)
-        regions = self._by_owner.setdefault(region.rank, {})
-        if region.base in regions:
-            self._freq[key] += 1
+        entry = self._entry(region.rank, region.base)
+        if entry is not None:
+            entry.freq += 1
             return
         if self.capacity is not None and self._size >= self.capacity:
             if not self._evict():
@@ -121,30 +128,35 @@ class RegionCache:
             if not (self._evict() and self.budget_registry.reserve()):
                 self.trace.incr("armci.region_cache_uncached")
                 return
-        regions[region.base] = region
-        self._size += 1
-        self._freq[key] = 1
         self._clock += 1
-        self._age[key] = self._clock
+        entries = self._entries
+        owner = region.rank
+        entries[owner] = entries.get(owner, ()) + (_Entry(region, self._clock),)
+        self._size += 1
+
+    def _drop(self, entry: _Entry) -> None:
+        """Remove one entry and return its budget slot."""
+        owner = entry.region.rank
+        rest = tuple(e for e in self._entries[owner] if e is not entry)
+        if rest:
+            self._entries[owner] = rest
+        else:
+            del self._entries[owner]
+        self._size -= 1
+        if self.budget_registry is not None:
+            self.budget_registry.release()
 
     def _evict(self) -> bool:
         """Evict the least-frequently-used *unpinned* entry.
 
         Returns False when every entry is pinned (nothing evictable).
         """
-        candidates = [k for k in self._freq if k not in self._pins]
+        candidates = [
+            e for entries in self._entries.values() for e in entries if not e.pins
+        ]
         if not candidates:
             return False
-        victim = min(candidates, key=lambda k: (self._freq[k], self._age[k]))
-        owner, base = victim
-        # Keep empty per-owner dicts: an in-flight insert may still hold a
-        # reference to one.
-        del self._by_owner[owner][base]
-        self._size -= 1
-        del self._freq[victim]
-        del self._age[victim]
-        if self.budget_registry is not None:
-            self.budget_registry.release()
+        self._drop(min(candidates, key=lambda e: (e.freq, e.age)))
         self.trace.incr("armci.region_cache_evictions")
         return True
 
@@ -168,15 +180,9 @@ class RegionCache:
 
     def invalidate(self, owner: int, base: int) -> None:
         """Drop a cached handle (the region was destroyed at its owner)."""
-        regions = self._by_owner.get(owner)
-        if regions is not None and base in regions:
-            del regions[base]
-            self._size -= 1
-            del self._freq[(owner, base)]
-            del self._age[(owner, base)]
-            self._pins.pop((owner, base), None)
-            if self.budget_registry is not None:
-                self.budget_registry.release()
+        entry = self._entry(owner, base)
+        if entry is not None:
+            self._drop(entry)
 
     def invalidate_rank(self, owner: int) -> None:
         """Drop every cached handle owned by ``owner`` (non-generator).
@@ -184,11 +190,8 @@ class RegionCache:
         Crash recovery: a respawned rank's old registrations are gone, so
         every handle pointing at its previous incarnation is poison.
         """
-        regions = self._by_owner.get(owner)
-        if not regions:
-            return
-        for base in list(regions):
-            self.invalidate(owner, base)
+        for entry in self._entries.get(owner, ()):
+            self.invalidate(owner, entry.region.base)
 
     def space_bytes(self, gamma: int) -> int:
         """Current cache footprint: entries * gamma (Eq. 5 second term)."""

@@ -403,6 +403,12 @@ class ArmciJob:
         try:
             return self.engine.run_until_complete(procs)
         finally:
+            # A finished process has nothing left to kill: keep the live
+            # ones only, so a job run N times holds one run's processes.
+            self._rank_procs = {
+                r: live for r, procs in self._rank_procs.items()
+                if (live := [p for p in procs if not p.done._triggered])
+            }
             if self.obs is not None:
                 # Close anything still open (killed ranks, abandoned
                 # waits) so every exported span has an end time.
@@ -418,6 +424,15 @@ def _post_and_wait(nb, args: tuple) -> Generator[Any, Any, None]:
 class ArmciProcess:
     """Per-rank ARMCI runtime and public API (all methods are generators
     unless documented otherwise)."""
+
+    # The last four are created on first use by the module that owns each.
+    __slots__ = (
+        "job", "rank", "world", "engine", "trace", "config", "transport", "observer",
+        "obs", "client", "main_context", "endpoints", "region_cache", "tracker",
+        "_mutexes", "_notify_board", "async_thread", "watchdog", "progress_failed_over",
+        "_deadline", "_pending_acks", "_ack_prune_at", "_implicit_handles",
+        "_next_alloc_id", "_replay_mode", "_agg_buffer", "_gax_scratch", "_dtp_state",
+        "_group_state")
 
     def __init__(self, job: ArmciJob, rank: int) -> None:
         self.job = job
@@ -467,8 +482,8 @@ class ArmciProcess:
             budget_registry=budget_registry,
         )
         self.tracker = make_tracker(self.config.consistency_tracker)
-        self.mutexes = MutexTable()
-        self.notify_board = _notify.NotifyBoard()
+        self._mutexes: MutexTable | None = None
+        self._notify_board: _notify.NotifyBoard | None = None
         self.async_thread = None
         self.watchdog = None
         #: Set by the watchdog once progress duty failed over.
@@ -480,19 +495,32 @@ class ArmciProcess:
         #: Per destination, the ack-list length that triggers its next
         #: prune (absent = ``ACK_PRUNE_FLOOR``); see track_write_ack.
         self._ack_prune_at: dict[int, int] = {}
-        self._implicit_handles: set[Handle] = set()
+        #: Implicit handles not yet complete; ``None`` while there are none.
+        self._implicit_handles: set[Handle] | None = None
         self._next_alloc_id = 0
         #: Replay mode (crash recovery): collective setup calls are
         #: replayed locally — malloc re-maps recorded addresses and
         #: barriers no-op, since the survivors are not re-entering them.
         self._replay_mode = False
         # Lazily-allocated staging state points into the dead
-        # incarnation's address space. (hasattr/delattr, not
-        # ``self.__dict__``: touching ``__dict__`` un-inlines the
-        # instance's attribute values and slows every later ``rt.x``.)
+        # incarnation's address space.
         for attr in ("_agg_buffer", "_gax_scratch", "_dtp_state"):
             if hasattr(self, attr):
                 delattr(self, attr)
+
+    @property
+    def mutexes(self) -> MutexTable:
+        """The mutexes this rank hosts (made on first use)."""
+        if self._mutexes is None:
+            self._mutexes = MutexTable()
+        return self._mutexes
+
+    @property
+    def notify_board(self) -> "_notify.NotifyBoard":
+        """This rank's notification inbox (made on first use)."""
+        if self._notify_board is None:
+            self._notify_board = _notify.NotifyBoard()
+        return self._notify_board
 
     def _reinit_body(self) -> Generator[Any, Any, None]:
         """Initialize one incarnation inside the simulation: contexts,
@@ -728,11 +756,17 @@ class ArmciProcess:
 
     def on_handle_complete(self, handle: Handle) -> None:
         """Handle-completion hook (non-generator)."""
-        self._implicit_handles.discard(handle)
+        handles = self._implicit_handles
+        if handles:
+            handles.discard(handle)
+            if not handles:
+                self._implicit_handles = None
         handle.release_pins(self.region_cache)
 
     def _new_handle(self, kind: str) -> Handle:
         handle = Handle(self, kind)
+        if self._implicit_handles is None:
+            self._implicit_handles = set()
         self._implicit_handles.add(handle)
         return handle
 
@@ -1224,7 +1258,7 @@ class ArmciProcess:
         if deadline is not None:
             self._deadline = deadline
         try:
-            for handle in list(self._implicit_handles):
+            for handle in list(self._implicit_handles or ()):
                 if not handle.complete:
                     yield from handle.wait()
                 else:

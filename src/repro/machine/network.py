@@ -89,10 +89,13 @@ class TorusNetwork:
         self.link_contention = link_contention
         # Next time each rank's injection FIFO is free.
         self._inject_free: dict[int, float] = {}
-        # Cache rank -> node coordinate (mapping lookups are hot).
+        # Cache rank -> node coordinate (mapping lookups are hot), one
+        # tuple per node shared by its ranks (``_nodes`` interns them).
         self._node_cache: dict[int, tuple[int, ...]] = {}
-        # Cache (src, dst) -> hop count (distance computations are hot).
-        self._hops_cache: dict[tuple[int, int], int] = {}
+        self._nodes: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # Cache (src node, dst node) -> hop count (distance computations
+        # are hot).
+        self._hops_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         # Directed link -> next free time (contention model only).
         self._link_free: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
         # Cache (src, dst) -> directed links of the dimension-order route.
@@ -115,6 +118,7 @@ class TorusNetwork:
     _MUTABLE_CACHES = (
         "_inject_free",
         "_node_cache",
+        "_nodes",
         "_hops_cache",
         "_link_free",
         "_route_cache",
@@ -144,16 +148,17 @@ class TorusNetwork:
         coord = self._node_cache.get(rank)
         if coord is None:
             coord = self.mapping.node_of(rank)
-            self._node_cache[rank] = coord
+            coord = self._node_cache[rank] = self._nodes.setdefault(coord, coord)
         return coord
 
     def hops(self, src: int, dst: int) -> int:
-        """Torus hop count between the nodes hosting two ranks (cached)."""
-        key = (src, dst)
+        """Torus hop count between the nodes hosting two ranks (cached
+        per node pair: the distance is a property of the partition)."""
+        node = self._node_cache.get
+        key = (node(src) or self.node_of(src), node(dst) or self.node_of(dst))
         h = self._hops_cache.get(key)
         if h is None:
-            h = self.mapping.torus.distance(self.node_of(src), self.node_of(dst))
-            self._hops_cache[key] = h
+            h = self._hops_cache[key] = self.mapping.torus.distance(*key)
         return h
 
     def is_local(self, src: int, dst: int) -> bool:

@@ -32,6 +32,8 @@ class PamiClient:
         This process's rank.
     """
 
+    __slots__ = ("world", "rank", "contexts", "_dispatch", "_dispatcher_ids", "_dispatcher")
+
     def __init__(self, world: "PamiWorld", rank: int) -> None:
         self.world = world
         self.rank = rank

@@ -122,6 +122,10 @@ class PamiContext:
         = unbounded, the seed model.
     """
 
+    __slots__ = ("client", "index", "engine", "params", "trace", "queue", "lock",
+                 "_lock_overhead", "_arrival", "busy_time", "capacity",
+                 "_credits_out", "_room", "progress_epoch")
+
     def __init__(
         self, client: "PamiClient", index: int, capacity: int | None = None
     ) -> None:
@@ -131,13 +135,13 @@ class PamiContext:
         self.engine = engine
         self.params = client.world.params
         self.trace = client.world.trace
-        name = f"r{client.rank}.ctx{index}"
-        self.queue = Queue(engine, name=f"{name}.q")
-        self.lock = Lock(engine, name=f"{name}.lock")
+        # The queue, the lock and the arrival / room signals carry a kind,
+        # not a per-context name: a context's errors name it themselves,
+        # and a name string per context is bytes on every rank.
+        self.queue = Queue(engine, name="ctx.q")
+        self.lock = Lock(engine, name="ctx.lock")
         #: One ``PAMI_Context_advance``'s lock guard, yielded per advance.
         self._lock_overhead = Delay(self.params.context_lock_overhead)
-        # The arrival / room signals are re-armed per wait: they carry a
-        # kind, not a per-context name (``name`` says which context).
         self._arrival = Event(engine, "ctx.arrival")
         #: Cumulative time threads spent holding this context's lock.
         self.busy_time = 0.0
@@ -145,7 +149,8 @@ class PamiContext:
         self.capacity = capacity
         #: Outstanding flow-control credits (occupied FIFO slots).
         self._credits_out = 0
-        self._room = Event(engine, "ctx.room")
+        #: Room signal, created by the first :meth:`room_signal`.
+        self._room: Event | None = None
         #: Monotone service heartbeat: bumped every time a batch of items
         #: is drained. The progress watchdog samples this to detect a
         #: wedged async progress thread.
@@ -206,12 +211,12 @@ class PamiContext:
             return
         if self._credits_out > 0:
             self._credits_out -= 1
-        if not self._room.triggered:
+        if self._room is not None and not self._room._triggered:
             self._room.succeed()
 
     def room_signal(self) -> Event:
         """An event that triggers at the next credit release."""
-        if self._room.triggered:
+        if self._room is None or self._room._triggered:
             self._room = Event(self.engine, "ctx.room")
         return self._room
 
@@ -249,6 +254,10 @@ class PamiContext:
                 serviced += 1
             yield Delay(offset)
             # Items that arrived during the batch are picked up next round.
+            items = self.queue.items
+        if not items:
+            # An idle context holds no deque; the next post makes one.
+            self.queue.items = None
         if serviced:
             self.progress_epoch += 1
             obs = self.client.world.obs
@@ -311,7 +320,6 @@ class PamiContext:
         reaches it, instead of blocking forever.
         """
         timer: TimerEvent | None = None
-        items = self.queue.items
         try:
             while not event._triggered:
                 if deadline is not None and self.engine.now >= deadline:
@@ -320,6 +328,9 @@ class PamiContext:
                         f"wait on context r{self.client.rank}.ctx{self.index} "
                         f"exceeded deadline t={deadline:.6g}s"
                     )
+                # Re-read after every yield: a drain drops the deque and
+                # the next post makes a new one.
+                items = self.queue.items
                 if not items:
                     # Sleep until either our op completes (possibly drained
                     # by another thread) or new work arrives to service.

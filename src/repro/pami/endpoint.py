@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from ..errors import PamiError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Endpoint:
     """Addresses ``(target_rank, context_index)`` in the job.
 

@@ -35,6 +35,12 @@ def as_u8(data) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8)
 
 
+def _segment(nbytes: int, fill: int) -> np.ndarray:
+    """A fresh segment. Zero-filled ones are demand-zero (``calloc``):
+    their pages stay out of the resident set until first written."""
+    return np.zeros(nbytes, np.uint8) if fill == 0 else np.full(nbytes, fill, np.uint8)
+
+
 class AddressSpace:
     """A flat per-process virtual address space.
 
@@ -42,6 +48,8 @@ class AddressSpace:
     numpy-backed segment. Accesses must fall entirely inside one segment
     (matching real RDMA, where a transfer targets one registered region).
     """
+
+    __slots__ = ("_bases", "_segments", "_next")
 
     def __init__(self) -> None:
         self._bases: list[int] = []
@@ -53,8 +61,7 @@ class AddressSpace:
         if nbytes <= 0:
             raise PamiError(f"allocation size must be positive, got {nbytes}")
         base = self._next
-        seg = np.full(nbytes, fill, dtype=np.uint8)
-        self._segments[base] = seg
+        self._segments[base] = _segment(nbytes, fill)
         bisect.insort(self._bases, base)
         # Advance past this segment, page-aligned, keeping a guard page.
         self._next = base + ((nbytes + PAGE - 1) // PAGE + 1) * PAGE
@@ -84,7 +91,7 @@ class AddressSpace:
                 f"map_at [{addr:#x}, +{nbytes}) overlaps segment at "
                 f"{self._bases[idx + 1]:#x}"
             )
-        self._segments[addr] = np.full(nbytes, fill, dtype=np.uint8)
+        self._segments[addr] = _segment(nbytes, fill)
         bisect.insort(self._bases, addr)
         self._next = max(
             self._next, addr + ((nbytes + PAGE - 1) // PAGE + 1) * PAGE

@@ -18,7 +18,7 @@ from ..errors import PamiError, ResourceExhaustedError
 from ..sim.primitives import Delay
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryRegion:
     """Registered memory usable for RDMA.
 
@@ -57,6 +57,9 @@ class MemoryRegionRegistry:
         Optional budget; creations beyond it raise
         :class:`ResourceExhaustedError`, triggering ARMCI's fall-back.
     """
+
+    __slots__ = ("rank", "create_time", "max_regions", "_bases", "_regions",
+                 "_next_id", "_reserved")
 
     def __init__(
         self, rank: int, create_time: float, max_regions: int | None = None

@@ -17,7 +17,9 @@ class OrderingChecker:
     """Asserts per-(src, dst) monotone delivery of ordered traffic."""
 
     def __init__(self) -> None:
-        self._last: dict[tuple[int, int], float] = {}
+        #: ``src << 32 | dst`` -> last delivery time (an int key is half
+        #: the bytes of a pair tuple, and there is one per pair in use).
+        self._last: dict[int, float] = {}
         self.checked = 0
 
     def record(self, src: int, dst: int, deliver_time: float) -> None:
@@ -28,7 +30,7 @@ class OrderingChecker:
         PamiError
             If this delivery precedes an earlier one for the same pair.
         """
-        key = (src, dst)
+        key = src << 32 | dst
         last = self._last.get(key)
         if last is not None and deliver_time < last:
             raise PamiError(

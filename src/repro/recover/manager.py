@@ -454,14 +454,15 @@ class RecoveryManager:
         reply-cookie machinery guarantee it), so waiting here terminates;
         the ambient deadline is a backstop.
         """
-        for handle in list(rt._implicit_handles):
+        for handle in list(rt._implicit_handles or ()):
             try:
                 if not handle.complete:
                     yield from handle.wait()
             except _QUIESCE_ERRORS:
                 pass
             finally:
-                rt._implicit_handles.discard(handle)
+                if rt._implicit_handles:
+                    rt._implicit_handles.discard(handle)
         for dst in list(rt._pending_acks):
             try:
                 yield from rt.fence(dst)

@@ -29,7 +29,7 @@ class SimProcess:
 
     __slots__ = (
         "engine", "name", "body", "done", "daemon", "_started", "_killed",
-        "_wait", "_awaited", "_pending",
+        "_wait", "_awaited", "_pending", "_arms",
     )
 
     def __init__(
@@ -51,10 +51,12 @@ class SimProcess:
         #: Multi-event waits resumed so far. A process blocks in one
         #: wait at a time, so the process is its own waiter: a
         #: ``WaitAny`` arm carries the count it was armed under and is
-        #: dead once the count moved on; a ``WaitAll`` counts down
-        #: ``_pending`` over ``_awaited``.
+        #: dead once the count moved on, and ``_arms`` holds the
+        #: ``(event, arm)`` pairs until the first arm runs; a ``WaitAll``
+        #: counts down ``_pending`` over ``_awaited``.
         self._wait = 0
         self._awaited: Sequence[Event] = ()
+        self._arms: Sequence[tuple[Event, Any]] = ()
         self._pending = 0
 
     def start(self) -> None:
@@ -76,6 +78,7 @@ class SimProcess:
         if self._killed or self.done.triggered:
             return
         self._killed = True
+        self._disarm()
         try:
             self.body.close()
         except (ValueError, RuntimeError):
@@ -157,14 +160,26 @@ class SimProcess:
             if ev._triggered:
                 self.engine.schedule(0.0, self._step, (i, ev._value))
                 return
-        # One arm per event, live or dead by the wait count alone: every
-        # arm is still scheduled when its event triggers, as the engine's
-        # entry order (and every fuzz policy's tie-break draw) needs.
+        # One arm per event. The first to run takes its siblings back off
+        # the events that have not triggered, so an event that outlives
+        # the wait (a context's arrival signal) holds no dead arm and
+        # keeps no finished process alive. Siblings already scheduled
+        # (their events triggered in the same instant) are dead by the
+        # wait count alone.
         arm, wait = self._first_of_any, self._wait
-        for i, ev in enumerate(events):
-            ev._callbacks.append(partial(arm, wait, i))
+        self._arms = [(ev, partial(arm, wait, i)) for i, ev in enumerate(events)]
+        for ev, each in self._arms:
+            ev._callbacks.append(each)
 
     def _first_of_any(self, wait: int, index: int, value: Any) -> None:
         if wait == self._wait:
             self._wait = wait + 1
+            self._disarm()
             self._step((index, value))
+
+    def _disarm(self) -> None:
+        """Take the current ``WaitAny``'s arms off untriggered events."""
+        arms, self._arms = self._arms, ()
+        for ev, each in arms:
+            if not ev._triggered:
+                ev._callbacks.remove(each)

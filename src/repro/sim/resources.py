@@ -69,6 +69,8 @@ class Lock(Semaphore):
     they contend on this lock; with two contexts each thread owns its own.
     """
 
+    __slots__ = ()
+
     def __init__(self, engine: "Engine", name: str = "lock") -> None:
         super().__init__(engine, count=1, name=name)
 
@@ -95,20 +97,24 @@ class Queue:
     def __init__(self, engine: "Engine", name: str = "queue") -> None:
         self.engine = engine
         self.name = name
-        #: Queued items, oldest first. Per-item callers (a context's
-        #: drain) test and ``popleft`` it directly; never filled but
-        #: through :meth:`put`, which serves blocked getters first.
-        self.items: deque[Any] = deque()
+        #: Queued items, oldest first; created by the first :meth:`put`
+        #: that finds no blocked getter, so a queue that never held an
+        #: item carries no deque. Per-item callers (a context's drain)
+        #: test and ``popleft`` it directly, re-reading the attribute
+        #: after every yield; never filled but through :meth:`put`.
+        self.items: deque[Any] | None = None
         #: Blocked getters, oldest first; created on the first block.
         self._getters: deque[Event] | None = None
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.items) if self.items else 0
 
     def put(self, item: Any) -> None:
         """Append an item, waking the oldest blocked getter if any."""
         if self._getters:
             self._getters.popleft().succeed(item)
+        elif self.items is None:
+            self.items = deque((item,))
         else:
             self.items.append(item)
 

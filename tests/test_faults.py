@@ -229,16 +229,17 @@ class TestStridedVectorFaults:
     def test_typed_strided_get_from_failed_rank_raises(self):
         job = make_job(config=self._auto_config())
         desc = _tall_skinny()
+        buffers = {}
 
         def warmup(rt, alloc):
             local = rt.world.space(1).allocate(512)
-            rt._ts_local = local
+            buffers["local"] = local
             # Warms the region cache so the retry hits the typed path
             # directly instead of failing in region resolution.
             yield from rt.gets(2, local, alloc.addr(2), desc)
 
         def op(rt, alloc):
-            yield from rt.gets(2, rt._ts_local, alloc.addr(2), desc)
+            yield from rt.gets(2, buffers["local"], alloc.addr(2), desc)
 
         out = _run_pair_op(job, op, warmup)
         assert out["result"] == "failed"
@@ -247,15 +248,16 @@ class TestStridedVectorFaults:
     def test_typed_strided_put_fence_detects_failure(self):
         job = make_job(config=self._auto_config())
         desc = _tall_skinny()
+        buffers = {}
 
         def warmup(rt, alloc):
             local = rt.world.space(1).allocate(512)
-            rt._ts_local = local
+            buffers["local"] = local
             yield from rt.puts(2, local, alloc.addr(2), desc)
             yield from rt.fence(2)
 
         def op(rt, alloc):
-            yield from rt.puts(2, rt._ts_local, alloc.addr(2), desc)
+            yield from rt.puts(2, buffers["local"], alloc.addr(2), desc)
             yield from rt.fence(2)
 
         out = _run_pair_op(job, op, warmup)
@@ -313,10 +315,11 @@ class TestStridedVectorFaults:
         """Aggregate flush (typed vector put) to a failed rank is caught
         by the fence via the typed path's own ack hook."""
         job = make_job()
+        buffers = {}
 
         def warmup(rt, alloc):
             local = rt.world.space(1).allocate(64)
-            rt._ts_local = local
+            buffers["local"] = local
             agg = rt.aggregate(2)
             agg.put(local, alloc.addr(2), 32)
             yield from agg.flush()
@@ -324,7 +327,7 @@ class TestStridedVectorFaults:
 
         def op(rt, alloc):
             agg = rt.aggregate(2)
-            agg.put(rt._ts_local, alloc.addr(2), 32)
+            agg.put(buffers["local"], alloc.addr(2), 32)
             yield from agg.flush()
             yield from rt.fence(2)
 

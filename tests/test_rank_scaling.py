@@ -7,6 +7,7 @@ peak that grows faster than the rank count.
 """
 
 import gc
+import random
 import tracemalloc
 
 import pytest
@@ -45,6 +46,35 @@ def _traced(fn):
 def _ready_job(ranks):
     job = ArmciJob(ranks, config=ArmciConfig(), procs_per_node=16)
     job.init()
+    return job
+
+
+def _fanout_job(ranks, seed=2013, segment=1024, gets=2):
+    """The ledger's fan-out body run once: collective ``malloc``, two
+    blocking gets of a seeded 0.5-1 KiB block from seeded random ranks,
+    ``fence_all``, barrier. Returns the finished job, not its results."""
+    rng = random.Random(seed)
+    fill = [rng.randrange(256) for _ in range(ranks)]
+    plan = [
+        [(rng.randrange(ranks), rng.randrange(segment // 2, segment + 1))
+         for _ in range(gets)]
+        for _ in range(ranks)
+    ]
+    job = _ready_job(ranks)
+
+    def body(rt):
+        alloc = yield from rt.malloc(segment)
+        space = rt.world.space(rt.rank)
+        space.view(alloc.addr(rt.rank), segment)[:] = fill[rt.rank]
+        buf = space.allocate(segment * gets)
+        yield from rt.barrier()
+        for k, (dest, nbytes) in enumerate(plan[rt.rank]):
+            yield from rt.get(dest, buf + k * segment, alloc.addr(dest), nbytes)
+        yield from rt.fence_all()
+        yield from rt.barrier()
+        return space.read(buf, segment * gets)
+
+    job.run(body)
     return job
 
 
@@ -115,12 +145,42 @@ class TestBytesPerRank:
         # each) made this 16x.
         assert large <= 6 * small, (small, large)
 
-    def test_ready_job_holds_at_most_8kb_per_rank(self):
+    def test_ready_job_holds_at_most_3kb_per_rank(self):
         ranks = 1024
         _ready_job(16)  # imports and one-time caches out of the count
         job, _, retained = _traced(lambda: _ready_job(ranks))
         assert job.num_procs == ranks
+        assert retained / ranks <= 3 * 1024, retained / ranks
+
+    def test_finished_fanout_job_holds_at_most_8kb_per_rank(self):
+        # Segment bytes included (3 KiB a rank); the body's return values
+        # are the caller's, not the job's.
+        ranks = 1024
+        _fanout_job(64)
+        job, _, retained = _traced(lambda: _fanout_job(ranks))
+        assert job.engine.now > 0
         assert retained / ranks <= 8 * 1024, retained / ranks
+
+    def test_a_job_run_ten_times_holds_one_run(self):
+        def runs(n):
+            job = _ready_job(16)
+            alloc = job.run(lambda rt: rt.malloc(1024))[0]
+            bufs = [space.allocate(1024) for space in job.world.spaces]
+
+            def body(rt):
+                dst = (rt.rank + 1) % 16
+                yield from rt.get(dst, bufs[rt.rank], alloc.addr(dst), 1024)
+                yield from rt.barrier()
+                return bytes(4096)  # a return value nobody keeps
+
+            for _ in range(n):
+                job.run(body)
+            return job
+
+        runs(1)
+        _, _, once = _traced(lambda: runs(1))
+        _, _, ten = _traced(lambda: runs(10))
+        assert ten <= 1.1 * once, (once, ten)
 
     def test_one_dispatch_table_serves_every_rank(self):
         job = _ready_job(32)
@@ -135,6 +195,14 @@ class TestBytesPerRank:
         ctx = _ready_job(16).rt(3).main_context
         assert ctx.lock._waiters is None
         assert ctx.queue._getters is None
+        assert ctx.queue.items is None
+        assert ctx._room is None
+
+    def test_drained_context_holds_no_item_deque(self):
+        job = _fanout_job(64)
+        assert job.trace.count("pami.items_serviced") > 0
+        for rt in job.processes:
+            assert all(ctx.queue.items is None for ctx in rt.client.contexts)
 
 
 class TestAllreduceOnce:

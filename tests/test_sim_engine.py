@@ -335,6 +335,75 @@ def test_wait_any_other_events_reusable():
     assert eng.run_until_complete([proc]) == [(2.0, "done")]
 
 
+def test_wait_any_takes_its_other_arms_back():
+    """A resolved wait leaves no arm on the events that did not fire, so
+    an event that outlives the wait keeps no finished process alive and
+    is never scheduled as a no-op; nor does the process keep its arms."""
+    from repro.sim import WaitAny
+
+    eng = Engine()
+    fires, never = eng.event(), eng.event()
+
+    def waiter():
+        for _ in range(3):
+            yield WaitAny([never, fires])
+        return "done"
+
+    def trigger():
+        yield Delay(1.0)
+        fires.succeed()
+
+    proc = eng.spawn(waiter(), name="w")
+    eng.spawn(trigger(), name="t")
+    assert eng.run_until_complete([proc]) == ["done"]
+    assert never._callbacks == []
+    assert proc._arms == () and proc._awaited == ()
+    # Two steps and one Delay for the trigger, one armed wait and two
+    # already-resolved ones for the waiter: no dead-arm entry.
+    assert eng.events_executed == 6
+
+
+def test_same_instant_siblings_resume_once():
+    """Two arms whose events fire in one instant: the second is already
+    scheduled when the first runs, and must not resume the process."""
+    from repro.sim import WaitAny
+
+    eng = Engine()
+    a, b, later = eng.event(), eng.event(), eng.event()
+    seen = []
+
+    def waiter():
+        seen.append((yield WaitAny([a, b])))
+        seen.append((yield WaitAny([later])))
+
+    def trigger():
+        yield Delay(1.0)
+        a.succeed("a")
+        b.succeed("b")
+        yield Delay(1.0)
+        later.succeed("later")
+
+    proc = eng.spawn(waiter(), name="w")
+    eng.spawn(trigger(), name="t")
+    eng.run_until_complete([proc])
+    assert seen == [(0, "a"), (0, "later")]
+
+
+def test_killed_waiter_is_disarmed():
+    from repro.sim import WaitAny
+
+    eng = Engine()
+    a, b = eng.event(), eng.event()
+
+    def waiter():
+        yield WaitAny([a, b])
+
+    proc = eng.spawn(waiter(), name="w")
+    eng.run()
+    proc.kill()
+    assert a._callbacks == [] and b._callbacks == []
+
+
 # ------------------------------------------------- schedule policies
 
 
