@@ -23,7 +23,7 @@ from repro.armci.config import RetryPolicy
 from repro.armci.vector import IoVector
 from repro.bench import contiguous_latency_sweep, strided_bandwidth_sweep
 from repro.bench.artifacts import Artifact, smoke_or_full
-from repro.chaos import ChaosConfig, FaultPlan, LinkFault
+from repro.chaos import ChaosConfig, FaultPlan, LinkFault, apply_link_fault
 from repro.errors import ProcessFailedError
 from repro.gax import (
     DistributedTaskPool,
@@ -1441,7 +1441,7 @@ def _link_kill(monitored):
         pre, post = [], None
         for i in range(transfers):
             if i == half:
-                rt.world.apply_link_fault(LinkFault(
+                apply_link_fault(rt.world, LinkFault(
                     "kill", (0, 0, 0, 0, 0), (0, 0, 1, 0, 0), at=0.0,
                 ))
             t0 = rt.engine.now

@@ -10,10 +10,12 @@ Most users start with::
 
     from repro.armci import ArmciConfig, ArmciJob
     from repro.gax import GlobalArray, Patch, SharedCounter
+
+Extensions (``repro.chaos``, ``repro.recover``, ``repro.serve``, ...) are
+imported from their own modules; a knobs-off job loads none of them.
 """
 
 from .armci import ArmciConfig, ArmciJob, ArmciProcess
-from .chaos import ChaosConfig, FaultPlan, RankCrash, ResourceFault
 from .machine import BGQParams
 
 __version__ = "1.0.0"
@@ -23,9 +25,5 @@ __all__ = [
     "ArmciJob",
     "ArmciProcess",
     "BGQParams",
-    "ChaosConfig",
-    "FaultPlan",
-    "RankCrash",
-    "ResourceFault",
     "__version__",
 ]

@@ -16,6 +16,7 @@ import numpy as np
 from ..errors import ArmciError
 from ..pami.activemsg import AmEnvelope
 from ..pami.context import PamiContext
+from ..pami.delivery import lossy
 from ..pami.memory import as_u8
 from .handles import Handle
 from .transfer import control_reply
@@ -58,7 +59,7 @@ def nbacc(
         payload=data,
     )
     handle.add_event(op.local_event)
-    if rt.chaos_enabled:
+    if lossy(world, rt.rank, dst):
         # A lost ACC_REQUEST is reported on the ack cookie; waiting it at
         # the handle surfaces the transient loss at the accumulate itself
         # so the retry layer can re-issue it.

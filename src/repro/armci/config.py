@@ -177,9 +177,9 @@ class ArmciConfig:
 
     def __post_init__(self) -> None:
         if self.backend is not None:
-            from ..transport import BACKENDS, is_known_backend
+            from ..transport import BACKENDS
 
-            if not is_known_backend(self.backend):
+            if self.backend not in BACKENDS:
                 raise ArmciError(
                     f"unknown backend {self.backend!r}; "
                     f"valid: {sorted(BACKENDS)}"

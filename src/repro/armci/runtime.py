@@ -208,24 +208,14 @@ class ArmciJob:
         elif engine is not None:
             raise ArmciError("pass the engine to the PamiWorld when supplying one")
         self.world = world
-        # Fault-plan times are measured from the start of job.run()
-        # (application time), not from construction — init's simulated
-        # cost must not eat into the schedule. Validate eagerly (a bad
-        # plan fails here, not mid-run), schedule in run().
+        # Fault-plan times count from the start of job.run() (application
+        # time): init's simulated cost must not eat into the schedule.
+        # Checked here, scheduled by the first run().
         self.fault_plan = fault_plan
         if fault_plan is not None:
-            for fault in (*fault_plan.crashes, *fault_plan.resource_faults):
-                if not 0 <= fault.rank < num_procs:
-                    raise ArmciError(
-                        f"fault plan targets rank {fault.rank}, job has "
-                        f"{num_procs} processes"
-                    )
-            if fault_plan.link_faults:
-                # Also switches the network into link-fault mode, so
-                # routing is fault-aware from t=0.
-                link_state = world.enable_link_faults()
-                for lf in fault_plan.link_faults:
-                    link_state.key(lf.a, lf.b)
+            from ..chaos import check_plan
+
+            check_plan(fault_plan, world)
         self.engine = world.engine
         self.trace = world.trace
         #: Communication backend (``repro.transport``): every wire-level
@@ -323,38 +313,6 @@ class ArmciJob:
         self.failure_detector.note_rank_recovered(rank)
         self.processes[rank].reset_for_respawn()
 
-    def _apply_resource_fault(self, fault) -> None:
-        """Inject one scheduled :class:`~repro.chaos.ResourceFault`.
-
-        Non-fatal: the rank stays alive but loses a resource — its
-        registration budget, its async progress thread, or its FIFO
-        headroom — exercising the degradation paths (AM fall-back,
-        watchdog failover, sender backpressure).
-        """
-        if self.world.is_failed(fault.rank):
-            return
-        rt = self.processes[fault.rank]
-        if fault.kind == "exhaust_memregions":
-            budget = self.world.regions[fault.rank].exhaust()
-            self.trace.incr("chaos.memregion_exhaustions")
-            self.trace.incr("chaos.memregion_budget_clamped", budget)
-        elif fault.kind == "stall_progress":
-            if rt.async_thread is not None and not rt.async_thread.done.triggered:
-                rt.async_thread.kill()
-                self.trace.incr("chaos.progress_stalls")
-        elif fault.kind == "saturate_fifo":
-            from ..chaos import FifoNoiseItem
-
-            ctx = rt.client.progress_context()
-            # The burst occupies FIFO slots even past capacity (the NIC
-            # already accepted the packets); senders see no room until
-            # the noise drains.
-            ctx.reserve_credits(fault.amount)
-            for _ in range(fault.amount):
-                ctx.post(FifoNoiseItem())
-            self.trace.incr("chaos.fifo_saturations")
-            self.trace.incr("chaos.fifo_noise_injected", fault.amount)
-
     def init(self) -> None:
         """Collectively initialize every rank (contexts, handlers, threads).
 
@@ -385,12 +343,9 @@ class ArmciJob:
         # The plan is taken by the first run(): times count from here.
         plan, self.fault_plan = self.fault_plan, None
         if plan is not None:
-            for crash in plan.crashes:
-                self.engine.schedule(crash.at, self.world.fail_rank, crash.rank)
-            for fault in plan.resource_faults:
-                self.engine.schedule(fault.at, self._apply_resource_fault, fault)
-            for lf in plan.link_faults:
-                self.engine.schedule(lf.at, self.world.apply_link_fault, lf)
+            from ..chaos import schedule_plan
+
+            schedule_plan(plan, self)
         if ranks is None:
             ranks = range(self.num_procs)
         procs = []
@@ -584,11 +539,6 @@ class ArmciProcess:
             getattr(obs, method)(self.rank, *args)
 
     # ----------------------------------------------------------- retry
-
-    @property
-    def chaos_enabled(self) -> bool:
-        """Whether transient-fault injection is active (non-generator)."""
-        return self.world.chaos is not None
 
     @property
     def flow_enabled(self) -> bool:

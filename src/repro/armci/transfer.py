@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from ..pami.activemsg import AmEnvelope
 from ..pami.context import PamiContext, WorkItem
-from ..pami.delivery import Delivery
+from ..pami.delivery import Delivery, lossy
 from ..pami.rma import read_side, write_side
 from . import dispatch as _disp
 from .handles import Handle
@@ -191,10 +191,10 @@ def put_am(rt: "ArmciProcess", dst: int, xfer: Transfer, handle: Handle) -> None
         ctx, dst, _disp.PUT_REQUEST, header=header, payload=data
     )
     handle.add_event(op.local_event)
-    if rt.chaos_enabled:
-        # Under chaos a lost PUT_REQUEST is reported on the ack cookie;
-        # waiting it at the handle makes the loss visible (and retryable)
-        # at the put itself rather than silently skipped by the fence.
+    if lossy(rt.world, rt.rank, dst):
+        # A lost PUT_REQUEST is reported on the ack cookie; waiting it at
+        # the handle makes the loss visible (and retryable) at the put
+        # itself rather than silently skipped by the fence.
         handle.add_event(ack)
     if xfer.pack_time:
         # The local pack stalls the caller until the buffer is staged.

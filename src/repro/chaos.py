@@ -7,13 +7,15 @@ runtime must absorb with retries rather than surface as process death
 (the resiliency motivation of Section I; cf. the timeout/error-completion
 protocols of scalable MPI-3 RMA implementations).
 
-This module provides the configuration surface:
+This module is the one owner of fault injection:
 
 - :class:`ChaosConfig` — seeded probabilities for drop / corruption /
   duplication / jitter, optionally restricted to chosen links, plus the
   transport-retransmit knobs.
-- :class:`FaultPlan` — scheduled fail-stop crashes (``rank`` dies at
-  simulated time ``t``), composing with the transient model.
+- :class:`FaultPlan` — scheduled fail-stop crashes, resource faults and
+  link faults, composing with the transient model; :func:`check_plan`,
+  :func:`schedule_plan`, :func:`apply_resource_fault` and
+  :func:`apply_link_fault` are what a planned fault does to a job.
 - :class:`ChaosEngine` — the runtime object the PAMI layer consults at
   each transfer. It is only constructed when injection is enabled, so
   the fast path pays exactly one ``world.chaos is None`` check.
@@ -44,10 +46,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
-from .errors import ReproError
+from .errors import ArmciError, ReproError
 from .pami.context import PamiContext, WorkItem
-from .pami.faults import TransientFault
+from .pami.faults import PayloadCorruption, TransientFault
 
 #: Valid resource-fault kinds for :class:`ResourceFault`.
 RESOURCE_FAULT_KINDS = ("exhaust_memregions", "stall_progress", "saturate_fifo")
@@ -155,10 +158,6 @@ class ChaosConfig:
     #: *silent* — one payload bit flips in flight and the damaged data
     #: lands, unless ``ArmciConfig.integrity`` verification catches it.
     corrupt_mode: str = "detected"
-    #: Scheduled link faults (kill/degrade/lossy/corrupt/revive), applied
-    #: at their ``at`` times; requires the world's link-fault model,
-    #: which is enabled automatically when any are present.
-    link_faults: tuple = ()
 
     def __post_init__(self) -> None:
         if self.corrupt_mode not in CORRUPT_MODES:
@@ -166,11 +165,6 @@ class ChaosConfig:
                 f"unknown corrupt_mode {self.corrupt_mode!r}; "
                 f"valid: {CORRUPT_MODES}"
             )
-        for lf in self.link_faults:
-            if not isinstance(lf, LinkFault):
-                raise ChaosError(
-                    f"link_faults entries must be LinkFault, got {lf!r}"
-                )
         _check_prob("drop_prob", self.drop_prob)
         _check_prob("corrupt_prob", self.corrupt_prob)
         _check_prob("dup_prob", self.dup_prob)
@@ -363,6 +357,87 @@ class FaultPlan:
         return self
 
 
+def check_plan(plan: FaultPlan, world) -> None:
+    """Reject a plan naming a rank or a link ``world`` lacks — at job
+    construction, not mid-run. Link faults switch the network into
+    link-fault mode now, so routing is fault-aware from t=0."""
+    for fault in (*plan.crashes, *plan.resource_faults):
+        if not 0 <= fault.rank < world.num_procs:
+            raise ArmciError(
+                f"fault plan targets rank {fault.rank}, job has "
+                f"{world.num_procs} processes"
+            )
+    if plan.link_faults:
+        link_state = world.enable_link_faults()
+        for lf in plan.link_faults:
+            link_state.key(lf.a, lf.b)
+
+
+def schedule_plan(plan: FaultPlan, job) -> None:
+    """Queue every fault of ``plan``: its times count from now, the start
+    of ``job.run()`` (application time)."""
+    schedule = job.engine.schedule
+    for crash in plan.crashes:
+        schedule(crash.at, job.world.fail_rank, crash.rank)
+    for fault in plan.resource_faults:
+        schedule(fault.at, partial(apply_resource_fault, job), fault)
+    for lf in plan.link_faults:
+        schedule(lf.at, partial(apply_link_fault, job.world), lf)
+
+
+def apply_resource_fault(job, fault: ResourceFault) -> None:
+    """Inject one resource fault into ``job`` now.
+
+    Non-fatal: the rank stays alive but loses a resource — its
+    registration budget, its async progress thread, or its FIFO
+    headroom — exercising the degradation paths (AM fall-back,
+    watchdog failover, sender backpressure).
+    """
+    if job.world.is_failed(fault.rank):
+        return
+    rt, trace = job.processes[fault.rank], job.trace
+    if fault.kind == "exhaust_memregions":
+        budget = job.world.regions[fault.rank].exhaust()
+        trace.incr("chaos.memregion_exhaustions")
+        trace.incr("chaos.memregion_budget_clamped", budget)
+    elif fault.kind == "stall_progress":
+        if rt.async_thread is not None and not rt.async_thread.done.triggered:
+            rt.async_thread.kill()
+            trace.incr("chaos.progress_stalls")
+    else:  # saturate_fifo
+        ctx = rt.client.progress_context()
+        # The burst occupies FIFO slots even past capacity (the NIC
+        # already accepted the packets); senders see no room until
+        # the noise drains.
+        ctx.reserve_credits(fault.amount)
+        for _ in range(fault.amount):
+            ctx.post(FifoNoiseItem())
+        trace.incr("chaos.fifo_saturations")
+        trace.incr("chaos.fifo_noise_injected", fault.amount)
+
+
+def apply_link_fault(world, fault: LinkFault) -> None:
+    """Apply one link fault to ``world``'s ground-truth link state now."""
+    links, a, b, trace = world.enable_link_faults(), fault.a, fault.b, world.trace
+    if fault.kind == "kill":
+        links.kill(a, b)
+        trace.incr("chaos.link_kills")
+    elif fault.kind == "revive":
+        link = links.revive(a, b)
+        trace.incr("chaos.link_revives")
+        if world.network.health is not None:
+            world.network.health.note_link_revived(link)
+    elif fault.kind == "degrade":
+        links.degrade(a, b, fault.factor)
+        trace.incr("chaos.link_degrades")
+    elif fault.kind == "lossy":
+        links.set_lossy(a, b, fault.prob)
+        trace.incr("chaos.links_made_lossy")
+    else:  # corrupt
+        links.set_corrupting(a, b, fault.prob)
+        trace.incr("chaos.links_made_corrupting")
+
+
 class ChaosEngine:
     """Runtime dice-roller consulted by the PAMI transfer paths.
 
@@ -389,7 +464,7 @@ class ChaosEngine:
 
         Returns a :class:`~repro.pami.faults.TransientFault` for a loss
         (or a detected corruption), a
-        :class:`~repro.pami.integrity.PayloadCorruption` for a silent
+        :class:`~repro.pami.faults.PayloadCorruption` for a silent
         payload corruption (``corrupt_mode="payload"``), or None.
         """
         if not self._applies(src, dst):
@@ -406,8 +481,6 @@ class ChaosEngine:
             if cfg.corrupt_mode == "payload":
                 # Extra RNG draws happen only in payload mode, so the
                 # legacy "detected" fault sequences replay unchanged.
-                from .pami.integrity import PayloadCorruption
-
                 return PayloadCorruption(
                     src, dst, self._rng.random(), self._rng.randrange(8)
                 )

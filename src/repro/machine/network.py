@@ -268,7 +268,7 @@ class TorusNetwork:
                 return ("dropped", link)
             hit = ls.roll_corrupt(link)
             if hit is not None:
-                from ..pami.integrity import PayloadCorruption
+                from ..pami.faults import PayloadCorruption
 
                 self.trace.incr("net.payload_corruptions")
                 if health is not None:

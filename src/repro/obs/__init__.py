@@ -20,19 +20,15 @@ Sub-modules:
 - :mod:`repro.obs.critical_path` — walk the finished span DAG and
   attribute the full simulated makespan to categories.
 
+The last two are extensions: import them from their modules (this
+package does not load them).
+
 The whole subsystem is gated by :class:`ObsConfig`: with
 ``enabled=False`` (the default) nothing is allocated — blocking calls
 are bracketed by the shared no-op :data:`~repro.obs.span.NO_SPAN` and
 every wire-level check is a single ``x.obs is None`` test.
 """
 
-from .critical_path import CriticalPathReport, critical_path
-from .export import (
-    to_trace_events,
-    validate_trace_events,
-    write_metrics_json,
-    write_perfetto,
-)
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .span import Obs, ObsConfig, Span, context_lane
 
@@ -45,10 +41,4 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "to_trace_events",
-    "validate_trace_events",
-    "write_perfetto",
-    "write_metrics_json",
-    "critical_path",
-    "CriticalPathReport",
 ]

@@ -26,7 +26,6 @@ from ..types import SlotRecord
 from . import faults as _flt
 from .context import PamiContext, WorkItem
 from .delivery import Delivery
-from .integrity import corrupt_int
 
 #: value_new = op(value_old, operand, operand2); returns the new value.
 RmwFunc = Callable[[int, int, int], int]
@@ -188,7 +187,7 @@ class _RmwDelivery(Delivery):
         req = self.payload
         return _RmwRequest(
             req.op, req.src, req.dst, req.addr,
-            corrupt_int(req.operand, corruption.bit), req.operand2, req.event,
+            _flt.corrupt_int(req.operand, corruption.bit), req.operand2, req.event,
             req.reply_context,
         )
 

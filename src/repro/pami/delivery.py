@@ -38,6 +38,17 @@ GIVEN_UP = "integrity_exhausted"
 _CLEAN = (None, None, _flt.FAULT_DETECT_DELAY)
 
 
+def lossy(world, src: int, dst: int) -> bool:
+    """Whether the wire can lose the first copy of a ``src`` -> ``dst``
+    transfer: the chaos injector is installed, or the link-fault model is
+    on and the route leaves the node. A sender whose first copy can be
+    lost waits its reply cookie, or the loss is never seen."""
+    net = world.network
+    return world.chaos is not None or (
+        net.route_table is not None and not net.is_local(src, dst)
+    )
+
+
 class Delivery:
     """One payload's trip from ``src`` to ``dst``, retransmits included.
 
@@ -76,7 +87,7 @@ class Delivery:
         self.payload = None
         self.seal = None
         # With no injector and no link model the wire can only deliver.
-        self.fate = None if world.chaos is not None or self.link_mode else _CLEAN
+        self.fate = None if lossy(world, src, dst) else _CLEAN
         self.retries = 0
 
     # ------------------------------------------------ the caller's hooks

@@ -12,7 +12,7 @@ tests and benchmarks *fail* a simulated process:
   at the initiator — the semantics a fault-tolerant runtime needs:
   remote failure must not hang healthy processes' one-sided traffic.
 
-Two token kinds flow through completion-event values:
+Three token kinds flow through completion-event values and wire fates:
 
 - :class:`Failure` — fail-stop: the target process is dead. Surfaced as
   :class:`~repro.errors.ProcessFailedError`; not retryable.
@@ -20,6 +20,9 @@ Two token kinds flow through completion-event values:
   injection, :mod:`repro.chaos`) but the target lives. Surfaced as
   :class:`~repro.errors.TransientFaultError`; the ARMCI retry layer
   re-issues such operations with exponential backoff.
+- :class:`PayloadCorruption` — the transfer arrives with one bit flipped
+  (chaos payload mode, a corrupting link); it lands silently unless the
+  integrity layer (:mod:`repro.pami.integrity`) rejects it.
 
 Collectives involving a failed rank no longer hang: the ARMCI layer's
 epoch-based liveness detection (:mod:`repro.armci.collectives`) fails
@@ -31,9 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import ProcessFailedError, TransientFaultError
 from ..sim.event import Event
-from .integrity import PayloadCorruption
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,54 @@ class TransientFault:
         )
 
 
+def corrupt_int(value: int, bit: int) -> int:
+    """Flip one bit of a 64-bit operand (AMO requests carry ints, not
+    buffers). Bit 63 is excluded so the result stays in i64 range for
+    the target's signed view."""
+    return value ^ (1 << (bit % 63))
+
+
+@dataclass(frozen=True)
+class PayloadCorruption:
+    """A silent in-flight corruption: which bit flips, on which transfer.
+
+    Produced by the chaos engine (``corrupt_mode="payload"``) or by a
+    corrupting link (:class:`~repro.topology.links.LinkState`); consumed
+    at delivery, where :meth:`apply` materializes the damaged copy. With
+    integrity off the damage lands silently — the bug the integrity
+    layer exists to catch.
+    """
+
+    src: int
+    dst: int
+    pos_frac: float
+    bit: int
+
+    def apply(self, payload):
+        """A private copy of ``payload`` with the bit flipped.
+
+        ``pos_frac`` in [0, 1) selects the byte (scaled by length, so one
+        roll works for any payload size); ``bit`` the bit within it.
+        ``None`` and empty payloads come back unchanged (nothing to
+        flip). ndarray payloads stay ndarrays; bytes-like become ``bytes``.
+        """
+        if payload is None:
+            return None
+        n = len(payload)
+        if n == 0:
+            return payload
+        pos = min(int(self.pos_frac * n), n - 1)
+        mask = 1 << (self.bit % 8)
+        if isinstance(payload, np.ndarray):
+            out = payload.copy()
+            flat = out.view(np.uint8).reshape(-1)
+            flat[pos] ^= mask
+            return out
+        out = bytearray(payload)
+        out[pos] ^= mask
+        return bytes(out)
+
+
 #: Extra delay before the initiator's NIC reports a failed target
 #: (timeout/error-completion path; much slower than success).
 FAULT_DETECT_DELAY = 25e-6
@@ -82,7 +134,7 @@ def wire_outcome(world, src: int, dst: int, kind: str, link_mode: bool, first=Tr
 
     Returns ``(fault, corruption, detect)``: a :class:`TransientFault`
     when the attempt is lost in transit, a
-    :class:`~repro.pami.integrity.PayloadCorruption` when it arrives with
+    :class:`PayloadCorruption` when it arrives with
     a flipped bit, both ``None`` when it arrives clean; ``detect`` is how
     long the initiator NIC takes to report the loss (always
     :data:`FAULT_DETECT_DELAY`, as on every other failure-completion
@@ -127,49 +179,25 @@ def check_completion(value, op: str | None = None):
 REPLY_KEYS = ("event", "ack", "grant", "reply")
 
 
-def _collect_reply_cookies(header, reply_ctx, out) -> None:
-    """Gather (reply_ctx, event) pairs from a header, recursing into
-    forwarded envelopes and nested containers.
-
-    A forwarded envelope (an AM carried inside another AM's header, as
-    forwarding/redirect protocols do) may name its own ``reply_ctx``;
-    cookies under it reply there, falling back to the enclosing one.
-    """
-    ctx = header.get("reply_ctx", reply_ctx)
-    for key, value in header.items():
-        if key != "reply_ctx":
-            _scan_cookie_value(key, value, ctx, out)
-
-
-def _scan_cookie_value(key, value, ctx, out) -> None:
-    if isinstance(value, Event):
-        if key in REPLY_KEYS and ctx is not None and not value.triggered:
-            out.append((ctx, value))
-    elif isinstance(value, dict):
-        _collect_reply_cookies(value, ctx, out)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _scan_cookie_value(key, item, ctx, out)
-    elif hasattr(value, "header") and hasattr(value, "dispatch_id"):
-        # A forwarded AmEnvelope nested in this header.
-        _collect_reply_cookies(value.header, ctx, out)
-
-
 def fail_reply_cookies(world, envelope, token, delay=FAULT_DETECT_DELAY) -> int:
     """Fail every reply cookie of a lost active message with ``token``.
 
-    Scans the envelope header recursively (cookies may sit inside
-    forwarded envelopes or nested descriptors). Each cookie fires with
-    ``token`` after ``delay`` through its reply context, so waiting
-    healthy processes raise instead of hanging. Returns the number of
-    cookies failed — 0 means the message was fire-and-forget and loss
-    must be handled by the transport (retransmit) instead.
+    Every header the runtime builds is flat: its cookies sit under
+    :data:`REPLY_KEYS` and reply through its ``reply_ctx``. Each fires
+    with ``token`` after ``delay``, so waiting healthy processes raise
+    instead of hanging. Returns the number of cookies failed — 0 means
+    the message was fire-and-forget and loss must be handled by the
+    transport (retransmit) instead.
     """
-    pending: list = []
-    _collect_reply_cookies(envelope.header, None, pending)
-    for reply_ctx, cookie in pending:
-        reply_ctx.complete_after(delay, cookie, token)
-    return len(pending)
+    header = envelope.header
+    reply_ctx = header.get("reply_ctx")
+    failed = 0
+    for key in REPLY_KEYS:
+        cookie = header.get(key)
+        if isinstance(cookie, Event) and reply_ctx is not None and not cookie.triggered:
+            reply_ctx.complete_after(delay, cookie, token)
+            failed += 1
+    return failed
 
 
 def fail_am_replies(world, envelope, dead_rank: int) -> None:

@@ -1,8 +1,8 @@
-"""End-to-end payload integrity: corruption, checksums, sequence numbers.
+"""End-to-end payload integrity: checksums and sequence numbers.
 
-The seed modeled corruption as a checksum reject *by fiat* — the payload
-was never touched. This module makes corruption real (bit flips in a
-private copy of the in-flight payload) and provides the defense: a
+Corruption itself is a wire fate
+(:class:`~repro.pami.faults.PayloadCorruption`: one bit flipped in a
+private copy of the in-flight payload). This module is the defense: a
 default-off integrity layer that tags every protected transfer with a
 CRC32 checksum and a per-(src, dst) sequence number, verifies both at
 delivery, and lets the transport retransmit corrupted transfers
@@ -29,59 +29,6 @@ from ..errors import ReproError
 
 class IntegrityError(ReproError):
     """Invalid integrity configuration."""
-
-
-def corrupt_payload(payload, pos_frac: float, bit: int):
-    """A corrupted private copy of ``payload`` with one bit flipped.
-
-    ``pos_frac`` in [0, 1) selects the byte (scaled by length, so one
-    roll works for any payload size); ``bit`` selects the bit within it.
-    ``None`` and empty payloads are returned unchanged (nothing to
-    flip). ndarray payloads stay ndarrays; bytes-like become ``bytes``.
-    """
-    if payload is None:
-        return None
-    n = len(payload)
-    if n == 0:
-        return payload
-    pos = min(int(pos_frac * n), n - 1)
-    mask = 1 << (bit % 8)
-    if isinstance(payload, np.ndarray):
-        out = payload.copy()
-        flat = out.view(np.uint8).reshape(-1)
-        flat[pos] ^= mask
-        return out
-    out = bytearray(payload)
-    out[pos] ^= mask
-    return bytes(out)
-
-
-def corrupt_int(value: int, bit: int) -> int:
-    """Flip one bit of a 64-bit operand (AMO requests carry ints, not
-    buffers). Bit 63 is excluded so the result stays in i64 range for
-    the target's signed view."""
-    return value ^ (1 << (bit % 63))
-
-
-@dataclass(frozen=True)
-class PayloadCorruption:
-    """A silent in-flight corruption: which bit flips, on which transfer.
-
-    Produced by the chaos engine (``corrupt_mode="payload"``) or by a
-    corrupting link (:class:`~repro.topology.links.LinkState`); consumed
-    at delivery, where :meth:`apply` materializes the damaged copy. With
-    integrity off the damage lands silently — the bug the integrity
-    layer exists to catch.
-    """
-
-    src: int
-    dst: int
-    pos_frac: float
-    bit: int
-
-    def apply(self, payload):
-        """The corrupted private copy of ``payload``."""
-        return corrupt_payload(payload, self.pos_frac, self.bit)
 
 
 def checksum(payload) -> int:

@@ -118,14 +118,10 @@ class PamiWorld:
             from ..chaos import ChaosEngine
 
             self.chaos = ChaosEngine(chaos, self.trace)
-        if chaos is not None and getattr(chaos, "link_faults", ()):
-            self.enable_link_faults(seed=chaos.seed)
-            for lf in chaos.link_faults:
-                self.schedule_link_fault(lf)
 
     # ----------------------------------------------------- link faults
 
-    def enable_link_faults(self, seed: int = 0):
+    def enable_link_faults(self):
         """Switch the network into link-fault mode (idempotent).
 
         Builds the ground-truth :class:`~repro.topology.links.LinkState`
@@ -139,7 +135,7 @@ class PamiWorld:
             from ..topology.links import LinkState
             from ..topology.routing import RouteTable
 
-            link_state = LinkState(self.mapping.torus, seed=seed)
+            link_state = LinkState(self.mapping.torus)
             route_table = RouteTable(
                 self.mapping.torus, link_state, trace=self.trace
             )
@@ -171,42 +167,6 @@ class PamiWorld:
             if rank not in self.failed_ranks and self.network.node_of(rank) in nodes:
                 self.trace.incr("net.ranks_unreachable")
                 self.fail_rank(rank)
-
-    def schedule_link_fault(self, fault) -> None:
-        """Queue one :class:`~repro.chaos.LinkFault` at its planned time.
-
-        The link coordinates are validated eagerly (bad plans fail at
-        construction, not mid-run).
-        """
-        link_state = self.enable_link_faults()
-        link_state.key(fault.a, fault.b)
-        self.engine.schedule(
-            fault.at - self.engine.now,
-            lambda _a, f=fault: self.apply_link_fault(f),
-        )
-
-    def apply_link_fault(self, fault) -> None:
-        """Apply one link fault to the ground-truth link state now."""
-        link_state = self.enable_link_faults()
-        if fault.kind == "kill":
-            link_state.kill(fault.a, fault.b)
-            self.trace.incr("chaos.link_kills")
-        elif fault.kind == "revive":
-            link = link_state.revive(fault.a, fault.b)
-            self.trace.incr("chaos.link_revives")
-            if self.network.health is not None:
-                self.network.health.note_link_revived(link)
-        elif fault.kind == "degrade":
-            link_state.degrade(fault.a, fault.b, fault.factor)
-            self.trace.incr("chaos.link_degrades")
-        elif fault.kind == "lossy":
-            link_state.set_lossy(fault.a, fault.b, fault.prob)
-            self.trace.incr("chaos.links_made_lossy")
-        elif fault.kind == "corrupt":
-            link_state.set_corrupting(fault.a, fault.b, fault.prob)
-            self.trace.incr("chaos.links_made_corrupting")
-        else:  # pragma: no cover - LinkFault validates kinds
-            raise PamiError(f"unknown link fault kind {fault.kind!r}")
 
     def client(self, rank: int) -> PamiClient:
         """Client of ``rank`` with bounds checking."""

@@ -1,21 +1,18 @@
-"""Blue Gene/Q 5D-torus topology: geometry, rank mappings, routing."""
+"""Blue Gene/Q 5D-torus topology: geometry, rank mappings, partitions.
+
+Routing and link state (:mod:`repro.topology.routing`,
+:mod:`repro.topology.links`) serve the link-fault extension and the
+link-contention model; import them from their modules.
+"""
 
 from .torus import Torus
-from .links import Link, LinkState, enumerate_links, link_key
 from .mapping import RankMapping, abcdet_mapping
-from .routing import RouteTable, dimension_order_route
 from .partitions import partition_shape, KNOWN_PARTITIONS
 
 __all__ = [
     "KNOWN_PARTITIONS",
-    "Link",
-    "LinkState",
     "RankMapping",
-    "RouteTable",
     "Torus",
     "abcdet_mapping",
-    "dimension_order_route",
-    "enumerate_links",
-    "link_key",
     "partition_shape",
 ]

@@ -105,7 +105,7 @@ class LinkState:
     faults instantly.
     """
 
-    def __init__(self, torus: Torus, seed: int = 0) -> None:
+    def __init__(self, torus: Torus) -> None:
         self.torus = torus
         #: Bumped on every mutation; route caches invalidate against it.
         self.epoch = 0
@@ -113,9 +113,9 @@ class LinkState:
         self._factor: dict[Link, float] = {}
         self._loss: dict[Link, float] = {}
         self._corrupt: dict[Link, float] = {}
-        # Independent stream: link-level dice must not perturb the
-        # ChaosEngine's replayable fault sequence.
-        self._rng = random.Random((seed << 4) ^ 0x1B)
+        # Independent fixed-seed stream: link-level dice must not
+        # perturb the ChaosEngine's replayable fault sequence.
+        self._rng = random.Random(0x1B)
 
     # ------------------------------------------------------- mutations
 

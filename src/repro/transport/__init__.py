@@ -10,39 +10,31 @@ override without touching call sites.
 
 from __future__ import annotations
 
+import importlib
 import os
 
 from ..errors import ArmciError
 from .base import Transport, TransportCapabilities
-from .mpi3 import Mpi3Transport
-from .pami import PamiTransport
 
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
-    "Mpi3Transport",
-    "PamiTransport",
     "Transport",
     "TransportCapabilities",
     "create_transport",
-    "is_known_backend",
 ]
 
-#: Backend registry: config name -> Transport subclass.
-BACKENDS: dict[str, type[Transport]] = {
-    "pami": PamiTransport,
-    "mpi3": Mpi3Transport,
+#: Backend registry: config name -> its Transport subclass in
+#: ``repro.transport.<name>``, imported when a job picks that backend.
+BACKENDS: dict[str, str] = {
+    "pami": "PamiTransport",
+    "mpi3": "Mpi3Transport",
 }
 
 #: Resolution of ``ArmciConfig(backend=None)``. Module-global (not baked
 #: into the config dataclass) so the conformance suite and CI matrix can
 #: re-point every default-configured job at another backend.
 DEFAULT_BACKEND: str = os.environ.get("REPRO_ARMCI_BACKEND", "pami")
-
-
-def is_known_backend(name: str) -> bool:
-    """Whether ``name`` is a registered backend (non-generator)."""
-    return name in BACKENDS
 
 
 def create_transport(name: str | None, world, config) -> Transport:
@@ -53,9 +45,9 @@ def create_transport(name: str | None, world, config) -> Transport:
     """
     if name is None:
         name = DEFAULT_BACKEND
-    cls = BACKENDS.get(name)
-    if cls is None:
+    if name not in BACKENDS:
         raise ArmciError(
             f"unknown transport backend {name!r}; valid: {sorted(BACKENDS)}"
         )
-    return cls(world, config)
+    module = importlib.import_module(f"{__name__}.{name}")
+    return getattr(module, BACKENDS[name])(world, config)

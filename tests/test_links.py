@@ -10,14 +10,9 @@ invalidation.
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology import (
-    LinkState,
-    RouteTable,
-    Torus,
-    dimension_order_route,
-    enumerate_links,
-    link_key,
-)
+from repro.topology import Torus
+from repro.topology.links import LinkState, enumerate_links, link_key
+from repro.topology.routing import RouteTable, dimension_order_route
 
 
 def expected_link_count(shape):

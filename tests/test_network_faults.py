@@ -11,12 +11,13 @@ vector, AM fall-back, atomic, and full-SCF traffic.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.armci import ArmciConfig, ArmciJob
 from repro.armci.config import RetryPolicy
 from repro.armci.vector import IoVector
-from repro.chaos import ChaosConfig, ChaosError, FaultPlan, LinkFault
+from repro.chaos import ChaosConfig, ChaosError, FaultPlan, LinkFault, apply_link_fault
 from repro.errors import (
     ArmciError,
     ProcessFailedError,
@@ -27,7 +28,8 @@ from repro.errors import (
 )
 from repro.machine.health import HealthConfigError, LinkHealthConfig
 from repro.pami.integrity import IntegrityConfig, IntegrityError
-from repro.topology import Torus, dimension_order_route
+from repro.topology import Torus
+from repro.topology.routing import dimension_order_route
 from repro.types import StridedDescriptor, StridedShape
 
 
@@ -213,8 +215,6 @@ class TestConfigValidation:
     def test_chaos_config_validation(self):
         with pytest.raises(ChaosError):
             ChaosConfig(corrupt_mode="sideways")
-        with pytest.raises(ChaosError):
-            ChaosConfig(link_faults=("not a fault",))
 
     def test_armci_config_type_checks(self):
         with pytest.raises(ArmciError):
@@ -347,7 +347,7 @@ class TestFaultAwareRouting:
         def on_iter(i):
             if i in kills:
                 u, v = kills[i]
-                job.world.apply_link_fault(LinkFault("kill", u, v, at=0.0))
+                apply_link_fault(job.world, LinkFault("kill", u, v, at=0.0))
 
         epochs = []
         result = put_get_body(
@@ -400,9 +400,7 @@ class TestFaultAwareRouting:
         def on_iter(i):
             if i == 0:  # isolate rank 7 right before the first put
                 for nb in (N(0, 1, 1), N(1, 0, 1), N(1, 1, 0)):
-                    job.world.apply_link_fault(
-                        LinkFault("kill", nb, NODE7, at=0.0)
-                    )
+                    apply_link_fault(job.world, LinkFault("kill", nb, NODE7, at=0.0))
 
         result = put_get_body(job, dst=7, repeat=4, on_iter=on_iter)
         assert result["data"] == PAYLOAD
@@ -432,16 +430,46 @@ class TestFaultAwareRouting:
         assert job.trace.count("net.link_drops") > 0
         assert job.trace.count("armci.transient_retries") > 0
 
-    def test_chaos_config_link_faults_are_scheduled_too(self):
-        # Link faults ride ChaosConfig as well as FaultPlan.
-        chaos = ChaosConfig(
-            link_faults=(LinkFault("kill", NODE0, NODE1, at=2e-6),)
-        )
-        job = net_job(8, chaos=chaos)
-        result = put_get_body(job, dst=1, repeat=4)
-        assert result["data"] == PAYLOAD
-        assert job.trace.count("chaos.link_kills") == 1
-        assert job.trace.count("net.reroutes") > 0
+
+class TestAmWritesUnderLinkFaults:
+    """A link fault alone (no chaos) can lose an AM put's or an
+    accumulate's request; the writer must wait its ack cookie so the loss
+    is retried, not skipped by the fence."""
+
+    WRITES = 64
+
+    @pytest.mark.parametrize("knob", ["lossy_link", "health_monitor"])
+    @pytest.mark.parametrize("op", ["acc", "put"])
+    def test_every_write_lands(self, op, knob):
+        health = LinkHealthConfig() if knob == "health_monitor" else None
+        plan = FaultPlan().lossy_link(PAIR_A, PAIR_B, at=0.0, prob=0.3)
+        cfg = ArmciConfig.default_mode(use_rdma=False, health=health)
+        job = net_job(2, config=cfg, fault_plan=plan)
+        one = np.float64(1.0).tobytes()
+        landed = {}
+
+        def body(rt):
+            alloc = yield from rt.malloc(8 * self.WRITES)
+            yield from rt.barrier()
+            if rt.rank == 0:
+                buf = rt.world.space(0).allocate(8)
+                rt.world.space(0).write(buf, one)
+                for i in range(self.WRITES):
+                    if op == "acc":
+                        yield from rt.acc(1, buf, alloc.addr(1), 8, 1.0)
+                    else:
+                        yield from rt.put(1, buf, alloc.addr(1) + 8 * i, 8)
+                yield from rt.fence(1)
+            yield from rt.barrier()
+            if rt.rank == 1:
+                got = rt.world.space(1).read(alloc.addr(1), 8 * self.WRITES)
+                values = np.frombuffer(got, dtype=np.float64)
+                landed["n"] = int(values[0]) if op == "acc" else int((values == 1.0).sum())
+
+        job.run(body)
+        assert landed["n"] == self.WRITES
+        assert job.trace.count("net.link_drops") > 0
+        assert job.trace.count("armci.transient_retries") > 0
 
 
 class TestHealthMonitor:
@@ -528,7 +556,7 @@ class TestHealthMonitor:
             yield from rt.put(7, src, alloc.addr(7), 256)
             yield from rt.fence(7)
             for nb in (N(0, 1, 1), N(1, 0, 1), N(1, 1, 0)):
-                rt.world.apply_link_fault(LinkFault("kill", nb, NODE7, at=0.0))
+                apply_link_fault(rt.world, LinkFault("kill", nb, NODE7, at=0.0))
             for _i in range(30):
                 try:
                     yield from rt.put(7, src, alloc.addr(7), 256)
@@ -903,8 +931,8 @@ class TestStridedVectorScf:
 
         def kill(job, i):
             if i == 1:  # round 0 warmed the region cache over the wire
-                job.world.apply_link_fault(
-                    LinkFault("kill", NODE0, NODE1, at=0.0)
+                apply_link_fault(
+                    job.world, LinkFault("kill", NODE0, NODE1, at=0.0)
                 )
 
         arrived, job = typed_transfer("puts", cfg, repeat=2, on_iter=kill)

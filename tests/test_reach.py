@@ -4,13 +4,18 @@ The measured half — every customer run under the profiler — is the CI
 suite ``reach`` (``python tools/reach.py --check``, minutes). What tier-1
 holds is everything that needs no run: the keep file is well-formed and
 not stale, the deleted modules stay deleted, no config option is left
-that nothing assigns, and the profiler hook sees what it should.
+that nothing assigns, and the profiler hook sees what it should. It also
+holds the layering the census reports: the paper's core imports none of
+its extensions.
 """
 
 import dataclasses
 import fnmatch
 import importlib
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -79,3 +84,60 @@ class TestOneCustomerRule:
         assert "repro.armci.runtime.ArmciProcess.get" in entered
         assert "repro.verify.fuzz.target_lock" not in entered
         assert "repro.verify.fuzz.target_lock" in {name for name, _l in known.values()}
+
+
+#: A child interpreter: import the paper artifacts, run one 4-rank knobs-off
+#: job per mode over every paper operation, print the repro modules loaded.
+KNOBS_OFF_JOB = """
+import json, sys
+import repro.bench.artifacts
+from repro.armci import ArmciConfig, ArmciJob
+from repro.armci.vector import IoVector
+from repro.types import StridedDescriptor, StridedShape
+
+def body(rt):
+    alloc = yield from rt.malloc(1024)
+    peer = (rt.rank + 1) % rt.job.num_procs
+    buf, remote = rt.world.space(rt.rank).allocate(1024), alloc.addr(peer)
+    desc = StridedDescriptor(StridedShape(16, (4,)), (32,), (32,))
+    yield from rt.put(peer, buf, remote, 64)
+    yield from rt.get(peer, buf + 64, remote, 64)
+    yield from rt.acc(peer, buf, remote + 128, 64, 2.0)
+    yield from rt.rmw(peer, remote + 256, "fetch_add", 1)
+    yield from rt.puts(peer, buf, remote + 320, desc)
+    yield from rt.gets(peer, buf + 512, remote + 320, desc)
+    yield from rt.putv(peer, IoVector((buf, buf + 32), (remote + 512, remote + 576), (16, 16)))
+    yield from rt.fence(peer)
+    yield from rt.barrier()
+
+for config in (ArmciConfig.default_mode(), ArmciConfig.async_thread_mode()):
+    job = ArmciJob(4, config=config, procs_per_node=2)
+    job.init()
+    job.run(body)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "repro")))
+"""
+
+
+class TestOneCore:
+    """The paper's subsystem neither imports nor wires its extensions:
+    each attaches at its own point (``world.chaos``, ``world.integrity``,
+    ``network.route_table``, ``rt.obs``, ``job.recovery``), and a job
+    with every knob off loads none of them (DESIGN §3)."""
+
+    def test_a_knobs_off_job_loads_no_extension(self):
+        import repro
+
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(repro.__file__).parents[1])}
+        env.pop("REPRO_ARMCI_BACKEND", None)  # the knobs-off backend is PAMI
+        out = subprocess.run([sys.executable, "-c", KNOBS_OFF_JOB], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        extensions = [m for modules in reach.EXTENSIONS.values() for m in modules]
+        assert len(extensions) == 12
+        loaded = json.loads(out.splitlines()[-1])
+        assert "repro.bench.artifacts" in loaded
+        assert [m for m in loaded if reach.within(m, extensions)] == []
+
+    def test_one_fault_schedule(self):
+        from repro.chaos import ChaosConfig
+
+        assert "link_faults" not in {f.name for f in dataclasses.fields(ChaosConfig)}

@@ -10,9 +10,9 @@ from repro.topology import (
     RankMapping,
     Torus,
     abcdet_mapping,
-    dimension_order_route,
     partition_shape,
 )
+from repro.topology.routing import dimension_order_route
 from repro.topology.partitions import nodes_for_processes
 
 

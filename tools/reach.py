@@ -9,6 +9,12 @@ against an ``ast`` walk of the tree. ``tools/reach_keep.txt`` (pattern,
 category, reason) is the only thing subtracted. ``--check`` exits 1 on an
 unreached function no keep line matches, on a keep line that matches no
 unreached function, and on a config option nothing assigns.
+
+The report also splits what was entered by customer class (the paper's
+``-m repro.bench all`` alone, the benchmark suite with the trace export,
+each ledger workload, the examples, the three script benchmarks): code
+lines per package and class, the paper's lines and imported modules, and
+each extension's lines the paper does not enter.
 """
 
 import argparse
@@ -34,21 +40,33 @@ CONFIGS = ("ArmciConfig", "RetryPolicy", "RecoveryConfig", "ChaosConfig",
            "LinkHealthConfig", "IntegrityConfig", "KvConfig", "ClientLoadConfig")
 BENCHES = ("-m", "pytest", "benchmarks", "--ignore=benchmarks/ledger",
            "--benchmark-disable", "--trace-out")
+#: The extensions built around the paper's ARMCI-over-PAMI core (DESIGN §7),
+#: by module. A knobs-off job imports none of them (tests/test_reach.py).
+EXTENSIONS = {
+    "robustness": ("repro.chaos", "repro.recover", "repro.pami.integrity"),
+    "link faults": ("repro.topology.links", "repro.topology.routing", "repro.machine.health"),
+    "transport.mpi3": ("repro.transport.mpi3",),
+    "sim.parallel": ("repro.sim.parallel",),
+    "serve": ("repro.serve",),
+    "obs export": ("repro.obs.export", "repro.obs.critical_path"),
+    "verify": ("repro.verify",),
+}
 
 
-def drivers(root: pathlib.Path, traces: str) -> list[tuple[str, ...]]:
-    """Every customer, as the argv of ``python`` run from the tree's root."""
+def drivers(root: pathlib.Path, traces: str) -> list[tuple[str, tuple[str, ...]]]:
+    """Every customer, as ``(class, argv of python run from the tree's root)``."""
     ledger = json.loads((root / "BENCHMARK.json").read_text())["workloads"]
     return [
-        ("-m", "repro.bench", "all"),
-        *(("benchmarks/ledger/run.py", "--workload", w["name"], "--seconds", "1", "--trace", "0")
-          for w in ledger),
-        (*BENCHES, traces),
-        ("-m", "repro.obs.export", f"{traces}/fig11_trace_D.json"),
-        ("benchmarks/bench_clique_growth.py", "--shards", "1,2"),
-        ("benchmarks/bench_serving.py",),
-        ("benchmarks/bench_rank_scaling.py", "--child", "1024"),
-        *((str(p.relative_to(root)), *((traces,) if p.name == "trace_scf.py" else ()))
+        ("paper", ("-m", "repro.bench", "all")),
+        *((w["name"], ("benchmarks/ledger/run.py", "--workload", w["name"], "--seconds", "1",
+                       "--trace", "0")) for w in ledger),
+        ("supp", (*BENCHES, traces)),
+        ("supp", ("-m", "repro.obs.export", f"{traces}/fig11_trace_D.json")),
+        ("clique", ("benchmarks/bench_clique_growth.py", "--shards", "1,2")),
+        ("serving", ("benchmarks/bench_serving.py",)),
+        ("ranks", ("benchmarks/bench_rank_scaling.py", "--child", "1024")),
+        *(("examples", (str(p.relative_to(root)),
+                        *((traces,) if p.name == "trace_scf.py" else ())))
           for p in sorted((root / "examples").glob("*.py"))),
     ]
 
@@ -87,7 +105,9 @@ def child(out: str, argv: list[str]) -> None:
     codes, exit_now = set(), os._exit
 
     def dump(status: int | None = None) -> None:
-        pathlib.Path(f"{out}.{os.getpid()}").write_text(json.dumps(sorted(sites(codes))))
+        modules = sorted(m for m in sys.modules if m.split(".")[0] == "repro")
+        pathlib.Path(f"{out}.{os.getpid()}").write_text(
+            json.dumps({"sites": sorted(sites(codes)), "modules": modules}))
         if status is not None:  # a forked PDES worker leaves through os._exit
             exit_now(status)
 
@@ -154,24 +174,71 @@ def options(root: pathlib.Path) -> dict[str, list[str]]:
     return {f"{cls}.{field}": sorted(assigned[field], key=TREES.index) for cls, field in fields}
 
 
-def measure(root: pathlib.Path) -> set[tuple[str, int]]:
-    """Run every driver of ``root`` in a profiled child; the union of what they entered."""
+def measure(root: pathlib.Path) -> dict[str, tuple[set, set]]:
+    """Run every customer of ``root`` in a profiled child: per customer
+    class, the ``sites`` its runs entered and the ``repro`` modules they loaded."""
     env = {**os.environ, "REPRO_BENCH_SMOKE": "1", "PYTHONPATH": str(root / "src")}
-    entered: set[tuple[str, int]] = set()
     with tempfile.TemporaryDirectory() as tmp:
-        for n, argv in enumerate(drivers(root, f"{tmp}/traces")):
+        plan = drivers(root, f"{tmp}/traces")
+        by_class = {label: (set(), set()) for label, _argv in plan}
+        for n, (_label, argv) in enumerate(plan):
             print("  driver:", " ".join(argv).replace(tmp, "$TMP"), flush=True)
             subprocess.run([sys.executable, __file__, "--child", f"{tmp}/{n}", *argv], cwd=root,
                            env=env, check=True, stdout=subprocess.DEVNULL)
         for dump in pathlib.Path(tmp).glob("*.*"):
-            if dump.is_file():
-                entered.update(map(tuple, json.loads(dump.read_text())))
-    return entered
+            if dump.is_file():  # {n}.{pid}: the customer's own process or a forked worker
+                entered, modules = by_class[plan[int(dump.stem)][0]]
+                found = json.loads(dump.read_text())
+                entered.update(map(tuple, found["sites"]))
+                modules.update(found["modules"])
+    return by_class
 
 
-def report(root: pathlib.Path, entered: set[tuple[str, int]]) -> int:
-    """Print both censuses; the number of violations of the rule."""
+def module_of(site: str) -> str:
+    """``repro/pkg/mod.py`` -> ``repro.pkg.mod``."""
+    return site.removesuffix(".py").removesuffix("/__init__").replace("/", ".")
+
+
+def within(module: str, scope) -> bool:
+    """Whether ``module`` is one of the modules in ``scope`` or lies in one."""
+    return any(module == m or module.startswith(f"{m}.") for m in scope)
+
+
+def by_customer(known: dict, by_class: dict[str, tuple[set, set]]) -> None:
+    """Print code lines per package and customer class, the paper's size,
+    and what each extension adds beyond the paper."""
+    def lines(keys) -> set[tuple[str, int]]:
+        return {(k[0], n) for k in keys if k in known for n in known[k][1]}
+
+    every = lines(known)
+    entered = {label: lines(sites) for label, (sites, _m) in by_class.items()}
+    columns = {**entered, "any": set().union(*entered.values()), "of": every}
+    width = {c: max(len(c), 5) + 1 for c in columns}
+    print("\ncensus by customer: code lines inside functions entered, per package")
+    print(f"{'package':<12}" + "".join(f"{c:>{width[c]}}" for c in columns))
+    for package in [*sorted({module_of(site).split(".")[1] for site, _n in every}), None]:
+        scope = ("repro",) if package is None else (f"repro.{package}",)
+        print(f"{package or 'total':<12}" + "".join(
+            f"{sum(within(module_of(site), scope) for site, _n in found):>{width[c]}}"
+            for c, found in columns.items()))
+    paper, (sites, modules) = entered["paper"], by_class["paper"]
+    print(f"\nthe paper (python -m repro.bench all): {len(paper)} code lines of "
+          f"{len(every)} inside functions ({len(sites & known.keys())} of {len(known)} "
+          f"functions); {len(modules)} repro modules imported:\n  {' '.join(sorted(modules))}")
+    print("\nextensions: code lines the paper does not enter (of all), customers entering them")
+    for name, prefixes in EXTENSIONS.items():
+        own = {line for line in every if within(module_of(line[0]), prefixes)}
+        users = [c for c, found in entered.items() if c != "paper" and own & found]
+        imported = [m for m in sorted(modules) if within(m, prefixes)]
+        print(f"  {name:<16}{len(own - paper):>6} of {len(own):<6}"
+              f"{' '.join(users) or '(none: tier-1 and fuzz tests only)'}"
+              + (f"  [the paper imports {' '.join(imported)}]" if imported else ""))
+
+
+def report(root: pathlib.Path, by_class: dict[str, tuple[set, set]]) -> int:
+    """Print the censuses; the number of violations of the rule."""
     known, keeps = functions(root), keep_lines()
+    entered = set().union(*(sites for sites, _m in by_class.values()))
     unreached = known.keys() - entered
     kept = {key for key in unreached
             if any(fnmatch.fnmatchcase(known[key][0], pattern) for pattern, _c, _r in keeps)}
@@ -197,6 +264,7 @@ def report(root: pathlib.Path, entered: set[tuple[str, int]]) -> int:
     print(f"\noptions census: {len(fields)} fields, {len(orphans)} assigned by nothing")
     for name, trees in fields.items():
         print(f"  {name:<42}{' '.join(trees) or '-- never assigned'}")
+    by_customer(known, by_class)
     return len(unreached - kept) + len(stale) + len(orphans)
 
 
