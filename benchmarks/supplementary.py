@@ -1169,7 +1169,7 @@ def _recovery_job(protected_kb, fault_plan=None):
     cfg = ArmciConfig.async_thread_mode(
         retry=RetryPolicy(),
         default_deadline=2.0,
-        recovery=RecoveryConfig(enabled=True, chunk_bytes=256),
+        recovery=RecoveryConfig(chunk_bytes=256),
     )
     job = ArmciJob(RECOVERY_PROCS, config=cfg, procs_per_node=1, fault_plan=fault_plan)
     job.init()

@@ -136,18 +136,18 @@ class ArmciConfig:
     recovery:
         :class:`~repro.recover.RecoveryConfig` crash-recovery switches
         (buddy replication, coordinated checkpoint/restore, respawn).
-        ``None`` (the default) or a disabled config keeps every recovery
-        code path dormant — paper figures are byte-identical.
+        ``None`` (the default) keeps every recovery code path dormant —
+        paper figures are byte-identical.
     integrity:
         :class:`~repro.pami.integrity.IntegrityConfig` end-to-end payload
         integrity switches (per-transfer CRC32 + sequence numbers,
         verified at delivery, with transparent transport retransmission
-        of corrupted transfers). ``None`` (the default) or a disabled
-        config keeps the protection off — silent in-flight corruption
+        of corrupted transfers). ``None`` (the default) keeps the
+        protection off — silent in-flight corruption
         (``corrupt_mode="payload"`` chaos, corrupting links) then lands.
     health:
         :class:`~repro.machine.health.LinkHealthConfig` link health
-        monitoring switches. Enabled, the job routes on *observed* link
+        monitoring switches. Set, the job routes on *observed* link
         state: wire losses/corruptions walk links through
         ``ok -> suspect -> dead`` with hysteresis, rerouting kicks in as
         links are declared bad, and ranks left unreachable on **all**

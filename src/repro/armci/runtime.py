@@ -239,19 +239,19 @@ class ArmciJob:
         self._initialized = False
         world.on_rank_failed(self._on_rank_failed)
         #: Crash-recovery manager (``repro.recover``), or ``None`` when
-        #: ``config.recovery`` is unset/disabled — the default, which
+        #: ``config.recovery`` is unset — the default, which
         #: keeps every paper-figure code path untouched. Constructed
         #: after the job's own failure listener so collectives break
         #: before recovery logic observes the death.
         self.recovery = None
-        if self.config.recovery is not None and self.config.recovery.enabled:
+        if self.config.recovery is not None:
             from ..recover.manager import RecoveryManager
 
             self.recovery = RecoveryManager(self, self.config.recovery)
         #: End-to-end payload integrity (``repro.pami.integrity``), or
-        #: ``None`` when ``config.integrity`` is unset/disabled — the
+        #: ``None`` when ``config.integrity`` is unset — the
         #: default, under which every transfer path pays one ``is None``.
-        if self.config.integrity is not None and self.config.integrity.enabled:
+        if self.config.integrity is not None:
             from ..pami.integrity import IntegrityEngine
 
             world.integrity = IntegrityEngine(
@@ -262,7 +262,7 @@ class ArmciJob:
         #: Installed, the network routes on *observed* link state and
         #: escalates fully-unreachable ranks to the failure machinery.
         self.health = None
-        if self.config.health is not None and self.config.health.enabled:
+        if self.config.health is not None:
             self.health = world.install_health_monitor(self.config.health)
         #: Where ``repro.serve`` records request latency, request count
         #: and run duration: the job's registry, unless a caller installs

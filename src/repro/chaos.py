@@ -10,8 +10,7 @@ protocols of scalable MPI-3 RMA implementations).
 This module is the one owner of fault injection:
 
 - :class:`ChaosConfig` — seeded probabilities for drop / corruption /
-  duplication / jitter, optionally restricted to chosen links, plus the
-  transport-retransmit knobs.
+  duplication / jitter, optionally restricted to chosen links.
 - :class:`FaultPlan` — scheduled fail-stop crashes, resource faults and
   link faults, composing with the transient model; :func:`check_plan`,
   :func:`schedule_plan`, :func:`apply_resource_fault` and
@@ -32,14 +31,15 @@ Fault semantics (what the ARMCI retry layer relies on):
 - Duplicated deliveries are discarded by sequence-number dedup at the
   target (they cost handler time but have no semantic effect).
 - Jitter on ordered traffic is clamped per (src, dst) pair so delivery
-  order on a deterministic route stays monotone (head-of-line blocking);
-  AMOs are unordered and take unclamped jitter.
+  order on a deterministic route stays monotone (head-of-line blocking,
+  :mod:`repro.pami.ordering`); AMOs and gets are unordered and take
+  unclamped jitter.
 - Active messages with no reply cookie (notify, unlock, group and
   tag-matched sends) cannot report loss to their initiator, so the
-  transport retransmits them after :attr:`ChaosConfig.retransmit_delay`,
-  re-rolling the dice up to :attr:`ChaosConfig.max_retransmits` times;
-  the final attempt always delivers (bounded-loss transport, so a
-  ``drop_prob`` of 1.0 cannot livelock the simulation).
+  transport retransmits them (:class:`~repro.pami.delivery.Delivery`,
+  re-rolling the dice up to its budget); the final attempt always
+  delivers (bounded-loss transport, so a ``drop_prob`` of 1.0 cannot
+  livelock the simulation).
 """
 
 from __future__ import annotations
@@ -147,11 +147,6 @@ class ChaosConfig:
     jitter_max: float = 0.0
     #: Restrict injection to these (src, dst) links; None = every link.
     links: frozenset[tuple[int, int]] | None = None
-    #: Transport retransmit backoff for cookie-less active messages.
-    retransmit_delay: float = 5e-6
-    #: Retransmit budget for cookie-less AMs; the final attempt always
-    #: delivers so injection cannot livelock fire-and-forget traffic.
-    max_retransmits: int = 8
     #: Corruption model. ``"detected"`` (the legacy seed behaviour): the
     #: receiving NIC's checksum rejects the packet, so corruption is just
     #: a loss with a different reason. ``"payload"``: the corruption is
@@ -176,14 +171,6 @@ class ChaosConfig:
             )
         if self.jitter_max < 0.0:
             raise ChaosError(f"jitter_max must be >= 0, got {self.jitter_max}")
-        if self.retransmit_delay <= 0.0:
-            raise ChaosError(
-                f"retransmit_delay must be > 0, got {self.retransmit_delay}"
-            )
-        if self.max_retransmits < 0:
-            raise ChaosError(
-                f"max_retransmits must be >= 0, got {self.max_retransmits}"
-            )
         if self.links is not None:
             for pair in self.links:
                 if (
@@ -446,14 +433,12 @@ class ChaosEngine:
     ``world.chaos is None`` check, so disabled runs pay no RNG calls.
     """
 
-    __slots__ = ("config", "trace", "_rng", "_last_deliver")
+    __slots__ = ("config", "trace", "_rng")
 
     def __init__(self, config: ChaosConfig, trace) -> None:
         self.config = config
         self.trace = trace
         self._rng = random.Random(config.seed)
-        #: Per-(src, dst) high-water delivery time for jitter clamping.
-        self._last_deliver: dict[tuple[int, int], float] = {}
 
     def _applies(self, src: int, dst: int) -> bool:
         links = self.config.links
@@ -496,7 +481,9 @@ class ChaosEngine:
             return True
         return False
 
-    def _jitter(self, src: int, dst: int) -> float:
+    def jitter(self, src: int, dst: int) -> float:
+        """Extra latency for one ``src`` -> ``dst`` transfer (0.0 = none);
+        ordered traffic clamps it per pair (:mod:`repro.pami.ordering`)."""
         cfg = self.config
         if (
             not self._applies(src, dst)
@@ -508,21 +495,3 @@ class ChaosEngine:
             self.trace.incr("chaos.jittered")
             return self._rng.random() * cfg.jitter_max
         return 0.0
-
-    def ordered_deliver(self, src: int, dst: int, deliver: float) -> float:
-        """Jittered delivery time for *ordered* traffic on (src, dst).
-
-        Clamped monotone per pair: a jittered packet head-of-line blocks
-        later packets on the same deterministic route, so the
-        :class:`~repro.pami.ordering.OrderingChecker` invariant holds.
-        """
-        t = deliver + self._jitter(src, dst)
-        floor = self._last_deliver.get((src, dst))
-        if floor is not None and floor > t:
-            t = floor
-        self._last_deliver[(src, dst)] = t
-        return t
-
-    def unordered_deliver(self, src: int, dst: int, deliver: float) -> float:
-        """Jittered delivery time for unordered traffic (AMOs): no clamp."""
-        return deliver + self._jitter(src, dst)

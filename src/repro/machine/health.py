@@ -51,8 +51,6 @@ class LinkHealthConfig:
 
     Parameters
     ----------
-    enabled:
-        Master switch; a disabled config keeps the monitor uninstalled.
     suspect_after:
         Consecutive bad observations (losses/corruptions) before a link
         is marked *suspect* (soft-blocked: routed around when an
@@ -67,7 +65,6 @@ class LinkHealthConfig:
         reports fully-unreachable ranks to the failure machinery.
     """
 
-    enabled: bool = True
     suspect_after: int = 2
     dead_after: int = 4
     probe_period: float = 20e-6

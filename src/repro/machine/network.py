@@ -107,10 +107,6 @@ class TorusNetwork:
         self.health = None
         # (src, dst) -> (view epoch, hop links | None, hop cost, hops).
         self._fault_route_cache: dict[tuple[int, int], tuple] = {}
-        # Per-(src, dst) high-water delivery time: reroutes can shorten
-        # paths mid-stream, so fault-mode ordered traffic is clamped
-        # monotone (head-of-line blocking on the new route).
-        self._last_deliver: dict[tuple[int, int], float] = {}
 
     #: Mutable per-run state: NIC/link clocks and memo caches. Listed in
     #: one place so shard isolation (clear/pickle) cannot silently
@@ -123,7 +119,6 @@ class TorusNetwork:
         "_link_free",
         "_route_cache",
         "_fault_route_cache",
-        "_last_deliver",
     )
 
     # ------------------------------------------------- shard isolation
@@ -277,19 +272,6 @@ class TorusNetwork:
         if health is not None:
             health.observe_route_ok(links)
         return None
-
-    def ordered_deliver(self, src: int, dst: int, deliver: float) -> float:
-        """Monotone-clamped delivery time for fault-mode ordered traffic.
-
-        A reroute onto a shorter (or revived) path could deliver a later
-        message before an earlier one on the same pair; the clamp models
-        head-of-line blocking so the pairwise ordering guarantee holds.
-        """
-        floor = self._last_deliver.get((src, dst))
-        if floor is not None and floor > deliver:
-            deliver = floor
-        self._last_deliver[(src, dst)] = deliver
-        return deliver
 
     def _inject(
         self, rank: int, post_time: float, occupancy: float, dst: int | None = None

@@ -223,32 +223,25 @@ def send_am(
     delivery = _AmDelivery(world, src, dst_rank, "am", rerolls_injector=True)
     delivery.envelope = env
     delivery.target_context = target_context
-    chaos = world.chaos
-    deliver_at = timing.deliver
-    if chaos is not None:
-        deliver_at = chaos.ordered_deliver(src, dst_rank, timing.deliver)
-    if delivery.link_mode:
-        deliver_at = world.network.ordered_deliver(src, dst_rank, deliver_at)
-    world.ordering.record(src, dst_rank, deliver_at)
+    deliver_at = world.ordering.deliver(
+        src, dst_rank, timing.deliver, world.chaos, delivery.link_mode
+    )
 
     local_event = engine.event(f"am.local.{src}->{dst_rank}")
     delivery.carry(env.payload)
     engine.schedule(deliver_at - now, delivery.attempt)
     ctx.complete_after(timing.inject_done - now, local_event)
     world.trace.incr("pami.am_sent")
-    obs = world.obs
     span_id = None
-    if obs is not None:
+    if world.obs is not None:
         # Wire-time flight span on the net lane; the id rides in the
         # header (same metadata path as the reply cookies — ints are
         # invisible to the cookie scanner) so the remote service span
         # can parent back across the rank boundary.
-        span_id = obs.record(
-            src, "net", "am", f"am.{dispatch_id}", now, deliver_at,
-            dst=dst_rank, nbytes=env.payload_bytes,
+        span_id = delivery.flight(
+            "am", f"am.{dispatch_id}", deliver_at, env.payload_bytes, local_event
         )
         env.header["_span"] = span_id
-        obs.register_event(local_event, span_id)
     return AmOp(env, local_event, deliver_at, span_id)
 
 

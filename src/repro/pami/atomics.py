@@ -274,7 +274,7 @@ def rmw(
     chaos = world.chaos
     if chaos is not None:
         # AMOs are unordered (Section III-A.4): unclamped jitter.
-        arrive = chaos.unordered_deliver(src, dst_rank, arrive)
+        arrive += chaos.jitter(src, dst_rank)
     fault, _corruption, detect = delivery.fate or delivery.roll()
     if fault is not None:
         # Request lost before the op was applied — retry-safe: the

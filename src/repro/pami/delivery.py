@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from . import faults as _flt
 
-#: Transport retransmit budget / backoff when neither the chaos nor the
-#: integrity layer supplies its own (link-fault losses only).
-LINK_RETRANSMIT_BUDGET = 8
-LINK_RETRANSMIT_DELAY = 5e-6
+#: Transport retransmit budget (see :attr:`Delivery.budget`) and the
+#: backoff before every retransmit.
+RETRANSMIT_BUDGET = 8
+RETRANSMIT_DELAY = 5e-6
 
 #: ``TransientFault.reason`` when the transport gives a delivery up: its
 #: retransmit budget died to repeated damage, or no route is left. The
@@ -113,7 +113,20 @@ class Delivery:
 
     def resend(self) -> None:
         """Put the next copy on the wire."""
-        self.world.engine.schedule(self.retransmit_delay, self.attempt)
+        self.world.engine.schedule(RETRANSMIT_DELAY, self.attempt)
+
+    def flight(self, category: str, name: str, end: float, nbytes: int, *events) -> int:
+        """Record the wire-time span ``name`` on ``src``'s net lane, from
+        now to ``end``, as the producer of ``events``; its id."""
+        world = self.world
+        obs = world.obs
+        sid = obs.record(
+            self.src, "net", category, name, world.engine.now, end,
+            dst=self.dst, nbytes=nbytes,
+        )
+        for event in events:
+            obs.register_event(event, sid)
+        return sid
 
     # ------------------------------------------------------ the skeleton
 
@@ -136,47 +149,53 @@ class Delivery:
 
     @property
     def budget(self) -> int:
-        """Retransmits this delivery may spend (the one budget rule)."""
-        chaos, integ = self.world.chaos, self.world.integrity
-        if chaos is None and integ is None:
-            return LINK_RETRANSMIT_BUDGET
-        return max(
-            chaos.config.max_retransmits if chaos is not None else 0,
-            integ.config.max_retransmits if integ is not None else 0,
-        )
-
-    @property
-    def retransmit_delay(self) -> float:
-        chaos, integ = self.world.chaos, self.world.integrity
-        if chaos is not None:
-            return chaos.config.retransmit_delay
-        if integ is not None:
-            return integ.config.retransmit_delay
-        return LINK_RETRANSMIT_DELAY
+        """Retransmits this delivery may spend (the one budget rule): the
+        integrity config's own, but never below :data:`RETRANSMIT_BUDGET`
+        under chaos; :data:`RETRANSMIT_BUDGET` with no integrity engine."""
+        world = self.world
+        integ = world.integrity
+        if integ is None:
+            return RETRANSMIT_BUDGET
+        own = integ.config.max_retransmits
+        return own if world.chaos is None else max(own, RETRANSMIT_BUDGET)
 
     def roll(self):
         """Decide the fate ``(fault, corruption, detect)`` of the next
         copy and keep it for :meth:`attempt`.
 
-        Bounded loss: the first copy and every retransmit inside the
-        budget ask the wire; the copy sent with the budget spent goes
-        out clean unless no route is left at all.
+        ``fault`` is a :class:`~repro.pami.faults.TransientFault` when the
+        copy is lost in transit, ``corruption`` a
+        :class:`~repro.pami.faults.PayloadCorruption` when it arrives
+        with a flipped bit, both ``None`` when it arrives clean; ``detect``
+        is how long the initiator NIC takes to report a loss. The chaos
+        injector rolls on the first copy (on every copy with
+        ``rerolls_injector``); a copy it left alone asks the links of its
+        current route (``link_mode``). Bounded loss: the copy sent with
+        the budget spent goes out clean unless no route is left at all.
         """
         world = self.world
+        src, dst = self.src, self.dst
         retries = self.retries
+        fault = corruption = None
         if retries and retries >= self.budget:
-            fate = _CLEAN
-            if world.network.route_blocked(self.src, self.dst):
-                fate = (
-                    _flt.TransientFault(GIVEN_UP, self.src, self.dst), None,
-                    _flt.FAULT_DETECT_DELAY,
-                )
+            if world.network.route_blocked(src, dst):
+                fault = _flt.TransientFault(GIVEN_UP, src, dst)
         else:
-            fate = _flt.wire_outcome(
-                world, self.src, self.dst, self.kind, self.link_mode,
-                first=retries == 0 or self.rerolls_injector,
-            )
-        self.fate = fate
+            chaos = world.chaos
+            if chaos is not None and (retries == 0 or self.rerolls_injector):
+                outcome = chaos.transfer_fault(src, dst, self.kind)
+                if isinstance(outcome, _flt.PayloadCorruption):
+                    corruption = outcome
+                else:
+                    fault = outcome
+            if fault is None and corruption is None and self.link_mode:
+                wire = world.network.wire_fate(src, dst, self.kind)
+                if wire is not None:
+                    if wire[0] == "dropped":
+                        fault = _flt.TransientFault(_flt.LINK_DEAD, src, dst)
+                    else:
+                        corruption = wire[1]
+        self.fate = fate = (fault, corruption, _flt.FAULT_DETECT_DELAY)
         return fate
 
     def attempt(self, _arg=None) -> None:

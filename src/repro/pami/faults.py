@@ -129,38 +129,6 @@ FAULT_DETECT_DELAY = 25e-6
 LINK_DEAD = "link_dead"
 
 
-def wire_outcome(world, src: int, dst: int, kind: str, link_mode: bool, first=True):
-    """What the wire does to one attempt of a ``kind`` transfer.
-
-    Returns ``(fault, corruption, detect)``: a :class:`TransientFault`
-    when the attempt is lost in transit, a
-    :class:`PayloadCorruption` when it arrives with
-    a flipped bit, both ``None`` when it arrives clean; ``detect`` is how
-    long the initiator NIC takes to report the loss (always
-    :data:`FAULT_DETECT_DELAY`, as on every other failure-completion
-    path). The chaos injector
-    rolls on ``first`` attempts only (transport retransmits re-roll the
-    links, not the injector); a transfer it left alone asks the links of
-    its current route (``link_mode``: link-fault model on, inter-node).
-    """
-    fault = corruption = None
-    chaos = world.chaos
-    if first and chaos is not None:
-        outcome = chaos.transfer_fault(src, dst, kind)
-        if isinstance(outcome, PayloadCorruption):
-            corruption = outcome
-        elif outcome is not None:
-            fault = outcome
-    if fault is None and corruption is None and link_mode:
-        wire = world.network.wire_fate(src, dst, kind)
-        if wire is not None:
-            if wire[0] == "dropped":
-                fault = TransientFault(LINK_DEAD, src, dst)
-            else:
-                corruption = wire[1]
-    return fault, corruption, FAULT_DETECT_DELAY
-
-
 def check_completion(value, op: str | None = None):
     """Raise if a completion value carries a failure token; else pass it
     through. Used by every ARMCI wait path. ``op`` names the originating

@@ -47,28 +47,18 @@ class IntegrityConfig:
 
     Parameters
     ----------
-    enabled:
-        Master switch; a disabled config keeps every code path dormant.
     max_retransmits:
         Transport retransmit budget per corrupted transfer. Exhaustion
         surfaces a :class:`~repro.pami.faults.TransientFault` to the
         initiator (the ARMCI retry layer takes over from there).
-    retransmit_delay:
-        Backoff before a corrupted transfer is re-sent.
     """
 
-    enabled: bool = True
     max_retransmits: int = 8
-    retransmit_delay: float = 5e-6
 
     def __post_init__(self) -> None:
         if self.max_retransmits < 0:
             raise IntegrityError(
                 f"max_retransmits must be >= 0, got {self.max_retransmits}"
-            )
-        if self.retransmit_delay <= 0.0:
-            raise IntegrityError(
-                f"retransmit_delay must be > 0, got {self.retransmit_delay}"
             )
 
 

@@ -34,7 +34,7 @@ from ..sim.event import Event
 from ..types import SlotRecord
 from . import faults as _flt
 from .context import CompletionItem, PamiContext
-from .delivery import Delivery
+from .delivery import RETRANSMIT_DELAY, Delivery
 
 
 class RmaOp(SlotRecord):
@@ -135,12 +135,9 @@ class _PutDelivery(Delivery):
         nbytes = len(self.payload)
         t2 = world.network.put_timing(self.src, self.dst, nbytes)
         base = engine.now
-        delay = self.retransmit_delay + (t2.deliver - base)
+        delay = RETRANSMIT_DELAY + (t2.deliver - base)
         if world.obs is not None:
-            world.obs.record(
-                self.src, "net", "integrity", "put.retransmit", base,
-                base + delay, dst=self.dst, nbytes=nbytes,
-            )
+            self.flight("integrity", "put.retransmit", base + delay, nbytes)
         engine.schedule(delay, self.attempt)
 
 
@@ -183,15 +180,9 @@ def rdma_put(
     # The first copy's fate is rolled here, so a loss can ride the local
     # completion scheduled below.
     fault, _corruption, detect = delivery.fate or delivery.roll()
-    deliver_at = timing.deliver
-    chaos = world.chaos
-    if chaos is not None:
-        deliver_at = chaos.ordered_deliver(src, dst_rank, deliver_at)
-    if delivery.link_mode:
-        # Reroutes can shorten paths mid-stream; ordered traffic stays
-        # monotone per pair (head-of-line blocking on the new route).
-        deliver_at = net.ordered_deliver(src, dst_rank, deliver_at)
-    world.ordering.record(src, dst_rank, deliver_at)
+    deliver_at = world.ordering.deliver(
+        src, dst_rank, timing.deliver, world.chaos, delivery.link_mode
+    )
     delivery.carry(data)
     unprotected = delivery.seal is None
     delivery.verified_ack = (
@@ -216,15 +207,10 @@ def rdma_put(
             # fault (and ARMCI re-issued the op).
             ctx.complete_after(complete_at - now, remote_ack, fault)
     world.trace.counters["pami.rdma_puts"] += 1
-    obs = world.obs
-    if obs is not None:
-        sid = obs.record(
-            src, "net", "rdma", "rdma_put", now, timing.complete,
-            dst=dst_rank, nbytes=nbytes,
+    if world.obs is not None:
+        delivery.flight(
+            "rdma", "rdma_put", timing.complete, nbytes, local_event, remote_ack
         )
-        obs.register_event(local_event, sid)
-        if remote_ack is not None:
-            obs.register_event(remote_ack, sid)
     return RmaOp("put", src, dst_rank, nbytes, local_event, remote_ack, timing)
 
 
@@ -261,12 +247,11 @@ class _GetDelivery(Delivery):
         self.roll()
         t2 = world.network.get_timing(self.src, self.dst, self.nbytes)
         base = engine.now
-        delay = self.retransmit_delay
+        delay = RETRANSMIT_DELAY
         if world.obs is not None:
-            world.obs.record(
-                self.src, "net", "integrity", "get.retransmit", base,
-                base + delay + (t2.complete - base),
-                dst=self.dst, nbytes=self.nbytes,
+            self.flight(
+                "integrity", "get.retransmit", base + delay + (t2.complete - base),
+                self.nbytes,
             )
         engine.schedule(delay + (t2.deliver - base), self.read)
         engine.schedule(delay + (t2.complete - base), self.attempt)
@@ -309,20 +294,15 @@ def rdma_get(
     deliver_at = timing.deliver
     chaos = world.chaos
     if chaos is not None:
-        # Gets bypass the ordering checker (NIC-served reads), so their
+        # Gets bypass the ordering map (NIC-served reads), so their
         # jitter needs no per-pair clamping.
-        deliver_at = chaos.unordered_deliver(src, dst_rank, deliver_at)
+        deliver_at += chaos.jitter(src, dst_rank)
     # Jitter delays the whole round trip: the reply lands later too.
     complete_at = timing.complete + (deliver_at - timing.deliver)
 
     engine.schedule(deliver_at - now, delivery.read)
     engine.schedule(complete_at - now, delivery.attempt)
     world.trace.counters["pami.rdma_gets"] += 1
-    obs = world.obs
-    if obs is not None:
-        sid = obs.record(
-            src, "net", "rdma", "rdma_get", now, complete_at,
-            dst=dst_rank, nbytes=nbytes,
-        )
-        obs.register_event(local_event, sid)
+    if world.obs is not None:
+        delivery.flight("rdma", "rdma_get", complete_at, nbytes, local_event)
     return RmaOp("get", src, dst_rank, nbytes, local_event, None, timing)

@@ -19,7 +19,7 @@ simulated runtime *recover* rather than merely detect failures:
   integrated with the existing retry policy, FT barriers, and the
   distributed task pool's watermark failover.
 
-Everything is off by default: without an enabled
+Everything is off by default: without a
 :class:`~repro.recover.RecoveryConfig` on the ARMCI config, no recovery
 code runs and the paper-figure code paths are byte-identical.
 """

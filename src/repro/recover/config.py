@@ -17,12 +17,12 @@ class RecoveryConfig:
 
     Attach to :class:`~repro.armci.config.ArmciConfig` via its
     ``recovery`` field; the job constructs a
-    :class:`~repro.recover.RecoveryManager` only when ``enabled`` is
-    true, so the paper-figure code paths stay byte-identical otherwise.
+    :class:`~repro.recover.RecoveryManager` only when that field is set
+    (``None``, the default, means no manager, no replication, no
+    respawns), so the paper-figure code paths stay byte-identical
+    otherwise.
     """
 
-    #: Master switch. Off: no manager, no replication, no respawns.
-    enabled: bool = False
     #: Dirty-tracking granularity for incremental checkpoints. Smaller
     #: chunks ship less data per epoch; larger chunks mean fewer
     #: I/O-vector fragments through the aggregation layer.

@@ -1,7 +1,7 @@
 """The recovery manager: buddy replication, epoch checkpoints, recovery.
 
 One :class:`RecoveryManager` per :class:`~repro.armci.runtime.ArmciJob`
-(constructed only when the job's ``config.recovery`` is enabled). It is
+(constructed only when the job's ``config.recovery`` is set). It is
 a *host-side* service — the analogue of the job manager's recovery
 daemon — whose metadata (replica placement, committed epochs, committed
 state pickles) survives rank deaths. The *data* plane is fully
@@ -112,8 +112,6 @@ class RecoveryManager:
     """Job-level crash-recovery service (see module docstring)."""
 
     def __init__(self, job: "ArmciJob", config: RecoveryConfig) -> None:
-        if not config.enabled:
-            raise ReproError("RecoveryManager requires an enabled RecoveryConfig")
         self.job = job
         self.config = config
         self.engine = job.engine

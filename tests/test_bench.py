@@ -2,6 +2,7 @@
 scales; full scale lives in benchmarks/)."""
 
 import ast
+import importlib
 import pathlib
 import re
 
@@ -247,8 +248,9 @@ class TestOneBenchmarkSurface:
         assert set(SUPPLEMENTARY).isdisjoint(ARTIFACTS)
 
     def test_every_path_docs_name_exists(self):
-        """Every script path, bare ``bench_*.py`` name and
-        ``bench_paper.py::function[stem]`` the docs name resolves."""
+        """Every script path, bare ``bench_*.py`` name,
+        ``bench_paper.py::function[stem]`` and backticked ``repro.…``
+        dotted name the docs name resolves."""
         paper = ast.parse((REPO / "benchmarks" / "bench_paper.py").read_text())
         functions = {n.name for n in paper.body if isinstance(n, ast.FunctionDef)}
         stems = set(ARTIFACTS) | set(SUPPLEMENTARY)
@@ -264,7 +266,28 @@ class TestOneBenchmarkSurface:
             for function, stem in re.findall(r"bench_paper\.py::(\w+)(?:\[(\w+)\])?", text):
                 if function not in functions or (stem and stem not in stems):
                     stale.append((doc, f"{function}[{stem}]"))
+            for name in re.findall(r"`(repro(?:\.\w+)+)", text):
+                if not resolves(name):
+                    stale.append((doc, name))
         assert stale == []
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``repro.pkg.mod.Attr.attr`` names a module and, below the
+    longest importable prefix, attributes that exist."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        try:
+            for attr in parts[cut:]:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
 
 
 #: The documents whose script references ``test_every_path_docs_name_exists``

@@ -20,6 +20,7 @@ from repro.errors import (
     TransientFaultError,
 )
 from repro.pami.faults import FAULT_DETECT_DELAY
+from repro.pami.ordering import OrderingChecker
 
 
 def chaos_job(num_procs=2, config=None, chaos=None, fault_plan=None, **kw):
@@ -57,8 +58,8 @@ class TestChaosConfig:
             {"jitter_prob": 1.01},
             {"drop_prob": 0.6, "corrupt_prob": 0.6},
             {"jitter_max": -1e-6},
-            {"retransmit_delay": 0.0},
-            {"max_retransmits": -1},
+            {"corrupt_mode": "sideways"},
+            {"links": frozenset({(0, 1.5)})},
             {"links": frozenset({(0, 1, 2)})},
             {"links": frozenset({(-1, 0)})},
         ],
@@ -118,12 +119,14 @@ class TestChaosEngineUnit:
             def incr(self, *a, **k):
                 pass
 
-        eng = ChaosEngine(cfg, _Trace())
-        base, last = 1e-3, 0.0
+        eng, ordering = ChaosEngine(cfg, _Trace()), OrderingChecker()
+        base, last, clamped = 1e-3, 0.0, 0
         for i in range(32):
-            t = eng.ordered_deliver(0, 1, base + i * 1e-6)
+            t = ordering.deliver(0, 1, base + i * 1e-6, eng)
             assert t >= last
+            clamped += t == last
             last = t
+        assert clamped > 0, "50 us of jitter on 1 us spacing never clamped"
 
 
 class TestZeroOverheadWhenDisabled:

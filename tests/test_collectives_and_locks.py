@@ -147,23 +147,50 @@ class TestMutexTable:
         assert table.release(0, 2)[0] == 3
 
 
+class _Jitter:
+    """A chaos stand-in whose jitter draws are scripted."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def jitter(self, src, dst):
+        return self.draws.pop(0)
+
+
 class TestOrderingChecker:
     def test_monotone_deliveries_accepted(self):
         checker = OrderingChecker()
-        checker.record(0, 1, 1.0)
-        checker.record(0, 1, 1.0)  # equal is fine
-        checker.record(0, 1, 2.0)
+        assert checker.deliver(0, 1, 1.0) == 1.0
+        assert checker.deliver(0, 1, 1.0) == 1.0  # equal is fine
+        assert checker.deliver(0, 1, 2.0) == 2.0
         assert checker.checked == 3
 
     def test_reordering_detected(self):
         checker = OrderingChecker()
-        checker.record(0, 1, 2.0)
+        checker.deliver(0, 1, 2.0)
         with pytest.raises(PamiError, match="ordering violated"):
-            checker.record(0, 1, 1.0)
+            checker.deliver(0, 1, 1.0)
 
     def test_pairs_are_independent(self):
         checker = OrderingChecker()
-        checker.record(0, 1, 5.0)
-        checker.record(1, 0, 1.0)  # reverse direction, fresh
-        checker.record(0, 2, 1.0)  # different target, fresh
+        checker.deliver(0, 1, 5.0)
+        checker.deliver(1, 0, 1.0)  # reverse direction, fresh
+        checker.deliver(0, 2, 1.0)  # different target, fresh
         assert checker.checked == 3
+
+    def test_chaos_jitter_is_added_then_clamped(self):
+        checker, chaos = OrderingChecker(), _Jitter(3.0, 0.0, 0.5)
+        assert checker.deliver(0, 1, 1.0, chaos) == 4.0
+        # Unjittered, the next message would overtake: head-of-line blocked.
+        assert checker.deliver(0, 1, 2.0, chaos) == 4.0
+        assert checker.deliver(0, 1, 5.0, chaos) == 5.5
+        assert checker.deliver(1, 0, 2.0) == 2.0  # the other direction
+        assert checker.checked == 4
+
+    def test_link_mode_clamps_instead_of_raising(self):
+        checker = OrderingChecker()
+        checker.deliver(0, 1, 3.0, link_mode=True)
+        # A reroute onto a shorter path: held behind the earlier message.
+        assert checker.deliver(0, 1, 2.0, link_mode=True) == 3.0
+        with pytest.raises(PamiError, match="ordering violated"):
+            checker.deliver(0, 1, 2.5)  # knobs off, the same map raises

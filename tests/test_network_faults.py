@@ -225,8 +225,6 @@ class TestConfigValidation:
     def test_integrity_config_validation(self):
         with pytest.raises(IntegrityError):
             IntegrityConfig(max_retransmits=-1)
-        with pytest.raises(IntegrityError):
-            IntegrityConfig(retransmit_delay=0.0)
 
     def test_health_config_validation(self):
         with pytest.raises(HealthConfigError):
@@ -305,16 +303,6 @@ class TestDefaultPathDormant:
         assert protected.engine.now == baseline.engine.now
         assert protected.trace.count("armci.integrity.protected") > 0
         assert protected.trace.count("armci.integrity.checksum_failures") == 0
-
-    def test_disabled_integrity_config_stays_dormant(self):
-        job = net_job(
-            2, config=ArmciConfig.default_mode(
-                integrity=IntegrityConfig(enabled=False),
-                health=LinkHealthConfig(enabled=False),
-            )
-        )
-        assert job.integrity is None
-        assert job.health is None
 
 
 class TestFaultAwareRouting:

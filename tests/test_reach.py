@@ -51,10 +51,25 @@ class TestOneCustomerRule:
             importlib.import_module(module)
 
     def test_deleted_options_and_extras_stay_deleted(self):
+        from repro.chaos import ChaosConfig, ChaosEngine
         from repro.gax import BlockDistribution, GlobalArray
+        from repro.machine.health import LinkHealthConfig
+        from repro.machine.network import TorusNetwork
+        from repro.pami.integrity import IntegrityConfig
         from repro.recover import RecoveryConfig
 
-        assert "mode" not in {f.name for f in dataclasses.fields(RecoveryConfig)}
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        assert names(RecoveryConfig).isdisjoint({"mode", "enabled"})
+        assert names(ChaosConfig).isdisjoint({"retransmit_delay", "max_retransmits"})
+        assert names(IntegrityConfig).isdisjoint({"retransmit_delay", "enabled"})
+        assert "enabled" not in names(LinkHealthConfig)
+        # One per-pair ordering map: repro.pami.ordering's.
+        assert "_last_deliver" not in ChaosEngine.__slots__
+        assert "_last_deliver" not in TorusNetwork._MUTABLE_CACHES
+        assert not hasattr(ChaosEngine, "ordered_deliver")
+        assert not hasattr(TorusNetwork, "ordered_deliver")
         assert not hasattr(BlockDistribution, "from_bounds")
         assert not hasattr(GlobalArray, "symmetrize")
 
@@ -62,6 +77,33 @@ class TestOneCustomerRule:
         fields = reach.options(REPO)
         assert len(fields) > 50, "the options census lost the config classes"
         assert [name for name, trees in fields.items() if not trees] == []
+
+    def test_a_shared_field_name_counts_only_for_its_own_class(self, tmp_path):
+        """``KvConfig.seed`` is not set by ``ChaosConfig.light(seed=1)``."""
+        (tmp_path / "src").mkdir()
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "src" / "configs.py").write_text(
+            "class ChaosConfig:\n"
+            "    seed: int = 0\n"
+            "    drop_prob: float = 0.0\n"
+            "\n"
+            "    @classmethod\n"
+            "    def light(cls, seed=0):\n"
+            "        return cls(seed=seed)\n"
+            "\n"
+            "class KvConfig:\n"
+            "    seed: int = 0\n"
+            "    keys: int = 1\n"
+        )
+        (tmp_path / "benchmarks" / "run.py").write_text(
+            "ChaosConfig.light(seed=1)\nreplace(config, drop_prob=0.1, keys=2)\n"
+        )
+        assert reach.options(tmp_path) == {
+            "ChaosConfig.seed": ["benchmarks"],
+            "ChaosConfig.drop_prob": ["benchmarks"],
+            "KvConfig.seed": [],
+            "KvConfig.keys": ["benchmarks"],
+        }
 
     def test_the_profiler_hook_sees_what_runs_and_only_that(self, known):
         from repro.armci import ArmciConfig, ArmciJob

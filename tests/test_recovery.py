@@ -45,7 +45,7 @@ def make_job(fault_plan=None, chaos=None, num_procs=P, obs=None, **rkw):
     cfg = ArmciConfig.async_thread_mode(
         retry=RetryPolicy(),
         default_deadline=2.0,
-        recovery=RecoveryConfig(enabled=True, **rkw),
+        recovery=RecoveryConfig(**rkw),
         **overrides,
     )
     job = ArmciJob(
@@ -230,10 +230,6 @@ def scf_epoch(rt, res, state, epoch):
 
 
 class TestRecoveryConfig:
-    def test_defaults_off(self):
-        cfg = RecoveryConfig()
-        assert not cfg.enabled
-
     def test_plain_job_builds_no_manager(self):
         job = ArmciJob(2, config=ArmciConfig(), procs_per_node=1)
         assert job.recovery is None
@@ -248,12 +244,7 @@ class TestRecoveryConfig:
     )
     def test_validation(self, kwargs):
         with pytest.raises(ReproError):
-            RecoveryConfig(enabled=True, **kwargs)
-
-    def test_manager_requires_enabled_config(self):
-        job = ArmciJob(2, config=ArmciConfig(), procs_per_node=1)
-        with pytest.raises(ReproError):
-            RecoveryManager(job, RecoveryConfig())
+            RecoveryConfig(**kwargs)
 
     def test_armci_config_rejects_wrong_type(self):
         with pytest.raises(ReproError):

@@ -28,7 +28,7 @@ import subprocess
 import sys
 import tempfile
 import threading
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from code_lines import code_line_numbers
 
@@ -160,18 +160,41 @@ def keep_lines(path: pathlib.Path = KEEP) -> list[tuple[str, str, str]]:
     return [tuple(row) for row in rows]
 
 
+def _callee(func: ast.expr) -> tuple[str, str | None] | None:
+    """``Cls(...)`` -> ``("Cls", None)``, ``Cls.make(...)`` -> ``("Cls", "make")``."""
+    if isinstance(func, ast.Name):
+        return func.id, None
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return func.value.id, func.attr
+    return None
+
+
 def options(root: pathlib.Path) -> dict[str, list[str]]:
-    """``Config.field`` -> the trees in which some call passes ``field=...``."""
-    assigned, fields = defaultdict(set), []
+    """``Config.field`` -> the trees in which some call passes ``field=...``.
+
+    A field name that several config classes share counts only in calls
+    to its own class or to one of that class's classmethods."""
+    calls, fields, makers = defaultdict(list), [], {}
     for tree in TREES:
         for path in sorted((root / tree).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.keyword) and node.arg:
-                    assigned[node.arg].add(tree)
+                if isinstance(node, ast.Call):
+                    for kw in node.keywords:
+                        if kw.arg:
+                            calls[kw.arg].append((tree, _callee(node.func)))
                 elif isinstance(node, ast.ClassDef) and node.name in CONFIGS and tree == "src":
                     fields += [(node.name, stmt.target.id) for stmt in node.body
                                if isinstance(stmt, ast.AnnAssign)]
-    return {f"{cls}.{field}": sorted(assigned[field], key=TREES.index) for cls, field in fields}
+                    makers[node.name] = {(node.name, None)} | {
+                        (node.name, stmt.name) for stmt in node.body
+                        if isinstance(stmt, ast.FunctionDef)
+                        and any(getattr(d, "id", None) == "classmethod" for d in stmt.decorator_list)}
+    owners = Counter(field for _cls, field in fields)
+
+    def trees(cls: str, field: str) -> set[str]:
+        return {tree for tree, callee in calls[field] if owners[field] == 1 or callee in makers[cls]}
+
+    return {f"{cls}.{field}": sorted(trees(cls, field), key=TREES.index) for cls, field in fields}
 
 
 def measure(root: pathlib.Path) -> dict[str, tuple[set, set]]:
