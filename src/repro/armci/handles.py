@@ -103,9 +103,7 @@ class Handle:
                     cause = obs.span_for_event(ev)
                     if cause is not None:
                         obs.add_edge(cause, sid)
-                        span = obs.get(cause)
-                        if span is not None:
-                            cats.add(span.category)
+                        cats.add(obs.category(cause))
                 if cats == {"rdma"}:
                     obs.end(sid, category="rdma_wait")
                 elif cats and cats <= {"am", "am_service"}:

@@ -124,6 +124,7 @@ def critical_path(
     ``start_rank`` defaults to the rank whose main-lane activity ends
     last (the rank that finished the job).
     """
+    spans = list(spans)  # an ``Obs`` view builds its records on every pass
     main = [
         s
         for s in spans

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from typing import Callable
 
 import numpy as np
 
@@ -279,6 +280,12 @@ class MetricsRegistry:
     - *gauges* — last-set values;
     - *histograms* — distributions in fixed log2 buckets.
 
+    A writer that buffers observations (``repro.obs.Obs`` keeps the
+    spans it closed, in close order) registers a fold with :meth:`defer`;
+    every histogram read — :meth:`histogram`, :attr:`histograms`,
+    :meth:`snapshot`, :meth:`merge` — runs the folds first, so readers
+    see exactly what recording at write time would have given.
+
     Snapshots are deterministic plain dicts.
     """
 
@@ -288,7 +295,19 @@ class MetricsRegistry:
         self.rank_counters: dict[str, dict[int, int]] = {}
         self.durations: defaultdict[str, float] = defaultdict(float)
         self.gauges: dict[str, Gauge] = {}
-        self.histograms: dict[str, Histogram] = {}
+        self._histograms: dict[str, Histogram] = {}
+        self._folds: list[Callable[[], None]] = []
+
+    def defer(self, fold: Callable[[], None]) -> None:
+        """Run ``fold()`` before every histogram read (see class doc)."""
+        self._folds.append(fold)
+
+    @property
+    def histograms(self) -> dict[str, Histogram]:
+        """Every histogram by name, deferred observations folded in."""
+        for fold in self._folds:
+            fold()
+        return self._histograms
 
     def incr(self, name: str, amount: int = 1) -> None:
         """Add ``amount`` to counter ``name`` (per-operation call sites
@@ -317,9 +336,10 @@ class MetricsRegistry:
         return g
 
     def histogram(self, name: str, keep_raw: bool = False) -> Histogram:
-        h = self.histograms.get(name)
+        histograms = self.histograms
+        h = histograms.get(name)
         if h is None:
-            h = self.histograms[name] = Histogram(keep_raw=keep_raw)
+            h = histograms[name] = Histogram(keep_raw=keep_raw)
         return h
 
     def merge(self, other: "MetricsRegistry") -> None:
@@ -329,7 +349,8 @@ class MetricsRegistry:
         shard records into its own registry (no cross-process sharing);
         the runner merges them into one job-wide view. Counters and
         durations add, gauges keep the high-water mark, histograms
-        combine buckets.
+        combine buckets. Both sides fold their deferred observations
+        first (reading ``other.histograms``, then ``self.histogram``).
         """
         for name, v in other.counters.items():
             self.counters[name] += v

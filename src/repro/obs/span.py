@@ -45,7 +45,10 @@ the last-arriving rank's barrier span. ``critical_path`` walks them.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from math import isnan, nan
 from typing import Any
 
 from .metrics import MetricsRegistry
@@ -72,9 +75,13 @@ class ObsConfig:
     enabled: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
-    """One interval of simulated time on a ``(rank, lane)`` track."""
+    """One interval of simulated time on a ``(rank, lane)`` track.
+
+    :class:`Obs` stores spans as columns and builds these records when
+    they are read: a record is a copy, and changing it changes nothing.
+    """
 
     span_id: int
     parent_id: int | None
@@ -90,19 +97,68 @@ class Span:
     timeline: str | None = None
 
 
+class _Kinds(dict):
+    """Interned span kinds: ``(lane, category, name, timeline, *attr
+    keys)`` -> a small code, with ``kinds[code]`` the tuple back. A new
+    kind gets the next code; a known one is a plain dict hit."""
+
+    __slots__ = ("kinds",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.kinds: list[tuple] = []
+
+    def __missing__(self, kind: tuple) -> int:
+        code = self[kind] = len(self.kinds)
+        self.kinds.append(kind)
+        return code
+
+
+class Spans(Sequence):
+    """A read-only sequence of :class:`Span` records in id order, each
+    built from :class:`Obs`'s columns when it is read."""
+
+    __slots__ = ("_obs", "_rows")
+
+    def __init__(self, obs: "Obs", rows) -> None:
+        self._obs = obs
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._obs._record(row) for row in self._rows[index]]
+        return self._obs._record(self._rows[index])
+
+    def __iter__(self):
+        record = self._obs._record
+        for row in self._rows:
+            yield record(row)
+
+
 class Obs:
     """Span recorder shared by every rank of one simulated job.
 
-    All methods are O(1); span ids come from a monotonic counter so
-    exports are byte-stable across same-seed runs. One per-rank stack
-    tracks the ambient (innermost open) span — pushes and pops happen
+    A span is one row of a few columns (DESIGN §12): its id is the row
+    + 1; ``start`` and ``end`` are floats (``end`` NaN while open), the
+    parent id (0 = none) and the rank machine integers, and the lane,
+    category, name, timeline label and attribute keys one interned
+    *kind* code, which leaves a tuple of the attribute values per span.
+    All write methods are O(1); ids come from the row count, so exports
+    are byte-stable across same-seed runs. One per-rank stack tracks
+    the ambient (innermost open) span — pushes and pops happen
     atomically inside engine callbacks, so the LIFO discipline holds
     even while AM handlers interleave with blocked application spans.
+
+    A closing span appends its row to a close-order buffer; the
+    registry folds that buffer into the ``obs.span.<category>``
+    histograms when one is read (:meth:`_fold`).
     """
 
     def __init__(self, engine, metrics: MetricsRegistry) -> None:
         self.engine = engine
-        self.spans: list[Span] = []
         self.edges: list[tuple[int, int]] = []  # (cause span, waiter span)
         #: The job's registry; span durations land in ``obs.span.*``.
         self.metrics = metrics
@@ -110,10 +166,19 @@ class Obs:
         #: by ArmciJob; obs itself must not import the armci layer).
         self.dispatch_names: dict[int, str] = {}
         self.truncated_spans = 0
-        self._next_id = 1
-        self._by_id: dict[int, Span] = {}
+        self._start = array("d")
+        self._end = array("d")
+        self._parent = array("I")
+        self._rank = array("i")
+        self._kind = array("I")
+        self._values: list[tuple] = []
+        self._kinds = _Kinds()
+        #: Rows closed since the last fold, in close order.
+        self._closes = array("I")
+        self._closed = 0
         self._stacks: dict[int, list[int]] = {}
         self._barriers: dict[int, dict[str, Any]] = {}
+        metrics.defer(self._fold)
 
     # ------------------------------------------------------------ spans
 
@@ -132,22 +197,10 @@ class Obs:
         """Open a span and make it the rank's ambient parent."""
         if parent_id is _AMBIENT:
             parent_id = self.current(rank)
-        sid = self._next_id
-        self._next_id += 1
-        span = Span(
-            sid,
-            parent_id,
-            rank,
-            lane,
-            category,
-            name,
-            self.engine.now if start is None else start,
-            None,
-            attrs,
-            timeline,
+        sid = self._append(
+            rank, lane, category, name, self.engine.now if start is None else start,
+            nan, parent_id, timeline, attrs,
         )
-        self.spans.append(span)
-        self._by_id[sid] = span
         stack = self._stacks.get(rank)
         if stack is None:
             stack = self._stacks[rank] = []
@@ -156,15 +209,14 @@ class Obs:
 
     def end(self, span_id: int, *, category: str | None = None, **attrs) -> None:
         """Close a span at the current simulated time."""
-        span = self._by_id.get(span_id)
-        if span is None or span.end is not None:
+        row = span_id - 1
+        ends = self._end
+        if not 0 <= row < len(ends) or not isnan(ends[row]):
             return
-        span.end = self.engine.now
-        if category is not None:
-            span.category = category
-        if attrs:
-            span.attrs.update(attrs)
-        stack = self._stacks.get(span.rank)
+        ends[row] = self.engine.now
+        if category is not None or attrs:
+            self._update(row, category, attrs)
+        stack = self._stacks.get(self._rank[row])
         if stack:
             # Normally the top of the stack; search defensively so an
             # out-of-order close can't corrupt the ambient chain.
@@ -172,7 +224,7 @@ class Obs:
                 if stack[i] == span_id:
                     del stack[i]
                     break
-        self._on_close(span)
+        self._close(row)
 
     def record(
         self,
@@ -190,14 +242,10 @@ class Obs:
         """Record an already-finished span (no stack interaction)."""
         if parent_id is _AMBIENT:
             parent_id = self.current(rank)
-        sid = self._next_id
-        self._next_id += 1
-        span = Span(
-            sid, parent_id, rank, lane, category, name, start, end, attrs, timeline
+        sid = self._append(
+            rank, lane, category, name, start, end, parent_id, timeline, attrs
         )
-        self.spans.append(span)
-        self._by_id[sid] = span
-        self._on_close(span)
+        self._close(sid - 1)
         return sid
 
     def span(
@@ -217,18 +265,95 @@ class Obs:
         stack = self._stacks.get(rank)
         return stack[-1] if stack else None
 
+    @property
+    def spans(self) -> Spans:
+        """Every span so far, open or closed, in id order."""
+        return Spans(self, range(len(self._start)))
+
     def get(self, span_id: int | None) -> Span | None:
-        """Look a span up by id."""
-        return None if span_id is None else self._by_id.get(span_id)
+        """A copy of span ``span_id``, or ``None`` if there is none."""
+        if span_id is None or not 0 < span_id <= len(self._start):
+            return None
+        return self._record(span_id - 1)
 
-    def finished(self) -> list[Span]:
-        """All closed spans, in creation (= id) order."""
-        return [s for s in self.spans if s.end is not None]
+    def category(self, span_id: int) -> str:
+        """Span ``span_id``'s category, without building its record."""
+        return self._kinds.kinds[self._kind[span_id - 1]][1]
 
-    def _on_close(self, span: Span) -> None:
-        self.metrics.histogram(f"obs.span.{span.category}").record(
-            span.end - span.start, rank=span.rank
+    def finished(self) -> Spans:
+        """All closed spans, in id order. Once every span is closed (a
+        finished job) this is a view of all rows: O(1) to take and to
+        measure."""
+        rows = range(len(self._end))
+        if self._closed < len(rows):
+            ends = self._end
+            rows = array("I", (row for row in rows if not isnan(ends[row])))
+        return Spans(self, rows)
+
+    # ------------------------------------------------------- the columns
+
+    def _append(
+        self, rank, lane, category, name, start, end, parent_id, timeline, attrs
+    ) -> int:
+        """Add one row; its span id."""
+        self._start.append(start)
+        self._end.append(end)
+        self._parent.append(parent_id or 0)
+        self._rank.append(rank)
+        self._kind.append(self._kinds[lane, category, name, timeline, *attrs])
+        self._values.append((*attrs.values(),))
+        return len(self._start)
+
+    def _update(self, row: int, category: str | None, attrs: dict[str, Any]) -> None:
+        """Re-file ``row`` under a new category and/or more attributes."""
+        kind = self._kinds.kinds[self._kind[row]]
+        merged = dict(zip(kind[4:], self._values[row]))
+        merged.update(attrs)
+        lane, old, name, timeline = kind[:4]
+        self._kind[row] = self._kinds[
+            lane, old if category is None else category, name, timeline, *merged
+        ]
+        self._values[row] = (*merged.values(),)
+
+    def _record(self, row: int) -> Span:
+        lane, category, name, timeline, *keys = self._kinds.kinds[self._kind[row]]
+        end = self._end[row]
+        return Span(
+            row + 1,
+            self._parent[row] or None,
+            self._rank[row],
+            lane,
+            category,
+            name,
+            self._start[row],
+            None if isnan(end) else end,
+            dict(zip(keys, self._values[row])),
+            timeline,
         )
+
+    def _close(self, row: int) -> None:
+        self._closes.append(row)
+        self._closed += 1
+
+    def _fold(self) -> None:
+        """Record the duration of every span closed since the last fold
+        into ``obs.span.<category>`` and its per-rank histogram, in close
+        order — bitwise what one ``record`` per close gives — and release
+        the buffer."""
+        closes = self._closes
+        if not closes:
+            return
+        self._closes = array("I")
+        starts, ends, ranks, kinds = self._start, self._end, self._rank, self._kind
+        histograms: dict[int, Any] = {}
+        for row in closes:
+            code = kinds[row]
+            histogram = histograms.get(code)
+            if histogram is None:
+                histogram = histograms[code] = self.metrics.histogram(
+                    "obs.span." + self._kinds.kinds[code][1]
+                )
+            histogram.record(ends[row] - starts[row], rank=ranks[row])
 
     # ------------------------------------------------- causality plumbing
 
@@ -290,15 +415,15 @@ class Obs:
     def finalize(self, at: float | None = None) -> None:
         """Close any still-open spans (marked ``truncated``) at ``at``."""
         end = self.engine.now if at is None else at
+        ends = self._end
         for stack in self._stacks.values():
             while stack:
-                sid = stack.pop()
-                span = self._by_id[sid]
-                if span.end is None:
-                    span.end = max(end, span.start)
-                    span.attrs["truncated"] = True
+                row = stack.pop() - 1
+                if isnan(ends[row]):
+                    ends[row] = max(end, self._start[row])
+                    self._update(row, None, {"truncated": True})
                     self.truncated_spans += 1
-                    self._on_close(span)
+                    self._close(row)
 
 
 class OpenSpan:

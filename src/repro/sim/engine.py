@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterable
 
 from ..errors import DeadlockError, SimulationError
@@ -17,25 +17,43 @@ class Timer:
 
     A cancelled timer's heap entry is skipped when reached — without
     advancing the clock — so abandoned deadline timers neither fire nor
-    stretch the simulated run to their expiry time.
+    stretch the simulated run to their expiry time. The engine counts
+    the cancelled entries still on its heap and drops them all once
+    they are most of it (:meth:`Engine._purge_cancelled`).
     """
 
-    __slots__ = ("_callback", "_arg", "cancelled")
+    __slots__ = ("_callback", "_arg", "cancelled", "_engine")
 
     def __init__(self, callback: Callable[[Any], None], arg: Any) -> None:
         self._callback = callback
         self._arg = arg
         self.cancelled = False
+        #: The engine whose heap holds this timer's entry (None once it
+        #: ran, or when it went to the zero-delay lane).
+        self._engine: Engine | None = None
 
     def __call__(self, _arg: Any) -> None:
         if not self.cancelled:
+            self._engine = None
             self._callback(self._arg)
 
     def cancel(self) -> None:
+        if self.cancelled:
+            return
         self.cancelled = True
+        engine = self._engine
+        if engine is not None:
+            engine._cancelled_timers += 1
+            cancelled = engine._cancelled_timers
+            if cancelled > PURGE_FLOOR and 2 * cancelled > len(engine._heap):
+                engine._purge_cancelled()
 
 
 # --------------------------------------------------------------- policies
+
+#: Cancelled timers must outnumber this (and half the heap) before the
+#: engine rebuilds its heap without them.
+PURGE_FLOOR = 64
 
 #: Tie-break band assigned to events scheduled past a policy's ``limit``
 #: (mid-range, so un-perturbed events keep FIFO order among themselves).
@@ -221,6 +239,8 @@ class Engine:
         self._live_processes: set[SimProcess] = set()
         self._failure: BaseException | None = None
         self._events_executed = 0
+        #: Cancelled :class:`Timer` entries still on the heap.
+        self._cancelled_timers = 0
 
     @property
     def events_executed(self) -> int:
@@ -324,7 +344,7 @@ class Engine:
         while heap:
             time, _key, callback, _arg = heap[0]
             if isinstance(callback, Timer) and callback.cancelled:
-                heappop(heap)
+                self._drop_cancelled(callback)
                 continue
             return time
         return None
@@ -335,7 +355,29 @@ class Engine:
         """Like :meth:`schedule`, returning a cancellable :class:`Timer`."""
         timer = Timer(callback, arg)
         self.schedule(delay, timer, None)
+        if delay != 0.0 or not self._fast_ok:
+            timer._engine = self
         return timer
+
+    def _drop_cancelled(self, timer: Timer) -> None:
+        """Pop the heap's top entry, the cancelled ``timer``."""
+        heappop(self._heap)
+        if timer._engine is not None:
+            timer._engine = None
+            self._cancelled_timers -= 1
+
+    def _purge_cancelled(self) -> None:
+        """Rebuild the heap without its cancelled timers, in place (the
+        run loop holds the list). Invisible to execution: entries are
+        totally ordered by ``(time, key)``, and a cancelled one never
+        runs, moves the clock or counts."""
+        heap = self._heap
+        heap[:] = [
+            entry for entry in heap
+            if not (isinstance(entry[2], Timer) and entry[2].cancelled)
+        ]
+        heapify(heap)
+        self._cancelled_timers = 0
 
     def event(self, name: str = "") -> Event:
         """Create a fresh one-shot :class:`Event` bound to this engine."""
@@ -411,7 +453,7 @@ class Engine:
                 continue
             time, key, callback, arg = heap[0]
             if isinstance(callback, Timer) and callback.cancelled:
-                heappop(heap)
+                self._drop_cancelled(callback)
                 continue
             if until is not None and (time > until or (exclusive and time >= until)):
                 self.now = until

@@ -249,8 +249,8 @@ class TestOneBenchmarkSurface:
 
     def test_every_path_docs_name_exists(self):
         """Every script path, bare ``bench_*.py`` name,
-        ``bench_paper.py::function[stem]`` and backticked ``repro.…``
-        dotted name the docs name resolves."""
+        ``bench_paper.py::function[stem]``, backticked ``repro.…``
+        dotted name and backticked config field the docs name resolves."""
         paper = ast.parse((REPO / "benchmarks" / "bench_paper.py").read_text())
         functions = {n.name for n in paper.body if isinstance(n, ast.FunctionDef)}
         stems = set(ARTIFACTS) | set(SUPPLEMENTARY)
@@ -269,7 +269,49 @@ class TestOneBenchmarkSurface:
             for name in re.findall(r"`(repro(?:\.\w+)+)", text):
                 if not resolves(name):
                     stale.append((doc, name))
+            stale += [(doc, name) for name in config_fields(text) if not field_exists(name)]
         assert stale == []
+
+
+#: The config classes whose backticked ``<Config>.<field>`` and
+#: ``<Config>(field=…)`` names the docs guard resolves.
+CONFIGS = {
+    "ArmciConfig": "repro.armci.config", "ObsConfig": "repro.obs.span",
+    "ChaosConfig": "repro.chaos", "IntegrityConfig": "repro.pami.integrity",
+    "LinkHealthConfig": "repro.machine.health", "RecoveryConfig": "repro.recover.config",
+    "ScfConfig": "repro.apps.nwchem.scf", "KvConfig": "repro.serve.kv",
+    "RetryPolicy": "repro.armci.config",
+}
+_CONFIG = r"\b(" + "|".join(CONFIGS) + r")"
+
+
+def config_fields(text: str) -> list[str]:
+    """``Config.field`` for every backticked ``Config.field`` and every
+    keyword of a backticked ``Config(...)`` call (a code span opens and
+    closes with equally many backticks, as in Markdown)."""
+    names = []
+    for _ticks, code in re.findall(r"(?<!`)(`+)(?!`)(.+?)(?<!`)\1(?!`)", text, re.S):
+        names += [f"{c}.{f}" for c, f in re.findall(_CONFIG + r"\.(\w+)", code)]
+        for match in re.finditer(_CONFIG + r"\(", code):
+            depth, args = 1, ""  # the call's own arguments, nested calls cut out
+            for char in code[match.end():]:
+                depth += {"(": 1, ")": -1}.get(char, 0)
+                if depth == 0:
+                    break
+                if depth == 1 and char != ")":
+                    args += char
+            names += [
+                f"{match.group(1)}.{keyword}"
+                for keyword in re.findall(r"(?:^|,)\s*(\w+)\s*=(?!=)", args)
+            ]
+    return names
+
+
+def field_exists(name: str) -> bool:
+    """Whether ``Config.field`` is a dataclass field or an attribute."""
+    config, field = name.split(".")
+    cls = getattr(importlib.import_module(CONFIGS[config]), config)
+    return field in getattr(cls, "__dataclass_fields__", {}) or hasattr(cls, field)
 
 
 def resolves(dotted: str) -> bool:

@@ -1,13 +1,20 @@
 """Unit tests for the repro.obs subsystem: spans, metrics, exporters,
 and critical-path analysis."""
 
+import dataclasses
+import gc
+import hashlib
 import importlib.util
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.apps.nwchem import ScfConfig, run_scf
 from repro.armci import ArmciConfig, ArmciJob, ObsConfig
 from repro.armci.config import RetryPolicy
 from repro.obs.critical_path import attribution_rows, critical_path
@@ -699,6 +706,210 @@ class TestJobIntegration:
                 dumps_perfetto(job.obs.finished(), job.obs.edges)
             )
         assert payloads[0] == payloads[1]
+
+
+def _retained_obs_bytes(fn):
+    """``(result, bytes)``: what ``fn()`` allocated in ``repro/obs``
+    frames and still holds once it returned (``tracemalloc``)."""
+    only_obs = [tracemalloc.Filter(True, "*/repro/obs/*")]
+    gc.collect()
+    tracemalloc.start(1)
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(only_obs)
+        result = fn()
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(only_obs)
+    finally:
+        tracemalloc.stop()
+    return result, sum(d.size_diff for d in after.compare_to(before, "filename"))
+
+
+def _md5(text: str) -> str:
+    return hashlib.md5(text.encode()).hexdigest()
+
+
+class TestColumnStore:
+    """``Obs`` keeps a span as one row of columns and builds ``Span``
+    records on read; every output built from it is what the
+    object-per-span store gave, byte for byte."""
+
+    #: The CI ``obs`` entry's traced SCF (benchmarks/bench_paper.py).
+    TRACE_SCF = ScfConfig(nblocks=10, task_time=5e-4, iterations=1)
+    #: md5 of (Perfetto payload, ``snapshot(per_rank=True)``, critical
+    #: path attribution rows, critical path segments, timeline
+    #: intervals), captured from the object-per-span store.
+    DIGESTS = {
+        "D": (
+            "b9dece20b455cf76ea5f495a928a7bb1",
+            "73f8d20c4859848623e326dad46bf5ec",
+            "821a7496bf9aa8122b2b61ab3d02e45d",
+            "e4bcecb646af1226f04808b8881f7d80",
+            "fc4fc0af2b8d72e2315b8224735f18d0",
+        ),
+        "AT": (
+            "4c6dd74597b85005aa18442e784fb682",
+            "0fd65b88047e8bb348a67214e87d58f6",
+            "e9e16b4b25be569980bdf87551ae9f82",
+            "39aa65d237585fbbfb6e1351c1868f5e",
+            "638897c49b0ced5b2ae355464ee01f1e",
+        ),
+    }
+
+    def test_records_are_read_only_copies(self, obs):
+        sid = obs.begin(0, "main", "op", "put", nbytes=8)
+        record = obs.get(sid)
+        record.end = 5.0
+        record.attrs["nbytes"] = 9
+        assert obs.get(sid).end is None and obs.get(sid).attrs == {"nbytes": 8}
+        assert obs.get(sid) == Span(
+            sid, None, 0, "main", "op", "put", 0.0, None, {"nbytes": 8}
+        )
+        with pytest.raises(TypeError):
+            obs.spans[0] = record
+        assert not hasattr(obs.finished(), "append")
+        assert obs.get(0) is None and obs.get(sid + 1) is None
+
+    def test_category_is_read_without_a_record(self, obs, monkeypatch):
+        sid = obs.begin(0, "main", "handle_wait", "get.wait")
+        obs.end(sid, category="rdma_wait")
+        monkeypatch.setattr(Obs, "_record", None)
+        assert obs.category(sid) == "rdma_wait"
+
+    def test_sequences_are_in_id_order(self, obs):
+        a = obs.begin(0, "main", "op", "a")
+        b = obs.record(1, "net", "rdma", "b", 0.0, 1.0)
+        c = obs.begin(0, "main", "op", "c")
+        obs.end(c)
+        assert [s.span_id for s in obs.spans] == [a, b, c]
+        assert [s.span_id for s in obs.finished()] == [b, c]
+        assert [s.name for s in obs.finished()[::-1]] == ["c", "b"]
+        obs.end(a)
+        assert [s.span_id for s in obs.finished()] == [a, b, c]
+
+    def test_finished_len_does_not_build_records(self, obs, monkeypatch):
+        for i in range(20_000):
+            obs.record(i % 8, "net", "rdma", "rdma_put", 0.0, 1.0, nbytes=i)
+        monkeypatch.setattr(Obs, "_record", None)
+        n, retained = _retained_obs_bytes(lambda: len(obs.finished()))
+        assert n == 20_000
+        assert retained < 512
+        peak = []
+
+        def lengths():
+            tracemalloc.reset_peak()
+            for _ in range(100):
+                len(obs.finished())
+            peak.append(tracemalloc.get_traced_memory()[1])
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lengths()
+        finally:
+            tracemalloc.stop()
+        assert peak[0] - base < 4096
+
+    def test_finished_job_retains_at_most_180_bytes_per_span(self):
+        steps = 500
+
+        def run():
+            config = ArmciConfig(obs=ObsConfig(enabled=True))
+            job = ArmciJob(4, procs_per_node=2, config=config)
+            job.init()
+
+            def body(rt):
+                alloc = yield from rt.malloc(64 * steps + 8)
+                if rt.rank == 0:
+                    buf = rt.world.space(0).allocate(64)
+                    for i in range(steps):
+                        d, off = 1 + i % 3, alloc.addr(1 + i % 3) + 64 * i
+                        yield from rt.put(d, buf, off, 32)
+                        yield from rt.get(d, buf, off, 32)
+                        if i % 4 == 3:
+                            yield from rt.rmw(
+                                d, alloc.addr(d) + 64 * steps, "fetch_add", 1
+                            )
+                    yield from rt.fence_all()
+                yield from rt.barrier()
+
+            job.run(body)
+            return job
+
+        job, retained = _retained_obs_bytes(run)
+        spans = len(job.obs.finished())
+        assert spans > 5000
+        # The object-per-span store held 323 B per span here.
+        assert retained / spans <= 180, retained / spans
+
+    @pytest.mark.parametrize("mode", ["D", "AT"])
+    def test_traced_scf_outputs_match_the_object_store(self, mode):
+        base = {
+            "D": ArmciConfig.default_mode(), "AT": ArmciConfig.async_thread_mode()
+        }[mode]
+        config = dataclasses.replace(base, obs=ObsConfig(enabled=True))
+        captured = {}
+        run_scf(16, config, self.TRACE_SCF, label=mode,
+                on_job=lambda job: captured.update(job=job))
+        job = captured["job"]
+        spans, edges = job.obs.finished(), job.obs.edges
+        report = critical_path(spans, edges)
+        segments = [
+            (s.start, s.end, s.rank, s.category, s.span_id) for s in report.segments
+        ]
+        got = (
+            _md5(dumps_perfetto(spans, edges)),
+            _md5(json.dumps(job.trace.snapshot(per_rank=True), sort_keys=True)),
+            _md5(repr(attribution_rows(report))),
+            _md5(repr((segments, report.coverage))),
+            _md5(repr(intervals(job.obs.spans))),
+        )
+        assert got == self.DIGESTS[mode]
+
+
+class TestSpanHistogramFold:
+    """Span durations reach ``obs.span.<category>`` when a histogram is
+    read, folded in close order: bitwise what one ``record`` per close
+    gives, per rank too."""
+
+    @given(
+        closes=st.lists(
+            st.tuples(
+                st.sampled_from(["op", "rdma", "fence", "progress"]),
+                st.integers(0, 3),
+                st.floats(0.0, 1e-3, allow_subnormal=False),
+                st.booleans(),
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fold_equals_a_record_per_close(self, closes):
+        obs = Obs(FakeEngine(), MetricsRegistry())
+        want = MetricsRegistry()
+        for category, rank, start, read in closes:
+            if read:  # an open span closed later, and a read in between
+                sid = obs.begin(rank, "main", category, "x", start=start)
+                obs.engine.now = start * 3.0
+                obs.end(sid)
+                obs.metrics.snapshot()
+            else:
+                obs.record(rank, "net", category, "x", start, start * 1.5)
+            span = obs.get(len(obs.spans))
+            want.histogram(f"obs.span.{category}").record(
+                span.end - span.start, rank=rank
+            )
+        got = obs.metrics.snapshot(per_rank=True)
+        assert got == want.snapshot(per_rank=True)
+        assert len(obs._closes) == 0  # each fold releases its buffer
+
+    def test_merge_folds_both_sides(self):
+        a, b = Obs(FakeEngine(), MetricsRegistry()), Obs(FakeEngine(), MetricsRegistry())
+        a.record(0, "main", "op", "x", 0.0, 1.0)
+        b.record(1, "main", "op", "x", 0.0, 2.0)
+        a.metrics.merge(b.metrics)
+        h = a.metrics.histograms["obs.span.op"]
+        assert (h.count, h.total, sorted(h.per_rank())) == (2, 3.0, [0, 1])
 
 
 class TestOneTelemetrySink:

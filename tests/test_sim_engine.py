@@ -438,6 +438,61 @@ def test_cancelled_timer_skipped_under_policy():
     assert eng.events_executed == 1
 
 
+def _cancel_storm(engine):
+    """300 timers (plus plain callbacks between them); at 5 us one
+    callback cancels 250 of them. ``(fired, heap size after the cancel,
+    final time)``."""
+    fired, heap_after = [], []
+    timers = [
+        engine.schedule_timer(1e-6 * (i + 1), fired.append, i) for i in range(300)
+    ]
+    for i in range(0, 300, 7):
+        engine.schedule(1e-6 * i + 5e-7, fired.append, -i)
+
+    def cancel(_arg):
+        for i in range(5, 300):
+            if i % 6:
+                timers[i].cancel()
+        heap_after.append(len(engine._heap))
+
+    engine.schedule(5.5e-6, cancel)
+    engine.run()
+    return fired, heap_after[0], engine.now
+
+
+def test_cancelled_timers_are_purged_without_changing_the_run(monkeypatch):
+    """Cancelling most of the heap from inside a running callback drops
+    the dead entries at once; what runs, when, and in which order is the
+    same as letting each one surface at its expiry."""
+    from repro.sim import engine as engine_mod
+
+    purged = Engine(record_schedule=True)
+    fired, heap_after, end = _cancel_storm(purged)
+    monkeypatch.setattr(engine_mod, "PURGE_FLOOR", 10**9)
+    kept = Engine(record_schedule=True)
+    fired_kept, heap_kept, end_kept = _cancel_storm(kept)
+    assert heap_after < heap_kept
+    assert (fired, end) == (fired_kept, end_kept)
+    assert purged.events_executed == kept.events_executed
+    assert purged.schedule_log == kept.schedule_log
+    assert purged.schedule_digest == kept.schedule_digest
+    assert purged._cancelled_timers == 0
+
+
+def test_purge_floor_keeps_small_heaps():
+    """Up to PURGE_FLOOR cancelled entries stay put: rebuilding a small
+    heap would cost more than popping them."""
+    from repro.sim.engine import PURGE_FLOOR
+
+    eng = Engine()
+    timers = [eng.schedule_timer(1.0, lambda _a: None) for _ in range(PURGE_FLOOR)]
+    for timer in timers:
+        timer.cancel()
+    assert len(eng._heap) == PURGE_FLOOR
+    eng.schedule_timer(1.0, lambda _a: None).cancel()
+    assert eng._heap == [] and eng._cancelled_timers == 0
+
+
 def test_non_callable_schedule_rejected():
     eng = Engine()
     with pytest.raises(SimulationError):
