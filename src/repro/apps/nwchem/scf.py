@@ -18,6 +18,12 @@ from .fock import FockBuildStats, fock_build
 from .molecule import WaterCluster
 from .tasks import fock_task_list
 
+#: Simulated cost of the diagonalization/density-update step per matrix
+#: element and iteration (distributed dense algebra, scales as nbf^2 / p).
+DIAG_TIME_PER_ELEMENT = 5e-9
+#: Density damping factor of the update (D' = a*D + (1-a)*F').
+DAMPING = 0.5
+
 
 @dataclass(frozen=True)
 class ScfConfig:
@@ -45,18 +51,10 @@ class ScfConfig:
     #: rank 0; >1 = sharded counters with work stealing, the mitigation
     #: for AMO saturation at scale).
     num_counters: int = 1
-    #: Schwarz-screening threshold: block pairs with smaller integral
-    #: magnitude are skipped entirely (0 = dense, no screening).
-    screening_threshold: float = 0.0
-    #: Simulated cost of the diagonalization/density-update step per
-    #: iteration (distributed dense algebra, scales as nbf^2 / p).
-    diag_time_per_element: float = 5e-9
     #: Optional SCF convergence threshold on |delta E| between iterations;
     #: ``None`` runs exactly ``iterations`` Fock builds. With a threshold,
     #: ``iterations`` acts as the maximum.
     converge_tol: float | None = None
-    #: Density damping factor for the convergence loop (D' = a*D + (1-a)*F').
-    damping: float = 0.5
 
     @property
     def nbf(self) -> int:
@@ -131,10 +129,7 @@ def run_scf(
     """
     scf = scf_config if scf_config is not None else ScfConfig()
     nbf = scf.nbf
-    tasks = fock_task_list(
-        nbf, scf.nblocks, scf.task_time,
-        screening_threshold=scf.screening_threshold,
-    )
+    tasks = fock_task_list(nbf, scf.nblocks, scf.task_time)
 
     job = ArmciJob(
         num_procs,
@@ -185,12 +180,12 @@ def run_scf(
             # Diagonalize + density update proxy: distributed dense
             # algebra, perfectly parallel across ranks; the damped
             # density update keeps real data evolving between builds.
-            diag = scf.diag_time_per_element * nbf * nbf / rt.world.num_procs
+            diag = DIAG_TIME_PER_ELEMENT * nbf * nbf / rt.world.num_procs
             yield from rt.compute(diag)
             d_block = ga_density.local_block(rt)
             f_block = ga_fock.local_block(rt)
             scale = 1.0 / max(1.0, abs(f_block).max() * nbf)
-            d_block[:] = scf.damping * d_block + (1 - scf.damping) * scale * f_block
+            d_block[:] = DAMPING * d_block + (1 - DAMPING) * scale * f_block
             if rt.rank == 0:
                 yield from pool.reset(rt)
             elif hasattr(pool, "reset_local"):

@@ -66,35 +66,15 @@ def _cost_factor(i: int, j: int) -> float:
     return 0.7 + 0.6 * (x / 0xFFFFFFFF)
 
 
-def _screening_magnitude(i: int, j: int, nblocks: int, decay: float) -> float:
-    """Schwarz-screening proxy: integral magnitude of block pair (i, j).
-
-    Overlap between basis-function blocks decays exponentially with their
-    separation — distant pairs contribute negligibly and NWChem skips
-    them. Block distance is taken modulo-free (|i-j|) since our basis
-    ordering follows the molecular layout.
-    """
-    return float(2.0 ** (-decay * abs(i - j) * 16.0 / max(nblocks, 1)))
-
-
-def fock_task_list(
-    nbf: int,
-    nblocks: int,
-    base_task_time: float,
-    screening_threshold: float = 0.0,
-    screening_decay: float = 1.0,
-) -> list[FockTask]:
-    """All surviving Fock-build tasks for one SCF iteration.
-
-    ``nblocks**2`` block pairs, minus those whose Schwarz-screening
-    magnitude falls below ``screening_threshold`` (0 disables screening,
-    keeping the full square as NWChem does for small dense systems).
-    Surviving task ids stay dense (0..n-1) so counter draws map directly.
+def fock_task_list(nbf: int, nblocks: int, base_task_time: float) -> list[FockTask]:
+    """All Fock-build tasks for one SCF iteration: the full square of
+    ``nblocks**2`` block pairs, as NWChem keeps it for small dense
+    systems. Task ids are dense (0..n-1) so counter draws map directly.
 
     Raises
     ------
     ReproError
-        On invalid sizes or thresholds.
+        On invalid sizes.
     """
     if nbf < 1:
         raise ReproError(f"nbf must be >= 1, got {nbf}")
@@ -106,27 +86,15 @@ def fock_task_list(
         raise ReproError(
             f"base_task_time must be positive, got {base_task_time}"
         )
-    if not 0.0 <= screening_threshold < 1.0:
-        raise ReproError(
-            f"screening_threshold must be in [0, 1), got {screening_threshold}"
-        )
     ranges = _block_ranges(nbf, nblocks)
     tasks = []
     task_id = 0
     for i, (r0, r1) in enumerate(ranges):
         for j, (c0, c1) in enumerate(ranges):
-            magnitude = _screening_magnitude(i, j, nblocks, screening_decay)
-            if screening_threshold > 0.0 and magnitude < screening_threshold:
-                continue
             size_factor = ((r1 - r0) * (c1 - c0)) / (
                 (nbf / nblocks) * (nbf / nblocks)
             )
-            # Screened-but-surviving tasks are cheaper: fewer integrals
-            # survive the per-quartet screen inside the block. Without
-            # screening, costs keep the original (dense) model.
             cost = base_task_time * size_factor * _cost_factor(i, j)
-            if screening_threshold > 0.0:
-                cost *= magnitude
             tasks.append(FockTask(task_id, i, j, r0, r1, c0, c1, cost))
             task_id += 1
     return tasks

@@ -19,6 +19,9 @@ from .consistency import is_known_tracker, known_trackers
 TRACKERS = ("cs_tgt", "cs_mr")
 #: Valid strided-protocol names (Section III-C.2).
 STRIDED_PROTOCOLS = ("zero_copy", "pack", "auto")
+#: First retry backoff (seconds of simulated time) and its growth per attempt.
+RETRY_BASE_DELAY = 2e-6
+RETRY_MULTIPLIER = 2.0
 
 
 @dataclass(frozen=True)
@@ -28,28 +31,22 @@ class RetryPolicy:
     Blocking ARMCI operations that complete with a
     :class:`~repro.errors.TransientFaultError` (chaos injection,
     :mod:`repro.chaos`) are re-issued up to ``max_retries`` times,
-    sleeping ``base_delay * multiplier**k`` (capped at ``max_delay``)
-    between attempts. A spent budget raises
+    sleeping ``RETRY_BASE_DELAY * RETRY_MULTIPLIER**k`` (capped at
+    ``max_delay``) between attempts. A spent budget raises
     :class:`~repro.errors.RetryExhaustedError`; ``max_retries=0``
     disables retries and surfaces the raw fault.
     """
 
     max_retries: int = 5
-    base_delay: float = 2e-6
-    multiplier: float = 2.0
     max_delay: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ArmciError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.base_delay <= 0:
-            raise ArmciError(f"base_delay must be > 0, got {self.base_delay}")
-        if self.multiplier < 1.0:
-            raise ArmciError(f"multiplier must be >= 1, got {self.multiplier}")
-        if self.max_delay < self.base_delay:
+        if self.max_delay < RETRY_BASE_DELAY:
             raise ArmciError(
-                f"max_delay ({self.max_delay}) must be >= base_delay "
-                f"({self.base_delay})"
+                f"max_delay ({self.max_delay}) must be >= RETRY_BASE_DELAY "
+                f"({RETRY_BASE_DELAY})"
             )
 
 
@@ -88,18 +85,14 @@ class ArmciConfig:
     strided_protocol:
         ``"zero_copy"`` (proposed), ``"pack"`` (legacy baseline), or
         ``"auto"`` (zero-copy, switching to the PAMI typed-datatype path
-        for tall-skinny chunks).
+        for tall-skinny chunks, with chunk-run coalescing on the strided
+        and vector paths: adjacent chunks contiguous on *both* sides
+        merge into a single RDMA per run, and a fully contiguous
+        descriptor collapses to one op). The paper's two protocols post
+        exactly one op per chunk (byte-identical Eq. 9 accounting).
     tall_skinny_threshold:
         Chunk sizes (bytes) strictly below this use the typed-datatype
         path under ``strided_protocol="auto"``.
-    coalesce_chunks:
-        Chunk-run coalescing on the zero-copy strided and vector paths:
-        adjacent chunks contiguous on *both* sides merge into a single
-        RDMA per run (a fully contiguous descriptor collapses to one
-        op). ``True``/``False`` force it on/off everywhere; ``None``
-        (default) enables it only under ``strided_protocol="auto"``, so
-        the paper-figure protocols post exactly one op per chunk
-        (byte-identical Eq. 9 accounting) unless explicitly opted in.
     retry:
         :class:`RetryPolicy` applied by blocking operations to transient
         transport faults (only reachable under chaos injection).
@@ -164,7 +157,6 @@ class ArmciConfig:
     region_cache_capacity: int | None = None
     strided_protocol: str = "zero_copy"
     tall_skinny_threshold: int = 128
-    coalesce_chunks: bool | None = None
     retry: RetryPolicy = RetryPolicy()
     fifo_depth: int | None = None
     memregion_budget: int | None = None
@@ -234,11 +226,6 @@ class ArmciConfig:
                 f"tall_skinny_threshold must be >= 0, got "
                 f"{self.tall_skinny_threshold}"
             )
-        if self.coalesce_chunks not in (None, True, False):
-            raise ArmciError(
-                f"coalesce_chunks must be True, False or None, got "
-                f"{self.coalesce_chunks!r}"
-            )
         if self.fifo_depth is not None and self.fifo_depth < 1:
             raise ArmciError(
                 f"fifo_depth must be >= 1 or None, got {self.fifo_depth}"
@@ -263,13 +250,6 @@ class ArmciConfig:
                 "watchdog_period requires async_thread=True (the watchdog "
                 "monitors the async progress thread)"
             )
-
-    @property
-    def coalesce_effective(self) -> bool:
-        """Resolved chunk-run coalescing switch (tri-state collapsed)."""
-        if self.coalesce_chunks is None:
-            return self.strided_protocol == "auto"
-        return self.coalesce_chunks
 
     @classmethod
     def default_mode(cls, **overrides) -> "ArmciConfig":

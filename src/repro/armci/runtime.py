@@ -46,6 +46,7 @@ from ..transport import create_transport
 from ..types import StridedDescriptor
 from . import accumulate as _acc
 from . import collectives as _coll
+from . import config as _config
 from . import contiguous as _cont
 from . import dispatch as _disp
 from . import groups as _groups
@@ -578,7 +579,7 @@ class ArmciProcess:
         :class:`~repro.errors.DeadlineExceededError` immediately.
         """
         policy = self.config.retry
-        delay = policy.base_delay
+        delay = _config.RETRY_BASE_DELAY
         attempts = 0
         prev_deadline = self._deadline
         if deadline is not None:
@@ -613,7 +614,7 @@ class ArmciProcess:
                     self.trace.add_time("armci.retry_backoff_time", delay)
                     with self.span("backoff", f"backoff.{kind}", attempt=attempts):
                         yield Delay(delay)
-                    delay = min(delay * policy.multiplier, policy.max_delay)
+                    delay = min(delay * _config.RETRY_MULTIPLIER, policy.max_delay)
         finally:
             self._deadline = prev_deadline
 

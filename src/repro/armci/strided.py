@@ -95,7 +95,7 @@ def strided_transfer(
     total = shape.total_bytes
 
     def runs(config) -> list[tuple[int, int, int]]:
-        if config.coalesce_effective:
+        if config.strided_protocol == "auto":
             return [
                 (local_base + s, remote_base + d, n)
                 for s, d, n in desc.coalesced_runs()

@@ -48,8 +48,8 @@ class Transfer:
         Total payload.
     runs:
         ``runs(config)`` -> the ``(local_addr, remote_addr, nbytes)``
-        list of doubly-contiguous runs, merged where the job's
-        ``config.coalesce_effective`` allows.
+        list of doubly-contiguous runs, merged under the job's
+        ``strided_protocol="auto"``.
     descriptors:
         Chunks/segments a typed transfer's NIC walks (1 when contiguous).
     extent:

@@ -139,7 +139,7 @@ def vector_transfer(vec: IoVector) -> Transfer:
     total = vec.total_bytes
 
     def runs(config) -> list[tuple[int, int, int]]:
-        if config.coalesce_effective:
+        if config.strided_protocol == "auto":
             return vec.coalesced_segments()
         return list(zip(vec.local_addrs, vec.remote_addrs, vec.lengths))
 

@@ -30,8 +30,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from ..errors import ReproError
-
+#: Consecutive bad observations (losses/corruptions) before a link is
+#: marked *suspect* (soft-blocked: routed around when an alternative
+#: exists), and before a *suspect* link is marked *dead* (hard-blocked)
+#: and escalation is evaluated.
+SUSPECT_AFTER = 2
+DEAD_AFTER = 4
+#: Heartbeat probe interval for observed-dead links (seconds).
+PROBE_PERIOD = 20e-6
 
 #: Consecutive good observations (clean traffic on a suspect link, or
 #: successful probes on a dead one) before the link returns to *ok*.
@@ -41,49 +47,18 @@ REVIVE_AFTER = 2
 PROBE_BUDGET = 16
 
 
-class HealthConfigError(ReproError):
-    """Invalid link-health configuration."""
-
-
 @dataclass(frozen=True)
 class LinkHealthConfig:
     """Link health monitor knobs (``ArmciConfig.health``).
 
     Parameters
     ----------
-    suspect_after:
-        Consecutive bad observations (losses/corruptions) before a link
-        is marked *suspect* (soft-blocked: routed around when an
-        alternative exists).
-    dead_after:
-        Consecutive bad observations before a *suspect* link is marked
-        *dead* (hard-blocked) and escalation is evaluated.
-    probe_period:
-        Heartbeat probe interval for observed-dead links.
     escalate:
         Whether observed-dead links trigger the reachability check that
         reports fully-unreachable ranks to the failure machinery.
     """
 
-    suspect_after: int = 2
-    dead_after: int = 4
-    probe_period: float = 20e-6
     escalate: bool = True
-
-    def __post_init__(self) -> None:
-        if self.suspect_after < 1:
-            raise HealthConfigError(
-                f"suspect_after must be >= 1, got {self.suspect_after}"
-            )
-        if self.dead_after < self.suspect_after:
-            raise HealthConfigError(
-                f"dead_after ({self.dead_after}) must be >= suspect_after "
-                f"({self.suspect_after})"
-            )
-        if self.probe_period <= 0.0:
-            raise HealthConfigError(
-                f"probe_period must be > 0, got {self.probe_period}"
-            )
 
 
 class LinkHealthMonitor:
@@ -167,16 +142,15 @@ class LinkHealthMonitor:
     # -------------------------------------------------------- internals
 
     def _observe_bad(self, link) -> None:
-        cfg = self.config
         n = self._bad.get(link, 0) + 1
         self._bad[link] = n
         self._good.pop(link, None)
         state = self._state.get(link)
-        if state is None and n >= cfg.suspect_after:
+        if state is None and n >= SUSPECT_AFTER:
             self._state[link] = state = "suspect"
             self._epoch += 1
             self.trace.incr("net.links_suspected")
-        if state == "suspect" and n >= cfg.dead_after:
+        if state == "suspect" and n >= DEAD_AFTER:
             self._state[link] = "dead"
             self._epoch += 1
             self.trace.incr("net.links_dead")
@@ -196,10 +170,7 @@ class LinkHealthMonitor:
     def _arm_probe(self, link, attempt: int) -> None:
         if attempt >= PROBE_BUDGET:
             return
-        self.engine.schedule(
-            self.config.probe_period,
-            lambda _a: self._probe(link, attempt),
-        )
+        self.engine.schedule(PROBE_PERIOD, lambda _a: self._probe(link, attempt))
 
     def _probe(self, link, attempt: int) -> None:
         if self._state.get(link) != "dead":

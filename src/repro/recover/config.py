@@ -27,14 +27,7 @@ class RecoveryConfig:
     #: chunks ship less data per epoch; larger chunks mean fewer
     #: I/O-vector fragments through the aggregation layer.
     chunk_bytes: int = 256
-    #: Abort (``UnrecoverableError``) after this many completed
-    #: recoveries; ``None`` means unbounded.
-    max_recoveries: int | None = None
 
     def __post_init__(self) -> None:
         if self.chunk_bytes < 1:
             raise ReproError(f"chunk_bytes must be >= 1, got {self.chunk_bytes}")
-        if self.max_recoveries is not None and self.max_recoveries < 1:
-            raise ReproError(
-                f"max_recoveries must be >= 1, got {self.max_recoveries}"
-            )

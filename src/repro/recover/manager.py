@@ -132,7 +132,6 @@ class RecoveryManager:
         #: Recovery rounds already counted (resume-release serials).
         self._noted_rounds: set[int] = set()
         self._first_failure_time: float | None = None
-        self._recoveries = 0
         #: Per-rank local staging segment for state-pickle shipping,
         #: keyed by incarnation (a respawn voids the old address).
         self._scratch_segs: dict[int, tuple[int, int, int]] = {}
@@ -373,14 +372,6 @@ class RecoveryManager:
                 store.state_stage_addr = None
                 store.state_stage_cap = 0
         self.rendezvous.note_rank_failure(rank)
-        if (
-            self.config.max_recoveries is not None
-            and self._recoveries >= self.config.max_recoveries
-        ):
-            raise UnrecoverableError(
-                f"rank {rank} died after {self._recoveries} recoveries "
-                f"(max_recoveries={self.config.max_recoveries})"
-            )
         self.engine.schedule(
             RESPAWN_DELAY,
             lambda _a, r=rank: self._do_respawn(r),
@@ -572,7 +563,6 @@ class RecoveryManager:
         if round_serial in self._noted_rounds:
             return
         self._noted_rounds.add(round_serial)
-        self._recoveries += 1
         self.trace.incr("recover.recoveries_completed")
         # We checkpoint every epoch, so each recovery replays exactly
         # the epoch that was in flight.

@@ -43,6 +43,10 @@ from ..errors import ArmciError, ProcessFailedError
 from ..sim.primitives import Delay
 from .mailbox import InboxSpec, Mailbox, SLOT_DTYPE, StagingBuffer, stage_batch
 
+#: Simulated sleep (seconds) of an actor loop with nothing to do, and of
+#: a termination detector waiting on its board.
+POLL_INTERVAL = 2e-6
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..armci.runtime import ArmciProcess
     from .termination import FourCounterTermination
@@ -82,11 +86,8 @@ class ActorSystem:
     #: Cap on records drained per lane poll and sent per lane flush leg.
     MAX_BATCH = 4096
 
-    def __init__(self, rt: "ArmciProcess", poll_interval: float = 2e-6) -> None:
-        if poll_interval <= 0:
-            raise ArmciError(f"poll_interval must be > 0, got {poll_interval}")
+    def __init__(self, rt: "ArmciProcess") -> None:
         self.rt = rt
-        self.poll_interval = poll_interval
         self._registry: dict[str, _Registration] = {}
         self._local: list[_Registration] = []  # actors owned here, in order
         #: Outbound queues: {dst rank: {(actor, inbox): [record arrays]}}.
@@ -377,7 +378,7 @@ class ActorSystem:
         ``step`` is the workload's chance to inject new messages (e.g.
         the open-loop client driver); it is a generator returning truthy
         when it made progress. When nothing moved and the system is not
-        yet idle, the loop sleeps one ``poll_interval``.
+        yet idle, the loop sleeps one ``POLL_INTERVAL``.
         """
         while True:
             # Explicit progress first (see _service): deliver whatever
@@ -389,7 +390,7 @@ class ActorSystem:
             progress = bool((yield from self.flush())) or progress
             if not self.idle:
                 if not progress:
-                    yield Delay(self.poll_interval)
+                    yield Delay(POLL_INTERVAL)
                 continue
             if progress:
                 continue  # give just-flushed peers a chance to respond
@@ -398,4 +399,4 @@ class ActorSystem:
             )
             if done:
                 return
-            yield Delay(self.poll_interval)
+            yield Delay(POLL_INTERVAL)

@@ -17,7 +17,7 @@ deterministic without cross-rank ordering assumptions.
 
 Arrival processes: ``"poisson"`` (exponential gaps at the rank's share
 of the aggregate ``rate``) or ``"bursty"`` — a periodic on/off
-intensity (``burst_factor`` times the mean rate for ``duty_cycle`` of
+intensity (``BURST_FACTOR`` times the mean rate for ``DUTY_CYCLE`` of
 each ``BURST_EPOCH``, correspondingly less in the off phase, same
 long-run mean), realized exactly by inverting the integrated intensity
 of a unit-rate Poisson stream.
@@ -32,8 +32,15 @@ import numpy as np
 from ..errors import ArmciError
 from .mailbox import KIND_ACC, KIND_GET, KIND_PUT, SLOT_DTYPE
 
-#: Period of the bursty arrival process's on/off intensity (seconds).
+#: Period of the bursty arrival process's on/off intensity (seconds),
+#: the burst's rate over the mean, and the share of each period it lasts
+#: (``BURST_FACTOR * DUTY_CYCLE <= 1``: the off phase's rate is not negative).
 BURST_EPOCH = 1e-3
+BURST_FACTOR = 4.0
+DUTY_CYCLE = 0.25
+#: Shares of GET and ACC requests; the remainder is PUT traffic.
+GET_FRACTION = 0.5
+ACC_FRACTION = 0.4
 
 #: Request schedule row (superset of the mailbox slot payload fields).
 REQUEST_DTYPE = np.dtype(
@@ -53,8 +60,7 @@ class ClientLoadConfig:
     """Shape of the open-loop client population (see module docstring).
 
     ``rate`` is the aggregate offered load (requests/second of simulated
-    time) across all client ranks. ``get_fraction`` + ``acc_fraction``
-    must not exceed 1; the remainder is PUT traffic.
+    time) across all client ranks.
     """
 
     num_clients: int = 1024
@@ -64,10 +70,6 @@ class ClientLoadConfig:
     zipf_alpha: float = 1.0
     rate: float = 1e6
     arrival: str = "poisson"
-    burst_factor: float = 4.0
-    duty_cycle: float = 0.25
-    get_fraction: float = 0.5
-    acc_fraction: float = 0.4
     deadline: float = 5e-3
     seed: int = 1234
 
@@ -89,23 +91,6 @@ class ClientLoadConfig:
         if self.arrival not in ("poisson", "bursty"):
             raise ArmciError(
                 f"arrival must be 'poisson' or 'bursty', got {self.arrival!r}"
-            )
-        if not 0 < self.duty_cycle < 1:
-            raise ArmciError(
-                f"duty_cycle must be in (0, 1), got {self.duty_cycle}"
-            )
-        if self.burst_factor * self.duty_cycle > 1.0 + 1e-12:
-            raise ArmciError(
-                "burst_factor * duty_cycle must be <= 1 (the off phase "
-                f"cannot have negative rate), got "
-                f"{self.burst_factor * self.duty_cycle:.3f}"
-            )
-        if self.get_fraction < 0 or self.acc_fraction < 0:
-            raise ArmciError("traffic fractions must be >= 0")
-        if self.get_fraction + self.acc_fraction > 1.0 + 1e-12:
-            raise ArmciError(
-                "get_fraction + acc_fraction must be <= 1, got "
-                f"{self.get_fraction + self.acc_fraction:.3f}"
             )
         if self.deadline <= 0:
             raise ArmciError(f"deadline must be > 0, got {self.deadline}")
@@ -149,8 +134,8 @@ def _arrival_times(
     # Bursty: intensity r*bf during [0, d*E) of each epoch, r*rl after,
     # with d*bf + (1-d)*rl == 1 so the long-run mean stays r.
     e = BURST_EPOCH
-    d = cfg.duty_cycle
-    bf = cfg.burst_factor
+    d = DUTY_CYCLE
+    bf = BURST_FACTOR
     rl = max(0.0, (1.0 - bf * d) / (1.0 - d))
     per_epoch = rank_rate * e  # total measure accumulated per epoch
     burst_measure = rank_rate * bf * d * e
@@ -195,8 +180,8 @@ def generate_requests(
     )
     out["client"] = rng.permutation(clients)
     u = rng.random(n)
-    get = u < cfg.get_fraction
-    acc = ~get & (u < cfg.get_fraction + cfg.acc_fraction)
+    get = u < GET_FRACTION
+    acc = ~get & (u < GET_FRACTION + ACC_FRACTION)
     put = ~get & ~acc
     out["kind"][get] = KIND_GET
     out["kind"][acc] = KIND_ACC

@@ -2,8 +2,8 @@
 
 Ranks ``[0, num_shards)`` are servers; the rest are clients. Keys are
 hash-sharded (:func:`~repro.serve.clients.shard_of`); shard ``j``'s
-primary actor ``kv.shard.j`` lives on rank ``j`` and — when
-``replicate`` — a passive replica ``kv.shard.j.r`` lives on rank
+primary actor ``kv.shard.j`` lives on rank ``j`` and — with two
+shards or more — a passive replica ``kv.shard.j.r`` lives on rank
 ``(j + 1) % num_shards``. Clients *dual-write* every mutation (the
 authoritative copy flagged ``FLAG_RESPOND``, the other copy
 ``FLAG_REPLICA``), so when a server rank dies mid-run the surviving
@@ -68,14 +68,16 @@ class KvConfig:
     """Shape of the serving tier."""
 
     num_shards: int = 2
-    replicate: bool = True
-    poll_interval: float = 2e-6
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ArmciError(f"need >= 1 shard, got {self.num_shards}")
-        if self.replicate and self.num_shards < 2:
-            raise ArmciError("replication needs >= 2 shards (distinct hosts)")
+
+    @property
+    def replicate(self) -> bool:
+        """Whether each shard has a passive replica: it needs a second
+        server rank to live on."""
+        return self.num_shards >= 2
 
 
 class KvShardActor(Actor):
@@ -333,7 +335,7 @@ def run_kv(
     client_actors: dict[int, KvClientActor] = {}
 
     def body(rt) -> Generator[Any, Any, None]:
-        system = ActorSystem(rt, poll_interval=kv.poll_interval)
+        system = ActorSystem(rt)
         client_ranks = tuple(range(S, num_procs))
         for j in range(S):
             primary = KvShardActor(total_keys) if rt.rank == j else None
@@ -367,9 +369,7 @@ def run_kv(
                     InboxSpec("resp", INBOX_CAPACITY, senders=tuple(range(S))),
                 ),
             )
-        detector = yield from FourCounterTermination.create(
-            rt, poll_interval=kv.poll_interval
-        )
+        detector = yield from FourCounterTermination.create(rt)
         # No collectives beyond this point: a crashed rank would break
         # them for every survivor. Everything else is point-to-point.
         if rt.rank < S:

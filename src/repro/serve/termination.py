@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from ..errors import ArmciError, ProcessFailedError
 from ..sim.primitives import Delay
+from .actor import POLL_INTERVAL
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..armci.runtime import ArmciProcess
@@ -69,12 +70,10 @@ class FourCounterTermination:
         participants: tuple[int, ...],
         alloc,
         scratch: int,
-        poll_interval: float,
     ) -> None:
         self.rt = rt
         self.participants = participants
         self.alloc = alloc
-        self.poll_interval = poll_interval
         self._scratch = scratch
         self._index = {r: i for i, r in enumerate(participants)}
         self._wave = 0
@@ -86,7 +85,6 @@ class FourCounterTermination:
         cls,
         rt: "ArmciProcess",
         participants=None,
-        poll_interval: float = 2e-6,
     ) -> Generator[Any, Any, "FourCounterTermination"]:
         """Collective creation (all participants must call this)."""
         if participants is None:
@@ -96,14 +94,10 @@ class FourCounterTermination:
             raise ArmciError(
                 f"rank {rt.rank} is not among participants {participants}"
             )
-        if poll_interval <= 0:
-            raise ArmciError(
-                f"poll_interval must be > 0, got {poll_interval}"
-            )
         nbytes = len(participants) * _SLOT_BYTES + _TAIL_BYTES
         alloc = yield from rt.malloc(nbytes)
         scratch = rt.world.space(rt.rank).allocate(_SLOT_BYTES)
-        return cls(rt, participants, alloc, scratch, poll_interval)
+        return cls(rt, participants, alloc, scratch)
 
     # ------------------------------------------------------------ utils
 
@@ -217,7 +211,7 @@ class FourCounterTermination:
                 # Keep servicing our own context while parked (default
                 # mode has no async thread to land peers' contributions).
                 yield from rt.progress()
-            yield Delay(self.poll_interval)
+            yield Delay(POLL_INTERVAL)
         total_sent = stats.sent
         total_recv = stats.recv
         all_idle = stats.idle
@@ -261,4 +255,4 @@ class FourCounterTermination:
                 yield from service()
             else:
                 yield from rt.progress()
-            yield Delay(self.poll_interval)
+            yield Delay(POLL_INTERVAL)

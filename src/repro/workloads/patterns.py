@@ -11,6 +11,11 @@ from dataclasses import dataclass
 
 from ..errors import ReproError
 
+#: Seed of every pattern's integer-hash stream.
+SEED = 2013
+#: Fraction of the ``nwchem`` mix's operations that are accumulates (the
+#: rest are gets); pure patterns are all gets.
+ACC_FRACTION = 0.3
 
 def _mix(x: int) -> int:
     """splitmix64-style integer hash."""
@@ -27,10 +32,6 @@ class PatternConfig:
     pattern: str
     num_ops: int = 16
     msg_size: int = 1024
-    seed: int = 2013
-    #: Fraction of operations that are accumulates (rest are gets) for
-    #: mixed patterns; pure patterns ignore it.
-    acc_fraction: float = 0.3
 
     def __post_init__(self) -> None:
         if self.pattern not in PATTERNS:
@@ -42,10 +43,6 @@ class PatternConfig:
         if self.msg_size < 8 or self.msg_size % 8:
             raise ReproError(
                 f"msg_size must be a positive multiple of 8, got {self.msg_size}"
-            )
-        if not 0.0 <= self.acc_fraction <= 1.0:
-            raise ReproError(
-                f"acc_fraction must be in [0, 1], got {self.acc_fraction}"
             )
 
 
@@ -88,19 +85,19 @@ def destinations(cfg: PatternConfig, rank: int, num_procs: int) -> list[int]:
     if num_procs < 2:
         raise ReproError("patterns need at least 2 processes")
     fn = PATTERNS[cfg.pattern]
-    return [fn(rank, i, num_procs, cfg.seed) for i in range(cfg.num_ops)]
+    return [fn(rank, i, num_procs, SEED) for i in range(cfg.num_ops)]
 
 
 def op_kinds(cfg: PatternConfig, rank: int) -> list[str]:
     """Per-op kind stream: ``"get"`` or ``"acc"``.
 
     Pure patterns are all-gets; the ``nwchem`` mix interleaves
-    accumulates at ``acc_fraction``.
+    accumulates at ``ACC_FRACTION``.
     """
     if cfg.pattern != "nwchem":
         return ["get"] * cfg.num_ops
     kinds = []
     for i in range(cfg.num_ops):
-        h = _mix(cfg.seed * 31 + rank * 131 + i * 7)
-        kinds.append("acc" if (h % 1000) / 1000.0 < cfg.acc_fraction else "get")
+        h = _mix(SEED * 31 + rank * 131 + i * 7)
+        kinds.append("acc" if (h % 1000) / 1000.0 < ACC_FRACTION else "get")
     return kinds

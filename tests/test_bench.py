@@ -5,9 +5,13 @@ import ast
 import importlib
 import pathlib
 import re
+import sys
 
 import pytest
 from supplementary import SUPPLEMENTARY
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
+import reach  # noqa: E402
 
 from repro.armci import ArmciConfig
 from repro.bench import (
@@ -274,14 +278,8 @@ class TestOneBenchmarkSurface:
 
 
 #: The config classes whose backticked ``<Config>.<field>`` and
-#: ``<Config>(field=…)`` names the docs guard resolves.
-CONFIGS = {
-    "ArmciConfig": "repro.armci.config", "ObsConfig": "repro.obs.span",
-    "ChaosConfig": "repro.chaos", "IntegrityConfig": "repro.pami.integrity",
-    "LinkHealthConfig": "repro.machine.health", "RecoveryConfig": "repro.recover.config",
-    "ScfConfig": "repro.apps.nwchem.scf", "KvConfig": "repro.serve.kv",
-    "RetryPolicy": "repro.armci.config",
-}
+#: ``<Config>(field=…)`` names the docs guard resolves: the options census's.
+CONFIGS = reach.config_classes(REPO)
 _CONFIG = r"\b(" + "|".join(CONFIGS) + r")"
 
 

@@ -26,7 +26,8 @@ from repro.errors import (
     TopologyError,
     TransientFaultError,
 )
-from repro.machine.health import HealthConfigError, LinkHealthConfig
+from repro.machine import health as health_mod
+from repro.machine.health import LinkHealthConfig
 from repro.pami.integrity import IntegrityConfig, IntegrityError
 from repro.topology import Torus
 from repro.topology.routing import dimension_order_route
@@ -227,12 +228,10 @@ class TestConfigValidation:
             IntegrityConfig(max_retransmits=-1)
 
     def test_health_config_validation(self):
-        with pytest.raises(HealthConfigError):
-            LinkHealthConfig(suspect_after=0)
-        with pytest.raises(HealthConfigError):
-            LinkHealthConfig(suspect_after=4, dead_after=2)
-        with pytest.raises(HealthConfigError):
-            LinkHealthConfig(probe_period=0.0)
+        # The hysteresis thresholds are module constants: ordered, and
+        # a probe period that advances time.
+        assert 1 <= health_mod.SUSPECT_AFTER <= health_mod.DEAD_AFTER
+        assert health_mod.PROBE_PERIOD > 0
 
     def test_fault_plan_bad_link_fails_at_construction(self):
         # (0,0,0,0,0)-(0,0,1,1,1) are not torus neighbors: the job must
@@ -479,13 +478,15 @@ class TestHealthMonitor:
         assert job.trace.count("net.ranks_unreachable") == 0
         assert not job.world.failed_ranks
 
-    def test_observed_dead_link_reroutes_without_escalation(self):
+    def test_observed_dead_link_reroutes_without_escalation(self, monkeypatch):
         """A ground-truth-killed link walks to observed-dead through the
         loss observations; routing detours and nobody is escalated
         because alternative paths exist."""
+        monkeypatch.setattr(health_mod, "SUSPECT_AFTER", 4)
+        monkeypatch.setattr(health_mod, "DEAD_AFTER", 4)
         plan = FaultPlan().kill_link(NODE0, NODE1, at=0.0)
         cfg = ArmciConfig.default_mode(
-            health=LinkHealthConfig(suspect_after=4, dead_after=4),
+            health=LinkHealthConfig(),
             retry=RetryPolicy(max_retries=10),
         )
         job = net_job(8, config=cfg, fault_plan=plan)
@@ -520,15 +521,17 @@ class TestHealthMonitor:
         assert job.trace.count("net.ranks_unreachable") == 0
         assert not job.world.failed_ranks
 
-    def test_escalates_only_truly_unreachable_rank(self):
+    def test_escalates_only_truly_unreachable_rank(self, monkeypatch):
         """All three links to rank 7's node die: once the monitor has
         observed each one dead, rank 7 (and only rank 7) is escalated to
         the failure machinery."""
+        monkeypatch.setattr(health_mod, "SUSPECT_AFTER", 1)
+        monkeypatch.setattr(health_mod, "DEAD_AFTER", 1)
         # AT mode: targets stay passive after the barrier (their async
         # threads service progress), so no trailing collective needs to
         # survive rank 7's death.
         cfg = ArmciConfig.async_thread_mode(
-            health=LinkHealthConfig(suspect_after=1, dead_after=1),
+            health=LinkHealthConfig(),
             retry=RetryPolicy(max_retries=10),
         )
         job = net_job(8, config=cfg)

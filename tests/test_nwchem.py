@@ -157,37 +157,8 @@ class TestScfConvergence:
 
 
 class TestScreening:
-    def test_screening_drops_distant_block_pairs(self):
-        dense = fock_task_list(64, 8, 1e-3)
-        screened = fock_task_list(64, 8, 1e-3, screening_threshold=0.1)
-        assert 0 < len(screened) < len(dense)
-        # Diagonal (|i-j| = 0) pairs always survive.
-        diag = [t for t in screened if t.i_blk == t.j_blk]
-        assert len(diag) == 8
-        # Surviving ids stay dense for the shared counter.
-        assert [t.task_id for t in screened] == list(range(len(screened)))
-
     def test_no_screening_keeps_full_square(self):
-        assert len(fock_task_list(64, 8, 1e-3, screening_threshold=0.0)) == 64
-
-    def test_screened_tasks_are_cheaper_off_diagonal(self):
-        screened = fock_task_list(64, 8, 1e-3, screening_threshold=0.01)
-        diag = {t.cost for t in screened if t.i_blk == t.j_blk}
-        far = {t.cost for t in screened if abs(t.i_blk - t.j_blk) >= 2}
-        if far:
-            assert max(far) < max(diag)
-
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ReproError):
-            fock_task_list(64, 8, 1e-3, screening_threshold=1.5)
-
-    def test_scf_runs_with_screening(self):
-        cfg = ScfConfig(
-            nbf_override=32, nblocks=4, task_time=200e-6, iterations=1,
-            screening_threshold=0.1,
-        )
-        res = run_scf(4, ArmciConfig.async_thread_mode(), cfg, procs_per_node=4)
-        assert 0 < res.tasks_done < 16
+        assert len(fock_task_list(64, 8, 1e-3)) == 64
 
 
 class TestScfDeterminism:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.apps.nwchem import ScfConfig, run_scf
 from repro.armci import ArmciConfig, ArmciJob, ObsConfig
+from repro.armci import config as armci_config
 from repro.armci.config import RetryPolicy
 from repro.obs.critical_path import attribution_rows, critical_path
 from repro.obs.export import (
@@ -644,13 +645,14 @@ class TestJobIntegration:
             assert runs[0] == runs[1]
             built.clear()
 
-    def test_killed_rank_closes_compute_and_backoff_at_the_crash(self):
+    def test_killed_rank_closes_compute_and_backoff_at_the_crash(self, monkeypatch):
         """A rank a FaultPlan kills inside ``rt.compute`` or a retry
         backoff leaves that span closed at the crash time, like every
         other bracket — not open until job end and stamped truncated."""
+        monkeypatch.setattr(armci_config, "RETRY_BASE_DELAY", 1e-3)
         config = ArmciConfig(
             obs=ObsConfig(enabled=True),
-            retry=RetryPolicy(base_delay=1e-3, max_delay=1e-3),
+            retry=RetryPolicy(max_delay=1e-3),
         )
         job = ArmciJob(
             4, procs_per_node=1, config=config,

@@ -34,6 +34,7 @@ def known():
 class TestOneCustomerRule:
     def test_every_keep_line_is_well_formed_and_matches_a_function(self, known):
         names = {name for name, _lines in known.values()}
+        fields = reach.options(REPO)
         rows = reach.keep_lines()
         assert rows, "tools/reach_keep.txt is empty"
         for row in rows:
@@ -41,7 +42,21 @@ class TestOneCustomerRule:
             pattern, category, reason = row
             assert category in reach.CATEGORIES, row
             assert len(reason.split()) >= 3, f"no reason a reviewer can check: {row}"
-            assert fnmatch.filter(names, pattern), f"stale keep (matches nothing): {pattern}"
+            if reach.names_a_field(pattern):
+                assert pattern in fields, f"stale keep (no such field): {pattern}"
+                assert fields[pattern] == ["tests"], f"stale keep (has a customer): {pattern}"
+            else:
+                assert fnmatch.filter(names, pattern), f"stale keep (matches nothing): {pattern}"
+
+    def test_the_option_surface_is_every_frozen_config_dataclass(self):
+        classes = reach.config_classes(REPO)
+        assert len(classes) == 11
+        assert classes["ScfConfig"] == "repro.apps.nwchem.scf"
+        assert classes["RetryPolicy"] == "repro.armci.config"
+        assert "BGQParams" not in classes  # the calibrated machine model, not an option
+        for name, module in classes.items():
+            cls = getattr(importlib.import_module(module), name)
+            assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
 
     @pytest.mark.parametrize(
         "module", ["repro.apps.transport", "repro.machine.node", "repro.util.stats"]
@@ -51,20 +66,44 @@ class TestOneCustomerRule:
             importlib.import_module(module)
 
     def test_deleted_options_and_extras_stay_deleted(self):
+        import inspect
+
+        from repro.apps.nwchem import ScfConfig
+        from repro.apps.nwchem.tasks import fock_task_list
+        from repro.armci import ArmciConfig
+        from repro.armci.config import RetryPolicy
         from repro.chaos import ChaosConfig, ChaosEngine
         from repro.gax import BlockDistribution, GlobalArray
         from repro.machine.health import LinkHealthConfig
         from repro.machine.network import TorusNetwork
         from repro.pami.integrity import IntegrityConfig
         from repro.recover import RecoveryConfig
+        from repro.serve.actor import ActorSystem
+        from repro.serve.clients import ClientLoadConfig
+        from repro.serve.kv import KvConfig
+        from repro.serve.termination import FourCounterTermination
+        from repro.workloads import PatternConfig
 
         def names(cls):
             return {f.name for f in dataclasses.fields(cls)}
 
-        assert names(RecoveryConfig).isdisjoint({"mode", "enabled"})
+        assert names(RecoveryConfig).isdisjoint({"mode", "enabled", "max_recoveries"})
         assert names(ChaosConfig).isdisjoint({"retransmit_delay", "max_retransmits"})
         assert names(IntegrityConfig).isdisjoint({"retransmit_delay", "enabled"})
-        assert "enabled" not in names(LinkHealthConfig)
+        assert names(LinkHealthConfig).isdisjoint(
+            {"enabled", "suspect_after", "dead_after", "probe_period"})
+        # Module constants now, or derived from another field.
+        assert names(RetryPolicy).isdisjoint({"base_delay", "multiplier"})
+        assert "coalesce_chunks" not in names(ArmciConfig)
+        assert names(ClientLoadConfig).isdisjoint(
+            {"burst_factor", "duty_cycle", "get_fraction", "acc_fraction"})
+        assert names(KvConfig).isdisjoint({"poll_interval", "replicate"})
+        assert names(ScfConfig).isdisjoint(
+            {"screening_threshold", "diag_time_per_element", "damping"})
+        assert names(PatternConfig).isdisjoint({"seed", "acc_fraction"})
+        assert "screening_threshold" not in inspect.signature(fock_task_list).parameters
+        assert "poll_interval" not in inspect.signature(ActorSystem).parameters
+        assert "poll_interval" not in inspect.signature(FourCounterTermination.create).parameters
         # One per-pair ordering map: repro.pami.ordering's.
         assert "_last_deliver" not in ChaosEngine.__slots__
         assert "_last_deliver" not in TorusNetwork._MUTABLE_CACHES
@@ -77,6 +116,51 @@ class TestOneCustomerRule:
         fields = reach.options(REPO)
         assert len(fields) > 50, "the options census lost the config classes"
         assert [name for name, trees in fields.items() if not trees] == []
+        assert reach.unkept_options(fields, reach.keep_lines()) == ([], [])
+
+    def test_a_keyword_passed_on_to_another_callee_sets_nothing(self, tmp_path):
+        """``ActorSystem(rt, poll_interval=kv.poll_interval)`` reads the
+        field; only a call to the class (or ``cls``, a classmethod or
+        ``replace``) sets it."""
+        (tmp_path / "src").mkdir()
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "src" / "kv.py").write_text(
+            "@dataclass(frozen=True)\n"
+            "class KvConfig:\n"
+            "    num_shards: int = 2\n"
+            "    poll_interval: float = 2e-6\n"
+            "\n"
+            "    @classmethod\n"
+            "    def single(cls):\n"
+            "        return cls(num_shards=1)\n"
+            "\n"
+            "ActorSystem(rt, poll_interval=kv.poll_interval)\n"
+            "FourCounterTermination.create(rt, poll_interval=kv.poll_interval)\n"
+        )
+        (tmp_path / "examples" / "run.py").write_text("dict(poll_interval=1e-6)\n")
+        assert reach.options(tmp_path) == {"KvConfig.num_shards": ["src"],
+                                           "KvConfig.poll_interval": []}
+
+    def test_a_positional_argument_sets_the_field_in_its_place(self, tmp_path):
+        """``PatternConfig(pattern, …)`` sets ``pattern``; ``*args`` sets
+        nothing the census can name."""
+        (tmp_path / "src").mkdir()
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "src" / "patterns.py").write_text(
+            "@dataclasses.dataclass(frozen=True)\n"
+            "class PatternConfig:\n"
+            "    pattern: str\n"
+            "    num_ops: int = 16\n"
+            "    msg_size: int = 1024\n"
+        )
+        (tmp_path / "benchmarks" / "run.py").write_text(
+            "PatternConfig('hotspot', msg_size=64)\nPatternConfig(*spec)\n"
+        )
+        assert reach.options(tmp_path) == {
+            "PatternConfig.pattern": ["benchmarks"],
+            "PatternConfig.num_ops": [],
+            "PatternConfig.msg_size": ["benchmarks"],
+        }
 
     def test_a_shared_field_name_counts_only_for_its_own_class(self, tmp_path):
         """``KvConfig.seed`` is not set by ``ChaosConfig.light(seed=1)``."""

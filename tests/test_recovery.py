@@ -239,7 +239,6 @@ class TestRecoveryConfig:
         "kwargs",
         [
             {"chunk_bytes": 0},
-            {"max_recoveries": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -558,19 +557,6 @@ class TestRespawnRecovery:
 
     def test_death_before_first_checkpoint_is_unrecoverable(self):
         job = make_job(fault_plan=FaultPlan().crash(1, at=20e-6))
-        with pytest.raises((UnrecoverableError, SimulationError)):
-            job.recovery.run(neighbor_setup, neighbor_epoch, epochs=EPOCHS)
-
-    def test_max_recoveries_cap_aborts(self):
-        clean, _job, _w, commits = probe_run(neighbor_setup, neighbor_epoch)
-        t1 = commits[0] + 0.5 * (commits[1] - commits[0])
-        _r, _j, _w, c1 = probe_run(
-            neighbor_setup, neighbor_epoch,
-            fault_plan=FaultPlan().crash(1, at=t1),
-        )
-        t2 = mid_after(c1, t1)
-        plan = FaultPlan().crash(1, at=t1).crash(2, at=t2)
-        job = make_job(fault_plan=plan, max_recoveries=1)
         with pytest.raises((UnrecoverableError, SimulationError)):
             job.recovery.run(neighbor_setup, neighbor_epoch, epochs=EPOCHS)
 

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.armci import ArmciConfig, ArmciJob
-from repro.armci.config import RetryPolicy
+from repro.armci import config as armci_config
+from repro.armci.config import RETRY_BASE_DELAY, RETRY_MULTIPLIER, RetryPolicy
 from repro.armci.region_cache import RegionCache
 from repro.chaos import ChaosConfig, ChaosError, FaultPlan, ResourceFault
 from repro.errors import (
@@ -558,8 +559,7 @@ class TestRetryDeadlineInteraction:
         """The retry backoff is a pure function of the policy: on a
         fully-lossy link the accrued backoff equals the closed-form
         geometric sum, run after run."""
-        policy = RetryPolicy(max_retries=4, base_delay=2e-6, multiplier=2.0,
-                             max_delay=1e-3)
+        policy = RetryPolicy(max_retries=4, max_delay=1e-3)
 
         def run():
             cfg = dataclasses.replace(
@@ -583,18 +583,18 @@ class TestRetryDeadlineInteraction:
             return job.trace.time("armci.retry_backoff_time"), job
 
         expected = sum(
-            min(policy.base_delay * policy.multiplier**k, policy.max_delay)
+            min(RETRY_BASE_DELAY * RETRY_MULTIPLIER**k, policy.max_delay)
             for k in range(policy.max_retries)
         )
         (t1, job1), (t2, _) = run(), run()
         assert t1 == t2 == pytest.approx(expected, rel=1e-9)
         assert job1.trace.count("armci.transient_retries.get") == policy.max_retries
 
-    def test_deadline_wins_over_retry_budget(self):
+    def test_deadline_wins_over_retry_budget(self, monkeypatch):
         """A deadline tighter than the remaining backoff schedule aborts
         the retry loop with DeadlineExceededError — not RetryExhausted."""
-        policy = RetryPolicy(max_retries=8, base_delay=500e-6,
-                             multiplier=2.0, max_delay=10e-3)
+        monkeypatch.setattr(armci_config, "RETRY_BASE_DELAY", 500e-6)
+        policy = RetryPolicy(max_retries=8, max_delay=10e-3)
         cfg = dataclasses.replace(
             ArmciConfig.async_thread_mode(), retry=policy
         )

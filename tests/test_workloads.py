@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.armci import ArmciConfig
 from repro.errors import ReproError
-from repro.workloads import PATTERNS, PatternConfig, destinations, run_workload
+from repro.workloads import PATTERNS, PatternConfig, destinations, patterns, run_workload
 from repro.workloads.patterns import op_kinds
 
 
@@ -20,8 +20,6 @@ class TestPatternGenerators:
             PatternConfig("uniform", num_ops=0)
         with pytest.raises(ReproError):
             PatternConfig("uniform", msg_size=100)  # not multiple of 8
-        with pytest.raises(ReproError):
-            PatternConfig("uniform", acc_fraction=1.5)
 
     def test_needs_two_procs(self):
         with pytest.raises(ReproError):
@@ -41,11 +39,13 @@ class TestPatternGenerators:
         assert all(0 <= d < p for d in dsts)
         assert all(d != r for d in dsts)
 
-    def test_deterministic(self):
-        cfg = PatternConfig("uniform", num_ops=20, seed=7)
-        assert destinations(cfg, 3, 16) == destinations(cfg, 3, 16)
-        other = PatternConfig("uniform", num_ops=20, seed=8)
-        assert destinations(cfg, 3, 16) != destinations(other, 3, 16)
+    def test_deterministic(self, monkeypatch):
+        cfg = PatternConfig("uniform", num_ops=20)
+        monkeypatch.setattr(patterns, "SEED", 7)
+        seven = destinations(cfg, 3, 16)
+        assert seven == destinations(cfg, 3, 16)
+        monkeypatch.setattr(patterns, "SEED", 8)
+        assert seven != destinations(cfg, 3, 16)
 
     def test_hotspot_concentrates_on_rank0(self):
         cfg = PatternConfig("hotspot", num_ops=100)
@@ -56,8 +56,9 @@ class TestPatternGenerators:
         cfg = PatternConfig("neighbor", num_ops=4)
         assert destinations(cfg, 5, 16) == [6, 4, 6, 4]
 
-    def test_nwchem_mix_has_both_kinds(self):
-        cfg = PatternConfig("nwchem", num_ops=60, acc_fraction=0.4)
+    def test_nwchem_mix_has_both_kinds(self, monkeypatch):
+        monkeypatch.setattr(patterns, "ACC_FRACTION", 0.4)
+        cfg = PatternConfig("nwchem", num_ops=60)
         kinds = op_kinds(cfg, 2)
         assert "get" in kinds and "acc" in kinds
 
@@ -75,10 +76,11 @@ class TestRunner:
         assert result.throughput_mbps > 0
         assert result.comm_time_total > 0
 
-    def test_nwchem_mix_issues_accumulates(self):
+    def test_nwchem_mix_issues_accumulates(self, monkeypatch):
         from repro.armci import ArmciJob  # noqa: F401 - import check
 
-        cfg = PatternConfig("nwchem", num_ops=20, msg_size=256, acc_fraction=0.5)
+        monkeypatch.setattr(patterns, "ACC_FRACTION", 0.5)
+        cfg = PatternConfig("nwchem", num_ops=20, msg_size=256)
         result = run_workload(4, cfg, ArmciConfig.async_thread_mode())
         assert result.total_ops == 80
 

@@ -11,11 +11,18 @@ import numpy as np
 import pytest
 
 from repro.armci import ArmciConfig, ArmciJob
+from repro.armci.strided import strided_transfer
 from repro.armci.vector import IoVector
+from repro.machine.bgq import BGQParams
 from repro.errors import ArmciError, PamiError
 from repro.pami.memory import AddressSpace, as_u8
 from repro.sim.engine import Engine, SchedulePolicy
 from repro.types import StridedDescriptor, StridedShape
+
+
+#: Coalescing on the zero-copy path everywhere: ``"auto"`` with no chunk
+#: small enough to take the typed path.
+COALESCING = ArmciConfig(strided_protocol="auto", tall_skinny_threshold=0)
 
 
 def make_job(num_procs=2, config=None, **kwargs):
@@ -256,7 +263,7 @@ class TestCoalescingEndToEnd:
     def test_contiguous_descriptor_posts_single_rdma(self):
         desc = StridedDescriptor(StridedShape(64, (16,)), (64,), (64,))
         job = self._strided_roundtrip(
-            ArmciConfig(coalesce_chunks=True), desc, 16 * 64
+            COALESCING, desc, 16 * 64
         )
         # 1 put + 1 get, each collapsed to exactly one RDMA.
         assert job.trace.count("armci.strided_rdma_ops") == 2
@@ -271,14 +278,14 @@ class TestCoalescingEndToEnd:
     def test_gapped_descriptor_unaffected_by_coalescing(self):
         desc = StridedDescriptor(StridedShape(64, (8,)), (128,), (128,))
         job = self._strided_roundtrip(
-            ArmciConfig(coalesce_chunks=True), desc, 8 * 128
+            COALESCING, desc, 8 * 128
         )
         assert job.trace.count("armci.strided_rdma_ops") == 2 * 8
 
     def test_vector_adjacent_segments_collapse(self):
         segs, seg = 12, 32
         span = segs * seg
-        job = make_job(config=ArmciConfig(coalesce_chunks=True))
+        job = make_job(config=COALESCING)
 
         def body(rt):
             alloc = yield from rt.malloc(span)
@@ -309,16 +316,11 @@ class TestCoalescingEndToEnd:
         assert job.trace.count("armci.vector_segments_coalesced") == 2 * (segs - 1)
 
     def test_auto_protocol_opts_in_by_default(self):
-        assert ArmciConfig(strided_protocol="auto").coalesce_effective
-        assert not ArmciConfig().coalesce_effective
-        assert not ArmciConfig(
-            strided_protocol="auto", coalesce_chunks=False
-        ).coalesce_effective
-        assert ArmciConfig(coalesce_chunks=True).coalesce_effective
-
-    def test_invalid_coalesce_value_rejected(self):
-        with pytest.raises(ArmciError):
-            ArmciConfig(coalesce_chunks="yes")
+        desc = StridedDescriptor(StridedShape(64, (16,)), (64,), (64,))
+        transfer = strided_transfer(BGQParams(), 0, 4096, desc)
+        assert transfer.runs(ArmciConfig(strided_protocol="auto")) == [(0, 4096, 16 * 64)]
+        assert len(transfer.runs(ArmciConfig())) == 16
+        assert len(transfer.runs(ArmciConfig(strided_protocol="pack"))) == 16
 
 
 # ----------------------------------------------- aggregation buffer fix
@@ -369,7 +371,7 @@ class TestCoalescingUnderFuzz:
             result = fn(
                 seed,
                 policy="random",
-                config_overrides={"coalesce_chunks": True},
+                config_overrides=dict(strided_protocol="auto", tall_skinny_threshold=0),
             )
             assert result.failures == [], result.failures
             assert result.oracle.report.violations == []

@@ -7,8 +7,10 @@ Every driver runs in a child interpreter under ``sys.setprofile`` (threads
 and forked PDES workers included); the code objects entered are diffed
 against an ``ast`` walk of the tree. ``tools/reach_keep.txt`` (pattern,
 category, reason) is the only thing subtracted. ``--check`` exits 1 on an
-unreached function no keep line matches, on a keep line that matches no
-unreached function, and on a config option nothing assigns.
+unreached function no keep line matches, on a config field no call in
+``src``, ``benchmarks`` or ``examples`` sets and no keep line names, and
+on a stale keep line: a pattern that matches no unreached function, or a
+``Config.field`` line for a field that is gone or has such a customer.
 
 The report also splits what was entered by customer class (the paper's
 ``-m repro.bench all`` alone, the benchmark suite with the trace export,
@@ -34,10 +36,8 @@ from code_lines import code_line_numbers
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 KEEP = pathlib.Path(__file__).with_name("reach_keep.txt")
-CATEGORIES = ("oracle", "inject", "api", "item-2", "item-5", "abstract")
+CATEGORIES = ("oracle", "inject", "api", "item-2", "item-5", "abstract", "pinned")
 TREES = ("src", "benchmarks", "examples", "tests")
-CONFIGS = ("ArmciConfig", "RetryPolicy", "RecoveryConfig", "ChaosConfig",
-           "LinkHealthConfig", "IntegrityConfig", "KvConfig", "ClientLoadConfig")
 BENCHES = ("-m", "pytest", "benchmarks", "--ignore=benchmarks/ledger",
            "--benchmark-disable", "--trace-out")
 #: The extensions built around the paper's ARMCI-over-PAMI core (DESIGN §7),
@@ -160,41 +160,94 @@ def keep_lines(path: pathlib.Path = KEEP) -> list[tuple[str, str, str]]:
     return [tuple(row) for row in rows]
 
 
-def _callee(func: ast.expr) -> tuple[str, str | None] | None:
-    """``Cls(...)`` -> ``("Cls", None)``, ``Cls.make(...)`` -> ``("Cls", "make")``."""
-    if isinstance(func, ast.Name):
-        return func.id, None
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-        return func.value.id, func.attr
-    return None
+def names_a_field(pattern: str) -> bool:
+    """Whether a keep line keeps a ``Config.field`` rather than functions
+    (whose patterns are dotted ``repro.`` names)."""
+    return pattern[:1].isupper()
+
+
+def unkept_options(fields: dict[str, list[str]], keeps) -> tuple[list[str], list[str]]:
+    """The fields no call outside ``tests`` sets and no keep line names,
+    and the field keep lines that are stale (field gone or now set)."""
+    kept = [pattern for pattern, _c, _r in keeps if names_a_field(pattern)]
+    customers = {name: [t for t in trees if t != "tests"] for name, trees in fields.items()}
+    return ([name for name, found in customers.items() if not found and name not in kept],
+            [name for name in kept if customers.get(name, True)])
+
+
+def config_classes(root: pathlib.Path) -> dict[str, str]:
+    """``Config`` -> module of every class in ``src`` whose name ends in
+    ``Config`` or ``Policy`` and that declares annotated fields: the frozen
+    dataclasses of the option surface (tests/test_reach.py holds each to
+    being one). ``BGQParams``, the calibrated machine model, is not one."""
+    return {node.name: module for module, node in _config_defs(root)}
+
+
+def _config_defs(root: pathlib.Path):
+    for path in sorted((root / "src").rglob("*.py")):
+        module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name.endswith(("Config", "Policy")) \
+                    and any(isinstance(stmt, ast.AnnAssign) for stmt in node.body):
+                yield module.removesuffix(".__init__"), node
+
+
+def _calls(node: ast.AST, owner: str | None = None):
+    """``(call, callee, keywords)`` for every call below ``node``: ``Cls(...)``
+    -> ``("Cls", None)``, ``Cls.make(...)`` -> ``("Cls", "make")``, ``cls(...)``
+    inside ``Cls`` -> ``("Cls", None)``, ``dataclasses.replace(...)`` ->
+    ``("replace", None)``. ``keywords`` leaves out what ``cls(f=f)`` passes
+    on from its classmethod: the classmethod's callers set ``f``."""
+    for sub in ast.iter_child_nodes(node):
+        if isinstance(sub, ast.Call):
+            func, callee, keywords = sub.func, None, [kw.arg for kw in sub.keywords]
+            if isinstance(func, ast.Name) and func.id == "cls" and owner:
+                callee = (owner, None)
+                keywords = [kw.arg for kw in sub.keywords if getattr(kw.value, "id", None) != kw.arg]
+            elif isinstance(func, ast.Name):
+                callee = (func.id, None)
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                callee = ("replace", None) if func.attr == "replace" and \
+                    func.value.id == "dataclasses" else (func.value.id, func.attr)
+            yield sub, callee, keywords
+        yield from _calls(sub, sub.name if isinstance(sub, ast.ClassDef) else owner)
 
 
 def options(root: pathlib.Path) -> dict[str, list[str]]:
-    """``Config.field`` -> the trees in which some call passes ``field=...``.
+    """``Config.field`` -> the trees in which some call sets ``field``.
 
-    A field name that several config classes share counts only in calls
-    to its own class or to one of that class's classmethods."""
-    calls, fields, makers = defaultdict(list), [], {}
+    Only a real setter counts: a keyword or positional argument of a call
+    to the field's own class, a keyword of one of its classmethods or of
+    ``cls(...)`` inside it (bar ``cls(f=f)``), or a keyword of ``replace``
+    for a field name no other config class has. Passing
+    ``poll_interval=kv.poll_interval`` on to some other callee sets nothing."""
+    fields, makers = {}, {}
+    for _module, node in _config_defs(root):
+        fields[node.name] = [stmt.target.id for stmt in node.body
+                             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+        makers[node.name] = {stmt.name for stmt in node.body if isinstance(stmt, ast.FunctionDef)
+                             and any(getattr(d, "id", None) == "classmethod"
+                                     for d in stmt.decorator_list)}
+    owners = defaultdict(list)
+    for cls, names in fields.items():
+        for name in names:
+            owners[name].append(cls)
+    found = {(cls, name): set() for cls, names in fields.items() for name in names}
     for tree in TREES:
         for path in sorted((root / tree).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call):
-                    for kw in node.keywords:
-                        if kw.arg:
-                            calls[kw.arg].append((tree, _callee(node.func)))
-                elif isinstance(node, ast.ClassDef) and node.name in CONFIGS and tree == "src":
-                    fields += [(node.name, stmt.target.id) for stmt in node.body
-                               if isinstance(stmt, ast.AnnAssign)]
-                    makers[node.name] = {(node.name, None)} | {
-                        (node.name, stmt.name) for stmt in node.body
-                        if isinstance(stmt, ast.FunctionDef)
-                        and any(getattr(d, "id", None) == "classmethod" for d in stmt.decorator_list)}
-    owners = Counter(field for _cls, field in fields)
-
-    def trees(cls: str, field: str) -> set[str]:
-        return {tree for tree, callee in calls[field] if owners[field] == 1 or callee in makers[cls]}
-
-    return {f"{cls}.{field}": sorted(trees(cls, field), key=TREES.index) for cls, field in fields}
+            for call, callee, keywords in _calls(ast.parse(path.read_text())):
+                cls, method = callee or (None, None)
+                if cls in fields and (method is None or method in makers[cls]):
+                    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+                    positional = [] if method or starred else fields[cls][:len(call.args)]
+                    named = [name for name in keywords if name in fields[cls]]
+                    for name in positional + named:
+                        found[cls, name].add(tree)
+                elif callee == ("replace", None):
+                    for name in keywords:
+                        if len(owners.get(name, ())) == 1:
+                            found[owners[name][0], name].add(tree)
+    return {f"{cls}.{name}": sorted(trees, key=TREES.index) for (cls, name), trees in found.items()}
 
 
 def measure(root: pathlib.Path) -> dict[str, tuple[set, set]]:
@@ -260,7 +313,7 @@ def by_customer(known: dict, by_class: dict[str, tuple[set, set]]) -> None:
 
 def report(root: pathlib.Path, by_class: dict[str, tuple[set, set]]) -> int:
     """Print the censuses; the number of violations of the rule."""
-    known, keeps = functions(root), keep_lines()
+    known, keeps = functions(root), [row for row in keep_lines() if not names_a_field(row[0])]
     entered = set().union(*(sites for sites, _m in by_class.values()))
     unreached = known.keys() - entered
     kept = {key for key in unreached
@@ -283,12 +336,17 @@ def report(root: pathlib.Path, by_class: dict[str, tuple[set, set]]) -> int:
     for pattern in stale:
         print(f"  stale keep (matches no unreached function): {pattern}")
     fields = options(root)
-    orphans = [name for name, trees in fields.items() if not trees]
-    print(f"\noptions census: {len(fields)} fields, {len(orphans)} assigned by nothing")
+    orphans, stale_fields = unkept_options(fields, keep_lines())
+    print(f"\noptions census: {len(fields)} fields of {len(config_classes(root))} classes, "
+          f"{len(orphans)} set outside tests by nothing and kept by no line")
     for name, trees in fields.items():
-        print(f"  {name:<42}{' '.join(trees) or '-- never assigned'}")
+        print(f"  {name:<42}{' '.join(trees) or '-- never set'}")
+    for name in orphans:
+        print(f"  no customer (a module constant, or a keep line): {name}")
+    for name in stale_fields:
+        print(f"  stale keep (field gone or set outside tests): {name}")
     by_customer(known, by_class)
-    return len(unreached - kept) + len(stale) + len(orphans)
+    return len(unreached - kept) + len(stale) + len(orphans) + len(stale_fields)
 
 
 def main() -> None:
