@@ -23,6 +23,10 @@ from .tasks import fock_task_list
 DIAG_TIME_PER_ELEMENT = 5e-9
 #: Density damping factor of the update (D' = a*D + (1-a)*F').
 DAMPING = 0.5
+#: Convergence threshold on |delta E| between iterations; ``None`` runs
+#: exactly ``ScfConfig.iterations`` Fock builds. With a threshold,
+#: ``iterations`` acts as the maximum.
+CONVERGE_TOL: float | None = None
 
 
 @dataclass(frozen=True)
@@ -51,10 +55,6 @@ class ScfConfig:
     #: rank 0; >1 = sharded counters with work stealing, the mitigation
     #: for AMO saturation at scale).
     num_counters: int = 1
-    #: Optional SCF convergence threshold on |delta E| between iterations;
-    #: ``None`` runs exactly ``iterations`` Fock builds. With a threshold,
-    #: ``iterations`` acts as the maximum.
-    converge_tol: float | None = None
 
     @property
     def nbf(self) -> int:
@@ -192,9 +192,9 @@ def run_scf(
                 pool.reset_local(rt)
             yield from rt.barrier()
             if (
-                scf.converge_tol is not None
+                CONVERGE_TOL is not None
                 and len(energies) >= 2
-                and abs(energies[-1] - energies[-2]) < scf.converge_tol
+                and abs(energies[-1] - energies[-2]) < CONVERGE_TOL
             ):
                 converged = True
                 break

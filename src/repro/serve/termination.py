@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from ..errors import ArmciError, ProcessFailedError
 from ..sim.primitives import Delay
-from .actor import POLL_INTERVAL
+from . import actor as _actor
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..armci.runtime import ArmciProcess
@@ -211,7 +211,7 @@ class FourCounterTermination:
                 # Keep servicing our own context while parked (default
                 # mode has no async thread to land peers' contributions).
                 yield from rt.progress()
-            yield Delay(POLL_INTERVAL)
+            yield Delay(_actor.POLL_INTERVAL)
         total_sent = stats.sent
         total_recv = stats.recv
         all_idle = stats.idle
@@ -255,4 +255,4 @@ class FourCounterTermination:
                 yield from service()
             else:
                 yield from rt.progress()
-            yield Delay(POLL_INTERVAL)
+            yield Delay(_actor.POLL_INTERVAL)

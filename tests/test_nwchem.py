@@ -10,6 +10,7 @@ from repro.apps.nwchem import (
     fock_task_list,
     run_scf,
 )
+from repro.apps.nwchem import scf as scf_module
 from repro.errors import ReproError
 
 
@@ -140,11 +141,10 @@ class TestScfConvergence:
         assert res.iterations_run == 3
         assert not res.converged
 
-    def test_converges_early_with_loose_tolerance(self):
-        cfg = ScfConfig(
-            nbf_override=16, nblocks=2, task_time=100e-6, iterations=10,
-            converge_tol=1e6,  # any delta passes after two iterations
-        )
+    def test_converges_early_with_loose_tolerance(self, monkeypatch):
+        # any delta passes after two iterations
+        monkeypatch.setattr(scf_module, "CONVERGE_TOL", 1e6)
+        cfg = ScfConfig(nbf_override=16, nblocks=2, task_time=100e-6, iterations=10)
         res = run_scf(2, ArmciConfig.async_thread_mode(), cfg, procs_per_node=2)
         assert res.converged
         assert res.iterations_run == 2

@@ -99,7 +99,7 @@ class TestOneCustomerRule:
             {"burst_factor", "duty_cycle", "get_fraction", "acc_fraction"})
         assert names(KvConfig).isdisjoint({"poll_interval", "replicate"})
         assert names(ScfConfig).isdisjoint(
-            {"screening_threshold", "diag_time_per_element", "damping"})
+            {"screening_threshold", "diag_time_per_element", "damping", "converge_tol"})
         assert names(PatternConfig).isdisjoint({"seed", "acc_fraction"})
         assert "screening_threshold" not in inspect.signature(fock_task_list).parameters
         assert "poll_interval" not in inspect.signature(ActorSystem).parameters

@@ -36,7 +36,7 @@ from code_lines import code_line_numbers
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 KEEP = pathlib.Path(__file__).with_name("reach_keep.txt")
-CATEGORIES = ("oracle", "inject", "api", "item-2", "item-5", "abstract", "pinned")
+CATEGORIES = ("oracle", "inject", "api", "item-2", "item-5", "abstract")
 TREES = ("src", "benchmarks", "examples", "tests")
 BENCHES = ("-m", "pytest", "benchmarks", "--ignore=benchmarks/ledger",
            "--benchmark-disable", "--trace-out")
