@@ -46,11 +46,18 @@ BUCKET_ANCHOR = 1e-9
 
 
 def bucket_index(value: float) -> int:
-    """O(1) bucket index for ``value`` seconds (clamped to the ladder)."""
+    """O(1) bucket index for ``value`` seconds (clamped to the ladder).
+
+    ``inf``, and a value whose ratio to the anchor overflows to ``inf``,
+    lands in the top bucket (``frexp(inf)`` has exponent 0).
+    """
     if value <= BUCKET_ANCHOR:
         return 0
-    # frexp: value/anchor = m * 2**e with m in [0.5, 1) -> ceil(log2) = e
-    m, e = math.frexp(value / BUCKET_ANCHOR)
+    ratio = value / BUCKET_ANCHOR
+    if ratio == math.inf:
+        return NUM_BUCKETS - 1
+    # frexp: ratio = m * 2**e with m in [0.5, 1) -> ceil(log2) = e
+    m, e = math.frexp(ratio)
     idx = e if m > 0.5 else e - 1
     return min(max(idx, 0), NUM_BUCKETS - 1)
 
@@ -160,39 +167,41 @@ class Histogram:
             sub.record(value)
 
     def record_many(self, values, rank: int | None = None) -> None:
-        """Vectorized :meth:`record` of a whole array of observations.
+        """:meth:`record` of a whole array of observations.
 
-        The serving workload records per-batch latency arrays (up to
-        thousands of responses per delivery); bucketing them one Python
-        call at a time would dominate the run. ``np.frexp`` computes
-        every bucket index at once — same ladder, same clamping as
-        :func:`bucket_index`.
+        The serving workload records one small latency array per
+        delivered batch, so the cost here is per value, not per numpy
+        call: each value is bucketed once with :func:`bucket_index`, for
+        this histogram and its per-rank sub-histogram alike. The total
+        adds ``float(arr.sum())``, one pairwise sum per call.
         """
         arr = np.asarray(values, dtype=np.float64)
-        if arr.size == 0:
+        vals = arr.tolist()
+        if not vals:
             return
-        m, e = np.frexp(arr / BUCKET_ANCHOR)
-        idx = np.where(m > 0.5, e, e - 1)
-        np.clip(idx, 0, NUM_BUCKETS - 1, out=idx)
-        idx[arr <= BUCKET_ANCHOR] = 0
-        for i, c in zip(*np.unique(idx, return_counts=True)):
-            self.counts[int(i)] += int(c)
-        self.count += arr.size
-        self.total += float(arr.sum())
-        lo, hi = float(arr.min()), float(arr.max())
-        if self.min is None or lo < self.min:
-            self.min = lo
-        if self.max is None or hi > self.max:
-            self.max = hi
-        if self._raw is not None:
-            self._raw.extend(arr.tolist())
+        total = float(arr.sum())
+        lo, hi = min(vals), max(vals)
+        idx = [bucket_index(v) for v in vals]
+        targets = [self]
         if rank is not None:
             if self._per_rank is None:
                 self._per_rank = {}
             sub = self._per_rank.get(rank)
             if sub is None:
                 sub = self._per_rank[rank] = Histogram(keep_raw=self.keep_raw)
-            sub.record_many(arr)
+            targets.append(sub)
+        for h in targets:
+            counts = h.counts
+            for i in idx:
+                counts[i] += 1
+            h.count += len(vals)
+            h.total += total
+            if h.min is None or lo < h.min:
+                h.min = lo
+            if h.max is None or hi > h.max:
+                h.max = hi
+            if h._raw is not None:
+                h._raw.extend(vals)
 
     @property
     def mean(self) -> float:

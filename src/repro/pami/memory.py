@@ -9,6 +9,7 @@ communication protocol, not just its timing.
 from __future__ import annotations
 
 import bisect
+import struct
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from ..errors import PamiError
 PAGE = 4096
 #: First valid virtual address (0 stays invalid, like NULL).
 BASE_ADDRESS = 0x1000
+#: A little-endian signed 64-bit word, packed straight into a segment.
+_I64 = struct.Struct("<q")
 
 
 def as_u8(data) -> np.ndarray:
@@ -179,11 +182,13 @@ class AddressSpace:
 
     def read_i64(self, addr: int) -> int:
         """Read a little-endian signed 64-bit integer."""
-        return int(self.i64_view(addr)[0])
+        return _I64.unpack_from(*self._locate(addr, 8))[0]
 
     def write_i64(self, addr: int, value: int) -> None:
-        """Write a little-endian signed 64-bit integer."""
-        self.i64_view(addr)[0] = value
+        """Write a little-endian signed 64-bit integer (``struct.error``
+        outside the int64 range)."""
+        seg, offset = self._locate(addr, 8)
+        _I64.pack_into(seg, offset, value)
 
     def read_f64(self, addr: int, count: int = 1) -> np.ndarray:
         """Read ``count`` float64 values starting at ``addr``."""

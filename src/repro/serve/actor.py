@@ -92,6 +92,8 @@ class ActorSystem:
         self._local: list[_Registration] = []  # actors owned here, in order
         #: Outbound queues: {dst rank: {(actor, inbox): [record arrays]}}.
         self._outbox: dict[int, dict[tuple[str, str], list[np.ndarray]]] = {}
+        #: Records in ``_outbox``, kept as they enter and leave it.
+        self._pending = 0
         #: Loopback queue (owner == self): no ring round-trip.
         self._local_queue: list[tuple[str, str, np.ndarray]] = []
         #: Sender-side lane views, one per (actor, inbox) posted to.
@@ -155,8 +157,9 @@ class ActorSystem:
     def post(self, name: str, inbox: str, records: np.ndarray) -> int:
         """Queue records for an actor's inbox (local, non-blocking).
 
-        Returns the number queued (0 when the owner is known dead —
-        dropped and counted, like a send into a crashed rank).
+        ``records`` is handed over: the caller must not modify it
+        afterwards. Returns the number queued (0 when the owner is known
+        dead — dropped and counted, like a send into a crashed rank).
         """
         reg = self._registry[name]
         if len(records) == 0:
@@ -176,22 +179,18 @@ class ActorSystem:
         self._sent_to[dst] = self._sent_to.get(dst, 0) + n
         self.rt.trace.incr("serve.records_posted", n)
         if dst == self.rt.rank:
-            self._local_queue.append((name, inbox, records.copy()))
+            self._local_queue.append((name, inbox, records))
             self.rt.trace.incr("serve.local_deliveries", n)
         else:
             self._outbox.setdefault(dst, {}).setdefault((name, inbox), []).append(
-                records.copy()
+                records
             )
+            self._pending += n
         return n
 
     def outbox_pending(self) -> int:
         """Records queued locally but not yet committed to any ring."""
-        return sum(
-            len(a)
-            for per_dst in self._outbox.values()
-            for arrays in per_dst.values()
-            for a in arrays
-        )
+        return self._pending
 
     # ------------------------------------------------------------ flush
 
@@ -213,6 +212,8 @@ class ActorSystem:
             if dst in self._dead or rt.world.is_failed(dst):
                 self._drop_dst(dst)
                 continue
+            if not any(per_dst.values()):
+                continue  # nothing queued: this visit was the dead-peer check
             agg = rt.aggregate(dst)
             agg.on_flush = self._on_wire_flush
             commits: list[tuple[Any, int]] = []
@@ -233,6 +234,7 @@ class ActorSystem:
                         continue
                     stage_batch(rt, agg, self._scratch, lane, records[:n_send])
                     commits.append((lane, n_send))
+                    self._pending -= n_send
                     if n_send < len(records):
                         per_dst[key] = [records[n_send:]]
                         rt.trace.incr("serve.backpressure_deferrals")
@@ -273,6 +275,7 @@ class ActorSystem:
     def _drop_dst(self, dst: int) -> None:
         per_dst = self._outbox.pop(dst, {})
         dropped = sum(len(a) for arrays in per_dst.values() for a in arrays)
+        self._pending -= dropped
         if dropped:
             self.rt.trace.incr("serve.records_dropped_dead", dropped)
         self._note_dead(dst)
@@ -339,11 +342,7 @@ class ActorSystem:
     def idle(self) -> bool:
         """No local work in flight (rings excluded: unconsumed ring data
         is caught by the sent/recv imbalance in the wave stats)."""
-        return (
-            not self.busy
-            and not self._local_queue
-            and self.outbox_pending() == 0
-        )
+        return not self.busy and not self._local_queue and self._pending == 0
 
     def wave_stats(self) -> tuple[int, int, bool]:
         """``(sent, recv, idle)`` over *alive* peers only."""

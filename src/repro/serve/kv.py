@@ -27,6 +27,7 @@ section.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Any, Generator
 
@@ -54,6 +55,7 @@ from .mailbox import (
     KIND_GET,
     KIND_PUT,
     RESPONSE_BIAS,
+    SLOT_DTYPE,
     InboxSpec,
 )
 from .termination import FourCounterTermination
@@ -99,47 +101,50 @@ class KvShardActor(Actor):
         return not (self.paused and inbox == "req")
 
     def on_batch(self, system: ActorSystem, inbox: str, sender: int, records):
+        rows = records.tolist()
         if inbox == "ctl":
-            for kind in records["kind"]:
-                if kind == KIND_CTL_PAUSE:
+            for row in rows:
+                if row[1] == KIND_CTL_PAUSE:
                     self.paused = True
-                elif kind == KIND_CTL_RESUME:
+                elif row[1] == KIND_CTL_RESUME:
                     self.paused = False
-            system.rt.trace.incr("kv.ctl_messages", len(records))
+            system.rt.trace.incr("kv.ctl_messages", len(rows))
             return None
         now = system.rt.engine.now
-        keys = records["key"].astype(np.intp)
-        kinds = records["kind"]
-        late = now > records["deadline"]
-        misses = int(late.sum())
+        state = self.state
+        # Accumulates first, then puts in order (last writer wins): a
+        # batch that puts to a key and then accumulates to it ends at
+        # the put, as the golden model's per-rank replay does.
+        puts = []
+        misses = 0
+        for _seq, kind, _flags, _client, key, value, _arrival, deadline in rows:
+            if now > deadline:
+                misses += 1
+            if kind == KIND_ACC:
+                state[key] += value
+            elif kind == KIND_PUT:
+                puts.append((key, value))
+        for key, value in puts:
+            state[key] = value
         if misses:
             self.deadline_misses += misses
             system.rt.trace.incr("kv.deadline_misses", misses)
         # Late requests are still applied: state exactness (vs the
         # golden model) must not depend on scheduling luck. Misses are
         # counted and flagged in the response instead.
-        acc = kinds == KIND_ACC
-        if acc.any():
-            np.add.at(self.state, keys[acc], records["value"][acc])
-        put = np.flatnonzero(kinds == KIND_PUT)
-        if len(put):
-            rev = records["key"][put][::-1]
-            _u, first = np.unique(rev, return_index=True)
-            winners = put[len(put) - 1 - first]
-            self.state[keys[winners]] = records["value"][winners]
-        self.applied += len(records)
-        system.rt.trace.incr("kv.requests_applied", len(records))
-        respond = (records["flags"] & FLAG_RESPOND) != 0
-        if not respond.any():
+        self.applied += len(rows)
+        system.rt.trace.incr("kv.requests_applied", len(rows))
+        resp = [
+            (seq, kind + RESPONSE_BIAS,
+             flags | FLAG_LATE if now > deadline else flags,
+             client, key, state[key] if kind == KIND_GET else value,
+             arrival, deadline)
+            for seq, kind, flags, client, key, value, arrival, deadline in rows
+            if flags & FLAG_RESPOND
+        ]
+        if not resp:
             return None
-        resp = records[respond].copy()
-        resp["kind"] = resp["kind"] + RESPONSE_BIAS
-        get = resp["kind"] == KIND_GET + RESPONSE_BIAS
-        resp["value"][get] = self.state[resp["key"][get].astype(np.intp)]
-        resp["flags"] = np.where(
-            late[respond], resp["flags"] | np.uint16(FLAG_LATE), resp["flags"]
-        )
-        system.post(f"kv.client.{sender}", "resp", resp)
+        system.post(f"kv.client.{sender}", "resp", np.array(resp, SLOT_DTYPE))
         system.rt.trace.incr("kv.responses_sent", len(resp))
         return None
 
@@ -160,18 +165,24 @@ class KvClientActor(Actor):
     def on_batch(self, system: ActorSystem, inbox: str, sender: int, records):
         rt = system.rt
         now = rt.engine.now
-        latency = now - records["arrival"]
+        latency = []
+        by_kind = {kind: [] for kind in self._KIND_HIST}
+        n_late = 0
+        for row in records.tolist():
+            lat = now - row[6]
+            latency.append(lat)
+            by_kind[row[1]].append(lat)
+            if now > row[7]:
+                n_late += 1
         system.metrics.histogram("serve.latency").record_many(
             latency, rank=rt.rank
         )
         for kind, hist in self._KIND_HIST.items():
-            sel = records["kind"] == kind
-            if sel.any():
-                system.metrics.histogram(hist).record_many(latency[sel])
-        n_late = int((now > records["deadline"]).sum())
-        self.responses += len(records)
+            if by_kind[kind]:
+                system.metrics.histogram(hist).record_many(by_kind[kind])
+        self.responses += len(latency)
         self.late += n_late
-        rt.trace.incr("kv.responses_received", len(records))
+        rt.trace.incr("kv.responses_received", len(latency))
         if n_late:
             rt.trace.incr("kv.responses_late", n_late)
         return None
@@ -207,6 +218,7 @@ class _ClientDriver:
         start = system.rt.engine.now
         self.records["arrival"] += start
         self.records["deadline"] += start
+        self.arrivals = self.records["arrival"].tolist()
         self.shards = shard_of(self.records["key"], kv_cfg.num_shards)
         self.pos = 0
         # Authority map, flipped by failover: shard -> actor name.
@@ -240,29 +252,30 @@ class _ClientDriver:
         now = system.rt.engine.now
         if system.outbox_pending() >= self.MAX_OUTBOX:
             return False  # let flush/backpressure drain first
-        hi = self.pos + int(
-            np.searchsorted(
-                self.records["arrival"][self.pos:self.pos + 65536], now, "right"
-            )
+        hi = bisect.bisect_right(
+            self.arrivals, now, self.pos, min(n, self.pos + 65536)
         )
         if hi == self.pos:
-            wait = self.records["arrival"][self.pos] - now
+            wait = self.arrivals[self.pos] - now
             if wait > 0:
                 yield Delay(min(wait, self.MAX_SLEEP))
                 return True
             return False
         window = self.records[self.pos:hi]
-        window_shards = self.shards[self.pos:hi]
+        shards = self.shards[self.pos:hi].tolist()
         self.pos = hi
-        for j in np.unique(window_shards):
-            sel = window_shards == j
-            batch = window[sel].copy()
-            mut = batch["kind"] != KIND_GET
-            batch["flags"] |= np.uint16(FLAG_RESPOND)
-            system.post(self.authority[int(j)], "req", batch)
-            rep = self.replica[int(j)]
-            if rep is not None and mut.any():
-                copies = batch[mut].copy()
+        for j in sorted(set(shards)):
+            batch = window[[i for i, s in enumerate(shards) if s == j]]
+            batch["flags"] |= FLAG_RESPOND
+            system.post(self.authority[j], "req", batch)
+            # Read after the post: finding the primary dead drops its replica.
+            rep = self.replica[j]
+            if rep is None:
+                continue
+            kinds = batch["kind"].tolist()
+            mut = [i for i, kind in enumerate(kinds) if kind != KIND_GET]
+            if mut:
+                copies = batch[mut]
                 copies["flags"] = FLAG_REPLICA
                 system.post(rep, "req", copies)
         if self.pos >= n:

@@ -171,9 +171,10 @@ class Mailbox:
     def poll(self, sender: int) -> np.ndarray | None:
         """Drain one lane (owner-local); ``None`` when it is empty.
 
-        Copies the committed slots out (the ring may be overwritten the
-        moment ``head`` advances), checks per-lane sequence continuity,
-        and publishes the new ``head`` for the sender's next AMO fetch.
+        Copies the committed slots out in one copy (the ring may be
+        overwritten the moment ``head`` advances), checks per-lane
+        sequence continuity, and publishes the new ``head`` for the
+        sender's next AMO fetch.
         """
         rt = self.rt
         if rt.rank != self.owner:
@@ -189,17 +190,14 @@ class Mailbox:
         if n <= 0:
             return None
         cap = self.spec.capacity
-        ring = base + LANE_HEADER_BYTES
+        ring = space.view(base + LANE_HEADER_BYTES, cap * SLOT_BYTES)
+        ring = ring.view(SLOT_DTYPE)
         first_idx = head % cap
         n1 = min(n, cap - first_idx)
-        chunks = [space.snapshot(ring + first_idx * SLOT_BYTES, n1 * SLOT_BYTES)]
-        if n1 < n:
-            chunks.append(space.snapshot(ring, (n - n1) * SLOT_BYTES))
-        records = np.frombuffer(
-            np.concatenate(chunks).tobytes(), dtype=SLOT_DTYPE
-        ).copy()
-        expected = np.arange(head, commit, dtype=np.uint64)
-        if not np.array_equal(records["seq"], expected):
+        records = np.empty(n, SLOT_DTYPE)
+        records[:n1] = ring[first_idx:first_idx + n1]
+        records[n1:] = ring[:n - n1]
+        if records["seq"].tolist() != list(range(head, commit)):
             raise ArmciError(
                 f"inbox {self.spec.name!r} lane from rank {sender}: "
                 f"sequence break at head {head} (ring corruption)"
@@ -218,21 +216,21 @@ def stage_batch(
 ) -> int:
     """Stage ``records`` into a lane under an open aggregate handle.
 
-    Assigns lane sequence numbers, writes the slot bytes through the
-    local staging buffer, and posts one aggregate fragment per
-    contiguous ring run. Non-generator: the aggregate snapshots payload
-    eagerly, so the staging buffer is immediately reusable. The caller
-    must flush + fence + ``fetch_add`` the lane's commit word afterwards
-    (see ``ActorSystem.flush``) — ``lane.tail`` advances only then.
+    Per contiguous ring run, copies the run's records once into the
+    local staging buffer, numbers them with lane sequence numbers there,
+    and posts one aggregate fragment. Non-generator: the aggregate
+    snapshots payload eagerly, so the staging buffer is immediately
+    reusable. The caller must flush + fence + ``fetch_add`` the lane's
+    commit word afterwards (see ``ActorSystem.flush``) — ``lane.tail``
+    advances only then.
     """
     n = len(records)
-    records = records.copy()
-    records["seq"] = np.arange(lane.tail, lane.tail + n, dtype=np.uint64)
-    payload = records.tobytes()
     for rec_off, ring_addr, nrec in lane.runs(n):
-        chunk = payload[rec_off * SLOT_BYTES:(rec_off + nrec) * SLOT_BYTES]
-        local = scratch.stage(rt, chunk)
-        agg.put(local, ring_addr, len(chunk))
+        local, slots = scratch.slots(rt, nrec)
+        slots[:] = records[rec_off:rec_off + nrec]
+        first = lane.tail + rec_off
+        slots["seq"] = np.arange(first, first + nrec, dtype=np.uint64)
+        agg.put(local, ring_addr, nrec * SLOT_BYTES)
     rt.trace.incr("serve.records_sent", n)
     return n
 
@@ -248,9 +246,11 @@ class StagingBuffer:
         self.addr: int | None = None
         self.size = 0
 
-    def stage(self, rt: "ArmciProcess", data: bytes) -> int:
-        if len(data) > self.size:
-            self.size = max(len(data), 4096, 2 * self.size)
+    def slots(self, rt: "ArmciProcess", count: int) -> tuple[int, np.ndarray]:
+        """The buffer's address and its first ``count`` slots, writable."""
+        nbytes = count * SLOT_BYTES
+        if nbytes > self.size:
+            self.size = max(nbytes, 4096, 2 * self.size)
             self.addr = rt.world.space(rt.rank).allocate(self.size)
-        rt.world.space(rt.rank).write_into(self.addr, np.frombuffer(data, np.uint8))
-        return self.addr
+        view = rt.world.space(rt.rank).view(self.addr, nbytes)
+        return self.addr, view.view(SLOT_DTYPE)

@@ -45,6 +45,12 @@ CALL_BUDGET = {"pami": 326, "mpi3": 337}
 #: resolved ``WaitAny`` takes its sibling arms back, so none of these
 #: is a dead arm.
 EVENTS_PER_PAIR = {"pami": 17, "mpi3": 18}
+#: numpy calls made from ``repro`` frames per served request on the
+#: reduced ``kv_idle`` shape of ``tools/op_census.py``'s "kv request"
+#: row: 10 % above what this tree measures (pami 21.0, mpi3 24.8; the
+#: parent of the PR that set it measured 71.4 and 87.2). Tiny-array numpy
+#: on the request path costs more than the Python it stands in for.
+SERVE_NUMPY_BUDGET = {"pami": 23, "mpi3": 27}
 
 
 class TestHostCostBudget:
@@ -87,6 +93,19 @@ class TestHostCostBudget:
         assert per_pair <= CALL_BUDGET[backend], (
             f"{per_pair:.1f} Python calls per put+get pair over {backend}, "
             f"budget {CALL_BUDGET[backend]}; most called per pair: {top}"
+        )
+
+    @pytest.mark.parametrize("backend", ["pami", "mpi3"])
+    def test_served_request_stays_inside_its_numpy_budget(self, backend):
+        sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
+        import op_census
+
+        _calls, numpy = op_census.kv_request(backend)
+        per_request = sum(numpy.values())
+        assert per_request <= SERVE_NUMPY_BUDGET[backend], (
+            f"{per_request:.1f} numpy calls per served request over {backend}, "
+            f"budget {SERVE_NUMPY_BUDGET[backend]}; by layer: "
+            + ", ".join(f"{k} {v:.1f}" for k, v in numpy.most_common())
         )
 
 

@@ -256,6 +256,7 @@ class TestMetrics:
         assert bucket_index(2e-9) == 1  # (1, 2] ns
         assert bucket_index(2.1e-9) == 2
         assert bucket_index(1e30) == NUM_BUCKETS - 1
+        assert bucket_index(float("inf")) == NUM_BUCKETS - 1
         assert bucket_upper_edge(0) == BUCKET_ANCHOR
         assert bucket_upper_edge(10) == pytest.approx(1024e-9)
         # Every value lands in the bucket whose upper edge bounds it.
@@ -384,36 +385,55 @@ class TestHistogramShardMerge:
     so the merged view must agree with a single histogram that saw every
     observation directly."""
 
-    def test_record_many_equals_record_loop(self):
-        import numpy as np
-
-        rng = np.random.default_rng(9)
-        values = rng.lognormal(mean=-12.0, sigma=2.0, size=4000)
-        one = Histogram()
-        many = Histogram()
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([
+                    0.0, -0.0, -1e-6, BUCKET_ANCHOR, 2e-9, 2.0000001e-9,
+                    1024e-9, 0.5, 1e30, 1e300, float("inf"),
+                ]),
+                st.floats(min_value=-1e-3, max_value=1e3, allow_nan=False),
+            ),
+            max_size=300,
+        ),
+        st.sampled_from([None, 0, 3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_record_many_equals_record_loop(self, values, rank):
+        one = Histogram(keep_raw=True)
+        many = Histogram(keep_raw=True)
+        for h in (one, many):
+            h.record(5e-6, rank=rank)  # an earlier observation to fold into
         for v in values:
-            one.record(float(v), rank=int(v * 1e9) % 3)
-        many.record_many(values[:1000], rank=0)
-        many.record_many(values[1000:2000], rank=1)
-        many.record_many(values[2000:], rank=2)
-        # Different rank attribution, identical aggregate view.
-        assert many.counts == one.counts
-        assert many.count == one.count
-        assert many.total == pytest.approx(one.total)
-        assert many.min == one.min and many.max == one.max
-        for p in (50, 95, 99, 99.9):
-            assert many.percentile(p) == one.percentile(p)
+            one.record(v, rank=rank)
+        many.record_many(values, rank=rank)
+        assert one.per_rank().keys() == many.per_rank().keys()
+        pairs = [(one, many)] + [(one.per_rank()[r], many.per_rank()[r])
+                                 for r in one.per_rank()]
+        for a, b in pairs:
+            assert b.counts == a.counts
+            assert b.count == a.count
+            assert b.min == a.min and b.max == a.max
+            assert b.raw == a.raw
+            # Pairwise against in-order summation: exact totals are item 9(b).
+            assert b.total == pytest.approx(a.total)
 
     def test_record_many_hits_exact_bucket_edges(self):
         # Edge values must land in the same bucket whether recorded
-        # scalar or vectorized (the frexp half-open boundary case).
-        edges = [BUCKET_ANCHOR, 2e-9, 2.0000001e-9, 1024e-9, 0.5, 1e30, 0.0]
+        # scalar or vectorized (the frexp half-open boundary case), and
+        # inf or an anchor ratio that overflows lands in the top bucket.
+        edges = [BUCKET_ANCHOR, 2e-9, 2.0000001e-9, 1024e-9, 0.5, 1e30, 0.0,
+                 1e300, float("inf")]
         scalar = Histogram()
         vector = Histogram()
         for v in edges:
             scalar.record(v)
         vector.record_many(edges)
         assert vector.counts == scalar.counts
+        assert scalar.counts[NUM_BUCKETS - 1] == 3
+        only_inf = Histogram()
+        only_inf.record(float("inf"))
+        assert only_inf.percentile(50) == bucket_upper_edge(NUM_BUCKETS - 1)
 
     def test_merged_shards_match_global_percentiles(self):
         import numpy as np

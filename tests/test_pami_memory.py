@@ -1,5 +1,7 @@
 """Unit tests for per-process address spaces and memory regions."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,21 @@ class TestAddressSpace:
         base = space.allocate(16)
         space.write_i64(base, -123456789)
         assert space.read_i64(base) == -123456789
+
+    def test_i64_is_little_endian_and_range_checked(self):
+        space = AddressSpace()
+        base = space.allocate(16)
+        for value in (2**63 - 1, -(2**63), 5):
+            space.write_i64(base + 8, value)
+            assert space.read_i64(base + 8) == value
+            assert space.read(base + 8, 8) == value.to_bytes(8, "little", signed=True)
+        with pytest.raises(struct.error):
+            space.write_i64(base, 2**63)
+        assert space.read_i64(base) == 0  # nothing written
+        with pytest.raises(PamiError):
+            space.write_i64(base + 12, 1)  # overruns the segment
+        with pytest.raises(PamiError):
+            space.read_i64(base + 12)
 
     def test_f64_roundtrip(self):
         space = AddressSpace()

@@ -5,6 +5,8 @@ the shared ``backend`` fixture — the serve layer sits strictly above
 the transport, so every behaviour here must hold on both.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,43 @@ class TestMailbox:
             yield from system.run(detector)
 
         job.run(body)
+
+
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_poll_rejects_a_sequence_break(self, wrapped):
+        # An 8-slot lane: 3 records (contiguous), or 6 consumed and then
+        # 4 more, which wrap. One committed slot's ``seq`` is corrupted
+        # before the owner polls.
+        job = make_job(2)
+        seen = {}
+
+        def body(rt):
+            system = ActorSystem(rt)
+            sink = RecordingActor() if rt.rank == 0 else None
+            yield from system.register(
+                "sink", owner=0, actor=sink,
+                inboxes=(InboxSpec("in0", 8, senders=(1,)),),
+            )
+            mailbox = system._registry["sink"].mailboxes["in0"]
+            batches = [6, 4] if wrapped else [3]
+            for i, n in enumerate(batches):
+                if rt.rank == 1:
+                    system.post("sink", "in0", make_records(range(n)))
+                    assert (yield from system.flush())
+                yield from rt.barrier()
+                if rt.rank == 0 and i + 1 < len(batches):
+                    assert len(mailbox.poll(1)) == n
+                yield from rt.barrier()
+            if rt.rank == 0:
+                ring = mailbox.lane_base(0, 1) + 16
+                slot = 0 if wrapped else 2  # position 8 of the wrapped run
+                rt.world.space(0).write_i64(ring + slot * SLOT_DTYPE.itemsize, 99)
+                with pytest.raises(ArmciError, match="sequence break"):
+                    mailbox.poll(1)
+                seen[0] = True
+
+        job.run(body)
+        assert seen == {0: True}
 
 
 class GuardedActor(Actor):
@@ -335,6 +374,61 @@ class TestKv:
     def test_needs_at_least_one_client_rank(self):
         with pytest.raises(ArmciError):
             run_kv(2, kv_config=KvConfig(num_shards=2))
+
+
+#: md5 of what serving simulates on a reduced ``kv_idle`` shape (6 ranks,
+#: 2 shards, 3 per node, 2 requests per client at 0.5 M requests per
+#: simulated second): one clean run, then one under light chaos with
+#: rank 1 crashing mid-traffic. It covers every raw latency, the counts
+#: and totals of ``serve.latency`` and its per-kind and per-rank
+#: histograms, every ``job.trace`` counter, the shard states,
+#: ``engine.now`` and the events executed, each by value (a float that
+#: was a numpy scalar hashes the same). A host-cost change to the request
+#: path must leave it unedited.
+SEED_SERVE_MD5 = {
+    "pami": "8eabc46960a63f38391d8cb9191cb7ad",
+    "mpi3": "73a99d1b3ffac4ca9c2fc8ea55bb82ef",
+}
+
+
+def serve_digest():
+    digest = hashlib.md5()
+    runs = (
+        (dict(num_clients=128, seed=2013), {}),
+        (dict(num_clients=256, seed=11, rate=1e5),
+         dict(chaos=ChaosConfig.light(7), fault_plan=FaultPlan().crash(1, at=2e-3))),
+    )
+    for load, faults in runs:
+        jobs = []
+
+        def on_job(job):
+            job.trace.histogram("serve.latency", keep_raw=True)
+            jobs.append(job)
+
+        r = run_kv(
+            6, load=ClientLoadConfig(**{"requests_per_client": 2, "rate": 0.5e6, **load}),
+            kv_config=KvConfig(num_shards=2), procs_per_node=3, on_job=on_job,
+            **faults,
+        )
+        assert r.exact and r.failovers == (4 if faults else 0)
+        job = jobs[0]
+        hists = job.trace.histograms
+        digest.update(np.asarray(hists["serve.latency"].raw).tobytes())
+        for name in sorted(n for n in hists if n.startswith("serve.latency")):
+            for rank, h in [(None, hists[name]), *sorted(hists[name].per_rank().items())]:
+                digest.update(repr(
+                    (name, rank, [int(c) for c in h.counts], int(h.count), float(h.total))
+                ).encode())
+        digest.update(repr(sorted((k, int(v)) for k, v in job.trace.counters.items())).encode())
+        for _shard, state in sorted(r.shard_states.items()):
+            digest.update(state.tobytes())
+        digest.update(repr((float(job.engine.now), int(job.engine.events_executed))).encode())
+    return digest.hexdigest()
+
+
+class TestServeDigest:
+    def test_simulated_output_is_pinned(self, backend):
+        assert serve_digest() == SEED_SERVE_MD5[backend]
 
 
 class TestClients:

@@ -2,10 +2,18 @@
 """What one blocking operation costs the host, layer by layer (the foMPI
 table): Python calls, bytecode instructions, generator resumes, allocated
 blocks and engine entries by callback, for a blocking 16 B put + get pair
-and for one ``fetch_add`` on a knobs-off 2-node job:
+and for one ``fetch_add`` on a knobs-off 2-node job; then Python calls and
+numpy calls per served request on a reduced ``kv_idle`` shape:
 ``python tools/op_census.py [--src OTHER_TREE/src] [--backend pami|mpi3]``.
 Counts per operation; they repeat exactly. A layer is a package under
 ``repro/``; a builtin is charged to its caller's layer, as in the ledger.
+
+A numpy call is counted where a ``repro`` frame enters numpy: a numpy C
+function or array method it calls, or a numpy Python function it calls
+(the ``*_dispatcher`` half of an array function aside). What numpy calls
+inside does not count, so the figure does not depend on numpy's
+internals; ufunc calls and operators (indexing, arithmetic) raise no
+profile event and are not counted either.
 """
 
 import argparse
@@ -15,6 +23,11 @@ import sys
 from collections import Counter
 
 N, OPS = 50, ("put+get", "fetch_add")  # operations per census; what it covers
+#: The kv request row: a reduced ``kv_idle`` (6 ranks, 2 shards, 3 per
+#: node, 2 requests per client at 0.5 M requests per simulated second),
+#: run at two client counts; the difference, per extra request, leaves
+#: out what set-up and the audit cost whatever the load.
+KV_CLIENTS, KV_SEED = (64, 192), 2013
 
 
 def layer_of(filename: str) -> str:
@@ -22,17 +35,28 @@ def layer_of(filename: str) -> str:
     return filename[at + 7:].split("/", 1)[0].removesuffix(".py") if at >= 0 else "other"
 
 
+def is_numpy(func) -> bool:
+    """Whether a C callable is numpy's (a function, or a method of a numpy object)."""
+    module = getattr(func, "__module__", None) or type(getattr(func, "__self__", None)).__module__
+    return module.startswith("numpy")
+
+
 class Census:
     """The counters of one traced stretch, bracketed by ``start``/``stop``."""
 
     def __init__(self) -> None:
         self.calls, self.opcodes, self.entries = Counter(), Counter(), Counter()
+        self.numpy = Counter()
         self.resumes = self.blocks = 0
+        self._in_numpy = None  # the numpy C callable a repro frame is inside
 
-    def profile(self, frame, event, _arg) -> None:
+    def profile(self, frame, event, arg) -> None:
         code, back = frame.f_code, frame.f_back
         if event in ("call", "c_call"):
             self.calls[layer_of(code.co_filename)] += 1
+            self.count_numpy(frame, event, arg)
+        elif event in ("c_return", "c_exception") and arg is self._in_numpy:
+            self._in_numpy = None
         if event != "call" or back is None:
             return
         self.resumes += bool(code.co_flags & 0x20)  # CO_GENERATOR
@@ -42,6 +66,20 @@ class Census:
             self.entries[arm] += 1
         elif waiter and code.co_name == "_step":
             self.entries["live arm"] += 1  # an arm that resumed its process
+
+    def count_numpy(self, frame, event, arg) -> None:
+        if self._in_numpy is not None:
+            return  # numpy's own Python under a C method (``ndarray.sum``)
+        if event == "c_call":
+            if "/repro/" in frame.f_code.co_filename and is_numpy(arg):
+                self.numpy[layer_of(frame.f_code.co_filename)] += 1
+                self._in_numpy = arg
+            return
+        code, back = frame.f_code, frame.f_back
+        if ("/numpy/" in code.co_filename and back is not None
+                and "/repro/" in back.f_code.co_filename
+                and not code.co_name.endswith("_dispatcher")):
+            self.numpy[layer_of(back.f_code.co_filename)] += 1
 
     def trace(self, frame, event, _arg):
         frame.f_trace_opcodes = True
@@ -94,6 +132,37 @@ def run(backend: str, mode: str) -> dict[str, Census]:
     return census
 
 
+def kv_request(backend: str = "pami") -> tuple[Counter, Counter]:
+    """Python calls and numpy calls per served request, by layer."""
+    from repro.armci import ArmciConfig
+    from repro.serve import ClientLoadConfig, KvConfig, run_kv
+
+    def serve(n):
+        load = ClientLoadConfig(num_clients=n, requests_per_client=2, rate=0.5e6, seed=KV_SEED)
+        return run_kv(6, load=load, kv_config=KvConfig(num_shards=2), procs_per_node=3,
+                      armci_config=ArmciConfig(backend=backend))
+
+    serve(KV_CLIENTS[0])  # a warm-up: lazy imports are not a request's cost
+    sized, collecting = [], gc.isenabled()
+    for n in KV_CLIENTS:
+        census = Census()
+        census.start("calls")
+        gc.disable()  # no finalizer runs at a point the collector picks
+        try:
+            result = serve(n)
+        finally:
+            census.stop()
+            if collecting:
+                gc.enable()
+        sized.append((result.requests, census))
+    (r0, small), (r1, big) = sized
+
+    def per_request(a: Counter, b: Counter) -> Counter:
+        return Counter({k: (b[k] - a[k]) / (r1 - r0) for k in b})
+
+    return per_request(small.calls, big.calls), per_request(small.numpy, big.numpy)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(pathlib.Path(__file__).parents[1] / "src"))
@@ -114,6 +183,11 @@ def main() -> None:
         print(f"  engine entries {sum(entries.values()) / N:.2f} (of the WaitAny arms, "
               f"{live / N:.2f} live): " + ", ".join(
                   f"{name} {count / N:.2f}" for name, count in entries.most_common()))
+    calls, numpy = kv_request(args.backend)
+    calls["total"], numpy["total"] = sum(calls.values()), sum(numpy.values())
+    print(f"\n{'kv request':<12}{'calls':>8}{'numpy':>8}")
+    for layer in sorted(calls, key=lambda k: -calls[k]):
+        print(f"  {layer:<10}{calls[layer]:8.1f}{numpy[layer]:8.1f}")
 
 
 if __name__ == "__main__":
