@@ -1,4 +1,4 @@
-"""Atomic accumulate (``dst += scale * src``) on float64 data.
+"""Atomic accumulate (``dst += src``) on float64 data.
 
 Accumulates are associative — ordering among updates is not required
 (Section III-E) — but they must be *atomic* with respect to each other.
@@ -31,7 +31,6 @@ def nbacc(
     local_addr: int,
     remote_addr: int,
     nbytes: int,
-    scale: float,
     handle: Handle,
 ) -> Handle:
     """Post a non-blocking accumulate of ``nbytes`` of float64 data."""
@@ -44,7 +43,6 @@ def nbacc(
     flops_cost = (nbytes // 8) * world.params.acc_flop_time
     header = {
         "addr": remote_addr,
-        "scale": scale,
         "ack": ack,
         "reply_ctx": ctx,
         "_cost": flops_cost,
@@ -82,6 +80,6 @@ def handle_acc_request(rt: "ArmciProcess", ctx: PamiContext, env: AmEnvelope) ->
     space = rt.world.space(rt.rank)
     update = as_u8(env.payload).view(np.float64)
     view = space.view(h["addr"], update.size * 8).view(np.float64)
-    view += h["scale"] * update
+    view += update
     rt.trace.incr("armci.accs_applied")
     control_reply(rt, env.src, h["reply_ctx"], h["ack"])

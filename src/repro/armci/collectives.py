@@ -177,9 +177,7 @@ class FailureDetector:
         self._watches = keep
 
 
-def barrier(
-    rt: "ArmciProcess", deadline: float | None = None, timeline: str | None = None
-) -> Generator[Any, Any, None]:
+def barrier(rt: "ArmciProcess", timeline: str | None = None) -> Generator[Any, Any, None]:
     """ARMCI barrier: hardware sync + progress while waiting.
 
     ``timeline`` puts the dwell in the Gantt view — the application's
@@ -187,11 +185,10 @@ def barrier(
 
     Raises :class:`~repro.errors.ProcessFailedError` if a participant
     died — the epoch-based liveness check above — instead of deadlocking,
-    and :class:`~repro.errors.DeadlineExceededError` if ``deadline``
-    (or the ambient/default deadline when None) passes first.
+    and :class:`~repro.errors.DeadlineExceededError` if the op's deadline
+    (ambient, else ``config.default_deadline``) passes first.
     """
-    if deadline is None:
-        deadline = rt._op_deadline(None)
+    deadline = rt._op_deadline()
     rt._observe("on_barrier_enter")
     obs = rt.obs
     with rt.span("barrier", "barrier", timeline=timeline) as span:
@@ -213,15 +210,12 @@ def barrier(
     rt.trace.incr("armci.barriers")
 
 
-_REDUCTIONS = {"sum": sum, "max": max, "min": min}
-
-
 class ReductionBoard:
-    """Software allreduce scratchpad (models the hardware collective net).
+    """Software allreduce (sum) scratchpad (models the hardware collective net).
 
     Rounds are explicit: each rank deposits into its current round, a
     barrier guarantees completeness, then every rank collects. The first
-    collector reduces the round; the others are handed that result. A
+    collector sums the round; the others are handed that result. A
     round's storage is reclaimed once all ranks have collected it, so
     back-to-back reductions never race.
     """
@@ -229,8 +223,8 @@ class ReductionBoard:
     def __init__(self, num_procs: int) -> None:
         self.num_procs = num_procs
         self._rounds: dict[int, dict[int, float]] = {}
-        #: round -> [op, result, collectors so far], made by the round's
-        #: first collector.
+        #: round -> [sum, collectors so far], made by the round's first
+        #: collector.
         self._reduced: dict[int, list] = {}
         self._rank_round: dict[int, int] = {}
         #: Reductions actually computed (one per collected round).
@@ -258,8 +252,8 @@ class ReductionBoard:
         values[rank] = value
         return rnd
 
-    def collect(self, rnd: int, op: str) -> float:
-        """Reduce round ``rnd``; storage reclaimed after the last collector."""
+    def collect(self, rnd: int) -> float:
+        """Sum round ``rnd``; storage reclaimed after the last collector."""
         values = self._rounds.get(rnd)
         if values is None or len(values) != self.num_procs:
             have = 0 if values is None else len(values)
@@ -268,26 +262,18 @@ class ReductionBoard:
             )
         reduced = self._reduced.get(rnd)
         if reduced is None:
-            reduce_fn = _REDUCTIONS.get(op)
-            if reduce_fn is None:
-                raise ArmciError(f"unknown reduction op {op!r}")
-            reduced = self._reduced[rnd] = [op, float(reduce_fn(values.values())), 0]
+            reduced = self._reduced[rnd] = [float(sum(values.values())), 0]
             self.rounds_reduced += 1
-        elif reduced[0] != op:
-            raise ArmciError(
-                f"collective allreduce mismatch: round {rnd} has ops "
-                f"{reduced[0]!r} and {op!r}"
-            )
-        reduced[2] += 1
-        if reduced[2] == self.num_procs:
+        reduced[1] += 1
+        if reduced[1] == self.num_procs:
             del self._rounds[rnd]
             del self._reduced[rnd]
-        return reduced[1]
+        return reduced[0]
 
 
-def allreduce(rt: "ArmciProcess", value: float, op: str = "sum") -> Generator[Any, Any, float]:
-    """Allreduce over all ranks (hardware collective network model)."""
+def allreduce(rt: "ArmciProcess", value: float) -> Generator[Any, Any, float]:
+    """Sum over all ranks (hardware collective network model)."""
     board = rt.job.reduction_board
     rnd = board.deposit(rt.rank, value)
     yield from barrier(rt)
-    return board.collect(rnd, op)
+    return board.collect(rnd)

@@ -110,7 +110,7 @@ class ArmciConfig:
         under pressure. ``None`` = unbounded.
     default_deadline:
         Deadline (seconds of simulated time, relative to each top-level
-        blocking call) applied when no explicit ``timeout=`` is given.
+        blocking call; a nested wait inherits its enclosing call's).
         Expiry raises :class:`~repro.errors.DeadlineExceededError`
         instead of hanging. ``None`` = wait forever.
     watchdog_period:

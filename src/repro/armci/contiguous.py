@@ -115,7 +115,7 @@ def query_remote_region(
     LFU replacement."""
     with rt.span("region_miss", "region_query", dst=dst) as span:
         ctx = rt.main_context
-        deadline = rt._op_deadline(None)
+        deadline = rt._op_deadline()
         yield from rt._acquire_send_credit(dst, deadline)
         reply = rt.engine.event("regionq.reply")
         header = {"addr": addr, "nbytes": nbytes, "reply": reply, "reply_ctx": ctx}

@@ -130,19 +130,17 @@ def _sequence(rt: "ArmciProcess", group: ProcessGroup, kind: str) -> int:
 
 
 def group_reduce_tree(
-    rt: "ArmciProcess", group: ProcessGroup, value: float, op: str = "sum"
+    rt: "ArmciProcess", group: ProcessGroup, value: float
 ) -> Generator[Any, Any, float]:
-    """Binomial-tree allreduce over the group; returns the reduction.
+    """Binomial-tree allreduce (sum) over the group; returns the sum.
 
     log2(n) up-sweep to the group root (member 0), then a log2(n)
     broadcast down — 2·log2(n) AM latencies, every hop needing the
     receiver's progress engine.
     """
-    if op not in ("sum", "max", "min"):
-        raise ArmciError(f"unknown reduction op {op!r}")
     me = group.index_of(rt.rank)
     n = group.size
-    seq = _sequence(rt, group, f"allreduce.{op}")
+    seq = _sequence(rt, group, "allreduce")
     acc = value
 
     # Up-sweep: at round k, members with index % 2^(k+1) == 2^k send to
@@ -157,13 +155,7 @@ def group_reduce_tree(
             values = yield from _await_messages(
                 rt, ("up", seq, me + k) + group.members, 1, group.members
             )
-            incoming = values[0]
-            if op == "sum":
-                acc += incoming
-            elif op == "max":
-                acc = max(acc, incoming)
-            else:
-                acc = min(acc, incoming)
+            acc += values[0]
         k *= 2
 
     # Down-sweep broadcast of the final value from the root.
@@ -191,7 +183,7 @@ def group_barrier(
     rt: "ArmciProcess", group: ProcessGroup
 ) -> Generator[Any, Any, None]:
     """Software tree barrier over the group (an allreduce of nothing)."""
-    yield from group_reduce_tree(rt, group, 0.0, "sum")
+    yield from group_reduce_tree(rt, group, 0.0)
     rt.trace.incr("armci.group_barriers")
 
 

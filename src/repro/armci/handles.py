@@ -61,11 +61,11 @@ class Handle:
         """Whether every underlying operation locally completed."""
         return all(ev.triggered for ev in self._events)
 
-    def wait(self, timeout: float | None = None):
+    def wait(self):
         """Generator: block (with progress) until local completion.
 
-        Inherits the owner's ambient deadline (or takes an explicit
-        ``timeout``); expiry raises
+        Bound by the owner's deadline (the ambient one, else
+        ``config.default_deadline``); expiry raises
         :class:`~repro.errors.DeadlineExceededError` and abandons the
         request (the handle is spent, its pins are released).
 
@@ -79,7 +79,7 @@ class Handle:
         self._waited = True
         owner = self.owner
         ctx = owner.main_context
-        deadline = owner._op_deadline(timeout)
+        deadline = owner._op_deadline()
         obs = owner.obs
         sid = None
         if obs is not None and self._events:

@@ -86,7 +86,7 @@ def lock(rt: "ArmciProcess", mutex_id: int, span) -> Generator[Any, Any, None]:
     ``lock_wait`` ``span``)."""
     owner = mutex_owner(mutex_id, rt.world.num_procs)
     ctx = rt.main_context
-    deadline = rt._op_deadline(None)
+    deadline = rt._op_deadline()
     yield from rt._acquire_send_credit(owner, deadline)
     grant = rt.engine.event(f"lock.{mutex_id}.r{rt.rank}")
     header = {"mutex": mutex_id, "grant": grant, "reply_ctx": ctx}

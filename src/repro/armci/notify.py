@@ -58,19 +58,17 @@ def notify(rt: "ArmciProcess", dst: int) -> Generator[Any, Any, None]:
     rt.trace.incr("armci.notifies_sent")
 
 
-def notify_wait(
-    rt: "ArmciProcess", src: int, deadline: float | None = None
-) -> Generator[Any, Any, None]:
+def notify_wait(rt: "ArmciProcess", src: int) -> Generator[Any, Any, None]:
     """Block until one notification from ``src`` arrives (consuming it).
 
-    Raises :class:`~repro.errors.DeadlineExceededError` if ``deadline``
-    (or the ambient/default deadline when None) passes first.
+    Raises :class:`~repro.errors.DeadlineExceededError` if the op's
+    deadline (ambient, else ``config.default_deadline``) passes first.
     """
-    if deadline is None:
-        deadline = rt._op_deadline(None)
     event = rt.notify_board.consume_or_wait(src, rt.engine)
     if event is not None:
-        yield from rt.main_context.wait_with_progress(event, deadline=deadline)
+        yield from rt.main_context.wait_with_progress(
+            event, deadline=rt._op_deadline()
+        )
     rt.trace.incr("armci.notifies_consumed")
 
 

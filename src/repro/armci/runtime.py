@@ -35,7 +35,6 @@ from ..errors import (
     RetryExhaustedError,
     TransientFaultError,
 )
-from ..machine.bgq import BGQParams
 from ..obs.span import NO_SPAN, Obs
 from ..pami.context import PamiContext, cancel_timer, deadline_timer
 from ..pami.faults import TransientFault, check_completion
@@ -181,9 +180,7 @@ class ArmciJob:
         num_procs: int,
         config: ArmciConfig | None = None,
         procs_per_node: int = 16,
-        params: BGQParams | None = None,
         world: PamiWorld | None = None,
-        max_regions: int | None = None,
         nic_amo_support: bool = False,
         link_contention: bool = False,
         chaos=None,
@@ -192,13 +189,10 @@ class ArmciJob:
     ) -> None:
         self.config = config if config is not None else ArmciConfig()
         if world is None:
-            if max_regions is None:
-                max_regions = self.config.memregion_budget
             world = PamiWorld(
                 num_procs,
                 procs_per_node=procs_per_node,
-                params=params,
-                max_regions=max_regions,
+                max_regions=self.config.memregion_budget,
                 nic_amo_support=nic_amo_support,
                 link_contention=link_contention,
                 chaos=chaos,
@@ -546,15 +540,11 @@ class ArmciProcess:
         """Whether credit-based flow control is active (non-generator)."""
         return self.config.fifo_depth is not None
 
-    def _op_deadline(self, timeout: float | None) -> float | None:
-        """Resolve a blocking op's absolute deadline (non-generator).
-
-        Precedence: explicit ``timeout`` (relative, seconds of simulated
-        time) > the ambient deadline inherited from an enclosing
-        operation > ``config.default_deadline``. ``None`` = no deadline.
+    def _op_deadline(self) -> float | None:
+        """Resolve a blocking op's absolute deadline (non-generator): the
+        ambient deadline inherited from an enclosing operation, else
+        ``config.default_deadline`` from now. ``None`` = no deadline.
         """
-        if timeout is not None:
-            return self.engine.now + timeout
         if self._deadline is not None:
             return self._deadline
         if self.config.default_deadline is not None:
@@ -815,14 +805,14 @@ class ArmciProcess:
         return None
 
     def _nbwrite(
-        self, kind: str, dst: int, xfer: "_xfer.Transfer", handle: Handle | None,
+        self, kind: str, dst: int, xfer: "_xfer.Transfer",
         protocol: str = "zero_copy", observed=None,
     ) -> Generator[Any, Any, Handle]:
         """Post one non-blocking put of any datatype: by ``protocol``
         when regions exist on both sides, else by active message
         (Section III-C). ``observed`` lists the remote ``(addr, nbytes)``
         ranges reported to the observer (default: the bounding extent)."""
-        h = handle if handle is not None else self._new_handle(kind)
+        h = self._new_handle(kind)
         if self.endpoints.hit(dst) is None:
             yield from self.endpoints.get(dst)
         region, todo = self._cached_region(dst, xfer, protocol)
@@ -833,7 +823,7 @@ class ArmciProcess:
             h.pin_region(region)
             _xfer.PUT[protocol](self, dst, xfer, h)
         else:
-            yield from self._acquire_send_credit(dst, self._op_deadline(None))
+            yield from self._acquire_send_credit(dst, self._op_deadline())
             _xfer.put_am(self, dst, xfer, h)
         self.tracker.on_write(dst, key)
         if self.observer is not None:
@@ -842,8 +832,7 @@ class ArmciProcess:
         return h
 
     def _nbread(
-        self, kind: str, dst: int, xfer: "_xfer.Transfer", handle: Handle | None,
-        protocol: str = "zero_copy",
+        self, kind: str, dst: int, xfer: "_xfer.Transfer", protocol: str = "zero_copy"
     ) -> Generator[Any, Any, Handle]:
         """Post one non-blocking get of any datatype (see :meth:`_nbwrite`).
 
@@ -851,7 +840,7 @@ class ArmciProcess:
         ``dst`` is fenced first. The tracker decides what "conflicting"
         means — per target (``cs_tgt``) or per region (``cs_mr``).
         """
-        h = handle if handle is not None else self._new_handle(kind)
+        h = self._new_handle(kind)
         if self.endpoints.hit(dst) is None:
             yield from self.endpoints.get(dst)
         region, todo = self._cached_region(dst, xfer, protocol)
@@ -864,7 +853,7 @@ class ArmciProcess:
             h.pin_region(region)
             _xfer.GET[protocol](self, dst, xfer, h)
         else:
-            yield from self._acquire_send_credit(dst, self._op_deadline(None))
+            yield from self._acquire_send_credit(dst, self._op_deadline())
             _xfer.get_am(self, dst, xfer, h)
         self.tracker.on_get(dst, key)
         if self.observer is not None:
@@ -872,34 +861,29 @@ class ArmciProcess:
         return h
 
     def nbput(
-        self, dst: int, local_addr: int, remote_addr: int, nbytes: int,
-        handle: Handle | None = None,
+        self, dst: int, local_addr: int, remote_addr: int, nbytes: int
     ) -> Generator[Any, Any, Handle]:
         """Non-blocking contiguous put (RDMA, else AM fall-back)."""
         return self._nbwrite(
-            "put", dst, _cont.contiguous_transfer(local_addr, remote_addr, nbytes),
-            handle,
+            "put", dst, _cont.contiguous_transfer(local_addr, remote_addr, nbytes)
         )
 
     def nbget(
-        self, dst: int, local_addr: int, remote_addr: int, nbytes: int,
-        handle: Handle | None = None,
+        self, dst: int, local_addr: int, remote_addr: int, nbytes: int
     ) -> Generator[Any, Any, Handle]:
         """Non-blocking contiguous get (RDMA, else AM fall-back)."""
         return self._nbread(
-            "get", dst, _cont.contiguous_transfer(local_addr, remote_addr, nbytes),
-            handle,
+            "get", dst, _cont.contiguous_transfer(local_addr, remote_addr, nbytes)
         )
 
-    def _guarded(self, timeout: float | None = None) -> bool:
+    def _guarded(self) -> bool:
         """Whether a blocking op needs its wrappers (non-generator):
         ``_with_retry`` when a transient fault or a deadline can exist,
         the ``op`` span when obs is on. Read per call — chaos, the link
         model and integrity can be attached after construction."""
         world = self.world
         return (
-            timeout is not None
-            or self._deadline is not None
+            self._deadline is not None
             or self.obs is not None
             or world.chaos is not None
             or world.integrity is not None
@@ -907,100 +891,76 @@ class ArmciProcess:
             or self.config.default_deadline is not None
         )
 
-    def _blocking(
-        self, kind: str, nb, args: tuple, timeout: float | None, **attrs
-    ) -> Generator[Any, Any, None]:
+    def _blocking(self, kind: str, nb, args: tuple, **attrs) -> Generator[Any, Any, None]:
         """One blocking data op on rank ``args[0]`` (non-generator: it
         *composes* the op's generator): post ``nb(*args)`` and wait for
         local completion — as is with every knob off, else inside the
         ``kind`` op span with transient faults retried with backoff and
-        ``timeout`` bounding the whole call. ``attrs`` go on the span
+        the op's deadline bounding the whole call. ``attrs`` go on the span
         (``nbytes=``, and ``timeline=`` to show the op in the Gantt view)."""
-        if not self._guarded(timeout):
+        if not self._guarded():
             return _post_and_wait(nb, args)
-        return self._bracketed(kind, nb, args, timeout, attrs)
+        return self._bracketed(kind, nb, args, attrs)
 
-    def _bracketed(self, kind: str, nb, args: tuple, timeout, attrs: dict):
+    def _bracketed(self, kind: str, nb, args: tuple, attrs: dict):
         with self.span("op", kind, dst=args[0], **attrs):
             yield from self._with_retry(
-                lambda: _post_and_wait(nb, args), kind, self._op_deadline(timeout)
+                lambda: _post_and_wait(nb, args), kind, self._op_deadline()
             )
 
-    def put(
-        self, dst: int, local_addr: int, remote_addr: int, nbytes: int,
-        timeout: float | None = None,
-    ):
+    def put(self, dst: int, local_addr: int, remote_addr: int, nbytes: int):
         """Blocking contiguous put (local completion); transient faults
-        are retried with backoff. ``timeout`` bounds the whole call."""
+        are retried with backoff."""
         return self._blocking(
-            "put", self.nbput, (dst, local_addr, remote_addr, nbytes), timeout,
+            "put", self.nbput, (dst, local_addr, remote_addr, nbytes),
             nbytes=nbytes, timeline="put",
         )
 
-    def get(
-        self, dst: int, local_addr: int, remote_addr: int, nbytes: int,
-        timeout: float | None = None,
-    ):
+    def get(self, dst: int, local_addr: int, remote_addr: int, nbytes: int):
         """Blocking contiguous get; transient faults are retried."""
         return self._blocking(
-            "get", self.nbget, (dst, local_addr, remote_addr, nbytes), timeout,
+            "get", self.nbget, (dst, local_addr, remote_addr, nbytes),
             nbytes=nbytes, timeline="get",
         )
 
     def nbputs(
-        self, dst: int, local_base: int, remote_base: int,
-        desc: StridedDescriptor, handle: Handle | None = None,
+        self, dst: int, local_base: int, remote_base: int, desc: StridedDescriptor
     ) -> Generator[Any, Any, Handle]:
         """Non-blocking strided put (protocol per config, Section III-C.2)."""
         return self._nbwrite(
             "puts", dst,
             _str.strided_transfer(self.world.params, local_base, remote_base, desc),
-            handle, _str.select_strided_protocol(self, desc),
+            _str.select_strided_protocol(self, desc),
         )
 
     def nbgets(
-        self, dst: int, local_base: int, remote_base: int,
-        desc: StridedDescriptor, handle: Handle | None = None,
+        self, dst: int, local_base: int, remote_base: int, desc: StridedDescriptor
     ) -> Generator[Any, Any, Handle]:
         """Non-blocking strided get."""
         return self._nbread(
             "gets", dst,
             _str.strided_transfer(self.world.params, local_base, remote_base, desc),
-            handle, _str.select_strided_protocol(self, desc),
+            _str.select_strided_protocol(self, desc),
         )
 
-    def puts(
-        self, dst, local_base, remote_base, desc: StridedDescriptor,
-        timeout: float | None = None,
-    ):
+    def puts(self, dst, local_base, remote_base, desc: StridedDescriptor):
         """Blocking strided put; transient faults are retried."""
-        return self._blocking(
-            "puts", self.nbputs, (dst, local_base, remote_base, desc), timeout
-        )
+        return self._blocking("puts", self.nbputs, (dst, local_base, remote_base, desc))
 
-    def gets(
-        self, dst, local_base, remote_base, desc: StridedDescriptor,
-        timeout: float | None = None,
-    ):
+    def gets(self, dst, local_base, remote_base, desc: StridedDescriptor):
         """Blocking strided get; transient faults are retried."""
-        return self._blocking(
-            "gets", self.nbgets, (dst, local_base, remote_base, desc), timeout
-        )
+        return self._blocking("gets", self.nbgets, (dst, local_base, remote_base, desc))
 
-    def nbputv(
-        self, dst: int, vec: "_vec.IoVector", handle: Handle | None = None
-    ) -> Generator[Any, Any, Handle]:
+    def nbputv(self, dst: int, vec: "_vec.IoVector") -> Generator[Any, Any, Handle]:
         """Non-blocking general I/O-vector put (ARMCI_PutV)."""
-        return self._nbwrite("putv", dst, _vec.vector_transfer(vec), handle)
+        return self._nbwrite("putv", dst, _vec.vector_transfer(vec))
 
-    def nbgetv(
-        self, dst: int, vec: "_vec.IoVector", handle: Handle | None = None
-    ) -> Generator[Any, Any, Handle]:
+    def nbgetv(self, dst: int, vec: "_vec.IoVector") -> Generator[Any, Any, Handle]:
         """Non-blocking general I/O-vector get (ARMCI_GetV)."""
-        return self._nbread("getv", dst, _vec.vector_transfer(vec), handle)
+        return self._nbread("getv", dst, _vec.vector_transfer(vec))
 
     def nbputv_aggregated(
-        self, dst: int, vec: "_vec.IoVector", handle: Handle | None = None
+        self, dst: int, vec: "_vec.IoVector"
     ) -> Generator[Any, Any, Handle]:
         """Vector put as **one** wire message (the aggregation path).
 
@@ -1015,7 +975,7 @@ class ArmciProcess:
         # in address space while every actual byte range stays disjoint.
         # The bounding box would flag that as a race.
         return self._nbwrite(
-            "aggputv", dst, _vec.vector_transfer(vec), handle, "typed",
+            "aggputv", dst, _vec.vector_transfer(vec), "typed",
             observed=zip(vec.remote_addrs, vec.lengths),
         )
 
@@ -1027,22 +987,21 @@ class ArmciProcess:
 
         return AggregateHandle(self, dst)
 
-    def putv(self, dst: int, vec: "_vec.IoVector", timeout: float | None = None):
+    def putv(self, dst: int, vec: "_vec.IoVector"):
         """Blocking I/O-vector put; transient faults are retried."""
-        return self._blocking("putv", self.nbputv, (dst, vec), timeout)
+        return self._blocking("putv", self.nbputv, (dst, vec))
 
-    def getv(self, dst: int, vec: "_vec.IoVector", timeout: float | None = None):
+    def getv(self, dst: int, vec: "_vec.IoVector"):
         """Blocking I/O-vector get; transient faults are retried."""
-        return self._blocking("getv", self.nbgetv, (dst, vec), timeout)
+        return self._blocking("getv", self.nbgetv, (dst, vec))
 
     # ------------------------------------------------------ accumulate
 
     def nbacc(
-        self, dst: int, local_addr: int, remote_addr: int, nbytes: int,
-        scale: float = 1.0, handle: Handle | None = None,
+        self, dst: int, local_addr: int, remote_addr: int, nbytes: int
     ) -> Generator[Any, Any, Handle]:
         """Non-blocking atomic accumulate (float64)."""
-        h = handle if handle is not None else self._new_handle("acc")
+        h = self._new_handle("acc")
         yield from self.endpoints.get(dst)
         # Accumulates target registered structures when possible, for the
         # same tracker key a get of that structure would use.
@@ -1050,36 +1009,31 @@ class ArmciProcess:
         if self.config.use_rdma:
             region = self.region_cache.lookup(dst, remote_addr, nbytes)
             if region is None:
-                region = yield from _cont.resolve_remote_region(
+                region = yield from _cont.query_remote_region(
                     self, dst, remote_addr, nbytes
                 )
             if region is not None:
                 key = (dst, region.base)
         # Accumulates always ride the AM path (software-applied at the
         # target), so they are always credited under flow control.
-        yield from self._acquire_send_credit(dst, self._op_deadline(None))
-        _acc.nbacc(self, dst, local_addr, remote_addr, nbytes, scale, h)
+        yield from self._acquire_send_credit(dst, self._op_deadline())
+        _acc.nbacc(self, dst, local_addr, remote_addr, nbytes, h)
         self.tracker.on_write(dst, key)
         self._observe("on_write", dst, key, remote_addr, nbytes, "acc")
         return h
 
-    def acc(
-        self, dst, local_addr, remote_addr, nbytes, scale: float = 1.0,
-        timeout: float | None = None,
-    ):
+    def acc(self, dst, local_addr, remote_addr, nbytes):
         """Blocking (locally complete) accumulate; transient faults are
         retried (the lost request never reached the target, so a retry
         applies the update exactly once)."""
         return self._blocking(
-            "acc", self.nbacc, (dst, local_addr, remote_addr, nbytes, scale),
-            timeout, nbytes=nbytes,
+            "acc", self.nbacc, (dst, local_addr, remote_addr, nbytes), nbytes=nbytes,
         )
 
     # ------------------------------------------------------------ AMOs
 
     def rmw(
-        self, dst: int, addr: int, op: str, operand: int = 0, operand2: int = 0,
-        timeout: float | None = None,
+        self, dst: int, addr: int, op: str, operand: int = 0, operand2: int = 0
     ) -> Generator[Any, Any, int]:
         """Blocking read-modify-write; returns the old value.
 
@@ -1098,12 +1052,12 @@ class ArmciProcess:
             "counter_wait", "rmw", dst=dst, rmw_op=op, timeline="counter"
         )
         with span:
-            if self._guarded(timeout):
+            if self._guarded():
                 # Retry-safe: a transient fault means the request was lost
                 # before the op was applied, so re-issuing never double-counts.
                 old = yield from self._with_retry(
                     lambda: self._rmw_once(dst, addr, op, operand, operand2, span),
-                    "rmw", self._op_deadline(timeout),
+                    "rmw", self._op_deadline(),
                 )
             else:
                 old = yield from self._rmw_once(dst, addr, op, operand, operand2, span)
@@ -1120,13 +1074,13 @@ class ArmciProcess:
         # FIFO credit.
         credited = self.flow_enabled and not self.transport.rmw_is_native(op)
         if credited:
-            yield from self._acquire_send_credit(dst, self._op_deadline(None))
+            yield from self._acquire_send_credit(dst, self._op_deadline())
         ctx = self.main_context
         pending = self.transport.rmw(
             ctx, dst, addr, op, operand, operand2, credited=credited
         )
         value = yield from ctx.wait_with_progress(
-            pending.event, deadline=self._op_deadline(None)
+            pending.event, deadline=self._op_deadline()
         )
         check_completion(value, op="rmw")
         # Why the wait ended: the target-side service span registered
@@ -1149,9 +1103,9 @@ class ArmciProcess:
             self.trace.incr("armci.fences_avoided")
         return fenced
 
-    def fence(self, dst: int, timeout: float | None = None) -> Generator[Any, Any, None]:
+    def fence(self, dst: int) -> Generator[Any, Any, None]:
         """Wait until all writes to ``dst`` are remotely complete."""
-        deadline = self._op_deadline(timeout)
+        deadline = self._op_deadline()
         acks = self._pending_acks.pop(dst, [])
         self._ack_prune_at.pop(dst, None)
         ctx = self.main_context
@@ -1190,9 +1144,9 @@ class ArmciProcess:
         self._observe("on_fence", dst)
         self.trace.incr("armci.fences")
 
-    def fence_all(self, timeout: float | None = None) -> Generator[Any, Any, None]:
+    def fence_all(self) -> Generator[Any, Any, None]:
         """Fence every destination with outstanding writes."""
-        deadline = self._op_deadline(timeout)
+        deadline = self._op_deadline()
         prev = self._deadline
         if deadline is not None:
             self._deadline = deadline
@@ -1202,9 +1156,9 @@ class ArmciProcess:
         finally:
             self._deadline = prev
 
-    def wait_all(self, timeout: float | None = None) -> Generator[Any, Any, None]:
+    def wait_all(self) -> Generator[Any, Any, None]:
         """Wait for local completion of all implicit non-blocking requests."""
-        deadline = self._op_deadline(timeout)
+        deadline = self._op_deadline()
         prev = self._deadline
         if deadline is not None:
             self._deadline = deadline
@@ -1217,19 +1171,17 @@ class ArmciProcess:
         finally:
             self._deadline = prev
 
-    def barrier(self, timeout: float | None = None) -> Generator[Any, Any, None]:
+    def barrier(self) -> Generator[Any, Any, None]:
         """Collective barrier (hardware network + progress while waiting)."""
         if self._replay_mode:
             # Setup replay on a respawned rank: the survivors already
             # passed this barrier, so re-arriving would wedge the round.
             return
-        yield from _coll.barrier(
-            self, deadline=self._op_deadline(timeout), timeline="barrier"
-        )
+        yield from _coll.barrier(self, timeline="barrier")
 
-    def allreduce(self, value: float, op: str = "sum") -> Generator[Any, Any, float]:
-        """Collective allreduce over all ranks."""
-        return (yield from _coll.allreduce(self, value, op))
+    def allreduce(self, value: float) -> Generator[Any, Any, float]:
+        """Collective sum over all ranks."""
+        return (yield from _coll.allreduce(self, value))
 
     # ----------------------------------------------------------- groups
 
@@ -1241,11 +1193,9 @@ class ArmciProcess:
         """Software tree barrier over a processor group."""
         yield from _groups.group_barrier(self, group)
 
-    def group_allreduce(
-        self, group, value: float, op: str = "sum"
-    ) -> Generator[Any, Any, float]:
-        """Software tree allreduce over a processor group."""
-        return (yield from _groups.group_reduce_tree(self, group, value, op))
+    def group_allreduce(self, group, value: float) -> Generator[Any, Any, float]:
+        """Software tree sum over a processor group."""
+        return (yield from _groups.group_reduce_tree(self, group, value))
 
     def group_broadcast(self, group, value, root_rank: int | None = None):
         """Binomial broadcast over a processor group."""
@@ -1260,18 +1210,14 @@ class ArmciProcess:
         self._observe("on_notify", dst)
         yield from _notify.notify(self, dst)
 
-    def notify_wait(
-        self, src: int, timeout: float | None = None
-    ) -> Generator[Any, Any, None]:
+    def notify_wait(self, src: int) -> Generator[Any, Any, None]:
         """Wait for (and consume) one notification from ``src``."""
-        yield from _notify.notify_wait(self, src, deadline=self._op_deadline(timeout))
+        yield from _notify.notify_wait(self, src)
         self._observe("on_notify_wait", src)
 
     # ------------------------------------------------------------ locks
 
-    def lock(
-        self, mutex_id: int, timeout: float | None = None
-    ) -> Generator[Any, Any, None]:
+    def lock(self, mutex_id: int) -> Generator[Any, Any, None]:
         """Acquire a distributed ARMCI mutex.
 
         A transiently-lost LOCK_REQUEST is retried (the owner never saw
@@ -1279,8 +1225,7 @@ class ArmciProcess:
         """
         with self.span("lock_wait", "lock", mutex=mutex_id) as span:
             yield from self._with_retry(
-                lambda: _locks.lock(self, mutex_id, span), "lock",
-                self._op_deadline(timeout),
+                lambda: _locks.lock(self, mutex_id, span), "lock", self._op_deadline()
             )
         self._observe("on_lock", mutex_id)
 
@@ -1311,7 +1256,7 @@ class ArmciProcess:
 
     # -------------------------------------------------- quiesce / drain
 
-    def quiesce(self, timeout: float | None = None) -> Generator[Any, Any, None]:
+    def quiesce(self) -> Generator[Any, Any, None]:
         """Drain this rank to a quiescent state (teardown/restart point).
 
         Three phases: (1) locally complete every implicit non-blocking
@@ -1322,11 +1267,11 @@ class ArmciProcess:
         machinery can be torn down or restarted safely
         (:meth:`restart_async_thread`).
 
-        A ``timeout`` (or inherited deadline) bounds the whole drain;
-        expiry raises :class:`~repro.errors.DeadlineExceededError` with
+        The op's deadline (inherited, or ``config.default_deadline``)
+        bounds the whole drain; expiry raises :class:`~repro.errors.DeadlineExceededError` with
         the rank *partially* drained.
         """
-        deadline = self._op_deadline(timeout)
+        deadline = self._op_deadline()
         prev = self._deadline
         if deadline is not None:
             self._deadline = deadline

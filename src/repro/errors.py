@@ -53,9 +53,9 @@ class ResourceExhaustedError(PamiError, ArmciError):
 class DeadlineExceededError(ArmciError):
     """A blocking operation's deadline expired before it completed.
 
-    Raised instead of hanging when a deadline (explicit ``timeout=``,
-    inherited from an enclosing operation, or
-    ``ArmciConfig.default_deadline``) passes while the operation is
+    Raised instead of hanging when a deadline (inherited from an
+    enclosing operation, else ``ArmciConfig.default_deadline``) passes
+    while the operation is
     still parked — waiting on a completion event, a flow-control
     credit, or a retry backoff sleep.
     """

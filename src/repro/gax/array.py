@@ -49,7 +49,7 @@ class GlobalArray:
 
         ga = yield from GlobalArray.create(rt, (n, n))
         block = yield from ga.get(rt, Patch(0, 16, 0, 16))
-        yield from ga.acc(rt, patch, contribution, scale=1.0)
+        yield from ga.acc(rt, patch, contribution)
     """
 
     def __init__(
@@ -66,19 +66,12 @@ class GlobalArray:
         cls,
         rt: "ArmciProcess",
         shape: tuple[int, int],
-        grid: tuple[int, int] | None = None,
         name: str = "ga",
     ) -> Generator[Any, Any, "GlobalArray"]:
-        """Collective creation (all ranks must call with equal arguments)."""
+        """Collective creation (all ranks must call with equal arguments),
+        blocked over the near-square process grid of the job."""
         rows, cols = shape
-        if grid is None:
-            grid = default_process_grid(rt.world.num_procs)
-        dist = BlockDistribution(rows, cols, grid[0], grid[1])
-        if dist.num_procs != rt.world.num_procs:
-            raise GlobalArrayError(
-                f"distribution needs {dist.num_procs} procs, job has "
-                f"{rt.world.num_procs}"
-            )
+        dist = BlockDistribution(rows, cols, *default_process_grid(rt.world.num_procs))
         block_bytes = dist.block_rows * dist.block_cols * _F64
         alloc = yield from rt.malloc(block_bytes)
         rt.trace.incr("gax.arrays_created")
@@ -178,9 +171,8 @@ class GlobalArray:
         rt: "ArmciProcess",
         patch: Patch,
         values: np.ndarray,
-        scale: float = 1.0,
     ) -> Generator[Any, Any, None]:
-        """Blocking atomic accumulate ``A[patch] += scale * values``.
+        """Blocking atomic accumulate ``A[patch] += values``.
 
         Row-by-row ARMCI accumulates (each row of the sub-patch is
         contiguous at the owner).
@@ -208,7 +200,6 @@ class GlobalArray:
                     local + r * scols * _F64,
                     base + r * remote_stride,
                     scols * _F64,
-                    scale,
                 )
         rt.trace.incr("gax.accs")
 
@@ -233,7 +224,7 @@ class GlobalArray:
         # Local reduction cost: one multiply-add per element.
         nrows, ncols = self.dist.owner_block(rt.rank).shape
         yield from rt.compute(nrows * ncols * rt.world.params.acc_flop_time)
-        result = yield from rt.allreduce(local, "sum")
+        result = yield from rt.allreduce(local)
         rt.trace.incr("gax.dots")
         return result
 

@@ -42,9 +42,9 @@ class SharedCounter:
         alloc = yield from rt.malloc(8)
         return cls(host, alloc.addr(host), alloc)
 
-    def next(self, rt: "ArmciProcess", stride: int = 1) -> Generator[Any, Any, int]:
+    def next(self, rt: "ArmciProcess") -> Generator[Any, Any, int]:
         """Draw the next value (returns the pre-increment value)."""
-        old = yield from rt.rmw(self.host, self.addr, "fetch_add", stride)
+        old = yield from rt.rmw(self.host, self.addr, "fetch_add", 1)
         rt.trace.incr("gax.counter_draws")
         return old
 

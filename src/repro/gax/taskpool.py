@@ -70,8 +70,8 @@ class DistributedTaskPool:
     counter's software service rate is the bottleneck even under the
     asynchronous-thread design.
 
-    **Fault tolerance.** When created with ``backups`` (the default via
-    :meth:`create`), each shard also gets a standby counter on a
+    **Fault tolerance.** When created with ``backups`` (by
+    :meth:`create`, on p > 1), each shard also gets a standby counter on a
     *different* host. A rank that sees the primary's host fail pushes its
     local progress watermark (highest successful draw + 1) into the
     backup with a ``fetch_max`` merge, then keeps drawing from the
@@ -107,12 +107,11 @@ class DistributedTaskPool:
         ntasks: int,
         num_counters: int,
         chunk: int = 1,
-        fault_tolerant: bool = True,
     ) -> Generator[Any, Any, "DistributedTaskPool"]:
         """Collective creation; counter ``s`` lives on a distinct host
         (strided across the job so hosts land on different nodes when
-        possible). With ``fault_tolerant`` (and more than one process) a
-        standby counter per shard is placed on the next rank over.
+        possible). With more than one process a standby counter per
+        shard is placed on the next rank over.
 
         The whole pool is one collective allocation — slot ``s`` of the
         segment on its host, standbys in slots ``g + s`` — so set-up is
@@ -122,7 +121,7 @@ class DistributedTaskPool:
         p = rt.world.num_procs
         g = min(num_counters, p)
         stride = max(1, p // g)
-        standby = fault_tolerant and p > 1
+        standby = p > 1
         alloc = yield from rt.malloc(8 * g * (2 if standby else 1))
         hosts = [(s * stride) % p for s in range(g)]
 

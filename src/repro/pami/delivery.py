@@ -87,7 +87,7 @@ class Delivery:
         self.payload = None
         self.seal = None
         # With no injector and no link model the wire can only deliver.
-        self.fate = None if lossy(world, src, dst) else _CLEAN
+        self.fate = None if world.chaos is not None or self.link_mode else _CLEAN
         self.retries = 0
 
     # ------------------------------------------------ the caller's hooks

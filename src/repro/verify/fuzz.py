@@ -352,7 +352,7 @@ def target_chaos(
         yield from rt.barrier()
         for step in range(p):
             dst = (rt.rank + step) % p
-            yield from rt.acc(dst, src, f.addr(dst), cell, scale=1.0)
+            yield from rt.acc(dst, src, f.addr(dst), cell)
             yield from rt.get(dst, src + cell, d.addr(dst) + rt.rank * cell, cell)
         yield from rt.fence_all()
         yield from rt.barrier()

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.armci import ArmciConfig, ArmciJob
+from repro.pami import PamiWorld
 from repro.types import StridedDescriptor, StridedShape
 
 
@@ -113,7 +114,8 @@ class TestAsyncThreadMechanism:
         stalls in default mode."""
 
         def get_scenario(config):
-            job = make_job(num_procs=2, config=config, max_regions=0)
+            world = PamiWorld(2, procs_per_node=1, max_regions=0)
+            job = make_job(num_procs=2, config=config, world=world)
 
             def body(rt):
                 alloc = yield from rt.malloc(64)

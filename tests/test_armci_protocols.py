@@ -5,6 +5,7 @@ import pytest
 
 from repro.armci import ArmciConfig, ArmciJob
 from repro.errors import ArmciError
+from repro.pami import PamiWorld
 from repro.types import StridedDescriptor, StridedShape
 
 #: Conformance suite: every test in this module runs once per backend
@@ -82,7 +83,7 @@ class TestContiguous:
 
     def test_fallback_when_region_budget_exhausted(self):
         """Region-create failure at scale triggers the AM fall-back."""
-        job = make_job(max_regions=0)
+        job = make_job(world=PamiWorld(2, procs_per_node=1, max_regions=0))
 
         def body(rt):
             alloc = yield from rt.malloc(128)
@@ -258,6 +259,7 @@ class TestStrided:
 
 class TestAccumulate:
     def test_accumulate_adds_scaled_values(self):
+        """Two accumulates of ones add twice the update."""
         job = make_job()
 
         def body(rt):
@@ -268,7 +270,8 @@ class TestAccumulate:
             if rt.rank == 0:
                 src = rt.world.space(0).allocate(64)
                 rt.world.space(0).write_f64(src, np.ones(8))
-                yield from rt.acc(1, src, alloc.addr(1), 64, scale=2.0)
+                for _ in range(2):
+                    yield from rt.acc(1, src, alloc.addr(1), 64)
                 yield from rt.fence(1)
             yield from rt.barrier()
             if rt.rank == 1:
@@ -276,6 +279,27 @@ class TestAccumulate:
 
         results = job.run(body)
         np.testing.assert_allclose(results[1], np.arange(8.0) + 2.0)
+
+    def test_cold_accumulate_counts_one_region_miss(self):
+        """A cold accumulate looks the owner's region up once: one miss,
+        one REGION_QUERY, then a hit for the next accumulate."""
+        job = make_job()
+
+        def body(rt):
+            alloc = yield from rt.malloc(64)
+            misses = None
+            if rt.rank == 0:
+                src = rt.world.space(0).allocate(64)
+                yield from rt.acc(1, src, alloc.addr(1), 64)
+                misses = job.trace.count("armci.region_cache_misses")
+                yield from rt.acc(1, src, alloc.addr(1), 64)
+                yield from rt.fence(1)
+            yield from rt.barrier()
+            return misses
+
+        assert job.run(body)[0] == 1
+        assert job.trace.count("armci.region_cache_misses") == 1
+        assert job.trace.count("armci.region_cache_hits") == 1
 
     def test_concurrent_accumulates_all_land(self):
         """Accumulate atomicity: contributions from all ranks sum exactly."""
@@ -402,13 +426,12 @@ class TestCollectives:
         job = make_job(num_procs=4, procs_per_node=2)
 
         def body(rt):
-            s = yield from rt.allreduce(float(rt.rank + 1), "sum")
-            mx = yield from rt.allreduce(float(rt.rank), "max")
-            mn = yield from rt.allreduce(float(rt.rank), "min")
-            return (s, mx, mn)
+            first = yield from rt.allreduce(float(rt.rank + 1))
+            second = yield from rt.allreduce(float(rt.rank))
+            return (first, second)
 
         results = job.run(body)
-        assert all(r == (10.0, 3.0, 0.0) for r in results)
+        assert all(r == (10.0, 6.0) for r in results)
 
     def test_malloc_returns_all_addresses(self):
         job = make_job(num_procs=3, procs_per_node=3)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.armci import ArmciConfig, ArmciJob
 from repro.armci.vector import IoVector
 from repro.errors import ArmciError
+from repro.pami import PamiWorld
 
 #: Conformance suite: every test in this module runs once per backend
 #: (the ``backend`` fixture re-points ``repro.transport.DEFAULT_BACKEND``).
@@ -43,9 +44,9 @@ class TestIoVector:
             IoVector((1,), (2,), (0,))
 
 
-def _roundtrip(config=None, max_regions=None):
+def _roundtrip(config=None, world=None):
     """Scatter 3 segments into rank 1, read them back, compare."""
-    job = make_job(config=config, max_regions=max_regions)
+    job = make_job(config=config, world=world)
     payloads = [b"alpha---", b"bravo-bravo-1234", b"c" * 32]
 
     def body(rt):
@@ -88,7 +89,7 @@ class TestVectorProtocols:
         assert job.trace.count("pami.rdma_puts") == 0
 
     def test_pack_fallback_when_regions_unavailable(self):
-        job = _roundtrip(max_regions=0)
+        job = _roundtrip(world=PamiWorld(2, procs_per_node=1, max_regions=0))
         assert job.trace.count("armci.putv_pack") == 1
         assert job.trace.count("armci.getv_pack") == 1
 

@@ -64,16 +64,16 @@ class TestReductionBoard:
         assert r0 == r1 == 0
         # Rank 0 races ahead into round 1 before rank 1 collects round 0.
         board.deposit(0, 10.0)
-        assert board.collect(0, "sum") == 3.0
-        assert board.collect(0, "sum") == 3.0  # second collector
+        assert board.collect(0) == 3.0
+        assert board.collect(0) == 3.0  # second collector
         board.deposit(1, 20.0)
-        assert board.collect(1, "max") == 20.0
+        assert board.collect(1) == 30.0
 
     def test_incomplete_round_rejected(self):
         board = ReductionBoard(2)
         board.deposit(0, 1.0)
         with pytest.raises(ArmciError, match="incomplete"):
-            board.collect(0, "sum")
+            board.collect(0)
 
     def test_double_deposit_rejected(self):
         board = ReductionBoard(2)
@@ -89,18 +89,12 @@ class TestReductionBoard:
         with pytest.raises(ArmciError, match="twice"):
             board.deposit(0, 2.0)
 
-    def test_unknown_op_rejected(self):
-        board = ReductionBoard(1)
-        rnd = board.deposit(0, 1.0)
-        with pytest.raises(ArmciError, match="unknown"):
-            board.collect(rnd, "median")
-
     def test_storage_reclaimed_after_all_collect(self):
         board = ReductionBoard(2)
         rnd = board.deposit(0, 1.0)
         board.deposit(1, 2.0)
-        board.collect(rnd, "sum")
-        board.collect(rnd, "sum")
+        board.collect(rnd)
+        board.collect(rnd)
         assert rnd not in board._rounds
 
 

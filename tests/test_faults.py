@@ -6,6 +6,8 @@ fault-tolerant PGAS runtime needs (the resiliency motivation of the
 paper's introduction).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.armci import ArmciConfig, ArmciJob
@@ -381,7 +383,7 @@ class TestPoolDegradation:
         assert job.trace.count("gax.pool_shards_lost") == 0
 
     def test_sharded_pool_without_backups_loses_dead_shard(self):
-        """With fault tolerance off, a dead counter host still only costs
+        """With no standby counters, a dead counter host still only costs
         its own shard; survivors drain the rest (the pre-failover
         degradation behaviour)."""
         from repro.gax import DistributedTaskPool
@@ -390,9 +392,8 @@ class TestPoolDegradation:
         done = []
 
         def body(rt):
-            pool = yield from DistributedTaskPool.create(
-                rt, 16, 4, fault_tolerant=False
-            )
+            pool = yield from DistributedTaskPool.create(rt, 16, 4)
+            pool = dataclasses.replace(pool, backups=None)
             yield from rt.barrier()
             if rt.rank == 2:
                 rt.world.fail_rank(2)

@@ -198,16 +198,6 @@ class TestGlobalArray:
         with pytest.raises(SimulationError, match="exceeds"):
             job.run(body)
 
-    def test_grid_mismatch_rejected(self):
-        job = make_job(4)
-
-        def body(rt):
-            yield from GlobalArray.create(rt, (8, 8), grid=(3, 1))
-
-        from repro.errors import SimulationError
-        with pytest.raises(SimulationError, match="distribution needs"):
-            job.run(body)
-
 
 class TestSharedCounter:
     def test_all_draws_distinct_and_dense(self):
@@ -235,7 +225,7 @@ class TestSharedCounter:
             yield from rt.barrier()
             out = None
             if rt.rank == 1:
-                yield from counter.next(rt, stride=10)
+                yield from counter.next(rt)
                 value = yield from rt.rmw(counter.host, counter.addr, "fetch")
                 old = yield from counter.reset(rt)
                 after = yield from rt.rmw(counter.host, counter.addr, "fetch")
@@ -244,7 +234,7 @@ class TestSharedCounter:
             return out
 
         results = job.run(body)
-        assert results[1] == (10, 10, 0)
+        assert results[1] == (1, 1, 0)
 
     def test_invalid_host_rejected(self):
         job = make_job(2, procs_per_node=2)
@@ -355,8 +345,8 @@ class TestCollectiveAlgebra:
         job = make_job(4)
 
         def body(rt):
-            ga_a = yield from GlobalArray.create(rt, (8, 8), grid=(2, 2))
-            ga_b = yield from GlobalArray.create(rt, (8, 8), grid=(4, 1))
+            ga_a = yield from GlobalArray.create(rt, (8, 8))
+            ga_b = yield from GlobalArray.create(rt, (8, 4))
             yield from ga_a.dot(rt, ga_b)
 
         from repro.errors import SimulationError

@@ -54,29 +54,6 @@ class TestGroupCollectives:
             assert results[r] == expected
         assert results[0] is None
 
-    def test_allreduce_max_min(self):
-        job = make_job(4)
-        members = (0, 1, 2, 3)
-
-        def body(rt):
-            group = rt.group(members)
-            mx = yield from rt.group_allreduce(group, float(rt.rank), "max")
-            mn = yield from rt.group_allreduce(group, float(rt.rank), "min")
-            return (mx, mn)
-
-        assert all(r == (3.0, 0.0) for r in job.run(body))
-
-    def test_unknown_op_rejected(self):
-        job = make_job(2)
-
-        def body(rt):
-            group = rt.group((0, 1))
-            yield from rt.group_allreduce(group, 1.0, "median")
-
-        from repro.errors import SimulationError
-        with pytest.raises(SimulationError, match="unknown reduction"):
-            job.run(body)
-
     def test_broadcast_from_default_root(self):
         job = make_job(8)
         members = (2, 5, 7)

@@ -36,9 +36,10 @@ def two_node_job(config=None, **kwargs):
 # ------------------------------------------------------------- the budget
 
 PAIRS = 200
-#: Python-function calls per blocking 16 B put + get pair, knobs off:
-#: 10 % above what this tree measures (pami 297, mpi3 307; the parent of
-#: the PR that set it measured 469 and 485).
+#: Python-function calls per blocking 16 B put + get pair, knobs off (a
+#: generator resuming counts as a call). Set 10 % above pami 297 and mpi3
+#: 307 when first pinned (the parent of that PR measured 469 and 485);
+#: this tree measures 312 and 323. The budget only goes down.
 CALL_BUDGET = {"pami": 326, "mpi3": 337}
 #: Engine entries per pair — the simulated schedule, which a host-cost
 #: change must not move (mpi3: one more for the fence's flush). A
@@ -119,7 +120,7 @@ def is_flat(op) -> bool:
     return flat
 
 
-def stream(job, rounds=24, **op_kwargs):
+def stream(job, rounds=24):
     """Rank 0 puts, gets and fetch_adds against rank 1; returns what it
     read back, the fetch_add draws and whether the ops were flat."""
     out = {}
@@ -131,13 +132,13 @@ def stream(job, rounds=24, **op_kwargs):
             buf = space.allocate(128)
             space.write(buf, bytes(range(64)))
             remote = alloc.addr(1)
-            out["flat"] = is_flat(rt.put(1, buf, remote, 64, **op_kwargs))
+            out["flat"] = is_flat(rt.put(1, buf, remote, 64))
             draws = []
             for _ in range(rounds):
-                yield from rt.put(1, buf, remote, 64, **op_kwargs)
-                yield from rt.get(1, buf + 64, remote, 64, **op_kwargs)
+                yield from rt.put(1, buf, remote, 64)
+                yield from rt.get(1, buf + 64, remote, 64)
                 draws.append(
-                    (yield from rt.rmw(1, remote + 128, "fetch_add", 1, **op_kwargs))
+                    (yield from rt.rmw(1, remote + 128, "fetch_add", 1))
                 )
             out["back"], out["draws"] = space.read(buf + 64, 64), draws
         yield from rt.barrier()
@@ -146,7 +147,7 @@ def stream(job, rounds=24, **op_kwargs):
     return out
 
 
-def stuck_target(ambient=None, **op_kwargs):
+def stuck_target(ambient=None):
     """Rank 1 computes and services nothing, so of rank 0's AM ops (no
     RDMA) only the put completes (locally); a get or rmw can only end at
     its deadline (``ambient``: one an enclosing op installed). Returns
@@ -161,9 +162,9 @@ def stuck_target(ambient=None, **op_kwargs):
             return
         buf = rt.world.space(0).allocate(64)
         ops = {
-            "put": lambda: rt.put(1, buf, alloc.addr(1), 16, **op_kwargs),
-            "get": lambda: rt.get(1, buf, alloc.addr(1), 16, **op_kwargs),
-            "rmw": lambda: rt.rmw(1, alloc.addr(1) + 64, "fetch_add", 1, **op_kwargs),
+            "put": lambda: rt.put(1, buf, alloc.addr(1), 16),
+            "get": lambda: rt.get(1, buf, alloc.addr(1), 16),
+            "rmw": lambda: rt.rmw(1, alloc.addr(1) + 64, "fetch_add", 1),
         }
         for kind, op in ops.items():
             t0 = rt.engine.now
@@ -217,7 +218,7 @@ class TestEveryKnobLeavesTheFlatPath:
             for kind in ("put", "get", "rmw"):
                 assert job.trace.count(f"armci.transient_retries.{kind}") > 0, kind
 
-    @pytest.mark.parametrize("knob", ["default_deadline", "timeout", "ambient"])
+    @pytest.mark.parametrize("knob", ["default_deadline", "ambient"])
     def test_deadlines_still_expire(self, knob):
         limit = 40e-6
         config = ArmciConfig(
@@ -225,10 +226,7 @@ class TestEveryKnobLeavesTheFlatPath:
             default_deadline=limit if knob == "default_deadline" else None,
         )
         job = two_node_job(config)
-        ended, body = stuck_target(
-            **{"timeout": limit} if knob == "timeout" else {},
-            **{"ambient": limit} if knob == "ambient" else {},
-        )
+        ended, body = stuck_target(**{"ambient": limit} if knob == "ambient" else {})
         job.run(body)
         assert ended.pop("put") == "completed"
         assert set(ended) == {"get", "rmw"}

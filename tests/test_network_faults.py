@@ -443,7 +443,7 @@ class TestAmWritesUnderLinkFaults:
                 rt.world.space(0).write(buf, one)
                 for i in range(self.WRITES):
                     if op == "acc":
-                        yield from rt.acc(1, buf, alloc.addr(1), 8, 1.0)
+                        yield from rt.acc(1, buf, alloc.addr(1), 8)
                     else:
                         yield from rt.put(1, buf, alloc.addr(1) + 8 * i, 8)
                 yield from rt.fence(1)

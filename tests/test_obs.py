@@ -763,14 +763,14 @@ class TestColumnStore:
     DIGESTS = {
         "D": (
             "b9dece20b455cf76ea5f495a928a7bb1",
-            "73f8d20c4859848623e326dad46bf5ec",
+            "1e3f75d0dc15558fbf92917e0d994cb2",
             "821a7496bf9aa8122b2b61ab3d02e45d",
             "e4bcecb646af1226f04808b8881f7d80",
             "fc4fc0af2b8d72e2315b8224735f18d0",
         ),
         "AT": (
             "4c6dd74597b85005aa18442e784fb682",
-            "0fd65b88047e8bb348a67214e87d58f6",
+            "65a52eed99c0d04ef0d5d0a5d1d08d5a",
             "e9e16b4b25be569980bdf87551ae9f82",
             "39aa65d237585fbbfb6e1351c1868f5e",
             "638897c49b0ced5b2ae355464ee01f1e",

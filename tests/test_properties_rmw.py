@@ -122,7 +122,6 @@ class TestAccumulateProperties:
         ordering them)."""
         rng = np.random.default_rng(seed)
         contributions = rng.integers(-5, 6, size=(n_accs, 8)).astype(float)
-        scales = rng.integers(1, 4, size=n_accs).astype(float)
         p = n_accs + 1
         job = make_job(num_procs=p, procs_per_node=min(p, 16))
 
@@ -135,12 +134,12 @@ class TestAccumulateProperties:
                 rt.world.space(rt.rank).write_f64(src, contributions[i])
                 # Stagger posting order pseudo-randomly.
                 yield from rt.compute(float(rng.integers(0, 50)) * 1e-6)
-                yield from rt.acc(0, src, alloc.addr(0), 64, scale=scales[i])
+                yield from rt.acc(0, src, alloc.addr(0), 64)
                 yield from rt.fence(0)
             yield from rt.barrier()
             if rt.rank == 0:
                 return rt.world.space(0).read_f64(alloc.addr(0), 8)
 
         results = job.run(body)
-        expected = (contributions * scales[:, None]).sum(axis=0)
+        expected = contributions.sum(axis=0)
         np.testing.assert_allclose(results[0], expected)

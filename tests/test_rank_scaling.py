@@ -211,13 +211,14 @@ class TestAllreduceOnce:
         job = _ready_job(ranks)
 
         def body(rt):
-            s = yield from rt.allreduce(float(rt.rank + 1), "sum")
-            mx = yield from rt.allreduce(float(rt.rank), "max")
-            mn = yield from rt.allreduce(float(rt.rank) - 5.0, "min")
-            return s, mx, mn
+            first = yield from rt.allreduce(float(rt.rank + 1))
+            second = yield from rt.allreduce(float(rt.rank))
+            third = yield from rt.allreduce(float(rt.rank) - 5.0)
+            return first, second, third
 
         results = job.run(body)
-        expect = (float(ranks * (ranks + 1) // 2), float(ranks - 1), -5.0)
+        total = float(ranks * (ranks - 1) // 2)
+        expect = (total + ranks, total, total - 5.0 * ranks)
         assert all(r == expect for r in results)
         board = job.reduction_board
         assert board.rounds_reduced == 3
@@ -229,24 +230,7 @@ class TestAllreduceOnce:
         board = job.reduction_board
         rnd = board.deposit(0, 1.0)
         with pytest.raises(ArmciError, match="incomplete: 1/16"):
-            board.collect(rnd, "sum")
-
-    def test_mismatched_ops_in_one_round_are_refused(self):
-        job = _ready_job(16)
-        board = job.reduction_board
-        for rank in range(16):
-            rnd = board.deposit(rank, float(rank))
-        assert board.collect(rnd, "max") == 15.0
-        with pytest.raises(ArmciError, match="mismatch"):
-            board.collect(rnd, "sum")
-
-    def test_unknown_op_is_refused_by_every_collector(self):
-        board = _ready_job(16).reduction_board
-        for rank in range(16):
-            rnd = board.deposit(rank, float(rank))
-        for _ in range(2):
-            with pytest.raises(ArmciError, match="unknown reduction"):
-                board.collect(rnd, "median")
+            board.collect(rnd)
 
 
 class TestObserverThroughSharedDispatcher:

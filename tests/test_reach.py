@@ -26,6 +26,25 @@ sys.path.insert(0, str(REPO / "tools"))
 import reach  # noqa: E402
 
 
+#: Runtime-API keywords no call outside ``tests`` set to a second value:
+#: per-call deadlines, caller-supplied handles, reduce ops, accumulate
+#: scales and the rest. Their defaults are the behaviour now.
+DELETED_KEYWORDS = (
+    *(f"ArmciProcess.{op}.timeout" for op in (
+        "put", "get", "puts", "gets", "putv", "getv", "acc", "rmw", "fence",
+        "fence_all", "wait_all", "barrier", "notify_wait", "lock", "quiesce")),
+    "Handle.wait.timeout",
+    *(f"ArmciProcess.{op}.handle" for op in (
+        "nbput", "nbget", "nbputs", "nbgets", "nbputv", "nbgetv", "nbputv_aggregated",
+        "nbacc")),
+    "ArmciJob.__init__.params", "ArmciJob.__init__.max_regions",
+    "ArmciProcess.allreduce.op", "ArmciProcess.group_allreduce.op",
+    "ArmciProcess.acc.scale", "ArmciProcess.nbacc.scale", "GlobalArray.acc.scale",
+    "SharedCounter.next.stride", "DistributedTaskPool.create.fault_tolerant",
+    "GlobalArray.create.grid",
+)
+
+
 @pytest.fixture(scope="module")
 def known():
     return reach.functions(REPO)
@@ -111,6 +130,17 @@ class TestOneCustomerRule:
         assert not hasattr(TorusNetwork, "ordered_deliver")
         assert not hasattr(BlockDistribution, "from_bounds")
         assert not hasattr(GlobalArray, "symmetrize")
+
+    def test_every_runtime_keyword_has_a_customer(self):
+        """The second half of the option surface: a defaulted keyword of
+        the runtime API stays only with a customer outside ``tests``
+        (``reach.KEYWORDS`` names it), and the deleted ones stay deleted."""
+        live = reach.keywords()
+        assert len(live) == len(set(live)) == len(reach.KEYWORDS)
+        assert sorted(set(live) - reach.KEYWORDS.keys()) == [], "keyword with no customer"
+        assert sorted(reach.KEYWORDS.keys() - set(live)) == [], "stale KEYWORDS entry"
+        assert [k for k, why in reach.KEYWORDS.items() if len(why.split()) < 3] == []
+        assert set(live).isdisjoint(DELETED_KEYWORDS)
 
     def test_every_config_option_is_assigned_by_something(self):
         fields = reach.options(REPO)
@@ -228,7 +258,7 @@ def body(rt):
     desc = StridedDescriptor(StridedShape(16, (4,)), (32,), (32,))
     yield from rt.put(peer, buf, remote, 64)
     yield from rt.get(peer, buf + 64, remote, 64)
-    yield from rt.acc(peer, buf, remote + 128, 64, 2.0)
+    yield from rt.acc(peer, buf, remote + 128, 64)
     yield from rt.rmw(peer, remote + 256, "fetch_add", 1)
     yield from rt.puts(peer, buf, remote + 320, desc)
     yield from rt.gets(peer, buf + 512, remote + 320, desc)

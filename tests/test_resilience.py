@@ -17,6 +17,7 @@ from repro.armci import ArmciConfig, ArmciJob
 from repro.armci import config as armci_config
 from repro.armci.config import RETRY_BASE_DELAY, RETRY_MULTIPLIER, RetryPolicy
 from repro.armci.region_cache import RegionCache
+from repro.armci.vector import IoVector
 from repro.chaos import ChaosConfig, ChaosError, FaultPlan, ResourceFault
 from repro.errors import (
     ArmciError,
@@ -29,6 +30,7 @@ from repro.errors import (
 )
 from repro.pami.memregion import MemoryRegion, MemoryRegionRegistry
 from repro.obs.metrics import MetricsRegistry
+from repro.types import StridedDescriptor, StridedShape
 
 
 def make_job(num_procs=2, config=None, fault_plan=None, **kw):
@@ -398,6 +400,28 @@ class TestRegionCachePins:
 
 # ------------------------------------------------------------------ deadlines
 
+PATCH = StridedDescriptor(StridedShape(16, (4,)), (32,), (32,))
+
+
+def _vector(buf, remote):
+    return IoVector((buf, buf + 32), (remote, remote + 64), (16, 16))
+
+
+#: Calls that need the stuck target: a cold region query with RDMA on, or
+#: its reply or write ack on the active-message fall-back. Name -> (RDMA
+#: on, a first step that completes without the target, the call timed).
+STUCK_TARGET_OPS = {
+    "acc": (True, None, lambda rt, buf, remote, _: rt.acc(1, buf, remote, 64)),
+    "puts": (True, None, lambda rt, buf, remote, _: rt.puts(1, buf, remote, PATCH)),
+    "gets": (False, None, lambda rt, buf, remote, _: rt.gets(1, buf, remote, PATCH)),
+    "putv": (True, None, lambda rt, buf, remote, _: rt.putv(1, _vector(buf, remote))),
+    "getv": (False, None, lambda rt, buf, remote, _: rt.getv(1, _vector(buf, remote))),
+    "fence": (False, lambda rt, buf, remote: rt.put(1, buf, remote, 64),
+              lambda rt, buf, remote, _: rt.fence(1)),
+    "Handle.wait": (False, lambda rt, buf, remote: rt.nbget(1, buf, remote, 64),
+                    lambda rt, buf, remote, handle: handle.wait()),
+}
+
 
 class TestDeadlines:
     def test_get_deadline_on_unresponsive_target(self):
@@ -416,11 +440,13 @@ class TestDeadlines:
                     yield from rt.compute(20e-3)
                     return
                 dst_buf = rt.world.space(0).allocate(256)
+                rt._deadline = rt.engine.now + 1e-3  # an enclosing op's
                 try:
-                    yield from rt.get(1, dst_buf, alloc.addr(1), 256,
-                                      timeout=1e-3)
+                    yield from rt.get(1, dst_buf, alloc.addr(1), 256)
                 except DeadlineExceededError:
                     outcome["raised_at"] = rt.engine.now
+                finally:
+                    rt._deadline = None
 
             job.run(body)
             return outcome["raised_at"]
@@ -443,6 +469,32 @@ class TestDeadlines:
             t0 = rt.engine.now
             try:
                 yield from rt.get(1, buf, alloc.addr(1), 256)
+            except DeadlineExceededError:
+                outcome["waited"] = rt.engine.now - t0
+
+        job.run(body)
+        assert outcome["waited"] == pytest.approx(1e-3, rel=1e-6)
+
+    @pytest.mark.parametrize("op", sorted(STUCK_TARGET_OPS))
+    def test_op_deadline_on_stuck_target(self, op):
+        """Every blocking call that needs a target which services nothing
+        ends at ``default_deadline`` instead of hanging."""
+        use_rdma, setup, timed = STUCK_TARGET_OPS[op]
+        cfg = ArmciConfig.default_mode(use_rdma=use_rdma, default_deadline=1e-3)
+        job = make_job(2, config=cfg)
+        outcome = {}
+
+        def body(rt):
+            alloc = yield from rt.malloc(1024)
+            yield from rt.barrier()
+            if rt.rank == 1:
+                yield from rt.compute(20e-3)
+                return
+            buf, remote = rt.world.space(0).allocate(256), alloc.addr(1)
+            ready = None if setup is None else (yield from setup(rt, buf, remote))
+            t0 = rt.engine.now
+            try:
+                yield from timed(rt, buf, remote, ready)
             except DeadlineExceededError:
                 outcome["waited"] = rt.engine.now - t0
 
@@ -476,7 +528,7 @@ class TestDeadlines:
         assert job.trace.count("chaos.progress_stalls") == 1
 
     def test_barrier_timeout(self):
-        job = make_job(2, config=ArmciConfig.async_thread_mode())
+        job = make_job(2, config=ArmciConfig.async_thread_mode(default_deadline=1e-3))
         outcome = {}
 
         def body(rt):
@@ -484,7 +536,7 @@ class TestDeadlines:
             if rt.rank == 1:
                 yield from rt.compute(5e-3)  # late to the party
             try:
-                yield from rt.barrier(timeout=1e-3)
+                yield from rt.barrier()
                 outcome[rt.rank] = "ok"
             except DeadlineExceededError:
                 outcome[rt.rank] = "deadline"
@@ -493,7 +545,7 @@ class TestDeadlines:
         assert outcome[0] == "deadline"
 
     def test_notify_wait_timeout(self):
-        job = make_job(2, config=ArmciConfig.async_thread_mode())
+        job = make_job(2, config=ArmciConfig.async_thread_mode(default_deadline=500e-6))
         outcome = {}
 
         def body(rt):
@@ -501,7 +553,7 @@ class TestDeadlines:
             if rt.rank == 1:
                 try:
                     # Rank 0 never notifies.
-                    yield from rt.notify_wait(0, timeout=500e-6)
+                    yield from rt.notify_wait(0)
                 except DeadlineExceededError:
                     outcome["status"] = "deadline"
 
@@ -596,7 +648,7 @@ class TestRetryDeadlineInteraction:
         monkeypatch.setattr(armci_config, "RETRY_BASE_DELAY", 500e-6)
         policy = RetryPolicy(max_retries=8, max_delay=10e-3)
         cfg = dataclasses.replace(
-            ArmciConfig.async_thread_mode(), retry=policy
+            ArmciConfig.async_thread_mode(), retry=policy, default_deadline=1.2e-3
         )
         job = make_job(
             2, config=cfg,
@@ -610,7 +662,7 @@ class TestRetryDeadlineInteraction:
             if rt.rank == 0:
                 buf = rt.world.space(0).allocate(64)
                 try:
-                    yield from rt.get(1, buf, alloc.addr(1), 64, timeout=1.2e-3)
+                    yield from rt.get(1, buf, alloc.addr(1), 64)
                 except DeadlineExceededError:
                     outcome["error"] = "deadline"
                 except RetryExhaustedError:

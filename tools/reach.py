@@ -51,6 +51,35 @@ EXTENSIONS = {
     "obs export": ("repro.obs.export", "repro.obs.critical_path"),
     "verify": ("repro.verify",),
 }
+#: The runtime API whose defaulted keywords the options rule covers, by module.
+API_CLASSES = {
+    "ArmciJob": "repro.armci.runtime", "ArmciProcess": "repro.armci.runtime",
+    "Handle": "repro.armci.handles", "SharedCounter": "repro.gax.counter",
+    "DistributedTaskPool": "repro.gax.taskpool", "GlobalArray": "repro.gax.array",
+}
+#: ``Class.method.keyword`` -> what justifies it: a call outside ``tests``
+#: that passes another value than the default, or the keep line of its
+#: method. A keyword with neither goes, and its default is the behaviour.
+KEYWORDS = {
+    "ArmciJob.__init__.config": "repro.apps.nwchem.scf.run_scf, every customer's job",
+    "ArmciJob.__init__.procs_per_node": "benchmarks/supplementary.py, one rank per node",
+    "ArmciJob.__init__.world": "benchmarks/supplementary.py, the link-contention ring's world",
+    "ArmciJob.__init__.nic_amo_support": "repro.bench.amo, the hardware-AMO curve",
+    "ArmciJob.__init__.link_contention": "repro.workloads.runner, the contended patterns",
+    "ArmciJob.__init__.chaos": "benchmarks/supplementary.py, the fault_recovery tables",
+    "ArmciJob.__init__.fault_plan": "benchmarks/supplementary.py, the crash tables",
+    "ArmciJob.__init__.engine": "repro.verify.fuzz, a schedule-exploring Engine",
+    "ArmciJob.run.ranks": "repro.recover.manager, the replay on respawned ranks",
+    "ArmciProcess.rmw.operand": "repro.gax.counter, the fetch_add increment (the op's argument)",
+    "ArmciProcess.rmw.operand2": "compare_swap's new value (the op's second argument)",
+    "ArmciProcess.group_broadcast.root_rank": "the api keep line of ArmciProcess.group_broadcast",
+    "SharedCounter.__init__.alloc": "DistributedTaskPool.create, the pool's one segment",
+    "SharedCounter.create.host": "repro.bench.amo and TaskPool.create, the counter's host rank",
+    "DistributedTaskPool.__init__.chunk": "DistributedTaskPool.create, the draw size",
+    "DistributedTaskPool.__init__.backups": "DistributedTaskPool.create, the standby counters",
+    "DistributedTaskPool.create.chunk": "repro.apps.nwchem.scf, ScfConfig.tasks_per_draw per draw",
+    "GlobalArray.create.name": "repro.apps.nwchem.scf, the density and Fock arrays",
+}
 
 
 def drivers(root: pathlib.Path, traces: str) -> list[tuple[str, tuple[str, ...]]]:
@@ -248,6 +277,23 @@ def options(root: pathlib.Path) -> dict[str, list[str]]:
                         if len(owners.get(name, ())) == 1:
                             found[owners[name][0], name].add(tree)
     return {f"{cls}.{name}": sorted(trees, key=TREES.index) for (cls, name), trees in found.items()}
+
+
+def keywords() -> list[str]:
+    """``Class.method.keyword`` of every defaulted keyword on the public
+    methods (``__init__`` included) of the ``API_CLASSES``, as imported."""
+    import importlib
+    import inspect
+
+    found = []
+    for name, module in API_CLASSES.items():
+        for attr, member in vars(getattr(importlib.import_module(module), name)).items():
+            func = getattr(member, "__func__", member)
+            if (attr.startswith("_") and attr != "__init__") or not inspect.isfunction(func):
+                continue
+            params = inspect.signature(func).parameters.values()
+            found += [f"{name}.{attr}.{p.name}" for p in params if p.default is not p.empty]
+    return found
 
 
 def measure(root: pathlib.Path) -> dict[str, tuple[set, set]]:
