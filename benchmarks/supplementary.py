@@ -23,6 +23,7 @@ from repro.armci.config import RetryPolicy
 from repro.armci.vector import IoVector
 from repro.bench import contiguous_latency_sweep, strided_bandwidth_sweep
 from repro.bench.artifacts import Artifact, smoke_or_full
+from repro.bench.harness import rank0
 from repro.chaos import ChaosConfig, FaultPlan, LinkFault, apply_link_fault
 from repro.errors import ProcessFailedError
 from repro.gax import (
@@ -42,30 +43,6 @@ from repro.topology import RankMapping, Torus
 from repro.util import MB, bytes_fmt, render_table, us
 from repro.verify import attach_oracle
 from repro.workloads import PatternConfig, run_workload
-
-def _rank0(job, nbytes, loop, barrier=True):
-    """The rig of every workload below in which rank 0 alone drives the
-    traffic: init ``job``, a collective ``malloc(nbytes)`` and (unless
-    ``barrier`` is off) a barrier, then ``loop(rt, alloc)`` on rank 0
-    against its peers, a closing barrier on every rank, run.
-
-    Returns what the loop returned, the simulated time from init to the
-    end of the run, and the job's registry.
-    """
-    job.init()
-    t0 = job.engine.now
-    out = []
-
-    def body(rt):
-        alloc = yield from rt.malloc(nbytes)
-        if barrier:
-            yield from rt.barrier()
-        if rt.rank == 0:
-            out.append((yield from loop(rt, alloc)))
-        yield from rt.barrier()
-
-    job.run(body)
-    return out[0], job.engine.now - t0, job.trace
 
 
 def _table(headers: list[str], title):
@@ -550,7 +527,7 @@ def _aggregation_run():
     """
     job = ArmciJob(2, procs_per_node=1, config=ArmciConfig())
     nbytes = N_FRAGMENTS * max(FRAGMENTS)
-    return _rank0(job, nbytes, _aggregation_loop, barrier=False)[0]
+    return rank0(job, nbytes, _aggregation_loop, barrier=False)[0]
 
 
 def _aggregation_check(out):
@@ -650,7 +627,7 @@ def _issue_rate(size: int) -> float:
         return rate
 
     job = ArmciJob(2, procs_per_node=1, config=ArmciConfig())
-    return _rank0(job, RATE_WINDOW * max(RATE_SIZES), loop, barrier=False)[0]
+    return rank0(job, RATE_WINDOW * max(RATE_SIZES), loop, barrier=False)[0]
 
 
 def _rate_run():
@@ -700,7 +677,7 @@ def _get_latencies(num_procs, procs_per_node, dst):
         return rows
 
     job = ArmciJob(num_procs, procs_per_node=procs_per_node, config=ArmciConfig())
-    return _rank0(job, max(PATH_SIZES), loop, barrier=False)[0]
+    return rank0(job, max(PATH_SIZES), loop, barrier=False)[0]
 
 
 def _intranode_run():
@@ -774,7 +751,7 @@ def _clique_run():
     reproduced by measuring the cache as a random-peers workload runs.
     """
     job = ArmciJob(CLIQUE_PROCS, procs_per_node=16, config=ArmciConfig())
-    return _rank0(job, 256, _clique_loop, barrier=False)[0]
+    return rank0(job, 256, _clique_loop, barrier=False)[0]
 
 
 def _clique_check(snapshots):
@@ -1053,7 +1030,7 @@ def _lossy_put_get(drop_prob: float):
     chaos = ChaosConfig(seed=42, drop_prob=drop_prob) if drop_prob else None
     config = ArmciConfig.async_thread_mode()
     job = ArmciJob(2, config=config, procs_per_node=1, chaos=chaos)
-    return _rank0(job, NBYTES, loop)[1:]  # the loop returns nothing: (time, registry)
+    return rank0(job, NBYTES, loop)[1:]  # the loop returns nothing: (time, registry)
 
 
 def _retry_run():
@@ -1280,7 +1257,7 @@ def _fifo_burst(depth):
 
     cfg = ArmciConfig.async_thread_mode(use_rdma=False, fifo_depth=depth)
     job = ArmciJob(2, config=cfg, procs_per_node=1)
-    rate, _elapsed, trace = _rank0(job, SWEEP_NBYTES, loop)
+    rate, _elapsed, trace = rank0(job, SWEEP_NBYTES, loop)
     return rate, trace
 
 
@@ -1332,7 +1309,7 @@ def _budget_round_robin(budget):
 
     cfg = ArmciConfig.async_thread_mode(memregion_budget=budget)
     job = ArmciJob(2, config=cfg, procs_per_node=1)
-    rate, _elapsed, trace = _rank0(job, SWEEP_NBYTES, loop)
+    rate, _elapsed, trace = rank0(job, SWEEP_NBYTES, loop)
     return rate, trace
 
 
@@ -1390,7 +1367,7 @@ def _corrupting_wire(prob):
         integrity=IntegrityConfig(),
     )
     job = ArmciJob(2, config=cfg, procs_per_node=1, chaos=chaos)
-    return _rank0(job, NET_NBYTES, loop)[1:]  # (time, registry)
+    return rank0(job, NET_NBYTES, loop)[1:]  # (time, registry)
 
 
 def _integrity_run():
@@ -1463,7 +1440,7 @@ def _link_kill(monitored):
     )
     job = ArmciJob(8, config=cfg, procs_per_node=1)
     job.world.enable_link_faults()
-    mttr, _elapsed, trace = _rank0(job, NET_NBYTES, loop)
+    mttr, _elapsed, trace = rank0(job, NET_NBYTES, loop)
     return mttr, trace
 
 
@@ -1536,7 +1513,7 @@ def _vector_latency_sweep(config):
         return results
 
     job = ArmciJob(2, config=config, procs_per_node=1)
-    return _rank0(job, span, loop, barrier=False)[0]
+    return rank0(job, span, loop, barrier=False)[0]
 
 
 def _backends_run():

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...errors import ReproError
+from ...gax.distribution import even_bounds
 
 
 @dataclass(frozen=True)
@@ -38,18 +39,6 @@ class FockTask:
     col_lo: int
     col_hi: int
     cost: float
-
-
-def _block_ranges(nbf: int, nblocks: int) -> list[tuple[int, int]]:
-    """Split ``nbf`` functions into ``nblocks`` near-even ranges."""
-    base, extra = divmod(nbf, nblocks)
-    ranges = []
-    lo = 0
-    for b in range(nblocks):
-        hi = lo + base + (1 if b < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
 
 
 def _cost_factor(i: int, j: int) -> float:
@@ -86,7 +75,8 @@ def fock_task_list(nbf: int, nblocks: int, base_task_time: float) -> list[FockTa
         raise ReproError(
             f"base_task_time must be positive, got {base_task_time}"
         )
-    ranges = _block_ranges(nbf, nblocks)
+    bounds = even_bounds(nbf, nblocks)
+    ranges = list(zip(bounds, bounds[1:]))
     tasks = []
     task_id = 0
     for i, (r0, r1) in enumerate(ranges):

@@ -16,7 +16,6 @@ import numpy as np
 from ..errors import ArmciError
 from ..pami.activemsg import AmEnvelope
 from ..pami.context import PamiContext
-from ..pami.delivery import lossy
 from ..pami.memory import as_u8
 from .handles import Handle
 from .transfer import control_reply
@@ -57,7 +56,7 @@ def nbacc(
         payload=data,
     )
     handle.add_event(op.local_event)
-    if lossy(world, rt.rank, dst):
+    if op.at_risk:
         # A lost ACC_REQUEST is reported on the ack cookie; waiting it at
         # the handle surfaces the transient loss at the accumulate itself
         # so the retry layer can re-issue it.

@@ -31,7 +31,7 @@ class HardwareBarrier:
     (:meth:`note_rank_failure`), the current round — and every later one
     — can never complete. Instead of hanging, the in-flight release
     event fires with a :class:`~repro.pami.faults.Failure` token after
-    ``detect_delay`` (the barrier network's hardware liveness sweep),
+    ``FAULT_DETECT_DELAY`` (the barrier network's hardware liveness sweep),
     and arrivals in later epochs fail the same way. Survivors raise
     :class:`~repro.errors.ProcessFailedError` from their barrier call.
     """
@@ -41,14 +41,12 @@ class HardwareBarrier:
         engine: Engine,
         num_procs: int,
         latency: float,
-        detect_delay: float = FAULT_DETECT_DELAY,
     ) -> None:
         if num_procs < 1:
             raise ArmciError(f"barrier needs >= 1 participant, got {num_procs}")
         self.engine = engine
         self.num_procs = num_procs
         self.latency = latency
-        self.detect_delay = detect_delay
         self._arrived: set[int] = set()
         self._event: Event | None = None
         self.rounds_completed = 0
@@ -80,7 +78,7 @@ class HardwareBarrier:
         self._event = None
         token = Failure(dead_rank)
         self.engine.schedule(
-            self.detect_delay,
+            FAULT_DETECT_DELAY,
             lambda _a: None if event.triggered else event.succeed(token),
         )
 
@@ -129,9 +127,8 @@ class FailureDetector:
     delay instead of never.
     """
 
-    def __init__(self, engine: Engine, detect_delay: float = FAULT_DETECT_DELAY) -> None:
+    def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self.detect_delay = detect_delay
         self._dead: set[int] = set()
         self._watches: list[tuple[Event, frozenset[int]]] = []
         #: Watch-list length that triggers the next prune of triggered
@@ -156,7 +153,7 @@ class FailureDetector:
     def _fail(self, event: Event, dead_rank: int) -> None:
         token = Failure(dead_rank)
         self.engine.schedule(
-            self.detect_delay,
+            FAULT_DETECT_DELAY,
             lambda _a: None if event.triggered else event.succeed(token),
         )
 

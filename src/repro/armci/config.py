@@ -12,11 +12,8 @@ from dataclasses import dataclass
 
 from ..errors import ArmciError
 from ..obs import ObsConfig
-from .consistency import is_known_tracker, known_trackers
+from .consistency import TRACKERS
 
-#: Built-in consistency-tracker names (Section III-E). Additional
-#: implementations may be registered via ``consistency.register_tracker``.
-TRACKERS = ("cs_tgt", "cs_mr")
 #: Valid strided-protocol names (Section III-C.2).
 STRIDED_PROTOCOLS = ("zero_copy", "pack", "auto")
 #: First retry backoff (seconds of simulated time) and its growth per attempt.
@@ -78,7 +75,7 @@ class ArmciConfig:
         active-message fall-back (useful to measure Eq. 7 vs Eq. 8).
     consistency_tracker:
         ``"cs_mr"`` (proposed, per-memory-region) or ``"cs_tgt"`` (naive,
-        per-target).
+        per-target) — the two names ``consistency.TRACKERS`` holds.
     region_cache_capacity:
         Remote memory-region cache entries per process (LFU replacement).
         ``None`` = unbounded.
@@ -206,10 +203,10 @@ class ArmciConfig:
                 )
         if self.num_contexts < 1:
             raise ArmciError(f"need >= 1 context, got {self.num_contexts}")
-        if not is_known_tracker(self.consistency_tracker):
+        if self.consistency_tracker not in TRACKERS:
             raise ArmciError(
                 f"unknown tracker {self.consistency_tracker!r}; "
-                f"valid: {known_trackers()}"
+                f"valid: {tuple(TRACKERS)}"
             )
         if self.strided_protocol not in STRIDED_PROTOCOLS:
             raise ArmciError(

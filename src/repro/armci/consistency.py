@@ -122,36 +122,18 @@ class CsMrTracker(ConsistencyTracker):
         return len(self._status)
 
 
-#: Registry of tracker factories keyed by ArmciConfig name. The two
-#: paper designs are built in; the verification harness registers
-#: deliberately-broken mutants here so they flow through the normal
-#: ArmciConfig -> make_tracker path.
-_TRACKER_REGISTRY: dict[str, type[ConsistencyTracker]] = {
+#: The trackers that exist: the paper's two designs (Section III-E),
+#: keyed by :attr:`~repro.armci.config.ArmciConfig.consistency_tracker`
+#: name. Config validation and :func:`make_tracker` both read this table.
+TRACKERS: dict[str, type[ConsistencyTracker]] = {
     "cs_tgt": CsTgtTracker,
     "cs_mr": CsMrTracker,
 }
 
 
-def register_tracker(name: str, factory: type[ConsistencyTracker]) -> None:
-    """Register (or replace) a tracker implementation under ``name``."""
-    _TRACKER_REGISTRY[name] = factory
-
-
-def is_known_tracker(name: str) -> bool:
-    """Whether ``name`` resolves in the tracker registry."""
-    return name in _TRACKER_REGISTRY
-
-
-def known_trackers() -> tuple[str, ...]:
-    """Registered tracker names (for error messages)."""
-    return tuple(sorted(_TRACKER_REGISTRY))
-
-
 def make_tracker(name: str) -> ConsistencyTracker:
     """Factory keyed by :class:`~repro.armci.config.ArmciConfig` names."""
-    factory = _TRACKER_REGISTRY.get(name)
+    factory = TRACKERS.get(name)
     if factory is None:
-        raise ArmciError(
-            f"unknown consistency tracker {name!r} (known: {known_trackers()})"
-        )
+        raise ArmciError(f"unknown tracker {name!r}; valid: {tuple(TRACKERS)}")
     return factory()

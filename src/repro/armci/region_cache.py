@@ -160,23 +160,19 @@ class RegionCache:
         self.trace.incr("armci.region_cache_evictions")
         return True
 
-    def evict_for_budget(self, slots: int = 1) -> int:
-        """Evict up to ``slots`` unpinned entries to free budget slots.
+    def evict_for_budget(self) -> int:
+        """Evict one unpinned entry to free a budget slot.
 
         Called by the runtime when a local registration fails with the
         budget exhausted: cached remote handles are expendable (they can
         be re-fetched), local registrations are not. Returns the number
-        of slots actually freed; 0 when the cache holds no budget or
-        everything is pinned.
+        of slots actually freed: 1, or 0 when the cache holds no budget
+        or everything is pinned.
         """
-        if self.budget_registry is None:
+        if self.budget_registry is None or not self._evict():
             return 0
-        freed = 0
-        while freed < slots and self._evict():
-            freed += 1
-        if freed:
-            self.trace.incr("armci.region_budget_reclaims", freed)
-        return freed
+        self.trace.incr("armci.region_budget_reclaims")
+        return 1
 
     def invalidate(self, owner: int, base: int) -> None:
         """Drop a cached handle (the region was destroyed at its owner)."""

@@ -20,6 +20,7 @@ import numpy as np
 
 from ..errors import ArmciError
 from ..pami.memory import as_u8
+from ..types import coalesce
 from .transfer import Transfer
 
 _COUNTERS = {
@@ -75,26 +76,12 @@ class IoVector:
         return lo, hi - lo
 
     def coalesced_segments(self) -> list[tuple[int, int, int]]:
-        """Merge segments adjacent on *both* sides into maximal runs.
-
-        Walks segments in posting order and extends the current run when
-        the next segment starts exactly at the run's end locally *and*
-        remotely. Returns ``(local_addr, remote_addr, nbytes)`` triples;
-        a vector of back-to-back segments collapses to one RDMA.
+        """Merge segments adjacent on *both* sides into maximal runs
+        (:func:`~repro.types.coalesce` in posting order). Returns
+        ``(local_addr, remote_addr, nbytes)`` triples; a vector of
+        back-to-back segments collapses to one RDMA.
         """
-        runs: list[list[int]] = []
-        for laddr, raddr, length in zip(
-            self.local_addrs, self.remote_addrs, self.lengths
-        ):
-            if (
-                runs
-                and runs[-1][0] + runs[-1][2] == laddr
-                and runs[-1][1] + runs[-1][2] == raddr
-            ):
-                runs[-1][2] += length
-            else:
-                runs.append([laddr, raddr, length])
-        return [(l, r, n) for l, r, n in runs]
+        return coalesce(zip(self.local_addrs, self.remote_addrs, self.lengths))
 
 
 def _gather_segments(space, addrs, lengths, total: int) -> np.ndarray:

@@ -5,7 +5,10 @@ from __future__ import annotations
 from ..armci.config import ArmciConfig
 from ..errors import ReproError
 from ..util.units import mbps
-from .harness import PAPER_SIZES, two_proc_job
+from .harness import PAPER_SIZES, rank0, two_proc_job
+
+#: The available peak the Fig. 6 efficiency is a fraction of (B/s).
+PEAK_BANDWIDTH = 1.8e9
 
 
 def bandwidth_sweep(
@@ -21,46 +24,39 @@ def bandwidth_sweep(
     """
     if op not in ("get", "put"):
         raise ReproError(f"op must be 'get' or 'put', got {op!r}")
-    job = two_proc_job(config)
-    results: list[tuple[int, float]] = []
 
-    def body(rt):
-        alloc = yield from rt.malloc(max(sizes))
-        if rt.rank == 0:
-            local = rt.world.space(0).allocate(max(sizes))
-            yield from rt.get(1, local, alloc.addr(1), 16)  # warm caches
-            yield from rt.fence(1)
-            for size in sizes:
-                t0 = rt.engine.now
-                for _ in range(window):
-                    if op == "put":
-                        yield from rt.nbput(1, local, alloc.addr(1), size)
-                    else:
-                        yield from rt.nbget(1, local, alloc.addr(1), size)
-                yield from rt.wait_all()
-                elapsed = rt.engine.now - t0
-                results.append((size, mbps(window * size, elapsed)))
+    def loop(rt, alloc):
+        local = rt.world.space(0).allocate(max(sizes))
+        yield from rt.get(1, local, alloc.addr(1), 16)  # warm caches
+        yield from rt.fence(1)
+        results = []
+        for size in sizes:
+            t0 = rt.engine.now
+            for _ in range(window):
                 if op == "put":
-                    yield from rt.fence(1)
-        yield from rt.barrier()
+                    yield from rt.nbput(1, local, alloc.addr(1), size)
+                else:
+                    yield from rt.nbget(1, local, alloc.addr(1), size)
+            yield from rt.wait_all()
+            elapsed = rt.engine.now - t0
+            results.append((size, mbps(window * size, elapsed)))
+            if op == "put":
+                yield from rt.fence(1)
+        return results
 
-    job.run(body)
-    return results
+    return rank0(two_proc_job(config), max(sizes), loop, barrier=False)[0]
 
 
 def efficiency_series(
     sizes: tuple[int, ...] = PAPER_SIZES,
-    op: str = "put",
-    config: ArmciConfig | None = None,
-    peak_bandwidth: float = 1.8e9,
 ) -> list[tuple[int, float]]:
-    """Bandwidth efficiency vs the 1.8 GB/s available peak (Fig. 6).
+    """Put bandwidth efficiency vs the 1.8 GB/s available peak (Fig. 6).
 
     The paper reads N1/2 = 2 KB and >= 90% efficiency beyond 16 KB off
     this curve.
     """
-    rows = bandwidth_sweep(sizes, op=op, config=config)
-    peak_mbps = peak_bandwidth / 1e6
+    rows = bandwidth_sweep(sizes)
+    peak_mbps = PEAK_BANDWIDTH / 1e6
     return [(size, bw / peak_mbps) for size, bw in rows]
 
 

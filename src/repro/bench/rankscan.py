@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from ..armci.config import ArmciConfig
 from ..armci.runtime import ArmciJob
+from .harness import rank0
 
 
 @dataclass(frozen=True)
@@ -25,44 +26,26 @@ class RankLatency:
 
 
 def rank_latency_scan(
-    num_procs: int = 2048,
-    procs_per_node: int = 16,
-    nbytes: int = 16,
-    config: ArmciConfig | None = None,
-    rank_step: int = 1,
+    num_procs: int = 2048, procs_per_node: int = 16
 ) -> list[RankLatency]:
-    """Measure 16 B get latency from rank 0 to ranks 1..p-1 (Fig. 7).
+    """Measure 16 B get latency from rank 0 to ranks 1..p-1 (Fig. 7)."""
 
-    ``rank_step`` subsamples destinations for quicker runs.
-    """
-    job = ArmciJob(
-        num_procs,
-        config=config if config is not None else ArmciConfig(),
-        procs_per_node=procs_per_node,
-    )
-    job.init()
-    targets = list(range(1, num_procs, rank_step))
-    results: list[RankLatency] = []
+    def loop(rt, alloc):
+        local = rt.world.space(0).allocate(64)
+        results = []
+        for dst in range(1, num_procs):
+            # Warm the endpoint + region cache for this destination,
+            # then time one get (the paper's steady-state number).
+            yield from rt.get(dst, local, alloc.addr(dst), 16)
+            t0 = rt.engine.now
+            yield from rt.get(dst, local, alloc.addr(dst), 16)
+            results.append(
+                RankLatency(dst, rt.world.network.hops(0, dst), rt.engine.now - t0)
+            )
+        return results
 
-    def body(rt):
-        alloc = yield from rt.malloc(max(nbytes, 64))
-        if rt.rank == 0:
-            local = rt.world.space(0).allocate(max(nbytes, 64))
-            for dst in targets:
-                # Warm the endpoint + region cache for this destination,
-                # then time one get (the paper's steady-state number).
-                yield from rt.get(dst, local, alloc.addr(dst), nbytes)
-                t0 = rt.engine.now
-                yield from rt.get(dst, local, alloc.addr(dst), nbytes)
-                results.append(
-                    RankLatency(
-                        dst, rt.world.network.hops(0, dst), rt.engine.now - t0
-                    )
-                )
-        yield from rt.barrier()
-
-    job.run(body)
-    return results
+    job = ArmciJob(num_procs, config=ArmciConfig(), procs_per_node=procs_per_node)
+    return rank0(job, 64, loop, barrier=False)[0]
 
 
 def hop_latency_estimate(results: list[RankLatency]) -> float:

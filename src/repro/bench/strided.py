@@ -12,7 +12,7 @@ from ..armci.config import ArmciConfig
 from ..errors import ReproError
 from ..types import StridedDescriptor, StridedShape
 from ..util.units import MB, mbps
-from .harness import two_proc_job
+from .harness import rank0, two_proc_job
 
 #: Chunk sizes from 512 B to the full 1 MB (powers of two).
 DEFAULT_CHUNKS: tuple[int, ...] = tuple(2**k for k in range(9, 21))
@@ -33,32 +33,28 @@ def strided_bandwidth_sweep(
     for l0 in chunk_sizes:
         if total_bytes % l0 != 0:
             raise ReproError(f"chunk {l0} does not divide total {total_bytes}")
-    job = two_proc_job(config)
-    results: list[tuple[int, float]] = []
 
-    def body(rt):
-        alloc = yield from rt.malloc(total_bytes)
-        if rt.rank == 0:
-            local = rt.world.space(0).allocate(total_bytes)
-            yield from rt.get(1, local, alloc.addr(1), 16)  # warm caches
-            yield from rt.fence(1)
-            for l0 in chunk_sizes:
-                nchunks = total_bytes // l0
-                desc = StridedDescriptor(
-                    StridedShape(l0, (nchunks,) if nchunks > 1 else ()),
-                    (l0,) if nchunks > 1 else (),
-                    (l0,) if nchunks > 1 else (),
-                )
-                t0 = rt.engine.now
-                if op == "put":
-                    yield from rt.puts(1, local, alloc.addr(1), desc)
-                else:
-                    yield from rt.gets(1, local, alloc.addr(1), desc)
-                elapsed = rt.engine.now - t0
-                results.append((l0, mbps(total_bytes, elapsed)))
-                if op == "put":
-                    yield from rt.fence(1)
-        yield from rt.barrier()
+    def loop(rt, alloc):
+        local = rt.world.space(0).allocate(total_bytes)
+        yield from rt.get(1, local, alloc.addr(1), 16)  # warm caches
+        yield from rt.fence(1)
+        results = []
+        for l0 in chunk_sizes:
+            nchunks = total_bytes // l0
+            desc = StridedDescriptor(
+                StridedShape(l0, (nchunks,) if nchunks > 1 else ()),
+                (l0,) if nchunks > 1 else (),
+                (l0,) if nchunks > 1 else (),
+            )
+            t0 = rt.engine.now
+            if op == "put":
+                yield from rt.puts(1, local, alloc.addr(1), desc)
+            else:
+                yield from rt.gets(1, local, alloc.addr(1), desc)
+            elapsed = rt.engine.now - t0
+            results.append((l0, mbps(total_bytes, elapsed)))
+            if op == "put":
+                yield from rt.fence(1)
+        return results
 
-    job.run(body)
-    return results
+    return rank0(two_proc_job(config), total_bytes, loop, barrier=False)[0]

@@ -20,7 +20,7 @@ def table_i_rows() -> list[tuple[int, str, str]]:
     return list(TABLE_I_ROWS)
 
 
-def measure_setup_costs(num_contexts: int = 2) -> dict[str, float]:
+def measure_setup_costs() -> dict[str, float]:
     """Measure the Table II timing attributes in the simulator.
 
     Returns a dict of measured values (times in seconds):
@@ -37,7 +37,7 @@ def measure_setup_costs(num_contexts: int = 2) -> dict[str, float]:
     def body(rt):
         if rt.rank == 0:
             client = rt.client
-            for i in range(num_contexts):
+            for i in range(2):
                 t0 = rt.engine.now
                 yield from client.create_context()
                 measured[f"context_create_{i}"] = rt.engine.now - t0
@@ -55,8 +55,7 @@ def measure_setup_costs(num_contexts: int = 2) -> dict[str, float]:
     procs = [job.engine.spawn(body(rt), name=f"m{rt.rank}") for rt in job.processes]
     job.engine.run_until_complete(procs)
     measured["context_create_first"] = measured.pop("context_create_0")
-    if num_contexts > 1:
-        measured["context_create_second"] = measured.pop("context_create_1")
+    measured["context_create_second"] = measured.pop("context_create_1")
     return measured
 
 

@@ -109,12 +109,29 @@ class GlobalArray:
             rt._gax_scratch = scratch
         return scratch
 
-    def _check_patch(self, patch: Patch) -> None:
-        if patch.row_hi > self.dist.rows or patch.col_hi > self.dist.cols:
+    def _windows(self, rt: "ArmciProcess", patch: Patch, values: np.ndarray):
+        """Stage ``patch`` owner by owner — the one per-owner loop of
+        every patch op, whatever it moves.
+
+        ``values`` is the ``patch``-shaped local array. Yields, per
+        owner's sub-patch, ``(rank, local, base, shape, remote_stride,
+        window)``: the ``window`` of ``values`` it covers, the scratch
+        buffer at ``local`` that stages it, and where it sits in the
+        owner's block. A patch past the array's edge raises from
+        ``owners_of_patch``.
+        """
+        if values.shape != patch.shape:
             raise GlobalArrayError(
-                f"patch {patch} exceeds array "
-                f"{self.dist.rows}x{self.dist.cols}"
+                f"values shape {values.shape} != patch shape {patch.shape}"
             )
+        scratch = self._scratch(rt)
+        for rank, sub in self.dist.owners_of_patch(patch):
+            base, shape, remote_stride = self._owner_layout(rank, sub)
+            window = values[
+                sub.row_lo - patch.row_lo : sub.row_hi - patch.row_lo,
+                sub.col_lo - patch.col_lo : sub.col_hi - patch.col_lo,
+            ]
+            yield rank, scratch.buffer(window.nbytes), base, shape, remote_stride, window
 
     # --------------------------------------------------------------- ops
 
@@ -122,22 +139,12 @@ class GlobalArray:
         self, rt: "ArmciProcess", patch: Patch
     ) -> Generator[Any, Any, np.ndarray]:
         """Blocking one-sided read of ``patch`` into a numpy array."""
-        self._check_patch(patch)
-        nrows, ncols = patch.shape
-        out = np.empty((nrows, ncols), dtype=np.float64)
+        out = np.empty(patch.shape, dtype=np.float64)
         space = rt.world.space(rt.rank)
-        scratch = self._scratch(rt)
-        for rank, sub in self.dist.owners_of_patch(patch):
-            base, shape, remote_stride = self._owner_layout(rank, sub)
-            srows, scols = sub.shape
-            local = scratch.buffer(srows * scols * _F64)
-            desc = self._descriptor(shape, scols * _F64, remote_stride)
+        for rank, local, base, shape, stride, window in self._windows(rt, patch, out):
+            desc = self._descriptor(shape, window.shape[1] * _F64, stride)
             yield from rt.gets(rank, local, base, desc)
-            data = space.read_f64(local, srows * scols).reshape(srows, scols)
-            out[
-                sub.row_lo - patch.row_lo : sub.row_hi - patch.row_lo,
-                sub.col_lo - patch.col_lo : sub.col_hi - patch.col_lo,
-            ] = data
+            window[:] = space.read_f64(local, window.size).reshape(window.shape)
         rt.trace.incr("gax.gets")
         return out
 
@@ -145,24 +152,11 @@ class GlobalArray:
         self, rt: "ArmciProcess", patch: Patch, values: np.ndarray
     ) -> Generator[Any, Any, None]:
         """Blocking one-sided write of ``values`` into ``patch``."""
-        self._check_patch(patch)
         values = np.ascontiguousarray(values, dtype=np.float64)
-        if values.shape != patch.shape:
-            raise GlobalArrayError(
-                f"values shape {values.shape} != patch shape {patch.shape}"
-            )
         space = rt.world.space(rt.rank)
-        scratch = self._scratch(rt)
-        for rank, sub in self.dist.owners_of_patch(patch):
-            base, shape, remote_stride = self._owner_layout(rank, sub)
-            srows, scols = sub.shape
-            local = scratch.buffer(srows * scols * _F64)
-            piece = values[
-                sub.row_lo - patch.row_lo : sub.row_hi - patch.row_lo,
-                sub.col_lo - patch.col_lo : sub.col_hi - patch.col_lo,
-            ]
-            space.write_f64(local, piece)
-            desc = self._descriptor(shape, scols * _F64, remote_stride)
+        for rank, local, base, shape, stride, window in self._windows(rt, patch, values):
+            space.write_f64(local, window)
+            desc = self._descriptor(shape, window.shape[1] * _F64, stride)
             yield from rt.puts(rank, local, base, desc)
         rt.trace.incr("gax.puts")
 
@@ -177,29 +171,14 @@ class GlobalArray:
         Row-by-row ARMCI accumulates (each row of the sub-patch is
         contiguous at the owner).
         """
-        self._check_patch(patch)
         values = np.ascontiguousarray(values, dtype=np.float64)
-        if values.shape != patch.shape:
-            raise GlobalArrayError(
-                f"values shape {values.shape} != patch shape {patch.shape}"
-            )
         space = rt.world.space(rt.rank)
-        scratch = self._scratch(rt)
-        for rank, sub in self.dist.owners_of_patch(patch):
-            base, _shape, remote_stride = self._owner_layout(rank, sub)
-            srows, scols = sub.shape
-            local = scratch.buffer(srows * scols * _F64)
-            piece = values[
-                sub.row_lo - patch.row_lo : sub.row_hi - patch.row_lo,
-                sub.col_lo - patch.col_lo : sub.col_hi - patch.col_lo,
-            ]
-            space.write_f64(local, piece)
+        for rank, local, base, _shape, stride, window in self._windows(rt, patch, values):
+            space.write_f64(local, window)
+            srows, scols = window.shape
             for r in range(srows):
                 yield from rt.acc(
-                    rank,
-                    local + r * scols * _F64,
-                    base + r * remote_stride,
-                    scols * _F64,
+                    rank, local + r * scols * _F64, base + r * stride, scols * _F64
                 )
         rt.trace.incr("gax.accs")
 

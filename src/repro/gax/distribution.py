@@ -49,11 +49,13 @@ class Patch:
         return Patch(r0, r1, c0, c1)
 
 
-def _even_bounds(extent: int, nblocks: int) -> list[int]:
+def even_bounds(extent: int, nblocks: int) -> list[int]:
     """Boundaries splitting ``extent`` into ``nblocks`` near-even pieces.
 
     The first ``extent % nblocks`` pieces get one extra element, so every
-    piece is non-empty whenever ``nblocks <= extent``.
+    piece is non-empty whenever ``nblocks <= extent``. The one split of
+    a GA dimension over the process grid and of the SCF basis into task
+    blocks.
     """
     base, extra = divmod(extent, nblocks)
     bounds = [0]
@@ -63,7 +65,7 @@ def _even_bounds(extent: int, nblocks: int) -> list[int]:
 
 
 def _block_index(bounds: list[int], index: int) -> int:
-    """Block containing element ``index`` given ``_even_bounds`` output."""
+    """Block containing element ``index`` given ``even_bounds`` output."""
     import bisect
 
     return bisect.bisect_right(bounds, index) - 1
@@ -103,10 +105,10 @@ class BlockDistribution:
         return self.grid_rows * self.grid_cols
 
     def _row_bounds(self) -> list[int]:
-        return _even_bounds(self.rows, self.grid_rows)
+        return even_bounds(self.rows, self.grid_rows)
 
     def _col_bounds(self) -> list[int]:
-        return _even_bounds(self.cols, self.grid_cols)
+        return even_bounds(self.cols, self.grid_cols)
 
     @property
     def block_rows(self) -> int:

@@ -76,7 +76,6 @@ class Attributes:
 
 
 def table_ii_attributes(
-    params: BGQParams | None = None,
     *,
     rho: int = 1,
     zeta: int = 1,
@@ -88,7 +87,7 @@ def table_ii_attributes(
     The variable attributes (``rho``, ``zeta``, ``sigma``, ``tau``) default
     to the low end of Table II's ranges and can be overridden.
     """
-    p = params if params is not None else BGQParams()
+    p = BGQParams()
     return Attributes(
         alpha=p.endpoint_space,
         beta=p.endpoint_create_time,

@@ -114,13 +114,11 @@ def _elementary_segments(spans: list[Span]) -> list[tuple[float, float, Span | N
 def critical_path(
     spans: list[Span],
     edges: list[tuple[int, int]],
-    t_start: float | None = None,
-    t_end: float | None = None,
     start_rank: int | None = None,
 ) -> CriticalPathReport:
-    """Attribute ``[t_start, t_end]`` along the critical path.
+    """Attribute the extent of the finished main-lane spans along the
+    critical path.
 
-    Parameters default to the extent of the finished main-lane spans;
     ``start_rank`` defaults to the rank whose main-lane activity ends
     last (the rank that finished the job).
     """
@@ -133,12 +131,9 @@ def critical_path(
         and s.category not in _SERVICE_CATEGORIES
     ]
     if not main:
-        report = CriticalPathReport(t_start or 0.0, t_end or 0.0)
-        return report
-    if t_end is None:
-        t_end = max(s.end for s in main)
-    if t_start is None:
-        t_start = min(s.start for s in main)
+        return CriticalPathReport(0.0, 0.0)
+    t_end = max(s.end for s in main)
+    t_start = min(s.start for s in main)
     if start_rank is None:
         start_rank = max(main, key=lambda s: (s.end, s.span_id)).rank
 

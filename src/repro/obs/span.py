@@ -412,9 +412,9 @@ class Obs:
 
     # ---------------------------------------------------------- lifecycle
 
-    def finalize(self, at: float | None = None) -> None:
-        """Close any still-open spans (marked ``truncated``) at ``at``."""
-        end = self.engine.now if at is None else at
+    def finalize(self) -> None:
+        """Close any still-open spans (marked ``truncated``) now."""
+        end = self.engine.now
         ends = self._end
         for stack in self._stacks.values():
             while stack:

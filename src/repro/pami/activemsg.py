@@ -151,6 +151,9 @@ class AmOp:
     envelope: AmEnvelope
     local_event: Event
     deliver_time: float
+    #: Whether the wire can lose the first copy (``Delivery.at_risk``):
+    #: a sender waits its reply cookie then, or the loss is never seen.
+    at_risk: bool
     #: Obs flight-span id (None when observability is off).
     span_id: int | None = None
 
@@ -223,9 +226,7 @@ def send_am(
     delivery = _AmDelivery(world, src, dst_rank, "am", rerolls_injector=True)
     delivery.envelope = env
     delivery.target_context = target_context
-    deliver_at = world.ordering.deliver(
-        src, dst_rank, timing.deliver, world.chaos, delivery.link_mode
-    )
+    deliver_at = world.ordering.deliver(delivery, timing.deliver)
 
     local_event = engine.event(f"am.local.{src}->{dst_rank}")
     delivery.carry(env.payload)
@@ -242,7 +243,7 @@ def send_am(
             "am", f"am.{dispatch_id}", deliver_at, env.payload_bytes, local_event
         )
         env.header["_span"] = span_id
-    return AmOp(env, local_event, deliver_at, span_id)
+    return AmOp(env, local_event, deliver_at, delivery.at_risk, span_id)
 
 
 def send_am_immediate(
@@ -251,7 +252,6 @@ def send_am_immediate(
     dispatch_id: int,
     header: dict[str, Any] | None = None,
     payload: bytes | np.ndarray | None = None,
-    target_context: int | None = None,
 ) -> Generator[Any, Any, AmOp]:
     """The PAMI immediate AM variant: blocks until the send is injected.
 
@@ -267,7 +267,7 @@ def send_am_immediate(
         raise PamiError(
             f"immediate AM payload {len(payload)} exceeds 512-byte limit"
         )
-    op = send_am(ctx, dst_rank, dispatch_id, header, payload, target_context)
+    op = send_am(ctx, dst_rank, dispatch_id, header, payload)
     # Blocking completion semantics: stall (advancing the local context)
     # until the send buffer is reusable.
     yield from ctx.wait_with_progress(op.local_event)

@@ -271,10 +271,9 @@ def rmw(
     # target services the request the initiator's stack may have moved.
     delivery.parent_span = obs.current(src) if obs is not None else None
 
-    chaos = world.chaos
-    if chaos is not None:
+    if delivery.at_risk:
         # AMOs are unordered (Section III-A.4): unclamped jitter.
-        arrive += chaos.jitter(src, dst_rank)
+        arrive = delivery.jittered(arrive)
     fault, _corruption, detect = delivery.fate or delivery.roll()
     if fault is not None:
         # Request lost before the op was applied — retry-safe: the

@@ -38,25 +38,15 @@ GIVEN_UP = "integrity_exhausted"
 _CLEAN = (None, None, _flt.FAULT_DETECT_DELAY)
 
 
-def lossy(world, src: int, dst: int) -> bool:
-    """Whether the wire can lose the first copy of a ``src`` -> ``dst``
-    transfer: the chaos injector is installed, or the link-fault model is
-    on and the route leaves the node. A sender whose first copy can be
-    lost waits its reply cookie, or the loss is never seen."""
-    net = world.network
-    return world.chaos is not None or (
-        net.route_table is not None and not net.is_local(src, dst)
-    )
-
-
 class Delivery:
     """One payload's trip from ``src`` to ``dst``, retransmits included.
 
     ``src``/``dst`` name the direction the wire is rolled in;
     ``initiator`` is the end whose waiter observes the outcome (``src``
     unless ``waiter_at_dst``: a get reply travels *to* its waiter) and
-    ``target`` the other. Both incarnations and the link mode are
-    captured here, at post time.
+    ``target`` the other. Both incarnations, the link mode and whether
+    the wire can perturb this copy at all (``at_risk``) are captured
+    here, at post time.
 
     ``rerolls_injector``: a retransmit is a fresh message to the chaos
     injector too (active messages); otherwise retransmits re-roll only
@@ -65,7 +55,7 @@ class Delivery:
 
     __slots__ = (
         "world", "src", "dst", "kind", "initiator", "target",
-        "initiator_inc", "target_inc", "link_mode", "rerolls_injector",
+        "initiator_inc", "target_inc", "link_mode", "at_risk", "rerolls_injector",
         "payload", "seal", "fate", "retries",
     )
 
@@ -82,12 +72,19 @@ class Delivery:
         self.initiator_inc = incarnations[self.initiator]
         self.target_inc = incarnations[self.target]
         net = world.network
-        self.link_mode = net.route_table is not None and not net.is_local(src, dst)
+        self.link_mode = link_mode = (
+            net.route_table is not None and not net.is_local(src, dst)
+        )
+        # The one answer to "can the wire delay, reorder or lose this
+        # copy": the chaos injector is installed, or the link model is on
+        # and the route leaves the node. A sender whose first copy can be
+        # lost waits its reply cookie, or the loss is never seen. With
+        # neither, the wire can only deliver.
+        self.at_risk = at_risk = world.chaos is not None or link_mode
         self.rerolls_injector = rerolls_injector
         self.payload = None
         self.seal = None
-        # With no injector and no link model the wire can only deliver.
-        self.fate = None if world.chaos is not None or self.link_mode else _CLEAN
+        self.fate = None if at_risk else _CLEAN
         self.retries = 0
 
     # ------------------------------------------------ the caller's hooks
@@ -127,6 +124,12 @@ class Delivery:
         for event in events:
             obs.register_event(event, sid)
         return sid
+
+    def jittered(self, time: float) -> float:
+        """``time`` plus the chaos injector's jitter for this pair (as is
+        with no injector) — the one place a delivery's delay is drawn."""
+        chaos = self.world.chaos
+        return time if chaos is None else time + chaos.jitter(self.src, self.dst)
 
     # ------------------------------------------------------ the skeleton
 

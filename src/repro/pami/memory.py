@@ -70,13 +70,14 @@ class AddressSpace:
         self._next = base + ((nbytes + PAGE - 1) // PAGE + 1) * PAGE
         return base
 
-    def map_at(self, addr: int, nbytes: int, fill: int = 0) -> int:
+    def map_at(self, addr: int, nbytes: int) -> int:
         """Create a segment at a *fixed* base address and return it.
 
         Recovery uses this to rebuild a respawned rank's address space with
         the same layout the dead incarnation had: allocations replayed from
         the allocation directory must land at their recorded addresses so
-        that remote ranks' cached pointers stay valid.
+        that remote ranks' cached pointers stay valid. The segment is
+        zero-filled, like a fresh :meth:`allocate`.
         """
         if nbytes <= 0:
             raise PamiError(f"allocation size must be positive, got {nbytes}")
@@ -94,7 +95,7 @@ class AddressSpace:
                 f"map_at [{addr:#x}, +{nbytes}) overlaps segment at "
                 f"{self._bases[idx + 1]:#x}"
             )
-        self._segments[addr] = _segment(nbytes, fill)
+        self._segments[addr] = _segment(nbytes, 0)
         bisect.insort(self._bases, addr)
         self._next = max(
             self._next, addr + ((nbytes + PAGE - 1) // PAGE + 1) * PAGE

@@ -26,28 +26,25 @@ class OrderingChecker:
         self._last: dict[int, float] = {}
         self.checked = 0
 
-    def deliver(
-        self, src: int, dst: int, deliver_time: float, chaos=None,
-        link_mode: bool = False,
-    ) -> float:
-        """When an ordered ``src`` -> ``dst`` message due at
-        ``deliver_time`` lands, recorded as the pair's last delivery.
+    def deliver(self, delivery, deliver_time: float) -> float:
+        """When ``delivery``'s ordered message, due at ``deliver_time``,
+        lands, recorded as its pair's last delivery.
 
-        ``chaos`` (a :class:`~repro.chaos.ChaosEngine`) adds its jitter;
-        with it or ``link_mode`` (reroutes can shorten a path mid-stream)
-        the time is clamped to the pair's last delivery.
+        A delivery the wire can perturb (``delivery.at_risk``: chaos
+        jitter, or reroutes that shorten a path mid-stream) takes its
+        jitter and is clamped to the pair's last delivery.
 
         Raises
         ------
         PamiError
-            With neither, if this delivery precedes an earlier one for
-            the same pair.
+            Otherwise, if this delivery precedes an earlier one for the
+            same pair.
         """
+        src, dst = delivery.src, delivery.dst
         key = src << 32 | dst
         last = self._last.get(key)
-        if chaos is not None or link_mode:
-            if chaos is not None:
-                deliver_time += chaos.jitter(src, dst)
+        if delivery.at_risk:
+            deliver_time = delivery.jittered(deliver_time)
             if last is not None and deliver_time < last:
                 deliver_time = last
         elif last is not None and deliver_time < last:

@@ -180,9 +180,7 @@ def rdma_put(
     # The first copy's fate is rolled here, so a loss can ride the local
     # completion scheduled below.
     fault, _corruption, detect = delivery.fate or delivery.roll()
-    deliver_at = world.ordering.deliver(
-        src, dst_rank, timing.deliver, world.chaos, delivery.link_mode
-    )
+    deliver_at = world.ordering.deliver(delivery, timing.deliver)
     delivery.carry(data)
     unprotected = delivery.seal is None
     delivery.verified_ack = (
@@ -292,11 +290,10 @@ def rdma_get(
     if delivery.fate is None:
         delivery.roll()
     deliver_at = timing.deliver
-    chaos = world.chaos
-    if chaos is not None:
+    if delivery.at_risk:
         # Gets bypass the ordering map (NIC-served reads), so their
         # jitter needs no per-pair clamping.
-        deliver_at += chaos.jitter(src, dst_rank)
+        deliver_at = delivery.jittered(deliver_at)
     # Jitter delays the whole round trip: the reply lands later too.
     complete_at = timing.complete + (deliver_at - timing.deliver)
 

@@ -21,11 +21,11 @@ class Semaphore:
 
     __slots__ = ("engine", "name", "_count", "_waiters")
 
-    def __init__(self, engine: "Engine", count: int = 1, name: str = "sem") -> None:
+    def __init__(self, engine: "Engine", count: int = 1) -> None:
         if count < 0:
             raise SimulationError(f"semaphore count must be >= 0, got {count}")
         self.engine = engine
-        self.name = name
+        self.name = "sem"
         self._count = count
         #: Blocked acquirers, oldest first; created on the first block,
         #: so an uncontended semaphore carries no deque.
@@ -72,7 +72,8 @@ class Lock(Semaphore):
     __slots__ = ()
 
     def __init__(self, engine: "Engine", name: str = "lock") -> None:
-        super().__init__(engine, count=1, name=name)
+        super().__init__(engine)
+        self.name = name
 
     @property
     def locked(self) -> bool:

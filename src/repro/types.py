@@ -136,26 +136,37 @@ class StridedDescriptor:
         return offsets
 
     def coalesced_runs(self) -> list[tuple[int, int, int]]:
-        """Merge chunks contiguous on *both* sides into maximal runs.
+        """Merge chunks contiguous on *both* sides into maximal runs
+        (:func:`coalesce` over the chunk lattice in posting order).
 
-        Walks the chunk lattice in posting order and extends the current
-        run whenever the next chunk starts exactly where the run ends in
-        the source *and* the destination address space (a one-sided gap
-        forces a break — the NIC cannot fold it into one op). Returns
-        ``(src_offset, dst_offset, nbytes)`` triples; a fully contiguous
-        descriptor (``stride == chunk_bytes`` on both sides) collapses to
-        a single run, so the transfer becomes one RDMA instead of
-        ``m / l0`` ops (the DART-style blocked-strided optimization).
+        Returns ``(src_offset, dst_offset, nbytes)`` triples; a fully
+        contiguous descriptor (``stride == chunk_bytes`` on both sides)
+        collapses to a single run, so the transfer becomes one RDMA
+        instead of ``m / l0`` ops (the DART-style blocked-strided
+        optimization).
         """
         chunk = self.shape.chunk_bytes
-        runs: list[list[int]] = []
-        for src_off, dst_off in zip(self.chunk_offsets("src"), self.chunk_offsets("dst")):
-            if (
-                runs
-                and runs[-1][0] + runs[-1][2] == src_off
-                and runs[-1][1] + runs[-1][2] == dst_off
-            ):
-                runs[-1][2] += chunk
-            else:
-                runs.append([src_off, dst_off, chunk])
-        return [(s, d, n) for s, d, n in runs]
+        offsets = zip(self.chunk_offsets("src"), self.chunk_offsets("dst"))
+        return coalesce((src_off, dst_off, chunk) for src_off, dst_off in offsets)
+
+
+def coalesce(pieces) -> list[tuple[int, int, int]]:
+    """Merge two-sided ``(a, b, nbytes)`` pieces into maximal runs.
+
+    Walks ``pieces`` in posting order and extends the current run
+    whenever the next piece starts exactly where the run ends on side
+    ``a`` *and* side ``b`` (a one-sided gap forces a break — the NIC
+    cannot fold it into one op). The one merger of the strided and the
+    I/O-vector transfers.
+    """
+    runs: list[list[int]] = []
+    for a, b, nbytes in pieces:
+        if (
+            runs
+            and runs[-1][0] + runs[-1][2] == a
+            and runs[-1][1] + runs[-1][2] == b
+        ):
+            runs[-1][2] += nbytes
+        else:
+            runs.append([a, b, nbytes])
+    return [(a, b, n) for a, b, n in runs]

@@ -11,12 +11,13 @@ from typing import Sequence
 
 #: Mark characters cycled across series.
 MARKS = "ox+*#"
+#: Plot area in characters.
+WIDTH = 60
+HEIGHT = 16
 
 
 def ascii_chart(
     series: dict[str, Sequence[tuple[float, float]]],
-    width: int = 60,
-    height: int = 16,
     log_x: bool = False,
     x_label: str = "",
     y_label: str = "",
@@ -46,23 +47,23 @@ def ascii_chart(
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * WIDTH for _ in range(HEIGHT)]
     for mark, (label, pts) in zip(MARKS * 5, series.items()):
         for x, y in pts:
-            col = round((tx(x) - x_lo) / x_span * (width - 1))
-            row = height - 1 - round((y - y_lo) / y_span * (height - 1))
+            col = round((tx(x) - x_lo) / x_span * (WIDTH - 1))
+            row = HEIGHT - 1 - round((y - y_lo) / y_span * (HEIGHT - 1))
             grid[row][col] = mark
 
     lines = []
     if y_label:
         lines.append(y_label)
     for i, row in enumerate(grid):
-        tick = y_hi - i * y_span / (height - 1)
+        tick = y_hi - i * y_span / (HEIGHT - 1)
         lines.append(f"{tick:>10.3g} |" + "".join(row))
-    lines.append(" " * 11 + "+" + "-" * width)
+    lines.append(" " * 11 + "+" + "-" * WIDTH)
     left = f"{min(xs):g}"
     right = f"{max(xs):g}"
-    pad = " " * max(1, width - len(left) - len(right))
+    pad = " " * max(1, WIDTH - len(left) - len(right))
     lines.append(" " * 12 + left + pad + right + ("  " + x_label if x_label else ""))
     legend = "   ".join(
         f"{mark}={label}" for mark, label in zip(MARKS * 5, series)

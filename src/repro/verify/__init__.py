@@ -39,7 +39,6 @@ from .fuzz import (
     target_vector,
 )
 from .shrink import DivergenceLog, ShrinkResult, shrink_seed, write_divergence_log
-from .mutation import BrokenFenceTracker, BrokenOnWriteTracker
 
 __all__ = [
     "Access",
@@ -60,6 +59,4 @@ __all__ = [
     "ShrinkResult",
     "shrink_seed",
     "write_divergence_log",
-    "BrokenFenceTracker",
-    "BrokenOnWriteTracker",
 ]

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.pami import PamiWorld
+from repro.pami.delivery import Delivery
 
 # The benchmark registry and its manifest check, importable as the
 # benchmark suite imports them.
@@ -32,6 +34,20 @@ def create_contexts(world: PamiWorld, rho: int = 1) -> None:
         world.engine.spawn(body(c), name=f"init{c.rank}") for c in world.clients
     ]
     world.engine.run_until_complete(procs)
+
+
+def ordered_delivery(src: int, dst: int, chaos=None, link_mode: bool = False):
+    """A real :class:`~repro.pami.delivery.Delivery` for ``src -> dst``
+    on a stand-in world: ``chaos`` installed (anything with a
+    ``jitter(src, dst)``), the link model on with an off-node route
+    (``link_mode``), or neither."""
+    net = SimpleNamespace(
+        route_table=object() if link_mode else None, is_local=lambda a, b: False
+    )
+    world = SimpleNamespace(
+        incarnations=[0] * (max(src, dst) + 1), network=net, chaos=chaos
+    )
+    return Delivery(world, src, dst, "put")
 
 
 def run_ranks(world: PamiWorld, body_fn, ranks=None) -> list:

@@ -1,16 +1,20 @@
 """Oracle self-test: a deliberately broken tracker must be caught, and
-the shrinker must reduce failures to a minimal divergence log."""
+the shrinker must reduce failures to a minimal divergence log.
+
+The mutants are fixtures, not product code: each monkeypatches one
+:class:`~repro.armci.consistency.CsMrTracker` method for one test, so a
+fuzz target run on the default ``cs_mr`` tracker exercises the full
+production path — config validation, ``make_tracker``, every op site —
+with one seeded defect the oracle must flag.
+"""
 
 import os
 
 import pytest
 
-from repro.armci.config import ArmciConfig
-from repro.armci.consistency import is_known_tracker, make_tracker
+from repro.armci.consistency import CsMrTracker
 from repro.sim.engine import Engine, RandomTieBreakPolicy
 from repro.verify import (
-    BrokenFenceTracker,
-    BrokenOnWriteTracker,
     FuzzResult,
     shrink_seed,
     target_strided,
@@ -18,24 +22,36 @@ from repro.verify import (
 )
 
 
-class TestMutantRegistry:
-    def test_mutants_registered(self):
-        assert is_known_tracker("cs_mr_broken_on_write")
-        assert is_known_tracker("cs_mr_broken_fence")
-        assert isinstance(
-            make_tracker("cs_mr_broken_on_write"), BrokenOnWriteTracker
-        )
+@pytest.fixture
+def broken_on_write(monkeypatch):
+    """Mutant: ``cs_mr`` never records writes, so no get ever fences.
 
-    def test_mutants_usable_in_config(self):
-        cfg = ArmciConfig(consistency_tracker="cs_mr_broken_on_write")
-        assert cfg.consistency_tracker == "cs_mr_broken_on_write"
+    Every get that follows an outstanding write to the same region is a
+    missed fence the oracle must report.
+    """
+
+    def on_write(self, dst, key):
+        self._check_key(key)  # keep the key-validation behaviour
+
+    monkeypatch.setattr(CsMrTracker, "on_write", on_write)
+
+
+@pytest.fixture
+def broken_fence(monkeypatch):
+    """Mutant: ``cs_mr`` fences never clear write status.
+
+    Sound but pessimal — every region written once fences forever. The
+    oracle reports these as false-positive fences, never as missed
+    fences: the overhead/correctness distinction the counters encode.
+    """
+    monkeypatch.setattr(CsMrTracker, "on_fence", lambda self, dst: None)
 
 
 class TestMutantCaught:
-    def test_broken_on_write_caught_within_25_seeds(self, tmp_path):
+    def test_broken_on_write_caught_within_25_seeds(self, broken_on_write, tmp_path):
         caught = None
         for seed in range(25):
-            r = target_strided(seed, tracker="cs_mr_broken_on_write")
+            r = target_strided(seed)
             if not r.ok:
                 caught = (seed, r)
                 break
@@ -43,19 +59,17 @@ class TestMutantCaught:
         seed, r = caught
         assert r.oracle.report.missed_fences > 0
         # Shrink the failure and emit the divergence artifact.
-        shrunk = shrink_seed(
-            target_strided, seed, tracker="cs_mr_broken_on_write"
-        )
+        shrunk = shrink_seed(target_strided, seed)
         path = write_divergence_log(shrunk.log, str(tmp_path))
         assert os.path.exists(path)
         text = open(path).read()
         assert "missed_fence" in text
         assert f"seed:          {seed}" in text
 
-    def test_broken_fence_is_overhead_not_error(self):
+    def test_broken_fence_is_overhead_not_error(self, broken_fence):
         # The over-fencing mutant must never produce a missed fence —
         # the oracle distinguishes pessimal from broken.
-        r = target_strided(0, tracker="cs_mr_broken_fence")
+        r = target_strided(0)
         rep = r.oracle.report
         assert rep.missed_fences == 0
         assert rep.false_positive_fences > 0
@@ -109,10 +123,8 @@ class TestShrinker:
         with pytest.raises(ValueError):
             shrink_seed(_schedule_sensitive_target, passing_seed)
 
-    def test_schedule_independent_failure_reports_limit_zero(self):
-        shrunk = shrink_seed(
-            target_strided, 0, tracker="cs_mr_broken_on_write"
-        )
+    def test_schedule_independent_failure_reports_limit_zero(self, broken_on_write):
+        shrunk = shrink_seed(target_strided, 0)
         assert shrunk.minimal_limit == 0
         assert shrunk.passing is None
         assert "schedule-independent" in shrunk.log.note

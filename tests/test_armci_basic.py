@@ -51,6 +51,14 @@ class TestConsistencyTrackers:
         with pytest.raises(ArmciError):
             make_tracker("nope")
 
+    def test_verify_import_leaves_the_tracker_set_alone(self):
+        """The tracker set is the paper's two designs; importing the
+        verification package (as the benchmark sweep does) adds none."""
+        import repro.verify  # noqa: F401
+
+        with pytest.raises(ArmciError, match="'cs_tgt', 'cs_mr'"):
+            ArmciConfig(consistency_tracker="cs_mr_broken_on_write")
+
     def test_cs_tgt_false_positive_on_other_region(self):
         """The paper's dgemm complaint: cs_tgt fences reads of A because
         of outstanding writes to C."""

@@ -16,6 +16,7 @@ import pytest
 
 import repro.armci
 import repro.pami
+import repro.transport
 from repro.armci import ArmciConfig, ArmciJob, dispatch
 from repro.armci import runtime as armci_runtime
 from repro.chaos import ChaosConfig, ChaosEngine, LinkFault, apply_link_fault
@@ -393,6 +394,40 @@ class TestOneDeliveryPath:
             lambda n: isinstance(n, ast.Constant)
             and n.value == "pami.silent_corruptions"
         ) == {"delivery.py:attempt"}
+
+    def test_the_wire_perturbs_a_copy_by_one_answer(self):
+        """Whether the wire can delay, reorder or lose a copy is
+        ``Delivery.at_risk``, decided at post: outside ``delivery.py``
+        only the AM duplicate hook, the attach sites and the knob guard
+        read the chaos injector or the link model, and only
+        ``Delivery.jittered`` draws a jitter."""
+        names = {"chaos", "route_table", "link_mode"}
+        readers = {
+            f"{name}:{fn.name}"
+            for name, fn in _outer_functions(repro.pami, repro.armci, repro.transport)
+            if name != "delivery.py"
+            and any(
+                (isinstance(n, ast.Attribute) and n.attr in names)
+                or (isinstance(n, ast.Name) and n.id in names)
+                for n in ast.walk(fn)
+            )
+        }
+        assert readers == {
+            "activemsg.py:land", "world.py:__init__",
+            "world.py:enable_link_faults", "runtime.py:__init__",
+            "runtime.py:_guarded",
+        }
+        jitter_callers = {
+            f"{name}:{fn.name}"
+            for name, fn in _outer_functions(repro.pami, repro.armci, repro.transport)
+            if any(
+                isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "jitter"
+                for n in ast.walk(fn)
+            )
+        }
+        assert jitter_callers == {"delivery.py:jittered"}
 
     def test_delivery_never_asks_which_traffic_it_carries(self):
         path = pathlib.Path(repro.pami.__file__).parent / "delivery.py"

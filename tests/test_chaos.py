@@ -22,6 +22,8 @@ from repro.errors import (
 from repro.pami.faults import FAULT_DETECT_DELAY
 from repro.pami.ordering import OrderingChecker
 
+from .conftest import ordered_delivery
+
 
 def chaos_job(num_procs=2, config=None, chaos=None, fault_plan=None, **kw):
     job = ArmciJob(
@@ -122,7 +124,7 @@ class TestChaosEngineUnit:
         eng, ordering = ChaosEngine(cfg, _Trace()), OrderingChecker()
         base, last, clamped = 1e-3, 0.0, 0
         for i in range(32):
-            t = ordering.deliver(0, 1, base + i * 1e-6, eng)
+            t = ordering.deliver(ordered_delivery(0, 1, eng), base + i * 1e-6)
             assert t >= last
             clamped += t == last
             last = t

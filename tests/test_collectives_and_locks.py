@@ -8,6 +8,8 @@ from repro.errors import ArmciError, PamiError
 from repro.pami.ordering import OrderingChecker
 from repro.sim import Delay, Engine
 
+from .conftest import ordered_delivery
+
 #: Conformance suite: every test in this module runs once per backend
 #: (the ``backend`` fixture re-points ``repro.transport.DEFAULT_BACKEND``).
 pytestmark = pytest.mark.usefixtures("backend")
@@ -153,38 +155,39 @@ class _Jitter:
 
 class TestOrderingChecker:
     def test_monotone_deliveries_accepted(self):
-        checker = OrderingChecker()
-        assert checker.deliver(0, 1, 1.0) == 1.0
-        assert checker.deliver(0, 1, 1.0) == 1.0  # equal is fine
-        assert checker.deliver(0, 1, 2.0) == 2.0
+        checker, pair = OrderingChecker(), ordered_delivery(0, 1)
+        assert checker.deliver(pair, 1.0) == 1.0
+        assert checker.deliver(pair, 1.0) == 1.0  # equal is fine
+        assert checker.deliver(pair, 2.0) == 2.0
         assert checker.checked == 3
 
     def test_reordering_detected(self):
         checker = OrderingChecker()
-        checker.deliver(0, 1, 2.0)
+        checker.deliver(ordered_delivery(0, 1), 2.0)
         with pytest.raises(PamiError, match="ordering violated"):
-            checker.deliver(0, 1, 1.0)
+            checker.deliver(ordered_delivery(0, 1), 1.0)
 
     def test_pairs_are_independent(self):
         checker = OrderingChecker()
-        checker.deliver(0, 1, 5.0)
-        checker.deliver(1, 0, 1.0)  # reverse direction, fresh
-        checker.deliver(0, 2, 1.0)  # different target, fresh
+        checker.deliver(ordered_delivery(0, 1), 5.0)
+        checker.deliver(ordered_delivery(1, 0), 1.0)  # reverse direction, fresh
+        checker.deliver(ordered_delivery(0, 2), 1.0)  # different target, fresh
         assert checker.checked == 3
 
     def test_chaos_jitter_is_added_then_clamped(self):
         checker, chaos = OrderingChecker(), _Jitter(3.0, 0.0, 0.5)
-        assert checker.deliver(0, 1, 1.0, chaos) == 4.0
+        jittered = ordered_delivery(0, 1, chaos)
+        assert checker.deliver(jittered, 1.0) == 4.0
         # Unjittered, the next message would overtake: head-of-line blocked.
-        assert checker.deliver(0, 1, 2.0, chaos) == 4.0
-        assert checker.deliver(0, 1, 5.0, chaos) == 5.5
-        assert checker.deliver(1, 0, 2.0) == 2.0  # the other direction
+        assert checker.deliver(jittered, 2.0) == 4.0
+        assert checker.deliver(jittered, 5.0) == 5.5
+        assert checker.deliver(ordered_delivery(1, 0), 2.0) == 2.0  # the other direction
         assert checker.checked == 4
 
     def test_link_mode_clamps_instead_of_raising(self):
         checker = OrderingChecker()
-        checker.deliver(0, 1, 3.0, link_mode=True)
+        checker.deliver(ordered_delivery(0, 1, link_mode=True), 3.0)
         # A reroute onto a shorter path: held behind the earlier message.
-        assert checker.deliver(0, 1, 2.0, link_mode=True) == 3.0
+        assert checker.deliver(ordered_delivery(0, 1, link_mode=True), 2.0) == 3.0
         with pytest.raises(PamiError, match="ordering violated"):
-            checker.deliver(0, 1, 2.5)  # knobs off, the same map raises
+            checker.deliver(ordered_delivery(0, 1), 2.5)  # knobs off, the same map raises

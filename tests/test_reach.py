@@ -130,6 +130,23 @@ class TestOneCustomerRule:
         assert not hasattr(TorusNetwork, "ordered_deliver")
         assert not hasattr(BlockDistribution, "from_bounds")
         assert not hasattr(GlobalArray, "symmetrize")
+        # One owner per decision: the wire's "can this copy be perturbed"
+        # is ``Delivery.at_risk``; the tracker set is one table; the
+        # mutants are test fixtures; one block split; one rank-0 rig.
+        import supplementary
+        from repro.apps.nwchem import tasks
+        from repro.armci import consistency
+        from repro.pami import delivery
+
+        assert not hasattr(delivery, "lossy")
+        assert not any(
+            hasattr(consistency, name)
+            for name in ("register_tracker", "is_known_tracker", "known_trackers")
+        )
+        assert not hasattr(tasks, "_block_ranges")
+        assert not hasattr(supplementary, "_rank0")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.verify.mutation")
 
     def test_every_runtime_keyword_has_a_customer(self):
         """The second half of the option surface: a defaulted keyword of
