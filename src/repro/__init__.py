@@ -11,19 +11,11 @@ Most users start with::
     from repro.armci import ArmciConfig, ArmciJob
     from repro.gax import GlobalArray, Patch, SharedCounter
 
-Extensions (``repro.chaos``, ``repro.recover``, ``repro.serve``, ...) are
-imported from their own modules; a knobs-off job loads none of them.
+Names are imported from their own subpackage or module; this package
+root exports ``__version__`` alone, so ``import repro.sim`` loads the
+engine and not the ARMCI stack above it. Extensions (``repro.chaos``,
+``repro.recover``, ``repro.serve``, ...) are imported from their own
+modules too; a knobs-off job loads none of them.
 """
 
-from .armci import ArmciConfig, ArmciJob, ArmciProcess
-from .machine import BGQParams
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "ArmciConfig",
-    "ArmciJob",
-    "ArmciProcess",
-    "BGQParams",
-    "__version__",
-]

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from ..errors import GlobalArrayError
@@ -66,9 +68,7 @@ def even_bounds(extent: int, nblocks: int) -> list[int]:
 
 def _block_index(bounds: list[int], index: int) -> int:
     """Block containing element ``index`` given ``even_bounds`` output."""
-    import bisect
-
-    return bisect.bisect_right(bounds, index) - 1
+    return bisect_right(bounds, index) - 1
 
 
 @dataclass(frozen=True)
@@ -104,23 +104,26 @@ class BlockDistribution:
     def num_procs(self) -> int:
         return self.grid_rows * self.grid_cols
 
+    # Built once per instance: the distribution is immutable, and the
+    # bounds are read on every patch op.
+    @cached_property
     def _row_bounds(self) -> list[int]:
         return even_bounds(self.rows, self.grid_rows)
 
+    @cached_property
     def _col_bounds(self) -> list[int]:
         return even_bounds(self.cols, self.grid_cols)
 
     @property
     def block_rows(self) -> int:
-        """Maximum rows in any block."""
-        bounds = self._row_bounds()
-        return max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+        """Maximum rows in any block (the first block's: leading blocks
+        take the remainder)."""
+        return self._row_bounds[1]
 
     @property
     def block_cols(self) -> int:
         """Maximum cols in any block."""
-        bounds = self._col_bounds()
-        return max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+        return self._col_bounds[1]
 
     def grid_coord(self, rank: int) -> tuple[int, int]:
         """Grid position of ``rank`` (row-major)."""
@@ -133,7 +136,7 @@ class BlockDistribution:
     def owner_block(self, rank: int) -> Patch:
         """The (always non-empty) index patch owned by ``rank``."""
         pi, pj = self.grid_coord(rank)
-        rb, cb = self._row_bounds(), self._col_bounds()
+        rb, cb = self._row_bounds, self._col_bounds
         return Patch(rb[pi], rb[pi + 1], cb[pj], cb[pj + 1])
 
     def owners_of_patch(self, patch: Patch) -> Iterator[tuple[int, Patch]]:
@@ -142,7 +145,7 @@ class BlockDistribution:
             raise GlobalArrayError(
                 f"patch {patch} exceeds array {self.rows}x{self.cols}"
             )
-        rb, cb = self._row_bounds(), self._col_bounds()
+        rb, cb = self._row_bounds, self._col_bounds
         pi_lo = _block_index(rb, patch.row_lo)
         pi_hi = _block_index(rb, patch.row_hi - 1)
         pj_lo = _block_index(cb, patch.col_lo)

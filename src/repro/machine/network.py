@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from ..sim.engine import Engine
 from ..topology.mapping import RankMapping
-from ..types import SlotRecord
+from ..record import SlotRecord
 from .bgq import BGQParams
 
 if TYPE_CHECKING:  # pragma: no cover

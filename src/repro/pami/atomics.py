@@ -22,7 +22,7 @@ from typing import Callable
 from ..errors import PamiError
 from ..obs.span import context_lane
 from ..sim.event import Event
-from ..types import SlotRecord
+from ..record import SlotRecord
 from . import faults as _flt
 from .context import PamiContext, WorkItem
 from .delivery import Delivery

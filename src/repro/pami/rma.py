@@ -31,7 +31,7 @@ from __future__ import annotations
 from ..errors import PamiError
 from ..machine.network import TransferTiming
 from ..sim.event import Event
-from ..types import SlotRecord
+from ..record import SlotRecord
 from . import faults as _flt
 from .context import CompletionItem, PamiContext
 from .delivery import RETRANSMIT_DELAY, Delivery

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from ..errors import SimulationError
-from ..types import SlotRecord
+from ..record import SlotRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from .event import Event

@@ -121,7 +121,7 @@ class Queue:
 
     def get(self) -> Event:
         """Request the oldest item; use as ``item = yield queue.get()``."""
-        ev = Event(self.engine, name=f"{self.name}.get")
+        ev = Event(self.engine, "queue.get")
         if self.items:
             ev.succeed(self.items.popleft())
         else:

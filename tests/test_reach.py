@@ -5,8 +5,8 @@ suite ``reach`` (``python tools/reach.py --check``, minutes). What tier-1
 holds is everything that needs no run: the keep file is well-formed and
 not stale, the deleted modules stay deleted, no config option is left
 that nothing assigns, and the profiler hook sees what it should. It also
-holds the layering the census reports: the paper's core imports none of
-its extensions.
+holds the layering the census reports: each core layer loads only the
+layers beneath it, and the paper's core imports none of its extensions.
 """
 
 import dataclasses
@@ -291,6 +291,51 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "repro")))
 """
 
 
+def in_child(code: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter over this tree's ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    env.pop("REPRO_ARMCI_BACKEND", None)  # the knobs-off backend is PAMI
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def loaded_by(modules) -> list[str]:
+    """Every module a fresh interpreter holds after importing ``modules``."""
+    code = f"import json, sys; import {', '.join(modules)}; print(json.dumps(sorted(sys.modules)))"
+    return json.loads(in_child(code).splitlines()[-1])
+
+
+#: The subpackages and extension modules outside the core's layers: each
+#: must import first in a fresh interpreter, so no import cycle hides
+#: behind whichever module a caller happens to load before it.
+FIRST_IMPORTS = ("apps.nwchem", "bench", "chaos", "model", "obs.export", "recover", "serve",
+                 "sim.parallel", "util", "verify", "workloads")
+
+
+class TestLayering:
+    """Each core layer cold-starts at its own floor: importing it loads no
+    ``repro`` module of a layer above it, and the bottom of the stack
+    (the engine, the topology, the machine) loads no numpy. The package
+    root re-exports nothing (DESIGN §3)."""
+
+    @pytest.mark.parametrize("depth", range(len(reach.LAYERS)),
+                             ids=[layer[0].removeprefix("repro.") for layer in reach.LAYERS])
+    def test_a_layer_loads_only_the_layers_beneath_it(self, depth):
+        loaded = loaded_by(reach.LAYERS[depth])
+        beneath = [m for layer in reach.LAYERS[:depth + 1] for m in layer]
+        assert [m for m in loaded if m.startswith("repro.") and not reach.within(m, beneath)] == []
+        if depth < reach.STDLIB:
+            assert "numpy" not in loaded
+
+    def test_the_package_root_exports_only_its_version(self):
+        code = "import repro; print([n for n in vars(repro) if not n.startswith('__')])"
+        assert in_child(code).strip() == "[]"
+
+    @pytest.mark.parametrize("module", FIRST_IMPORTS)
+    def test_any_subpackage_imports_first(self, module):
+        assert f"repro.{module}" in loaded_by((f"repro.{module}",))
+
+
 class TestOneCore:
     """The paper's subsystem neither imports nor wires its extensions:
     each attaches at its own point (``world.chaos``, ``world.integrity``,
@@ -298,12 +343,7 @@ class TestOneCore:
     with every knob off loads none of them (DESIGN §3)."""
 
     def test_a_knobs_off_job_loads_no_extension(self):
-        import repro
-
-        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(repro.__file__).parents[1])}
-        env.pop("REPRO_ARMCI_BACKEND", None)  # the knobs-off backend is PAMI
-        out = subprocess.run([sys.executable, "-c", KNOBS_OFF_JOB], env=env, check=True,
-                             capture_output=True, text=True).stdout
+        out = in_child(KNOBS_OFF_JOB)
         extensions = [m for modules in reach.EXTENSIONS.values() for m in modules]
         assert len(extensions) == 12
         loaded = json.loads(out.splitlines()[-1])

@@ -3,7 +3,8 @@
 table): Python calls, bytecode instructions, generator resumes, allocated
 blocks and engine entries by callback, for a blocking 16 B put + get pair
 and for one ``fetch_add`` on a knobs-off 2-node job; then Python calls and
-numpy calls per served request on a reduced ``kv_idle`` shape:
+numpy calls per served request on a reduced ``kv_idle`` shape; last, what
+importing each core layer costs a fresh interpreter (``reach.LAYERS``):
 ``python tools/op_census.py [--src OTHER_TREE/src] [--backend pami|mpi3]``.
 Counts per operation; they repeat exactly. A layer is a package under
 ``repro/``; a builtin is charged to its caller's layer, as in the ledger.
@@ -19,8 +20,12 @@ profile event and are not counted either.
 import argparse
 import gc
 import pathlib
+import statistics
+import subprocess
 import sys
 from collections import Counter
+
+from reach import LAYERS
 
 N, OPS = 50, ("put+get", "fetch_add")  # operations per census; what it covers
 #: The kv request row: a reduced ``kv_idle`` (6 ranks, 2 shards, 3 per
@@ -28,6 +33,16 @@ N, OPS = 50, ("put+get", "fetch_add")  # operations per census; what it covers
 #: run at two client counts; the difference, per extra request, leaves
 #: out what set-up and the audit cost whatever the load.
 KV_CLIENTS, KV_SEED = (64, 192), 2013
+#: Fresh interpreters per layer in the cold-import table; it prints the median.
+COLD_RUNS = 5
+#: One cold import: its milliseconds, the modules it loads, how many of
+#: them are ``repro``'s, and whether numpy is one.
+COLD_IMPORT = (
+    "import sys, time; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+    "t = time.perf_counter(); import {}; ms = (time.perf_counter() - t) * 1e3; "
+    "new = set(sys.modules) - before; "
+    "print(ms, len(new), sum(m.split('.')[0] == 'repro' for m in new), 'numpy' in new)"
+)
 
 
 def layer_of(filename: str) -> str:
@@ -163,6 +178,20 @@ def kv_request(backend: str = "pami") -> tuple[Counter, Counter]:
     return per_request(small.calls, big.calls), per_request(small.numpy, big.numpy)
 
 
+def cold_import(src: str, modules: tuple[str, ...]) -> str:
+    """The table row of ``modules``: median ms of ``COLD_RUNS`` fresh imports,
+    modules loaded, ``repro`` modules loaded, and whether numpy loads."""
+    code = COLD_IMPORT.format(", ".join(modules))
+    runs = [subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
+            for _ in range(COLD_RUNS)]
+    if any(run.returncode for run in runs):  # an older tree without the module
+        return "does not import"
+    rows = [run.stdout.split() for run in runs]
+    ms = statistics.median(float(row[0]) for row in rows)
+    _ms, loaded, own, numpy = rows[0]
+    return f"{ms:7.1f}{int(loaded):9d}{int(own):7d}  {'yes' if numpy == 'True' else 'no'}"
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(pathlib.Path(__file__).parents[1] / "src"))
@@ -188,6 +217,10 @@ def main() -> None:
     print(f"\n{'kv request':<12}{'calls':>8}{'numpy':>8}")
     for layer in sorted(calls, key=lambda k: -calls[k]):
         print(f"  {layer:<10}{calls[layer]:8.1f}{numpy[layer]:8.1f}")
+    print(f"\n{'cold import':<28}{'ms':>7}{'modules':>9}{'repro':>7}  numpy")
+    for layer in LAYERS:
+        name = " ".join(m.removeprefix("repro.") for m in layer)
+        print(f"  {name:<26}{cold_import(args.src, layer)}")
 
 
 if __name__ == "__main__":

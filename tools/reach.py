@@ -51,6 +51,16 @@ EXTENSIONS = {
     "obs export": ("repro.obs.export", "repro.obs.critical_path"),
     "verify": ("repro.verify",),
 }
+#: The core's layers, bottom first (DESIGN §3): each loads only its own
+#: modules and those of the layers beneath it, and the first ``STDLIB``
+#: load no numpy (tests/test_reach.py; the cold-import table of
+#: tools/op_census.py).
+LAYERS = (
+    ("repro.errors", "repro.types", "repro.record"), ("repro.sim",), ("repro.topology",),
+    ("repro.machine",), ("repro.obs",), ("repro.pami",), ("repro.transport",),
+    ("repro.armci",), ("repro.gax",),
+)
+STDLIB = 4
 #: The runtime API whose defaulted keywords the options rule covers, by module.
 API_CLASSES = {
     "ArmciJob": "repro.armci.runtime", "ArmciProcess": "repro.armci.runtime",
