@@ -19,16 +19,6 @@ class DeadlockError(SimulationError):
     """The event queue drained while processes were still waiting."""
 
 
-class PdesError(SimulationError):
-    """The sharded parallel-PDES runtime hit a protocol error.
-
-    Raised for violations of the conservative-synchronization contract
-    (an event injected below the current epoch horizon, a shared-memory
-    ring overflowing its fixed capacity, a worker process dying mid-run)
-    rather than for errors in the simulated workload itself.
-    """
-
-
 class TopologyError(ReproError):
     """Invalid torus geometry, coordinate, or rank mapping."""
 

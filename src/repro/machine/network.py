@@ -69,7 +69,7 @@ class TorusNetwork:
     params:
         Calibrated machine constants.
     trace:
-        The job's (or shard's) metrics registry: byte/message counters.
+        The job's metrics registry: byte/message counters.
     """
 
     def __init__(
@@ -107,34 +107,6 @@ class TorusNetwork:
         self.health = None
         # (src, dst) -> (view epoch, hop links | None, hop cost, hops).
         self._fault_route_cache: dict[tuple[int, int], tuple] = {}
-
-    #: Mutable per-run state: NIC/link clocks and memo caches. Listed in
-    #: one place so shard isolation (clear/pickle) cannot silently
-    #: miss a cache added later.
-    _MUTABLE_CACHES = (
-        "_inject_free",
-        "_node_cache",
-        "_nodes",
-        "_hops_cache",
-        "_link_free",
-        "_route_cache",
-        "_fault_route_cache",
-    )
-
-    # ------------------------------------------------- shard isolation
-
-    def __getstate__(self) -> dict:
-        """Pickle support for shard workers: drop the engine binding and
-        ship every mutable cache *empty* (a pickled network never leaks
-        FIFO/route state into another process)."""
-        state = self.__dict__.copy()
-        state["engine"] = None
-        for name in self._MUTABLE_CACHES:
-            state[name] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     # ------------------------------------------------------------ helpers
 

@@ -54,10 +54,6 @@ class CriticalSegment:
     category: str
     span_id: int | None
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 @dataclass
 class CriticalPathReport:

@@ -111,19 +111,6 @@ class Gauge:
         if rank is not None:
             self.per_rank[rank] = value
 
-    def merge(self, other: "Gauge") -> None:
-        """Fold another gauge in, keeping the maximum observed value.
-
-        Gauges from disjoint shards have no meaningful "last" ordering,
-        so the merge is the conservative high-water mark; per-rank
-        entries are disjoint across shards and copy straight over.
-        """
-        self.value = max(self.value, other.value)
-        for rank, v in other.per_rank.items():
-            cur = self.per_rank.get(rank)
-            self.per_rank[rank] = v if cur is None else max(cur, v)
-
-
 class Histogram:
     """Fixed log2-bucket histogram (see module docstring for the scheme)."""
 
@@ -227,35 +214,6 @@ class Histogram:
                 return bucket_upper_edge(i)
         return bucket_upper_edge(NUM_BUCKETS - 1)
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other``'s aggregate observations into this histogram."""
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.total += other.total
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-        if self._raw is not None:
-            if other._raw is not None:
-                self._raw.extend(other._raw)
-            elif other.count > 0:
-                # Raw-keeping histogram folded with a bucket-only one:
-                # exact percentiles over a *subset* of observations would
-                # silently drift from the bucket truth (the cross-shard
-                # folding bug the dashboards depend on avoiding), so
-                # degrade to deterministic bucket percentiles instead.
-                self._raw = None
-        if other._per_rank:
-            if self._per_rank is None:
-                self._per_rank = {}
-            for rank, sub in other._per_rank.items():
-                mine = self._per_rank.get(rank)
-                if mine is None:
-                    mine = self._per_rank[rank] = Histogram(keep_raw=sub.keep_raw)
-                mine.merge(sub)
-
     def per_rank(self) -> dict[int, "Histogram"]:
         """Per-rank sub-histograms (empty if ``rank=`` was never used)."""
         return dict(self._per_rank or {})
@@ -292,8 +250,8 @@ class MetricsRegistry:
     A writer that buffers observations (``repro.obs.Obs`` keeps the
     spans it closed, in close order) registers a fold with :meth:`defer`;
     every histogram read — :meth:`histogram`, :attr:`histograms`,
-    :meth:`snapshot`, :meth:`merge` — runs the folds first, so readers
-    see exactly what recording at write time would have given.
+    :meth:`snapshot` — runs the folds first, so readers see exactly
+    what recording at write time would have given.
 
     Snapshots are deterministic plain dicts.
     """
@@ -350,29 +308,6 @@ class MetricsRegistry:
         if h is None:
             h = histograms[name] = Histogram(keep_raw=keep_raw)
         return h
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's instruments in, matched by name.
-
-        The per-shard metrics merge of the parallel PDES runtime: each
-        shard records into its own registry (no cross-process sharing);
-        the runner merges them into one job-wide view. Counters and
-        durations add, gauges keep the high-water mark, histograms
-        combine buckets. Both sides fold their deferred observations
-        first (reading ``other.histograms``, then ``self.histogram``).
-        """
-        for name, v in other.counters.items():
-            self.counters[name] += v
-        for name, by_rank in other.rank_counters.items():
-            mine = self.rank_counters.setdefault(name, {})
-            for rank, v in by_rank.items():
-                mine[rank] = mine.get(rank, 0) + v
-        for name, seconds in other.durations.items():
-            self.durations[name] += seconds
-        for name, g in other.gauges.items():
-            self.gauge(name).merge(g)
-        for name, h in other.histograms.items():
-            self.histogram(name, keep_raw=h.keep_raw).merge(h)
 
     def snapshot(self, per_rank: bool = False) -> dict:
         """Point-in-time plain-dict view, keys sorted for stable JSON."""

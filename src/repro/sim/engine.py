@@ -293,62 +293,6 @@ class Engine:
         key: Any = seq if self._policy is None else self._policy.key(seq)
         heappush(self._heap, (self.now + delay, key, callback, arg))
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[[Any], None],
-        arg: Any = None,
-        key: Any = None,
-    ) -> None:
-        """Schedule ``callback(arg)`` at *absolute* simulated time ``time``.
-
-        The remote-event injection hook of the sharded PDES runtime
-        (:mod:`repro.sim.parallel`): events received from another shard
-        carry an absolute delivery timestamp and a content-derived
-        tie-break ``key`` — typically ``(src_rank, seq)`` — so that
-        equal-timestamp deliveries execute in an order independent of
-        the arrival interleaving (and therefore of the shard count).
-        ``key=None`` falls back to the submission sequence number (or
-        the configured policy), exactly like :meth:`schedule`.
-
-        Keyed and unkeyed entries must not be mixed at equal timestamps
-        within one engine (their keys are not mutually comparable); the
-        parallel runtime schedules *everything* keyed.
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule in the past (t={time}, now={self.now})"
-            )
-        if not callable(callback):
-            raise SimulationError(
-                f"scheduled callback must be callable, got {type(callback).__name__}"
-            )
-        if key is None:
-            seq = self._seq
-            self._seq = seq + 1
-            key = seq if self._policy is None else self._policy.key(seq)
-        heappush(self._heap, (time, key, callback, arg))
-
-    def next_event_time(self) -> float | None:
-        """Earliest pending entry's time, or ``None`` when idle.
-
-        The GVT/epoch-advance hook of the sharded PDES runtime: after an
-        epoch's window drains, every shard reports this value and the
-        next window starts at the global minimum. Cancelled
-        :class:`Timer` entries are discarded while peeking (they would
-        otherwise report a time that will never execute).
-        """
-        if self._fast:
-            return self.now
-        heap = self._heap
-        while heap:
-            time, _key, callback, _arg = heap[0]
-            if isinstance(callback, Timer) and callback.cancelled:
-                self._drop_cancelled(callback)
-                continue
-            return time
-        return None
-
     def schedule_timer(
         self, delay: float, callback: Callable[[Any], None], arg: Any = None
     ) -> Timer:
@@ -358,13 +302,6 @@ class Engine:
         if delay != 0.0 or not self._fast_ok:
             timer._engine = self
         return timer
-
-    def _drop_cancelled(self, timer: Timer) -> None:
-        """Pop the heap's top entry, the cancelled ``timer``."""
-        heappop(self._heap)
-        if timer._engine is not None:
-            timer._engine = None
-            self._cancelled_timers -= 1
 
     def _purge_cancelled(self) -> None:
         """Rebuild the heap without its cancelled timers, in place (the
@@ -414,20 +351,14 @@ class Engine:
                 error.__cause__ = cause
             self._failure = error
 
-    def run(self, until: float | None = None, exclusive: bool = False) -> float:
-        """Execute scheduled work until the heap drains or ``until`` passes.
+    def run(self) -> float:
+        """Execute scheduled work until the heap drains.
 
         Returns the final simulated time. Re-raises the first process
         failure, if any. Cancelled :class:`Timer` entries are discarded
         without executing, advancing the clock, or counting toward
         :attr:`events_executed` — under any tie-breaking policy
         (``isinstance``, so Timer subclasses are covered too).
-
-        ``exclusive=True`` stops *before* executing any entry at exactly
-        ``until`` (half-open window ``[now, until)``) — the epoch-window
-        primitive of the sharded PDES runtime, whose conservative
-        horizon ``gvt + lookahead`` must not be crossed. The default
-        (inclusive) behaviour is unchanged.
         """
         track = self._policy is not None or self._record
         heap, fast = self._heap, self._fast
@@ -440,25 +371,18 @@ class Engine:
             if fast and (
                 not heap or heap[0][0] > self.now or heap[0][1] > fast[0][0]
             ):
-                if until is not None and (
-                    self.now > until or (exclusive and self.now >= until)
-                ):
-                    self.now = until
-                    return until
                 _seq, callback, arg = fast.popleft()
                 if isinstance(callback, Timer) and callback.cancelled:
                     continue
                 self._events_executed += 1
                 callback(arg)
                 continue
-            time, key, callback, arg = heap[0]
+            time, key, callback, arg = heappop(heap)
             if isinstance(callback, Timer) and callback.cancelled:
-                self._drop_cancelled(callback)
+                if callback._engine is not None:
+                    callback._engine = None
+                    self._cancelled_timers -= 1
                 continue
-            if until is not None and (time > until or (exclusive and time >= until)):
-                self.now = until
-                return until
-            heappop(heap)
             self.now = time
             self._events_executed += 1
             if track:
@@ -469,8 +393,6 @@ class Engine:
             callback(arg)
         if self._failure is not None:
             raise self._failure
-        if until is not None and until > self.now:
-            self.now = until
         return self.now
 
     def run_until_complete(self, processes: Iterable[SimProcess]) -> list[Any]:

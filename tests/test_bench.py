@@ -227,14 +227,14 @@ class TestOneBenchmarkSurface:
 
     def test_one_benchmark_runner(self):
         """``bench_paper.py`` runs both registries; the other scripts are
-        the three flag-driven CLIs and their helpers."""
+        the two flag-driven CLIs and their helpers."""
         bench = REPO / "benchmarks"
         scripts = [
             p for p in bench.rglob("*.py") if "ledger" not in p.relative_to(bench).parts
         ]
         assert sorted(p.stem for p in scripts) == sorted([
             "_report", "conftest", "supplementary", "bench_paper",
-            "bench_clique_growth", "bench_rank_scaling", "bench_serving",
+            "bench_rank_scaling", "bench_serving",
         ])
         tests, savers = set(), set()
         for path in scripts:
@@ -244,10 +244,7 @@ class TestOneBenchmarkSurface:
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "save":
                     savers.add(path.name)
         assert tests == {"bench_paper.py"}
-        assert savers == {
-            "bench_paper.py", "bench_clique_growth.py", "bench_rank_scaling.py",
-            "bench_serving.py",
-        }
+        assert savers == {"bench_paper.py", "bench_rank_scaling.py", "bench_serving.py"}
         assert all(isinstance(a, artifacts.Artifact) for a in SUPPLEMENTARY.values())
         assert set(SUPPLEMENTARY).isdisjoint(ARTIFACTS)
 

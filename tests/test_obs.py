@@ -303,18 +303,6 @@ class TestMetrics:
         assert h.percentile(95) == pytest.approx(95e-6)
         assert h.raw[:3] == [1e-6, 2e-6, 3e-6]
 
-    def test_merge_and_per_rank(self):
-        a = Histogram()
-        b = Histogram()
-        a.record(1e-6, rank=0)
-        b.record(3e-6, rank=1)
-        a.merge(b)
-        assert a.count == 2
-        assert a.max == 3e-6
-        # merge folds per-rank sub-histograms too (shard-merge support)
-        assert set(a.per_rank()) == {0, 1}
-        assert a.per_rank()[1].count == 1
-
     def test_counts_and_durations_read_zero_until_recorded(self):
         reg = MetricsRegistry()
         assert reg.count("armci.fences") == 0
@@ -343,26 +331,6 @@ class TestMetrics:
         reg.histogram("exact").record(2.0)
         assert reg.histogram("exact").raw == [1.0, 2.0]
 
-    def test_registry_merge(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.counter("ops").incr(2, rank=0)
-        b.counter("ops").incr(3, rank=5)
-        b.counter("only_b").incr(7)
-        a.add_time("wait", 1.0)
-        b.add_time("wait", 2.0)
-        a.gauge("high").set(1.5)
-        b.gauge("high").set(4.5, rank=5)
-        a.histogram("lat").record(1e-6)
-        b.histogram("lat").record(2e-6)
-        a.merge(b)
-        assert a.counter("ops").total == 5
-        assert a.counter("ops").per_rank == {0: 2, 5: 3}
-        assert a.counter("only_b").total == 7
-        assert a.time("wait") == 3.0
-        assert a.gauge("high").value == 4.5
-        assert a.histogram("lat").count == 2
-
     def test_registry_snapshot_is_json_stable(self):
         reg = MetricsRegistry()
         reg.counter("b").incr(2, rank=1)
@@ -380,10 +348,9 @@ class TestMetrics:
 
 
 class TestHistogramShardMerge:
-    """Merge-then-percentile round trips — the serving dashboards fold
-    one histogram per shard/rank and quote p50/p99/p999 off the result,
-    so the merged view must agree with a single histogram that saw every
-    observation directly."""
+    """Batch recording — the serving tier records one latency array per
+    delivered batch and quotes p50/p99/p999 off the result, so
+    ``record_many`` must agree with a ``record`` per observation."""
 
     @given(
         st.lists(
@@ -435,59 +402,12 @@ class TestHistogramShardMerge:
         only_inf.record(float("inf"))
         assert only_inf.percentile(50) == bucket_upper_edge(NUM_BUCKETS - 1)
 
-    def test_merged_shards_match_global_percentiles(self):
-        import numpy as np
-
-        rng = np.random.default_rng(17)
-        values = rng.gamma(2.0, 40e-6, size=9000)
-        whole = Histogram()
-        whole.record_many(values)
-        merged = Histogram()
-        for shard in np.array_split(values, 7):  # uneven shard sizes
-            h = Histogram()
-            h.record_many(shard)
-            merged.merge(h)
-        assert merged.counts == whole.counts
-        assert merged.summary() == whole.summary()
-
     def test_summary_includes_p999(self):
         h = Histogram(keep_raw=True)
         h.record_many([float(i) * 1e-6 for i in range(1, 1001)])
         s = h.summary()
         assert s["p999"] == pytest.approx(1000e-6)
         assert s["p999"] >= s["p99"] >= s["p95"] >= s["p50"]
-
-    def test_raw_merge_keeps_exactness(self):
-        a = Histogram(keep_raw=True)
-        b = Histogram(keep_raw=True)
-        a.record_many([1e-6, 2e-6])
-        b.record_many([3e-6, 4e-6])
-        a.merge(b)
-        assert a.keep_raw
-        assert a.percentile(50) == pytest.approx(2e-6)
-
-    def test_keep_raw_mismatch_degrades_to_buckets(self):
-        # Folding a bucket-only shard into a raw-keeping histogram must
-        # NOT keep quoting "exact" percentiles over a partial raw list —
-        # that silently drifts from the truth. It degrades to bucket
-        # percentiles covering every observation instead.
-        raw = Histogram(keep_raw=True)
-        raw.record_many([1e-6] * 10)
-        buckets_only = Histogram()
-        buckets_only.record_many([100e-6] * 90)
-        raw.merge(buckets_only)
-        assert not raw.keep_raw
-        assert raw.count == 100
-        # p99 now reflects the bucket truth (dominated by the 100us
-        # observations), not the stale 10-value raw list.
-        assert raw.percentile(99) >= 100e-6
-
-    def test_empty_bucket_only_merge_preserves_raw(self):
-        raw = Histogram(keep_raw=True)
-        raw.record(5e-6)
-        raw.merge(Histogram())  # empty shard: nothing to mistrust
-        assert raw.keep_raw
-        assert raw.percentile(50) == pytest.approx(5e-6)
 
 
 def _sample_spans():
@@ -925,15 +845,6 @@ class TestSpanHistogramFold:
         assert got == want.snapshot(per_rank=True)
         assert len(obs._closes) == 0  # each fold releases its buffer
 
-    def test_merge_folds_both_sides(self):
-        a, b = Obs(FakeEngine(), MetricsRegistry()), Obs(FakeEngine(), MetricsRegistry())
-        a.record(0, "main", "op", "x", 0.0, 1.0)
-        b.record(1, "main", "op", "x", 0.0, 2.0)
-        a.metrics.merge(b.metrics)
-        h = a.metrics.histograms["obs.span.op"]
-        assert (h.count, h.total, sorted(h.per_rank())) == (2, 3.0, [0, 1])
-
-
 class TestOneTelemetrySink:
     """Regrowth guard: a job has one metrics registry and every fact in
     it is counted once, under one name."""
@@ -952,18 +863,15 @@ class TestOneTelemetrySink:
             for path in (REPO / tree).rglob("*.py"):
                 assert not stale.search(path.read_text()), path
 
-    def test_registries_are_built_in_two_places(self):
-        # Where a job's world is built, and in sim/parallel (one per
-        # shard, one merge target) — a layer that builds its own is a
-        # second sink.
+    def test_registries_are_built_in_one_place(self):
+        # Where a job's world is built — a layer that builds its own is
+        # a second sink.
         builders = sorted(
             str(path.relative_to(self.SRC))
             for path in self.SRC.rglob("*.py")
             if "MetricsRegistry(" in path.read_text()
         )
-        assert builders == [
-            "pami/world.py", "sim/parallel/runner.py", "sim/parallel/shard.py",
-        ]
+        assert builders == ["pami/world.py"]
 
     def test_obs_and_serving_record_into_the_jobs_registry(self):
         config = ArmciConfig.async_thread_mode(obs=ObsConfig(enabled=True))

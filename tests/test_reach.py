@@ -125,7 +125,7 @@ class TestOneCustomerRule:
         assert "poll_interval" not in inspect.signature(FourCounterTermination.create).parameters
         # One per-pair ordering map: repro.pami.ordering's.
         assert "_last_deliver" not in ChaosEngine.__slots__
-        assert "_last_deliver" not in TorusNetwork._MUTABLE_CACHES
+        assert "_last_deliver" not in inspect.getsource(TorusNetwork)
         assert not hasattr(ChaosEngine, "ordered_deliver")
         assert not hasattr(TorusNetwork, "ordered_deliver")
         assert not hasattr(BlockDistribution, "from_bounds")
@@ -147,6 +147,22 @@ class TestOneCustomerRule:
         assert not hasattr(supplementary, "_rank0")
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.verify.mutation")
+        # One execution model: the sharded PDES runtime and the engine
+        # hooks only it used are gone, and ``Engine.run`` has no horizon.
+        from repro import errors
+        from repro.obs.critical_path import CriticalSegment
+        from repro.obs.metrics import Gauge, Histogram, MetricsRegistry
+        from repro.sim.engine import Engine
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.sim.parallel")
+        assert not hasattr(Engine, "schedule_at")
+        assert not hasattr(Engine, "next_event_time")
+        assert list(inspect.signature(Engine.run).parameters) == ["self"]
+        assert not hasattr(errors, "PdesError")
+        assert {"__getstate__", "__setstate__"}.isdisjoint(vars(TorusNetwork))
+        assert not any(hasattr(cls, "merge") for cls in (Gauge, Histogram, MetricsRegistry))
+        assert not hasattr(CriticalSegment, "duration")
 
     def test_every_runtime_keyword_has_a_customer(self):
         """The second half of the option surface: a defaulted keyword of
@@ -309,7 +325,7 @@ def loaded_by(modules) -> list[str]:
 #: must import first in a fresh interpreter, so no import cycle hides
 #: behind whichever module a caller happens to load before it.
 FIRST_IMPORTS = ("apps.nwchem", "bench", "chaos", "model", "obs.export", "recover", "serve",
-                 "sim.parallel", "util", "verify", "workloads")
+                 "util", "verify", "workloads")
 
 
 class TestLayering:
@@ -345,7 +361,7 @@ class TestOneCore:
     def test_a_knobs_off_job_loads_no_extension(self):
         out = in_child(KNOBS_OFF_JOB)
         extensions = [m for modules in reach.EXTENSIONS.values() for m in modules]
-        assert len(extensions) == 12
+        assert len(extensions) == 11
         loaded = json.loads(out.splitlines()[-1])
         assert "repro.bench.artifacts" in loaded
         assert [m for m in loaded if reach.within(m, extensions)] == []

@@ -36,23 +36,6 @@ def test_schedule_negative_delay_rejected():
         eng.schedule(-0.1, lambda _: None)
 
 
-def test_run_until_stops_before_future_events():
-    eng = Engine()
-    fired = []
-    eng.schedule(5.0, lambda _: fired.append(True))
-    eng.run(until=2.0)
-    assert not fired
-    assert eng.now == 2.0
-    eng.run()
-    assert fired
-
-
-def test_run_until_advances_clock_past_last_event():
-    eng = Engine()
-    eng.schedule(1.0, lambda _: None)
-    assert eng.run(until=10.0) == 10.0
-
-
 def test_simple_process_delays_advance_clock():
     eng = Engine()
 

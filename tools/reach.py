@@ -36,7 +36,7 @@ from code_lines import code_line_numbers
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 KEEP = pathlib.Path(__file__).with_name("reach_keep.txt")
-CATEGORIES = ("oracle", "inject", "api", "item-2", "item-5", "abstract")
+CATEGORIES = ("oracle", "inject", "api", "item-2", "abstract")
 TREES = ("src", "benchmarks", "examples", "tests")
 BENCHES = ("-m", "pytest", "benchmarks", "--ignore=benchmarks/ledger",
            "--benchmark-disable", "--trace-out")
@@ -46,7 +46,6 @@ EXTENSIONS = {
     "robustness": ("repro.chaos", "repro.recover", "repro.pami.integrity"),
     "link faults": ("repro.topology.links", "repro.topology.routing", "repro.machine.health"),
     "transport.mpi3": ("repro.transport.mpi3",),
-    "sim.parallel": ("repro.sim.parallel",),
     "serve": ("repro.serve",),
     "obs export": ("repro.obs.export", "repro.obs.critical_path"),
     "verify": ("repro.verify",),
@@ -101,7 +100,6 @@ def drivers(root: pathlib.Path, traces: str) -> list[tuple[str, tuple[str, ...]]
                        "--trace", "0")) for w in ledger),
         ("supp", (*BENCHES, traces)),
         ("supp", ("-m", "repro.obs.export", f"{traces}/fig11_trace_D.json")),
-        ("clique", ("benchmarks/bench_clique_growth.py", "--shards", "1,2")),
         ("serving", ("benchmarks/bench_serving.py",)),
         ("ranks", ("benchmarks/bench_rank_scaling.py", "--child", "1024")),
         *(("examples", (str(p.relative_to(root)),

@@ -3,10 +3,11 @@
 
     python tools/similarity.py [--root DIR]
 
-Every outermost function and method under ``src/repro`` (``sim/parallel``
-left out: ROADMAP item 5 owns the second execution model) becomes a
-token sequence — the AST node types of its body in walk order, each
-attribute access carrying its attribute name, each call its callee name.
+Every outermost function and method under ``--root`` (default
+``src/repro``; ``--root tests`` for the test suite, a parent clone's
+``src/repro`` for a before column) becomes a token sequence — the AST
+node types of its body in walk order, each attribute access carrying its
+attribute name, each call its callee name.
 Two functions are a pair when ``difflib.SequenceMatcher`` rates their
 sequences at least ``MIN_RATIO`` alike and both have at least
 ``MIN_TOKENS`` tokens. Prints one line per pair, most alike first, and
@@ -18,7 +19,6 @@ import ast
 import difflib
 import pathlib
 
-EXCLUDED = ("sim/parallel/",)
 MIN_RATIO = 0.75
 MIN_TOKENS = 40
 
@@ -38,11 +38,8 @@ def tokens(fn: ast.AST) -> list[str]:
 
 
 def functions(root: pathlib.Path):
-    src = root / "src" / "repro"
-    for path in sorted(src.rglob("*.py")):
-        rel = path.relative_to(src).as_posix()
-        if rel.startswith(EXCLUDED):
-            continue
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
         for node in ast.parse(path.read_text()).body:
             for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -71,7 +68,7 @@ def census(root: pathlib.Path):
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=pathlib.Path, default=pathlib.Path("."))
+    parser.add_argument("--root", type=pathlib.Path, default=pathlib.Path("src/repro"))
     args = parser.parse_args()
     pairs = census(args.root)
     for ratio, a, b in pairs:
