@@ -20,30 +20,49 @@ if TYPE_CHECKING:  # pragma: no cover
     from .runtime import ArmciProcess
 
 
-def _aggregation_buffer(rt: "ArmciProcess", nbytes: int) -> int:
-    """The rank's staging buffer for aggregation flushes.
+class Scratch:
+    """A rank's grow-only staging segment, the one owner of a regrow.
 
-    Grows geometrically; a regrow frees the outgrown segment (and drops
-    its NIC registration, returning the budget slot) instead of leaking
-    it. Safe at this point: the previous flush snapshots its payload at
-    post time and has completed locally before the next flush stages.
+    Aggregation flushes, global-array patches and mailbox records each
+    stage through one. :meth:`reserve` grows geometrically, from
+    ``floor`` bytes up; a regrow frees the outgrown segment and drops its
+    NIC registration, returning the budget slot, instead of leaking both.
+    Safe at that point: every stager copies through its buffer between
+    operations that snapshot their payload at post time or have
+    completed, so nothing in flight still reads the old segment.
     """
-    state = getattr(rt, "_agg_buffer", None)
-    if state is None or nbytes > state[1]:
-        size = max(nbytes, 64 * 1024, 0 if state is None else 2 * state[1])
-        space = rt.world.space(rt.rank)
-        addr = space.allocate(size)
-        if state is not None:
-            old_addr, old_size = state
-            registry = rt.world.regions[rt.rank]
-            region = registry.find(old_addr, old_size)
-            if region is not None:
-                registry.destroy(region)
-            space.free(old_addr)
-            rt.trace.incr("armci.aggregate_buffer_regrows")
-        state = (addr, size)
-        rt._agg_buffer = state
-    return state[0]
+
+    __slots__ = ("floor", "addr", "size")
+
+    def __init__(self, floor: int) -> None:
+        self.floor = floor
+        self.addr = 0
+        self.size = 0
+
+    def reserve(self, rt: "ArmciProcess", nbytes: int) -> int:
+        """Base address of the segment, grown to hold ``nbytes``."""
+        if nbytes > self.size or not self.size:
+            size = max(nbytes, self.floor, 2 * self.size)
+            space = rt.world.space(rt.rank)
+            addr = space.allocate(size)
+            if self.size:
+                registry = rt.world.regions[rt.rank]
+                region = registry.find(self.addr, self.size)
+                if region is not None:
+                    registry.destroy(region)
+                space.free(self.addr)
+            self.addr, self.size = addr, size
+        return self.addr
+
+
+def _aggregation_buffer(rt: "ArmciProcess", nbytes: int) -> int:
+    """The rank's staging buffer for aggregation flushes (64 KiB up)."""
+    buf = getattr(rt, "_agg_buffer", None)
+    if buf is None:
+        buf = rt._agg_buffer = Scratch(64 * 1024)
+    elif nbytes > buf.size:
+        rt.trace.incr("armci.aggregate_buffer_regrows")
+    return buf.reserve(rt, nbytes)
 
 
 @dataclass

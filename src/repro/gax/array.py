@@ -17,29 +17,10 @@ from ..types import StridedDescriptor, StridedShape
 from .distribution import BlockDistribution, Patch, default_process_grid
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..armci.aggregate import Scratch
     from ..armci.runtime import Allocation, ArmciProcess
 
 _F64 = 8  # bytes per element
-
-
-class _Scratch:
-    """Reusable per-rank scratch segment for patch staging.
-
-    Blocking patch operations stage data through one grow-only buffer,
-    bounding address-space growth across thousands of tasks.
-    """
-
-    def __init__(self, rt: "ArmciProcess") -> None:
-        self.rt = rt
-        self._addr: int | None = None
-        self._size = 0
-
-    def buffer(self, nbytes: int) -> int:
-        if self._addr is None or nbytes > self._size:
-            size = max(nbytes, 2 * self._size, 4096)
-            self._addr = self.rt.world.space(self.rt.rank).allocate(size)
-            self._size = size
-        return self._addr
 
 
 class GlobalArray:
@@ -102,11 +83,14 @@ class GlobalArray:
             return StridedDescriptor(shape, (), ())
         return StridedDescriptor(shape, (local_stride,), (remote_stride,))
 
-    def _scratch(self, rt: "ArmciProcess") -> _Scratch:
+    def _scratch(self, rt: "ArmciProcess") -> "Scratch":
+        """The rank's patch-staging buffer, shared by every array."""
         scratch = getattr(rt, "_gax_scratch", None)
         if scratch is None:
-            scratch = _Scratch(rt)
-            rt._gax_scratch = scratch
+            # Imported here: ``import repro.gax`` loads no armci module.
+            from ..armci.aggregate import Scratch
+
+            scratch = rt._gax_scratch = Scratch(4096)
         return scratch
 
     def _windows(self, rt: "ArmciProcess", patch: Patch, values: np.ndarray):
@@ -131,7 +115,7 @@ class GlobalArray:
                 sub.row_lo - patch.row_lo : sub.row_hi - patch.row_lo,
                 sub.col_lo - patch.col_lo : sub.col_hi - patch.col_lo,
             ]
-            yield rank, scratch.buffer(window.nbytes), base, shape, remote_stride, window
+            yield rank, scratch.reserve(rt, window.nbytes), base, shape, remote_stride, window
 
     # --------------------------------------------------------------- ops
 

@@ -9,6 +9,8 @@ communication protocol, not just its timing.
 from __future__ import annotations
 
 import bisect
+import errno
+import mmap
 import struct
 
 import numpy as np
@@ -21,6 +23,8 @@ PAGE = 4096
 BASE_ADDRESS = 0x1000
 #: A little-endian signed 64-bit word, packed straight into a segment.
 _I64 = struct.Struct("<q")
+#: Copy-on-write memory of this process alone, backed by no file.
+_PRIVATE_ANONYMOUS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
 
 
 def as_u8(data) -> np.ndarray:
@@ -39,9 +43,30 @@ def as_u8(data) -> np.ndarray:
 
 
 def _segment(nbytes: int, fill: int) -> np.ndarray:
-    """A fresh segment. Zero-filled ones are demand-zero (``calloc``):
-    their pages stay out of the resident set until first written."""
-    return np.zeros(nbytes, np.uint8) if fill == 0 else np.full(nbytes, fill, np.uint8)
+    """A fresh segment of ``nbytes``, every byte ``fill``.
+
+    A zero-filled segment of at least one page is a private anonymous
+    mapping: a page costs no resident memory until it is first written,
+    and a read of an untouched page maps the kernel's zero page. The
+    mapping is unmapped once the last view of the segment is dropped.
+    ``np.zeros`` would not do: below glibc's dynamic mmap threshold
+    (128 KiB, rising to the largest mmapped block freed since) ``calloc``
+    clears heap memory, which makes every page resident at once. Private,
+    not shared, so that reads stay free, adjacent segments merge into one
+    kernel mapping and a forked child gets a copy-on-write image.
+    Sub-page and ``fill != 0`` segments are plain numpy arrays.
+    """
+    if fill:
+        return np.full(nbytes, fill, np.uint8)
+    if nbytes < PAGE:
+        return np.zeros(nbytes, np.uint8)
+    try:
+        pages = mmap.mmap(-1, nbytes, flags=_PRIVATE_ANONYMOUS)
+    except OSError as exc:
+        if exc.errno == errno.ENOMEM:  # what np.zeros raises out of memory
+            raise MemoryError(f"cannot map a {nbytes}-byte segment") from exc
+        raise
+    return np.frombuffer(pages, np.uint8)
 
 
 class AddressSpace:

@@ -39,9 +39,10 @@ from typing import TYPE_CHECKING, Any, Callable, Generator
 
 import numpy as np
 
+from ..armci.aggregate import Scratch
 from ..errors import ArmciError, ProcessFailedError
 from ..sim.primitives import Delay
-from .mailbox import InboxSpec, Mailbox, SLOT_DTYPE, StagingBuffer, stage_batch
+from .mailbox import InboxSpec, Mailbox, SLOT_DTYPE, stage_batch
 
 #: Simulated sleep (seconds) of an actor loop with nothing to do, and of
 #: a termination detector waiting on its board.
@@ -98,7 +99,7 @@ class ActorSystem:
         self._local_queue: list[tuple[str, str, np.ndarray]] = []
         #: Sender-side lane views, one per (actor, inbox) posted to.
         self._lanes: dict[tuple[str, str], Any] = {}
-        self._scratch = StagingBuffer()
+        self._scratch = Scratch(4096)
         self._sent_to: dict[int, int] = {}
         self._recv_from: dict[int, int] = {}
         self._dead: set[int] = set()

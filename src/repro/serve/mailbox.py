@@ -43,7 +43,7 @@ import numpy as np
 from ..errors import ArmciError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..armci.aggregate import AggregateHandle
+    from ..armci.aggregate import AggregateHandle, Scratch
     from ..armci.runtime import ArmciProcess
 
 #: Fixed mailbox slot wire format (48 bytes, naturally aligned).
@@ -210,7 +210,7 @@ class Mailbox:
 def stage_batch(
     rt: "ArmciProcess",
     agg: "AggregateHandle",
-    scratch: "StagingBuffer",
+    scratch: "Scratch",
     lane: SenderLane,
     records: np.ndarray,
 ) -> int:
@@ -225,32 +225,14 @@ def stage_batch(
     advances only then.
     """
     n = len(records)
+    space = rt.world.space(rt.rank)
     for rec_off, ring_addr, nrec in lane.runs(n):
-        local, slots = scratch.slots(rt, nrec)
+        nbytes = nrec * SLOT_BYTES
+        local = scratch.reserve(rt, nbytes)
+        slots = space.view(local, nbytes).view(SLOT_DTYPE)
         slots[:] = records[rec_off:rec_off + nrec]
         first = lane.tail + rec_off
         slots["seq"] = np.arange(first, first + nrec, dtype=np.uint64)
-        agg.put(local, ring_addr, nrec * SLOT_BYTES)
+        agg.put(local, ring_addr, nbytes)
     rt.trace.incr("serve.records_sent", n)
     return n
-
-
-class StagingBuffer:
-    """Grow-geometric local scratch for staging slot bytes before
-    ``AggregateHandle.put`` (which snapshots eagerly, so one buffer per
-    rank suffices for any number of fragments)."""
-
-    __slots__ = ("addr", "size")
-
-    def __init__(self) -> None:
-        self.addr: int | None = None
-        self.size = 0
-
-    def slots(self, rt: "ArmciProcess", count: int) -> tuple[int, np.ndarray]:
-        """The buffer's address and its first ``count`` slots, writable."""
-        nbytes = count * SLOT_BYTES
-        if nbytes > self.size:
-            self.size = max(nbytes, 4096, 2 * self.size)
-            self.addr = rt.world.space(rt.rank).allocate(self.size)
-        view = rt.world.space(rt.rank).view(self.addr, nbytes)
-        return self.addr, view.view(SLOT_DTYPE)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.armci import ArmciConfig, ArmciJob
-from repro.errors import GlobalArrayError
+from repro.errors import GlobalArrayError, PamiError
 from repro.gax import BlockDistribution, GlobalArray, Patch, SharedCounter
 from repro.gax.dgemm import dgemm_task_list, parallel_dgemm
 from repro.gax.distribution import default_process_grid
@@ -197,6 +197,47 @@ class TestGlobalArray:
         from repro.errors import SimulationError
         with pytest.raises(SimulationError, match="exceeds"):
             job.run(body)
+
+
+class TestScratchRegrow:
+    def test_outgrown_patch_buffer_is_freed_with_its_region(self):
+        # A one-element get sizes rank 1's staging buffer at its 4 KiB
+        # floor and registers it; a whole-array get (32 x 32 doubles per
+        # owner) regrows it, and the outgrown segment and its NIC region
+        # go instead of staying behind.
+        job = make_job(4)
+        data = np.arange(64 * 64, dtype=np.float64).reshape(64, 64)
+        seen = {}
+
+        def body(rt):
+            ga = yield from GlobalArray.create(rt, (64, 64))
+            if rt.rank == 0:
+                yield from ga.put(rt, Patch(0, 64, 0, 64), data)
+                yield from rt.fence_all()
+            yield from rt.barrier()
+            result = None
+            if rt.rank == 1:
+                space = rt.world.space(1)
+                yield from ga.get(rt, Patch(0, 1, 0, 1))
+                scratch = rt._gax_scratch
+                seen["first"] = (scratch.addr, scratch.size)
+                seen["registered"] = rt.world.regions[1].find(scratch.addr, 1) is not None
+                seen["segments"] = len(space._segments)
+                result = yield from ga.get(rt, Patch(0, 64, 0, 64))
+                seen["size"] = scratch.size
+                seen["segments_after"] = len(space._segments)
+            yield from rt.barrier()
+            return result
+
+        results = job.run(body)
+        np.testing.assert_array_equal(results[1], data)
+        first_addr, first_size = seen["first"]
+        assert first_size == 4096 and seen["registered"]
+        assert seen["size"] == 32 * 32 * 8
+        assert seen["segments_after"] == seen["segments"]
+        with pytest.raises(PamiError):
+            job.world.space(1).view(first_addr, 1)
+        assert job.world.regions[1].find(first_addr, first_size) is None
 
 
 class TestSharedCounter:

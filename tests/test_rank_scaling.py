@@ -159,6 +159,13 @@ class TestBytesPerRank:
         _fanout_job(64)
         job, _, retained = _traced(lambda: _fanout_job(ranks))
         assert job.engine.now > 0
+        # tracemalloc sees numpy's buffers, not a page mapping: the
+        # segments must still be sub-page, numpy-owned ones to count.
+        assert all(
+            seg.flags.owndata
+            for space in job.world.spaces
+            for seg in space._segments.values()
+        )
         assert retained / ranks <= 8 * 1024, retained / ranks
 
     def test_a_job_run_ten_times_holds_one_run(self):

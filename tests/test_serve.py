@@ -12,7 +12,7 @@ import pytest
 
 from repro.armci import ArmciConfig, ArmciJob
 from repro.chaos import ChaosConfig, FaultPlan
-from repro.errors import ArmciError
+from repro.errors import ArmciError, PamiError
 from repro.gax import SharedCounter
 from repro.serve import (
     Actor,
@@ -249,6 +249,44 @@ class TestAggregation:
             job.trace.count("armci.aggregate_flushes") - before
         )
         assert job.trace.count("serve.wire_flushes") >= 1
+
+
+    def test_outgrown_staging_buffer_is_freed(self):
+        # One record sizes the sender's staging buffer at its 4 KiB
+        # floor; a flush of 200 regrows it, and the outgrown segment
+        # goes instead of staying behind.
+        job = make_job(2)
+        seen = {}
+
+        def body(rt):
+            system = ActorSystem(rt)
+            sink = RecordingActor() if rt.rank == 0 else None
+            yield from system.register(
+                "sink", owner=0, actor=sink,
+                inboxes=(InboxSpec("in0", 256, senders=(1,)),),
+            )
+            detector = yield from FourCounterTermination.create(rt)
+            if rt.rank == 1:
+                space = rt.world.space(1)
+                system.post("sink", "in0", make_records(range(1)))
+                yield from system.flush()
+                seen["first"] = (system._scratch.addr, system._scratch.size)
+                seen["segments"] = len(space._segments)
+                system.post("sink", "in0", make_records(range(1, 201)))
+                yield from system.flush()
+                seen["size"] = system._scratch.size
+                seen["segments_after"] = len(space._segments)
+            yield from system.run(detector)
+            return sink
+
+        sink = job.run(body)[0]
+        np.testing.assert_array_equal(sink.keys_from(1), np.arange(201))
+        first_addr, first_size = seen["first"]
+        assert first_size == 4096
+        assert seen["size"] == 200 * SLOT_DTYPE.itemsize
+        assert seen["segments_after"] == seen["segments"]
+        with pytest.raises(PamiError):
+            job.world.space(1).view(first_addr, 1)
 
 
 class TestTermination:

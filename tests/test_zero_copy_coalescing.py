@@ -340,12 +340,12 @@ class TestAggregationBufferRegrow:
                 agg = rt.aggregate(1)
                 agg.put(src, alloc.addr(1), 1024)
                 yield from agg.flush()
-                first = rt._agg_buffer
+                first = (rt._agg_buffer.addr, rt._agg_buffer.size)
                 # ...second flush forces a regrow past 64 KiB.
                 agg = rt.aggregate(1)
                 agg.put(src, alloc.addr(1), 128 * 1024)
                 yield from agg.flush()
-                second = rt._agg_buffer
+                second = (rt._agg_buffer.addr, rt._agg_buffer.size)
                 assert second[1] > first[1]
                 # The outgrown segment is gone: address space and NIC
                 # registration both released.
