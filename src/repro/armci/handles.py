@@ -7,7 +7,7 @@ them), with MPI-style buffer-reuse semantics.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Generator
 
 from ..errors import HandleError
 from ..pami.faults import check_completion
@@ -62,52 +62,63 @@ class Handle:
         return all(ev.triggered for ev in self._events)
 
     def wait(self):
-        """Generator: block (with progress) until local completion.
+        """Block (with progress) until local completion.
 
         Bound by the owner's deadline (the ambient one, else
         ``config.default_deadline``); expiry raises
         :class:`~repro.errors.DeadlineExceededError` and abandons the
         request (the handle is spent, its pins are released).
 
+        Non-generator: returns the one handle-wait generator,
+        :func:`_post_and_wait` with nothing left to post.
+
         Raises
         ------
         HandleError
             If waited twice (handles are single-use, as in ARMCI).
         """
-        if self._waited:
-            raise HandleError(f"double wait on {self.kind} handle")
-        self._waited = True
-        owner = self.owner
-        ctx = owner.main_context
-        deadline = owner._op_deadline()
-        obs = owner.obs
-        sid = None
-        if obs is not None and self._events:
-            sid = obs.begin(
-                owner.rank, "main", "handle_wait",
-                f"{self.kind}.wait", ops=len(self._events),
-            )
-        try:
-            for ev in self._events:
-                if not ev._triggered:
-                    yield from ctx.wait_with_progress(ev, deadline=deadline)
-                # Failure tokens surface as ProcessFailedError (FT extension).
-                check_completion(ev.value, op=self.kind)
-        finally:
-            if sid is not None:
-                # Edge to each registered cause; refine the category when
-                # the causes agree (rdma_wait / am_wait read better in
-                # the critical-path attribution than the generic label).
-                cats: set = set()
-                for ev in self._events:
-                    cause = obs.span_for_event(ev)
-                    if cause is not None:
-                        obs.add_edge(cause, sid)
-                        cats.add(obs.category(cause))
-                if cats == {"rdma"}:
-                    obs.end(sid, category="rdma_wait")
-                elif cats and cats <= {"am", "am_service"}:
-                    obs.end(sid, category="am_wait")
-                else:
-                    obs.end(sid)
-            owner.on_handle_complete(self)
+        return _post_and_wait(None, (self,))
+
+
+def _post_and_wait(nb, args: tuple) -> Generator[Any, Any, None]:
+    """One attempt of a blocking data op: post ``nb(*args)``, then run
+    :meth:`Handle.wait`'s loop on the new handle in this same frame
+    (``nb`` None: ``args`` is an already-posted handle)."""
+    h = args[0] if nb is None else (yield from nb(*args))
+    if h._waited:
+        raise HandleError(f"double wait on {h.kind} handle")
+    h._waited = True
+    owner = h.owner
+    ctx = owner.main_context
+    deadline = owner._op_deadline()
+    obs = owner.obs
+    sid = None
+    if obs is not None and h._events:
+        sid = obs.begin(
+            owner.rank, "main", "handle_wait",
+            f"{h.kind}.wait", ops=len(h._events),
+        )
+    try:
+        for ev in h._events:
+            if not ev._triggered:
+                yield from ctx.wait_with_progress(ev, deadline=deadline)
+            # Failure tokens surface as ProcessFailedError (FT extension).
+            check_completion(ev.value, op=h.kind)
+    finally:
+        if sid is not None:
+            # Edge to each registered cause; refine the category when
+            # the causes agree (rdma_wait / am_wait read better in the
+            # critical-path attribution than the generic label).
+            cats: set = set()
+            for ev in h._events:
+                cause = obs.span_for_event(ev)
+                if cause is not None:
+                    obs.add_edge(cause, sid)
+                    cats.add(obs.category(cause))
+            if cats == {"rdma"}:
+                obs.end(sid, category="rdma_wait")
+            elif cats and cats <= {"am", "am_service"}:
+                obs.end(sid, category="am_wait")
+            else:
+                obs.end(sid)
+        owner.on_handle_complete(h)

@@ -57,7 +57,7 @@ from . import vector as _vec
 from .config import ArmciConfig
 from .consistency import make_tracker
 from .endpoints import EndpointCache
-from .handles import Handle
+from .handles import Handle, _post_and_wait
 from .locks import MutexTable
 from .progress import start_async_thread, start_watchdog
 from .region_cache import RegionCache
@@ -365,12 +365,6 @@ class ArmciJob:
                 self.obs.finalize()
 
 
-def _post_and_wait(nb, args: tuple) -> Generator[Any, Any, None]:
-    """One attempt of a blocking data op: post, wait for local completion."""
-    h = yield from nb(*args)
-    yield from h.wait()
-
-
 class ArmciProcess:
     """Per-rank ARMCI runtime and public API (all methods are generators
     unless documented otherwise)."""
@@ -610,10 +604,11 @@ class ArmciProcess:
 
     # ----------------------------------------------------- flow control
 
-    def _acquire_send_credit(
-        self, dst: int, deadline: float | None = None
-    ) -> Generator[Any, Any, None]:
-        """Claim one FIFO credit on ``dst``'s progress context.
+    def _acquire_send_credit(self, dst: int, deadline: float | None = None):
+        """Claim one FIFO credit on ``dst``'s progress context
+        (non-generator: a free slot, or flow control off, is a plain
+        call that returns ``()``, a finished op to ``yield from``; only a
+        saturated target returns the generator that waits for a credit).
 
         Sender-side backpressure: while the target FIFO is saturated the
         caller parks on the target's room signal instead of queueing
@@ -623,11 +618,18 @@ class ArmciProcess:
         raises :class:`~repro.errors.DeadlineExceededError`.
         """
         if not self.flow_enabled:
-            return
+            return ()
         dst_ctx = self.world.client(dst).progress_context()
         if dst_ctx.try_acquire_credit():
-            return
+            return ()
         self.trace.incr("armci.backpressure_stalls")
+        return self._wait_send_credit(dst, dst_ctx, deadline)
+
+    def _wait_send_credit(
+        self, dst: int, dst_ctx: PamiContext, deadline: float | None
+    ) -> Generator[Any, Any, None]:
+        """The generator half of :meth:`_acquire_send_credit`: park until
+        ``dst_ctx`` grants a credit."""
         t0 = self.engine.now
         timer = None
         death_watch: Event | None = None
@@ -1002,7 +1004,8 @@ class ArmciProcess:
     ) -> Generator[Any, Any, Handle]:
         """Non-blocking atomic accumulate (float64)."""
         h = self._new_handle("acc")
-        yield from self.endpoints.get(dst)
+        if self.endpoints.hit(dst) is None:
+            yield from self.endpoints.get(dst)
         # Accumulates target registered structures when possible, for the
         # same tracker key a get of that structure would use.
         key = (dst, UNREGISTERED_KEY_BASE)
@@ -1146,10 +1149,7 @@ class ArmciProcess:
 
     def fence_all(self) -> Generator[Any, Any, None]:
         """Fence every destination with outstanding writes."""
-        deadline = self._op_deadline()
-        prev = self._deadline
-        if deadline is not None:
-            self._deadline = deadline
+        prev, self._deadline = self._deadline, self._op_deadline()
         try:
             for dst in list(self._pending_acks):
                 yield from self.fence(dst)
@@ -1158,10 +1158,7 @@ class ArmciProcess:
 
     def wait_all(self) -> Generator[Any, Any, None]:
         """Wait for local completion of all implicit non-blocking requests."""
-        deadline = self._op_deadline()
-        prev = self._deadline
-        if deadline is not None:
-            self._deadline = deadline
+        prev, self._deadline = self._deadline, self._op_deadline()
         try:
             for handle in list(self._implicit_handles or ()):
                 if not handle.complete:
@@ -1172,16 +1169,18 @@ class ArmciProcess:
             self._deadline = prev
 
     def barrier(self) -> Generator[Any, Any, None]:
-        """Collective barrier (hardware network + progress while waiting)."""
+        """Collective barrier (hardware network + progress while waiting;
+        non-generator: returns :func:`collectives.barrier`'s generator)."""
         if self._replay_mode:
             # Setup replay on a respawned rank: the survivors already
             # passed this barrier, so re-arriving would wedge the round.
-            return
-        yield from _coll.barrier(self, timeline="barrier")
+            return ()
+        return _coll.barrier(self, timeline="barrier")
 
     def allreduce(self, value: float) -> Generator[Any, Any, float]:
-        """Collective sum over all ranks."""
-        return (yield from _coll.allreduce(self, value))
+        """Collective sum over all ranks (non-generator: returns
+        :func:`collectives.allreduce`'s generator)."""
+        return _coll.allreduce(self, value)
 
     # ----------------------------------------------------------- groups
 
@@ -1190,16 +1189,19 @@ class ArmciProcess:
         return _groups.ProcessGroup(tuple(members))
 
     def group_barrier(self, group) -> Generator[Any, Any, None]:
-        """Software tree barrier over a processor group."""
-        yield from _groups.group_barrier(self, group)
+        """Software tree barrier over a processor group (non-generator:
+        returns :func:`groups.group_barrier`'s generator)."""
+        return _groups.group_barrier(self, group)
 
     def group_allreduce(self, group, value: float) -> Generator[Any, Any, float]:
-        """Software tree sum over a processor group."""
-        return (yield from _groups.group_reduce_tree(self, group, value))
+        """Software tree sum over a processor group (non-generator:
+        returns :func:`groups.group_reduce_tree`'s generator)."""
+        return _groups.group_reduce_tree(self, group, value)
 
     def group_broadcast(self, group, value, root_rank: int | None = None):
-        """Binomial broadcast over a processor group."""
-        return (yield from _groups.group_broadcast(self, group, value, root_rank))
+        """Binomial broadcast over a processor group (non-generator:
+        returns :func:`groups.group_broadcast`'s generator)."""
+        return _groups.group_broadcast(self, group, value, root_rank)
 
     # ----------------------------------------------------- notify/wait
 
@@ -1242,7 +1244,8 @@ class ArmciProcess:
 
     def progress(self) -> Generator[Any, Any, int]:
         """One explicit progress call (default-mode apps sprinkle these
-        between compute chunks).
+        between compute chunks; non-generator: returns the context's
+        :meth:`~repro.pami.context.PamiContext.advance` round).
 
         Services the work pending *at entry* — like one
         ``PAMI_Context_advance`` invocation — and returns to the caller
@@ -1251,8 +1254,7 @@ class ArmciProcess:
         queue refills during the next compute chunk (Fig. 9).
         """
         ctx = self.main_context
-        pending = len(ctx.queue)
-        return (yield from ctx.advance(max_items=max(pending, 1)))
+        return ctx.advance(max_items=max(len(ctx.queue), 1))
 
     # -------------------------------------------------- quiesce / drain
 
@@ -1272,9 +1274,7 @@ class ArmciProcess:
         the rank *partially* drained.
         """
         deadline = self._op_deadline()
-        prev = self._deadline
-        if deadline is not None:
-            self._deadline = deadline
+        prev, self._deadline = self._deadline, deadline
         try:
             yield from self.wait_all()
             yield from self.fence_all()

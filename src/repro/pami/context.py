@@ -18,9 +18,10 @@ stalls.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Generator
 
-from ..errors import DeadlineExceededError, PamiError
+from ..errors import DeadlineExceededError
 from ..sim.event import Event
 from ..sim.primitives import Delay, WaitAny
 from ..sim.resources import Lock, Queue
@@ -222,88 +223,16 @@ class PamiContext:
 
     # ----------------------------------------------------------- progress
 
-    def drain(self, max_items: int | None = None) -> Generator[Any, Any, int]:
-        """Service queued items; caller **must** hold :attr:`lock`.
-
-        Each item costs simulated progress-engine time, then executes its
-        effects at the simulated instant its service completes. For
-        efficiency the currently-queued batch is charged as one delay and
-        the per-item effects are scheduled at their exact offsets —
-        timing-identical to item-by-item servicing, at a fraction of the
-        scheduler events. Returns the number of items serviced.
-        """
-        if not self.lock.locked:
-            raise PamiError(
-                f"drain of context r{self.client.rank}.ctx{self.index} "
-                "without holding its lock"
-            )
-        serviced = 0
-        engine = self.engine
-        start = engine.now
-        items = self.queue.items
-        while items and (max_items is None or serviced < max_items):
-            offset = 0.0
-            while items and (max_items is None or serviced < max_items):
-                item = items.popleft()
-                if item.credited:
-                    # The FIFO slot frees as soon as the item is popped
-                    # for service; parked senders may inject again.
-                    self.release_credit()
-                offset += item.cost(self)
-                engine.schedule(offset, self._execute_item, item)
-                serviced += 1
-            yield Delay(offset)
-            # Items that arrived during the batch are picked up next round.
-            items = self.queue.items
-        if not items:
-            # An idle context holds no deque; the next post makes one.
-            self.queue.items = None
-        if serviced:
-            self.progress_epoch += 1
-            obs = self.client.world.obs
-            if obs is not None:
-                from ..obs.span import context_lane
-
-                # Root span (no ambient parent): the async thread's
-                # drains must not attach to whatever the main thread
-                # happens to have open.
-                obs.record(
-                    self.client.rank, context_lane(self), "progress",
-                    "drain", start, engine.now,
-                    parent_id=None, items=serviced,
-                )
-        self.trace.counters["pami.items_serviced"] += serviced
-        self.busy_time += engine.now - start
-        return serviced
-
-    def _execute_item(self, item: WorkItem) -> None:
-        try:
-            item.execute(self)
-        except Exception as exc:
-            from ..errors import SimulationError
-
-            self.engine.fail(
-                SimulationError(
-                    f"work item {type(item).__name__} on context "
-                    f"r{self.client.rank}.ctx{self.index} raised {exc!r}"
-                ),
-                cause=exc,
-            )
-
     def advance(self, max_items: int | None = None) -> Generator[Any, Any, int]:
-        """Acquire the lock, :meth:`drain`, release.
+        """One ``PAMI_Context_advance`` call: take the lock, service up to
+        ``max_items`` queued items, release; the round returns how many
+        it serviced. The lock models the guard the paper discusses in
+        Section III-D.
 
-        This is one ``PAMI_Context_advance`` call; the lock acquisition
-        models the guard the paper discusses in Section III-D.
+        Non-generator: returns the one progress generator, which
+        :meth:`wait_with_progress` runs too.
         """
-        if not self.lock.try_acquire():
-            yield self.lock.acquire()
-        yield self._lock_overhead
-        try:
-            serviced = yield from self.drain(max_items)
-        finally:
-            self.lock.release()
-        return serviced
+        return self._progress(None, None, math.inf if max_items is None else max_items)
 
     def wait_with_progress(
         self, event: Event, deadline: float | None = None
@@ -318,35 +247,121 @@ class PamiContext:
         With a ``deadline`` (absolute simulated time), the wait raises
         :class:`~repro.errors.DeadlineExceededError` once the clock
         reaches it, instead of blocking forever.
+
+        Non-generator: returns the one progress generator, which runs
+        each :meth:`advance` round in its own frame.
+        """
+        return self._progress(event, deadline, 0)
+
+    def _progress(
+        self, event: Event | None, deadline: float | None, max_items: float
+    ) -> Generator[Any, Any, Any]:
+        """Advance rounds until ``event`` triggers (``None``: one round of
+        at most ``max_items``; a wait bounds each round by the queue).
+
+        A round holds the lock, pays its guard, then services the queue:
+        each item costs simulated progress-engine time and executes its
+        effects at the instant its service completes. The queued batch is
+        charged as one delay with the per-item effects scheduled at their
+        exact offsets — timing-identical to item-by-item servicing, at a
+        fraction of the scheduler events. A round left early (a killed
+        thread) gives the lock back, or leaves the lock's queue.
         """
         timer: TimerEvent | None = None
+        engine = self.engine
         try:
-            while not event._triggered:
-                if deadline is not None and self.engine.now >= deadline:
-                    self.trace.incr("pami.wait_deadline_expired")
-                    raise DeadlineExceededError(
-                        f"wait on context r{self.client.rank}.ctx{self.index} "
-                        f"exceeded deadline t={deadline:.6g}s"
-                    )
-                # Re-read after every yield: a drain drops the deque and
-                # the next post makes a new one.
-                items = self.queue.items
-                if not items:
-                    # Sleep until either our op completes (possibly drained
-                    # by another thread) or new work arrives to service.
-                    waits = [event, self.arrival_signal()]
-                    if deadline is not None:
-                        if timer is None:
-                            timer = deadline_timer(self.engine, deadline)
-                        waits.append(timer)
-                    yield WaitAny(waits)
-                    continue
-                # Bound each advance to the work pending at entry (one
-                # PAMI_Context_advance): under a continuous stream of remote
-                # requests the queue never empties, and an unbounded drain
-                # would starve the waiter from ever re-checking its event.
-                yield from self.advance(max_items=len(items))
-            return event.value
+            while event is None or not event._triggered:
+                if event is not None:
+                    if deadline is not None and engine.now >= deadline:
+                        self.trace.incr("pami.wait_deadline_expired")
+                        raise DeadlineExceededError(
+                            f"wait on context r{self.client.rank}.ctx{self.index} "
+                            f"exceeded deadline t={deadline:.6g}s"
+                        )
+                    # Re-read after every yield: a round drops the deque
+                    # and the next post makes a new one.
+                    items = self.queue.items
+                    if not items:
+                        # Sleep until either our op completes (possibly
+                        # serviced by another thread) or new work arrives.
+                        waits = [event, self.arrival_signal()]
+                        if deadline is not None:
+                            if timer is None:
+                                timer = deadline_timer(engine, deadline)
+                            waits.append(timer)
+                        yield WaitAny(waits)
+                        continue
+                    # Bound each round to the work pending at entry (one
+                    # PAMI_Context_advance): under a continuous stream of
+                    # remote requests the queue never empties, and an
+                    # unbounded round would starve the waiter from ever
+                    # re-checking its event.
+                    max_items = len(items)
+                grant = None if self.lock.try_acquire() else self.lock.acquire()
+                try:
+                    if grant is not None:
+                        yield grant
+                    yield self._lock_overhead
+                    start, serviced = engine.now, 0
+                    items = self.queue.items
+                    while items and serviced < max_items:
+                        offset = 0.0
+                        while items and serviced < max_items:
+                            item = items.popleft()
+                            if item.credited:
+                                # The FIFO slot frees as soon as the item is
+                                # popped for service; parked senders may
+                                # inject again.
+                                self.release_credit()
+                            offset += item.cost(self)
+                            engine.schedule(offset, self._execute_item, item)
+                            serviced += 1
+                        yield Delay(offset)
+                        # Items that arrived during the batch are picked up
+                        # next batch.
+                        items = self.queue.items
+                    if not items:
+                        # An idle context holds no deque; the next post
+                        # makes one.
+                        self.queue.items = None
+                    if serviced:
+                        self.progress_epoch += 1
+                        obs = self.client.world.obs
+                        if obs is not None:
+                            from ..obs.span import context_lane
+
+                            # Root span (no ambient parent): the async
+                            # thread's rounds must not attach to whatever
+                            # the main thread happens to have open.
+                            obs.record(
+                                self.client.rank, context_lane(self), "progress",
+                                "drain", start, engine.now,
+                                parent_id=None, items=serviced,
+                            )
+                    self.trace.counters["pami.items_serviced"] += serviced
+                    self.busy_time += engine.now - start
+                finally:
+                    if grant is None or grant._triggered:
+                        self.lock.release()
+                    else:
+                        self.lock.withdraw(grant)
+                if event is None:
+                    return serviced
+            return event._value
         finally:
             if timer is not None:
                 cancel_timer(timer)
+
+    def _execute_item(self, item: WorkItem) -> None:
+        try:
+            item.execute(self)
+        except Exception as exc:
+            from ..errors import SimulationError
+
+            self.engine.fail(
+                SimulationError(
+                    f"work item {type(item).__name__} on context "
+                    f"r{self.client.rank}.ctx{self.index} raised {exc!r}"
+                ),
+                cause=exc,
+            )

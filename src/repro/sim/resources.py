@@ -60,6 +60,11 @@ class Semaphore:
         else:
             self._count += 1
 
+    def withdraw(self, request: Event) -> None:
+        """Take a not-yet-granted :meth:`acquire` request off the queue
+        (its process gave up, or was killed, while waiting)."""
+        self._waiters.remove(request)
+
 
 class Lock(Semaphore):
     """Binary mutual-exclusion lock (a semaphore with one permit).

@@ -492,7 +492,7 @@ class TestOneOpBracket:
         assert self._callers_of(
             "begin", repro.armci, repro.pami, repro.gax, repro.recover,
             repro.serve, repro.transport,
-        ) == {"handles.py:wait", "activemsg.py:execute"}
+        ) == {"handles.py:_post_and_wait", "activemsg.py:execute"}
 
     def test_the_gantt_is_only_a_view(self):
         src = pathlib.Path(repro.armci.__file__).parents[1]

@@ -37,10 +37,16 @@ def two_node_job(config=None, **kwargs):
 
 PAIRS = 200
 #: Python-function calls per blocking 16 B put + get pair, knobs off (a
-#: generator resuming counts as a call). Set 10 % above pami 297 and mpi3
-#: 307 when first pinned (the parent of that PR measured 469 and 485);
-#: this tree measures 312 and 323. The budget only goes down.
-CALL_BUDGET = {"pami": 326, "mpi3": 337}
+#: generator resuming counts as a call). Set 10 % above pami 283 and mpi3
+#: 294, measured when the progress round and the handle wait each became
+#: one frame (before: 312 and 323; when first pinned, 469 and 485 before
+#: and 297 and 307 after). The budget only goes down.
+CALL_BUDGET = {"pami": 311, "mpi3": 323}
+#: Generator frames one process step resumes during the pair, at most:
+#: the body, ``pair``, ``_post_and_wait`` (the post, then the handle
+#: wait) and the context's progress round (7 before both were folded).
+#: mpi3's fence inside the get's post is two frames deeper.
+FRAMES_PER_STEP = {"pami": 4, "mpi3": 6}
 #: Engine entries per pair — the simulated schedule, which a host-cost
 #: change must not move (mpi3: one more for the fence's flush). A
 #: resolved ``WaitAny`` takes its sibling arms back, so none of these
@@ -59,12 +65,17 @@ class TestHostCostBudget:
     def test_put_get_pair_stays_inside_its_call_budget(self, backend):
         job = two_node_job(ArmciConfig(backend=backend))
         calls = collections.Counter()
-        events = []
+        events, depths = [], []
 
         def count(frame, event, _arg):
             if event == "call":
                 code = frame.f_code
                 calls[f"{pathlib.Path(code.co_filename).name}:{code.co_name}"] += 1
+                if code.co_name == "_step" and code.co_filename.endswith("process.py"):
+                    gen, depth = frame.f_locals["self"].body, 0
+                    while gen is not None and hasattr(gen, "gi_code"):
+                        gen, depth = gen.gi_yieldfrom, depth + 1
+                    depths.append(depth)
 
         def pair(rt, buf, remote):
             yield from rt.put(1, buf, remote, 16)
@@ -89,6 +100,7 @@ class TestHostCostBudget:
 
         job.run(body)
         assert (events[1] - events[0]) / PAIRS == EVENTS_PER_PAIR[backend]
+        assert max(depths) <= FRAMES_PER_STEP[backend]
         per_pair = sum(calls.values()) / PAIRS
         top = ", ".join(f"{n} {c / PAIRS:.1f}" for n, c in calls.most_common(10))
         assert per_pair <= CALL_BUDGET[backend], (

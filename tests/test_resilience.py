@@ -749,6 +749,59 @@ class TestProgressWatchdog:
         assert result["failed_over_after_restart"] is False
         assert job.trace.count("armci.async_thread_restarts") == 1
 
+    def test_stall_inside_an_advance_fails_over_once(self, monkeypatch):
+        """A stall that lands while the async thread is inside an advance
+        (here: paying the lock guard, before it services anything) must
+        not take the shared context lock with it. Otherwise every
+        failover thread queues on the dead lock, the watchdog fails over
+        every period, and the gets end at their deadline."""
+        from repro.pami.context import PamiContext
+
+        cfg = ArmciConfig(
+            async_thread=True, num_contexts=1, use_rdma=False,
+            watchdog_period=20e-6, default_deadline=1e-3,
+        )
+
+        def body(rt):
+            alloc = yield from rt.malloc(64)
+            yield from rt.barrier()
+            if rt.rank == 1:
+                yield from rt.compute(2e-3)  # only the async thread serves
+                return
+            buf = rt.world.space(0).allocate(64)
+            for _ in range(30):
+                yield from rt.get(1, buf, alloc.addr(1), 8)
+
+        # Dry run: when does rank 1's async thread enter an advance once
+        # the gets arrive?
+        dry = make_job(2, config=cfg)
+        entries = []
+        advance = PamiContext.advance
+
+        def recorded(ctx, max_items=None):
+            if ctx.client.rank == 1:
+                entries.append(ctx.engine.now)
+            return advance(ctx, max_items)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PamiContext, "advance", recorded)
+            start = dry.engine.now
+            dry.run(body)
+        assert dry.trace.count("armci.watchdog_failovers") == 0
+        entry = entries[len(entries) // 2] - start
+        stall_at = entry + dry.world.params.context_lock_overhead / 2
+
+        plan = FaultPlan().stall_progress(1, at=stall_at)
+        job = make_job(2, config=cfg, fault_plan=plan)
+        job.run(body)
+        assert job.trace.count("chaos.progress_stalls") == 1
+        assert job.trace.count("armci.watchdog_failovers") == 1
+        assert job.trace.count("armci.get_fallback") == dry.trace.count(
+            "armci.get_fallback"
+        )
+        lock = job.rt(1).client.progress_context().lock
+        assert not lock.locked and not lock._waiters
+
 
 # ------------------------------------------------------------ quiesce/drain
 

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """What one blocking operation costs the host, layer by layer (the foMPI
 table): Python calls, bytecode instructions, generator resumes, allocated
-blocks and engine entries by callback, for a blocking 16 B put + get pair
-and for one ``fetch_add`` on a knobs-off 2-node job; then Python calls and
-numpy calls per served request on a reduced ``kv_idle`` shape; last, what
-importing each core layer costs a fresh interpreter (``reach.LAYERS``):
+blocks, engine entries by callback and the generator frames a process
+step resumes, for a blocking 16 B put + get pair and for one
+``fetch_add`` on a knobs-off 2-node job; then the frames per step of the
+256-rank smoke Fig. 11 D run, with its most common frame chains; then
+Python calls and numpy calls per served request on a reduced ``kv_idle``
+shape; last, what importing each core layer costs a fresh interpreter
+(``reach.LAYERS``):
 ``python tools/op_census.py [--src OTHER_TREE/src] [--backend pami|mpi3]``.
 Counts per operation; they repeat exactly. A layer is a package under
 ``repro/``; a builtin is charged to its caller's layer, as in the ledger.
@@ -28,6 +31,9 @@ from collections import Counter
 from reach import LAYERS
 
 N, OPS = 50, ("put+get", "fetch_add")  # operations per census; what it covers
+#: The SCF D row: ranks of the smoke Fig. 11 grid's largest D run, and
+#: how many of its frame chains it prints.
+SCF_PROCS, TOP_CHAINS = 256, 6
 #: The kv request row: a reduced ``kv_idle`` (6 ranks, 2 shards, 3 per
 #: node, 2 requests per client at 0.5 M requests per simulated second),
 #: run at two client counts; the difference, per extra request, leaves
@@ -50,6 +56,34 @@ def layer_of(filename: str) -> str:
     return filename[at + 7:].split("/", 1)[0].removesuffix(".py") if at >= 0 else "other"
 
 
+def frames(body) -> tuple[str, ...]:
+    """The generator frames a process step resumes: its body and every
+    generator it delegates to by ``yield from``, outermost first."""
+    chain = []
+    while body is not None and hasattr(body, "gi_code"):
+        chain.append(body.gi_code.co_name)
+        body = body.gi_yieldfrom
+    return tuple(chain)
+
+
+class Frames:
+    """Frames per process step: count, sum and maximum, and the chains."""
+
+    def __init__(self) -> None:
+        self.steps = self.total = self.deepest = 0
+        self.chains = Counter()
+
+    def add(self, chain: tuple[str, ...]) -> None:
+        self.steps += 1
+        self.total += len(chain)
+        self.deepest = max(self.deepest, len(chain))
+        self.chains[chain] += 1
+
+    def __str__(self) -> str:
+        return (f"frames per process step: mean {self.total / max(self.steps, 1):.3f}, "
+                f"max {self.deepest}, over {self.steps} steps")
+
+
 def is_numpy(func) -> bool:
     """Whether a C callable is numpy's (a function, or a method of a numpy object)."""
     module = getattr(func, "__module__", None) or type(getattr(func, "__self__", None)).__module__
@@ -62,6 +96,7 @@ class Census:
     def __init__(self) -> None:
         self.calls, self.opcodes, self.entries = Counter(), Counter(), Counter()
         self.numpy = Counter()
+        self.frames = Frames()
         self.resumes = self.blocks = 0
         self._in_numpy = None  # the numpy C callable a repro frame is inside
 
@@ -76,6 +111,8 @@ class Census:
             return
         self.resumes += bool(code.co_flags & 0x20)  # CO_GENERATOR
         waiter = code.co_filename.endswith("sim/process.py")
+        if waiter and code.co_name == "_step":
+            self.frames.add(frames(frame.f_locals["self"].body))
         if back.f_code.co_name == "run" and back.f_code.co_filename.endswith("engine.py"):
             arm = "WaitAny arm" if waiter and code.co_name != "_step" else code.co_name
             self.entries[arm] += 1
@@ -147,6 +184,27 @@ def run(backend: str, mode: str) -> dict[str, Census]:
     return census
 
 
+def scf_frames() -> Frames:
+    """Frames per process step of the ``SCF_PROCS``-rank smoke Fig. 11 D run."""
+    from repro.apps.nwchem.scf import run_scf
+    from repro.armci import ArmciConfig
+    from repro.bench.artifacts import FIG11_SMALL
+    from repro.sim.process import SimProcess
+
+    census, step = Frames(), SimProcess._step
+
+    def counted(process, value):
+        census.add(frames(process.body))
+        return step(process, value)
+
+    SimProcess._step = counted
+    try:
+        run_scf(SCF_PROCS, ArmciConfig.default_mode(), FIG11_SMALL, 16, "D")
+    finally:
+        SimProcess._step = step
+    return census
+
+
 def kv_request(backend: str = "pami") -> tuple[Counter, Counter]:
     """Python calls and numpy calls per served request, by layer."""
     from repro.armci import ArmciConfig
@@ -212,6 +270,11 @@ def main() -> None:
         print(f"  engine entries {sum(entries.values()) / N:.2f} (of the WaitAny arms, "
               f"{live / N:.2f} live): " + ", ".join(
                   f"{name} {count / N:.2f}" for name, count in entries.most_common()))
+        print(f"  {calls[op].frames}")
+    scf = scf_frames()
+    print(f"\nscf D, {SCF_PROCS} ranks (smoke Fig. 11): {scf}")
+    for chain, count in scf.chains.most_common(TOP_CHAINS):
+        print(f"  {count:8d}  {' > '.join(chain)}")
     calls, numpy = kv_request(args.backend)
     calls["total"], numpy["total"] = sum(calls.values()), sum(numpy.values())
     print(f"\n{'kv request':<12}{'calls':>8}{'numpy':>8}")
