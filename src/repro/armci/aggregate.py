@@ -146,11 +146,10 @@ class AggregateHandle:
             yield from h.wait()
             return h
 
-        with rt.span(
-            "op", "aggregate_flush",
-            dst=self.dst, nbytes=total, fragments=vec.num_segments,
-        ):
-            handle = yield from rt._with_retry(attempt, "aggregate_flush")
+        handle = yield from rt._with_retry(
+            "aggregate_flush", attempt, (), None,
+            {"dst": self.dst, "nbytes": total, "fragments": vec.num_segments},
+        )
         rt.trace.incr("armci.aggregate_flushes")
         if self.on_flush is not None:
             self.on_flush(total, vec.num_segments)

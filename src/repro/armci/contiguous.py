@@ -96,11 +96,15 @@ def ensure_local_segments(
     return True
 
 
-def resolve_remote_region(
-    rt: "ArmciProcess", dst: int, addr: int, nbytes: int
+def register_then_resolve(
+    rt: "ArmciProcess", dst: int, local_addrs: Iterable[int], addr: int, nbytes: int
 ) -> Generator[Any, Any, MemoryRegion | None]:
-    """Find the remote region handle for an RDMA target: a cache hit is
-    free, a miss is :func:`query_remote_region`."""
+    """Register the local segments ``local_addrs`` touch, then find the
+    remote region handle for an RDMA target: a cache hit is free, a miss
+    is :func:`query_remote_region`. ``None`` when a registration fails
+    (the fall-back protocol)."""
+    if not (yield from ensure_local_segments(rt, local_addrs)):
+        return None
     region = rt.region_cache.lookup(dst, addr, nbytes)
     if region is not None:
         return region

@@ -106,19 +106,5 @@ def _post_and_wait(nb, args: tuple) -> Generator[Any, Any, None]:
             check_completion(ev.value, op=h.kind)
     finally:
         if sid is not None:
-            # Edge to each registered cause; refine the category when
-            # the causes agree (rdma_wait / am_wait read better in the
-            # critical-path attribution than the generic label).
-            cats: set = set()
-            for ev in h._events:
-                cause = obs.span_for_event(ev)
-                if cause is not None:
-                    obs.add_edge(cause, sid)
-                    cats.add(obs.category(cause))
-            if cats == {"rdma"}:
-                obs.end(sid, category="rdma_wait")
-            elif cats and cats <= {"am", "am_service"}:
-                obs.end(sid, category="am_wait")
-            else:
-                obs.end(sid)
+            obs.end(sid, caused_by=h._events)
         owner.on_handle_complete(h)

@@ -35,7 +35,7 @@ from ..errors import (
     RetryExhaustedError,
     TransientFaultError,
 )
-from ..obs.span import NO_SPAN, Obs
+from ..obs.span import NO_SPAN, Obs, OpenSpan
 from ..pami.context import PamiContext, cancel_timer, deadline_timer
 from ..pami.faults import TransientFault, check_completion
 from ..pami.world import PamiWorld
@@ -67,6 +67,10 @@ UNREGISTERED_KEY_BASE = -1
 
 #: Un-fenced acks to one destination kept before completed ones are pruned.
 ACK_PRUNE_FLOOR = 128
+
+#: What :meth:`ArmciProcess._guarded` answers when a blocking op needs
+#: its op span only (obs alone), or ``_with_retry``'s loop too.
+SPANNED, RETRIED = 1, 2
 
 #: Dispatch id -> target-side handler ``fn(rt, ctx, env)``. The handlers
 #: are the same functions on every rank, so one table serves every rank
@@ -491,7 +495,7 @@ class ArmciProcess:
         (non-generator)."""
         if self.obs is None:
             return NO_SPAN
-        return self.obs.span(self.rank, "main", category, name, **kw)
+        return OpenSpan(self.obs, self.rank, "main", category, name, kw)
 
     def reset_peer_state(self, dead_ranks) -> None:
         """Drop state referencing dead incarnations (non-generator).
@@ -546,10 +550,13 @@ class ArmciProcess:
         return None
 
     def _with_retry(
-        self, attempt_fn, kind: str, deadline: float | None = None
+        self, kind: str, attempt, args: tuple, deadline: float | None,
+        op: dict | None = None, retried: bool = True,
     ) -> Generator[Any, Any, Any]:
-        """Run ``attempt_fn()`` (a generator factory), retrying transient
-        faults with exponential backoff per ``config.retry``.
+        """Run ``attempt(*args)`` (a generator function), retrying
+        transient faults with exponential backoff per ``config.retry``;
+        with ``op`` (its attributes), inside the ``kind`` op span, which
+        this frame brackets — a guarded op is one frame over the flat one.
 
         Transient faults are injected before any target-side effect, so
         a retried attempt applies exactly once. Fail-stop errors
@@ -560,47 +567,52 @@ class ArmciProcess:
         ``deadline`` (absolute) is installed as the ambient deadline for
         the attempt's nested waits; the deadline wins over the remaining
         retry budget — a backoff sleep that would cross it raises
-        :class:`~repro.errors.DeadlineExceededError` immediately.
+        :class:`~repro.errors.DeadlineExceededError` immediately. Not
+        ``retried`` (obs alone guarded the op: no transient fault or
+        deadline can exist), the one attempt runs as is.
         """
-        policy = self.config.retry
-        delay = _config.RETRY_BASE_DELAY
-        attempts = 0
-        prev_deadline = self._deadline
-        if deadline is not None:
-            self._deadline = deadline
-        try:
-            while True:
-                try:
-                    result = yield from attempt_fn()
-                    if attempts:
-                        self.trace.incr("armci.retry_successes")
-                    return result
-                except RetryExhaustedError:
-                    raise  # a nested retry loop already spent its budget
-                except TransientFaultError as exc:
-                    attempts += 1
-                    if attempts > policy.max_retries:
-                        raise RetryExhaustedError(
-                            f"{kind}: retry budget ({policy.max_retries}) "
-                            f"exhausted: {exc}"
-                        ) from exc
-                    if (
-                        deadline is not None
-                        and self.engine.now + delay >= deadline
-                    ):
-                        self.trace.incr("armci.retry_deadline_abandoned")
-                        raise DeadlineExceededError(
-                            f"{kind}: deadline t={deadline:.6g}s expires "
-                            f"during retry backoff ({attempts} attempts made)"
-                        ) from exc
-                    self.trace.incr("armci.transient_retries")
-                    self.trace.incr(f"armci.transient_retries.{kind}")
-                    self.trace.add_time("armci.retry_backoff_time", delay)
-                    with self.span("backoff", f"backoff.{kind}", attempt=attempts):
-                        yield Delay(delay)
-                    delay = min(delay * _config.RETRY_MULTIPLIER, policy.max_delay)
-        finally:
-            self._deadline = prev_deadline
+        with NO_SPAN if op is None else self.span("op", kind, **op):
+            if not retried:
+                return (yield from attempt(*args))
+            policy = self.config.retry
+            delay = _config.RETRY_BASE_DELAY
+            attempts = 0
+            prev_deadline = self._deadline
+            if deadline is not None:
+                self._deadline = deadline
+            try:
+                while True:
+                    try:
+                        result = yield from attempt(*args)
+                        if attempts:
+                            self.trace.incr("armci.retry_successes")
+                        return result
+                    except RetryExhaustedError:
+                        raise  # a nested retry loop already spent its budget
+                    except TransientFaultError as exc:
+                        attempts += 1
+                        if attempts > policy.max_retries:
+                            raise RetryExhaustedError(
+                                f"{kind}: retry budget ({policy.max_retries}) "
+                                f"exhausted: {exc}"
+                            ) from exc
+                        if (
+                            deadline is not None
+                            and self.engine.now + delay >= deadline
+                        ):
+                            self.trace.incr("armci.retry_deadline_abandoned")
+                            raise DeadlineExceededError(
+                                f"{kind}: deadline t={deadline:.6g}s expires "
+                                f"during retry backoff ({attempts} attempts made)"
+                            ) from exc
+                        self.trace.incr("armci.transient_retries")
+                        self.trace.incr(f"armci.transient_retries.{kind}")
+                        self.trace.add_time("armci.retry_backoff_time", delay)
+                        with self.span("backoff", f"backoff.{kind}", attempt=attempts):
+                            yield Delay(delay)
+                        delay = min(delay * _config.RETRY_MULTIPLIER, policy.max_delay)
+            finally:
+                self._deadline = prev_deadline
 
     # ----------------------------------------------------- flow control
 
@@ -799,12 +811,11 @@ class ArmciProcess:
     ) -> Generator[Any, Any, Any]:
         """The generator half of :meth:`_cached_region` (one cache
         lookup per op: a miss is handed over, not repeated). ``None``:
-        take the fall-back protocol."""
+        take the fall-back protocol. Non-generator: returns the generator
+        it delegates to, so a region-miss wait is no frame deeper."""
         if todo == "query":
-            return (yield from _cont.query_remote_region(self, dst, *xfer.extent))
-        if (yield from _cont.ensure_local_segments(self, xfer.local_addrs)):
-            return (yield from _cont.resolve_remote_region(self, dst, *xfer.extent))
-        return None
+            return _cont.query_remote_region(self, dst, *xfer.extent)
+        return _cont.register_then_resolve(self, dst, xfer.local_addrs, *xfer.extent)
 
     def _nbwrite(
         self, kind: str, dst: int, xfer: "_xfer.Transfer",
@@ -878,37 +889,41 @@ class ArmciProcess:
             "get", dst, _cont.contiguous_transfer(local_addr, remote_addr, nbytes)
         )
 
-    def _guarded(self) -> bool:
-        """Whether a blocking op needs its wrappers (non-generator):
-        ``_with_retry`` when a transient fault or a deadline can exist,
-        the ``op`` span when obs is on. Read per call — chaos, the link
-        model and integrity can be attached after construction."""
+    def _guarded(self) -> int:
+        """What a blocking op needs around it (non-generator): ``0`` with
+        every knob off; ``RETRIED`` when a transient fault or a deadline
+        can exist — ``_with_retry``'s loop, and the ``op`` span if obs is
+        on; ``SPANNED`` with obs alone — the span only. Read per call —
+        chaos, the link model and integrity can be attached after
+        construction."""
         world = self.world
-        return (
+        if (
             self._deadline is not None
-            or self.obs is not None
             or world.chaos is not None
             or world.integrity is not None
             or world.network.route_table is not None
             or self.config.default_deadline is not None
-        )
+        ):
+            return RETRIED
+        return SPANNED if self.obs is not None else 0
 
     def _blocking(self, kind: str, nb, args: tuple, **attrs) -> Generator[Any, Any, None]:
         """One blocking data op on rank ``args[0]`` (non-generator: it
         *composes* the op's generator): post ``nb(*args)`` and wait for
         local completion — as is with every knob off, else inside the
-        ``kind`` op span with transient faults retried with backoff and
-        the op's deadline bounding the whole call. ``attrs`` go on the span
-        (``nbytes=``, and ``timeline=`` to show the op in the Gantt view)."""
-        if not self._guarded():
+        ``kind`` op span, with transient faults retried with backoff and
+        the op's deadline bounding the whole call when either can exist.
+        ``attrs`` go on the span (``nbytes=``, and ``timeline=`` to show
+        the op in the Gantt view)."""
+        guard = self._guarded()
+        if not guard:
             return _post_and_wait(nb, args)
-        return self._bracketed(kind, nb, args, attrs)
-
-    def _bracketed(self, kind: str, nb, args: tuple, attrs: dict):
-        with self.span("op", kind, dst=args[0], **attrs):
-            yield from self._with_retry(
-                lambda: _post_and_wait(nb, args), kind, self._op_deadline()
-            )
+        retried = guard == RETRIED
+        return self._with_retry(
+            kind, _post_and_wait, (nb, args),
+            self._op_deadline() if retried else None,
+            {"dst": args[0], **attrs}, retried,
+        )
 
     def put(self, dst: int, local_addr: int, remote_addr: int, nbytes: int):
         """Blocking contiguous put (local completion); transient faults
@@ -1059,8 +1074,8 @@ class ArmciProcess:
                 # Retry-safe: a transient fault means the request was lost
                 # before the op was applied, so re-issuing never double-counts.
                 old = yield from self._with_retry(
-                    lambda: self._rmw_once(dst, addr, op, operand, operand2, span),
-                    "rmw", self._op_deadline(),
+                    "rmw", self._rmw_once, (dst, addr, op, operand, operand2, span),
+                    self._op_deadline(),
                 )
             else:
                 old = yield from self._rmw_once(dst, addr, op, operand, operand2, span)
@@ -1227,7 +1242,7 @@ class ArmciProcess:
         """
         with self.span("lock_wait", "lock", mutex=mutex_id) as span:
             yield from self._with_retry(
-                lambda: _locks.lock(self, mutex_id, span), "lock", self._op_deadline()
+                "lock", _locks.lock, (self, mutex_id, span), self._op_deadline()
             )
         self._observe("on_lock", mutex_id)
 

@@ -46,6 +46,7 @@ the last-arriving rank's barrier span. ``critical_path`` walks them.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import isnan, nan
@@ -57,6 +58,8 @@ from .metrics import MetricsRegistry
 LANES = ("main", "async", "net")
 
 _AMBIENT = object()
+#: The producer categories that refine a handle wait (see :meth:`Obs.end`).
+_RDMA, _AM = frozenset({"rdma"}), frozenset({"am", "am_service"})
 
 
 @dataclass(frozen=True)
@@ -173,10 +176,11 @@ class Obs:
         self._kind = array("I")
         self._values: list[tuple] = []
         self._kinds = _Kinds()
-        #: Rows closed since the last fold, in close order.
+        #: Rows closed since the last fold, in close order, and how many
+        #: closed before it.
         self._closes = array("I")
-        self._closed = 0
-        self._stacks: dict[int, list[int]] = {}
+        self._folded = 0
+        self._stacks: defaultdict[int, list[int]] = defaultdict(list)
         self._barriers: dict[int, dict[str, Any]] = {}
         metrics.defer(self._fold)
 
@@ -195,36 +199,70 @@ class Obs:
         **attrs,
     ) -> int:
         """Open a span and make it the rank's ambient parent."""
+        stack = self._stacks[rank]
         if parent_id is _AMBIENT:
-            parent_id = self.current(rank)
-        sid = self._append(
-            rank, lane, category, name, self.engine.now if start is None else start,
-            nan, parent_id, timeline, attrs,
-        )
-        stack = self._stacks.get(rank)
-        if stack is None:
-            stack = self._stacks[rank] = []
+            parent_id = stack[-1] if stack else 0
+        # One row, written here and in ``record`` alike (the write path
+        # is one call per span: DESIGN §12).
+        starts = self._start
+        starts.append(self.engine.now if start is None else start)
+        self._end.append(nan)
+        self._parent.append(parent_id or 0)
+        self._rank.append(rank)
+        self._kind.append(self._kinds[lane, category, name, timeline, *attrs])
+        self._values.append((*attrs.values(),))
+        sid = len(starts)
         stack.append(sid)
         return sid
 
-    def end(self, span_id: int, *, category: str | None = None, **attrs) -> None:
-        """Close a span at the current simulated time."""
+    def end(
+        self, span_id: int, *, category: str | None = None, caused_by=(), **attrs
+    ) -> None:
+        """Close a span at the current simulated time, re-filed under
+        ``category`` and with ``attrs`` added when given.
+
+        ``caused_by`` holds the events whose completion ended the span (a
+        handle wait's): a wait-for edge runs from each one's registered
+        producer, and when the producers agree the span is re-filed —
+        ``rdma_wait`` when all are RDMA wire time, ``am_wait`` when all
+        are AM wire or service (they read better in the critical-path
+        attribution than the generic ``handle_wait``).
+        """
+        if caused_by:
+            kinds, codes, causes = self._kinds.kinds, self._kind, set()
+            for event in caused_by:
+                cause = event._obs_span
+                if cause is not None:
+                    if cause != span_id:
+                        self.edges.append((cause, span_id))
+                    causes.add(kinds[codes[cause - 1]][1])
+            if causes == _RDMA:
+                category = "rdma_wait"
+            elif causes and causes <= _AM:
+                category = "am_wait"
         row = span_id - 1
         ends = self._end
-        if not 0 <= row < len(ends) or not isnan(ends[row]):
+        if row < 0 or row >= len(ends) or not isnan(ends[row]):
             return
         ends[row] = self.engine.now
-        if category is not None or attrs:
+        if attrs:
             self._update(row, category, attrs)
-        stack = self._stacks.get(self._rank[row])
+        elif category is not None:
+            # Same lane, name, timeline and attributes: swap the kind.
+            kinds, codes = self._kinds, self._kind
+            kind = kinds.kinds[codes[row]]
+            codes[row] = kinds[(kind[0], category, *kind[2:])]
+        stack = self._stacks[self._rank[row]]
         if stack:
-            # Normally the top of the stack; search defensively so an
-            # out-of-order close can't corrupt the ambient chain.
-            for i in range(len(stack) - 1, -1, -1):
-                if stack[i] == span_id:
-                    del stack[i]
-                    break
-        self._close(row)
+            if stack[-1] == span_id:
+                stack.pop()
+            else:
+                # An out-of-order close must not corrupt the ambient chain.
+                for i in range(len(stack) - 2, -1, -1):
+                    if stack[i] == span_id:
+                        del stack[i]
+                        break
+        self._closes.append(row)
 
     def record(
         self,
@@ -237,15 +275,27 @@ class Obs:
         *,
         parent_id=_AMBIENT,
         timeline: str | None = None,
+        produces=(),
         **attrs,
     ) -> int:
-        """Record an already-finished span (no stack interaction)."""
+        """Record an already-finished span (no stack interaction), named
+        the producer of each event in ``produces`` (see
+        :meth:`register_event`)."""
         if parent_id is _AMBIENT:
-            parent_id = self.current(rank)
-        sid = self._append(
-            rank, lane, category, name, start, end, parent_id, timeline, attrs
-        )
-        self._close(sid - 1)
+            stack = self._stacks[rank]
+            parent_id = stack[-1] if stack else 0
+        starts = self._start
+        starts.append(start)
+        self._end.append(end)
+        self._parent.append(parent_id or 0)
+        self._rank.append(rank)
+        self._kind.append(self._kinds[lane, category, name, timeline, *attrs])
+        self._values.append((*attrs.values(),))
+        sid = len(starts)
+        self._closes.append(sid - 1)
+        for event in produces:
+            if event is not None:
+                event._obs_span = sid
         return sid
 
     def span(
@@ -258,7 +308,7 @@ class Obs:
         return, by exception, or by the generator being closed because
         its rank was killed (the span then ends at the crash time).
         """
-        return OpenSpan(self, self.begin(rank, lane, category, name, **kwargs))
+        return OpenSpan(self, rank, lane, category, name, kwargs)
 
     def current(self, rank: int) -> int | None:
         """The rank's innermost open span id (ambient parent), if any."""
@@ -285,24 +335,12 @@ class Obs:
         finished job) this is a view of all rows: O(1) to take and to
         measure."""
         rows = range(len(self._end))
-        if self._closed < len(rows):
+        if self._folded + len(self._closes) < len(rows):
             ends = self._end
             rows = array("I", (row for row in rows if not isnan(ends[row])))
         return Spans(self, rows)
 
     # ------------------------------------------------------- the columns
-
-    def _append(
-        self, rank, lane, category, name, start, end, parent_id, timeline, attrs
-    ) -> int:
-        """Add one row; its span id."""
-        self._start.append(start)
-        self._end.append(end)
-        self._parent.append(parent_id or 0)
-        self._rank.append(rank)
-        self._kind.append(self._kinds[lane, category, name, timeline, *attrs])
-        self._values.append((*attrs.values(),))
-        return len(self._start)
 
     def _update(self, row: int, category: str | None, attrs: dict[str, Any]) -> None:
         """Re-file ``row`` under a new category and/or more attributes."""
@@ -331,10 +369,6 @@ class Obs:
             timeline,
         )
 
-    def _close(self, row: int) -> None:
-        self._closes.append(row)
-        self._closed += 1
-
     def _fold(self) -> None:
         """Record the duration of every span closed since the last fold
         into ``obs.span.<category>`` and its per-rank histogram, in close
@@ -344,6 +378,7 @@ class Obs:
         if not closes:
             return
         self._closes = array("I")
+        self._folded += len(closes)
         starts, ends, ranks, kinds = self._start, self._end, self._rank, self._kind
         histograms: dict[int, Any] = {}
         for row in closes:
@@ -423,22 +458,29 @@ class Obs:
                     ends[row] = max(end, self._start[row])
                     self._update(row, None, {"truncated": True})
                     self.truncated_spans += 1
-                    self._close(row)
+                    self._closes.append(row)
 
 
 class OpenSpan:
-    """The ``with`` object of one open span (see :meth:`Obs.span`)."""
+    """The ``with`` object of one open span (see :meth:`Obs.span`):
+    building it opens the span, :meth:`Obs.begin` with ``kwargs``."""
 
     __slots__ = ("obs", "sid", "_notes")
 
-    def __init__(self, obs: Obs, sid: int) -> None:
+    def __init__(
+        self, obs: Obs, rank: int, lane: str, category: str, name: str,
+        kwargs: dict[str, Any],
+    ) -> None:
         self.obs = obs
-        self.sid = sid
-        self._notes: dict[str, Any] = {}
+        self.sid = obs.begin(rank, lane, category, name, **kwargs)
+        self._notes: dict[str, Any] | None = None
 
     def note(self, **attrs) -> None:
         """Attributes known only once the work ran; set at close."""
-        self._notes.update(attrs)
+        if self._notes is None:
+            self._notes = attrs
+        else:
+            self._notes.update(attrs)
 
     def caused_by(self, event) -> None:
         """Wait-for edge from ``event``'s producer span to this one."""
@@ -448,7 +490,11 @@ class OpenSpan:
         return self
 
     def __exit__(self, *exc) -> bool:
-        self.obs.end(self.sid, **self._notes)
+        notes = self._notes
+        if notes is None:
+            self.obs.end(self.sid)
+        else:
+            self.obs.end(self.sid, **notes)
         return False
 
 

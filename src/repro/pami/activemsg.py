@@ -15,7 +15,6 @@ from typing import Any, Generator
 import numpy as np
 
 from ..errors import PamiError
-from ..obs.span import context_lane
 from ..sim.event import Event
 from . import faults as _flt
 from .context import PamiContext, WorkItem
@@ -95,7 +94,7 @@ class AmItem(WorkItem):
         # path), so the remote service span parents back to the send.
         sid = obs.begin(
             ctx.client.rank,
-            context_lane(ctx),
+            ctx.lane,
             "am_service",
             obs.dispatch_names.get(env.dispatch_id, f"am.{env.dispatch_id}"),
             parent_id=env.header.get("_span"),

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Callable
 
 from ..errors import PamiError
-from ..obs.span import context_lane
 from ..sim.event import Event
 from ..record import SlotRecord
 from . import faults as _flt
@@ -98,15 +97,14 @@ class RmwItem(WorkItem):
         trace.add_time("pami.rmw_queue_wait", now - self.posted_at)
         obs = world.obs
         if obs is not None:
-            sid = obs.record(
-                ctx.client.rank, context_lane(ctx), "amo_service",
+            # Feeds the initiator's counter_wait edge: the wait ends
+            # because this service ran (the Fig. 9/11 causality).
+            obs.record(
+                ctx.client.rank, ctx.lane, "amo_service",
                 f"rmw.{req.op}", now - self.cost(ctx), now,
-                parent_id=self.delivery.parent_span,
+                parent_id=self.delivery.parent_span, produces=(req.event,),
                 src=req.src, queue_wait=now - self.posted_at,
             )
-            # Feed the initiator's counter_wait edge: the wait ends
-            # because this service ran (the Fig. 9/11 causality).
-            obs.register_event(req.event, sid)
         _service(world, req)
 
     def on_dropped(self, world, dead_rank: int) -> None:
@@ -203,12 +201,11 @@ class _NicRmwDelivery(_RmwDelivery):
         obs = world.obs
         if obs is not None:
             now = world.engine.now
-            sid = obs.record(
+            obs.record(
                 self.dst, "net", "amo_service", f"nic_rmw.{request.op}",
                 now - NIC_AMO_SERVICE, now, parent_id=self.parent_span,
-                src=request.src,
+                produces=(request.event,), src=request.src,
             )
-            obs.register_event(request.event, sid)
         _service(world, request)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Container, Generator
 
 from ..errors import PamiError
+from ..obs.span import context_lane
 from ..sim.primitives import Delay
 from .context import PamiContext
 
@@ -62,6 +63,8 @@ class PamiClient:
         yield Delay(self.world.params.context_create_time(index))
         ctx = PamiContext(self, index, capacity=capacity)
         self.contexts.append(ctx)
+        for each in self.contexts:  # a new last context moves the async lane
+            each.lane = context_lane(each)
         self.world.trace.incr("pami.contexts_created")
         return ctx
 

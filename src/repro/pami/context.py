@@ -31,7 +31,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class TimerEvent(Event):
-    """An :class:`Event` backed by a cancellable engine timer."""
+    """An :class:`Event` backed by a cancellable engine timer.
+
+    ``handle`` is the engine's :class:`~repro.sim.engine.Timer`, whose
+    argument is this event: the reference is dropped once the timer
+    fires or is cancelled, so a finished wait leaves no cycle behind.
+    """
 
     __slots__ = ("handle",)
 
@@ -55,9 +60,11 @@ def cancel_timer(timer: TimerEvent | None) -> None:
     """Retire a :func:`deadline_timer` that is no longer needed."""
     if timer is not None and not timer.triggered:
         timer.handle.cancel()
+        timer.handle = None
 
 
-def _fire_timer(timer: Event) -> None:
+def _fire_timer(timer: TimerEvent) -> None:
+    timer.handle = None
     timer.succeed()
 
 
@@ -125,7 +132,7 @@ class PamiContext:
 
     __slots__ = ("client", "index", "engine", "params", "trace", "queue", "lock",
                  "_lock_overhead", "_arrival", "busy_time", "capacity",
-                 "_credits_out", "_room", "progress_epoch")
+                 "_credits_out", "_room", "progress_epoch", "lane")
 
     def __init__(
         self, client: "PamiClient", index: int, capacity: int | None = None
@@ -156,6 +163,10 @@ class PamiContext:
         #: is drained. The progress watchdog samples this to detect a
         #: wedged async progress thread.
         self.progress_epoch = 0
+        #: The display lane of this context's spans
+        #: (:func:`~repro.obs.span.context_lane`), set by the client each
+        #: time it creates a context.
+        self.lane = "main"
 
     # ------------------------------------------------------------ posting
 
@@ -328,13 +339,11 @@ class PamiContext:
                         self.progress_epoch += 1
                         obs = self.client.world.obs
                         if obs is not None:
-                            from ..obs.span import context_lane
-
                             # Root span (no ambient parent): the async
                             # thread's rounds must not attach to whatever
                             # the main thread happens to have open.
                             obs.record(
-                                self.client.rank, context_lane(self), "progress",
+                                self.client.rank, self.lane, "progress",
                                 "drain", start, engine.now,
                                 parent_id=None, items=serviced,
                             )

@@ -116,14 +116,10 @@ class Delivery:
         """Record the wire-time span ``name`` on ``src``'s net lane, from
         now to ``end``, as the producer of ``events``; its id."""
         world = self.world
-        obs = world.obs
-        sid = obs.record(
+        return world.obs.record(
             self.src, "net", category, name, world.engine.now, end,
-            dst=self.dst, nbytes=nbytes,
+            produces=events, dst=self.dst, nbytes=nbytes,
         )
-        for event in events:
-            obs.register_event(event, sid)
-        return sid
 
     def jittered(self, time: float) -> float:
         """``time`` plus the chaos injector's jitter for this pair (as is

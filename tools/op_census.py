@@ -3,8 +3,10 @@
 table): Python calls, bytecode instructions, generator resumes, allocated
 blocks, engine entries by callback and the generator frames a process
 step resumes, for a blocking 16 B put + get pair and for one
-``fetch_add`` on a knobs-off 2-node job; then the frames per step of the
-256-rank smoke Fig. 11 D run, with its most common frame chains; then
+``fetch_add`` on a knobs-off 2-node job, and for the pair with obs on
+(its spans, and its Python calls and bytecodes per span over the
+knobs-off pair); then the frames per step of the 256-rank smoke Fig. 11
+D run, with its most common frame chains; then
 Python calls and numpy calls per served request on a reduced ``kv_idle``
 shape; last, what importing each core layer costs a fresh interpreter
 (``reach.LAYERS``):
@@ -31,6 +33,7 @@ from collections import Counter
 from reach import LAYERS
 
 N, OPS = 50, ("put+get", "fetch_add")  # operations per census; what it covers
+OBS_ROW = "put+get, obs on"  # the pair again, on a job with ObsConfig(enabled=True)
 #: The SCF D row: ranks of the smoke Fig. 11 grid's largest D run, and
 #: how many of its frame chains it prints.
 SCF_PROCS, TOP_CHAINS = 256, 6
@@ -97,7 +100,7 @@ class Census:
         self.calls, self.opcodes, self.entries = Counter(), Counter(), Counter()
         self.numpy = Counter()
         self.frames = Frames()
-        self.resumes = self.blocks = 0
+        self.resumes = self.blocks = self.spans = self.python = 0
         self._in_numpy = None  # the numpy C callable a repro frame is inside
 
     def profile(self, frame, event, arg) -> None:
@@ -107,7 +110,10 @@ class Census:
             self.count_numpy(frame, event, arg)
         elif event in ("c_return", "c_exception") and arg is self._in_numpy:
             self._in_numpy = None
-        if event != "call" or back is None:
+        if event != "call":
+            return
+        self.python += 1
+        if back is None:
             return
         self.resumes += bool(code.co_flags & 0x20)  # CO_GENERATOR
         waiter = code.co_filename.endswith("sim/process.py")
@@ -156,9 +162,10 @@ class Census:
         self.blocks += sys.getallocatedblocks()
 
 
-def run(backend: str, mode: str) -> dict[str, Census]:
-    from repro.armci import ArmciConfig, ArmciJob
-    job = ArmciJob(2, config=ArmciConfig(backend=backend), procs_per_node=1)
+def run(backend: str, mode: str, obs: bool = False) -> dict[str, Census]:
+    from repro.armci import ArmciConfig, ArmciJob, ObsConfig
+    config = ArmciConfig(backend=backend, obs=ObsConfig(enabled=obs))
+    job = ArmciJob(2, config=config, procs_per_node=1)
     job.init()
     census = {op: Census() for op in OPS}
 
@@ -168,6 +175,7 @@ def run(backend: str, mode: str) -> dict[str, Census]:
             buf, remote = rt.world.space(0).allocate(64), alloc.addr(1)
             for op, n in ((OPS[0], 1), (OPS[1], 1), (OPS[0], N), (OPS[1], N)):
                 timed = census[op] if n == N else Census()  # first, a warm-up each
+                timed.spans -= len(job.obs.spans) if obs else 0
                 timed.start(mode)
                 for _ in range(n):
                     if op == "put+get":
@@ -176,6 +184,7 @@ def run(backend: str, mode: str) -> dict[str, Census]:
                     else:
                         yield from rt.rmw(1, remote + 64, "fetch_add", 1)
                 timed.stop()
+                timed.spans += len(job.obs.spans) if obs else 0
             yield from rt.fence_all()
         yield from rt.barrier()
 
@@ -256,9 +265,12 @@ def main() -> None:
     ap.add_argument("--backend", default="pami")
     args = ap.parse_args()
     sys.path.insert(0, args.src)
-    calls, opcodes, plain = (run(args.backend, m) for m in ("calls", "opcodes", "plain"))
+    modes = ("calls", "opcodes", "plain")
+    calls, opcodes, plain = (run(args.backend, m) for m in modes)
+    for table, on in zip((calls, opcodes, plain), (run(args.backend, m, True) for m in modes)):
+        table[OBS_ROW] = on[OPS[0]]
     print(f"op census of {args.src} over {args.backend}, per operation")
-    for op in OPS:
+    for op in (*OPS, OBS_ROW):
         c, o = calls[op].calls, opcodes[op].opcodes
         c["total"], o["total"] = sum(c.values()), sum(o.values())
         print(f"\n{op:<12}{'calls':>8}{'bytecodes':>11}")
@@ -271,6 +283,12 @@ def main() -> None:
               f"{live / N:.2f} live): " + ", ".join(
                   f"{name} {count / N:.2f}" for name, count in entries.most_common()))
         print(f"  {calls[op].frames}")
+    on, off = OBS_ROW, OPS[0]
+    spans = calls[on].spans / N
+    python = (calls[on].python - calls[off].python) / N
+    codes = (opcodes[on].opcodes["total"] - opcodes[off].opcodes["total"]) / N
+    print(f"  spans per pair {spans:.2f}; per span over the knobs-off pair: "
+          f"{python / spans:.1f} Python calls, {codes / spans:.1f} bytecodes")
     scf = scf_frames()
     print(f"\nscf D, {SCF_PROCS} ranks (smoke Fig. 11): {scf}")
     for chain, count in scf.chains.most_common(TOP_CHAINS):
