@@ -68,10 +68,6 @@ UNREGISTERED_KEY_BASE = -1
 #: Un-fenced acks to one destination kept before completed ones are pruned.
 ACK_PRUNE_FLOOR = 128
 
-#: What :meth:`ArmciProcess._guarded` answers when a blocking op needs
-#: its op span only (obs alone), or ``_with_retry``'s loop too.
-SPANNED, RETRIED = 1, 2
-
 #: Dispatch id -> target-side handler ``fn(rt, ctx, env)``. The handlers
 #: are the same functions on every rank, so one table serves every rank
 #: of every job; a rank contributes only itself (the ``rt`` argument,
@@ -490,9 +486,9 @@ class ArmciProcess:
 
     def span(self, category: str, name: str, **kw):
         """Bracket a blocking call: ``with rt.span(...):`` opens a span
-        on this rank's main lane (see :meth:`repro.obs.Obs.span`), or is
-        the shared no-op :data:`~repro.obs.span.NO_SPAN` with obs off
-        (non-generator)."""
+        on this rank's main lane (a :class:`~repro.obs.span.OpenSpan`),
+        or is the shared no-op :data:`~repro.obs.span.NO_SPAN` with obs
+        off (non-generator)."""
         if self.obs is None:
             return NO_SPAN
         return OpenSpan(self.obs, self.rank, "main", category, name, kw)
@@ -551,7 +547,7 @@ class ArmciProcess:
 
     def _with_retry(
         self, kind: str, attempt, args: tuple, deadline: float | None,
-        op: dict | None = None, retried: bool = True,
+        op: dict | None = None,
     ) -> Generator[Any, Any, Any]:
         """Run ``attempt(*args)`` (a generator function), retrying
         transient faults with exponential backoff per ``config.retry``;
@@ -567,13 +563,9 @@ class ArmciProcess:
         ``deadline`` (absolute) is installed as the ambient deadline for
         the attempt's nested waits; the deadline wins over the remaining
         retry budget — a backoff sleep that would cross it raises
-        :class:`~repro.errors.DeadlineExceededError` immediately. Not
-        ``retried`` (obs alone guarded the op: no transient fault or
-        deadline can exist), the one attempt runs as is.
+        :class:`~repro.errors.DeadlineExceededError` immediately.
         """
         with NO_SPAN if op is None else self.span("op", kind, **op):
-            if not retried:
-                return (yield from attempt(*args))
             policy = self.config.retry
             delay = _config.RETRY_BASE_DELAY
             attempts = 0
@@ -889,23 +881,20 @@ class ArmciProcess:
             "get", dst, _cont.contiguous_transfer(local_addr, remote_addr, nbytes)
         )
 
-    def _guarded(self) -> int:
-        """What a blocking op needs around it (non-generator): ``0`` with
-        every knob off; ``RETRIED`` when a transient fault or a deadline
-        can exist — ``_with_retry``'s loop, and the ``op`` span if obs is
-        on; ``SPANNED`` with obs alone — the span only. Read per call —
-        chaos, the link model and integrity can be attached after
-        construction."""
+    def _guarded(self) -> bool:
+        """Whether a blocking op needs ``_with_retry`` (non-generator):
+        when a transient fault or a deadline can exist, or obs is on (the
+        ``op`` span opens in that frame). Read per call — chaos, the link
+        model and integrity can be attached after construction."""
         world = self.world
-        if (
+        return (
             self._deadline is not None
+            or self.obs is not None
             or world.chaos is not None
             or world.integrity is not None
             or world.network.route_table is not None
             or self.config.default_deadline is not None
-        ):
-            return RETRIED
-        return SPANNED if self.obs is not None else 0
+        )
 
     def _blocking(self, kind: str, nb, args: tuple, **attrs) -> Generator[Any, Any, None]:
         """One blocking data op on rank ``args[0]`` (non-generator: it
@@ -915,14 +904,11 @@ class ArmciProcess:
         the op's deadline bounding the whole call when either can exist.
         ``attrs`` go on the span (``nbytes=``, and ``timeline=`` to show
         the op in the Gantt view)."""
-        guard = self._guarded()
-        if not guard:
+        if not self._guarded():
             return _post_and_wait(nb, args)
-        retried = guard == RETRIED
         return self._with_retry(
-            kind, _post_and_wait, (nb, args),
-            self._op_deadline() if retried else None,
-            {"dst": args[0], **attrs}, retried,
+            kind, _post_and_wait, (nb, args), self._op_deadline(),
+            {"dst": args[0], **attrs},
         )
 
     def put(self, dst: int, local_addr: int, remote_addr: int, nbytes: int):

@@ -30,13 +30,12 @@ every wire-level check is a single ``x.obs is None`` test.
 """
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .span import Obs, ObsConfig, Span, context_lane
+from .span import Obs, ObsConfig, Span
 
 __all__ = [
     "Obs",
     "ObsConfig",
     "Span",
-    "context_lane",
     "Counter",
     "Gauge",
     "Histogram",

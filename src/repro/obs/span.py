@@ -245,13 +245,17 @@ class Obs:
         if row < 0 or row >= len(ends) or not isnan(ends[row]):
             return
         ends[row] = self.engine.now
-        if attrs:
-            self._update(row, category, attrs)
-        elif category is not None:
-            # Same lane, name, timeline and attributes: swap the kind.
+        if attrs or category is not None:
             kinds, codes = self._kinds, self._kind
             kind = kinds.kinds[codes[row]]
-            codes[row] = kinds[(kind[0], category, *kind[2:])]
+            if attrs:  # merge into the row's attributes: a new kind
+                merged = dict(zip(kind[4:], self._values[row]))
+                merged.update(attrs)
+                kind = (*kind[:4], *merged)
+                self._values[row] = (*merged.values(),)
+            if category is not None:  # same lane, name, timeline, attributes
+                kind = (kind[0], category, *kind[2:])
+            codes[row] = kinds[kind]
         stack = self._stacks[self._rank[row]]
         if stack:
             if stack[-1] == span_id:
@@ -298,18 +302,6 @@ class Obs:
                 event._obs_span = sid
         return sid
 
-    def span(
-        self, rank: int, lane: str, category: str, name: str, **kwargs
-    ) -> "OpenSpan":
-        """:meth:`begin` now, :meth:`end` when the ``with`` block exits.
-
-        The block may ``yield``: the span stays open across a simulation
-        generator's suspensions and closes when the block is left — by
-        return, by exception, or by the generator being closed because
-        its rank was killed (the span then ends at the crash time).
-        """
-        return OpenSpan(self, rank, lane, category, name, kwargs)
-
     def current(self, rank: int) -> int | None:
         """The rank's innermost open span id (ambient parent), if any."""
         stack = self._stacks.get(rank)
@@ -341,17 +333,6 @@ class Obs:
         return Spans(self, rows)
 
     # ------------------------------------------------------- the columns
-
-    def _update(self, row: int, category: str | None, attrs: dict[str, Any]) -> None:
-        """Re-file ``row`` under a new category and/or more attributes."""
-        kind = self._kinds.kinds[self._kind[row]]
-        merged = dict(zip(kind[4:], self._values[row]))
-        merged.update(attrs)
-        lane, old, name, timeline = kind[:4]
-        self._kind[row] = self._kinds[
-            lane, old if category is None else category, name, timeline, *merged
-        ]
-        self._values[row] = (*merged.values(),)
 
     def _record(self, row: int) -> Span:
         lane, category, name, timeline, *keys = self._kinds.kinds[self._kind[row]]
@@ -449,21 +430,28 @@ class Obs:
 
     def finalize(self) -> None:
         """Close any still-open spans (marked ``truncated``) now."""
-        end = self.engine.now
         ends = self._end
         for stack in self._stacks.values():
             while stack:
-                row = stack.pop() - 1
+                sid = stack[-1]
+                row = sid - 1
                 if isnan(ends[row]):
-                    ends[row] = max(end, self._start[row])
-                    self._update(row, None, {"truncated": True})
+                    self.end(sid, truncated=True)  # pops it
+                    ends[row] = max(ends[row], self._start[row])
                     self.truncated_spans += 1
-                    self._closes.append(row)
+                else:
+                    stack.pop()
 
 
 class OpenSpan:
-    """The ``with`` object of one open span (see :meth:`Obs.span`):
-    building it opens the span, :meth:`Obs.begin` with ``kwargs``."""
+    """The ``with`` bracket of one span: building it opens the span
+    (:meth:`Obs.begin` with ``kwargs``), leaving the block ends it.
+
+    The block may ``yield``: the span stays open across a simulation
+    generator's suspensions and closes when the block is left — by
+    return, by exception, or by the generator being closed because its
+    rank was killed (the span then ends at the crash time).
+    """
 
     __slots__ = ("obs", "sid", "_notes")
 
@@ -519,15 +507,3 @@ class _NoSpan:
 
 #: The one shared no-op span (obs off constructs nothing per call).
 NO_SPAN = _NoSpan()
-
-
-def context_lane(ctx) -> str:
-    """The display lane of a PAMI context (duck-typed, no pami import).
-
-    The async-progress design (rho = 2) gives the dedicated thread the
-    *last* context; everything else is main-thread territory.
-    """
-    client = ctx.client
-    if client.num_contexts > 1 and ctx.index == client.num_contexts - 1:
-        return "async"
-    return "main"

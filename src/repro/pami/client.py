@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Container, Generator
 
 from ..errors import PamiError
-from ..obs.span import context_lane
 from ..sim.primitives import Delay
 from .context import PamiContext
 
@@ -62,9 +61,12 @@ class PamiClient:
         index = len(self.contexts)
         yield Delay(self.world.params.context_create_time(index))
         ctx = PamiContext(self, index, capacity=capacity)
+        if self.contexts:
+            # The async-progress design (rho = 2) gives the dedicated
+            # thread the *last* context: its spans go on the async lane.
+            self.contexts[-1].lane = "main"
+            ctx.lane = "async"
         self.contexts.append(ctx)
-        for each in self.contexts:  # a new last context moves the async lane
-            each.lane = context_lane(each)
         self.world.trace.incr("pami.contexts_created")
         return ctx
 

@@ -163,9 +163,9 @@ class PamiContext:
         #: is drained. The progress watchdog samples this to detect a
         #: wedged async progress thread.
         self.progress_epoch = 0
-        #: The display lane of this context's spans
-        #: (:func:`~repro.obs.span.context_lane`), set by the client each
-        #: time it creates a context.
+        #: The display lane of this context's spans: ``async`` for the
+        #: last of several contexts (the async-progress thread's), else
+        #: ``main``; :meth:`PamiClient.create_context` moves it.
         self.lane = "main"
 
     # ------------------------------------------------------------ posting

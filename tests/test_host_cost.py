@@ -49,10 +49,10 @@ CALL_BUDGET = {"pami": 311, "mpi3": 323}
 #: mpi3's fence inside the get's post is two frames deeper.
 FRAMES_PER_STEP = {"pami": 4, "mpi3": 6}
 #: Python calls per pair with obs on (``ObsConfig(enabled=True)``, pami):
-#: 10 % above the 320 measured when a span became one row written by one
+#: 10 % above the 322 measured when a span became one row written by one
 #: call and the op bracket stopped costing a frame of its own (before:
-#: 385, or 10.2 calls per span over the knobs-off pair; now 3.7).
-OBS_CALL_BUDGET = 352
+#: 385, or 10.2 calls per span over the knobs-off pair; now 3.9).
+OBS_CALL_BUDGET = 354
 #: Spans an obs-on pair records: each op's span, wire flight and handle
 #: wait, the get's fence and three progress rounds.
 SPANS_PER_PAIR = 10

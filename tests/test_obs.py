@@ -37,9 +37,12 @@ from repro.obs.metrics import (
     bucket_upper_edge,
 )
 from repro.chaos import ChaosConfig, FaultPlan
-from repro.obs.span import NO_SPAN, Obs, OpenSpan, Span, context_lane
+from repro.obs.span import NO_SPAN, Obs, OpenSpan, Span
+from repro.pami.world import PamiWorld
 from repro.sim.engine import Engine
 from repro.util.timeline import intervals
+
+from .conftest import create_contexts
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -123,7 +126,7 @@ class TestSpans:
         assert obs.current(0) is None
 
     def test_context_manager(self, obs):
-        with obs.span(0, "main", "op", "block") as span:
+        with OpenSpan(obs, 0, "main", "op", "block", {}) as span:
             assert obs.current(0) == span.sid
             span.note(items=3)
         assert obs.current(0) is None
@@ -132,7 +135,7 @@ class TestSpans:
 
     def test_span_stays_open_across_a_yield(self, obs):
         def body():
-            with obs.span(0, "main", "compute", "compute"):
+            with OpenSpan(obs, 0, "main", "compute", "compute", {}):
                 yield
 
         gen = body()
@@ -238,14 +241,17 @@ class TestCausality:
 
 class TestContextLane:
     def test_lane_assignment(self):
-        class Ctx:
-            def __init__(self, index, num):
-                self.index = index
-                self.client = type("C", (), {"num_contexts": num})()
-
-        assert context_lane(Ctx(0, 1)) == "main"
-        assert context_lane(Ctx(0, 2)) == "main"
-        assert context_lane(Ctx(1, 2)) == "async"
+        """The last of several contexts is the async lane; a new one
+        moves it."""
+        world = PamiWorld(num_procs=1, procs_per_node=1)
+        client = world.clients[0]
+        lanes = []
+        for _ in range(3):
+            create_contexts(world, rho=1)
+            lanes.append([ctx.lane for ctx in client.contexts])
+        assert lanes == [
+            ["main"], ["main", "async"], ["main", "main", "async"]
+        ]
 
 
 class TestMetrics:
