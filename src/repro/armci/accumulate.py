@@ -17,6 +17,7 @@ from ..errors import ArmciError
 from ..pami.activemsg import AmEnvelope
 from ..pami.context import PamiContext
 from ..pami.memory import as_u8
+from ..sim.event import Event
 from .handles import Handle
 from .transfer import control_reply
 
@@ -36,9 +37,9 @@ def nbacc(
     if nbytes % 8 != 0:
         raise ArmciError(f"accumulate needs whole float64s, got {nbytes} bytes")
     world = rt.world
-    data = world.space(rt.rank).snapshot(local_addr, nbytes)
+    data = world.spaces[rt.rank].snapshot(local_addr, nbytes)
     ctx = rt.main_context
-    ack = world.engine.event(f"acc.ack.{rt.rank}->{dst}")
+    ack = Event(world.engine, "acc.ack")
     flops_cost = (nbytes // 8) * world.params.acc_flop_time
     header = {
         "addr": remote_addr,
@@ -62,7 +63,7 @@ def nbacc(
         # so the retry layer can re-issue it.
         handle.add_event(ack)
     rt.track_write_ack(dst, ack)
-    rt.trace.incr("armci.accs")
+    rt.trace.counters["armci.accs"] += 1
     return handle
 
 
@@ -76,9 +77,9 @@ def handle_acc_request(rt: "ArmciProcess", ctx: PamiContext, env: AmEnvelope) ->
     is what makes concurrent accumulates atomic.
     """
     h = env.header
-    space = rt.world.space(rt.rank)
+    space = rt.world.spaces[rt.rank]
     update = as_u8(env.payload).view(np.float64)
     view = space.view(h["addr"], update.size * 8).view(np.float64)
     view += update
-    rt.trace.incr("armci.accs_applied")
+    rt.trace.counters["armci.accs_applied"] += 1
     control_reply(rt, env.src, h["reply_ctx"], h["ack"])

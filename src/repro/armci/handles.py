@@ -102,8 +102,10 @@ def _post_and_wait(nb, args: tuple) -> Generator[Any, Any, None]:
         for ev in h._events:
             if not ev._triggered:
                 yield from ctx.wait_with_progress(ev, deadline=deadline)
-            # Failure tokens surface as ProcessFailedError (FT extension).
-            check_completion(ev.value, op=h.kind)
+            # Failure tokens surface as ProcessFailedError (FT extension);
+            # a clean completion carries None.
+            if ev._value is not None:
+                check_completion(ev._value, op=h.kind)
     finally:
         if sid is not None:
             obs.end(sid, caused_by=h._events)

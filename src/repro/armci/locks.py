@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Any, Generator
 from ..errors import ArmciError
 from ..pami.activemsg import AmEnvelope
 from ..pami.context import PamiContext
+from ..sim.event import Event
 from .transfer import control_reply
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -88,7 +89,7 @@ def lock(rt: "ArmciProcess", mutex_id: int, span) -> Generator[Any, Any, None]:
     ctx = rt.main_context
     deadline = rt._op_deadline()
     yield from rt._acquire_send_credit(owner, deadline)
-    grant = rt.engine.event(f"lock.{mutex_id}.r{rt.rank}")
+    grant = Event(rt.engine, "lock.grant")
     header = {"mutex": mutex_id, "grant": grant, "reply_ctx": ctx}
     if rt.flow_enabled:
         header["_credit"] = True

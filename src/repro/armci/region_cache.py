@@ -74,9 +74,9 @@ class RegionCache:
             region = entry.region
             if region.covers(addr, nbytes):
                 entry.freq += 1
-                self.trace.incr("armci.region_cache_hits")
+                self.trace.counters["armci.region_cache_hits"] += 1
                 return region
-        self.trace.incr("armci.region_cache_misses")
+        self.trace.counters["armci.region_cache_misses"] += 1
         return None
 
     # ------------------------------------------------------------ pinning

@@ -1125,8 +1125,11 @@ class ArmciProcess:
                             acks[i:] + self._pending_acks.get(dst, [])
                         )
                         raise
-                if isinstance(ack.value, TransientFault):
-                    if ack.value.reason == "integrity_exhausted":
+                value = ack._value
+                if value is None:
+                    continue  # a clean remote completion
+                if isinstance(value, TransientFault):
+                    if value.reason == "integrity_exhausted":
                         # The write's retransmit budget died to repeated
                         # corruption *after* local completion: nothing
                         # surfaced this loss yet, so the fence must
@@ -1134,13 +1137,13 @@ class ArmciProcess:
                         self._pending_acks[dst] = (
                             acks[i + 1:] + self._pending_acks.get(dst, [])
                         )
-                        raise ack.value.to_exception()
+                        raise value.to_exception()
                     # A transiently-lost write already surfaced (and was
                     # retried) at its own completion wait; the fence only
                     # certifies writes that actually reached the target.
                     self.trace.incr("armci.fence_skipped_transient")
                     continue
-                check_completion(ack.value, op="fence")
+                check_completion(value, op="fence")
         # Backends with flush completion (not per-op counters) pay their
         # completion synchronization here; PAMI's is an empty generator.
         yield from self.transport.fence_extra(self, dst)

@@ -29,6 +29,7 @@ from ..pami.activemsg import AmEnvelope
 from ..pami.context import PamiContext, WorkItem
 from ..pami.delivery import Delivery
 from ..pami.rma import read_side, write_side
+from ..sim.event import Event
 from . import dispatch as _disp
 from .handles import Handle
 
@@ -177,7 +178,7 @@ def put_am(rt: "ArmciProcess", dst: int, xfer: Transfer, handle: Handle) -> None
     (unpacked) by the target's progress engine. Local completion keeps
     put's buffer-reuse semantics, so no handshake is needed."""
     ctx = rt.main_context
-    ack = rt.engine.event(f"put.am.ack.{rt.rank}->{dst}")
+    ack = Event(rt.engine, "put.am.ack")
     data = read_side(rt.world.space(rt.rank), xfer.local, xfer.nbytes)
     header = {
         "remote": xfer.remote,
@@ -217,7 +218,7 @@ def get_am(rt: "ArmciProcess", dst: int, xfer: Transfer, handle: Handle) -> None
     streams the data back. Pays the extra remote ``o`` and, critically,
     stalls whenever the target makes no progress."""
     ctx = rt.main_context
-    done = rt.engine.event(f"get.am.{rt.rank}<-{dst}")
+    done = Event(rt.engine, "get.am")
     header = {
         "remote": xfer.remote,
         "nbytes": xfer.nbytes,

@@ -89,12 +89,11 @@ class TorusNetwork:
         self.link_contention = link_contention
         # Next time each rank's injection FIFO is free.
         self._inject_free: dict[int, float] = {}
-        # Cache rank -> node coordinate (mapping lookups are hot), one
-        # tuple per node shared by its ranks (``_nodes`` interns them).
-        self._node_cache: dict[int, tuple[int, ...]] = {}
-        self._nodes: dict[tuple[int, ...], tuple[int, ...]] = {}
+        #: Rank -> node coordinate, built once: one tuple per node, shared
+        #: by its ranks, so "same node" is an identity test.
+        self._rank_nodes = mapping.node_table()
         # Cache (src node, dst node) -> hop count (distance computations
-        # are hot).
+        # are hot; the distance is a property of the partition).
         self._hops_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         # Directed link -> next free time (contention model only).
         self._link_free: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
@@ -105,32 +104,32 @@ class TorusNetwork:
         self.link_state = None
         self.route_table = None
         self.health = None
-        # (src, dst) -> (view epoch, hop links | None, hop cost, hops).
+        # (src, dst) -> (view epoch, hop links | None, hop cost, hops,
+        # the hops' canonical links | None).
         self._fault_route_cache: dict[tuple[int, int], tuple] = {}
 
     # ------------------------------------------------------------ helpers
 
     def node_of(self, rank: int) -> tuple[int, ...]:
-        """Node coordinate of ``rank`` (cached)."""
-        coord = self._node_cache.get(rank)
-        if coord is None:
-            coord = self.mapping.node_of(rank)
-            coord = self._node_cache[rank] = self._nodes.setdefault(coord, coord)
-        return coord
+        """Node coordinate of ``rank``."""
+        if 0 <= rank < len(self._rank_nodes):
+            return self._rank_nodes[rank]
+        return self.mapping.node_of(rank)  # raises TopologyError
 
     def hops(self, src: int, dst: int) -> int:
-        """Torus hop count between the nodes hosting two ranks (cached
-        per node pair: the distance is a property of the partition)."""
-        node = self._node_cache.get
-        key = (node(src) or self.node_of(src), node(dst) or self.node_of(dst))
-        h = self._hops_cache.get(key)
-        if h is None:
+        """Torus hop count between the nodes hosting two ranks."""
+        nodes = self._rank_nodes
+        key = (nodes[src], nodes[dst])
+        try:
+            return self._hops_cache[key]
+        except KeyError:
             h = self._hops_cache[key] = self.mapping.torus.distance(*key)
-        return h
+            return h
 
     def is_local(self, src: int, dst: int) -> bool:
         """True if both ranks share a node (transfer bypasses the torus)."""
-        return self.node_of(src) == self.node_of(dst)
+        nodes = self._rank_nodes
+        return nodes[src] is nodes[dst]
 
     def _route_links(self, src: int, dst: int) -> tuple:
         """Directed links of the dimension-order route between two ranks."""
@@ -162,27 +161,34 @@ class TorusNetwork:
         self._fault_route_cache.clear()
 
     def _fault_route(self, src: int, dst: int) -> tuple:
-        """Current route between two ranks: ``(hop links, hop cost, hops)``.
+        """Current route between two ranks: ``(view epoch, hop links,
+        hop cost, hops, link keys)``, the last the canonical
+        :class:`~repro.topology.links.Link` of each hop, derived once per
+        route so a roll does not validate coordinates again.
 
-        ``hop links`` is None when the destination is unreachable on
-        every path; timing then falls back to the torus distance (the
-        transfer is doomed anyway — :meth:`wire_fate` drops it).
+        ``hop links`` and ``link keys`` are None when the destination is
+        unreachable on every path; timing then falls back to the torus
+        distance (the transfer is doomed anyway — :meth:`wire_fate`
+        drops it).
         """
         key = (src, dst)
         epoch = self.route_table.view.epoch
         hit = self._fault_route_cache.get(key)
         if hit is not None and hit[0] == epoch:
-            return hit[1], hit[2], hit[3]
+            return hit
         src_node, dst_node = self.node_of(src), self.node_of(dst)
         path = self.route_table.route(src_node, dst_node)
         p = self.params
         if path is None:
             hops = self.mapping.torus.distance(src_node, dst_node)
-            links, cost = None, hops * p.hop_latency
+            links = keys = None
+            cost = hops * p.hop_latency
         else:
             links = tuple(zip(path, path[1:]))
             hops = len(links)
-            factor = self.link_state.latency_factor
+            ls = self.link_state
+            keys = tuple(ls.key(u, v) for u, v in links)
+            factor = ls.latency_factor
             # Sum of per-hop factors: with every factor 1.0 this is
             # exactly float(hops), so a fault-free route prices
             # identically to the seed's ``hops * hop_latency``.
@@ -190,8 +196,8 @@ class TorusNetwork:
             base = self.mapping.torus.distance(src_node, dst_node)
             if hops > base:
                 self.trace.incr("net.reroute_extra_hops", hops - base)
-        self._fault_route_cache[key] = (epoch, links, cost, hops)
-        return links, cost, hops
+        hit = self._fault_route_cache[key] = (epoch, links, cost, hops, keys)
+        return hit
 
     def hop_cost(self, src: int, dst: int) -> float:
         """Torus traversal latency between two ranks' nodes.
@@ -201,13 +207,13 @@ class TorusNetwork:
         """
         if self.route_table is None:
             return self.hops(src, dst) * self.params.hop_latency
-        return self._fault_route(src, dst)[1]
+        return self._fault_route(src, dst)[2]
 
     def route_blocked(self, src: int, dst: int) -> bool:
         """Whether no healthy path currently reaches ``dst`` from ``src``."""
         if self.route_table is None or self.is_local(src, dst):
             return False
-        return self._fault_route(src, dst)[0] is None
+        return self._fault_route(src, dst)[1] is None
 
     def wire_fate(self, src: int, dst: int, kind: str):
         """Resolve the link-level fate of one transfer over its route.
@@ -218,15 +224,14 @@ class TorusNetwork:
         payload bit. Health observations are fed as a side effect. Only
         called in link-fault mode, for inter-node transfers.
         """
-        links, _cost, _hops = self._fault_route(src, dst)
+        _epoch, links, _cost, _hops, keys = self._fault_route(src, dst)
         health = self.health
         if links is None:
             self.trace.incr("net.link_drops")
             self.trace.incr(f"net.link_drops.{kind}")
             return ("dropped", None)
         ls = self.link_state
-        for u, v in links:
-            link = ls.key(u, v)
+        for link in keys:
             if ls.is_dead_link(link) or ls.roll_loss(link):
                 self.trace.incr("net.link_drops")
                 self.trace.incr(f"net.link_drops.{kind}")
@@ -355,8 +360,9 @@ class TorusNetwork:
         """
         p = self.params
         now = self.engine.now
-        self.trace.incr("net.am.messages")
-        self.trace.incr("net.am.bytes", nbytes)
+        counters = self.trace.counters
+        counters["net.am.messages"] += 1
+        counters["net.am.bytes"] += nbytes
         if self.is_local(src, dst):
             deliver = now + p.shm_latency + nbytes * p.shm_byte_time
             return TransferTiming(now, now, deliver, deliver)

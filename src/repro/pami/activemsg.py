@@ -8,21 +8,19 @@ miss service, accumulates, and collectives.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
 from typing import Any, Generator
 
 import numpy as np
 
 from ..errors import PamiError
+from ..record import SlotRecord
 from ..sim.event import Event
 from . import faults as _flt
 from .context import PamiContext, WorkItem
 from .delivery import Delivery
 
 
-@dataclass(frozen=True)
-class AmEnvelope:
+class AmEnvelope(SlotRecord):
     """One active message in flight.
 
     Attributes
@@ -42,11 +40,18 @@ class AmEnvelope:
         memory.
     """
 
-    dispatch_id: int
-    src: int
-    dst: int
-    header: dict[str, Any] = field(default_factory=dict)
-    payload: bytes | np.ndarray | None = None
+    __slots__ = ("dispatch_id", "src", "dst", "header", "payload")
+
+    def __init__(
+        self, dispatch_id: int, src: int, dst: int,
+        header: dict[str, Any] | None = None,
+        payload: bytes | np.ndarray | None = None,
+    ) -> None:
+        self.dispatch_id = dispatch_id
+        self.src = src
+        self.dst = dst
+        self.header = {} if header is None else header
+        self.payload = payload
 
     @property
     def payload_bytes(self) -> int:
@@ -57,33 +62,32 @@ class AmEnvelope:
 class AmItem(WorkItem):
     """A delivered active message waiting for its handler to run."""
 
-    __slots__ = ("envelope",)
+    __slots__ = ("envelope", "credited")
 
     def __init__(self, envelope: AmEnvelope) -> None:
         self.envelope = envelope
-
-    @property
-    def credited(self) -> bool:
         # Request-class AMs whose sender acquired a flow-control credit
         # carry the reserved "_credit" header key; servicing them frees
         # the FIFO slot. Control traffic (replies, completions) bypasses
         # the bounded FIFO.
-        return bool(self.envelope.header.get("_credit"))
+        self.credited = bool(envelope.header.get("_credit"))
 
     def cost(self, ctx: PamiContext) -> float:
         # Handler dispatch plus copying the payload out of NIC buffers.
         # Senders may declare extra handler work (accumulate flops, strided
         # unpack...) via the reserved "_cost" header field.
         p = ctx.params
+        env = self.envelope
+        payload = env.payload
         return (
             p.am_handler_time
-            + self.envelope.payload_bytes * p.shm_byte_time
-            + float(self.envelope.header.get("_cost", 0.0))
+            + (0 if payload is None else len(payload)) * p.shm_byte_time
+            + float(env.header.get("_cost", 0.0))
         )
 
     def execute(self, ctx: PamiContext) -> None:
         handler = ctx.client.handler_for(self.envelope.dispatch_id)
-        ctx.trace.incr("pami.am_handled")
+        ctx.trace.counters["pami.am_handled"] += 1
         obs = ctx.client.world.obs
         if obs is None:
             handler(ctx, self.envelope)
@@ -143,18 +147,26 @@ class DuplicateAmItem(WorkItem):
         ctx.trace.incr("pami.am_duplicates_discarded")
 
 
-@dataclass(frozen=True)
-class AmOp:
-    """Handle to one posted active message."""
+class AmOp(SlotRecord):
+    """Handle to one posted active message.
 
-    envelope: AmEnvelope
-    local_event: Event
-    deliver_time: float
-    #: Whether the wire can lose the first copy (``Delivery.at_risk``):
-    #: a sender waits its reply cookie then, or the loss is never seen.
-    at_risk: bool
-    #: Obs flight-span id (None when observability is off).
-    span_id: int | None = None
+    ``at_risk`` says whether the wire can lose the first copy
+    (``Delivery.at_risk``): a sender waits its reply cookie then, or the
+    loss is never seen. ``span_id`` is the obs flight span (None when
+    observability is off).
+    """
+
+    __slots__ = ("envelope", "local_event", "deliver_time", "at_risk", "span_id")
+
+    def __init__(
+        self, envelope: AmEnvelope, local_event: Event, deliver_time: float,
+        at_risk: bool, span_id: int | None,
+    ) -> None:
+        self.envelope = envelope
+        self.local_event = local_event
+        self.deliver_time = deliver_time
+        self.at_risk = at_risk
+        self.span_id = span_id
 
 
 class _AmDelivery(Delivery):
@@ -176,7 +188,7 @@ class _AmDelivery(Delivery):
         dst_ctx.post(
             AmItem(
                 env if payload is env.payload
-                else dataclasses.replace(env, payload=payload)
+                else AmEnvelope(env.dispatch_id, env.src, env.dst, env.header, payload)
             )
         )
         chaos = self.world.chaos
@@ -216,7 +228,8 @@ def send_am(
     world = ctx.client.world
     src = ctx.client.rank
     env = AmEnvelope(dispatch_id, src, dst_rank, dict(header or {}), payload)
-    timing = world.network.am_payload_timing(src, dst_rank, env.payload_bytes)
+    nbytes = 0 if payload is None else len(payload)
+    timing = world.network.am_payload_timing(src, dst_rank, nbytes)
     engine = world.engine
     now = engine.now
 
@@ -227,11 +240,12 @@ def send_am(
     delivery.target_context = target_context
     deliver_at = world.ordering.deliver(delivery, timing.deliver)
 
-    local_event = engine.event(f"am.local.{src}->{dst_rank}")
+    # Per-op events carry a kind; the envelope says which ranks.
+    local_event = Event(engine, "am.local")
     delivery.carry(env.payload)
-    engine.schedule(deliver_at - now, delivery.attempt)
+    engine._push(deliver_at - now, delivery.attempt, None)
     ctx.complete_after(timing.inject_done - now, local_event)
-    world.trace.incr("pami.am_sent")
+    world.trace.counters["pami.am_sent"] += 1
     span_id = None
     if world.obs is not None:
         # Wire-time flight span on the net lane; the id rides in the
@@ -239,7 +253,7 @@ def send_am(
         # invisible to the cookie scanner) so the remote service span
         # can parent back across the rank boundary.
         span_id = delivery.flight(
-            "am", f"am.{dispatch_id}", deliver_at, env.payload_bytes, local_event
+            "am", f"am.{dispatch_id}", deliver_at, nbytes, local_event
         )
         env.header["_span"] = span_id
     return AmOp(env, local_event, deliver_at, delivery.at_risk, span_id)

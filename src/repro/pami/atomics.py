@@ -283,5 +283,5 @@ def rmw(
     delivery.carry(req)
     if use_nic:
         arrive = world.nic_amo_slot(dst_rank, arrive, NIC_AMO_SERVICE)
-    engine.schedule(arrive - now, delivery.attempt)
+    engine._push(arrive - now, delivery.attempt, None)
     return RmwOp(op, src, dst_rank, addr, event)

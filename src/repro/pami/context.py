@@ -189,7 +189,7 @@ class PamiContext:
         """Post ``event``'s completion (carrying ``value``) here after
         ``delay`` — the one way to complete a waiter later. A ``None``
         value is success; a :mod:`~repro.pami.faults` token fails it."""
-        self.engine.schedule(delay, self.post, CompletionItem(event, value))
+        self.engine._push(delay, self.post, CompletionItem(event, value))
 
     # ------------------------------------------------------- flow control
 
@@ -294,8 +294,12 @@ class PamiContext:
                     items = self.queue.items
                     if not items:
                         # Sleep until either our op completes (possibly
-                        # serviced by another thread) or new work arrives.
-                        waits = [event, self.arrival_signal()]
+                        # serviced by another thread) or new work arrives
+                        # (:meth:`arrival_signal`, read in this frame).
+                        arrival = self._arrival
+                        if arrival._triggered:
+                            arrival = self._arrival = Event(engine, "ctx.arrival")
+                        waits = [event, arrival]
                         if deadline is not None:
                             if timer is None:
                                 timer = deadline_timer(engine, deadline)
@@ -325,7 +329,7 @@ class PamiContext:
                                 # inject again.
                                 self.release_credit()
                             offset += item.cost(self)
-                            engine.schedule(offset, self._execute_item, item)
+                            engine._push(offset, self._execute_item, item)
                             serviced += 1
                         yield Delay(offset)
                         # Items that arrived during the batch are picked up

@@ -110,7 +110,7 @@ class Delivery:
 
     def resend(self) -> None:
         """Put the next copy on the wire."""
-        self.world.engine.schedule(RETRANSMIT_DELAY, self.attempt)
+        self.world.engine._push(RETRANSMIT_DELAY, self.attempt, None)
 
     def flight(self, category: str, name: str, end: float, nbytes: int, *events) -> int:
         """Record the wire-time span ``name`` on ``src``'s net lane, from

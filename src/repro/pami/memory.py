@@ -164,7 +164,19 @@ class AddressSpace:
         return addr - offset, seg.size
 
     def view(self, addr: int, nbytes: int) -> np.ndarray:
-        """Writable uint8 view of ``[addr, addr+nbytes)`` (no copy)."""
+        """Writable uint8 view of ``[addr, addr+nbytes)`` (no copy).
+
+        Finds the segment in this frame; :meth:`_locate` reports an
+        access it rejects.
+        """
+        bases = self._bases
+        idx = bisect.bisect_right(bases, addr) - 1
+        if idx >= 0 and nbytes >= 0:
+            base = bases[idx]
+            seg = self._segments[base]
+            end = addr - base + nbytes
+            if end <= seg.size:
+                return seg[addr - base : end]
         seg, offset = self._locate(addr, nbytes)
         return seg[offset : offset + nbytes]
 

@@ -111,8 +111,8 @@ class _PutDelivery(Delivery):
         write_side(world.spaces[self.dst], self.remote, payload)
         if self.verified_ack:
             # Verified delivery: only now does the ack leave the target.
-            world.engine.schedule(
-                world.network.hop_cost(self.src, self.dst), self.ack
+            world.engine._push(
+                world.network.hop_cost(self.src, self.dst), self.ack, None
             )
 
     def ack(self, _arg=None) -> None:
@@ -138,7 +138,7 @@ class _PutDelivery(Delivery):
         delay = RETRANSMIT_DELAY + (t2.deliver - base)
         if world.obs is not None:
             self.flight("integrity", "put.retransmit", base + delay, nbytes)
-        engine.schedule(delay, self.attempt)
+        engine._push(delay, self.attempt, None)
 
 
 def rdma_put(
@@ -187,7 +187,7 @@ def rdma_put(
         remote_ack is not None and not unprotected and fault is None
     )
 
-    engine.schedule(deliver_at - now, delivery.attempt)
+    engine._push(deliver_at - now, delivery.attempt, None)
     # A lost put surfaces as an error completion once the initiator NIC
     # misses the end-to-end delivery confirmation (``detect`` later).
     complete_at = timing.complete if fault is None else timing.complete + detect
@@ -196,8 +196,8 @@ def rdma_put(
         if unprotected:
             # The ack rides the NIC-reliable path and is scheduled
             # unconditionally at post time.
-            engine.schedule(
-                deliver_at + net.hop_cost(src, dst_rank) - now, delivery.ack
+            engine._push(
+                deliver_at + net.hop_cost(src, dst_rank) - now, delivery.ack, None
             )
         elif fault is not None:
             # Lost write: the fence must not hang on this ack, and must
@@ -251,8 +251,8 @@ class _GetDelivery(Delivery):
                 "integrity", "get.retransmit", base + delay + (t2.complete - base),
                 self.nbytes,
             )
-        engine.schedule(delay + (t2.deliver - base), self.read)
-        engine.schedule(delay + (t2.complete - base), self.attempt)
+        engine._push(delay + (t2.deliver - base), self.read, None)
+        engine._push(delay + (t2.complete - base), self.attempt, None)
 
 
 def rdma_get(
@@ -297,8 +297,8 @@ def rdma_get(
     # Jitter delays the whole round trip: the reply lands later too.
     complete_at = timing.complete + (deliver_at - timing.deliver)
 
-    engine.schedule(deliver_at - now, delivery.read)
-    engine.schedule(complete_at - now, delivery.attempt)
+    engine._push(deliver_at - now, delivery.read, None)
+    engine._push(complete_at - now, delivery.attempt, None)
     world.trace.counters["pami.rdma_gets"] += 1
     if world.obs is not None:
         delivery.flight("rdma", "rdma_get", complete_at, nbytes, local_event)

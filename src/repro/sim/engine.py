@@ -49,6 +49,11 @@ class Timer:
                 engine._purge_cancelled()
 
 
+#: The argument a :class:`Timer` entry is scheduled with: the run loop
+#: and the purge tell a timer from a plain callback by this identity.
+TIMER = object()
+
+
 # --------------------------------------------------------------- policies
 
 #: Cancelled timers must outnumber this (and half the heap) before the
@@ -271,17 +276,26 @@ class Engine:
     def schedule(self, delay: float, callback: Callable[[Any], None], arg: Any = None) -> None:
         """Run ``callback(arg)`` after ``delay`` seconds of simulated time.
 
-        Every entry is ``(time, key, callback, arg)`` on the heap — plain
-        callbacks and :class:`Timer` wrappers alike, so the run loop can
-        rely on the shape regardless of policy — or ``(seq, callback,
-        arg)`` on the zero-delay fast lane.
+        The one checked way in for callers outside the engine's own
+        layers: it rejects a non-callable and marks a :class:`Timer`
+        entry (subclasses too) by scheduling it with :data:`TIMER` as
+        its argument, so :meth:`run` recognises a timer by identity.
+        The simulator and PAMI, whose callbacks are always bound
+        methods, go straight to :meth:`_push`.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
         if not callable(callback):
             raise SimulationError(
                 f"scheduled callback must be callable, got {type(callback).__name__}"
             )
+        if isinstance(callback, Timer):
+            arg = TIMER
+        self._push(delay, callback, arg)
+
+    def _push(self, delay: float, callback: Callable[[Any], None], arg: Any) -> None:
+        """Put one entry on the engine: ``(time, key, callback, arg)`` on
+        the heap, or ``(seq, callback, arg)`` on the zero-delay fast lane."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
         if delay == 0.0 and self._fast_ok:
@@ -298,7 +312,7 @@ class Engine:
     ) -> Timer:
         """Like :meth:`schedule`, returning a cancellable :class:`Timer`."""
         timer = Timer(callback, arg)
-        self.schedule(delay, timer, None)
+        self._push(delay, timer, TIMER)
         if delay != 0.0 or not self._fast_ok:
             timer._engine = self
         return timer
@@ -311,7 +325,7 @@ class Engine:
         heap = self._heap
         heap[:] = [
             entry for entry in heap
-            if not (isinstance(entry[2], Timer) and entry[2].cancelled)
+            if not (entry[3] is TIMER and entry[2].cancelled)
         ]
         heapify(heap)
         self._cancelled_timers = 0
@@ -357,8 +371,8 @@ class Engine:
         Returns the final simulated time. Re-raises the first process
         failure, if any. Cancelled :class:`Timer` entries are discarded
         without executing, advancing the clock, or counting toward
-        :attr:`events_executed` — under any tie-breaking policy
-        (``isinstance``, so Timer subclasses are covered too).
+        :attr:`events_executed` — under any tie-breaking policy (a timer
+        entry carries :data:`TIMER`, Timer subclasses included).
         """
         track = self._policy is not None or self._record
         heap, fast = self._heap, self._fast
@@ -372,13 +386,13 @@ class Engine:
                 not heap or heap[0][0] > self.now or heap[0][1] > fast[0][0]
             ):
                 _seq, callback, arg = fast.popleft()
-                if isinstance(callback, Timer) and callback.cancelled:
+                if arg is TIMER and callback.cancelled:
                     continue
                 self._events_executed += 1
                 callback(arg)
                 continue
             time, key, callback, arg = heappop(heap)
-            if isinstance(callback, Timer) and callback.cancelled:
+            if arg is TIMER and callback.cancelled:
                 if callback._engine is not None:
                     callback._engine = None
                     self._cancelled_timers -= 1

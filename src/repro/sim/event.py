@@ -83,7 +83,7 @@ class Event:
         self._value = value
         callbacks, self._callbacks = self._callbacks, []
         for cb in callbacks:
-            self.engine.schedule(0.0, cb, value)
+            self.engine._push(0.0, cb, value)
 
     def add_callback(self, callback: Callable[[Any], None]) -> None:
         """Run ``callback(value)`` when the event triggers.
@@ -91,8 +91,18 @@ class Event:
         If the event already triggered, the callback is scheduled at the
         current simulated time (it never runs synchronously, keeping
         re-entrancy out of process code).
+
+        Raises
+        ------
+        SimulationError
+            If ``callback`` is not callable (checked here, where it
+            enters, not when the engine would call it).
         """
+        if not callable(callback):
+            raise SimulationError(
+                f"event callback must be callable, got {type(callback).__name__}"
+            )
         if self._triggered:
-            self.engine.schedule(0.0, callback, self._value)
+            self.engine._push(0.0, callback, self._value)
         else:
             self._callbacks.append(callback)

@@ -64,7 +64,7 @@ class SimProcess:
         if self._started:
             raise SimulationError(f"process {self.name!r} started twice")
         self._started = True
-        self.engine.schedule(0.0, self._step, None)
+        self.engine._push(0.0, self._step, None)
 
     def kill(self) -> None:
         """Terminate the process (fail-stop crash): ``done`` fires with
@@ -112,11 +112,11 @@ class SimProcess:
         # Exact types first: the two commands a blocking op yields.
         kind = type(command)
         if kind is Delay:
-            self.engine.schedule(command.dt, self._step, None)
+            self.engine._push(command.dt, self._step, None)
         elif kind is WaitAny:
             self._wait_any(command.events)
         elif isinstance(command, Delay):
-            self.engine.schedule(command.dt, self._step, None)
+            self.engine._push(command.dt, self._step, None)
         elif isinstance(command, WaitEvent):
             command.event.add_callback(self._step)
         elif isinstance(command, WaitAll):
@@ -141,7 +141,7 @@ class SimProcess:
     def _wait_all(self, events: Sequence[Event]) -> None:
         pending = sum(1 for ev in events if not ev._triggered)
         if pending == 0:
-            self.engine.schedule(0.0, self._step, [ev.value for ev in events])
+            self.engine._push(0.0, self._step, [ev.value for ev in events])
             return
         self._awaited = events
         self._pending = pending
@@ -156,25 +156,34 @@ class SimProcess:
             self._step([ev.value for ev in events])
 
     def _wait_any(self, events: Sequence[Event]) -> None:
+        # One arm per event, armed in one pass. The first to run takes
+        # its siblings back off the events that have not triggered, so
+        # an event that outlives the wait (a context's arrival signal)
+        # holds no dead arm and keeps no finished process alive.
+        # Siblings already scheduled (their events triggered in the same
+        # instant) are dead by the wait count alone. An event found
+        # triggered ends the pass: the arms set so far are taken back
+        # and the lowest triggered index wins at once.
+        arm, wait = self._first_of_any, self._wait
+        arms = []
         for i, ev in enumerate(events):
             if ev._triggered:
-                self.engine.schedule(0.0, self._step, (i, ev._value))
+                for armed, each in arms:
+                    armed._callbacks.remove(each)
+                self.engine._push(0.0, self._step, (i, ev._value))
                 return
-        # One arm per event. The first to run takes its siblings back off
-        # the events that have not triggered, so an event that outlives
-        # the wait (a context's arrival signal) holds no dead arm and
-        # keeps no finished process alive. Siblings already scheduled
-        # (their events triggered in the same instant) are dead by the
-        # wait count alone.
-        arm, wait = self._first_of_any, self._wait
-        self._arms = [(ev, partial(arm, wait, i)) for i, ev in enumerate(events)]
-        for ev, each in self._arms:
+            each = partial(arm, wait, i)
             ev._callbacks.append(each)
+            arms.append((ev, each))
+        self._arms = arms
 
     def _first_of_any(self, wait: int, index: int, value: Any) -> None:
         if wait == self._wait:
             self._wait = wait + 1
-            self._disarm()
+            arms, self._arms = self._arms, ()
+            for ev, each in arms:
+                if not ev._triggered:
+                    ev._callbacks.remove(each)
             self._step((index, value))
 
     def _disarm(self) -> None:

@@ -36,7 +36,7 @@ class Semaphore:
 
         Processes use it as ``yield sem.acquire()``.
         """
-        ev = Event(self.engine, name=f"{self.name}.acquire")
+        ev = Event(self.engine, "sem.grant")
         if self._count > 0:
             self._count -= 1
             ev.succeed()
@@ -86,9 +86,13 @@ class Lock(Semaphore):
         return self._count == 0
 
     def release(self) -> None:
+        # The semaphore's release, written out: one frame per release.
         if self._count == 1:
             raise SimulationError(f"lock {self.name!r} released while not held")
-        super().release()
+        if self._waiters:
+            self._waiters.popleft().succeed()
+        else:
+            self._count += 1
 
 
 class Queue:

@@ -11,6 +11,7 @@ node, then advance along E, then D, and so on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from ..errors import TopologyError
 from .torus import BGQ_DIM_NAMES, Torus
@@ -107,6 +108,21 @@ class RankMapping:
     def node_of(self, rank: int) -> tuple[int, ...]:
         """Node coordinate hosting ``rank``."""
         return self.rank_to_placement(rank)[0]
+
+    def node_table(self) -> list[tuple[int, ...]]:
+        """:meth:`node_of` for every rank, in rank order, in one pass:
+        the ranks of a node share one tuple."""
+        names = self._dim_names()
+        # Position of each torus dimension among ``order``'s digits.
+        picks = [self.order.index(name) for name in names]
+        nodes: dict[tuple[int, ...], tuple[int, ...]] = {}
+        return [
+            nodes.setdefault(coord, coord)
+            for coord in (
+                tuple(digits[i] for i in picks)
+                for digits in product(*(range(n) for n in self._axis_sizes()))
+            )
+        ]
 
     def hops(self, rank_a: int, rank_b: int) -> int:
         """Network hop count between two ranks (0 if co-located on a node)."""

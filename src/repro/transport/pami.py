@@ -1,10 +1,11 @@
 """The PAMI backend: 1:1 delegation to :mod:`repro.pami`.
 
 This is the paper's native messaging layer and the default backend. It
-adds nothing on top of the primitives — every method forwards its
-arguments verbatim, so a job running over :class:`PamiTransport` is
-byte-identical (same events, same timings, same counters) to one calling
-the PAMI modules directly, as the pre-refactor code did.
+adds nothing on top of the primitives — its four wire operations *are*
+the primitives (same arguments, same keywords, no forwarding frame), so
+a job running over :class:`PamiTransport` is byte-identical (same
+events, same timings, same counters) to one calling the PAMI modules
+directly, as the pre-refactor code did.
 """
 
 from __future__ import annotations
@@ -34,42 +35,11 @@ class PamiTransport(Transport):
 
     capabilities = PAMI_CAPABILITIES
 
-    def rdma_put(
-        self, ctx, dst_rank, local_addr, remote_addr, nbytes,
-        want_remote_ack=False, extra_occupancy=0.0,
-    ):
-        return _rma.rdma_put(
-            ctx, dst_rank, local_addr, remote_addr, nbytes,
-            want_remote_ack=want_remote_ack, extra_occupancy=extra_occupancy,
-        )
-
-    def rdma_get(
-        self, ctx, dst_rank, remote_addr, local_addr, nbytes,
-        extra_occupancy=0.0,
-    ):
-        return _rma.rdma_get(
-            ctx, dst_rank, remote_addr, local_addr, nbytes,
-            extra_occupancy=extra_occupancy,
-        )
-
-    def send_am(
-        self, ctx, dst_rank, dispatch_id, header=None, payload=None,
-        target_context=None,
-    ):
-        return _am.send_am(
-            ctx, dst_rank, dispatch_id, header=header, payload=payload,
-            target_context=target_context,
-        )
-
-    def rmw(
-        self, ctx, dst_rank, addr, op, operand=0, operand2=0,
-        target_context=None, credited=False,
-    ):
-        # nic defaults to the world's what-if flag inside the primitive.
-        return _atomics.rmw(
-            ctx, dst_rank, addr, op, operand, operand2,
-            target_context=target_context, credited=credited,
-        )
+    rdma_put = staticmethod(_rma.rdma_put)
+    rdma_get = staticmethod(_rma.rdma_get)
+    send_am = staticmethod(_am.send_am)
+    # ``nic`` left unset follows the world's what-if flag.
+    rmw = staticmethod(_atomics.rmw)
 
     def rmw_is_native(self, op: str) -> bool:
         # All-or-nothing on BG/Q: the Gemini-style what-if NIC services

@@ -20,6 +20,7 @@ from repro.armci.config import RetryPolicy
 from repro.chaos import ChaosConfig, ChaosEngine, FaultPlan
 from repro.errors import DeadlineExceededError, SimulationError
 from repro.machine.network import TransferTiming
+from repro.pami.activemsg import AmEnvelope, AmOp
 from repro.pami.atomics import RmwOp
 from repro.pami.integrity import IntegrityConfig
 from repro.pami.rma import RmaOp
@@ -38,21 +39,22 @@ def two_node_job(config=None, **kwargs):
 
 PAIRS = 200
 #: Python-function calls per blocking 16 B put + get pair, knobs off (a
-#: generator resuming counts as a call). Set 10 % above pami 283 and mpi3
-#: 294, measured when the progress round and the handle wait each became
-#: one frame (before: 312 and 323; when first pinned, 469 and 485 before
-#: and 297 and 307 after). The budget only goes down.
-CALL_BUDGET = {"pami": 311, "mpi3": 323}
+#: generator resuming counts as a call). Set 10 % above pami 252 and mpi3
+#: 265, measured when the engine got one checked way in, the machine a
+#: rank -> node table and the PAMI transport its primitives as methods
+#: (before: 283 and 294; when first pinned, 469 and 485 before and 297
+#: and 307 after). The budget only goes down.
+CALL_BUDGET = {"pami": 277, "mpi3": 291}
 #: Generator frames one process step resumes during the pair, at most:
 #: the body, ``pair``, ``_post_and_wait`` (the post, then the handle
 #: wait) and the context's progress round (7 before both were folded).
 #: mpi3's fence inside the get's post is two frames deeper.
 FRAMES_PER_STEP = {"pami": 4, "mpi3": 6}
 #: Python calls per pair with obs on (``ObsConfig(enabled=True)``, pami):
-#: 10 % above the 322 measured when a span became one row written by one
-#: call and the op bracket stopped costing a frame of its own (before:
-#: 385, or 10.2 calls per span over the knobs-off pair; now 3.9).
-OBS_CALL_BUDGET = 354
+#: 10 % above the 291 measured with the knobs-off pair's cuts (322 when a
+#: span became one row written by one call and the op bracket stopped
+#: costing a frame of its own; 385 before that).
+OBS_CALL_BUDGET = 320
 #: Spans an obs-on pair records: each op's span, wire flight and handle
 #: wait, the get's fence and three progress rounds.
 SPANS_PER_PAIR = 10
@@ -61,6 +63,13 @@ SPANS_PER_PAIR = 10
 #: resolved ``WaitAny`` takes its sibling arms back, so none of these
 #: is a dead arm.
 EVENTS_PER_PAIR = {"pami": 17, "mpi3": 18}
+#: Python calls per wire op (the ledger's ``pami.wire_ops``: RDMA puts
+#: and gets, active messages, rmws) of a whole ``run_scf`` on the
+#: ledger's reduced ``scf_d_at`` shape (8 ranks, ``nblocks=4``,
+#: ``nbf=96``), D and AT: 10 % above the 75.1 / 74.7 measured when the
+#: engine got one checked way in and the AM records lost their dataclass
+#: (before: 90.2 / 89.9, or 92.1 / 91.8 per RDMA op or AM alone).
+SCF_CALLS_PER_WIRE_OP = {"D": 82.6, "AT": 82.2}
 #: numpy calls made from ``repro`` frames per served request on the
 #: reduced ``kv_idle`` shape of ``tools/op_census.py``'s "kv request"
 #: row: 10 % above what this tree measures (pami 21.0, mpi3 24.8; the
@@ -145,6 +154,20 @@ class TestHostCostBudget:
         assert spans == SPANS_PER_PAIR
         assert sum(calls.values()) / PAIRS <= OBS_CALL_BUDGET, over_budget(
             calls, OBS_CALL_BUDGET, "with obs on"
+        )
+
+    @pytest.mark.parametrize("mode", ["D", "AT"])
+    def test_scf_wire_op_stays_inside_its_call_budget(self, mode):
+        sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
+        import op_census
+
+        python, builtin, entries = op_census.scf_per_wire_op(
+            op_census.SCF_REDUCED[0], mode
+        )
+        assert python <= SCF_CALLS_PER_WIRE_OP[mode], (
+            f"{python:.1f} Python calls per wire op of the reduced SCF {mode} "
+            f"run, budget {SCF_CALLS_PER_WIRE_OP[mode]} ({builtin:.1f} builtin "
+            f"calls, {entries:.2f} engine entries per wire op)"
         )
 
     @pytest.mark.parametrize("backend", ["pami", "mpi3"])
@@ -366,7 +389,12 @@ class TestSlottedRecords:
         assert repr(op).startswith("RmaOp(kind='put', src=0, dst=1, nbytes=16, ")
         assert RmwOp("swap", 0, 1, 8, ev) == RmwOp("swap", 0, 1, 8, ev)
         assert timing != (1.0, 2.0, 3.0, 4.0)
-        for record in (timing, op, Delay(1.0)):
+        env = AmEnvelope(7, 0, 1, {"addr": 64})
+        assert env == AmEnvelope(7, 0, 1, {"addr": 64}) and env.payload is None
+        assert AmEnvelope(7, 0, 1).header == {} and env.payload_bytes == 0
+        am = AmOp(env, ev, 1.0, False, None)
+        assert am == AmOp(env, ev, 1.0, False, None) != AmOp(env, ev, 2.0, False, None)
+        for record in (timing, op, Delay(1.0), env, am):
             assert not hasattr(record, "__dict__")
 
     def test_commands_keep_their_validation(self):

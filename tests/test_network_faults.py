@@ -417,6 +417,27 @@ class TestFaultAwareRouting:
         assert job.trace.count("net.link_drops") > 0
         assert job.trace.count("armci.transient_retries") > 0
 
+    def test_a_roll_derives_no_link_key(self, monkeypatch):
+        """A route's links are keyed once, with the route: four times the
+        rolls on an unchanged route derive not one more ``Link``."""
+        from repro.topology import links
+
+        derived = []
+        key = links.link_key
+        monkeypatch.setattr(
+            links, "link_key", lambda *a: derived.append(a) or key(*a)
+        )
+        counts = []
+        for repeat in (4, 16):
+            derived.clear()
+            plan = FaultPlan().lossy_link(NODE0, NODE1, at=0.0, prob=0.3)
+            cfg = ArmciConfig.default_mode(retry=RetryPolicy(max_retries=10))
+            job = net_job(8, config=cfg, fault_plan=plan)
+            assert put_get_body(job, dst=1, repeat=repeat)["data"] == PAYLOAD
+            assert job.trace.count("net.link_drops") > 0
+            counts.append(len(derived))
+        assert counts[0] == counts[1] > 0
+
 
 class TestAmWritesUnderLinkFaults:
     """A link fault alone (no chaos) can lose an AM put's or an

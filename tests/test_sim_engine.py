@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import Delay, Engine, WaitAll, WaitEvent
+from repro.sim import Delay, Engine, Event, WaitAll, WaitEvent
 
 
 def test_engine_starts_at_time_zero():
@@ -387,6 +387,24 @@ def test_killed_waiter_is_disarmed():
     assert a._callbacks == [] and b._callbacks == []
 
 
+def test_triggered_event_after_pending_ones_leaves_no_arm():
+    """The arming pass meets a triggered event after arming pending
+    ones: those arms come back off, and the triggered index wins."""
+    from repro.sim import WaitAny
+
+    eng = Engine()
+    a, b, c = eng.event(), eng.event(), eng.event()
+    b.succeed("b")
+    c.succeed("c")
+
+    def waiter():
+        return (yield WaitAny([a, b, c]))
+
+    proc = eng.spawn(waiter(), name="w")
+    assert eng.run_until_complete([proc]) == [(1, "b")]
+    assert a._callbacks == [] and proc._arms == ()
+
+
 # ------------------------------------------------- schedule policies
 
 
@@ -480,6 +498,20 @@ def test_non_callable_schedule_rejected():
     eng = Engine()
     with pytest.raises(SimulationError):
         eng.schedule(1.0, "not-a-callback")
+
+
+def test_non_callable_event_callback_rejected():
+    # Checked where it enters: a pending event would only schedule it at
+    # ``succeed``, and the engine's internal entry does not check.
+    eng = Engine()
+    pending, fired = Event(eng, "pending"), Event(eng, "fired")
+    fired.succeed()
+    for ev in (pending, fired):
+        with pytest.raises(SimulationError, match="callable"):
+            ev.add_callback("not-a-callback")
+    pending.succeed()
+    assert eng.run() == 0.0
+    assert eng.events_executed == 0
 
 
 def test_fifo_policy_matches_default_order():

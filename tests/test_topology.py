@@ -137,6 +137,13 @@ class TestRankMapping:
         coord, _ = m.rank_to_placement(1)
         assert coord == (1, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("order", ["ABCDET", "TEDCBA", "ATBCDE"])
+    def test_node_table_is_node_of_with_one_tuple_per_node(self, order):
+        m = RankMapping(Torus((2, 3, 1, 2, 2)), procs_per_node=3, order=order)
+        table = m.node_table()
+        assert table == [m.node_of(r) for r in range(m.num_ranks)]
+        assert len({id(node) for node in table}) == m.torus.num_nodes
+
     def test_abcdet_requires_5d(self):
         with pytest.raises(TopologyError):
             abcdet_mapping((2, 2), procs_per_node=1)  # type: ignore[arg-type]

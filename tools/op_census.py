@@ -6,7 +6,8 @@ step resumes, for a blocking 16 B put + get pair and for one
 ``fetch_add`` on a knobs-off 2-node job, and for the pair with obs on
 (its spans, and its Python calls and bytecodes per span over the
 knobs-off pair); then the frames per step of the 256-rank smoke Fig. 11
-D run, with its most common frame chains; then
+D run, with its most common frame chains, and its Python calls, builtin
+calls and engine entries per wire op; then
 Python calls and numpy calls per served request on a reduced ``kv_idle``
 shape; last, what importing each core layer costs a fresh interpreter
 (``reach.LAYERS``):
@@ -37,6 +38,10 @@ OBS_ROW = "put+get, obs on"  # the pair again, on a job with ObsConfig(enabled=T
 #: The SCF D row: ranks of the smoke Fig. 11 grid's largest D run, and
 #: how many of its frame chains it prints.
 SCF_PROCS, TOP_CHAINS = 256, 6
+#: The ledger's reduced ``scf_d_at`` shape: ranks, ``nblocks``, ``nbf``.
+SCF_REDUCED = (8, 4, 96)
+#: What a wire op is: the ledger's ``pami.wire_ops``.
+WIRE_OPS = ("pami.rdma_puts", "pami.rdma_gets", "pami.am_sent", "pami.rmw_posted")
 #: The kv request row: a reduced ``kv_idle`` (6 ranks, 2 shards, 3 per
 #: node, 2 requests per client at 0.5 M requests per simulated second),
 #: run at two client counts; the difference, per extra request, leaves
@@ -214,6 +219,35 @@ def scf_frames() -> Frames:
     return census
 
 
+def scf_per_wire_op(procs: int, mode: str, scf=None) -> tuple[float, float, float]:
+    """Python calls, builtin calls and engine entries per wire op of one
+    ``run_scf`` in ``mode`` (``"D"`` or ``"AT"``), job build included.
+    ``scf`` defaults to the ledger's reduced shape at its task time."""
+    from repro.apps.nwchem.scf import ScfConfig, run_scf
+    from repro.armci import ArmciConfig
+
+    if scf is None:
+        _procs, nblocks, nbf = SCF_REDUCED
+        scf = ScfConfig(nblocks=nblocks, nbf_override=nbf, iterations=1, task_time=2e-3)
+    config = ArmciConfig.default_mode() if mode == "D" else ArmciConfig.async_thread_mode()
+    jobs, calls = [], [0, 0]
+
+    def count(_frame, event, _arg):
+        if event == "call":
+            calls[0] += 1
+        elif event == "c_call":
+            calls[1] += 1
+
+    sys.setprofile(count)
+    try:
+        run_scf(procs, config, scf, on_job=jobs.append)
+    finally:
+        sys.setprofile(None)
+    job = jobs[0]
+    wire = sum(job.trace.count(name) for name in WIRE_OPS)
+    return calls[0] / wire, calls[1] / wire, job.engine.events_executed / wire
+
+
 def kv_request(backend: str = "pami") -> tuple[Counter, Counter]:
     """Python calls and numpy calls per served request, by layer."""
     from repro.armci import ArmciConfig
@@ -293,6 +327,10 @@ def main() -> None:
     print(f"\nscf D, {SCF_PROCS} ranks (smoke Fig. 11): {scf}")
     for chain, count in scf.chains.most_common(TOP_CHAINS):
         print(f"  {count:8d}  {' > '.join(chain)}")
+    from repro.bench.artifacts import FIG11_SMALL
+    python, builtin, entries = scf_per_wire_op(SCF_PROCS, "D", FIG11_SMALL)
+    print(f"  per wire op: {python:.1f} Python calls, {builtin:.1f} builtin calls, "
+          f"{entries:.2f} engine entries")
     calls, numpy = kv_request(args.backend)
     calls["total"], numpy["total"] = sum(calls.values()), sum(numpy.values())
     print(f"\n{'kv request':<12}{'calls':>8}{'numpy':>8}")
