@@ -121,7 +121,7 @@ class FailureDetector:
 
     The ARMCI job registers one detector with the PAMI world's failure
     listeners. Wait paths that block on a peer's *software* action (group
-    tree messages, notify waits...) watch their wake-up event against the
+    tree messages) watch their wake-up event against the
     ranks they depend on; if one of those ranks fails, the event fires
     with a :class:`~repro.pami.faults.Failure` token after the detection
     delay instead of never.

@@ -12,12 +12,6 @@ GET_REQUEST = 2
 PUT_REQUEST = 3
 #: Atomic accumulate (associative, serviced by the progress engine).
 ACC_REQUEST = 4
-#: Mutex acquire request (queued at the owner).
-LOCK_REQUEST = 7
-#: Mutex release.
-UNLOCK_REQUEST = 8
-#: Pairwise notify (ordered behind prior puts).
-NOTIFY = 11
 #: Software tree-collective message (process groups).
 GROUP_MESSAGE = 12
 
@@ -28,8 +22,5 @@ DISPATCH_NAMES = {
     GET_REQUEST: "get_request",
     PUT_REQUEST: "put_request",
     ACC_REQUEST: "acc_request",
-    LOCK_REQUEST: "lock_request",
-    UNLOCK_REQUEST: "unlock_request",
-    NOTIFY: "notify",
     GROUP_MESSAGE: "group_message",
 }

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any, Generator
 
 from ..errors import ArmciError
 from ..pami.activemsg import AmEnvelope
-from ..pami.context import CompletionItem, PamiContext
+from ..pami.context import PamiContext
 from ..pami.faults import check_completion
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -121,11 +121,10 @@ def _send(rt: "ArmciProcess", dst: int, key: tuple, value) -> Generator[Any, Any
     yield from rt.main_context.wait_with_progress(op.local_event)
 
 
-def _sequence(rt: "ArmciProcess", group: ProcessGroup, kind: str) -> int:
+def _sequence(rt: "ArmciProcess", group: ProcessGroup) -> int:
     state = _state(rt)
-    seq_key = (kind,) + group.members
-    seq = state.sequence.get(seq_key, 0)
-    state.sequence[seq_key] = seq + 1
+    seq = state.sequence.get(group.members, 0)
+    state.sequence[group.members] = seq + 1
     return seq
 
 
@@ -140,7 +139,7 @@ def group_reduce_tree(
     """
     me = group.index_of(rt.rank)
     n = group.size
-    seq = _sequence(rt, group, "allreduce")
+    seq = _sequence(rt, group)
     acc = value
 
     # Up-sweep: at round k, members with index % 2^(k+1) == 2^k send to
@@ -176,47 +175,4 @@ def group_reduce_tree(
             )
         k //= 2
     rt.trace.incr("armci.group_allreduces")
-    return result
-
-
-def group_barrier(
-    rt: "ArmciProcess", group: ProcessGroup
-) -> Generator[Any, Any, None]:
-    """Software tree barrier over the group (an allreduce of nothing)."""
-    yield from group_reduce_tree(rt, group, 0.0)
-    rt.trace.incr("armci.group_barriers")
-
-
-def group_broadcast(
-    rt: "ArmciProcess", group: ProcessGroup, value, root_rank: int | None = None
-) -> Generator[Any, Any, Any]:
-    """Binomial broadcast of ``value`` from the group root.
-
-    ``root_rank`` defaults to the first member; non-root callers pass
-    any placeholder and receive the root's value.
-    """
-    root = group.index_of(root_rank) if root_rank is not None else 0
-    me = group.index_of(rt.rank)
-    n = group.size
-    # Rotate indices so the root is virtual index 0.
-    virt = (me - root) % n
-    seq = _sequence(rt, group, "bcast")
-    result = value
-    if virt != 0:
-        values = yield from _await_messages(
-            rt, ("bc", seq, me) + group.members, 1, group.members
-        )
-        result = values[0]
-    k = 1
-    while k < n:
-        k *= 2
-    k //= 2
-    while k >= 1:
-        if virt % (2 * k) == 0 and virt + k < n:
-            dst_virt = virt + k
-            dst = group.members[(dst_virt + root) % n]
-            dst_idx = group.index_of(dst)
-            yield from _send(rt, dst, ("bc", seq, dst_idx) + group.members, result)
-        k //= 2
-    rt.trace.incr("armci.group_broadcasts")
     return result

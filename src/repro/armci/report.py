@@ -54,8 +54,6 @@ _COUNTER_LAYOUT: tuple[tuple[str, str, str], ...] = (
     ("synchronization", "armci.fences_forced", "fences forced by reads"),
     ("synchronization", "armci.fences_avoided", "fences avoided (cs_mr)"),
     ("synchronization", "armci.barriers", "barriers"),
-    ("synchronization", "armci.locks_acquired", "mutex acquisitions"),
-    ("synchronization", "armci.notifies_sent", "notifications sent"),
     ("resilience", "transport.amo_software_fallbacks", "AMOs emulated in software"),
     ("resilience", "armci.transient_retries", "transient faults retried"),
     ("resilience", "armci.retry_successes", "retries that succeeded"),

@@ -3,8 +3,8 @@
 :class:`ArmciJob` assembles a simulated job: the PAMI world, one
 :class:`ArmciProcess` per rank, the hardware barrier, and the collective
 allocation directory. :class:`ArmciProcess` exposes the ARMCI-style API —
-``put/get/acc`` (contiguous and strided), ``rmw``, ``fence``, ``barrier``,
-``lock/unlock`` — as generators executed by simulated processes::
+``put/get/acc`` (contiguous and strided), ``rmw``, ``fence``, ``barrier``
+— as generators executed by simulated processes::
 
     job = ArmciJob(num_procs=16, config=ArmciConfig.async_thread_mode())
     job.init()
@@ -49,8 +49,6 @@ from . import config as _config
 from . import contiguous as _cont
 from . import dispatch as _disp
 from . import groups as _groups
-from . import locks as _locks
-from . import notify as _notify
 from . import strided as _str
 from . import transfer as _xfer
 from . import vector as _vec
@@ -58,7 +56,6 @@ from .config import ArmciConfig
 from .consistency import make_tracker
 from .endpoints import EndpointCache
 from .handles import Handle, _post_and_wait
-from .locks import MutexTable
 from .progress import start_async_thread, start_watchdog
 from .region_cache import RegionCache
 
@@ -77,9 +74,6 @@ AM_HANDLERS = {
     _disp.GET_REQUEST: _xfer.handle_get_request,
     _disp.PUT_REQUEST: _xfer.handle_put_request,
     _disp.ACC_REQUEST: _acc.handle_acc_request,
-    _disp.LOCK_REQUEST: _locks.handle_lock_request,
-    _disp.UNLOCK_REQUEST: _locks.handle_unlock_request,
-    _disp.NOTIFY: _notify.handle_notify,
     _disp.GROUP_MESSAGE: _groups.handle_group_message,
 }
 
@@ -373,7 +367,7 @@ class ArmciProcess:
     __slots__ = (
         "job", "rank", "world", "engine", "trace", "config", "transport", "observer",
         "obs", "client", "main_context", "endpoints", "region_cache", "tracker",
-        "_mutexes", "_notify_board", "async_thread", "watchdog", "progress_failed_over",
+        "async_thread", "watchdog", "progress_failed_over",
         "_deadline", "_pending_acks", "_ack_prune_at", "_implicit_handles",
         "_next_alloc_id", "_replay_mode", "_agg_buffer", "_gax_scratch", "_dtp_state",
         "_group_state")
@@ -426,8 +420,6 @@ class ArmciProcess:
             budget_registry=budget_registry,
         )
         self.tracker = make_tracker(self.config.consistency_tracker)
-        self._mutexes: MutexTable | None = None
-        self._notify_board: _notify.NotifyBoard | None = None
         self.async_thread = None
         self.watchdog = None
         #: Set by the watchdog once progress duty failed over.
@@ -451,20 +443,6 @@ class ArmciProcess:
         for attr in ("_agg_buffer", "_gax_scratch", "_dtp_state"):
             if hasattr(self, attr):
                 delattr(self, attr)
-
-    @property
-    def mutexes(self) -> MutexTable:
-        """The mutexes this rank hosts (made on first use)."""
-        if self._mutexes is None:
-            self._mutexes = MutexTable()
-        return self._mutexes
-
-    @property
-    def notify_board(self) -> "_notify.NotifyBoard":
-        """This rank's notification inbox (made on first use)."""
-        if self._notify_board is None:
-            self._notify_board = _notify.NotifyBoard()
-        return self._notify_board
 
     def _reinit_body(self) -> Generator[Any, Any, None]:
         """Initialize one incarnation inside the simulation: contexts,
@@ -1192,57 +1170,10 @@ class ArmciProcess:
         """Create a processor-group handle (non-generator)."""
         return _groups.ProcessGroup(tuple(members))
 
-    def group_barrier(self, group) -> Generator[Any, Any, None]:
-        """Software tree barrier over a processor group (non-generator:
-        returns :func:`groups.group_barrier`'s generator)."""
-        return _groups.group_barrier(self, group)
-
     def group_allreduce(self, group, value: float) -> Generator[Any, Any, float]:
         """Software tree sum over a processor group (non-generator:
         returns :func:`groups.group_reduce_tree`'s generator)."""
         return _groups.group_reduce_tree(self, group, value)
-
-    def group_broadcast(self, group, value, root_rank: int | None = None):
-        """Binomial broadcast over a processor group (non-generator:
-        returns :func:`groups.group_broadcast`'s generator)."""
-        return _groups.group_broadcast(self, group, value, root_rank)
-
-    # ----------------------------------------------------- notify/wait
-
-    def notify(self, dst: int) -> Generator[Any, Any, None]:
-        """Notify ``dst``; delivered after all prior puts to ``dst``."""
-        # Observed at send initiation: the send precedes delivery, so the
-        # observer's send event always lands before the matching wait.
-        self._observe("on_notify", dst)
-        yield from _notify.notify(self, dst)
-
-    def notify_wait(self, src: int) -> Generator[Any, Any, None]:
-        """Wait for (and consume) one notification from ``src``."""
-        yield from _notify.notify_wait(self, src)
-        self._observe("on_notify_wait", src)
-
-    # ------------------------------------------------------------ locks
-
-    def lock(self, mutex_id: int) -> Generator[Any, Any, None]:
-        """Acquire a distributed ARMCI mutex.
-
-        A transiently-lost LOCK_REQUEST is retried (the owner never saw
-        the lost request, so re-sending cannot double-acquire).
-        """
-        with self.span("lock_wait", "lock", mutex=mutex_id) as span:
-            yield from self._with_retry(
-                "lock", _locks.lock, (self, mutex_id, span), self._op_deadline()
-            )
-        self._observe("on_lock", mutex_id)
-
-    def unlock(self, mutex_id: int) -> Generator[Any, Any, None]:
-        """Release a distributed ARMCI mutex."""
-        # Observed at release *initiation*: the release strictly precedes
-        # the owner granting the mutex to the next waiter, so the
-        # observer sees release -> acquire in happens-before order even
-        # when the releaser's completion reply races the grant message.
-        self._observe("on_unlock", mutex_id)
-        yield from _locks.unlock(self, mutex_id)
 
     # --------------------------------------------------------- progress
 

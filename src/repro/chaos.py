@@ -34,10 +34,10 @@ Fault semantics (what the ARMCI retry layer relies on):
   order on a deterministic route stays monotone (head-of-line blocking,
   :mod:`repro.pami.ordering`); AMOs and gets are unordered and take
   unclamped jitter.
-- Active messages with no reply cookie (notify, unlock, group and
-  tag-matched sends) cannot report loss to their initiator, so the
-  transport retransmits them (:class:`~repro.pami.delivery.Delivery`,
-  re-rolling the dice up to its budget); the final attempt always
+- Active messages with no reply cookie (group and tag-matched sends)
+  cannot report loss to their initiator, so the transport retransmits
+  them (:class:`~repro.pami.delivery.Delivery`, re-rolling the dice up
+  to its budget); the final attempt always
   delivers (bounded-loss transport, so a ``drop_prob`` of 1.0 cannot
   livelock the simulation).
 """

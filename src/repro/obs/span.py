@@ -30,7 +30,6 @@ category                  meaning
 ``backoff``               retry backoff sleep
 ``credit_wait``           sender-side backpressure (FIFO credit) wait
 ``region_miss``           remote memory-region query round trip (cache miss)
-``lock_wait``             distributed mutex acquire dwell
 ``task_draw``             taskpool ``next_range`` draw (wraps counter_wait)
 ========================  ====================================================
 

@@ -8,11 +8,10 @@ miss service, accumulates, and collectives.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any
 
 import numpy as np
 
-from ..errors import PamiError
 from ..record import SlotRecord
 from ..sim.event import Event
 from . import faults as _flt
@@ -258,30 +257,3 @@ def send_am(
         env.header["_span"] = span_id
     return AmOp(env, local_event, deliver_at, delivery.at_risk, span_id)
 
-
-def send_am_immediate(
-    ctx: PamiContext,
-    dst_rank: int,
-    dispatch_id: int,
-    header: dict[str, Any] | None = None,
-    payload: bytes | np.ndarray | None = None,
-) -> Generator[Any, Any, AmOp]:
-    """The PAMI immediate AM variant: blocks until the send is injected.
-
-    Small control messages only.
-
-    Raises
-    ------
-    PamiError
-        If the payload exceeds the immediate-size limit (512 bytes, like
-        PAMI's short-message threshold).
-    """
-    if payload is not None and len(payload) > 512:
-        raise PamiError(
-            f"immediate AM payload {len(payload)} exceeds 512-byte limit"
-        )
-    op = send_am(ctx, dst_rank, dispatch_id, header, payload)
-    # Blocking completion semantics: stall (advancing the local context)
-    # until the send buffer is reusable.
-    yield from ctx.wait_with_progress(op.local_event)
-    return op

@@ -1,8 +1,9 @@
 """PAMI clients: per-process communication state.
 
 A process must create a client before any communication; the client then
-creates one or more contexts (Section III-A, Figure 1). Active-message
-handlers are registered per dispatch id, mirroring ``PAMI_Dispatch_set``.
+creates one or more contexts (Section III-A, Figure 1). One
+active-message dispatcher serves a set of dispatch ids, mirroring
+``PAMI_Dispatch_set`` over the runtime's whole table.
 """
 
 from __future__ import annotations
@@ -32,13 +33,12 @@ class PamiClient:
         This process's rank.
     """
 
-    __slots__ = ("world", "rank", "contexts", "_dispatch", "_dispatcher_ids", "_dispatcher")
+    __slots__ = ("world", "rank", "contexts", "_dispatcher_ids", "_dispatcher")
 
     def __init__(self, world: "PamiWorld", rank: int) -> None:
         self.world = world
         self.rank = rank
         self.contexts: list[PamiContext] = []
-        self._dispatch: dict[int, AmHandler] = {}
         #: Ids served by :attr:`_dispatcher` (a table shared across ranks).
         self._dispatcher_ids: Container[int] = ()
         self._dispatcher: AmHandler | None = None
@@ -96,18 +96,6 @@ class PamiClient:
             raise PamiError(f"rank {self.rank} has no contexts")
         return self.contexts[-1]
 
-    def register_dispatch(self, dispatch_id: int, handler: AmHandler) -> None:
-        """Register an active-message handler (like ``PAMI_Dispatch_set``).
-
-        Raises
-        ------
-        PamiError
-            If the dispatch id is already taken.
-        """
-        if dispatch_id in self._dispatch or dispatch_id in self._dispatcher_ids:
-            raise PamiError(f"dispatch id {dispatch_id} already registered")
-        self._dispatch[dispatch_id] = handler
-
     def register_dispatcher(
         self, dispatch_ids: Container[int], handler: AmHandler
     ) -> None:
@@ -121,13 +109,10 @@ class PamiClient:
         Raises
         ------
         PamiError
-            If a dispatcher is already registered, or an id is taken.
+            If a dispatcher is already registered.
         """
         if self._dispatcher is not None:
             raise PamiError(f"rank {self.rank} already has a dispatcher")
-        taken = [i for i in self._dispatch if i in dispatch_ids]
-        if taken:
-            raise PamiError(f"dispatch ids {taken} already registered")
         self._dispatcher_ids = dispatch_ids
         self._dispatcher = handler
 
@@ -141,9 +126,4 @@ class PamiClient:
         """
         if dispatch_id in self._dispatcher_ids:
             return self._dispatcher
-        try:
-            return self._dispatch[dispatch_id]
-        except KeyError:
-            raise PamiError(
-                f"rank {self.rank}: no handler for dispatch id {dispatch_id}"
-            ) from None
+        raise PamiError(f"rank {self.rank}: no handler for dispatch id {dispatch_id}")

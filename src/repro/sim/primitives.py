@@ -1,8 +1,9 @@
 """Commands that simulated processes yield to the engine.
 
 A simulated process is a generator. Each ``yield`` hands the engine one of
-these command objects; the engine resumes the generator when the command
-completes, sending back the command's result (e.g. the event's value).
+these command objects, or a bare :class:`~repro.sim.event.Event` (the one
+single-event wait; the yield returns its value); the engine resumes the
+generator when the command completes, sending back its result.
 """
 
 from __future__ import annotations
@@ -27,28 +28,6 @@ class Delay(SlotRecord):
         self.dt = dt
 
 
-class WaitEvent(SlotRecord):
-    """Suspend until ``event`` triggers; the yield returns ``event.value``."""
-
-    __slots__ = ("event",)
-
-    def __init__(self, event: "Event") -> None:
-        self.event = event
-
-
-class WaitAll(SlotRecord):
-    """Suspend until every event in ``events`` has triggered.
-
-    The yield returns the list of event values in the given order. An empty
-    sequence completes immediately.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: Sequence["Event"]) -> None:
-        self.events = events
-
-
 class WaitAny(SlotRecord):
     """Suspend until the *first* of ``events`` triggers.
 
@@ -65,4 +44,4 @@ class WaitAny(SlotRecord):
         self.events = events
 
 
-Command = Delay | WaitEvent | WaitAll | WaitAny
+Command = Delay | WaitAny

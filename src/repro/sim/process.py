@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Any, Generator, Sequence
 
 from ..errors import SimulationError
 from .event import Event
-from .primitives import Delay, WaitAll, WaitAny, WaitEvent
+from .primitives import Delay, WaitAny
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Engine
@@ -29,7 +29,7 @@ class SimProcess:
 
     __slots__ = (
         "engine", "name", "body", "done", "daemon", "_started", "_killed",
-        "_wait", "_awaited", "_pending", "_arms",
+        "_wait", "_arms",
     )
 
     def __init__(
@@ -52,12 +52,9 @@ class SimProcess:
         #: wait at a time, so the process is its own waiter: a
         #: ``WaitAny`` arm carries the count it was armed under and is
         #: dead once the count moved on, and ``_arms`` holds the
-        #: ``(event, arm)`` pairs until the first arm runs; a ``WaitAll``
-        #: counts down ``_pending`` over ``_awaited``.
+        #: ``(event, arm)`` pairs until the first arm runs.
         self._wait = 0
-        self._awaited: Sequence[Event] = ()
         self._arms: Sequence[tuple[Event, Any]] = ()
-        self._pending = 0
 
     def start(self) -> None:
         """Schedule the first step at the current simulated time."""
@@ -117,14 +114,10 @@ class SimProcess:
             self._wait_any(command.events)
         elif isinstance(command, Delay):
             self.engine._push(command.dt, self._step, None)
-        elif isinstance(command, WaitEvent):
-            command.event.add_callback(self._step)
-        elif isinstance(command, WaitAll):
-            self._wait_all(command.events)
         elif isinstance(command, WaitAny):
             self._wait_any(command.events)
         elif isinstance(command, Event):
-            # Allow yielding a bare Event as shorthand for WaitEvent(event).
+            # A bare Event is the single-event wait.
             command.add_callback(self._step)
         elif isinstance(command, SimProcess):
             # Yielding a process waits for its completion (join).
@@ -137,23 +130,6 @@ class SimProcess:
                     f"{command!r}"
                 )
             )
-
-    def _wait_all(self, events: Sequence[Event]) -> None:
-        pending = sum(1 for ev in events if not ev._triggered)
-        if pending == 0:
-            self.engine._push(0.0, self._step, [ev.value for ev in events])
-            return
-        self._awaited = events
-        self._pending = pending
-        for ev in events:
-            if not ev._triggered:
-                ev._callbacks.append(self._one_of_all)
-
-    def _one_of_all(self, _value: Any) -> None:
-        self._pending -= 1
-        if self._pending == 0:
-            events, self._awaited = self._awaited, ()
-            self._step([ev.value for ev in events])
 
     def _wait_any(self, events: Sequence[Event]) -> None:
         # One arm per event, armed in one pass. The first to run takes

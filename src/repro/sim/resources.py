@@ -1,4 +1,4 @@
-"""Simulated synchronization resources: locks, semaphores, FIFO queues.
+"""Simulated synchronization resources: locks and FIFO queues.
 
 These model *simulated-time* contention (e.g. the PAMI context lock shared
 by the main and asynchronous progress threads), not Python threading.
@@ -16,25 +16,29 @@ if TYPE_CHECKING:  # pragma: no cover
     from .engine import Engine
 
 
-class Semaphore:
-    """Counting semaphore with FIFO grant order."""
+class Lock:
+    """Binary mutual-exclusion lock with FIFO grant order.
+
+    Used to model the PAMI progress-engine lock (Section III-D): when the
+    main thread and the asynchronous thread share one communication context,
+    they contend on this lock; with two contexts each thread owns its own.
+    """
 
     __slots__ = ("engine", "name", "_count", "_waiters")
 
-    def __init__(self, engine: "Engine", count: int = 1) -> None:
-        if count < 0:
-            raise SimulationError(f"semaphore count must be >= 0, got {count}")
+    def __init__(self, engine: "Engine", name: str = "lock") -> None:
         self.engine = engine
-        self.name = "sem"
-        self._count = count
+        self.name = name
+        #: 1 while free, 0 while held.
+        self._count = 1
         #: Blocked acquirers, oldest first; created on the first block,
-        #: so an uncontended semaphore carries no deque.
+        #: so an uncontended lock carries no deque.
         self._waiters: deque[Event] | None = None
 
     def acquire(self) -> Event:
-        """Request a permit; the returned event triggers when granted.
+        """Request the lock; the returned event triggers when granted.
 
-        Processes use it as ``yield sem.acquire()``.
+        Processes use it as ``yield lock.acquire()``.
         """
         ev = Event(self.engine, "sem.grant")
         if self._count > 0:
@@ -47,38 +51,16 @@ class Semaphore:
         return ev
 
     def try_acquire(self) -> bool:
-        """Take a permit immediately if available; never blocks."""
+        """Take the lock immediately if it is free; never blocks."""
         if self._count > 0:
             self._count -= 1
             return True
         return False
 
-    def release(self) -> None:
-        """Return a permit, granting the oldest waiter if any."""
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self._count += 1
-
     def withdraw(self, request: Event) -> None:
         """Take a not-yet-granted :meth:`acquire` request off the queue
         (its process gave up, or was killed, while waiting)."""
         self._waiters.remove(request)
-
-
-class Lock(Semaphore):
-    """Binary mutual-exclusion lock (a semaphore with one permit).
-
-    Used to model the PAMI progress-engine lock (Section III-D): when the
-    main thread and the asynchronous thread share one communication context,
-    they contend on this lock; with two contexts each thread owns its own.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, engine: "Engine", name: str = "lock") -> None:
-        super().__init__(engine)
-        self.name = name
 
     @property
     def locked(self) -> bool:
@@ -86,7 +68,7 @@ class Lock(Semaphore):
         return self._count == 0
 
     def release(self) -> None:
-        # The semaphore's release, written out: one frame per release.
+        """Release the lock, granting it to the oldest waiter if any."""
         if self._count == 1:
             raise SimulationError(f"lock {self.name!r} released while not held")
         if self._waiters:

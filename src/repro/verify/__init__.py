@@ -33,7 +33,6 @@ from .fuzz import (
     explore,
     make_policy,
     target_chaos,
-    target_lock,
     target_scf,
     target_strided,
     target_vector,
@@ -51,7 +50,6 @@ __all__ = [
     "explore",
     "make_policy",
     "target_chaos",
-    "target_lock",
     "target_scf",
     "target_strided",
     "target_vector",

@@ -10,7 +10,7 @@ oracle's verdict, and any semantic check failures.
 
 The workloads are engineered to be race-free: concurrent ranks write
 disjoint byte ranges (or commuting accumulates) and read structures
-nobody writes, with fences/barriers/locks providing exactly the ordering
+nobody writes, with fences and barriers providing exactly the ordering
 location consistency requires. Any oracle flag or value mismatch on any
 explored schedule is therefore a genuine defect in the runtime or the
 active tracker. One modeling caveat: same-(src,dst) write-write ties at
@@ -266,62 +266,6 @@ def target_vector(
     )
 
 
-def target_lock(
-    seed: int,
-    policy: str = "random",
-    tracker: str = "cs_mr",
-    limit: int | None = None,
-    config_overrides: dict | None = None,
-) -> FuzzResult:
-    """Mutex-protected shared counter: the classic fetch-update-put
-    critical section, fence before unlock.
-
-    Every rank increments a counter on rank 0 ``k`` times under mutex 0.
-    The final value must be exactly ``p * k`` on every schedule — a lost
-    update means mutual exclusion or the fence-before-release protocol
-    broke under reordering.
-    """
-    p = 4
-    k = 3
-
-    def body(rt):
-        cell = yield from rt.malloc(16)
-        scratch = yield from rt.malloc(16)
-        space = rt.world.space(rt.rank)
-        if rt.rank == 0:
-            space.write_i64(cell.addr(0), 0)
-        yield from rt.barrier()
-        local = scratch.addr(rt.rank)
-        for _ in range(k):
-            yield from rt.lock(0)
-            yield from rt.get(0, local, cell.addr(0), 8)
-            value = rt.world.space(rt.rank).read_i64(local)
-            rt.world.space(rt.rank).write_i64(local, value + 1)
-            yield from rt.put(0, local, cell.addr(0), 8)
-            # Certify the put before releasing: the next holder's get
-            # must observe it.
-            yield from rt.fence(0)
-            yield from rt.unlock(0)
-        yield from rt.barrier()
-        if rt.rank == 0:
-            final = space.read_i64(cell.addr(0))
-            if final != p * k:
-                raise AssertionError(
-                    f"lost update: counter {final}, expected {p * k}"
-                )
-        yield from rt.barrier()
-
-    job, oracle = _make_job(
-        p, seed, policy, tracker, limit, config_overrides=config_overrides
-    )
-    failures: list[str] = []
-    try:
-        job.run(body)
-    except (ReproError, AssertionError) as exc:
-        failures.append(f"run:{type(exc).__name__}: {exc}")
-    return _finish("lock", seed, job.engine, oracle, job.trace, failures)
-
-
 def target_chaos(
     seed: int,
     policy: str = "random",
@@ -502,12 +446,11 @@ def target_kv(
     )
 
 
-#: The six fuzz targets, keyed by name.
+#: The five fuzz targets, keyed by name.
 FUZZ_TARGETS: dict[str, Callable[..., FuzzResult]] = {
     "scf": target_scf,
     "strided": target_strided,
     "vector": target_vector,
-    "lock": target_lock,
     "chaos": target_chaos,
     "kv": target_kv,
 }

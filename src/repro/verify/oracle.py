@@ -5,7 +5,7 @@ ArmciProcess` through its ``observer`` slot and watches the runtime's
 semantic event stream: data movement (put/get/acc in all their
 contiguous/strided/vector forms), fences and fence *decisions*, and
 every synchronization primitive that creates cross-rank ordering
-(barriers, mutexes, notify/wait, read-modify-writes).
+(barriers and read-modify-writes).
 
 It maintains two independent models:
 
@@ -23,18 +23,15 @@ It maintains two independent models:
 
 - a **vector-clock happens-before model**: each rank carries a vector
   clock ticked on every observed event and joined across barrier
-  generations, mutex release→acquire edges, notify send→wait edges, and
-  rmw release-acquire chains per (target, address). Byte-range accesses
-  to each target's memory are checked pairwise (write/write, write/read,
-  acc/read, acc/write — never read/read or acc/acc, accumulates being
-  associative) and concurrent overlapping pairs are flagged as data
-  races. In ``strict_sync`` mode the oracle additionally flags
+  generations and rmw release-acquire chains per (target, address).
+  Byte-range accesses to each target's memory are checked pairwise
+  (write/write, write/read, acc/read, acc/write — never read/read or
+  acc/acc, accumulates being associative) and concurrent overlapping
+  pairs are flagged as data races. Ordered pairs are checked for
   *unfenced-sync* hazards: conflicting accesses ordered only by a
   synchronization edge while the earlier write was never certified by a
   fence — ordering of the sync message does not imply remote completion
-  of prior RDMA writes, except for PAMI's pairwise-ordered notify, which
-  the runtime documents as fence-free (and which is why the mode is
-  opt-in).
+  of prior RDMA writes.
 """
 
 from __future__ import annotations
@@ -119,15 +116,10 @@ class HappensBeforeOracle:
     ----------
     num_procs:
         Rank count (vector-clock width).
-    strict_sync:
-        Also flag HB-ordered conflicts whose earlier write was never
-        fence-certified (see module docstring). Off by default: workloads
-        legitimately using notify's pairwise ordering would be flagged.
     """
 
-    def __init__(self, num_procs: int, strict_sync: bool = False) -> None:
+    def __init__(self, num_procs: int) -> None:
         self.num_procs = num_procs
-        self.strict_sync = strict_sync
         self.report = OracleReport()
         self._clock = [[0] * num_procs for _ in range(num_procs)]
         # Golden model: rank -> dst -> set of region keys written since
@@ -146,8 +138,6 @@ class HappensBeforeOracle:
         self._barrier_count = [0] * num_procs
         self._barrier_enters: dict[int, list[tuple[int, ...]]] = {}
         self._barrier_done: dict[int, int] = {}
-        self._lock_release: dict[int, tuple[int, ...]] = {}
-        self._notify_chan: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         self._rmw_clock: dict[tuple[int, int], tuple[int, ...]] = {}
         self._seen_violations: set = set()
 
@@ -224,7 +214,7 @@ class HappensBeforeOracle:
                     f"{new.op} by r{new.rank} [{new.lo},{new.hi}) on r{new.dst}",
                     ("race", old.index, new.index),
                 )
-            elif self.strict_sync:
+            else:
                 first = old if _leq(old.clock, new.clock) else new
                 if first.kind in ("w", "a") and first.index not in self._certified:
                     self._flag(
@@ -294,38 +284,16 @@ class HappensBeforeOracle:
             return
         floor = tuple(max(vals) for vals in zip(*enters))
         for dst, accs in self._accesses.items():
-            # Strict mode keeps uncertified writes alive: the barrier
-            # orders them, but only a fence certifies them.
+            # Uncertified writes stay alive: the barrier orders them,
+            # but only a fence certifies them.
             self._accesses[dst] = [
                 a
                 for a in accs
                 if not _leq(a.clock, floor)
-                or (
-                    self.strict_sync
-                    and a.kind in ("w", "a")
-                    and a.index not in self._certified
-                )
+                or (a.kind in ("w", "a") and a.index not in self._certified)
             ]
 
-    # ----------------------------------------------- locks / notify / rmw
-
-    def on_lock(self, rank: int, mutex_id: int) -> None:
-        release = self._lock_release.get(mutex_id)
-        if release is not None:
-            self._join(rank, release)
-        self._tick(rank)
-
-    def on_unlock(self, rank: int, mutex_id: int) -> None:
-        self._lock_release[mutex_id] = self._tick(rank)
-
-    def on_notify(self, rank: int, dst: int) -> None:
-        self._notify_chan.setdefault((rank, dst), []).append(self._tick(rank))
-
-    def on_notify_wait(self, rank: int, src: int) -> None:
-        chan = self._notify_chan.get((src, rank))
-        if chan:
-            self._join(rank, chan.pop(0))
-        self._tick(rank)
+    # ------------------------------------------------------------ rmw
 
     def on_rmw(self, rank: int, dst: int, addr: int) -> None:
         # Read-modify-writes to one cell are serialized by the target's
@@ -343,11 +311,9 @@ class HappensBeforeOracle:
         self.report.service_log.append((rank, name, src))
 
 
-def attach_oracle(
-    job: "ArmciJob", strict_sync: bool = False
-) -> HappensBeforeOracle:
+def attach_oracle(job: "ArmciJob") -> HappensBeforeOracle:
     """Create an oracle and install it as every rank's observer."""
-    oracle = HappensBeforeOracle(job.num_procs, strict_sync=strict_sync)
+    oracle = HappensBeforeOracle(job.num_procs)
     for rt in job.processes:
         rt.observer = oracle
     return oracle

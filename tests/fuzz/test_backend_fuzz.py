@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.verify import target_lock, target_scf, target_strided
+from repro.verify import target_scf, target_strided, target_vector
 
 #: The issue's acceptance gate is 25 seeds; CI can widen or narrow it.
 SEEDS = int(os.environ.get("REPRO_BACKEND_FUZZ_SEEDS", "25"))
@@ -53,7 +53,7 @@ class TestMpi3Fuzz:
         assert pami.digest != mpi3.digest
 
     def test_mpi3_counters_reach_fuzz_workloads(self):
-        r = target_lock(1, config_overrides=MPI3)
+        r = target_vector(1, config_overrides=MPI3)
         assert r.ok, r.failures[:3]
         assert r.counters.get("transport.am_emulations", 0) > 0
         assert r.counters.get("transport.flush_syncs", 0) > 0

@@ -17,7 +17,6 @@ from repro.verify import (
     make_policy,
     shrink_seed,
     target_chaos,
-    target_lock,
     target_scf,
     target_strided,
     target_vector,
@@ -115,8 +114,8 @@ class TestFifoEquivalence:
         assert base.digest == again.digest
 
     def test_random_limit_zero_is_fifo(self):
-        fifo = target_lock(0, policy="fifo")
-        limited = target_lock(0, policy="random", limit=0)
+        fifo = target_vector(0, policy="fifo")
+        limited = target_vector(0, policy="random", limit=0)
         assert limited.counters == fifo.counters
 
     def test_make_policy_rejects_unknown(self):

@@ -376,39 +376,6 @@ class TestRmwAndLocks:
         all_tickets = sorted(t for ts in results for t in ts)
         assert all_tickets == list(range(3 * p))
 
-    def test_mutex_mutual_exclusion(self):
-        p = 4
-        job = make_job(num_procs=p, procs_per_node=2)
-        in_section = {"count": 0, "max": 0}
-
-        def body(rt):
-            yield from rt.barrier()
-            for _ in range(2):
-                yield from rt.lock(0)
-                in_section["count"] += 1
-                in_section["max"] = max(in_section["max"], in_section["count"])
-                yield from rt.compute(5e-6)
-                in_section["count"] -= 1
-                yield from rt.unlock(0)
-            yield from rt.barrier()
-
-        job.run(body)
-        assert in_section["max"] == 1
-        assert job.trace.count("armci.locks_acquired") == 2 * p
-        assert job.trace.count("armci.locks_released") == 2 * p
-
-    def test_unlock_not_held_fails(self):
-        job = make_job()
-
-        def body(rt):
-            if rt.rank == 0:
-                yield from rt.unlock(0)
-            yield from rt.barrier()
-
-        from repro.errors import SimulationError
-        with pytest.raises(SimulationError):
-            job.run(body)
-
 
 class TestCollectives:
     def test_barrier_synchronizes_ranks(self):

@@ -47,8 +47,8 @@ SEED_SWEEP_MD5 = {
 
 #: md5 of the mixed workload's (finish time, counters) under each mode.
 SEED_WORKLOAD_MD5 = {
-    "D": "b9ac0fb0b0aeb3ae4f3cc20d6dac8c66",
-    "AT": "72ff5a377e0585f6f68cfad0d901d88f",
+    "D": "2d81372d79d90a7e1102f8afb15646a5",
+    "AT": "7cafa461d9c6cea5589400cbe85d50aa",
 }
 
 
@@ -120,8 +120,6 @@ def _workload_digest(config: ArmciConfig) -> str:
         yield from rt.putv(right, vec)
         yield from rt.acc(right, src, alloc.addr(right) + 2048, 64)
         yield from rt.rmw(0, alloc.addr(0), "fetch_add", 1)
-        yield from rt.lock(3)
-        yield from rt.unlock(3)
         yield from rt.fence_all()
         yield from rt.barrier()
 

@@ -362,22 +362,22 @@ class TestTransientRetry:
         assert job.trace.count("chaos.jittered") > 0
 
     def test_fire_and_forget_retransmit(self):
-        """Cookie-less AMs (notify) survive loss via bounded transport
-        retransmits instead of initiator-side retry."""
+        """Cookie-less AMs (group tree messages) survive loss via bounded
+        transport retransmits instead of initiator-side retry."""
         job = chaos_job(2, chaos=ChaosConfig(seed=2, drop_prob=0.5))
 
         def body(rt):
             yield from rt.barrier()
-            if rt.rank == 0:
-                for _i in range(12):
-                    yield from rt.notify(1)
-            else:
-                for _i in range(12):
-                    yield from rt.notify_wait(0)
+            group = rt.group((0, 1))
+            sums = []
+            for _i in range(12):
+                sums.append((yield from rt.group_allreduce(group, 1.0)))
             yield from rt.barrier()
+            return sums
 
-        job.run(body)
-        assert job.trace.count("chaos.retransmits") > 0
+        results = job.run(body)
+        assert results == [[2.0] * 12] * 2
+        assert job.trace.count("chaos.retransmits") == 18
 
 
 class TestFaultPlanCollectives:

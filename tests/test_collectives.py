@@ -1,9 +1,8 @@
-"""Unit tests for collective structures, mutex tables, ordering checker."""
+"""Unit tests for collective structures and the ordering checker."""
 
 import pytest
 
 from repro.armci.collectives import HardwareBarrier, ReductionBoard
-from repro.armci.locks import MutexTable, mutex_owner
 from repro.errors import ArmciError, PamiError
 from repro.pami.ordering import OrderingChecker
 from repro.sim import Delay, Engine
@@ -98,49 +97,6 @@ class TestReductionBoard:
         board.collect(rnd)
         board.collect(rnd)
         assert rnd not in board._rounds
-
-
-class TestMutexTable:
-    def test_owner_mapping_round_robin(self):
-        assert mutex_owner(0, 4) == 0
-        assert mutex_owner(5, 4) == 1
-        with pytest.raises(ArmciError):
-            mutex_owner(-1, 4)
-
-    def test_acquire_release_cycle(self):
-        table = MutexTable()
-        table.host(3)
-        assert table.holder(3) is None
-        assert table.try_acquire(3, requester=7, grant="g7", reply_ctx=None)
-        assert table.holder(3) == 7
-        # Second requester queues.
-        assert not table.try_acquire(3, requester=8, grant="g8", reply_ctx=None)
-        nxt = table.release(3, releaser=7)
-        assert nxt[0] == 8
-        assert table.holder(3) == 8
-        assert table.release(3, releaser=8) is None
-        assert table.holder(3) is None
-
-    def test_release_by_non_holder_rejected(self):
-        table = MutexTable()
-        table.host(0)
-        table.try_acquire(0, 1, "g", None)
-        with pytest.raises(ArmciError, match="held by"):
-            table.release(0, releaser=2)
-
-    def test_unhosted_mutex_rejected(self):
-        table = MutexTable()
-        with pytest.raises(ArmciError, match="not hosted"):
-            table.holder(9)
-
-    def test_fifo_handoff_order(self):
-        table = MutexTable()
-        table.host(0)
-        table.try_acquire(0, 1, "g1", None)
-        table.try_acquire(0, 2, "g2", None)
-        table.try_acquire(0, 3, "g3", None)
-        assert table.release(0, 1)[0] == 2
-        assert table.release(0, 2)[0] == 3
 
 
 class _Jitter:

@@ -54,52 +54,6 @@ class TestGroupCollectives:
             assert results[r] == expected
         assert results[0] is None
 
-    def test_broadcast_from_default_root(self):
-        job = make_job(8)
-        members = (2, 5, 7)
-
-        def body(rt):
-            group = rt.group(members)
-            if rt.rank in members:
-                value = f"payload-from-2" if rt.rank == 2 else None
-                return (yield from rt.group_broadcast(group, value))
-            return None
-            yield  # pragma: no cover
-
-        results = job.run(body)
-        for r in members:
-            assert results[r] == "payload-from-2"
-
-    def test_broadcast_from_explicit_root(self):
-        job = make_job(4)
-        members = (0, 1, 2, 3)
-
-        def body(rt):
-            group = rt.group(members)
-            value = rt.rank * 100
-            return (yield from rt.group_broadcast(group, value, root_rank=2))
-
-        assert job.run(body) == [200, 200, 200, 200]
-
-    def test_group_barrier_synchronizes_members_only(self):
-        job = make_job(6)
-        members = (0, 2, 4)
-        times = {}
-
-        def body(rt):
-            group = rt.group(members)
-            if rt.rank in members:
-                yield from rt.compute(rt.rank * 10e-6)
-                yield from rt.group_barrier(group)
-                times[rt.rank] = rt.engine.now
-            else:
-                yield from rt.compute(1e-6)
-
-        job.run(body)
-        latest_arrival = 4 * 10e-6
-        for r in members:
-            assert times[r] >= latest_arrival
-
     def test_consecutive_collectives_do_not_crosstalk(self):
         job = make_job(4)
         members = (0, 1, 2, 3)

@@ -570,8 +570,6 @@ class TestJobIntegration:
             for _ in range(4):
                 yield from self._body(rt)
             yield from rt.compute(5e-6)
-            yield from rt.lock(1)
-            yield from rt.unlock(1)
             yield from rt.barrier()
 
         for mode in (ArmciConfig.default_mode, ArmciConfig.async_thread_mode):

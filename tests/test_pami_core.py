@@ -5,7 +5,7 @@ import pytest
 from repro.errors import PamiError
 from repro.machine import BGQParams
 from repro.pami import PamiWorld
-from repro.pami.activemsg import send_am, send_am_immediate
+from repro.pami.activemsg import send_am
 from repro.pami.atomics import rmw
 from repro.pami.context import CompletionItem
 from repro.pami.rma import rdma_get, rdma_put
@@ -48,41 +48,19 @@ class TestWorldSetup:
         with pytest.raises(PamiError):
             world.clients[0].context(5)
 
-    def test_dispatch_registration(self):
-        world = build_world(num_procs=1, procs_per_node=1)
-        client = world.clients[0]
-        handler = lambda ctx, env: None
-        client.register_dispatch(7, handler)
-        assert client.handler_for(7) is handler
-        with pytest.raises(PamiError):
-            client.register_dispatch(7, handler)
-        with pytest.raises(PamiError):
-            client.handler_for(8)
-
     def test_dispatcher_serves_a_shared_id_table(self):
         world = build_world(num_procs=1, procs_per_node=1)
         client = world.clients[0]
         table = {1: None, 2: None}
-        single = lambda ctx, env: None
         shared = lambda ctx, env: None
-        client.register_dispatch(7, single)
         client.register_dispatcher(table, shared)
+        assert client._dispatcher_ids is table
         assert client.handler_for(1) is shared
         assert client.handler_for(2) is shared
-        assert client.handler_for(7) is single
         with pytest.raises(PamiError):
             client.handler_for(3)
         with pytest.raises(PamiError):
-            client.register_dispatch(2, single)  # id taken by the table
-        with pytest.raises(PamiError):
             client.register_dispatcher({9: None}, shared)  # one per client
-
-    def test_dispatcher_refuses_ids_already_registered(self):
-        world = build_world(num_procs=1, procs_per_node=1)
-        client = world.clients[0]
-        client.register_dispatch(2, lambda ctx, env: None)
-        with pytest.raises(PamiError):
-            client.register_dispatcher({1: None, 2: None}, lambda ctx, env: None)
 
 
 class TestContextProgress:
@@ -293,8 +271,8 @@ class TestRdma:
 class TestActiveMessages:
     def test_am_handler_runs_when_target_advances(self, world2):
         received = []
-        world2.clients[1].register_dispatch(
-            1, lambda ctx, env: received.append((env.header["x"], env.payload))
+        world2.clients[1].register_dispatcher(
+            {1}, lambda ctx, env: received.append((env.header["x"], env.payload))
         )
 
         def sender():
@@ -316,7 +294,7 @@ class TestActiveMessages:
     def test_am_not_handled_without_progress(self, world2):
         """Fig. 9's root cause: no advance at target => handler never runs."""
         received = []
-        world2.clients[1].register_dispatch(1, lambda c, e: received.append(1))
+        world2.clients[1].register_dispatcher({1}, lambda c, e: received.append(1))
 
         def sender():
             ctx = world2.clients[0].context(0)
@@ -329,26 +307,9 @@ class TestActiveMessages:
         assert not received
         assert len(world2.clients[1].progress_context().queue) == 1
 
-    def test_am_immediate_blocks_until_injected(self, world2):
-        world2.clients[1].register_dispatch(1, lambda c, e: None)
-
-        def sender():
-            ctx = world2.clients[0].context(0)
-            t0 = world2.engine.now
-            yield from send_am_immediate(ctx, 1, 1, header={"k": 1})
-            return world2.engine.now - t0
-
-        [elapsed] = run_ranks(world2, lambda r: sender(), ranks=[0])
-        assert elapsed > 0
-
-    def test_am_immediate_payload_limit(self, world2):
-        ctx = world2.clients[0].context(0)
-        with pytest.raises(PamiError, match="512"):
-            list(send_am_immediate(ctx, 1, 1, payload=b"x" * 600))
-
     def test_am_routed_to_explicit_context(self):
         world = build_world(num_procs=2, procs_per_node=1, rho=2)
-        world.clients[1].register_dispatch(1, lambda c, e: None)
+        world.clients[1].register_dispatcher({1}, lambda c, e: None)
 
         def sender():
             ctx = world.clients[0].context(0)

@@ -194,7 +194,6 @@ class TestBytesPerRank:
         for rt in job.processes:
             client = rt.client
             assert client._dispatcher_ids is AM_HANDLERS
-            assert not client._dispatch
             for dispatch_id in AM_HANDLERS:
                 assert client.handler_for(dispatch_id) == rt._dispatch_am
 
@@ -252,15 +251,14 @@ class TestObserverThroughSharedDispatcher:
                 src = rt.world.space(0).allocate(64)
                 yield from rt.acc(3, src, alloc.addr(3), 64)
                 yield from rt.fence(3)
-                yield from rt.lock(2)
-                yield from rt.unlock(2)
+            if rt.rank in (0, 2):
+                yield from rt.group_allreduce(rt.group((0, 2)), 1.0)
             yield from rt.barrier()
 
         job.run(body)
         log = oracle.report.service_log
         assert (3, disp.DISPATCH_NAMES[disp.ACC_REQUEST], 0) in log
-        assert (2, disp.DISPATCH_NAMES[disp.LOCK_REQUEST], 0) in log
-        assert (2, disp.DISPATCH_NAMES[disp.UNLOCK_REQUEST], 0) in log
+        assert (2, disp.DISPATCH_NAMES[disp.GROUP_MESSAGE], 0) in log
 
 
 class _ProbedEvent(Event):

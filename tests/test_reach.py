@@ -163,6 +163,42 @@ class TestOneCustomerRule:
         assert {"__getstate__", "__setstate__"}.isdisjoint(vars(TorusNetwork))
         assert not any(hasattr(cls, "merge") for cls in (Gauge, Histogram, MetricsRegistry))
         assert not hasattr(CriticalSegment, "duration")
+        # Only the runtime a customer enters: no notify, no ARMCI
+        # mutexes, no group barrier or broadcast, no immediate AM, no
+        # per-id dispatch, no spare wait commands, one oracle mode.
+        import repro.sim
+        import repro.verify
+        from repro.armci import dispatch, groups
+        from repro.armci.runtime import ArmciProcess
+        from repro.pami import activemsg
+        from repro.pami.client import PamiClient
+        from repro.sim import primitives, process, resources
+        from repro.verify import oracle
+
+        for module in ("repro.armci.notify", "repro.armci.locks"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+        assert not any(hasattr(ArmciProcess, name) for name in (
+            "notify", "notify_wait", "notify_board", "lock", "unlock", "mutexes",
+            "group_barrier", "group_broadcast"))
+        assert not any(hasattr(groups, name) for name in ("group_barrier", "group_broadcast"))
+        assert list(inspect.signature(groups._sequence).parameters) == ["rt", "group"]
+        assert not any(hasattr(dispatch, name) for name in (
+            "LOCK_REQUEST", "UNLOCK_REQUEST", "NOTIFY"))
+        assert not hasattr(activemsg, "send_am_immediate")
+        assert not hasattr(PamiClient, "register_dispatch")
+        assert "_dispatch" not in PamiClient.__slots__
+        for module in (repro.sim, primitives):
+            assert not any(hasattr(module, name) for name in ("WaitEvent", "WaitAll"))
+        assert not any(hasattr(module, "Semaphore") for module in (repro.sim, resources))
+        assert {"_wait_all", "_one_of_all", "_awaited", "_pending"}.isdisjoint(
+            dir(process.SimProcess))
+        assert not hasattr(repro.verify, "target_lock")
+        assert "lock" not in repro.verify.FUZZ_TARGETS
+        assert not any(hasattr(oracle.HappensBeforeOracle, name) for name in (
+            "on_lock", "on_unlock", "on_notify", "on_notify_wait"))
+        assert "strict_sync" not in inspect.signature(oracle.HappensBeforeOracle).parameters
+        assert "strict_sync" not in inspect.signature(oracle.attach_oracle).parameters
 
     def test_every_runtime_keyword_has_a_customer(self):
         """The second half of the option surface: a defaulted keyword of
@@ -271,8 +307,8 @@ class TestOneCustomerRule:
         entered = {known[site][0] for site in reach.census(run) if site in known}
         assert "repro.armci.runtime.ArmciProcess.put" in entered
         assert "repro.armci.runtime.ArmciProcess.get" in entered
-        assert "repro.verify.fuzz.target_lock" not in entered
-        assert "repro.verify.fuzz.target_lock" in {name for name, _l in known.values()}
+        assert "repro.verify.fuzz.target_chaos" not in entered
+        assert "repro.verify.fuzz.target_chaos" in {name for name, _l in known.values()}
 
 
 #: A child interpreter: import the paper artifacts, run one 4-rank knobs-off

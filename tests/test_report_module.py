@@ -49,16 +49,12 @@ class TestRuntimeReport:
                 space.write_f64(buf, np.ones(4))
                 yield from rt.acc(1, buf, alloc.addr(1) + 1024, 32)
                 yield from rt.rmw(1, alloc.addr(1) + 2048, "fetch_add", 1)
-                yield from rt.notify(1)
-                yield from rt.lock(0)
-                yield from rt.unlock(0)
                 agg = rt.aggregate(1)
                 agg.put(buf, alloc.addr(1) + 3000, 16)
                 yield from agg.flush()
                 yield from rt.fence_all()
                 yield from rt.barrier()
                 return
-            yield from rt.notify_wait(0)
             yield from rt.barrier()
 
         job.run(body)
@@ -67,8 +63,7 @@ class TestRuntimeReport:
             "RDMA puts", "RDMA gets", "strided puts (zero-copy)",
             "vector puts (zero-copy)", "vector puts (typed/aggregated)",
             "accumulates", "read-modify-writes", "fragments staged",
-            "endpoints created", "fences", "mutex acquisitions",
-            "notifications sent", "items by async threads",
+            "endpoints created", "fences", "items by async threads",
             "payload bytes moved", "simulated clock",
         ):
             assert needle in report, needle

@@ -544,43 +544,6 @@ class TestDeadlines:
         job.run(body)
         assert outcome[0] == "deadline"
 
-    def test_notify_wait_timeout(self):
-        job = make_job(2, config=ArmciConfig.async_thread_mode(default_deadline=500e-6))
-        outcome = {}
-
-        def body(rt):
-            yield from rt.barrier()
-            if rt.rank == 1:
-                try:
-                    # Rank 0 never notifies.
-                    yield from rt.notify_wait(0)
-                except DeadlineExceededError:
-                    outcome["status"] = "deadline"
-
-        job.run(body)
-        assert outcome["status"] == "deadline"
-
-    def test_lock_deadline_when_holder_never_releases(self):
-        cfg = ArmciConfig.async_thread_mode(default_deadline=1e-3)
-        job = make_job(2, config=cfg)
-        outcome = {}
-
-        def body(rt):
-            yield from rt.barrier()
-            if rt.rank == 0:
-                yield from rt.lock(0)
-                yield from rt.compute(10e-3)  # sits on the mutex
-                yield from rt.unlock(0)
-            else:
-                yield from rt.compute(100e-6)
-                try:
-                    yield from rt.lock(0)
-                except DeadlineExceededError:
-                    outcome["status"] = "deadline"
-
-        job.run(body)
-        assert outcome["status"] == "deadline"
-
     def test_no_deadline_zero_overhead(self):
         """With every deadline knob off, no timer events are created and
         timing matches the seed behaviour (same workload, same clock)."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import Delay, Engine, Event, WaitAll, WaitEvent
+from repro.sim import Delay, Engine, Event
 
 
 def test_engine_starts_at_time_zero():
@@ -74,7 +74,7 @@ def test_event_wakes_waiting_process_with_value():
     got = []
 
     def waiter():
-        value = yield WaitEvent(ev)
+        value = yield ev
         got.append((eng.now, value))
 
     def trigger():
@@ -87,6 +87,7 @@ def test_event_wakes_waiting_process_with_value():
 
 
 def test_yield_bare_event_is_waitevent_shorthand():
+    # A bare Event is the one single-event wait.
     eng = Engine()
     ev = eng.event()
 
@@ -109,7 +110,7 @@ def test_wait_on_already_triggered_event_completes():
     ev.succeed("early")
 
     def waiter():
-        value = yield WaitEvent(ev)
+        value = yield ev
         return value
 
     proc = eng.spawn(waiter(), name="w")
@@ -129,57 +130,6 @@ def test_event_value_before_trigger_rejected():
     ev = eng.event("pending")
     with pytest.raises(SimulationError, match="not triggered"):
         _ = ev.value
-
-
-def test_wait_all_collects_values_in_order():
-    eng = Engine()
-    evs = [eng.event(str(i)) for i in range(3)]
-
-    def waiter():
-        values = yield WaitAll(evs)
-        return (eng.now, values)
-
-    def triggers():
-        yield Delay(1.0)
-        evs[2].succeed("c")
-        yield Delay(1.0)
-        evs[0].succeed("a")
-        yield Delay(1.0)
-        evs[1].succeed("b")
-
-    proc = eng.spawn(waiter(), name="w")
-    eng.spawn(triggers(), name="t")
-    assert eng.run_until_complete([proc]) == [(3.0, ["a", "b", "c"])]
-
-
-def test_wait_all_empty_completes_immediately():
-    eng = Engine()
-
-    def waiter():
-        values = yield WaitAll([])
-        return values
-
-    proc = eng.spawn(waiter(), name="w")
-    assert eng.run_until_complete([proc]) == [[]]
-
-
-def test_wait_all_with_mix_of_triggered_and_pending():
-    eng = Engine()
-    done = eng.event()
-    done.succeed(1)
-    pending = eng.event()
-
-    def waiter():
-        values = yield WaitAll([done, pending])
-        return values
-
-    def trigger():
-        yield Delay(2.0)
-        pending.succeed(2)
-
-    proc = eng.spawn(waiter(), name="w")
-    eng.spawn(trigger(), name="t")
-    assert eng.run_until_complete([proc]) == [[1, 2]]
 
 
 def test_join_process_via_yield():
@@ -203,7 +153,7 @@ def test_deadlock_detected_for_never_triggered_event():
     ev = eng.event("never")
 
     def waiter():
-        yield WaitEvent(ev)
+        yield ev
 
     proc = eng.spawn(waiter(), name="stuck")
     with pytest.raises(DeadlockError, match="stuck"):
@@ -296,7 +246,7 @@ def test_wait_any_empty_rejected():
 
 def test_wait_any_other_events_reusable():
     """Events not chosen by WaitAny can still be waited on later."""
-    from repro.sim import WaitAny, WaitEvent
+    from repro.sim import WaitAny
 
     eng = Engine()
     fast, slow = eng.event(), eng.event()
@@ -304,7 +254,7 @@ def test_wait_any_other_events_reusable():
     def waiter():
         idx, _ = yield WaitAny([fast, slow])
         assert idx == 0
-        value = yield WaitEvent(slow)
+        value = yield slow
         return (eng.now, value)
 
     def trigger():
@@ -340,7 +290,7 @@ def test_wait_any_takes_its_other_arms_back():
     eng.spawn(trigger(), name="t")
     assert eng.run_until_complete([proc]) == ["done"]
     assert never._callbacks == []
-    assert proc._arms == () and proc._awaited == ()
+    assert proc._arms == ()
     # Two steps and one Delay for the trigger, one armed wait and two
     # already-resolved ones for the waiter: no dead-arm entry.
     assert eng.events_executed == 6

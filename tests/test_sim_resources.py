@@ -1,30 +1,18 @@
-"""Unit tests for simulated locks, semaphores, and queues."""
+"""Unit tests for simulated locks and queues."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Delay, Engine, Lock, Queue, Semaphore
+from repro.sim import Delay, Engine, Lock, Queue
 
 
-def test_semaphore_initial_count_available():
+def test_lock_try_acquire():
     eng = Engine()
-    sem = Semaphore(eng, count=3)
-    assert [sem.try_acquire() for _ in range(4)] == [True, True, True, False]
-
-
-def test_semaphore_negative_count_rejected():
-    eng = Engine()
-    with pytest.raises(SimulationError):
-        Semaphore(eng, count=-1)
-
-
-def test_semaphore_try_acquire():
-    eng = Engine()
-    sem = Semaphore(eng, count=1)
-    assert sem.try_acquire()
-    assert not sem.try_acquire()
-    sem.release()
-    assert sem.try_acquire()
+    lock = Lock(eng)
+    assert lock.try_acquire()
+    assert not lock.try_acquire()
+    lock.release()
+    assert lock.try_acquire()
 
 
 def test_lock_mutual_exclusion_and_fifo_grant():
@@ -135,23 +123,3 @@ def test_queue_peek_all_preserves_items():
     q.put(2)
     assert tuple(q.items) == (1, 2)
     assert len(q) == 2
-
-
-def test_semaphore_bounds_concurrency():
-    eng = Engine()
-    sem = Semaphore(eng, count=2)
-    active = [0]
-    peak = [0]
-
-    def worker():
-        yield sem.acquire()
-        active[0] += 1
-        peak[0] = max(peak[0], active[0])
-        yield Delay(1.0)
-        active[0] -= 1
-        sem.release()
-
-    procs = [eng.spawn(worker(), name=f"w{i}") for i in range(6)]
-    eng.run_until_complete(procs)
-    assert peak[0] == 2
-    assert eng.now == 3.0  # 6 workers, 2 at a time, 1s each

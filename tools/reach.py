@@ -36,7 +36,7 @@ from code_lines import code_line_numbers
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 KEEP = pathlib.Path(__file__).with_name("reach_keep.txt")
-CATEGORIES = ("oracle", "inject", "api", "item-2", "abstract")
+CATEGORIES = ("oracle", "inject", "api", "abstract")
 TREES = ("src", "benchmarks", "examples", "tests")
 BENCHES = ("-m", "pytest", "benchmarks", "--ignore=benchmarks/ledger",
            "--benchmark-disable", "--trace-out")
@@ -81,7 +81,6 @@ KEYWORDS = {
     "ArmciJob.run.ranks": "repro.recover.manager, the replay on respawned ranks",
     "ArmciProcess.rmw.operand": "repro.gax.counter, the fetch_add increment (the op's argument)",
     "ArmciProcess.rmw.operand2": "compare_swap's new value (the op's second argument)",
-    "ArmciProcess.group_broadcast.root_rank": "the api keep line of ArmciProcess.group_broadcast",
     "SharedCounter.__init__.alloc": "DistributedTaskPool.create, the pool's one segment",
     "SharedCounter.create.host": "repro.bench.amo and TaskPool.create, the counter's host rank",
     "DistributedTaskPool.__init__.chunk": "DistributedTaskPool.create, the draw size",
