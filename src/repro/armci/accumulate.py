@@ -56,13 +56,13 @@ def nbacc(
         header=header,
         payload=data,
     )
-    handle.add_event(op.local_event)
+    handle.add_events((op.local_event,))
     if op.at_risk:
         # A lost ACC_REQUEST is reported on the ack cookie; waiting it at
         # the handle surfaces the transient loss at the accumulate itself
         # so the retry layer can re-issue it.
-        handle.add_event(ack)
-    rt.track_write_ack(dst, ack)
+        handle.add_events((ack,))
+    rt.track_write_acks(dst, (ack,))
     rt.trace.counters["armci.accs"] += 1
     return handle
 

@@ -20,11 +20,10 @@ from ..errors import ArmciError
 from ..pami.activemsg import AmEnvelope
 from ..pami.context import PamiContext
 from ..pami.faults import check_completion
+from . import dispatch as _disp
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import ArmciProcess
-
-GROUP_MSG_ID = 12
 
 
 @dataclass(frozen=True)
@@ -89,14 +88,17 @@ def handle_group_message(rt: "ArmciProcess", ctx: PamiContext, env: AmEnvelope) 
 
 
 def _await_messages(
-    rt: "ArmciProcess", key: tuple, count: int, members: tuple[int, ...] = ()
+    rt: "ArmciProcess", key: tuple, count: int, members: tuple[int, ...],
+    deadline: float | None,
 ) -> Generator[Any, Any, list]:
     """Block (with progress) until ``count`` messages arrive for ``key``.
 
     Group collectives are all-or-nothing: the wait is watched against
     every other group member, so a participant dying mid-collective
     raises :class:`~repro.errors.ProcessFailedError` here after the
-    detection delay instead of hanging the tree.
+    detection delay instead of hanging the tree; one that never joins
+    raises :class:`~repro.errors.DeadlineExceededError` at the
+    collective's ``deadline``.
     """
     state = _state(rt)
     peers = [m for m in members if m != rt.rank]
@@ -108,17 +110,19 @@ def _await_messages(
             continue
         if peers:
             rt.job.failure_detector.watch(event, peers)
-        value = yield from rt.main_context.wait_with_progress(event)
+        value = yield from rt.main_context.wait_with_progress(event, deadline)
         check_completion(value, op="group")
     return state.inbox.pop(key)
 
 
-def _send(rt: "ArmciProcess", dst: int, key: tuple, value) -> Generator[Any, Any, None]:
+def _send(
+    rt: "ArmciProcess", dst: int, key: tuple, value, deadline: float | None
+) -> Generator[Any, Any, None]:
     op = rt.transport.send_am(
-        rt.main_context, dst, GROUP_MSG_ID,
+        rt.main_context, dst, _disp.GROUP_MESSAGE,
         header={"key": list(key), "value": value},
     )
-    yield from rt.main_context.wait_with_progress(op.local_event)
+    yield from rt.main_context.wait_with_progress(op.local_event, deadline)
 
 
 def _sequence(rt: "ArmciProcess", group: ProcessGroup) -> int:
@@ -140,6 +144,7 @@ def group_reduce_tree(
     me = group.index_of(rt.rank)
     n = group.size
     seq = _sequence(rt, group)
+    deadline = rt._op_deadline()
     acc = value
 
     # Up-sweep: at round k, members with index % 2^(k+1) == 2^k send to
@@ -148,11 +153,13 @@ def group_reduce_tree(
     while k < n:
         if me % (2 * k) == k:
             parent = group.members[me - k]
-            yield from _send(rt, parent, ("up", seq, me) + group.members, acc)
+            yield from _send(
+                rt, parent, ("up", seq, me) + group.members, acc, deadline
+            )
             break
         if me % (2 * k) == 0 and me + k < n:
             values = yield from _await_messages(
-                rt, ("up", seq, me + k) + group.members, 1, group.members
+                rt, ("up", seq, me + k) + group.members, 1, group.members, deadline
             )
             acc += values[0]
         k *= 2
@@ -161,7 +168,7 @@ def group_reduce_tree(
     result = acc
     if me != 0:
         values = yield from _await_messages(
-            rt, ("down", seq, me) + group.members, 1, group.members
+            rt, ("down", seq, me) + group.members, 1, group.members, deadline
         )
         result = values[0]
     k = 1
@@ -171,7 +178,8 @@ def group_reduce_tree(
     while k >= 1:
         if me % (2 * k) == 0 and me + k < n:
             yield from _send(
-                rt, group.members[me + k], ("down", seq, me + k) + group.members, result
+                rt, group.members[me + k], ("down", seq, me + k) + group.members,
+                result, deadline,
             )
         k //= 2
     rt.trace.incr("armci.group_allreduces")

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from ..errors import HandleError
-from ..pami.faults import check_completion
 from ..sim.event import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -20,8 +19,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class Handle:
     """Tracks local completion of one non-blocking ARMCI request.
 
-    A request may expand to several PAMI operations (strided transfers
-    post one per chunk); the handle completes when all do.
+    A request may expand to several PAMI operations (a zero-copy strided
+    transfer posts one per chunk); the handle completes when all do.
     """
 
     __slots__ = ("owner", "kind", "_events", "_waited", "_pinned_regions")
@@ -33,11 +32,11 @@ class Handle:
         self._waited = False
         self._pinned_regions: list = []
 
-    def add_event(self, event: Event) -> None:
-        """Attach one PAMI local-completion event."""
+    def add_events(self, events) -> None:
+        """Attach PAMI local-completion events, in posting order."""
         if self._waited:
             raise HandleError(f"{self.kind} handle extended after wait")
-        self._events.append(event)
+        self._events += events
 
     def pin_region(self, region) -> None:
         """Pin a cached remote region for this request's lifetime.
@@ -99,13 +98,9 @@ def _post_and_wait(nb, args: tuple) -> Generator[Any, Any, None]:
             f"{h.kind}.wait", ops=len(h._events),
         )
     try:
-        for ev in h._events:
-            if not ev._triggered:
-                yield from ctx.wait_with_progress(ev, deadline=deadline)
-            # Failure tokens surface as ProcessFailedError (FT extension);
-            # a clean completion carries None.
-            if ev._value is not None:
-                check_completion(ev._value, op=h.kind)
+        # One progress generator over every event, in posting order;
+        # failure tokens surface as ProcessFailedError (FT extension).
+        yield from ctx.wait_all_with_progress(h._events, deadline, h.kind)
     finally:
         if sid is not None:
             obs.end(sid, caused_by=h._events)

@@ -366,8 +366,8 @@ class ArmciProcess:
     # The last four are created on first use by the module that owns each.
     __slots__ = (
         "job", "rank", "world", "engine", "trace", "config", "transport", "observer",
-        "obs", "client", "main_context", "endpoints", "region_cache", "tracker",
-        "async_thread", "watchdog", "progress_failed_over",
+        "obs", "flow_enabled", "client", "main_context", "endpoints", "region_cache",
+        "tracker", "async_thread", "watchdog", "progress_failed_over",
         "_deadline", "_pending_acks", "_ack_prune_at", "_implicit_handles",
         "_next_alloc_id", "_replay_mode", "_agg_buffer", "_gax_scratch", "_dtp_state",
         "_group_state")
@@ -386,6 +386,8 @@ class ArmciProcess:
         self.observer = None
         #: Span recorder (shared job-wide), or ``None`` when obs is off.
         self.obs = job.obs
+        #: Whether credit-based flow control is active.
+        self.flow_enabled = job.config.fifo_depth is not None
         self.reset_for_respawn()
 
     # ------------------------------------------------------------- setup
@@ -429,7 +431,7 @@ class ArmciProcess:
         # Outstanding remote-completion acks per destination (for fences).
         self._pending_acks: dict[int, list[Event]] = {}
         #: Per destination, the ack-list length that triggers its next
-        #: prune (absent = ``ACK_PRUNE_FLOOR``); see track_write_ack.
+        #: prune (absent = ``ACK_PRUNE_FLOOR``); see track_write_acks.
         self._ack_prune_at: dict[int, int] = {}
         #: Implicit handles not yet complete; ``None`` while there are none.
         self._implicit_handles: set[Handle] | None = None
@@ -506,11 +508,6 @@ class ArmciProcess:
             getattr(obs, method)(self.rank, *args)
 
     # ----------------------------------------------------------- retry
-
-    @property
-    def flow_enabled(self) -> bool:
-        """Whether credit-based flow control is active (non-generator)."""
-        return self.config.fifo_depth is not None
 
     def _op_deadline(self) -> float | None:
         """Resolve a blocking op's absolute deadline (non-generator): the
@@ -651,25 +648,27 @@ class ArmciProcess:
 
     # ------------------------------------------------------ bookkeeping
 
-    def track_write_ack(self, dst: int, ack: Event) -> None:
-        """Record an outstanding write's remote-completion ack (non-gen).
+    def track_write_acks(self, dst: int, acks) -> None:
+        """Record outstanding writes' remote-completion acks (non-gen).
 
         Already-completed acks are pruned opportunistically so a
         long-running producer that rarely fences keeps bounded state.
         A prune is due only once the list has doubled since the last
         one, so tracking stays O(1) amortised per ack however many are
-        still outstanding.
+        still outstanding; a batch prunes where the ack that made a prune
+        due lands, exactly as one call per ack would.
         """
-        acks = self._pending_acks.setdefault(dst, [])
-        acks.append(ack)
-        if (
-            len(acks) > ACK_PRUNE_FLOOR
-            and len(acks) > self._ack_prune_at.get(dst, ACK_PRUNE_FLOOR)
-        ):
-            acks = self._pending_acks[dst] = [
-                ev for ev in acks if not ev.triggered
+        pending = self._pending_acks.setdefault(dst, [])
+        due = self._ack_prune_at.get(dst, ACK_PRUNE_FLOOR)
+        while len(pending) + len(acks) > due:
+            split = due + 1 - len(pending)
+            pending += acks[:split]
+            acks = acks[split:]
+            pending = self._pending_acks[dst] = [
+                ev for ev in pending if not ev.triggered
             ]
-            self._ack_prune_at[dst] = max(ACK_PRUNE_FLOOR, 2 * len(acks))
+            due = self._ack_prune_at[dst] = max(ACK_PRUNE_FLOOR, 2 * len(pending))
+        pending += acks
 
     def has_pending_writes(self, dst: int) -> bool:
         """Whether un-fenced writes to ``dst`` were issued (non-generator).

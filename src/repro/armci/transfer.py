@@ -8,7 +8,8 @@ says so once (built by :func:`~repro.armci.contiguous.contiguous_transfer`,
 moves it (Section III-C):
 
 - **RDMA per run** (:func:`put_rdma`/:func:`get_rdma`) — one zero-copy
-  NIC operation per doubly-contiguous run: Eq. 7 for a contiguous
+  NIC operation per doubly-contiguous run, the whole run list posted by
+  one call of the transport's primitive: Eq. 7 for a contiguous
   transfer, Eq. 9 (``T ~ o * m/l0 + m G``) for a strided or vector one.
   No intermediate buffering, no remote progress.
 - **typed** (:func:`put_typed`/:func:`get_typed`) — one transfer whose
@@ -124,23 +125,20 @@ def _runs(rt: "ArmciProcess", xfer: Transfer) -> list:
 
 
 def put_rdma(rt: "ArmciProcess", dst: int, xfer: Transfer, handle: Handle) -> None:
-    """One non-blocking RDMA put per run; remote acks tracked for fences."""
-    ctx = rt.main_context
-    for local, remote, nbytes in _runs(rt, xfer):
-        op = rt.transport.rdma_put(
-            ctx, dst, local, remote, nbytes, want_remote_ack=True
-        )
-        handle.add_event(op.local_event)
-        rt.track_write_ack(dst, op.remote_ack_event)
+    """One non-blocking RDMA put per run, posted in one call; remote acks
+    tracked for fences."""
+    events, acks = rt.transport.rdma_put(
+        rt.main_context, dst, _runs(rt, xfer), want_remote_ack=True
+    )
+    handle.add_events(events)
+    rt.track_write_acks(dst, acks)
     rt.trace.incr(xfer.counters["put_rdma"])
 
 
 def get_rdma(rt: "ArmciProcess", dst: int, xfer: Transfer, handle: Handle) -> None:
-    """One non-blocking RDMA get per run: truly one-sided."""
-    ctx = rt.main_context
-    for local, remote, nbytes in _runs(rt, xfer):
-        op = rt.transport.rdma_get(ctx, dst, remote, local, nbytes)
-        handle.add_event(op.local_event)
+    """One non-blocking RDMA get per run, posted in one call: truly
+    one-sided."""
+    handle.add_events(rt.transport.rdma_get(rt.main_context, dst, _runs(rt, xfer)))
     rt.trace.incr(xfer.counters["get_rdma"])
 
 
@@ -148,25 +146,25 @@ def get_rdma(rt: "ArmciProcess", dst: int, xfer: Transfer, handle: Handle) -> No
 
 
 def put_typed(rt: "ArmciProcess", dst: int, xfer: Transfer, handle: Handle) -> None:
-    """Single typed-datatype put: one message overhead in total plus a
-    descriptor fetch per chunk, the NIC scattering at the target."""
-    op = rt.transport.rdma_put(
-        rt.main_context, dst, xfer.local, xfer.remote, xfer.nbytes,
+    """Single typed-datatype put — one run whose sides are the layouts:
+    one message overhead in total plus a descriptor fetch per chunk, the
+    NIC scattering at the target."""
+    events, acks = rt.transport.rdma_put(
+        rt.main_context, dst, [(xfer.local, xfer.remote, xfer.nbytes)],
         want_remote_ack=True,
         extra_occupancy=xfer.descriptors * rt.world.params.typed_descriptor_time,
     )
-    handle.add_event(op.local_event)
-    rt.track_write_ack(dst, op.remote_ack_event)
+    handle.add_events(events)
+    rt.track_write_acks(dst, acks)
     rt.trace.incr(xfer.counters["put_typed"])
 
 
 def get_typed(rt: "ArmciProcess", dst: int, xfer: Transfer, handle: Handle) -> None:
     """Single typed-datatype get."""
-    op = rt.transport.rdma_get(
-        rt.main_context, dst, xfer.remote, xfer.local, xfer.nbytes,
+    handle.add_events(rt.transport.rdma_get(
+        rt.main_context, dst, [(xfer.local, xfer.remote, xfer.nbytes)],
         extra_occupancy=xfer.descriptors * rt.world.params.typed_descriptor_time,
-    )
-    handle.add_event(op.local_event)
+    ))
     rt.trace.incr(xfer.counters["get_typed"])
 
 
@@ -191,18 +189,18 @@ def put_am(rt: "ArmciProcess", dst: int, xfer: Transfer, handle: Handle) -> None
     op = rt.transport.send_am(
         ctx, dst, _disp.PUT_REQUEST, header=header, payload=data
     )
-    handle.add_event(op.local_event)
+    handle.add_events((op.local_event,))
     if op.at_risk:
         # A lost PUT_REQUEST is reported on the ack cookie; waiting it at
         # the handle makes the loss visible (and retryable) at the put
         # itself rather than silently skipped by the fence.
-        handle.add_event(ack)
+        handle.add_events((ack,))
     if xfer.pack_time:
         # The local pack stalls the caller until the buffer is staged.
         packed = rt.engine.event()
         ctx.complete_after(xfer.pack_time, packed)
-        handle.add_event(packed)
-    rt.track_write_ack(dst, ack)
+        handle.add_events((packed,))
+    rt.track_write_acks(dst, (ack,))
     rt.trace.incr(xfer.counters["put_am"])
 
 
@@ -229,7 +227,7 @@ def get_am(rt: "ArmciProcess", dst: int, xfer: Transfer, handle: Handle) -> None
     if rt.flow_enabled:
         header["_credit"] = True
     rt.transport.send_am(ctx, dst, _disp.GET_REQUEST, header=header)
-    handle.add_event(done)
+    handle.add_events((done,))
     rt.trace.incr(xfer.counters["get_am"])
 
 

@@ -19,6 +19,7 @@ layer, which schedules copies at the times computed here.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import TYPE_CHECKING
 
 from ..sim.engine import Engine
@@ -28,6 +29,12 @@ from .bgq import BGQParams
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.metrics import MetricsRegistry
+
+
+#: RDMA transfer kind -> its message and byte counter names.
+_TRANSFER_COUNTERS = {
+    kind: (f"net.{kind}.messages", f"net.{kind}.bytes") for kind in ("put", "get")
+}
 
 
 class TransferTiming(SlotRecord):
@@ -87,8 +94,8 @@ class TorusNetwork:
         #: Model serialization on shared torus links (extension beyond the
         #: paper, whose evaluation assumed uncongested links).
         self.link_contention = link_contention
-        # Next time each rank's injection FIFO is free.
-        self._inject_free: dict[int, float] = {}
+        # Next time each rank's injection FIFO is free (0.0 before its first).
+        self._inject_free: dict[int, float] = defaultdict(float)
         #: Rank -> node coordinate, built once: one tuple per node, shared
         #: by its ranks, so "same node" is an identity test.
         self._rank_nodes = mapping.node_table()
@@ -260,7 +267,8 @@ class TorusNetwork:
         together for the payload's serialization time). Returns
         ``(inject_start, inject_done)``.
         """
-        start = max(post_time, self._inject_free.get(rank, 0.0))
+        free = self._inject_free[rank]
+        start = post_time if post_time >= free else free
         if self.link_contention and dst is not None:
             links = self._route_links(rank, dst)
             for link in links:
@@ -275,7 +283,9 @@ class TorusNetwork:
         self._inject_free[rank] = done
         return start, done
 
-    def _occupancy(self, nbytes: int, extra: float = 0.0) -> float:
+    def occupancy(self, nbytes: int, extra: float = 0.0) -> float:
+        """NIC injection time of one ``nbytes`` message (``extra``: a typed
+        transfer's descriptor fetches, a backend's origin overhead)."""
         p = self.params
         return (
             p.message_pipeline_overhead
@@ -286,33 +296,43 @@ class TorusNetwork:
 
     # ------------------------------------------------------------- paths
 
-    def put_timing(
-        self, src: int, dst: int, nbytes: int, extra_occupancy: float = 0.0
-    ) -> TransferTiming:
-        """RDMA put: local completion does not wait for remote delivery.
+    def lane(self, src: int, dst: int) -> float | None:
+        """Hop cost from ``src``'s node to ``dst``'s: the lane an RDMA run
+        takes (:meth:`put_run`, :meth:`get_run`), ``None`` when the two
+        share a node and the transfer bypasses the torus."""
+        return None if self.is_local(src, dst) else self.hop_cost(src, dst)
+
+    def count_transfers(self, kind: str, messages: int, nbytes: int) -> None:
+        """Count ``messages`` RDMA ``kind`` (``"put"``/``"get"``) runs
+        moving ``nbytes`` in all."""
+        messages_name, bytes_name = _TRANSFER_COUNTERS[kind]
+        counters = self.trace.counters
+        counters[messages_name] += messages
+        counters[bytes_name] += nbytes
+
+    def put_run(
+        self, src: int, dst: int, nbytes: int, occupancy: float, hop: float | None
+    ) -> tuple[float, float, float, float]:
+        """``(inject_start, inject_done, deliver, complete)`` of one RDMA
+        put posted now, ``occupancy`` long at the NIC, ``hop`` its
+        :meth:`lane`: local completion does not wait for remote delivery.
 
         Adjacent-node blocking latency at 16 B is ~2.7 us (Fig. 3); burst
         bandwidth approaches 1775 MB/s (Fig. 4).
         """
         p = self.params
         now = self.engine.now
-        counters = self.trace.counters
-        counters["net.put.messages"] += 1
-        counters["net.put.bytes"] += nbytes
-        if self.is_local(src, dst):
+        if hop is None:
             deliver = now + p.shm_latency + nbytes * p.shm_byte_time
-            return TransferTiming(now, now, deliver, deliver)
-        start, done = self._inject(
-            src, now, self._occupancy(nbytes, extra_occupancy), dst=dst
-        )
-        deliver = done + self.hop_cost(src, dst)
-        complete = done + p.put_completion_delay
-        return TransferTiming(start, done, deliver, complete)
+            return now, now, deliver, deliver
+        start, done = self._inject(src, now, occupancy, dst=dst)
+        return start, done, done + hop, done + p.put_completion_delay
 
-    def get_timing(
-        self, src: int, dst: int, nbytes: int, extra_occupancy: float = 0.0
-    ) -> TransferTiming:
-        """RDMA get: request travels to the target NIC, data streams back.
+    def get_run(
+        self, src: int, dst: int, nbytes: int, occupancy: float, hop: float | None
+    ) -> tuple[float, float, float, float]:
+        """One RDMA get (as :meth:`put_run`): the request travels to the
+        target NIC, the data streams back.
 
         No target *software* involvement — the target NIC serves the read
         (this is the property that makes RDMA get truly one-sided,
@@ -324,20 +344,34 @@ class TorusNetwork:
         """
         p = self.params
         now = self.engine.now
-        counters = self.trace.counters
-        counters["net.get.messages"] += 1
-        counters["net.get.bytes"] += nbytes
-        if self.is_local(src, dst):
+        if hop is None:
             read_at = now + p.shm_latency
             complete = read_at + p.shm_latency + nbytes * p.shm_byte_time
-            return TransferTiming(now, now, read_at, complete)
-        hop_cost = self.hop_cost(src, dst)
-        request_arrive = now + p.get_request_overhead + hop_cost
+            return now, now, read_at, complete
         start, done = self._inject(
-            dst, request_arrive, self._occupancy(nbytes, extra_occupancy), dst=src
+            dst, now + p.get_request_overhead + hop, occupancy, dst=src
         )
-        complete = done + hop_cost + p.get_completion_delay
-        return TransferTiming(start, done, start, complete)
+        return start, done, start, done + hop + p.get_completion_delay
+
+    def put_timing(
+        self, src: int, dst: int, nbytes: int, extra_occupancy: float = 0.0
+    ) -> TransferTiming:
+        """One RDMA put, counted (:meth:`put_run`)."""
+        self.count_transfers("put", 1, nbytes)
+        return TransferTiming(*self.put_run(
+            src, dst, nbytes, self.occupancy(nbytes, extra_occupancy),
+            self.lane(src, dst),
+        ))
+
+    def get_timing(
+        self, src: int, dst: int, nbytes: int, extra_occupancy: float = 0.0
+    ) -> TransferTiming:
+        """One RDMA get, counted (:meth:`get_run`)."""
+        self.count_transfers("get", 1, nbytes)
+        return TransferTiming(*self.get_run(
+            src, dst, nbytes, self.occupancy(nbytes, extra_occupancy),
+            self.lane(src, dst),
+        ))
 
     def packet_arrival(self, src: int, dst: int) -> float:
         """Arrival time of a small control packet (AM header, AMO request).
@@ -366,6 +400,6 @@ class TorusNetwork:
         if self.is_local(src, dst):
             deliver = now + p.shm_latency + nbytes * p.shm_byte_time
             return TransferTiming(now, now, deliver, deliver)
-        start, done = self._inject(src, now, self._occupancy(nbytes), dst=dst)
+        start, done = self._inject(src, now, self.occupancy(nbytes), dst=dst)
         deliver = done + self.hop_cost(src, dst)
         return TransferTiming(start, done, deliver, deliver)

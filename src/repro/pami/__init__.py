@@ -21,7 +21,6 @@ from .client import PamiClient
 from .endpoint import Endpoint
 from .memregion import MemoryRegion, MemoryRegionRegistry
 from .world import PamiWorld
-from .rma import RmaOp
 
 __all__ = [
     "AddressSpace",
@@ -31,5 +30,4 @@ __all__ = [
     "PamiClient",
     "PamiContext",
     "PamiWorld",
-    "RmaOp",
 ]

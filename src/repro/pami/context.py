@@ -25,6 +25,7 @@ from ..errors import DeadlineExceededError
 from ..sim.event import Event
 from ..sim.primitives import Delay, WaitAny
 from ..sim.resources import Lock, Queue
+from .faults import check_completion
 
 if TYPE_CHECKING:  # pragma: no cover
     from .client import PamiClient
@@ -243,7 +244,9 @@ class PamiContext:
         Non-generator: returns the one progress generator, which
         :meth:`wait_with_progress` runs too.
         """
-        return self._progress(None, None, math.inf if max_items is None else max_items)
+        return self._progress(
+            (None,), None, math.inf if max_items is None else max_items
+        )
 
     def wait_with_progress(
         self, event: Event, deadline: float | None = None
@@ -262,13 +265,26 @@ class PamiContext:
         Non-generator: returns the one progress generator, which runs
         each :meth:`advance` round in its own frame.
         """
-        return self._progress(event, deadline, 0)
+        return self._progress((event,), deadline, 0)
+
+    def wait_all_with_progress(
+        self, events: list[Event], deadline: float | None, op: str
+    ) -> Generator[Any, Any, None]:
+        """Block until every one of ``events`` triggers, as
+        :meth:`wait_with_progress` in one generator: each event is waited
+        in posting order and its value checked as it is reached (a
+        failure token raises through
+        :func:`~repro.pami.faults.check_completion` for ``op``), and at
+        most one deadline timer is armed for the lot."""
+        return self._progress(events, deadline, 0, op)
 
     def _progress(
-        self, event: Event | None, deadline: float | None, max_items: float
+        self, events, deadline: float | None, max_items: float, op: str | None = None
     ) -> Generator[Any, Any, Any]:
-        """Advance rounds until ``event`` triggers (``None``: one round of
-        at most ``max_items``; a wait bounds each round by the queue).
+        """Advance rounds until each of ``events`` triggers, in order
+        (``(None,)``: one round of at most ``max_items``; a wait bounds
+        each round by the queue); with ``op``, check each value as it is
+        reached. Returns the last value.
 
         A round holds the lock, pays its guard, then services the queue:
         each item costs simulated progress-engine time and executes its
@@ -280,87 +296,93 @@ class PamiContext:
         """
         timer: TimerEvent | None = None
         engine = self.engine
+        value = None
         try:
-            while event is None or not event._triggered:
-                if event is not None:
-                    if deadline is not None and engine.now >= deadline:
-                        self.trace.incr("pami.wait_deadline_expired")
-                        raise DeadlineExceededError(
-                            f"wait on context r{self.client.rank}.ctx{self.index} "
-                            f"exceeded deadline t={deadline:.6g}s"
-                        )
-                    # Re-read after every yield: a round drops the deque
-                    # and the next post makes a new one.
-                    items = self.queue.items
-                    if not items:
-                        # Sleep until either our op completes (possibly
-                        # serviced by another thread) or new work arrives
-                        # (:meth:`arrival_signal`, read in this frame).
-                        arrival = self._arrival
-                        if arrival._triggered:
-                            arrival = self._arrival = Event(engine, "ctx.arrival")
-                        waits = [event, arrival]
-                        if deadline is not None:
-                            if timer is None:
-                                timer = deadline_timer(engine, deadline)
-                            waits.append(timer)
-                        yield WaitAny(waits)
-                        continue
-                    # Bound each round to the work pending at entry (one
-                    # PAMI_Context_advance): under a continuous stream of
-                    # remote requests the queue never empties, and an
-                    # unbounded round would starve the waiter from ever
-                    # re-checking its event.
-                    max_items = len(items)
-                grant = None if self.lock.try_acquire() else self.lock.acquire()
-                try:
-                    if grant is not None:
-                        yield grant
-                    yield self._lock_overhead
-                    start, serviced = engine.now, 0
-                    items = self.queue.items
-                    while items and serviced < max_items:
-                        offset = 0.0
-                        while items and serviced < max_items:
-                            item = items.popleft()
-                            if item.credited:
-                                # The FIFO slot frees as soon as the item is
-                                # popped for service; parked senders may
-                                # inject again.
-                                self.release_credit()
-                            offset += item.cost(self)
-                            engine._push(offset, self._execute_item, item)
-                            serviced += 1
-                        yield Delay(offset)
-                        # Items that arrived during the batch are picked up
-                        # next batch.
-                        items = self.queue.items
-                    if not items:
-                        # An idle context holds no deque; the next post
-                        # makes one.
-                        self.queue.items = None
-                    if serviced:
-                        self.progress_epoch += 1
-                        obs = self.client.world.obs
-                        if obs is not None:
-                            # Root span (no ambient parent): the async
-                            # thread's rounds must not attach to whatever
-                            # the main thread happens to have open.
-                            obs.record(
-                                self.client.rank, self.lane, "progress",
-                                "drain", start, engine.now,
-                                parent_id=None, items=serviced,
+            for event in events:
+                while event is None or not event._triggered:
+                    if event is not None:
+                        if deadline is not None and engine.now >= deadline:
+                            self.trace.incr("pami.wait_deadline_expired")
+                            raise DeadlineExceededError(
+                                f"wait on context r{self.client.rank}.ctx{self.index} "
+                                f"exceeded deadline t={deadline:.6g}s"
                             )
-                    self.trace.counters["pami.items_serviced"] += serviced
-                    self.busy_time += engine.now - start
-                finally:
-                    if grant is None or grant._triggered:
-                        self.lock.release()
-                    else:
-                        self.lock.withdraw(grant)
-                if event is None:
-                    return serviced
-            return event._value
+                        # Re-read after every yield: a round drops the deque
+                        # and the next post makes a new one.
+                        items = self.queue.items
+                        if not items:
+                            # Sleep until either our op completes (possibly
+                            # serviced by another thread) or new work arrives
+                            # (:meth:`arrival_signal`, read in this frame).
+                            arrival = self._arrival
+                            if arrival._triggered:
+                                arrival = self._arrival = Event(engine, "ctx.arrival")
+                            waits = [event, arrival]
+                            if deadline is not None:
+                                if timer is None:
+                                    # One timer for the whole wait.
+                                    timer = deadline_timer(engine, deadline)
+                                waits.append(timer)
+                            yield WaitAny(waits)
+                            continue
+                        # Bound each round to the work pending at entry (one
+                        # PAMI_Context_advance): under a continuous stream of
+                        # remote requests the queue never empties, and an
+                        # unbounded round would starve the waiter from ever
+                        # re-checking its event.
+                        max_items = len(items)
+                    grant = None if self.lock.try_acquire() else self.lock.acquire()
+                    try:
+                        if grant is not None:
+                            yield grant
+                        yield self._lock_overhead
+                        start, serviced = engine.now, 0
+                        items = self.queue.items
+                        while items and serviced < max_items:
+                            offset = 0.0
+                            while items and serviced < max_items:
+                                item = items.popleft()
+                                if item.credited:
+                                    # The FIFO slot frees as soon as the item is
+                                    # popped for service; parked senders may
+                                    # inject again.
+                                    self.release_credit()
+                                offset += item.cost(self)
+                                engine._push(offset, self._execute_item, item)
+                                serviced += 1
+                            yield Delay(offset)
+                            # Items that arrived during the batch are picked up
+                            # next batch.
+                            items = self.queue.items
+                        if not items:
+                            # An idle context holds no deque; the next post
+                            # makes one.
+                            self.queue.items = None
+                        if serviced:
+                            self.progress_epoch += 1
+                            obs = self.client.world.obs
+                            if obs is not None:
+                                # Root span (no ambient parent): the async
+                                # thread's rounds must not attach to whatever
+                                # the main thread happens to have open.
+                                obs.record(
+                                    self.client.rank, self.lane, "progress",
+                                    "drain", start, engine.now,
+                                    parent_id=None, items=serviced,
+                                )
+                        self.trace.counters["pami.items_serviced"] += serviced
+                        self.busy_time += engine.now - start
+                    finally:
+                        if grant is None or grant._triggered:
+                            self.lock.release()
+                        else:
+                            self.lock.withdraw(grant)
+                    if event is None:
+                        return serviced
+                value = event._value
+                if value is not None and op is not None:
+                    check_completion(value, op=op)
+            return value
         finally:
             if timer is not None:
                 cancel_timer(timer)

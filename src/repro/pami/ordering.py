@@ -14,6 +14,8 @@ model bug and fails loudly.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from ..errors import PamiError
 
 
@@ -21,9 +23,10 @@ class OrderingChecker:
     """Per-(src, dst) monotone delivery of ordered traffic."""
 
     def __init__(self) -> None:
-        #: ``src << 32 | dst`` -> last delivery time (an int key is half
-        #: the bytes of a pair tuple, and there is one per pair in use).
-        self._last: dict[int, float] = {}
+        #: ``src << 32 | dst`` -> last delivery time, 0.0 before the first
+        #: (an int key is half the bytes of a pair tuple, and there is one
+        #: per pair in use).
+        self._last: dict[int, float] = defaultdict(float)
         self.checked = 0
 
     def deliver(self, delivery, deliver_time: float) -> float:
@@ -42,12 +45,12 @@ class OrderingChecker:
         """
         src, dst = delivery.src, delivery.dst
         key = src << 32 | dst
-        last = self._last.get(key)
+        last = self._last[key]
         if delivery.at_risk:
             deliver_time = delivery.jittered(deliver_time)
-            if last is not None and deliver_time < last:
+            if deliver_time < last:
                 deliver_time = last
-        elif last is not None and deliver_time < last:
+        elif deliver_time < last:
             raise PamiError(
                 f"pairwise ordering violated for {src}->{dst}: delivery at "
                 f"{deliver_time} before earlier delivery at {last}"

@@ -11,12 +11,17 @@ issuing context (:class:`~repro.pami.context.CompletionItem`), matching
 PAMI's completion semantics.
 
 One wire path: :func:`rdma_put` and :func:`rdma_get` are the only place
-a network :class:`~repro.machine.network.TransferTiming` becomes
-scheduled deliver / complete / ack events, for contiguous transfers and
-— through a *layout* on either side — for the typed strided and
-I/O-vector transfers of Section III-C.2 alike. What the wire does to a
-transfer in between (loss, corruption, retransmission, a peer dying) is
-:class:`~repro.pami.delivery.Delivery`'s; what is RDMA's own:
+a network timing becomes scheduled deliver / complete / ack events. Each
+takes a list of ``(local, remote, nbytes)`` runs and posts them in one
+loop: a contiguous transfer is one run, Eq. 9's zero-copy lattice one
+run per chunk, and the typed strided and I/O-vector transfers of Section
+III-C.2 one run whose sides are *layouts*. What cannot change inside the
+loop — the lane's hop cost on an unfaulted route, each run size's NIC
+occupancy, the address space, the counters — is read once per call;
+each run keeps its own :class:`~repro.pami.delivery.Delivery`, and its
+entries are pushed in posting order. What the wire does to a run in
+between (loss, corruption, retransmission, a peer dying) is the
+delivery's; what is RDMA's own:
 
 * a put's *local* completion and its fate are scheduled at post time,
   and without an integrity engine so is its ack (NIC-reliable path);
@@ -29,51 +34,10 @@ transfer in between (loss, corruption, retransmission, a peer dying) is
 from __future__ import annotations
 
 from ..errors import PamiError
-from ..machine.network import TransferTiming
 from ..sim.event import Event
-from ..record import SlotRecord
 from . import faults as _flt
 from .context import CompletionItem, PamiContext
 from .delivery import RETRANSMIT_DELAY, Delivery
-
-
-class RmaOp(SlotRecord):
-    """Handle to one posted RDMA operation.
-
-    Attributes
-    ----------
-    kind:
-        ``"put"`` or ``"get"``.
-    src, dst:
-        Initiator and target ranks.
-    nbytes:
-        Payload size.
-    local_event:
-        Triggers when the initiator's completion callback is dispatched
-        (buffer reusable for puts; data landed for gets).
-    remote_ack_event:
-        For puts: triggers when the remote-delivery notification reaches
-        the initiator (used by ARMCI fences). ``None`` for gets.
-    timing:
-        The network timing breakdown (useful for benchmarks).
-    """
-
-    __slots__ = (
-        "kind", "src", "dst", "nbytes", "local_event", "remote_ack_event",
-        "timing",
-    )
-
-    def __init__(
-        self, kind: str, src: int, dst: int, nbytes: int, local_event: Event,
-        remote_ack_event: Event | None, timing: TransferTiming,
-    ) -> None:
-        self.kind = kind
-        self.src = src
-        self.dst = dst
-        self.nbytes = nbytes
-        self.local_event = local_event
-        self.remote_ack_event = remote_ack_event
-        self.timing = timing
 
 
 def read_side(space, layout, nbytes: int):
@@ -144,72 +108,88 @@ class _PutDelivery(Delivery):
 def rdma_put(
     ctx: PamiContext,
     dst_rank: int,
-    local,
-    remote,
-    nbytes: int,
+    runs,
     want_remote_ack: bool = False,
     extra_occupancy: float = 0.0,
-) -> RmaOp:
-    """Post a non-blocking RDMA put from ``ctx``'s process to ``dst_rank``.
+) -> tuple[list[Event], list[Event] | None]:
+    """Post one non-blocking RDMA put per ``(local, remote, nbytes)`` run
+    from ``ctx``'s process to ``dst_rank``; each run's local completion
+    event, and its remote ack with ``want_remote_ack`` (else ``None``).
 
-    ``local``/``remote`` are addresses or layouts (:func:`read_side`). Data
-    is captured at post time (ARMCI put follows MPI-style buffer-reuse
-    semantics: the buffer is logically owned by the runtime until local
-    completion, and the paper notes put therefore needs no fall-back).
+    Sides are addresses or layouts (:func:`read_side`); ``extra_occupancy``
+    is added to each run's. Data is captured at post time (ARMCI put
+    follows MPI-style buffer-reuse semantics: the buffer is logically
+    owned by the runtime until local completion, and the paper notes put
+    therefore needs no fall-back).
     """
     world = ctx.client.world
     src = ctx.client.rank
-    if nbytes <= 0:
-        raise PamiError(f"put size must be positive, got {nbytes}")
-    # Private uint8 snapshot (capture semantics); landing it below is a
-    # view-assign — no bytes materialization on either side.
-    data = read_side(world.spaces[src], local, nbytes)
+    space = world.spaces[src]
     net = world.network
-    timing = net.put_timing(src, dst_rank, nbytes, extra_occupancy)
     engine = world.engine
     now = engine.now
-
-    # Per-op events carry a kind; the RmaOp says which ranks.
-    local_event = Event(engine, "put.local")
-    remote_ack = Event(engine, "put.rack") if want_remote_ack else None
-
-    delivery = _PutDelivery(world, src, dst_rank, "put")
-    delivery.ctx = ctx
-    delivery.remote = remote
-    delivery.remote_ack = remote_ack
-    # The first copy's fate is rolled here, so a loss can ride the local
-    # completion scheduled below.
-    fault, _corruption, detect = delivery.fate or delivery.roll()
-    deliver_at = world.ordering.deliver(delivery, timing.deliver)
-    delivery.carry(data)
-    unprotected = delivery.seal is None
-    delivery.verified_ack = (
-        remote_ack is not None and not unprotected and fault is None
-    )
-
-    engine._push(deliver_at - now, delivery.attempt, None)
-    # A lost put surfaces as an error completion once the initiator NIC
-    # misses the end-to-end delivery confirmation (``detect`` later).
-    complete_at = timing.complete if fault is None else timing.complete + detect
-    ctx.complete_after(complete_at - now, local_event, fault)
-    if remote_ack is not None:
-        if unprotected:
-            # The ack rides the NIC-reliable path and is scheduled
-            # unconditionally at post time.
-            engine._push(
-                deliver_at + net.hop_cost(src, dst_rank) - now, delivery.ack, None
-            )
-        elif fault is not None:
-            # Lost write: the fence must not hang on this ack, and must
-            # not count it — the local completion already surfaced the
-            # fault (and ARMCI re-issued the op).
-            ctx.complete_after(complete_at - now, remote_ack, fault)
-    world.trace.counters["pami.rdma_puts"] += 1
-    if world.obs is not None:
-        delivery.flight(
-            "rdma", "rdma_put", timing.complete, nbytes, local_event, remote_ack
+    obs = world.obs
+    hop = net.lane(src, dst_rank)
+    local_events = [None] * len(runs)
+    remote_acks = [None] * len(runs) if want_remote_ack else None
+    size = occupancy = None
+    total = 0
+    for i, (local, remote, nbytes) in enumerate(runs):
+        if nbytes <= 0:
+            raise PamiError(f"put size must be positive, got {nbytes}")
+        # Private uint8 snapshot (capture semantics); landing it is a
+        # view-assign — no bytes materialization on either side.
+        data = read_side(space, local, nbytes)
+        if nbytes != size:
+            size, occupancy = nbytes, net.occupancy(nbytes, extra_occupancy)
+        _start, _done, deliver, complete = net.put_run(
+            src, dst_rank, nbytes, occupancy, hop
         )
-    return RmaOp("put", src, dst_rank, nbytes, local_event, remote_ack, timing)
+        # Per-op events carry a kind; the caller knows which ranks.
+        local_event = local_events[i] = Event(engine, "put.local")
+        remote_ack = Event(engine, "put.rack") if want_remote_ack else None
+        delivery = _PutDelivery(world, src, dst_rank, "put")
+        delivery.ctx = ctx
+        delivery.remote = remote
+        delivery.remote_ack = remote_ack
+        # The first copy's fate is rolled here, so a loss can ride the local
+        # completion scheduled below.
+        fault, _corruption, detect = delivery.fate or delivery.roll()
+        if delivery.at_risk and hop is not None:
+            # The roll can move the route: its cost is read again.
+            hop = net.hop_cost(src, dst_rank)
+        deliver_at = world.ordering.deliver(delivery, deliver)
+        delivery.carry(data)
+        unprotected = delivery.seal is None
+        delivery.verified_ack = (
+            remote_ack is not None and not unprotected and fault is None
+        )
+
+        engine._push(deliver_at - now, delivery.attempt, None)
+        # A lost put surfaces as an error completion once the initiator NIC
+        # misses the end-to-end delivery confirmation (``detect`` later).
+        complete_at = complete if fault is None else complete + detect
+        ctx.complete_after(complete_at - now, local_event, fault)
+        if remote_ack is not None:
+            remote_acks[i] = remote_ack
+            if unprotected:
+                # The ack rides the NIC-reliable path and is scheduled
+                # unconditionally at post time.
+                ack_at = deliver_at if hop is None else deliver_at + hop
+                engine._push(ack_at - now, delivery.ack, None)
+            elif fault is not None:
+                # Lost write: the fence must not hang on this ack, and must
+                # not count it — the local completion already surfaced the
+                # fault (and ARMCI re-issued the op).
+                ctx.complete_after(complete_at - now, remote_ack, fault)
+        if obs is not None:
+            delivery.flight(
+                "rdma", "rdma_put", complete, nbytes, local_event, remote_ack
+            )
+        total += nbytes
+    net.count_transfers("put", len(runs), total)
+    world.trace.counters["pami.rdma_puts"] += len(runs)
+    return local_events, remote_acks
 
 
 class _GetDelivery(Delivery):
@@ -258,48 +238,59 @@ class _GetDelivery(Delivery):
 def rdma_get(
     ctx: PamiContext,
     dst_rank: int,
-    remote,
-    local,
-    nbytes: int,
+    runs,
     extra_occupancy: float = 0.0,
-) -> RmaOp:
-    """Post a non-blocking RDMA get; target memory is read by its NIC.
+) -> list[Event]:
+    """Post one non-blocking RDMA get per ``(local, remote, nbytes)`` run
+    (as :func:`rdma_put`); each run's local completion event. Target
+    memory is read by its NIC.
 
     The target's *software* is never involved: the data snapshot is taken
-    at the time the target NIC serves the read (``timing.deliver``), and
-    lands in the initiator's memory at ``timing.complete``.
-    ``remote``/``local`` are addresses or layouts (:func:`read_side`).
+    at the time the target NIC serves the read (``deliver``), and lands
+    in the initiator's memory at ``complete``.
     """
     world = ctx.client.world
     src = ctx.client.rank
-    if nbytes <= 0:
-        raise PamiError(f"get size must be positive, got {nbytes}")
     net = world.network
-    timing = net.get_timing(src, dst_rank, nbytes, extra_occupancy)
     engine = world.engine
     now = engine.now
+    obs = world.obs
+    hop = net.lane(src, dst_rank)
+    local_events = [None] * len(runs)
+    size = occupancy = None
+    total = 0
+    for i, (local, remote, nbytes) in enumerate(runs):
+        if nbytes <= 0:
+            raise PamiError(f"get size must be positive, got {nbytes}")
+        if nbytes != size:
+            size, occupancy = nbytes, net.occupancy(nbytes, extra_occupancy)
+        _start, _done, deliver, complete = net.get_run(
+            src, dst_rank, nbytes, occupancy, hop
+        )
+        local_event = local_events[i] = Event(engine, "get.local")
+        delivery = _GetDelivery(world, src, dst_rank, "get")
+        delivery.ctx = ctx
+        delivery.remote = remote
+        delivery.local = local
+        delivery.nbytes = nbytes
+        delivery.local_event = local_event
+        deliver_at = deliver
+        if delivery.at_risk:
+            delivery.roll()
+            if hop is not None:
+                # The roll can move the route: its cost is read again.
+                hop = net.hop_cost(src, dst_rank)
+            # Gets bypass the ordering map (NIC-served reads), so their
+            # jitter needs no per-pair clamping.
+            deliver_at = delivery.jittered(deliver_at)
+        # Jitter delays the whole round trip: the reply lands later too.
+        complete_at = complete + (deliver_at - deliver)
 
-    local_event = Event(engine, "get.local")
-
-    delivery = _GetDelivery(world, src, dst_rank, "get")
-    delivery.ctx = ctx
-    delivery.remote = remote
-    delivery.local = local
-    delivery.nbytes = nbytes
-    delivery.local_event = local_event
-    if delivery.fate is None:
-        delivery.roll()
-    deliver_at = timing.deliver
-    if delivery.at_risk:
-        # Gets bypass the ordering map (NIC-served reads), so their
-        # jitter needs no per-pair clamping.
-        deliver_at = delivery.jittered(deliver_at)
-    # Jitter delays the whole round trip: the reply lands later too.
-    complete_at = timing.complete + (deliver_at - timing.deliver)
-
-    engine._push(deliver_at - now, delivery.read, None)
-    engine._push(complete_at - now, delivery.attempt, None)
-    world.trace.counters["pami.rdma_gets"] += 1
-    if world.obs is not None:
-        delivery.flight("rdma", "rdma_get", complete_at, nbytes, local_event)
-    return RmaOp("get", src, dst_rank, nbytes, local_event, None, timing)
+        engine._push(deliver_at - now, delivery.read, None)
+        engine._push(complete_at - now, delivery.attempt, None)
+        if obs is not None:
+            delivery.flight("rdma", "rdma_get", complete_at, nbytes, local_event)
+        total += nbytes
+    net.count_transfers("get", len(runs), total)
+    world.trace.counters["pami.rdma_gets"] += len(runs)
+    return local_events

@@ -30,8 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..pami.atomics import RmwOp
     from ..pami.context import PamiContext
     from ..pami.memregion import MemoryRegion, MemoryRegionRegistry
-    from ..pami.rma import RmaOp
     from ..pami.world import PamiWorld
+    from ..sim.event import Event
 
 
 @dataclass(frozen=True)
@@ -111,30 +111,28 @@ class Transport:
         self,
         ctx: "PamiContext",
         dst_rank: int,
-        local_addr: int,
-        remote_addr: int,
-        nbytes: int,
+        runs: "list[tuple[Any, Any, int]]",
         want_remote_ack: bool = False,
         extra_occupancy: float = 0.0,
-    ) -> "RmaOp":
-        """Post a non-blocking one-sided put (buffer captured at post).
+    ) -> "tuple[list[Event], list[Event] | None]":
+        """Post one non-blocking one-sided put per ``(local, remote,
+        nbytes)`` run (buffers captured at post); each run's local
+        completion event and, with ``want_remote_ack``, its remote ack.
 
-        Either side is an address or a typed-datatype layout (see
-        :mod:`repro.pami.rma`); ``extra_occupancy`` carries a typed
-        transfer's descriptor cost."""
+        Either side of a run is an address or a typed-datatype layout (see
+        :mod:`repro.pami.rma`); ``extra_occupancy`` is added to each run's
+        (a typed transfer's descriptor cost)."""
         raise NotImplementedError
 
     def rdma_get(
         self,
         ctx: "PamiContext",
         dst_rank: int,
-        remote_addr: int,
-        local_addr: int,
-        nbytes: int,
+        runs: "list[tuple[Any, Any, int]]",
         extra_occupancy: float = 0.0,
-    ) -> "RmaOp":
-        """Post a non-blocking one-sided get (sides as in
-        :meth:`rdma_put`)."""
+    ) -> "list[Event]":
+        """Post one non-blocking one-sided get per run (runs as in
+        :meth:`rdma_put`); each run's local completion event."""
         raise NotImplementedError
 
     # ------------------------------------------------- active messages

@@ -4,7 +4,7 @@ The same simulated wire as PAMI — the torus, its timings, chaos, link
 faults, and integrity all apply unchanged — but with MPI-3 window
 semantics layered on:
 
-- **Origin window overhead.** Every put/get pays ``WIN_ORIGIN_OVERHEAD``
+- **Origin window overhead.** Every put/get run pays ``WIN_ORIGIN_OVERHEAD``
   of origin-side software occupancy (window bookkeeping, datatype
   checks) that the PAMI fast path does not, injected through the
   primitives' ``extra_occupancy`` hook so it composes with contention,
@@ -75,22 +75,16 @@ class Mpi3Transport(Transport):
     capabilities = MPI3_CAPABILITIES
 
     def rdma_put(
-        self, ctx, dst_rank, local_addr, remote_addr, nbytes,
-        want_remote_ack=False, extra_occupancy=0.0,
+        self, ctx, dst_rank, runs, want_remote_ack=False, extra_occupancy=0.0
     ):
         return _rma.rdma_put(
-            ctx, dst_rank, local_addr, remote_addr, nbytes,
-            want_remote_ack=want_remote_ack,
+            ctx, dst_rank, runs, want_remote_ack=want_remote_ack,
             extra_occupancy=extra_occupancy + WIN_ORIGIN_OVERHEAD,
         )
 
-    def rdma_get(
-        self, ctx, dst_rank, remote_addr, local_addr, nbytes,
-        extra_occupancy=0.0,
-    ):
+    def rdma_get(self, ctx, dst_rank, runs, extra_occupancy=0.0):
         return _rma.rdma_get(
-            ctx, dst_rank, remote_addr, local_addr, nbytes,
-            extra_occupancy=extra_occupancy + WIN_ORIGIN_OVERHEAD,
+            ctx, dst_rank, runs, extra_occupancy=extra_occupancy + WIN_ORIGIN_OVERHEAD
         )
 
     def send_am(

@@ -224,7 +224,7 @@ class TestHandles:
         h = Handle(rt, "test")
         evs = [job.engine.event() for _ in range(3)]
         for ev in evs:
-            h.add_event(ev)
+            h.add_events((ev,))
         assert not h.complete
         for ev in evs:
             ev.succeed()
@@ -254,4 +254,4 @@ class TestHandles:
 
         job.run(body)
         with pytest.raises(HandleError, match="extended"):
-            h.add_event(job.engine.event())
+            h.add_events((job.engine.event(),))

@@ -681,13 +681,12 @@ class TestDeliveryFateMatrix:
                 world.space(1).write(remote, FATE_DATA)
                 local = space.allocate(64)
             if row == "put":
-                op = rt.transport.rdma_put(
-                    ctx, 1, local, remote, 64, want_remote_ack=True
+                events, acks = rt.transport.rdma_put(
+                    ctx, 1, [(local, remote, 64)], want_remote_ack=True
                 )
-                return [op.local_event, op.remote_ack_event], (1, remote)
+                return events + acks, (1, remote)
             if row == "get":
-                op = rt.transport.rdma_get(ctx, 1, remote, local, 64)
-                return [op.local_event], (0, local)
+                return rt.transport.rdma_get(ctx, 1, [(local, remote, 64)]), (0, local)
             if row == "am_cookie":
                 ack = rt.engine.event()
                 rt.transport.send_am(

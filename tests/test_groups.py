@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.armci import ArmciConfig, ArmciJob
 from repro.armci.groups import ProcessGroup
-from repro.errors import ArmciError
+from repro.errors import ArmciError, DeadlineExceededError
 
 
 def make_job(num_procs=8, config=None):
@@ -79,6 +79,23 @@ class TestGroupCollectives:
         results = job.run(body)
         assert results[:4] == [6.0] * 4
         assert results[4:] == [22.0] * 4
+
+    def test_a_peer_that_never_joins_ends_at_the_deadline(self):
+        """The group collective's waits are bound by the op deadline: a
+        peer that computes instead of joining makes the wait raise at
+        ``default_deadline``, not run on until nothing is left to run."""
+        job = make_job(2, ArmciConfig.async_thread_mode(default_deadline=1e-3))
+
+        def body(rt):
+            if rt.rank == 1:
+                yield from rt.compute(20e-3)
+                return None
+            t0 = rt.engine.now
+            with pytest.raises(DeadlineExceededError):
+                yield from rt.group_allreduce(rt.group((0, 1)), 1.0)
+            return rt.engine.now - t0
+
+        assert job.run(body)[0] == pytest.approx(1e-3, rel=1e-9)
 
     def test_singleton_group(self):
         job = make_job(2)

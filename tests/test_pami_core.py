@@ -160,11 +160,10 @@ class TestRdma:
 
         def body():
             ctx = world2.clients[0].context(0)
-            op = rdma_put(ctx, 1, src_addr, dst_addr, 64)
-            yield from ctx.wait_with_progress(op.local_event)
-            return op
+            [local], _acks = rdma_put(ctx, 1, [(src_addr, dst_addr, 64)])
+            yield from ctx.wait_with_progress(local)
 
-        [op] = run_ranks(world2, lambda r: body(), ranks=[0])
+        run_ranks(world2, lambda r: body(), ranks=[0])
         world2.engine.run()
         assert world2.space(1).read(dst_addr, 64) == b"A" * 64
 
@@ -176,9 +175,9 @@ class TestRdma:
 
         def body():
             ctx = world2.clients[0].context(0)
-            op = rdma_put(ctx, 1, src_addr, dst_addr, 16)
+            [local], _acks = rdma_put(ctx, 1, [(src_addr, dst_addr, 16)])
             world2.space(0).write(src_addr, b"CLOBBERED-DATA-X")
-            yield from ctx.wait_with_progress(op.local_event)
+            yield from ctx.wait_with_progress(local)
 
         run_ranks(world2, lambda r: body(), ranks=[0])
         world2.engine.run()
@@ -191,8 +190,8 @@ class TestRdma:
 
         def body():
             ctx = world2.clients[0].context(0)
-            op = rdma_put(ctx, 1, src_addr, dst_addr, 16)
-            yield from ctx.wait_with_progress(op.local_event)
+            [local], _acks = rdma_put(ctx, 1, [(src_addr, dst_addr, 16)])
+            yield from ctx.wait_with_progress(local)
             return world2.engine.now - t0
 
         [elapsed] = run_ranks(world2, lambda r: body(), ranks=[0])
@@ -205,8 +204,10 @@ class TestRdma:
 
         def body():
             ctx = world2.clients[0].context(0)
-            op = rdma_put(ctx, 1, src_addr, dst_addr, 16, want_remote_ack=True)
-            yield from ctx.wait_with_progress(op.remote_ack_event)
+            _local, [ack] = rdma_put(
+                ctx, 1, [(src_addr, dst_addr, 16)], want_remote_ack=True
+            )
+            yield from ctx.wait_with_progress(ack)
             # By ack time the bytes are in target memory.
             return world2.space(1).read(dst_addr, 16)
 
@@ -219,8 +220,8 @@ class TestRdma:
 
         def body():
             ctx = world2.clients[0].context(0)
-            op = rdma_get(ctx, 1, remote, local, 32)
-            yield from ctx.wait_with_progress(op.local_event)
+            [done] = rdma_get(ctx, 1, [(local, remote, 32)])
+            yield from ctx.wait_with_progress(done)
             return world2.space(0).read(local, 32)
 
         [data] = run_ranks(world2, lambda r: body(), ranks=[0])
@@ -233,8 +234,8 @@ class TestRdma:
 
         def body():
             ctx = world2.clients[0].context(0)
-            op = rdma_get(ctx, 1, remote, local, 16)
-            yield from ctx.wait_with_progress(op.local_event)
+            [done] = rdma_get(ctx, 1, [(local, remote, 16)])
+            yield from ctx.wait_with_progress(done)
             return world2.engine.now - t0
 
         [elapsed] = run_ranks(world2, lambda r: body(), ranks=[0])
@@ -243,9 +244,9 @@ class TestRdma:
     def test_zero_byte_transfers_rejected(self, world2):
         ctx = world2.clients[0].context(0)
         with pytest.raises(PamiError):
-            rdma_put(ctx, 1, 0x1000, 0x1000, 0)
+            rdma_put(ctx, 1, [(0x1000, 0x1000, 0)])
         with pytest.raises(PamiError):
-            rdma_get(ctx, 1, 0x1000, 0x1000, 0)
+            rdma_get(ctx, 1, [(0x1000, 0x1000, 0)])
 
     def test_puts_between_pair_preserve_order(self, world2):
         """Pairwise ordering: a later put never lands before an earlier one."""
@@ -254,12 +255,12 @@ class TestRdma:
 
         def body():
             ctx = world2.clients[0].context(0)
-            ops = []
+            events = []
             for i in range(10):
                 world2.space(0).write(src, bytes([i] * 8))
-                ops.append(rdma_put(ctx, 1, src, dst, 8))
-            for op in ops:
-                yield from ctx.wait_with_progress(op.local_event)
+                events += rdma_put(ctx, 1, [(src, dst, 8)])[0]
+            for event in events:
+                yield from ctx.wait_with_progress(event)
 
         run_ranks(world2, lambda r: body(), ranks=[0])
         world2.engine.run()

@@ -284,7 +284,7 @@ class TestAmortisedPruning:
         rt = job.rt(0)
         probes = []
         for _ in range(self.N):
-            rt.track_write_ack(1, _ProbedEvent(job.engine, probes))
+            rt.track_write_acks(1, (_ProbedEvent(job.engine, probes),))
         # Nothing completed, so every ack is kept; the prunes ran at 129,
         # 259, 519 and 1039 entries, not on each of the ~1900 appends
         # past the floor (1.9 M inspections).
@@ -298,7 +298,7 @@ class TestAmortisedPruning:
         for i in range(300):
             ack = job.engine.event(f"ack{i}")
             ack.succeed()
-            rt.track_write_ack(1, ack)
+            rt.track_write_acks(1, (ack,))
         assert len(rt._pending_acks[1]) <= ACK_PRUNE_FLOOR + 1
 
     def test_fence_restarts_the_prune_schedule(self):
@@ -307,7 +307,7 @@ class TestAmortisedPruning:
         def body(rt):
             if rt.rank == 0:
                 for i in range(ACK_PRUNE_FLOOR * 3):
-                    rt.track_write_ack(1, job.engine.event(f"ack{i}"))
+                    rt.track_write_acks(1, (job.engine.event(f"ack{i}"),))
                 assert rt._ack_prune_at[1] > ACK_PRUNE_FLOOR
                 for ack in rt._pending_acks[1]:
                     ack.succeed()

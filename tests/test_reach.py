@@ -128,6 +128,10 @@ class TestOneCustomerRule:
         assert "_last_deliver" not in inspect.getsource(TorusNetwork)
         assert not hasattr(ChaosEngine, "ordered_deliver")
         assert not hasattr(TorusNetwork, "ordered_deliver")
+        # One id for a group message: repro.armci.dispatch.GROUP_MESSAGE.
+        import repro.armci.groups
+
+        assert not hasattr(repro.armci.groups, "GROUP_MSG_ID")
         assert not hasattr(BlockDistribution, "from_bounds")
         assert not hasattr(GlobalArray, "symmetrize")
         # One owner per decision: the wire's "can this copy be perturbed"

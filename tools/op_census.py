@@ -7,7 +7,9 @@ step resumes, for a blocking 16 B put + get pair and for one
 (its spans, and its Python calls and bytecodes per span over the
 knobs-off pair); then the frames per step of the 256-rank smoke Fig. 11
 D run, with its most common frame chains, and its Python calls, builtin
-calls and engine entries per wire op; then
+calls and engine entries per wire op; then Python calls, builtin calls,
+engine entries and frames per step per chunk of a zero-copy strided
+put + get (Eq. 9's lattice) on the same knobs-off job; then
 Python calls and numpy calls per served request on a reduced ``kv_idle``
 shape; last, what importing each core layer costs a fresh interpreter
 (``reach.LAYERS``):
@@ -40,6 +42,9 @@ OBS_ROW = "put+get, obs on"  # the pair again, on a job with ObsConfig(enabled=T
 SCF_PROCS, TOP_CHAINS = 256, 6
 #: The ledger's reduced ``scf_d_at`` shape: ranks, ``nblocks``, ``nbf``.
 SCF_REDUCED = (8, 4, 96)
+#: The strided row: a zero-copy strided put + get of ``rows`` chunks of
+#: ``chunk`` bytes at ``stride`` (no two chunks coalesce), run ``N`` times.
+STRIDED_ROW, STRIDED_SHAPE = "strided put+get", (64, 256, 512)
 #: What a wire op is: the ledger's ``pami.wire_ops``.
 WIRE_OPS = ("pami.rdma_puts", "pami.rdma_gets", "pami.am_sent", "pami.rmw_posted")
 #: The kv request row: a reduced ``kv_idle`` (6 ranks, 2 shards, 3 per
@@ -198,6 +203,40 @@ def run(backend: str, mode: str, obs: bool = False) -> dict[str, Census]:
     return census
 
 
+def strided() -> tuple[Census, int, int]:
+    """The census of ``N`` strided put + get pairs (``STRIDED_SHAPE``,
+    after a warm-up pair) on a knobs-off 2-node job, the chunks they
+    moved and the engine entries they executed."""
+    from repro.armci import ArmciJob
+    from repro.types import StridedDescriptor, StridedShape
+
+    rows, chunk, stride = STRIDED_SHAPE
+    desc = StridedDescriptor(StridedShape(chunk, (rows,)), (stride,), (stride,))
+    job = ArmciJob(2, procs_per_node=1)
+    job.init()
+    census, executed = Census(), []
+
+    def body(rt):
+        alloc = yield from rt.malloc(rows * stride)
+        if rt.rank == 0:
+            space = rt.world.space(0)
+            buf, back = space.allocate(rows * stride), space.allocate(rows * stride)
+            for n in (1, N):
+                timed = census if n == N else Census()
+                executed.append(-rt.engine.events_executed)
+                timed.start("calls")
+                for _ in range(n):
+                    yield from rt.puts(1, buf, alloc.addr(1), desc)
+                    yield from rt.gets(1, back, alloc.addr(1), desc)
+                timed.stop()
+                executed[-1] += rt.engine.events_executed
+            yield from rt.fence_all()
+        yield from rt.barrier()
+
+    job.run(body)
+    return census, 2 * rows * N, executed[-1]
+
+
 def scf_frames() -> Frames:
     """Frames per process step of the ``SCF_PROCS``-rank smoke Fig. 11 D run."""
     from repro.apps.nwchem.scf import run_scf
@@ -323,6 +362,14 @@ def main() -> None:
     codes = (opcodes[on].opcodes["total"] - opcodes[off].opcodes["total"]) / N
     print(f"  spans per pair {spans:.2f}; per span over the knobs-off pair: "
           f"{python / spans:.1f} Python calls, {codes / spans:.1f} bytecodes")
+    census, chunks, entries = strided()
+    python = census.python
+    print(f"\n{STRIDED_ROW}, {STRIDED_SHAPE[0]} x {STRIDED_SHAPE[1]} B at stride "
+          f"{STRIDED_SHAPE[2]}, per chunk: {python / chunks:.2f} Python calls, "
+          f"{(sum(census.calls.values()) - python) / chunks:.2f} builtin calls, "
+          f"{entries / chunks:.3f} engine entries, "
+          f"{census.frames.total / max(census.frames.steps, 1) :.3f} frames per step "
+          f"(max {census.frames.deepest})")
     scf = scf_frames()
     print(f"\nscf D, {SCF_PROCS} ranks (smoke Fig. 11): {scf}")
     for chain, count in scf.chains.most_common(TOP_CHAINS):
