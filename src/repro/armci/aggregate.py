@@ -13,11 +13,17 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator
 
 from ..errors import ArmciError
+from ..obs.span import kind
 from .handles import Handle
 from .vector import IoVector
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import ArmciProcess
+
+#: The op span of a flush.
+_FLUSH_SPAN = kind(
+    "main", "op", "aggregate_flush", None, ("dst", "nbytes", "fragments")
+)
 
 
 class Scratch:
@@ -148,7 +154,7 @@ class AggregateHandle:
 
         handle = yield from rt._with_retry(
             "aggregate_flush", attempt, (), None,
-            {"dst": self.dst, "nbytes": total, "fragments": vec.num_segments},
+            _FLUSH_SPAN, (self.dst, total, vec.num_segments),
         )
         rt.trace.incr("armci.aggregate_flushes")
         if self.on_flush is not None:

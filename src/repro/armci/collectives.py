@@ -12,12 +12,16 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, Iterable
 
 from ..errors import ArmciError
+from ..obs.span import Kinds
 from ..pami.faults import FAULT_DETECT_DELAY, Failure, check_completion
 from ..sim.engine import Engine
 from ..sim.event import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import ArmciProcess
+
+#: A barrier's span kind by its Gantt label (``None``: not shown).
+_BARRIER_SPANS = Kinds(lambda timeline: ("main", "barrier", "barrier", timeline))
 
 
 class HardwareBarrier:
@@ -188,7 +192,7 @@ def barrier(rt: "ArmciProcess", timeline: str | None = None) -> Generator[Any, A
     deadline = rt._op_deadline()
     rt._observe("on_barrier_enter")
     obs = rt.obs
-    with rt.span("barrier", "barrier", timeline=timeline) as span:
+    with rt.span(_BARRIER_SPANS[timeline], ()) as span:
         # The barrier span doubles as this rank's arrival record; the
         # exit draws a wait-for edge from the last arriver's span (the
         # only place critical_path hops ranks).

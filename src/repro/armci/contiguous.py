@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, Iterable
 
 from ..errors import ResourceExhaustedError
+from ..obs.span import kind
 from ..pami.activemsg import AmEnvelope
 from ..pami.context import PamiContext
 from ..pami.faults import check_completion
@@ -24,6 +25,9 @@ from .transfer import Transfer, control_reply
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import ArmciProcess
+
+#: The span of a region-cache miss's round trip.
+_QUERY_SPAN = kind("main", "region_miss", "region_query", None, ("dst",))
 
 _COUNTERS = {
     "put_rdma": "armci.put_rdma",
@@ -117,7 +121,7 @@ def query_remote_region(
     """Serve a region-cache miss: a REGION_QUERY active message to the
     owner (whose progress engine must answer), the result cached with
     LFU replacement."""
-    with rt.span("region_miss", "region_query", dst=dst) as span:
+    with rt.span(_QUERY_SPAN, (dst,)) as span:
         ctx = rt.main_context
         deadline = rt._op_deadline()
         yield from rt._acquire_send_credit(dst, deadline)

@@ -10,10 +10,16 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from ..errors import HandleError
+from ..obs.span import Kinds
 from ..sim.event import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import ArmciProcess
+
+#: A handle wait's span kind by the handle's kind.
+_WAIT_SPANS = Kinds(
+    lambda kind: ("main", "handle_wait", f"{kind}.wait", None, ("ops",))
+)
 
 
 class Handle:
@@ -93,15 +99,12 @@ def _post_and_wait(nb, args: tuple) -> Generator[Any, Any, None]:
     obs = owner.obs
     sid = None
     if obs is not None and h._events:
-        sid = obs.begin(
-            owner.rank, "main", "handle_wait",
-            f"{h.kind}.wait", ops=len(h._events),
-        )
+        sid = obs.begin(owner.rank, _WAIT_SPANS[h.kind], (len(h._events),))
     try:
         # One progress generator over every event, in posting order;
         # failure tokens surface as ProcessFailedError (FT extension).
         yield from ctx.wait_all_with_progress(h._events, deadline, h.kind)
     finally:
         if sid is not None:
-            obs.end(sid, caused_by=h._events)
+            obs.end(sid, None, h._events)
         owner.on_handle_complete(h)

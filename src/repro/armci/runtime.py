@@ -35,7 +35,7 @@ from ..errors import (
     RetryExhaustedError,
     TransientFaultError,
 )
-from ..obs.span import NO_SPAN, Obs, OpenSpan
+from ..obs.span import NO_SPAN, Kinds, Obs, OpenSpan, kind
 from ..pami.context import PamiContext, cancel_timer, deadline_timer
 from ..pami.faults import TransientFault, check_completion
 from ..pami.world import PamiWorld
@@ -64,6 +64,20 @@ UNREGISTERED_KEY_BASE = -1
 
 #: Un-fenced acks to one destination kept before completed ones are pruned.
 ACK_PRUNE_FLOOR = 128
+
+#: The span kinds this module opens. An op span's attributes are ``dst``
+#: and, for a contiguous op, ``nbytes``; put and get show in the Gantt.
+_PUT_SPAN = kind("main", "op", "put", "put", ("dst", "nbytes"))
+_GET_SPAN = kind("main", "op", "get", "get", ("dst", "nbytes"))
+_ACC_SPAN = kind("main", "op", "acc", None, ("dst", "nbytes"))
+_OP_SPANS = Kinds(lambda op: ("main", "op", op, None, ("dst",)))
+_BACKOFF_SPANS = Kinds(
+    lambda op: ("main", "backoff", f"backoff.{op}", None, ("attempt",))
+)
+_CREDIT_SPAN = kind("main", "credit_wait", "credit_wait", None, ("dst",))
+_RMW_SPAN = kind("main", "counter_wait", "rmw", "counter", ("dst", "rmw_op"))
+_FENCE_SPAN = kind("main", "fence", "fence", "fence", ("dst", "acks"))
+_COMPUTE_SPAN = kind("main", "compute", "compute", "compute")
 
 #: Dispatch id -> target-side handler ``fn(rt, ctx, env)``. The handlers
 #: are the same functions on every rank, so one table serves every rank
@@ -464,14 +478,15 @@ class ArmciProcess:
         yield from self._reinit_body()
         yield from _coll.barrier(self)
 
-    def span(self, category: str, name: str, **kw):
-        """Bracket a blocking call: ``with rt.span(...):`` opens a span
-        on this rank's main lane (a :class:`~repro.obs.span.OpenSpan`),
-        or is the shared no-op :data:`~repro.obs.span.NO_SPAN` with obs
-        off (non-generator)."""
+    def span(self, code: int, values: tuple):
+        """Bracket a blocking call: ``with rt.span(code, values):`` opens
+        a span of kind ``code`` (:func:`~repro.obs.span.kind`) on this
+        rank (a :class:`~repro.obs.span.OpenSpan`), or is the shared
+        no-op :data:`~repro.obs.span.NO_SPAN` with obs off
+        (non-generator)."""
         if self.obs is None:
             return NO_SPAN
-        return OpenSpan(self.obs, self.rank, "main", category, name, kw)
+        return OpenSpan(self.obs, self.rank, code, values)
 
     def reset_peer_state(self, dead_ranks) -> None:
         """Drop state referencing dead incarnations (non-generator).
@@ -522,12 +537,13 @@ class ArmciProcess:
 
     def _with_retry(
         self, kind: str, attempt, args: tuple, deadline: float | None,
-        op: dict | None = None,
+        code: int | None = None, values: tuple = (),
     ) -> Generator[Any, Any, Any]:
         """Run ``attempt(*args)`` (a generator function), retrying
         transient faults with exponential backoff per ``config.retry``;
-        with ``op`` (its attributes), inside the ``kind`` op span, which
-        this frame brackets — a guarded op is one frame over the flat one.
+        with ``code``, inside an op span of that kind with attribute
+        ``values``, which this frame opens and closes itself — a guarded
+        op is one frame over the flat one.
 
         Transient faults are injected before any target-side effect, so
         a retried attempt applies exactly once. Fail-stop errors
@@ -540,46 +556,48 @@ class ArmciProcess:
         retry budget — a backoff sleep that would cross it raises
         :class:`~repro.errors.DeadlineExceededError` immediately.
         """
-        with NO_SPAN if op is None else self.span("op", kind, **op):
-            policy = self.config.retry
-            delay = _config.RETRY_BASE_DELAY
-            attempts = 0
-            prev_deadline = self._deadline
-            if deadline is not None:
-                self._deadline = deadline
-            try:
-                while True:
-                    try:
-                        result = yield from attempt(*args)
-                        if attempts:
-                            self.trace.incr("armci.retry_successes")
-                        return result
-                    except RetryExhaustedError:
-                        raise  # a nested retry loop already spent its budget
-                    except TransientFaultError as exc:
-                        attempts += 1
-                        if attempts > policy.max_retries:
-                            raise RetryExhaustedError(
-                                f"{kind}: retry budget ({policy.max_retries}) "
-                                f"exhausted: {exc}"
-                            ) from exc
-                        if (
-                            deadline is not None
-                            and self.engine.now + delay >= deadline
-                        ):
-                            self.trace.incr("armci.retry_deadline_abandoned")
-                            raise DeadlineExceededError(
-                                f"{kind}: deadline t={deadline:.6g}s expires "
-                                f"during retry backoff ({attempts} attempts made)"
-                            ) from exc
-                        self.trace.incr("armci.transient_retries")
-                        self.trace.incr(f"armci.transient_retries.{kind}")
-                        self.trace.add_time("armci.retry_backoff_time", delay)
-                        with self.span("backoff", f"backoff.{kind}", attempt=attempts):
-                            yield Delay(delay)
-                        delay = min(delay * _config.RETRY_MULTIPLIER, policy.max_delay)
-            finally:
-                self._deadline = prev_deadline
+        obs = self.obs
+        sid = None
+        if code is not None and obs is not None:
+            sid = obs.begin(self.rank, code, values)
+        policy = self.config.retry
+        delay = _config.RETRY_BASE_DELAY
+        attempts = 0
+        prev_deadline = self._deadline
+        if deadline is not None:
+            self._deadline = deadline
+        try:
+            while True:
+                try:
+                    result = yield from attempt(*args)
+                    if attempts:
+                        self.trace.incr("armci.retry_successes")
+                    return result
+                except RetryExhaustedError:
+                    raise  # a nested retry loop already spent its budget
+                except TransientFaultError as exc:
+                    attempts += 1
+                    if attempts > policy.max_retries:
+                        raise RetryExhaustedError(
+                            f"{kind}: retry budget ({policy.max_retries}) "
+                            f"exhausted: {exc}"
+                        ) from exc
+                    if deadline is not None and self.engine.now + delay >= deadline:
+                        self.trace.incr("armci.retry_deadline_abandoned")
+                        raise DeadlineExceededError(
+                            f"{kind}: deadline t={deadline:.6g}s expires "
+                            f"during retry backoff ({attempts} attempts made)"
+                        ) from exc
+                    self.trace.incr("armci.transient_retries")
+                    self.trace.incr(f"armci.transient_retries.{kind}")
+                    self.trace.add_time("armci.retry_backoff_time", delay)
+                    with self.span(_BACKOFF_SPANS[kind], (attempts,)):
+                        yield Delay(delay)
+                    delay = min(delay * _config.RETRY_MULTIPLIER, policy.max_delay)
+        finally:
+            self._deadline = prev_deadline
+            if sid is not None:
+                obs.end(sid)
 
     # ----------------------------------------------------- flow control
 
@@ -613,7 +631,7 @@ class ArmciProcess:
         timer = None
         death_watch: Event | None = None
         own_ctx = self.main_context
-        with self.span("credit_wait", "credit_wait", dst=dst):
+        with self.span(_CREDIT_SPAN, (dst,)):
             try:
                 while not dst_ctx.try_acquire_credit():
                     if self.world.is_failed(dst):
@@ -651,9 +669,10 @@ class ArmciProcess:
     def track_write_acks(self, dst: int, acks) -> None:
         """Record outstanding writes' remote-completion acks (non-gen).
 
-        Already-completed acks are pruned opportunistically so a
-        long-running producer that rarely fences keeps bounded state.
-        A prune is due only once the list has doubled since the last
+        Acks that completed clean are pruned opportunistically so a
+        long-running producer that rarely fences keeps bounded state; a
+        failed one stays for the fence to judge, which must not certify
+        it. A prune is due only once the list has doubled since the last
         one, so tracking stays O(1) amortised per ack however many are
         still outstanding; a batch prunes where the ack that made a prune
         due lands, exactly as one call per ack would.
@@ -665,7 +684,7 @@ class ArmciProcess:
             pending += acks[:split]
             acks = acks[split:]
             pending = self._pending_acks[dst] = [
-                ev for ev in pending if not ev.triggered
+                ev for ev in pending if not ev.triggered or ev.value is not None
             ]
             due = self._ack_prune_at[dst] = max(ACK_PRUNE_FLOOR, 2 * len(pending))
         pending += acks
@@ -873,19 +892,19 @@ class ArmciProcess:
             or self.config.default_deadline is not None
         )
 
-    def _blocking(self, kind: str, nb, args: tuple, **attrs) -> Generator[Any, Any, None]:
+    def _blocking(
+        self, kind: str, nb, args: tuple, code: int, values: tuple
+    ) -> Generator[Any, Any, None]:
         """One blocking data op on rank ``args[0]`` (non-generator: it
         *composes* the op's generator): post ``nb(*args)`` and wait for
         local completion — as is with every knob off, else inside the
-        ``kind`` op span, with transient faults retried with backoff and
-        the op's deadline bounding the whole call when either can exist.
-        ``attrs`` go on the span (``nbytes=``, and ``timeline=`` to show
-        the op in the Gantt view)."""
+        op span ``code`` with attribute ``values``, with transient faults
+        retried with backoff and the op's deadline bounding the whole
+        call when either can exist."""
         if not self._guarded():
             return _post_and_wait(nb, args)
         return self._with_retry(
-            kind, _post_and_wait, (nb, args), self._op_deadline(),
-            {"dst": args[0], **attrs},
+            kind, _post_and_wait, (nb, args), self._op_deadline(), code, values
         )
 
     def put(self, dst: int, local_addr: int, remote_addr: int, nbytes: int):
@@ -893,14 +912,14 @@ class ArmciProcess:
         are retried with backoff."""
         return self._blocking(
             "put", self.nbput, (dst, local_addr, remote_addr, nbytes),
-            nbytes=nbytes, timeline="put",
+            _PUT_SPAN, (dst, nbytes),
         )
 
     def get(self, dst: int, local_addr: int, remote_addr: int, nbytes: int):
         """Blocking contiguous get; transient faults are retried."""
         return self._blocking(
             "get", self.nbget, (dst, local_addr, remote_addr, nbytes),
-            nbytes=nbytes, timeline="get",
+            _GET_SPAN, (dst, nbytes),
         )
 
     def nbputs(
@@ -925,11 +944,17 @@ class ArmciProcess:
 
     def puts(self, dst, local_base, remote_base, desc: StridedDescriptor):
         """Blocking strided put; transient faults are retried."""
-        return self._blocking("puts", self.nbputs, (dst, local_base, remote_base, desc))
+        return self._blocking(
+            "puts", self.nbputs, (dst, local_base, remote_base, desc),
+            _OP_SPANS["puts"], (dst,),
+        )
 
     def gets(self, dst, local_base, remote_base, desc: StridedDescriptor):
         """Blocking strided get; transient faults are retried."""
-        return self._blocking("gets", self.nbgets, (dst, local_base, remote_base, desc))
+        return self._blocking(
+            "gets", self.nbgets, (dst, local_base, remote_base, desc),
+            _OP_SPANS["gets"], (dst,),
+        )
 
     def nbputv(self, dst: int, vec: "_vec.IoVector") -> Generator[Any, Any, Handle]:
         """Non-blocking general I/O-vector put (ARMCI_PutV)."""
@@ -969,11 +994,15 @@ class ArmciProcess:
 
     def putv(self, dst: int, vec: "_vec.IoVector"):
         """Blocking I/O-vector put; transient faults are retried."""
-        return self._blocking("putv", self.nbputv, (dst, vec))
+        return self._blocking(
+            "putv", self.nbputv, (dst, vec), _OP_SPANS["putv"], (dst,)
+        )
 
     def getv(self, dst: int, vec: "_vec.IoVector"):
         """Blocking I/O-vector get; transient faults are retried."""
-        return self._blocking("getv", self.nbgetv, (dst, vec))
+        return self._blocking(
+            "getv", self.nbgetv, (dst, vec), _OP_SPANS["getv"], (dst,)
+        )
 
     # ------------------------------------------------------ accumulate
 
@@ -1008,7 +1037,8 @@ class ArmciProcess:
         retried (the lost request never reached the target, so a retry
         applies the update exactly once)."""
         return self._blocking(
-            "acc", self.nbacc, (dst, local_addr, remote_addr, nbytes), nbytes=nbytes,
+            "acc", self.nbacc, (dst, local_addr, remote_addr, nbytes),
+            _ACC_SPAN, (dst, nbytes),
         )
 
     # ------------------------------------------------------------ AMOs
@@ -1029,9 +1059,7 @@ class ArmciProcess:
         # The whole blocking call is counter dwell (the post itself is
         # free): the paper's Fig. 9/11 "waiting on the counter" quantity,
         # directly comparable between D and AT modes.
-        span = self.span(
-            "counter_wait", "rmw", dst=dst, rmw_op=op, timeline="counter"
-        )
+        span = self.span(_RMW_SPAN, (dst, op))
         with span:
             if self._guarded():
                 # Retry-safe: a transient fault means the request was lost
@@ -1090,7 +1118,7 @@ class ArmciProcess:
         acks = self._pending_acks.pop(dst, [])
         self._ack_prune_at.pop(dst, None)
         ctx = self.main_context
-        with self.span("fence", "fence", dst=dst, acks=len(acks), timeline="fence"):
+        with self.span(_FENCE_SPAN, (dst, len(acks))):
             for i, ack in enumerate(acks):
                 if not ack._triggered:
                     try:
@@ -1248,6 +1276,6 @@ class ArmciProcess:
         """
         if seconds < 0:
             raise ArmciError(f"compute time must be >= 0, got {seconds}")
-        with self.span("compute", "compute", timeline="compute"):
+        with self.span(_COMPUTE_SPAN, ()):
             yield Delay(seconds)
         self.trace.add_time("armci.compute_time", seconds)

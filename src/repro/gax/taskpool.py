@@ -15,10 +15,15 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator
 
 from ..errors import ArmciError, ProcessFailedError
+from ..obs.span import kind
 from .counter import SharedCounter
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..armci.runtime import ArmciProcess
+
+#: The span of one draw, by pool.
+_POOL_DRAW_SPAN = kind("main", "task_draw", "taskpool.next_range")
+_DTP_DRAW_SPAN = kind("main", "task_draw", "dtp.next_range")
 
 
 @dataclass
@@ -47,7 +52,7 @@ class TaskPool:
         self, rt: "ArmciProcess"
     ) -> Generator[Any, Any, tuple[int, int] | None]:
         """Claim the next task range ``[lo, hi)``; ``None`` when drained."""
-        with rt.span("task_draw", "taskpool.next_range"):
+        with rt.span(_POOL_DRAW_SPAN, ()):
             draw = yield from self.counter.next(rt)
         lo = draw * self.chunk
         if lo >= self.ntasks:
@@ -204,7 +209,7 @@ class DistributedTaskPool:
         drained: set[int] = state[1]
         watermarks: dict[int, int] = state[2]
         home = rt.rank % g
-        with rt.span("task_draw", "dtp.next_range") as span:
+        with rt.span(_DTP_DRAW_SPAN, ()) as span:
             span.note(empty=True)  # also how a draw that raises closes
             result = yield from self._next_range(rt, g, home, drained, watermarks)
             span.note(empty=result is None)

@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 #: RDMA transfer kind -> its message and byte counter names.
-_TRANSFER_COUNTERS = {
+TRANSFER_COUNTERS = {
     kind: (f"net.{kind}.messages", f"net.{kind}.bytes") for kind in ("put", "get")
 }
 
@@ -305,7 +305,7 @@ class TorusNetwork:
     def count_transfers(self, kind: str, messages: int, nbytes: int) -> None:
         """Count ``messages`` RDMA ``kind`` (``"put"``/``"get"``) runs
         moving ``nbytes`` in all."""
-        messages_name, bytes_name = _TRANSFER_COUNTERS[kind]
+        messages_name, bytes_name = TRANSFER_COUNTERS[kind]
         counters = self.trace.counters
         counters[messages_name] += messages
         counters[bytes_name] += nbytes

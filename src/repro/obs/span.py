@@ -57,8 +57,9 @@ from .metrics import MetricsRegistry
 LANES = ("main", "async", "net")
 
 _AMBIENT = object()
-#: The producer categories that refine a handle wait (see :meth:`Obs.end`).
-_RDMA, _AM = frozenset({"rdma"}), frozenset({"am", "am_service"})
+#: The producer categories that refine a handle wait, and the category
+#: each refines it to when all its producers agree (see :meth:`Obs.end`).
+_WAITS = {"rdma": "rdma_wait", "am": "am_wait", "am_service": "am_wait"}
 
 
 @dataclass(frozen=True)
@@ -99,21 +100,54 @@ class Span:
     timeline: str | None = None
 
 
-class _Kinds(dict):
-    """Interned span kinds: ``(lane, category, name, timeline, *attr
-    keys)`` -> a small code, with ``kinds[code]`` the tuple back. A new
-    kind gets the next code; a known one is a plain dict hit."""
+#: The kinds interned in this process: ``KINDS[code]`` is the kind
+#: ``(lane, category, name, timeline, *attribute keys)`` of ``code``.
+KINDS: list[tuple] = []
+_CODES: dict[tuple, int] = {}
 
-    __slots__ = ("kinds",)
 
-    def __init__(self) -> None:
+def kind(
+    lane: str, category: str, name: str, timeline: str | None = None, keys=()
+) -> int:
+    """The code of a span kind, interned once per process: a call site
+    asks once and keeps the code (:class:`Kinds` when its name varies)."""
+    entry = (lane, category, name, timeline, *keys)
+    code = _CODES.get(entry)
+    if code is None:
+        code = _CODES[entry] = len(KINDS)
+        KINDS.append(entry)
+    return code
+
+
+class Kinds(dict):
+    """The codes of a call site whose kind varies with what it serves (a
+    handle's kind, a dispatch id, an AMO op, a lane): ``kinds[key]`` is
+    ``kind(*describe(key))``, interned on first use and a plain dict hit
+    after."""
+
+    __slots__ = ("describe",)
+
+    def __init__(self, describe) -> None:
         super().__init__()
-        self.kinds: list[tuple] = []
+        self.describe = describe
 
-    def __missing__(self, kind: tuple) -> int:
-        code = self[kind] = len(self.kinds)
-        self.kinds.append(kind)
+    def __missing__(self, key) -> int:
+        code = self[key] = kind(*self.describe(key))
         return code
+
+
+def _refiled(key: tuple[int, str]) -> tuple:
+    lane, _category, name, timeline, *keys = KINDS[key[0]]
+    return lane, key[1], name, timeline, keys
+
+
+#: ``(code, category) -> code``: the kind ``end(category=...)`` re-files
+#: a row under (same lane, name, timeline and attribute keys).
+_REFILED = Kinds(_refiled)
+#: Rows staged before they are compacted into the columns.
+STAGE = 128
+#: A staged row's ``end`` while the span is open.
+_OPEN = nan
 
 
 class Spans(Sequence):
@@ -143,16 +177,19 @@ class Spans(Sequence):
 class Obs:
     """Span recorder shared by every rank of one simulated job.
 
-    A span is one row of a few columns (DESIGN §12): its id is the row
-    + 1; ``start`` and ``end`` are floats (``end`` NaN while open), the
-    parent id (0 = none) and the rank machine integers, and the lane,
-    category, name, timeline label and attribute keys one interned
-    *kind* code, which leaves a tuple of the attribute values per span.
-    All write methods are O(1); ids come from the row count, so exports
-    are byte-stable across same-seed runs. One per-rank stack tracks
-    the ambient (innermost open) span — pushes and pops happen
-    atomically inside engine callbacks, so the LIFO discipline holds
-    even while AM handlers interleave with blocked application spans.
+    A span is one row (DESIGN §12): its id is the row + 1; ``start`` and
+    ``end`` are floats (``end`` NaN while open), the parent id (0 = none)
+    and the rank machine integers, and the lane, category, name,
+    timeline label and attribute keys one interned *kind* code
+    (:func:`kind`), which leaves a tuple of the attribute values per
+    span. The write calls take the code and the values positionally and
+    stage the row as one list; every ``STAGE`` rows, and before any
+    read, the staged rows are compacted into typed columns. All write
+    methods are O(1); ids come from the row count, so exports are
+    byte-stable across same-seed runs. One per-rank stack tracks the
+    ambient (innermost open) span — pushes and pops happen atomically
+    inside engine callbacks, so the LIFO discipline holds even while AM
+    handlers interleave with blocked application spans.
 
     A closing span appends its row to a close-order buffer; the
     registry folds that buffer into the ``obs.span.<category>``
@@ -167,6 +204,8 @@ class Obs:
         #: Dispatch-id -> name map for AM service span names (installed
         #: by ArmciJob; obs itself must not import the armci layer).
         self.dispatch_names: dict[int, str] = {}
+        #: ``(lane, dispatch id) -> code`` of the AM service spans.
+        self.services = Kinds(self._service)
         self.truncated_spans = 0
         self._start = array("d")
         self._end = array("d")
@@ -174,48 +213,56 @@ class Obs:
         self._rank = array("i")
         self._kind = array("I")
         self._values: list[tuple] = []
-        self._kinds = _Kinds()
-        #: Rows closed since the last fold, in close order, and how many
-        #: closed before it.
+        #: Rows written since the last compaction, each
+        #: ``[start, end, parent, rank, code, values]``, after the
+        #: ``_base`` rows the columns hold.
+        self._staged: list[list] = []
+        self._base = 0
+        #: Rows closed since the last fold, in close order (the latest
+        #: in a list until the next compaction), and how many closed
+        #: before it.
         self._closes = array("I")
+        self._closing: list[int] = []
         self._folded = 0
         self._stacks: defaultdict[int, list[int]] = defaultdict(list)
         self._barriers: dict[int, dict[str, Any]] = {}
         metrics.defer(self._fold)
 
+    def _service(self, key: tuple[str, int]) -> tuple:
+        lane, dispatch_id = key
+        name = self.dispatch_names.get(dispatch_id, f"am.{dispatch_id}")
+        return lane, "am_service", name, None, ("src",)
+
     # ------------------------------------------------------------ spans
 
     def begin(
-        self,
-        rank: int,
-        lane: str,
-        category: str,
-        name: str,
-        *,
-        parent_id=_AMBIENT,
+        self, rank: int, code: int, values: tuple = (), parent=_AMBIENT,
         start: float | None = None,
-        timeline: str | None = None,
-        **attrs,
     ) -> int:
-        """Open a span and make it the rank's ambient parent."""
+        """Open a span of kind ``code`` with attribute ``values`` (in the
+        kind's key order) and make it the rank's ambient parent.
+        ``parent`` is a span id, or 0 or ``None`` for a root span;
+        ``start`` back-dates it."""
         stack = self._stacks[rank]
-        if parent_id is _AMBIENT:
-            parent_id = stack[-1] if stack else 0
-        # One row, written here and in ``record`` alike (the write path
-        # is one call per span: DESIGN §12).
-        starts = self._start
-        starts.append(self.engine.now if start is None else start)
-        self._end.append(nan)
-        self._parent.append(parent_id or 0)
-        self._rank.append(rank)
-        self._kind.append(self._kinds[lane, category, name, timeline, *attrs])
-        self._values.append((*attrs.values(),))
-        sid = len(starts)
+        if parent is _AMBIENT:
+            parent = stack[-1] if stack else 0
+        elif parent is None:
+            parent = 0
+        staged = self._staged
+        staged.append([
+            self.engine.now if start is None else start, _OPEN, parent, rank,
+            code, values,
+        ])
+        n = len(staged)
+        sid = self._base + n
         stack.append(sid)
+        if n >= STAGE:
+            self._compact()
         return sid
 
     def end(
-        self, span_id: int, *, category: str | None = None, caused_by=(), **attrs
+        self, span_id: int, category: str | None = None, caused_by=(),
+        attrs: dict[str, Any] | None = None,
     ) -> None:
         """Close a span at the current simulated time, re-filed under
         ``category`` and with ``attrs`` added when given.
@@ -227,35 +274,48 @@ class Obs:
         are AM wire or service (they read better in the critical-path
         attribution than the generic ``handle_wait``).
         """
+        base, staged = self._base, self._staged
         if caused_by:
-            kinds, codes, causes = self._kinds.kinds, self._kind, set()
+            codes, agreed = self._kind, None
             for event in caused_by:
                 cause = event._obs_span
                 if cause is not None:
                     if cause != span_id:
                         self.edges.append((cause, span_id))
-                    causes.add(kinds[codes[cause - 1]][1])
-            if causes == _RDMA:
-                category = "rdma_wait"
-            elif causes and causes <= _AM:
-                category = "am_wait"
+                    i = cause - 1 - base
+                    code = staged[i][4] if i >= 0 else codes[cause - 1]
+                    wait = _WAITS.get(KINDS[code][1], "")
+                    agreed = wait if agreed is None or agreed == wait else ""
+            if agreed:
+                category = agreed
         row = span_id - 1
-        ends = self._end
-        if row < 0 or row >= len(ends) or not isnan(ends[row]):
+        i = row - base
+        if i >= 0:
+            try:
+                r = staged[i]
+            except IndexError:
+                return
+        elif row >= 0:  # compacted already: written back below
+            r = [
+                self._start[row], self._end[row], self._parent[row],
+                self._rank[row], self._kind[row], self._values[row],
+            ]
+        else:
             return
-        ends[row] = self.engine.now
-        if attrs or category is not None:
-            kinds, codes = self._kinds, self._kind
-            kind = kinds.kinds[codes[row]]
-            if attrs:  # merge into the row's attributes: a new kind
-                merged = dict(zip(kind[4:], self._values[row]))
-                merged.update(attrs)
-                kind = (*kind[:4], *merged)
-                self._values[row] = (*merged.values(),)
-            if category is not None:  # same lane, name, timeline, attributes
-                kind = (kind[0], category, *kind[2:])
-            codes[row] = kinds[kind]
-        stack = self._stacks[self._rank[row]]
+        if r[1] == r[1]:  # not NaN: closed already
+            return
+        r[1] = self.engine.now
+        if attrs:  # merge into the row's attributes: a new kind
+            lane, category_was, name, timeline, *keys = KINDS[r[4]]
+            merged = dict(zip(keys, r[5]))
+            merged.update(attrs)
+            r[4] = kind(lane, category_was, name, timeline, merged)
+            r[5] = (*merged.values(),)
+        if category is not None:
+            r[4] = _REFILED[r[4], category]
+        if i < 0:
+            self._end[row], self._kind[row], self._values[row] = r[1], r[4], r[5]
+        stack = self._stacks[r[3]]
         if stack:
             if stack[-1] == span_id:
                 stack.pop()
@@ -265,40 +325,30 @@ class Obs:
                     if stack[i] == span_id:
                         del stack[i]
                         break
-        self._closes.append(row)
+        self._closing.append(row)
 
     def record(
-        self,
-        rank: int,
-        lane: str,
-        category: str,
-        name: str,
-        start: float,
-        end: float,
-        *,
-        parent_id=_AMBIENT,
-        timeline: str | None = None,
-        produces=(),
-        **attrs,
+        self, rank: int, code: int, values: tuple, start: float, end: float,
+        produces=(), parent=_AMBIENT,
     ) -> int:
         """Record an already-finished span (no stack interaction), named
         the producer of each event in ``produces`` (see
-        :meth:`register_event`)."""
-        if parent_id is _AMBIENT:
+        :meth:`register_event`); ``parent`` as for :meth:`begin`."""
+        if parent is _AMBIENT:
             stack = self._stacks[rank]
-            parent_id = stack[-1] if stack else 0
-        starts = self._start
-        starts.append(start)
-        self._end.append(end)
-        self._parent.append(parent_id or 0)
-        self._rank.append(rank)
-        self._kind.append(self._kinds[lane, category, name, timeline, *attrs])
-        self._values.append((*attrs.values(),))
-        sid = len(starts)
-        self._closes.append(sid - 1)
+            parent = stack[-1] if stack else 0
+        elif parent is None:
+            parent = 0
+        staged = self._staged
+        staged.append([start, end, parent, rank, code, values])
+        n = len(staged)
+        sid = self._base + n
+        self._closing.append(sid - 1)
         for event in produces:
             if event is not None:
                 event._obs_span = sid
+        if n >= STAGE:
+            self._compact()
         return sid
 
     def current(self, rank: int) -> int | None:
@@ -309,23 +359,27 @@ class Obs:
     @property
     def spans(self) -> Spans:
         """Every span so far, open or closed, in id order."""
-        return Spans(self, range(len(self._start)))
+        self._compact()
+        return Spans(self, range(self._base))
 
     def get(self, span_id: int | None) -> Span | None:
         """A copy of span ``span_id``, or ``None`` if there is none."""
-        if span_id is None or not 0 < span_id <= len(self._start):
+        self._compact()
+        if span_id is None or not 0 < span_id <= self._base:
             return None
         return self._record(span_id - 1)
 
     def category(self, span_id: int) -> str:
         """Span ``span_id``'s category, without building its record."""
-        return self._kinds.kinds[self._kind[span_id - 1]][1]
+        self._compact()
+        return KINDS[self._kind[span_id - 1]][1]
 
     def finished(self) -> Spans:
         """All closed spans, in id order. Once every span is closed (a
         finished job) this is a view of all rows: O(1) to take and to
         measure."""
-        rows = range(len(self._end))
+        self._compact()
+        rows = range(self._base)
         if self._folded + len(self._closes) < len(rows):
             ends = self._end
             rows = array("I", (row for row in rows if not isnan(ends[row])))
@@ -333,8 +387,27 @@ class Obs:
 
     # ------------------------------------------------------- the columns
 
+    def _compact(self) -> None:
+        """Move the staged rows into the columns, and the staged closes
+        into the close-order buffer."""
+        staged = self._staged
+        if staged:
+            self._staged = []
+            self._base += len(staged)
+            starts, ends, parents, ranks, codes, values = zip(*staged)
+            self._start.extend(starts)
+            self._end.extend(ends)
+            self._parent.extend(parents)
+            self._rank.extend(ranks)
+            self._kind.extend(codes)
+            self._values.extend(values)
+        closing = self._closing
+        if closing:
+            self._closing = []
+            self._closes.extend(closing)
+
     def _record(self, row: int) -> Span:
-        lane, category, name, timeline, *keys = self._kinds.kinds[self._kind[row]]
+        lane, category, name, timeline, *keys = KINDS[self._kind[row]]
         end = self._end[row]
         return Span(
             row + 1,
@@ -354,6 +427,7 @@ class Obs:
         into ``obs.span.<category>`` and its per-rank histogram, in close
         order — bitwise what one ``record`` per close gives — and release
         the buffer."""
+        self._compact()
         closes = self._closes
         if not closes:
             return
@@ -366,7 +440,7 @@ class Obs:
             histogram = histograms.get(code)
             if histogram is None:
                 histogram = histograms[code] = self.metrics.histogram(
-                    "obs.span." + self._kinds.kinds[code][1]
+                    "obs.span." + KINDS[code][1]
                 )
             histogram.record(ends[row] - starts[row], rank=ranks[row])
 
@@ -428,23 +502,26 @@ class Obs:
     # ---------------------------------------------------------- lifecycle
 
     def finalize(self) -> None:
-        """Close any still-open spans (marked ``truncated``) now."""
+        """Close any still-open spans (marked ``truncated``) now, and
+        compact every row into the columns."""
+        self._compact()
         ends = self._end
         for stack in self._stacks.values():
             while stack:
                 sid = stack[-1]
                 row = sid - 1
                 if isnan(ends[row]):
-                    self.end(sid, truncated=True)  # pops it
+                    self.end(sid, attrs={"truncated": True})  # pops it
                     ends[row] = max(ends[row], self._start[row])
                     self.truncated_spans += 1
                 else:
                     stack.pop()
+        self._compact()
 
 
 class OpenSpan:
     """The ``with`` bracket of one span: building it opens the span
-    (:meth:`Obs.begin` with ``kwargs``), leaving the block ends it.
+    (:meth:`Obs.begin`), leaving the block ends it.
 
     The block may ``yield``: the span stays open across a simulation
     generator's suspensions and closes when the block is left — by
@@ -454,12 +531,9 @@ class OpenSpan:
 
     __slots__ = ("obs", "sid", "_notes")
 
-    def __init__(
-        self, obs: Obs, rank: int, lane: str, category: str, name: str,
-        kwargs: dict[str, Any],
-    ) -> None:
+    def __init__(self, obs: Obs, rank: int, code: int, values: tuple) -> None:
         self.obs = obs
-        self.sid = obs.begin(rank, lane, category, name, **kwargs)
+        self.sid = obs.begin(rank, code, values)
         self._notes: dict[str, Any] | None = None
 
     def note(self, **attrs) -> None:
@@ -477,11 +551,7 @@ class OpenSpan:
         return self
 
     def __exit__(self, *exc) -> bool:
-        notes = self._notes
-        if notes is None:
-            self.obs.end(self.sid)
-        else:
-            self.obs.end(self.sid, **notes)
+        self.obs.end(self.sid, None, (), self._notes)
         return False
 
 

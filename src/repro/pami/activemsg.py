@@ -12,11 +12,17 @@ from typing import Any
 
 import numpy as np
 
+from ..obs.span import Kinds
 from ..record import SlotRecord
 from ..sim.event import Event
 from . import faults as _flt
 from .context import PamiContext, WorkItem
 from .delivery import Delivery
+
+#: An AM's wire-time span kind, by dispatch id.
+_FLIGHT_SPANS = Kinds(
+    lambda dispatch_id: ("net", "am", f"am.{dispatch_id}", None, ("dst", "nbytes"))
+)
 
 
 class AmEnvelope(SlotRecord):
@@ -96,13 +102,8 @@ class AmItem(WorkItem):
         # The span id rode over in the header (the reply-cookie metadata
         # path), so the remote service span parents back to the send.
         sid = obs.begin(
-            ctx.client.rank,
-            ctx.lane,
-            "am_service",
-            obs.dispatch_names.get(env.dispatch_id, f"am.{env.dispatch_id}"),
-            parent_id=env.header.get("_span"),
-            start=now - self.cost(ctx),
-            src=env.src,
+            ctx.client.rank, obs.services[ctx.lane, env.dispatch_id], (env.src,),
+            env.header.get("_span"), now - self.cost(ctx),
         )
         try:
             handler(ctx, env)
@@ -251,8 +252,9 @@ def send_am(
         # header (same metadata path as the reply cookies — ints are
         # invisible to the cookie scanner) so the remote service span
         # can parent back across the rank boundary.
-        span_id = delivery.flight(
-            "am", f"am.{dispatch_id}", deliver_at, nbytes, local_event
+        span_id = world.obs.record(
+            src, _FLIGHT_SPANS[dispatch_id], (dst_rank, nbytes), now, deliver_at,
+            (local_event,),
         )
         env.header["_span"] = span_id
     return AmOp(env, local_event, deliver_at, delivery.at_risk, span_id)

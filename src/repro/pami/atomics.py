@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..errors import PamiError
+from ..obs.span import Kinds
 from ..sim.event import Event
 from ..record import SlotRecord
 from . import faults as _flt
@@ -47,6 +48,14 @@ RMW_OPS: dict[str, RmwFunc] = {
 
 #: Hardware NIC service time per AMO in the what-if model (Gemini-class).
 NIC_AMO_SERVICE = 50e-9
+#: The service span kinds: ``(lane, op)`` for the software path, ``op``
+#: for the NIC's.
+_SERVICE_SPANS = Kinds(
+    lambda key: (key[0], "amo_service", f"rmw.{key[1]}", None, ("src", "queue_wait"))
+)
+_NIC_SERVICE_SPANS = Kinds(
+    lambda op: ("net", "amo_service", f"nic_rmw.{op}", None, ("src",))
+)
 
 
 class RmwOp(SlotRecord):
@@ -100,10 +109,9 @@ class RmwItem(WorkItem):
             # Feeds the initiator's counter_wait edge: the wait ends
             # because this service ran (the Fig. 9/11 causality).
             obs.record(
-                ctx.client.rank, ctx.lane, "amo_service",
-                f"rmw.{req.op}", now - self.cost(ctx), now,
-                parent_id=self.delivery.parent_span, produces=(req.event,),
-                src=req.src, queue_wait=now - self.posted_at,
+                ctx.client.rank, _SERVICE_SPANS[ctx.lane, req.op],
+                (req.src, now - self.posted_at), now - self.cost(ctx), now,
+                (req.event,), self.delivery.parent_span,
             )
         _service(world, req)
 
@@ -202,9 +210,8 @@ class _NicRmwDelivery(_RmwDelivery):
         if obs is not None:
             now = world.engine.now
             obs.record(
-                self.dst, "net", "amo_service", f"nic_rmw.{request.op}",
-                now - NIC_AMO_SERVICE, now, parent_id=self.parent_span,
-                produces=(request.event,), src=request.src,
+                self.dst, _NIC_SERVICE_SPANS[request.op], (request.src,),
+                now - NIC_AMO_SERVICE, now, (request.event,), self.parent_span,
             )
         _service(world, request)
 

@@ -22,6 +22,7 @@ import math
 from typing import TYPE_CHECKING, Any, Generator
 
 from ..errors import DeadlineExceededError
+from ..obs.span import LANES, kind
 from ..sim.event import Event
 from ..sim.primitives import Delay, WaitAny
 from ..sim.resources import Lock, Queue
@@ -29,6 +30,11 @@ from .faults import check_completion
 
 if TYPE_CHECKING:  # pragma: no cover
     from .client import PamiClient
+
+#: A serviced round's span kind, by the context's lane.
+_DRAIN_SPANS = {
+    lane: kind(lane, "progress", "drain", None, ("items",)) for lane in LANES
+}
 
 
 class TimerEvent(Event):
@@ -366,9 +372,8 @@ class PamiContext:
                                 # thread's rounds must not attach to whatever
                                 # the main thread happens to have open.
                                 obs.record(
-                                    self.client.rank, self.lane, "progress",
-                                    "drain", start, engine.now,
-                                    parent_id=None, items=serviced,
+                                    self.client.rank, _DRAIN_SPANS[self.lane],
+                                    (serviced,), start, engine.now, (), 0,
                                 )
                         self.trace.counters["pami.items_serviced"] += serviced
                         self.busy_time += engine.now - start

@@ -112,15 +112,6 @@ class Delivery:
         """Put the next copy on the wire."""
         self.world.engine._push(RETRANSMIT_DELAY, self.attempt, None)
 
-    def flight(self, category: str, name: str, end: float, nbytes: int, *events) -> int:
-        """Record the wire-time span ``name`` on ``src``'s net lane, from
-        now to ``end``, as the producer of ``events``; its id."""
-        world = self.world
-        return world.obs.record(
-            self.src, "net", category, name, world.engine.now, end,
-            produces=events, dst=self.dst, nbytes=nbytes,
-        )
-
     def jittered(self, time: float) -> float:
         """``time`` plus the chaos injector's jitter for this pair (as is
         with no injector) — the one place a delivery's delay is drawn."""

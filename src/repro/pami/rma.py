@@ -34,10 +34,26 @@ delivery's; what is RDMA's own:
 from __future__ import annotations
 
 from ..errors import PamiError
+from ..machine.network import TRANSFER_COUNTERS
+from ..obs.span import kind
 from ..sim.event import Event
 from . import faults as _flt
 from .context import CompletionItem, PamiContext
 from .delivery import RETRANSMIT_DELAY, Delivery
+
+#: The wire-time span kinds on the initiator's net lane: a run's flight,
+#: and an integrity retransmit's.
+_PUT_SPAN = kind("net", "rdma", "rdma_put", None, ("dst", "nbytes"))
+_GET_SPAN = kind("net", "rdma", "rdma_get", None, ("dst", "nbytes"))
+_PUT_RETRANSMIT_SPAN = kind(
+    "net", "integrity", "put.retransmit", None, ("dst", "nbytes")
+)
+_GET_RETRANSMIT_SPAN = kind(
+    "net", "integrity", "get.retransmit", None, ("dst", "nbytes")
+)
+#: What a call counts: its runs and bytes, and its RDMA ops.
+_PUT_COUNTERS = (*TRANSFER_COUNTERS["put"], "pami.rdma_puts")
+_GET_COUNTERS = (*TRANSFER_COUNTERS["get"], "pami.rdma_gets")
 
 
 def read_side(space, layout, nbytes: int):
@@ -101,7 +117,9 @@ class _PutDelivery(Delivery):
         base = engine.now
         delay = RETRANSMIT_DELAY + (t2.deliver - base)
         if world.obs is not None:
-            self.flight("integrity", "put.retransmit", base + delay, nbytes)
+            world.obs.record(
+                self.src, _PUT_RETRANSMIT_SPAN, (self.dst, nbytes), base, base + delay
+            )
         engine._push(delay, self.attempt, None)
 
 
@@ -130,11 +148,11 @@ def rdma_put(
     now = engine.now
     obs = world.obs
     hop = net.lane(src, dst_rank)
-    local_events = [None] * len(runs)
-    remote_acks = [None] * len(runs) if want_remote_ack else None
+    local_events = []
+    remote_acks = [] if want_remote_ack else None
     size = occupancy = None
     total = 0
-    for i, (local, remote, nbytes) in enumerate(runs):
+    for local, remote, nbytes in runs:
         if nbytes <= 0:
             raise PamiError(f"put size must be positive, got {nbytes}")
         # Private uint8 snapshot (capture semantics); landing it is a
@@ -146,7 +164,8 @@ def rdma_put(
             src, dst_rank, nbytes, occupancy, hop
         )
         # Per-op events carry a kind; the caller knows which ranks.
-        local_event = local_events[i] = Event(engine, "put.local")
+        local_event = Event(engine, "put.local")
+        local_events.append(local_event)
         remote_ack = Event(engine, "put.rack") if want_remote_ack else None
         delivery = _PutDelivery(world, src, dst_rank, "put")
         delivery.ctx = ctx
@@ -171,7 +190,7 @@ def rdma_put(
         complete_at = complete if fault is None else complete + detect
         ctx.complete_after(complete_at - now, local_event, fault)
         if remote_ack is not None:
-            remote_acks[i] = remote_ack
+            remote_acks.append(remote_ack)
             if unprotected:
                 # The ack rides the NIC-reliable path and is scheduled
                 # unconditionally at post time.
@@ -183,12 +202,16 @@ def rdma_put(
                 # fault (and ARMCI re-issued the op).
                 ctx.complete_after(complete_at - now, remote_ack, fault)
         if obs is not None:
-            delivery.flight(
-                "rdma", "rdma_put", complete, nbytes, local_event, remote_ack
+            obs.record(
+                src, _PUT_SPAN, (dst_rank, nbytes), now, complete,
+                (local_event, remote_ack),
             )
         total += nbytes
-    net.count_transfers("put", len(runs), total)
-    world.trace.counters["pami.rdma_puts"] += len(runs)
+    messages, moved, posted = _PUT_COUNTERS
+    counters = world.trace.counters
+    counters[messages] += len(runs)
+    counters[moved] += total
+    counters[posted] += len(runs)
     return local_events, remote_acks
 
 
@@ -227,9 +250,9 @@ class _GetDelivery(Delivery):
         base = engine.now
         delay = RETRANSMIT_DELAY
         if world.obs is not None:
-            self.flight(
-                "integrity", "get.retransmit", base + delay + (t2.complete - base),
-                self.nbytes,
+            world.obs.record(
+                self.src, _GET_RETRANSMIT_SPAN, (self.dst, self.nbytes), base,
+                base + delay + (t2.complete - base),
             )
         engine._push(delay + (t2.deliver - base), self.read, None)
         engine._push(delay + (t2.complete - base), self.attempt, None)
@@ -256,10 +279,10 @@ def rdma_get(
     now = engine.now
     obs = world.obs
     hop = net.lane(src, dst_rank)
-    local_events = [None] * len(runs)
+    local_events = []
     size = occupancy = None
     total = 0
-    for i, (local, remote, nbytes) in enumerate(runs):
+    for local, remote, nbytes in runs:
         if nbytes <= 0:
             raise PamiError(f"get size must be positive, got {nbytes}")
         if nbytes != size:
@@ -267,7 +290,8 @@ def rdma_get(
         _start, _done, deliver, complete = net.get_run(
             src, dst_rank, nbytes, occupancy, hop
         )
-        local_event = local_events[i] = Event(engine, "get.local")
+        local_event = Event(engine, "get.local")
+        local_events.append(local_event)
         delivery = _GetDelivery(world, src, dst_rank, "get")
         delivery.ctx = ctx
         delivery.remote = remote
@@ -289,8 +313,13 @@ def rdma_get(
         engine._push(deliver_at - now, delivery.read, None)
         engine._push(complete_at - now, delivery.attempt, None)
         if obs is not None:
-            delivery.flight("rdma", "rdma_get", complete_at, nbytes, local_event)
+            obs.record(
+                src, _GET_SPAN, (dst_rank, nbytes), now, complete_at, (local_event,)
+            )
         total += nbytes
-    net.count_transfers("get", len(runs), total)
-    world.trace.counters["pami.rdma_gets"] += len(runs)
+    messages, moved, posted = _GET_COUNTERS
+    counters = world.trace.counters
+    counters[messages] += len(runs)
+    counters[moved] += total
+    counters[posted] += len(runs)
     return local_events

@@ -55,6 +55,7 @@ from ..errors import (
     TransientFaultError,
     UnrecoverableError,
 )
+from ..obs.span import kind
 from ..sim.primitives import Delay
 from .barrier import RESTART, RecoveryRendezvous
 from .buddy import choose_buddy
@@ -64,6 +65,9 @@ from .replica import ProtectedRegion, ReplicationStore
 if TYPE_CHECKING:  # pragma: no cover
     from ..armci.runtime import ArmciJob, ArmciProcess
 
+#: The spans of a checkpoint epoch and of a recovery.
+_CHECKPOINT_SPAN = kind("main", "recovery", "checkpoint", None, ("epoch",))
+_RECOVER_SPAN = kind("main", "recovery", "recover")
 #: Buddy placement: the replica partner must be at least this many torus
 #: hops away, so a localized failure (a node, a midplane-ish
 #: neighborhood) does not take out a region and its replica together.
@@ -225,7 +229,7 @@ class RecoveryManager:
         """One coordinated in-memory checkpoint epoch (collective)."""
         store = self._store(rt.rank)
         epoch = store.committed_epoch + 1
-        with rt.span("recovery", "checkpoint", epoch=epoch):
+        with rt.span(_CHECKPOINT_SPAN, (epoch,)):
             # Phase 0: local quiesce — the cut must include every write
             # this rank issued during the epoch.
             yield from rt.wait_all()
@@ -409,7 +413,7 @@ class RecoveryManager:
                 f"rank {rt.rank}: a rank died before the first checkpoint "
                 "committed; there is no epoch to recover to"
             )
-        with rt.span("recovery", "recover"):
+        with rt.span(_RECOVER_SPAN, ()):
             while True:
                 try:
                     yield from self._tolerant_quiesce(rt)

@@ -487,11 +487,15 @@ class TestOneOpBracket:
         import repro.transport
 
         # What is left refines the span at close (a handle wait's
-        # category) or opens it back-dated on another rank's behalf.
+        # category), opens it back-dated on another rank's behalf, or is
+        # the op span of the frame that runs a guarded op's attempts.
         assert self._callers_of(
             "begin", repro.armci, repro.pami, repro.gax, repro.recover,
             repro.serve, repro.transport,
-        ) == {"handles.py:_post_and_wait", "activemsg.py:execute"}
+        ) == {
+            "handles.py:_post_and_wait", "activemsg.py:execute",
+            "runtime.py:_with_retry",
+        }
 
     def test_the_gantt_is_only_a_view(self):
         src = pathlib.Path(repro.armci.__file__).parents[1]

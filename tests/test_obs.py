@@ -37,7 +37,7 @@ from repro.obs.metrics import (
     bucket_upper_edge,
 )
 from repro.chaos import ChaosConfig, FaultPlan
-from repro.obs.span import NO_SPAN, Obs, OpenSpan, Span
+from repro.obs.span import KINDS, NO_SPAN, STAGE, Obs, OpenSpan, Span, kind
 from repro.pami.world import PamiWorld
 from repro.sim.engine import Engine
 from repro.util.timeline import intervals
@@ -61,10 +61,10 @@ def obs():
 
 class TestSpans:
     def test_begin_end_and_ambient_stack(self, obs):
-        outer = obs.begin(0, "main", "op", "put")
+        outer = obs.begin(0, kind("main", "op", "put"))
         assert obs.current(0) == outer
         obs.engine.now = 1.0
-        inner = obs.begin(0, "main", "backoff", "retry_sleep")
+        inner = obs.begin(0, kind("main", "backoff", "retry_sleep"))
         assert obs.current(0) == inner
         obs.engine.now = 2.0
         obs.end(inner)
@@ -78,21 +78,22 @@ class TestSpans:
         assert obs.get(inner).end - obs.get(inner).start == pytest.approx(1.0)
 
     def test_per_rank_stacks_are_independent(self, obs):
-        a = obs.begin(0, "main", "op", "put")
-        b = obs.begin(1, "main", "op", "get")
+        a = obs.begin(0, kind("main", "op", "put"))
+        b = obs.begin(1, kind("main", "op", "get"))
         assert obs.current(0) == a
         assert obs.current(1) == b
 
     def test_explicit_parent_and_root(self, obs):
-        ambient = obs.begin(0, "main", "op", "put")
-        root = obs.begin(0, "main", "op", "detached", parent_id=None)
-        child = obs.begin(0, "main", "op", "linked", parent_id=ambient)
+        ambient = obs.begin(0, kind("main", "op", "put"))
+        root = obs.begin(0, kind("main", "op", "detached"), (), None)
+        child = obs.begin(0, kind("main", "op", "linked"), (), ambient)
         assert obs.get(root).parent_id is None
         assert obs.get(child).parent_id == ambient
 
     def test_record_skips_the_stack(self, obs):
-        ambient = obs.begin(0, "main", "op", "put")
-        sid = obs.record(0, "net", "rdma", "rdma_put", 0.5, 1.5, nbytes=64)
+        ambient = obs.begin(0, kind("main", "op", "put"))
+        put = kind("net", "rdma", "rdma_put", None, ("nbytes",))
+        sid = obs.record(0, put, (64,), 0.5, 1.5)
         assert obs.current(0) == ambient  # no push
         span = obs.get(sid)
         assert span.end == 1.5
@@ -101,16 +102,17 @@ class TestSpans:
 
     def test_retroactive_start_and_attrs_on_end(self, obs):
         obs.engine.now = 3.0
-        sid = obs.begin(0, "main", "am_service", "svc", start=2.0, src=1)
+        svc = kind("main", "am_service", "svc", None, ("src",))
+        sid = obs.begin(0, svc, (1,), start=2.0)
         obs.engine.now = 4.0
-        obs.end(sid, category="amo_service", queue_wait=0.5)
+        obs.end(sid, "amo_service", attrs={"queue_wait": 0.5})
         span = obs.get(sid)
         assert span.start == 2.0 and span.end == 4.0
         assert span.category == "amo_service"
         assert span.attrs == {"src": 1, "queue_wait": 0.5}
 
     def test_double_end_is_idempotent(self, obs):
-        sid = obs.begin(0, "main", "op", "put")
+        sid = obs.begin(0, kind("main", "op", "put"))
         obs.engine.now = 1.0
         obs.end(sid)
         obs.engine.now = 2.0
@@ -118,15 +120,15 @@ class TestSpans:
         assert obs.get(sid).end == 1.0
 
     def test_out_of_order_close_keeps_stack_sane(self, obs):
-        outer = obs.begin(0, "main", "op", "outer")
-        inner = obs.begin(0, "main", "op", "inner")
+        outer = obs.begin(0, kind("main", "op", "outer"))
+        inner = obs.begin(0, kind("main", "op", "inner"))
         obs.end(outer)  # not the top: removed from mid-stack
         assert obs.current(0) == inner
         obs.end(inner)
         assert obs.current(0) is None
 
     def test_context_manager(self, obs):
-        with OpenSpan(obs, 0, "main", "op", "block", {}) as span:
+        with OpenSpan(obs, 0, kind("main", "op", "block"), ()) as span:
             assert obs.current(0) == span.sid
             span.note(items=3)
         assert obs.current(0) is None
@@ -135,7 +137,7 @@ class TestSpans:
 
     def test_span_stays_open_across_a_yield(self, obs):
         def body():
-            with OpenSpan(obs, 0, "main", "compute", "compute", {}):
+            with OpenSpan(obs, 0, kind("main", "compute", "compute"), ()):
                 yield
 
         gen = body()
@@ -152,9 +154,9 @@ class TestSpans:
         assert span is NO_SPAN and span.sid is None
 
     def test_finalize_truncates_open_spans(self, obs):
-        done = obs.begin(0, "main", "op", "done")
+        done = obs.begin(0, kind("main", "op", "done"))
         obs.end(done)
-        obs.begin(0, "main", "op", "hung")
+        obs.begin(0, kind("main", "op", "hung"))
         obs.engine.now = 5.0
         obs.finalize()
         assert obs.truncated_spans == 1
@@ -164,18 +166,18 @@ class TestSpans:
         assert obs.current(0) is None
 
     def test_timeline_labels_emit_trace_intervals(self, obs):
-        sid = obs.begin(0, "main", "op", "put", timeline="put")
-        plain = obs.begin(0, "main", "op", "untagged")
-        obs.begin(0, "main", "op", "get", timeline="get")  # left open
+        sid = obs.begin(0, kind("main", "op", "put", "put"))
+        plain = obs.begin(0, kind("main", "op", "untagged"))
+        obs.begin(0, kind("main", "op", "get", "get"))  # left open
         obs.engine.now = 1.0
         obs.end(sid)
         obs.end(plain)
-        obs.record(1, "main", "fence", "fence", 1.0, 1.0, timeline="fence")
+        obs.record(1, kind("main", "fence", "fence", "fence"), (), 1.0, 1.0)
         # The Gantt is a view: closed, non-empty, labelled spans only.
         assert intervals(obs.spans) == [("r0", "put", 0.0, 1.0)]
 
     def test_span_durations_feed_metrics(self, obs):
-        sid = obs.begin(0, "main", "fence", "fence")
+        sid = obs.begin(0, kind("main", "fence", "fence"))
         obs.engine.now = 2e-6
         obs.end(sid)
         h = obs.metrics.histogram("obs.span.fence")
@@ -187,7 +189,7 @@ class TestCausality:
     def test_event_registration(self, obs):
         engine = Engine()
         ev = engine.event("done")
-        sid = obs.record(0, "net", "rdma", "rdma_put", 0.0, 1.0)
+        sid = obs.record(0, kind("net", "rdma", "rdma_put"), (), 0.0, 1.0)
         assert obs.span_for_event(ev) is None
         obs.register_event(ev, sid)
         assert obs.span_for_event(ev) == sid
@@ -196,8 +198,8 @@ class TestCausality:
         assert obs.span_for_event(engine.event("third")) is None
 
     def test_add_edge_rejects_degenerate(self, obs):
-        a = obs.record(0, "net", "rdma", "x", 0.0, 1.0)
-        b = obs.record(1, "main", "rdma_wait", "y", 0.0, 1.0)
+        a = obs.record(0, kind("net", "rdma", "x"), (), 0.0, 1.0)
+        b = obs.record(1, kind("main", "rdma_wait", "y"), (), 0.0, 1.0)
         obs.add_edge(a, b)
         obs.add_edge(None, b)
         obs.add_edge(a, None)
@@ -207,10 +209,10 @@ class TestCausality:
     def test_barrier_edge_from_last_arriver(self, obs):
         key = 7
         obs.engine.now = 1.0
-        s0 = obs.begin(0, "main", "barrier", "barrier")
+        s0 = obs.begin(0, kind("main", "barrier", "barrier"))
         obs.barrier_arrive(key, 0, s0)
         obs.engine.now = 3.0
-        s1 = obs.begin(1, "main", "barrier", "barrier")
+        s1 = obs.begin(1, kind("main", "barrier", "barrier"))
         obs.barrier_arrive(key, 1, s1)
         obs.engine.now = 3.1
         obs.end(s0)
@@ -227,7 +229,7 @@ class TestCausality:
         for rnd in range(2):
             for rank in (0, 1):
                 obs.engine.now = rnd * 10.0 + rank
-                sid = obs.begin(rank, "main", "barrier", "barrier")
+                sid = obs.begin(rank, kind("main", "barrier", "barrier"))
                 sids[(rnd, rank)] = sid
                 obs.barrier_arrive(key, rank, sid)
             for rank in (0, 1):
@@ -670,6 +672,33 @@ def _retained_obs_bytes(fn):
     return result, sum(d.size_diff for d in after.compare_to(before, "filename"))
 
 
+def _stream_job(steps, obs=True):
+    """A finished 4-rank job whose rank 0 puts, gets, and every fourth
+    step fetch_adds and computes, ``steps`` times over three targets,
+    with sizes, offsets and operands that vary per step."""
+    config = ArmciConfig(obs=ObsConfig(enabled=obs))
+    job = ArmciJob(4, procs_per_node=2, config=config)
+    job.init()
+
+    def body(rt):
+        alloc = yield from rt.malloc(64 * steps + 8)
+        if rt.rank == 0:
+            buf = rt.world.space(0).allocate(64)
+            for i in range(steps):
+                d, off = 1 + i % 3, alloc.addr(1 + i % 3) + 64 * i
+                size = 8 + i % 56
+                yield from rt.put(d, buf, off, size)
+                yield from rt.get(d, buf, off, size)
+                if i % 4 == 3:
+                    yield from rt.rmw(d, alloc.addr(d) + 64 * steps, "fetch_add", i)
+                    yield from rt.compute(i * 1e-9)
+            yield from rt.fence_all()
+        yield from rt.barrier()
+
+    job.run(body)
+    return job
+
+
 def _md5(text: str) -> str:
     return hashlib.md5(text.encode()).hexdigest()
 
@@ -702,7 +731,7 @@ class TestColumnStore:
     }
 
     def test_records_are_read_only_copies(self, obs):
-        sid = obs.begin(0, "main", "op", "put", nbytes=8)
+        sid = obs.begin(0, kind("main", "op", "put", None, ("nbytes",)), (8,))
         record = obs.get(sid)
         record.end = 5.0
         record.attrs["nbytes"] = 9
@@ -715,16 +744,34 @@ class TestColumnStore:
         assert not hasattr(obs.finished(), "append")
         assert obs.get(0) is None and obs.get(sid + 1) is None
 
+    def test_a_row_compacted_while_open_closes_in_the_columns(self, obs):
+        wait = kind("main", "handle_wait", "get.wait", None, ("ops",))
+        flight = kind("net", "rdma", "rdma_get", None, ("nbytes",))
+        event = Engine().event("done")
+        cause = obs.record(0, flight, (8,), 0.0, 0.5, (event,))
+        sid = obs.begin(0, wait, (1,))
+        for i in range(STAGE):
+            obs.record(1, flight, (i,), 0.0, 1.0)
+        obs.engine.now = 2.0
+        obs.end(sid, None, (event,), {"late": True})
+        obs.end(sid)  # idempotent in the columns too
+        assert obs.get(sid) == Span(
+            sid, None, 0, "main", "rdma_wait", "get.wait", 0.0, 2.0,
+            {"ops": 1, "late": True},
+        )
+        assert obs.edges == [(cause, sid)] and obs.current(0) is None
+        assert len(obs.finished()) == STAGE + 2
+
     def test_category_is_read_without_a_record(self, obs, monkeypatch):
-        sid = obs.begin(0, "main", "handle_wait", "get.wait")
-        obs.end(sid, category="rdma_wait")
+        sid = obs.begin(0, kind("main", "handle_wait", "get.wait"))
+        obs.end(sid, "rdma_wait")
         monkeypatch.setattr(Obs, "_record", None)
         assert obs.category(sid) == "rdma_wait"
 
     def test_sequences_are_in_id_order(self, obs):
-        a = obs.begin(0, "main", "op", "a")
-        b = obs.record(1, "net", "rdma", "b", 0.0, 1.0)
-        c = obs.begin(0, "main", "op", "c")
+        a = obs.begin(0, kind("main", "op", "a"))
+        b = obs.record(1, kind("net", "rdma", "b"), (), 0.0, 1.0)
+        c = obs.begin(0, kind("main", "op", "c"))
         obs.end(c)
         assert [s.span_id for s in obs.spans] == [a, b, c]
         assert [s.span_id for s in obs.finished()] == [b, c]
@@ -733,8 +780,9 @@ class TestColumnStore:
         assert [s.span_id for s in obs.finished()] == [a, b, c]
 
     def test_finished_len_does_not_build_records(self, obs, monkeypatch):
+        code = kind("net", "rdma", "rdma_put", None, ("nbytes",))
         for i in range(20_000):
-            obs.record(i % 8, "net", "rdma", "rdma_put", 0.0, 1.0, nbytes=i)
+            obs.record(i % 8, code, (i,), 0.0, 1.0)
         monkeypatch.setattr(Obs, "_record", None)
         n, retained = _retained_obs_bytes(lambda: len(obs.finished()))
         assert n == 20_000
@@ -788,6 +836,31 @@ class TestColumnStore:
         # The object-per-span store held 323 B per span here.
         assert retained / spans <= 180, retained / spans
 
+    def test_a_span_retains_at_most_150_bytes_in_all_frames(self):
+        """What a span costs wherever it is allocated: the gate above
+        reads ``repro/obs`` frames only, and the attribute tuples are
+        built in the call sites' frames."""
+
+        def retained(enabled):
+            gc.collect()
+            tracemalloc.start(1)
+            try:
+                before = tracemalloc.take_snapshot()
+                job = _stream_job(500, enabled)
+                gc.collect()
+                after = tracemalloc.take_snapshot()
+            finally:
+                tracemalloc.stop()
+            return job, sum(d.size_diff for d in after.compare_to(before, "filename"))
+
+        _job, off = retained(False)
+        job, on = retained(True)
+        spans = len(job.obs.finished())
+        assert spans > 5000
+        # 120 B per span when it was first measured, before and after the
+        # attribute tuples moved out of ``repro/obs`` frames.
+        assert (on - off) / spans <= 150, (on - off) / spans
+
     @pytest.mark.parametrize("mode", ["D", "AT"])
     def test_traced_scf_outputs_match_the_object_store(self, mode):
         base = {
@@ -813,6 +886,25 @@ class TestColumnStore:
         assert got == self.DIGESTS[mode]
 
 
+class TestKindTable:
+    """A span's kind names its call site, never its op: the process-wide
+    kind table stops growing once every site has run."""
+
+    @staticmethod
+    def kinds(job):
+        return {
+            (s.lane, s.category, s.name, s.timeline, *s.attrs)
+            for s in job.obs.finished()
+        }
+
+    def test_the_kind_table_does_not_grow_with_run_length(self):
+        short = self.kinds(_stream_job(50))
+        interned = len(KINDS)
+        long = self.kinds(_stream_job(500))
+        assert len(KINDS) == interned
+        assert long == short
+
+
 class TestSpanHistogramFold:
     """Span durations reach ``obs.span.<category>`` when a histogram is
     read, folded in close order: bitwise what one ``record`` per close
@@ -835,12 +927,12 @@ class TestSpanHistogramFold:
         want = MetricsRegistry()
         for category, rank, start, read in closes:
             if read:  # an open span closed later, and a read in between
-                sid = obs.begin(rank, "main", category, "x", start=start)
+                sid = obs.begin(rank, kind("main", category, "x"), (), start=start)
                 obs.engine.now = start * 3.0
                 obs.end(sid)
                 obs.metrics.snapshot()
             else:
-                obs.record(rank, "net", category, "x", start, start * 1.5)
+                obs.record(rank, kind("net", category, "x"), (), start, start * 1.5)
             span = obs.get(len(obs.spans))
             want.histogram(f"obs.span.{category}").record(
                 span.end - span.start, rank=rank

@@ -16,7 +16,8 @@ from repro.armci import ArmciConfig, ArmciJob
 from repro.armci import dispatch as disp
 from repro.armci.runtime import ACK_PRUNE_FLOOR, AM_HANDLERS, AllocationDirectory
 from repro.chaos import FaultPlan
-from repro.errors import ArmciError
+from repro.errors import ArmciError, TransientFaultError
+from repro.pami.faults import TransientFault
 from repro.sim.event import Event
 from repro.verify.oracle import attach_oracle
 
@@ -300,6 +301,32 @@ class TestAmortisedPruning:
             ack.succeed()
             rt.track_write_acks(1, (ack,))
         assert len(rt._pending_acks[1]) <= ACK_PRUNE_FLOOR + 1
+
+    def test_a_failed_ack_outlives_the_prune(self):
+        """A write whose retransmit budget died after local completion is
+        never certified, however many clean acks follow it: the prune
+        keeps the failed ack, and the fence raises."""
+        job = _ready_job(2)
+        raised = []
+
+        def body(rt):
+            if rt.rank == 0:
+                failed = job.engine.event("failed")
+                failed.succeed(TransientFault("integrity_exhausted", 0, 1))
+                rt.track_write_acks(1, (failed,))
+                for i in range(ACK_PRUNE_FLOOR):
+                    ack = job.engine.event(f"ack{i}")
+                    ack.succeed()
+                    rt.track_write_acks(1, (ack,))
+                assert rt._pending_acks[1] == [failed]  # the prune ran
+                try:
+                    yield from rt.fence(1)
+                except TransientFaultError as exc:
+                    raised.append(str(exc))
+            yield from rt.barrier()
+
+        job.run(body)
+        assert len(raised) == 1 and "integrity_exhausted" in raised[0]
 
     def test_fence_restarts_the_prune_schedule(self):
         job = _ready_job(16)

@@ -3,9 +3,12 @@
 table): Python calls, bytecode instructions, generator resumes, allocated
 blocks, engine entries by callback and the generator frames a process
 step resumes, for a blocking 16 B put + get pair and for one
-``fetch_add`` on a knobs-off 2-node job, and for the pair with obs on
-(its spans, and its Python calls and bytecodes per span over the
-knobs-off pair); then the frames per step of the 256-rank smoke Fig. 11
+``fetch_add`` on a knobs-off 2-node job, for the pair with obs on (its
+spans, and its Python calls and bytecodes per span over the knobs-off
+pair) and for the pair on the ledger's ``rma_guarded`` configuration
+(chaos at a fixed seed, integrity, link health, obs and a deadline: its
+spans, and the calls the span store makes per span); then the frames
+per step of the 256-rank smoke Fig. 11
 D run, with its most common frame chains, and its Python calls, builtin
 calls and engine entries per wire op; then Python calls, builtin calls,
 engine entries and frames per step per chunk of a zero-copy strided
@@ -23,6 +26,12 @@ function or array method it calls, or a numpy Python function it calls
 inside does not count, so the figure does not depend on numpy's
 internals; ufunc calls and operators (indexing, arithmetic) raise no
 profile event and are not counted either.
+
+Bytecodes undercount what a span costs: a change to the span store that
+cut ``rma_guarded``'s wall time 4.7 % moved the obs-on pair's bytecodes
+per span only 194.6 -> 176.5. The store's array appends, dict probes and
+tuple builds are single bytecodes whose C work varies; read a span-store
+change off the ledger's ``wall_s`` pairs, with these counts beside it.
 """
 
 import argparse
@@ -37,6 +46,9 @@ from reach import LAYERS
 
 N, OPS = 50, ("put+get", "fetch_add")  # operations per census; what it covers
 OBS_ROW = "put+get, obs on"  # the pair again, on a job with ObsConfig(enabled=True)
+#: The pair on the ledger's ``rma_guarded`` configuration, its chaos
+#: injector seeded so the counts repeat.
+GUARDED_ROW, GUARDED_SEED = "put+get, guarded", 2013
 #: The SCF D row: ranks of the smoke Fig. 11 grid's largest D run, and
 #: how many of its frame chains it prints.
 SCF_PROCS, TOP_CHAINS = 256, 6
@@ -111,12 +123,14 @@ class Census:
         self.numpy = Counter()
         self.frames = Frames()
         self.resumes = self.blocks = self.spans = self.python = 0
+        self.span_store = 0  # calls made in the span store's frames
         self._in_numpy = None  # the numpy C callable a repro frame is inside
 
     def profile(self, frame, event, arg) -> None:
         code, back = frame.f_code, frame.f_back
         if event in ("call", "c_call"):
             self.calls[layer_of(code.co_filename)] += 1
+            self.span_store += code.co_filename.endswith("/repro/obs/span.py")
             self.count_numpy(frame, event, arg)
         elif event in ("c_return", "c_exception") and arg is self._in_numpy:
             self._in_numpy = None
@@ -172,10 +186,23 @@ class Census:
         self.blocks += sys.getallocatedblocks()
 
 
-def run(backend: str, mode: str, obs: bool = False) -> dict[str, Census]:
+def run(backend: str, mode: str, knobs: str = "off") -> dict[str, Census]:
+    """The census of each of ``OPS`` with ``knobs`` ``"off"``, ``"obs"``
+    (obs on) or ``"guarded"`` (the ledger's ``rma_guarded`` knobs)."""
     from repro.armci import ArmciConfig, ArmciJob, ObsConfig
-    config = ArmciConfig(backend=backend, obs=ObsConfig(enabled=obs))
-    job = ArmciJob(2, config=config, procs_per_node=1)
+    chaos, obs = None, knobs != "off"
+    if knobs == "guarded":
+        from repro.chaos import ChaosConfig
+        from repro.machine.health import LinkHealthConfig
+        from repro.pami.integrity import IntegrityConfig
+        config = ArmciConfig(
+            backend=backend, integrity=IntegrityConfig(), health=LinkHealthConfig(),
+            obs=ObsConfig(enabled=True), default_deadline=1.0,
+        )
+        chaos = ChaosConfig.light(GUARDED_SEED)
+    else:
+        config = ArmciConfig(backend=backend, obs=ObsConfig(enabled=obs))
+    job = ArmciJob(2, config=config, procs_per_node=1, chaos=chaos)
     job.init()
     census = {op: Census() for op in OPS}
 
@@ -340,10 +367,11 @@ def main() -> None:
     sys.path.insert(0, args.src)
     modes = ("calls", "opcodes", "plain")
     calls, opcodes, plain = (run(args.backend, m) for m in modes)
-    for table, on in zip((calls, opcodes, plain), (run(args.backend, m, True) for m in modes)):
-        table[OBS_ROW] = on[OPS[0]]
+    for row, knobs in ((OBS_ROW, "obs"), (GUARDED_ROW, "guarded")):
+        for table, on in zip((calls, opcodes, plain), (run(args.backend, m, knobs) for m in modes)):
+            table[row] = on[OPS[0]]
     print(f"op census of {args.src} over {args.backend}, per operation")
-    for op in (*OPS, OBS_ROW):
+    for op in (*OPS, OBS_ROW, GUARDED_ROW):
         c, o = calls[op].calls, opcodes[op].opcodes
         c["total"], o["total"] = sum(c.values()), sum(o.values())
         print(f"\n{op:<12}{'calls':>8}{'bytecodes':>11}")
@@ -356,11 +384,15 @@ def main() -> None:
               f"{live / N:.2f} live): " + ", ".join(
                   f"{name} {count / N:.2f}" for name, count in entries.most_common()))
         print(f"  {calls[op].frames}")
+        if op in (OBS_ROW, GUARDED_ROW):
+            spans = calls[op].spans / N
+            print(f"  spans per pair {spans:.2f}; span store calls per span "
+                  f"{calls[op].span_store / N / spans:.2f}")
     on, off = OBS_ROW, OPS[0]
     spans = calls[on].spans / N
     python = (calls[on].python - calls[off].python) / N
     codes = (opcodes[on].opcodes["total"] - opcodes[off].opcodes["total"]) / N
-    print(f"  spans per pair {spans:.2f}; per span over the knobs-off pair: "
+    print(f"\n{on}, per span over the knobs-off pair: "
           f"{python / spans:.1f} Python calls, {codes / spans:.1f} bytecodes")
     census, chunks, entries = strided()
     python = census.python
